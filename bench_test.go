@@ -95,7 +95,7 @@ func indexBenchStore(b *testing.B, mode Mode) *Store {
 const benchKeySpace = 1 << 16
 
 // preloadIndex inserts keySpace/2 spread keys.
-func preloadIndex(b *testing.B, ops harness.IndexOps) {
+func preloadIndex(b *testing.B, ops IndexHandle) {
 	b.Helper()
 	for i := 0; i < benchKeySpace/2; i++ {
 		k := uint64(i*2 + 1)
@@ -105,15 +105,25 @@ func preloadIndex(b *testing.B, ops harness.IndexOps) {
 	}
 }
 
-// runIndexBench drives b.N mixed operations through a factory.
-func runIndexBench(b *testing.B, f harness.IndexFactory, mix harness.Mix, flushes func() uint64) {
+func openIndex(b *testing.B, s *Store, name string, opt IndexOptions) func(seed int64) IndexHandle {
 	b.Helper()
-	preloadIndex(b, f.NewOps(0))
+	newHandle, err := s.OpenIndex(name, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return newHandle
+}
+
+// runIndexBench drives b.N mixed operations through handles minted by
+// newHandle (Store.OpenIndex's result, or a closure over a CAS list).
+func runIndexBench(b *testing.B, newHandle func(seed int64) IndexHandle, mix harness.Mix, flushes func() uint64) {
+	b.Helper()
+	preloadIndex(b, newHandle(0))
 	var seq atomic.Int64
 	before := flushes()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		ops := f.NewOps(seq.Add(1))
+		ops := newHandle(seq.Add(1))
 		kg := harness.NewKeyGen(harness.Uniform, benchKeySpace, seq.Add(1))
 		i := 0
 		for pb.Next() {
@@ -131,7 +141,7 @@ func runIndexBench(b *testing.B, f harness.IndexFactory, mix harness.Mix, flushe
 			case i%100 < mix.Reads+mix.Inserts+mix.Updates+mix.Deletes:
 				ops.Delete(k)
 			default:
-				ops.Scan(k, k+100, func(uint64, uint64) bool { return true })
+				ops.Scan(k, k+100, func(IndexEntry) bool { return true })
 			}
 			i++
 		}
@@ -152,25 +162,17 @@ func BenchmarkE5SkipList(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			runIndexBench(b, &harness.CASListFactory{List: cl, Label: "cas"}, mix.mix,
+			runIndexBench(b, func(seed int64) IndexHandle { return cl.NewHandle(seed) }, mix.mix,
 				func() uint64 { return s.Device().Stats().Flushes })
 		})
 		b.Run("mwcas/"+mix.name, func(b *testing.B) {
 			s := indexBenchStore(b, Volatile)
-			l, err := s.SkipList()
-			if err != nil {
-				b.Fatal(err)
-			}
-			runIndexBench(b, &harness.SkipListFactory{List: l, Label: "mwcas"}, mix.mix,
+			runIndexBench(b, openIndex(b, s, "skiplist", IndexOptions{}), mix.mix,
 				func() uint64 { return s.Device().Stats().Flushes })
 		})
 		b.Run("pmwcas/"+mix.name, func(b *testing.B) {
 			s := indexBenchStore(b, Persistent)
-			l, err := s.SkipList()
-			if err != nil {
-				b.Fatal(err)
-			}
-			runIndexBench(b, &harness.SkipListFactory{List: l, Label: "pmwcas"}, mix.mix,
+			runIndexBench(b, openIndex(b, s, "skiplist", IndexOptions{}), mix.mix,
 				func() uint64 { return s.Device().Stats().Flushes })
 		})
 	}
@@ -193,11 +195,8 @@ func BenchmarkE6BwTree(b *testing.B) {
 		} {
 			b.Run(variant.name+"/"+mix.name, func(b *testing.B) {
 				s := indexBenchStore(b, variant.mode)
-				t, err := s.BwTree(BwTreeOptions{SMO: variant.smo})
-				if err != nil {
-					b.Fatal(err)
-				}
-				runIndexBench(b, &harness.BwTreeFactory{Tree: t, Label: variant.name}, mix.mix,
+				newHandle := openIndex(b, s, "bwtree", IndexOptions{BwTree: BwTreeOptions{SMO: variant.smo}})
+				runIndexBench(b, newHandle, mix.mix,
 					func() uint64 { return s.Device().Stats().Flushes })
 			})
 		}

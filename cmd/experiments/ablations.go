@@ -74,11 +74,7 @@ func a3Eviction(threads int, sc scale) {
 		if err != nil {
 			fail(err)
 		}
-		l, err := s.SkipList()
-		if err != nil {
-			fail(err)
-		}
-		r, err := harness.Run(&harness.SkipListFactory{List: l, Label: "pmwcas"}, w,
+		r, err := harness.Run(open(s, "pmwcas", "skiplist", pmwcas.IndexOptions{}), w,
 			func() uint64 { return s.Device().Stats().Flushes })
 		if err != nil {
 			fail(err)
@@ -109,12 +105,8 @@ func a4ConsolidationThreshold(threads int, sc scale) {
 		if err != nil {
 			fail(err)
 		}
-		t, err := s.BwTree(pmwcas.BwTreeOptions{ConsolidateAfter: consol})
-		if err != nil {
-			fail(err)
-		}
-		r, err := harness.Run(&harness.BwTreeFactory{Tree: t, Label: "pmwcas"}, w,
-			func() uint64 { return s.Device().Stats().Flushes })
+		f := open(s, "pmwcas", "bwtree", pmwcas.IndexOptions{BwTree: pmwcas.BwTreeOptions{ConsolidateAfter: consol}})
+		r, err := harness.Run(f, w, func() uint64 { return s.Device().Stats().Flushes })
 		if err != nil {
 			fail(err)
 		}

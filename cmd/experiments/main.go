@@ -22,8 +22,8 @@ import (
 	"pmwcas/internal/core"
 	"pmwcas/internal/harness"
 	"pmwcas/internal/htm"
+	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
-	"pmwcas/internal/skiplist"
 )
 
 type scale struct {
@@ -99,7 +99,7 @@ var reps int
 
 // runMedian runs the workload reps times on the same (preloaded) store
 // and returns the run with median throughput.
-func runMedian(f harness.IndexFactory, w harness.Workload, flushes func() uint64) (harness.Result, error) {
+func runMedian(f harness.Factory, w harness.Workload, flushes func() uint64) (harness.Result, error) {
 	n := reps
 	if n < 1 {
 		n = 1
@@ -201,6 +201,15 @@ func newStore(mode pmwcas.Mode, flush time.Duration) *pmwcas.Store {
 	return s
 }
 
+// open is Store.OpenIndex as a labelled harness factory.
+func open(s *pmwcas.Store, label, index string, opt pmwcas.IndexOptions) harness.Factory {
+	mint, err := s.OpenIndex(index, opt)
+	if err != nil {
+		fail(err)
+	}
+	return harness.Factory{Label: label, New: mint}
+}
+
 // E5: skip list variants across mixes.
 func e5(threads int, sc scale, flush time.Duration) {
 	for _, mix := range []struct {
@@ -220,8 +229,8 @@ func e5(threads int, sc scale, flush time.Duration) {
 		if err != nil {
 			fail(err)
 		}
-		r, err := runMedian(&harness.CASListFactory{List: cl, Label: "cas (volatile)"}, w,
-			func() uint64 { return s.Device().Stats().Flushes })
+		cas := harness.Factory{Label: "cas (volatile)", New: func(seed int64) harness.IndexOps { return cl.NewHandle(seed) }}
+		r, err := runMedian(cas, w, func() uint64 { return s.Device().Stats().Flushes })
 		if err != nil {
 			fail(err)
 		}
@@ -233,11 +242,7 @@ func e5(threads int, sc scale, flush time.Duration) {
 			mode  pmwcas.Mode
 		}{{"mwcas (volatile)", pmwcas.Volatile}, {"pmwcas (persistent)", pmwcas.Persistent}} {
 			s := newStore(variant.mode, flush)
-			l, err := s.SkipList()
-			if err != nil {
-				fail(err)
-			}
-			r, err := runMedian(&harness.SkipListFactory{List: l, Label: variant.label}, w,
+			r, err := runMedian(open(s, variant.label, "skiplist", pmwcas.IndexOptions{}), w,
 				func() uint64 { return s.Device().Stats().Flushes })
 			if err != nil {
 				fail(err)
@@ -272,12 +277,8 @@ func e6(threads int, sc scale, flush time.Duration) {
 			{"pmwcas (persistent)", pmwcas.Persistent, pmwcas.SMOPMwCAS},
 		} {
 			s := newStore(variant.mode, flush)
-			t, err := s.BwTree(pmwcas.BwTreeOptions{SMO: variant.smo})
-			if err != nil {
-				fail(err)
-			}
-			r, err := runMedian(&harness.BwTreeFactory{Tree: t, Label: variant.label}, w,
-				func() uint64 { return s.Device().Stats().Flushes })
+			f := open(s, variant.label, "bwtree", pmwcas.IndexOptions{BwTree: pmwcas.BwTreeOptions{SMO: variant.smo}})
+			r, err := runMedian(f, w, func() uint64 { return s.Device().Stats().Flushes })
 			if err != nil {
 				fail(err)
 			}
@@ -323,7 +324,7 @@ func e11(threads int, sc scale, flush time.Duration) {
 		}
 		tbl := harness.NewTable("E11: traversal flush elision — "+cell.label,
 			"index", "elision", "ops/s", "flushes/op", "flush reduction")
-		for _, idx := range []string{"skip list", "bw-tree"} {
+		for _, idx := range []struct{ label, name string }{{"skip list", "skiplist"}, {"bw-tree", "bwtree"}} {
 			var base float64 // flushes/op with elision off
 			for _, el := range []struct {
 				label string
@@ -331,22 +332,8 @@ func e11(threads int, sc scale, flush time.Duration) {
 			}{{"off", false}, {"on", true}} {
 				core.SetFlushElision(el.on)
 				s := newStore(pmwcas.Persistent, flush)
-				var f harness.IndexFactory
-				switch idx {
-				case "skip list":
-					l, err := s.SkipList()
-					if err != nil {
-						fail(err)
-					}
-					f = &harness.SkipListFactory{List: l, Label: idx}
-				case "bw-tree":
-					t, err := s.BwTree(pmwcas.BwTreeOptions{SMO: pmwcas.SMOPMwCAS})
-					if err != nil {
-						fail(err)
-					}
-					f = &harness.BwTreeFactory{Tree: t, Label: idx}
-				}
-				r, err := runMedian(f, w, func() uint64 { return s.Device().Stats().Flushes })
+				r, err := runMedian(open(s, idx.label, idx.name, pmwcas.IndexOptions{}), w,
+					func() uint64 { return s.Device().Stats().Flushes })
 				if err != nil {
 					fail(err)
 				}
@@ -356,7 +343,7 @@ func e11(threads int, sc scale, flush time.Duration) {
 				} else {
 					base = r.FlushesPer
 				}
-				tbl.Add(idx, el.label, harness.Throughput(r.OpsPerSec), r.FlushesPer, red)
+				tbl.Add(idx.label, el.label, harness.Throughput(r.OpsPerSec), r.FlushesPer, red)
 			}
 		}
 		tbl.Print(os.Stdout)
@@ -390,53 +377,42 @@ func e8(sc scale, flush time.Duration) {
 	tbl := harness.NewTable("E8: reverse range scans (100-key ranges)",
 		"variant", "scans/s")
 
-	preload := func(ins func(k, v uint64) error) {
+	// Both lists are driven through the same contract; the reverse scan
+	// is the optional capability only the doubly-linked designs offer.
+	type reverseHandle interface {
+		pmwcas.IndexHandle
+		index.ReverseScanner
+	}
+	run := func(label string, h reverseHandle) {
 		stride := sc.keySpace / uint64(sc.preload)
 		if stride == 0 {
 			stride = 1
 		}
 		for i := 0; i < sc.preload; i++ {
-			if err := ins((uint64(i)*stride)%sc.keySpace+1, uint64(i)); err != nil {
+			if err := h.Insert((uint64(i)*stride)%sc.keySpace+1, uint64(i)); err != nil {
 				fail(err)
 			}
 		}
-	}
-	{
-		s := newStore(pmwcas.Volatile, flush)
-		cl, err := s.CASSkipList()
-		if err != nil {
-			fail(err)
-		}
-		h := cl.NewHandle(1)
-		preload(h.Insert)
 		kg := harness.NewKeyGen(harness.Uniform, sc.keySpace-scanLen, 7)
 		start := time.Now()
 		for i := 0; i < sc.scanOps; i++ {
 			from := kg.Next()
-			if err := h.ScanReverse(from, from+scanLen, func(skiplist.Entry) bool { return true }); err != nil {
+			if err := h.ScanReverse(from, from+scanLen, func(pmwcas.IndexEntry) bool { return true }); err != nil {
 				fail(err)
 			}
 		}
-		tbl.Add("cas + prev fix-up", harness.Throughput(float64(sc.scanOps)/time.Since(start).Seconds()))
+		tbl.Add(label, harness.Throughput(float64(sc.scanOps)/time.Since(start).Seconds()))
 	}
-	{
-		s := newStore(pmwcas.Persistent, flush)
-		l, err := s.SkipList()
-		if err != nil {
-			fail(err)
-		}
-		h := l.NewHandle(1)
-		preload(h.Insert)
-		kg := harness.NewKeyGen(harness.Uniform, sc.keySpace-scanLen, 7)
-		start := time.Now()
-		for i := 0; i < sc.scanOps; i++ {
-			from := kg.Next()
-			if err := h.ScanReverse(from, from+scanLen, func(skiplist.Entry) bool { return true }); err != nil {
-				fail(err)
-			}
-		}
-		tbl.Add("pmwcas doubly-linked", harness.Throughput(float64(sc.scanOps)/time.Since(start).Seconds()))
+	cl, err := newStore(pmwcas.Volatile, flush).CASSkipList()
+	if err != nil {
+		fail(err)
 	}
+	run("cas + prev fix-up", cl.NewHandle(1))
+	l, err := newStore(pmwcas.Persistent, flush).SkipList()
+	if err != nil {
+		fail(err)
+	}
+	run("pmwcas doubly-linked", l.NewHandle(1))
 	tbl.Print(os.Stdout)
 }
 

@@ -255,11 +255,15 @@ func (w *worker) run() {
 	defer c.Close()
 	c.Timeout = w.timeout
 
+	sentOps := make([]wire.Op, 0, w.pipeline)
 	for sent := 0; sent < w.ops; {
 		batch := min(w.pipeline, w.ops-sent)
 		begin := time.Now()
+		sentOps = sentOps[:0]
 		for i := 0; i < batch; i++ {
-			if err := c.Send(w.nextRequest()); err != nil {
+			req := w.nextRequest()
+			sentOps = append(sentOps, req.Op)
+			if err := c.Send(req); err != nil {
 				w.fail(err, w.ops-sent)
 				return
 			}
@@ -275,20 +279,29 @@ func (w *worker) run() {
 				return
 			}
 			sent++
-			w.done++
-			switch resp.Status {
-			case wire.StatusOK:
-				w.scanned += len(resp.Entries)
-			case wire.StatusNotFound:
-				w.notFound++ // an expected outcome, not a failure
-			default:
-				w.errs++
-				if w.err == nil {
-					w.err = fmt.Errorf("%s %s", resp.Status, resp.Msg)
-				}
-			}
+			// Responses arrive in request order within a batch.
+			w.account(sentOps[i], &resp)
 		}
 		w.lats = append(w.lats, time.Since(begin))
+	}
+}
+
+// account tallies the response to one request of kind op. Entries count
+// as scanned only on a SCAN: a GET hit carries its value in an entry too.
+func (w *worker) account(op wire.Op, resp *wire.Response) {
+	w.done++
+	switch resp.Status {
+	case wire.StatusOK:
+		if op == wire.OpScan {
+			w.scanned += len(resp.Entries)
+		}
+	case wire.StatusNotFound:
+		w.notFound++ // an expected outcome, not a failure
+	default:
+		w.errs++
+		if w.err == nil {
+			w.err = fmt.Errorf("%s %s", resp.Status, resp.Msg)
+		}
 	}
 }
 

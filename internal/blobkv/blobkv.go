@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"pmwcas/internal/alloc"
+	"pmwcas/internal/index"
 	"pmwcas/internal/keycodec"
 	"pmwcas/internal/nvram"
 	"pmwcas/internal/skiplist"
@@ -48,8 +49,9 @@ const (
 )
 
 var (
-	// ErrNotFound is returned when a key is absent.
-	ErrNotFound = errors.New("blobkv: key not found")
+	// ErrNotFound is returned when a key is absent (the shared index
+	// sentinel).
+	ErrNotFound = index.ErrNotFound
 	// ErrValueTooLarge is returned for values over MaxValueLen.
 	ErrValueTooLarge = errors.New("blobkv: value too large")
 )

@@ -35,6 +35,7 @@ import (
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/metrics"
 	"pmwcas/internal/nvram"
 )
@@ -66,10 +67,9 @@ const MaxKey uint64 = 1<<60 - 1
 const RootLPID = 1
 
 var (
-	// ErrKeyExists is returned by Insert for a present key.
-	ErrKeyExists = errors.New("bwtree: key exists")
-	// ErrNotFound is returned by Get/Delete/Update for an absent key.
-	ErrNotFound = errors.New("bwtree: key not found")
+	// ErrKeyExists and ErrNotFound are the shared index sentinels.
+	ErrKeyExists = index.ErrKeyExists
+	ErrNotFound  = index.ErrNotFound
 	// ErrKeyRange is returned for keys outside [1, MaxKey).
 	ErrKeyRange = errors.New("bwtree: key out of range")
 	// ErrValueRange is returned for values with reserved high bits.

@@ -5,6 +5,7 @@ import (
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
 )
 
@@ -99,10 +100,7 @@ func (t *Tree) flushRecord(rec nvram.Offset, size uint64) {
 }
 
 // Entry is a key/value pair in a leaf.
-type Entry struct {
-	Key   uint64
-	Value uint64
-}
+type Entry = index.Entry
 
 // InnerEntry routes keys at or below Key to Child.
 type InnerEntry struct {
@@ -209,7 +207,7 @@ func (h *Handle) resolve(head uint64) pageView {
 		v.leafEntries = b.leaf[:0]
 		for i := 0; i < n; i++ {
 			e := t.entryOff(v.base, i)
-			v.leafEntries = append(v.leafEntries, Entry{t.dev.Load(e), t.dev.Load(e + 8)})
+			v.leafEntries = append(v.leafEntries, Entry{Key: t.dev.Load(e), Value: t.dev.Load(e + 8)})
 		}
 	} else {
 		if cap(b.inner) < n+2*len(deltas) {
@@ -258,7 +256,7 @@ func (v *pageView) applyLeafPut(key, val uint64) {
 	}
 	v.leafEntries = append(v.leafEntries, Entry{})
 	copy(v.leafEntries[i+1:], v.leafEntries[i:])
-	v.leafEntries[i] = Entry{key, val}
+	v.leafEntries[i] = Entry{Key: key, Value: val}
 }
 
 func (v *pageView) applyLeafDelete(key uint64) {

@@ -141,8 +141,9 @@ func TestRecoveryReentry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := newKVOracle(targetSkipList)
-	if err := runSkipList(st, o, opt); err != nil {
+	w, _ := workloadByName("skiplist")
+	o := w.newOracle()
+	if err := w.run(st, o, opt); err != nil {
 		t.Fatal(err)
 	}
 	img := st.Device().CloneCrashed()

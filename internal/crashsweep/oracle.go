@@ -30,7 +30,7 @@ type snap interface {
 	match(ds *pmwcas.DurableState) error
 }
 
-// ---- integer KV oracle (skip list, Bw-tree) --------------------------
+// ---- integer KV oracle (every word index) ----------------------------
 
 type kvKind int
 
@@ -52,23 +52,18 @@ func (op kvOp) String() string {
 	return fmt.Sprintf("put(%#x, %#x)", op.key, op.val)
 }
 
-type kvTarget int
-
-const (
-	targetSkipList kvTarget = iota
-	targetBwTree
-	targetHash
-)
+// stateFunc selects one index's entries from a recovered image.
+type stateFunc func(*pmwcas.DurableState) []pmwcas.IndexEntry
 
 type kvOracle struct {
 	mu      sync.Mutex
-	target  kvTarget
+	state   stateFunc
 	model   map[uint64]uint64
 	pending *kvOp
 }
 
-func newKVOracle(target kvTarget) *kvOracle {
-	return &kvOracle{target: target, model: map[uint64]uint64{}}
+func newKVOracle(state stateFunc) *kvOracle {
+	return &kvOracle{state: state, model: map[uint64]uint64{}}
 }
 
 func (o *kvOracle) begin(op kvOp) {
@@ -108,7 +103,7 @@ func applyKV(m map[uint64]uint64, op kvOp) {
 func (o *kvOracle) snapshot() snap {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	s := &kvSnap{target: o.target, model: make(map[uint64]uint64, len(o.model))}
+	s := &kvSnap{state: o.state, model: make(map[uint64]uint64, len(o.model))}
 	for k, v := range o.model {
 		s.model[k] = v
 	}
@@ -120,26 +115,15 @@ func (o *kvOracle) snapshot() snap {
 }
 
 type kvSnap struct {
-	target  kvTarget
+	state   stateFunc
 	model   map[uint64]uint64
 	pending *kvOp
 }
 
 func (s *kvSnap) match(ds *pmwcas.DurableState) error {
 	got := map[uint64]uint64{}
-	switch s.target {
-	case targetSkipList:
-		for _, e := range ds.SkipList {
-			got[e.Key] = e.Value
-		}
-	case targetBwTree:
-		for _, e := range ds.BwTree {
-			got[e.Key] = e.Value
-		}
-	case targetHash:
-		for _, e := range ds.Hash {
-			got[e.Key] = e.Value
-		}
+	for _, e := range s.state(ds) {
+		got[e.Key] = e.Value
 	}
 	if err := diffKV(got, s.model); err == nil {
 		return nil

@@ -1,6 +1,7 @@
 package crashsweep
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,12 +10,8 @@ import (
 	"time"
 
 	"pmwcas"
-	"pmwcas/internal/blobkv"
-	"pmwcas/internal/bwtree"
-	"pmwcas/internal/hashtable"
 	"pmwcas/internal/pqueue"
 	"pmwcas/internal/server"
-	"pmwcas/internal/skiplist"
 	"pmwcas/internal/wire"
 )
 
@@ -29,22 +26,56 @@ type workload struct {
 	run       func(st *pmwcas.Store, o oracle, opt Options) error
 }
 
+// wordSpec is a word-index workload as data. Each step draws a key from
+// [1, keys] and one of six lots: the first puts are upserts, the next
+// dels deletes, the rest read-backs checked against the model.
+type wordSpec struct {
+	index      string // Store.OpenIndex name
+	iopts      pmwcas.IndexOptions
+	keys       int
+	puts, dels int
+	state      stateFunc
+}
+
+func wordWorkload(name string, shards int, s wordSpec) workload {
+	return workload{
+		name:      name,
+		shards:    shards,
+		newOracle: func() oracle { return newKVOracle(s.state) },
+		run: func(st *pmwcas.Store, o oracle, opt Options) error {
+			return runWords(st, o.(*kvOracle), opt, s)
+		},
+	}
+}
+
+// hashSpec uses deliberately tiny buckets so a few hundred operations
+// over 96 keys force many splits and several directory doublings — the
+// structure-changing crash points — alongside the plain
+// insert/update/delete descriptor paths.
+var hashSpec = wordSpec{
+	index: "hash", keys: 96, puts: 4, dels: 1,
+	iopts: pmwcas.IndexOptions{Hash: pmwcas.HashTableOptions{SlotsPerBucket: 4}},
+	state: func(ds *pmwcas.DurableState) []pmwcas.IndexEntry { return ds.Hash },
+}
+
 var workloads = []workload{
-	{
-		name:      "skiplist",
-		newOracle: func() oracle { return newKVOracle(targetSkipList) },
-		run:       runSkipList,
-	},
-	{
-		name:      "bwtree",
-		newOracle: func() oracle { return newKVOracle(targetBwTree) },
-		run:       runBwTree,
-	},
-	{
-		name:      "hashtable",
-		newOracle: func() oracle { return newKVOracle(targetHash) },
-		run:       runHashTable,
-	},
+	// A small key space, so most operations hit existing towers (the
+	// delete/unlink and update paths, not just fresh inserts).
+	wordWorkload("skiplist", 1, wordSpec{
+		index: "skiplist", keys: 48, puts: 3, dels: 2,
+		state: func(ds *pmwcas.DurableState) []pmwcas.IndexEntry { return ds.SkipList },
+	}),
+	// Deliberately tiny pages and aggressive maintenance thresholds, so a
+	// few hundred upsert-heavy operations force every SMO — consolidation,
+	// splits (including root splits), and merges — under the sweep.
+	wordWorkload("bwtree", 1, wordSpec{
+		index: "bwtree", keys: 96, puts: 4, dels: 1,
+		iopts: pmwcas.IndexOptions{BwTree: pmwcas.BwTreeOptions{
+			LeafCapacity: 8, InnerCapacity: 8, ConsolidateAfter: 3, MergeBelow: 3,
+		}},
+		state: func(ds *pmwcas.DurableState) []pmwcas.IndexEntry { return ds.BwTree },
+	}),
+	wordWorkload("hashtable", 1, hashSpec),
 	{
 		name:      "pqueue",
 		newOracle: func() oracle { return newQueueOracle() },
@@ -62,12 +93,13 @@ var workloads = []workload{
 		newOracle: func() oracle { return newBlobOracle() },
 		run:       runServer,
 	},
-	{
-		name:      "sharded",
-		shards:    2,
-		newOracle: func() oracle { return newKVOracle(targetHash) },
-		run:       runSharded,
-	},
+	// The hash mix across a two-shard store, each key routed to its home
+	// shard exactly as the server does. Beyond the per-shard crash points
+	// (each shard's splits, doublings, and reclaims now interleave in one
+	// device trace), the sweeper's check adds the cross-shard ones: every
+	// clone is additionally crashed *between* shard recoveries and
+	// re-recovered from scratch.
+	wordWorkload("sharded", 2, hashSpec),
 }
 
 // Names lists the workloads in sweep order.
@@ -88,218 +120,40 @@ func workloadByName(name string) (workload, bool) {
 	return workload{}, false
 }
 
-// runSkipList mixes upserts, deletes, and read-backs over a small key
-// space, so most operations hit existing towers (the delete/unlink and
-// update paths, not just fresh inserts).
-func runSkipList(st *pmwcas.Store, o oracle, opt Options) error {
-	kv := o.(*kvOracle)
-	list, err := st.SkipList()
+// runWords drives one word-index workload. OpenIndex routes across the
+// store's shards, so the same loop serves one shard or several.
+func runWords(st *pmwcas.Store, kv *kvOracle, opt Options, s wordSpec) error {
+	mint, err := st.OpenIndex(s.index, s.iopts)
 	if err != nil {
 		return err
 	}
-	h := list.NewHandle(opt.Seed)
+	h := mint(opt.Seed)
 	rng := rand.New(rand.NewSource(opt.Seed))
 	for i := 0; i < opt.Ops; i++ {
-		key := uint64(rng.Intn(48)) + 1
-		switch rng.Intn(6) {
-		case 0, 1, 2: // upsert
+		key := uint64(rng.Intn(s.keys)) + 1
+		switch lot := rng.Intn(6); {
+		case lot < s.puts: // upsert
 			val := uint64(rng.Intn(1<<20)) + 1
 			kv.begin(kvOp{kvPut, key, val})
 			err := h.Insert(key, val)
-			if errors.Is(err, skiplist.ErrKeyExists) {
+			if errors.Is(err, pmwcas.ErrKeyExists) {
 				err = h.Update(key, val)
 			}
 			kv.commit(err == nil)
 			if err != nil {
 				return fmt.Errorf("put %#x: %w", key, err)
 			}
-		case 3, 4: // delete
+		case lot < s.puts+s.dels:
 			kv.begin(kvOp{kvDelete, key, 0})
 			err := h.Delete(key)
-			if errors.Is(err, skiplist.ErrNotFound) {
-				kv.commit(false)
-			} else if err != nil {
-				kv.commit(false)
-				return fmt.Errorf("delete %#x: %w", key, err)
-			} else {
-				kv.commit(true)
-			}
-		case 5: // read-back: a live linearizability probe against the model
-			got, err := h.Get(key)
-			want, ok := kv.expect(key)
-			if errors.Is(err, skiplist.ErrNotFound) {
-				if ok {
-					return fmt.Errorf("get %#x: not found, model has %#x", key, want)
-				}
-			} else if err != nil {
-				return fmt.Errorf("get %#x: %w", key, err)
-			} else if !ok || got != want {
-				return fmt.Errorf("get %#x = %#x, model has %#x (present %v)", key, got, want, ok)
-			}
-		}
-	}
-	return nil
-}
-
-// runBwTree uses deliberately tiny pages and aggressive maintenance
-// thresholds so a few hundred operations force every SMO — consolidation,
-// splits (including root splits), and merges — under the sweep.
-func runBwTree(st *pmwcas.Store, o oracle, opt Options) error {
-	kv := o.(*kvOracle)
-	tree, err := st.BwTree(pmwcas.BwTreeOptions{
-		LeafCapacity:     8,
-		InnerCapacity:    8,
-		ConsolidateAfter: 3,
-		MergeBelow:       3,
-	})
-	if err != nil {
-		return err
-	}
-	h := tree.NewHandle()
-	rng := rand.New(rand.NewSource(opt.Seed))
-	for i := 0; i < opt.Ops; i++ {
-		key := uint64(rng.Intn(96)) + 1
-		switch rng.Intn(6) {
-		case 0, 1, 2, 3: // upsert-heavy, to grow depth and trigger splits
-			val := uint64(rng.Intn(1<<20)) + 1
-			kv.begin(kvOp{kvPut, key, val})
-			err := h.Insert(key, val)
-			if errors.Is(err, bwtree.ErrKeyExists) {
-				err = h.Update(key, val)
-			}
 			kv.commit(err == nil)
-			if err != nil {
-				return fmt.Errorf("put %#x: %w", key, err)
-			}
-		case 4: // delete, to shrink leaves under MergeBelow
-			kv.begin(kvOp{kvDelete, key, 0})
-			err := h.Delete(key)
-			if errors.Is(err, bwtree.ErrNotFound) {
-				kv.commit(false)
-			} else if err != nil {
-				kv.commit(false)
+			if err != nil && !errors.Is(err, pmwcas.ErrNotFound) {
 				return fmt.Errorf("delete %#x: %w", key, err)
-			} else {
-				kv.commit(true)
 			}
-		case 5:
+		default: // read-back: a live linearizability probe against the model
 			got, err := h.Get(key)
 			want, ok := kv.expect(key)
-			if errors.Is(err, bwtree.ErrNotFound) {
-				if ok {
-					return fmt.Errorf("get %#x: not found, model has %#x", key, want)
-				}
-			} else if err != nil {
-				return fmt.Errorf("get %#x: %w", key, err)
-			} else if !ok || got != want {
-				return fmt.Errorf("get %#x = %#x, model has %#x (present %v)", key, got, want, ok)
-			}
-		}
-	}
-	return nil
-}
-
-// runHashTable uses deliberately tiny buckets so a few hundred
-// operations over 96 keys force many splits and several directory
-// doublings — the structure-changing crash points — alongside the plain
-// insert/update/delete descriptor paths.
-func runHashTable(st *pmwcas.Store, o oracle, opt Options) error {
-	kv := o.(*kvOracle)
-	tab, err := st.HashTable(pmwcas.HashTableOptions{SlotsPerBucket: 4})
-	if err != nil {
-		return err
-	}
-	h := tab.NewHandle()
-	rng := rand.New(rand.NewSource(opt.Seed))
-	for i := 0; i < opt.Ops; i++ {
-		key := uint64(rng.Intn(96)) + 1
-		switch rng.Intn(6) {
-		case 0, 1, 2, 3: // upsert-heavy, to fill buckets and trigger splits
-			val := uint64(rng.Intn(1<<20)) + 1
-			kv.begin(kvOp{kvPut, key, val})
-			err := h.Insert(key, val)
-			if errors.Is(err, hashtable.ErrKeyExists) {
-				err = h.Update(key, val)
-			}
-			kv.commit(err == nil)
-			if err != nil {
-				return fmt.Errorf("put %#x: %w", key, err)
-			}
-		case 4:
-			kv.begin(kvOp{kvDelete, key, 0})
-			err := h.Delete(key)
-			if errors.Is(err, hashtable.ErrNotFound) {
-				kv.commit(false)
-			} else if err != nil {
-				kv.commit(false)
-				return fmt.Errorf("delete %#x: %w", key, err)
-			} else {
-				kv.commit(true)
-			}
-		case 5:
-			got, err := h.Get(key)
-			want, ok := kv.expect(key)
-			if errors.Is(err, hashtable.ErrNotFound) {
-				if ok {
-					return fmt.Errorf("get %#x: not found, model has %#x", key, want)
-				}
-			} else if err != nil {
-				return fmt.Errorf("get %#x: %w", key, err)
-			} else if !ok || got != want {
-				return fmt.Errorf("get %#x = %#x, model has %#x (present %v)", key, got, want, ok)
-			}
-		}
-	}
-	return nil
-}
-
-// runSharded drives the hash mix of runHashTable across a two-shard
-// store, routing each key to its home shard exactly as the server does.
-// Beyond the per-shard crash points (each shard's splits, doublings, and
-// reclaims now interleave in one device trace), the sweeper's check adds
-// the cross-shard ones: every clone is additionally crashed *between*
-// shard recoveries and re-recovered from scratch.
-func runSharded(st *pmwcas.Store, o oracle, opt Options) error {
-	kv := o.(*kvOracle)
-	handles := make([]*pmwcas.HashTableHandle, st.ShardCount())
-	for si := range handles {
-		tab, err := st.Shard(si).HashTable(pmwcas.HashTableOptions{SlotsPerBucket: 4})
-		if err != nil {
-			return err
-		}
-		handles[si] = tab.NewHandle()
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	for i := 0; i < opt.Ops; i++ {
-		key := uint64(rng.Intn(96)) + 1
-		h := handles[st.ShardForKey(key)]
-		switch rng.Intn(6) {
-		case 0, 1, 2, 3:
-			val := uint64(rng.Intn(1<<20)) + 1
-			kv.begin(kvOp{kvPut, key, val})
-			err := h.Insert(key, val)
-			if errors.Is(err, hashtable.ErrKeyExists) {
-				err = h.Update(key, val)
-			}
-			kv.commit(err == nil)
-			if err != nil {
-				return fmt.Errorf("put %#x: %w", key, err)
-			}
-		case 4:
-			kv.begin(kvOp{kvDelete, key, 0})
-			err := h.Delete(key)
-			if errors.Is(err, hashtable.ErrNotFound) {
-				kv.commit(false)
-			} else if err != nil {
-				kv.commit(false)
-				return fmt.Errorf("delete %#x: %w", key, err)
-			} else {
-				kv.commit(true)
-			}
-		case 5:
-			got, err := h.Get(key)
-			want, ok := kv.expect(key)
-			if errors.Is(err, hashtable.ErrNotFound) {
+			if errors.Is(err, pmwcas.ErrNotFound) {
 				if ok {
 					return fmt.Errorf("get %#x: not found, model has %#x", key, want)
 				}
@@ -355,53 +209,20 @@ func blobKeys() []string {
 	return keys
 }
 
+// blobClient is what the blob mix needs of its target: a blobkv handle
+// in process, or the wire client in front of a server.
+type blobClient interface {
+	Put(key, val []byte) error
+	Get(key []byte) ([]byte, error)
+	Delete(key []byte) error
+}
+
 func runBlobKV(st *pmwcas.Store, o oracle, opt Options) error {
-	bo := o.(*blobOracle)
 	kv, err := st.BlobKV()
 	if err != nil {
 		return err
 	}
-	h := kv.NewHandle(opt.Seed)
-	rng := rand.New(rand.NewSource(opt.Seed))
-	keys := blobKeys()
-	for i := 0; i < opt.Ops; i++ {
-		key := keys[rng.Intn(len(keys))]
-		switch rng.Intn(6) {
-		case 0, 1, 2, 3: // put (fresh or overwrite)
-			val := make([]byte, rng.Intn(96))
-			rng.Read(val)
-			bo.begin(blobOp{key: key, val: val})
-			err := h.Put([]byte(key), val)
-			bo.commit(err == nil)
-			if err != nil {
-				return fmt.Errorf("put %q: %w", key, err)
-			}
-		case 4:
-			bo.begin(blobOp{del: true, key: key})
-			err := h.Delete([]byte(key))
-			if errors.Is(err, blobkv.ErrNotFound) {
-				bo.commit(false)
-			} else if err != nil {
-				bo.commit(false)
-				return fmt.Errorf("delete %q: %w", key, err)
-			} else {
-				bo.commit(true)
-			}
-		case 5:
-			got, err := h.Get([]byte(key))
-			want, ok := bo.expect(key)
-			if errors.Is(err, blobkv.ErrNotFound) {
-				if ok {
-					return fmt.Errorf("get %q: not found, model has %d bytes", key, len(want))
-				}
-			} else if err != nil {
-				return fmt.Errorf("get %q: %w", key, err)
-			} else if !ok || !bytesEqual(got, want) {
-				return fmt.Errorf("get %q = %x, model %x (present %v)", key, got, want, ok)
-			}
-		}
-	}
-	return nil
+	return runBlobOps(kv.NewHandle(opt.Seed), pmwcas.ErrBlobNotFound, o.(*blobOracle), opt)
 }
 
 // runServer drives the same blob mix through the full network stack: a
@@ -410,7 +231,6 @@ func runBlobKV(st *pmwcas.Store, o oracle, opt Options) error {
 // the driver blocks on the response — the oracle mutex is what makes the
 // hook's snapshot safe.
 func runServer(st *pmwcas.Store, o oracle, opt Options) error {
-	bo := o.(*blobOracle)
 	srv, err := server.New(server.Config{Store: st, MaxConns: 1})
 	if err != nil {
 		return err
@@ -435,7 +255,7 @@ func runServer(st *pmwcas.Store, o oracle, opt Options) error {
 		shutdown()
 		return err
 	}
-	if err := runServerOps(c, bo, opt); err != nil {
+	if err := runBlobOps(c, wire.ErrNotFound, o.(*blobOracle), opt); err != nil {
 		c.Close()
 		shutdown()
 		return err
@@ -449,7 +269,9 @@ func runServer(st *pmwcas.Store, o oracle, opt Options) error {
 	return shutdown()
 }
 
-func runServerOps(c *wire.Client, bo *blobOracle, opt Options) error {
+// runBlobOps is the blob mix: puts (fresh or overwrite, 0-95 bytes),
+// deletes and read-backs over blobKeys, against either client.
+func runBlobOps(c blobClient, notFound error, bo *blobOracle, opt Options) error {
 	rng := rand.New(rand.NewSource(opt.Seed))
 	keys := blobKeys()
 	for i := 0; i < opt.Ops; i++ {
@@ -462,44 +284,28 @@ func runServerOps(c *wire.Client, bo *blobOracle, opt Options) error {
 			err := c.Put([]byte(key), val)
 			bo.commit(err == nil)
 			if err != nil {
-				return fmt.Errorf("PUT %q: %w", key, err)
+				return fmt.Errorf("put %q: %w", key, err)
 			}
 		case 4:
 			bo.begin(blobOp{del: true, key: key})
 			err := c.Delete([]byte(key))
-			if errors.Is(err, wire.ErrNotFound) {
-				bo.commit(false)
-			} else if err != nil {
-				bo.commit(false)
-				return fmt.Errorf("DELETE %q: %w", key, err)
-			} else {
-				bo.commit(true)
+			bo.commit(err == nil)
+			if err != nil && !errors.Is(err, notFound) {
+				return fmt.Errorf("delete %q: %w", key, err)
 			}
 		case 5:
 			got, err := c.Get([]byte(key))
 			want, ok := bo.expect(key)
-			if errors.Is(err, wire.ErrNotFound) {
+			if errors.Is(err, notFound) {
 				if ok {
-					return fmt.Errorf("GET %q: not found, model has %d bytes", key, len(want))
+					return fmt.Errorf("get %q: not found, model has %d bytes", key, len(want))
 				}
 			} else if err != nil {
-				return fmt.Errorf("GET %q: %w", key, err)
-			} else if !ok || !bytesEqual(got, want) {
-				return fmt.Errorf("GET %q = %x, model %x (present %v)", key, got, want, ok)
+				return fmt.Errorf("get %q: %w", key, err)
+			} else if !ok || !bytes.Equal(got, want) {
+				return fmt.Errorf("get %q = %x, model %x (present %v)", key, got, want, ok)
 			}
 		}
 	}
 	return nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

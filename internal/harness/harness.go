@@ -5,11 +5,14 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pmwcas/internal/index"
 )
 
 // Distribution selects how keys are drawn.
@@ -94,21 +97,21 @@ var (
 	ScanHeavy = Mix{Reads: 50, Scans: 50}
 )
 
-// IndexOps is the per-thread surface every index variant exposes. Errors
-// for key-exists / not-found are expected outcomes under contention and
-// are not failures.
-type IndexOps interface {
-	Insert(key, value uint64) error
-	Get(key uint64) (uint64, error)
-	Update(key, value uint64) error
-	Delete(key uint64) error
-	Scan(from, to uint64, fn func(key, value uint64) bool) error
+// IndexOps is the per-thread surface every index variant exposes: the
+// word-index contract itself, which every index handle satisfies.
+type IndexOps = index.Handle
+
+// Factory mints per-thread handles over one shared index (any index: New
+// is typically Store.OpenIndex's result, or a closure over NewHandle).
+type Factory struct {
+	Label string
+	New   func(seed int64) IndexOps
 }
 
-// IndexFactory mints per-thread IndexOps over one shared index.
-type IndexFactory interface {
-	Name() string
-	NewOps(seed int64) IndexOps
+// isExpected reports whether an operation error is a legitimate workload
+// outcome (key already there / not there) rather than a failure.
+func isExpected(err error) bool {
+	return err == nil || errors.Is(err, index.ErrKeyExists) || errors.Is(err, index.ErrNotFound)
 }
 
 // Workload describes one index experiment.
@@ -136,7 +139,7 @@ type Result struct {
 // Run executes the workload and returns aggregate throughput.
 // sampleFlushes, if non-nil, is read before and after the timed region
 // (typically wired to the device's flush counter).
-func Run(f IndexFactory, w Workload, sampleFlushes func() uint64) (Result, error) {
+func Run(f Factory, w Workload, sampleFlushes func() uint64) (Result, error) {
 	if w.Mix.total() != 100 {
 		return Result{}, fmt.Errorf("harness: mix sums to %d, want 100", w.Mix.total())
 	}
@@ -147,9 +150,14 @@ func Run(f IndexFactory, w Workload, sampleFlushes func() uint64) (Result, error
 		w.ScanLen = 100
 	}
 
+	// Distinct nonce per Run call: repeated runs over the same index (for
+	// median-of-N measurement) must not replay identical key/value
+	// streams, or every write in the repeat becomes a same-value no-op.
+	nonce := runNonce.Add(1) << 20
+
 	// Preload with evenly spread keys so lookups hit.
 	if w.Preload > 0 {
-		ops := f.NewOps(0x5eed)
+		ops := f.New(nonce + 0x5eed)
 		stride := w.KeySpace / uint64(w.Preload)
 		if stride == 0 {
 			stride = 1
@@ -162,11 +170,6 @@ func Run(f IndexFactory, w Workload, sampleFlushes func() uint64) (Result, error
 		}
 	}
 
-	// Distinct nonce per Run call: repeated runs over the same index (for
-	// median-of-N measurement) must not replay identical key/value
-	// streams, or every write in the repeat becomes a same-value no-op.
-	nonce := int64(runNonce.Add(1)) << 20
-
 	var before uint64
 	if sampleFlushes != nil {
 		before = sampleFlushes()
@@ -178,7 +181,7 @@ func Run(f IndexFactory, w Workload, sampleFlushes func() uint64) (Result, error
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			errs[t] = worker(f.NewOps(int64(t)+1), w, nonce+int64(t))
+			errs[t] = worker(f.New(nonce+int64(t)+1), w, nonce+int64(t))
 		}(t)
 	}
 	wg.Wait()
@@ -191,7 +194,7 @@ func Run(f IndexFactory, w Workload, sampleFlushes func() uint64) (Result, error
 
 	total := w.Threads * w.OpsPer
 	r := Result{
-		Variant:   f.Name(),
+		Variant:   f.Label,
 		Threads:   w.Threads,
 		Ops:       total,
 		Elapsed:   elapsed,
@@ -225,14 +228,14 @@ func worker(ops IndexOps, w Workload, seed int64) error {
 			err = ops.Insert(k, v)
 		case p < w.Mix.Reads+w.Mix.Inserts+w.Mix.Updates:
 			err = ops.Update(k, v)
-			if isNotFound(err) {
+			if errors.Is(err, index.ErrNotFound) {
 				err = ops.Insert(k, v) // upsert semantics for the mix
 			}
 		case p < w.Mix.Reads+w.Mix.Inserts+w.Mix.Updates+w.Mix.Deletes:
 			err = ops.Delete(k)
 		default:
 			to := k + w.ScanLen
-			err = ops.Scan(k, to, func(uint64, uint64) bool { return true })
+			err = ops.Scan(k, to, func(index.Entry) bool { return true })
 		}
 		if err != nil && !isExpected(err) {
 			return fmt.Errorf("harness: op %d (key %d): %w", i, k, err)

@@ -118,10 +118,13 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 				idx := make([]int, cfg.WordsPerOp)
 				for i := 0; i < cfg.OpsPer; i++ {
 					pickDistinct(rng, cfg.ArrayWords, idx)
+					// An exhausted pool is reclamation lag, not contention:
+					// wait it out without spending the attempt, so the
+					// success rate is succeeded / executed.
 					d, err := h.AllocateDescriptor(0)
-					if err != nil {
+					for err != nil {
 						pool.ReclaimPause()
-						continue
+						d, err = h.AllocateDescriptor(0)
 					}
 					okBuild := true
 					for _, w := range idx {

@@ -77,6 +77,7 @@ import (
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/metrics"
 	"pmwcas/internal/nvram"
 )
@@ -154,17 +155,16 @@ const MinDescriptorWords = 3
 const DefaultSlotsPerBucket = 14
 
 var (
-	// ErrKeyExists is returned by Insert when the key is present.
-	ErrKeyExists = errors.New("hashtable: key exists")
-	// ErrNotFound is returned by Get/Update/Delete when the key is absent.
-	ErrNotFound = errors.New("hashtable: key not found")
+	// ErrKeyExists and ErrNotFound are the shared index sentinels.
+	ErrKeyExists = index.ErrKeyExists
+	ErrNotFound  = index.ErrNotFound
 	// ErrKeyRange rejects keys outside (0, 2^60-1).
 	ErrKeyRange = errors.New("hashtable: key out of range")
 	// ErrValueRange rejects values with reserved high bits.
 	ErrValueRange = errors.New("hashtable: value out of range")
-	// ErrUnordered is returned for range scans: the hash table has no key
-	// order to scan in. Use Range for unordered iteration.
-	ErrUnordered = errors.New("hashtable: range scans unsupported (hash index is unordered)")
+	// ErrUnordered is returned by Scan: the hash table has no key order to
+	// scan in. Use Range for unordered iteration.
+	ErrUnordered = index.ErrUnordered
 )
 
 // MaxKey bounds user keys: valid keys are 1 .. MaxKey-1 — the same
@@ -173,10 +173,8 @@ var (
 // constrained only by the clean PMwCAS payload (bits 61..63 reserved).
 const MaxKey uint64 = 1<<60 - 1
 
-// Entry is one key/value pair yielded by Range or Check.
-type Entry struct {
-	Key, Value uint64
-}
+// Entry is one key/value pair yielded by Check.
+type Entry = index.Entry
 
 // Table is a persistent lock-free extendible hash table. Mint a Handle
 // per goroutine for operations.

@@ -518,6 +518,10 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 	return nil
 }
 
+// Scan reports ErrUnordered: a hash table has no key order to scan in.
+// It exists so the handle satisfies index.Handle; Range iterates.
+func (h *Handle) Scan(from, to uint64, fn func(Entry) bool) error { return ErrUnordered }
+
 // Range visits every entry in unspecified order. Each bucket is read as
 // a seqlock snapshot, but the iteration as a whole is not atomic:
 // entries moved by a concurrent split can be seen twice or not at all,
@@ -558,7 +562,7 @@ func (h *Handle) Range(fn func(key, value uint64) bool) error {
 			var entries []Entry
 			for i := 0; i < t.slots; i++ {
 				if k := h.core.Read(slotKeyOff(b, i)); k != 0 {
-					entries = append(entries, Entry{k, h.core.Read(slotValOff(b, i))})
+					entries = append(entries, Entry{Key: k, Value: h.core.Read(slotValOff(b, i))})
 				}
 			}
 			if h.core.Read(b+bucketMetaOff) != meta {

@@ -43,41 +43,26 @@ const (
 	IndexHash Index = "hash"
 )
 
-// errNotFound normalizes the per-index not-found errors.
-var errNotFound = errors.New("server: key not found")
-
-// errValueTooLarge is returned for values the backend cannot hold.
-var errValueTooLarge = errors.New("server: value too large for this index")
-
-// indexOpener is the slice of the store (whole store or one shard) a
-// set of backends is built over. *pmwcas.Store and *pmwcas.Shard both
-// satisfy it; the Store methods are shard 0's.
-type indexOpener interface {
-	BlobKV() (*pmwcas.BlobKV, error)
-	BwTree(pmwcas.BwTreeOptions) (*pmwcas.BwTree, error)
-	HashTable(pmwcas.HashTableOptions) (*pmwcas.HashTable, error)
-}
-
 // newBackends mints n per-connection backends for the chosen index. On
 // a multi-shard store each backend is a shardedBackend routing by key
 // over one sub-backend per shard.
 func newBackends(store *pmwcas.Store, index Index, n int) ([]backend, error) {
 	shards := store.ShardCount()
-	if shards == 1 {
-		return newShardBackends(store, index, n)
-	}
 	per := make([][]backend, shards)
-	for si := 0; si < shards; si++ {
+	for si := range per {
 		subs, err := newShardBackends(store.Shard(si), index, n)
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", si, err)
+			return nil, fmt.Errorf("server: shard %d: %w", si, err)
 		}
 		per[si] = subs
+	}
+	if shards == 1 {
+		return per[0], nil
 	}
 	out := make([]backend, n)
 	for i := range out {
 		subs := make([]backend, shards)
-		for si := 0; si < shards; si++ {
+		for si := range subs {
 			subs[si] = per[si][i]
 		}
 		out[i] = &shardedBackend{store: store, subs: subs}
@@ -85,42 +70,29 @@ func newBackends(store *pmwcas.Store, index Index, n int) ([]backend, error) {
 	return out, nil
 }
 
-// newShardBackends mints n single-shard backends over one slice of the
-// store.
-func newShardBackends(o indexOpener, index Index, n int) ([]backend, error) {
-	switch index {
-	case IndexSkipList:
-		kv, err := o.BlobKV()
+// newShardBackends mints n single-shard backends over one shard: blob
+// values over the skip list, or codec-packed words on any other index
+// the store can open by name.
+func newShardBackends(sh *pmwcas.Shard, index Index, n int) ([]backend, error) {
+	out := make([]backend, n)
+	if index == IndexSkipList {
+		kv, err := sh.BlobKV()
 		if err != nil {
-			return nil, fmt.Errorf("server: open blobkv: %w", err)
+			return nil, fmt.Errorf("open blobkv: %w", err)
 		}
-		out := make([]backend, n)
 		for i := range out {
 			out[i] = &blobBackend{h: kv.NewHandle(int64(i) + 0x5e12)}
 		}
 		return out, nil
-	case IndexBwTree:
-		tree, err := o.BwTree(pmwcas.BwTreeOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("server: open bwtree: %w", err)
-		}
-		out := make([]backend, n)
-		for i := range out {
-			out[i] = &bwtreeBackend{h: tree.NewHandle()}
-		}
-		return out, nil
-	case IndexHash:
-		tab, err := o.HashTable(pmwcas.HashTableOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("server: open hashtable: %w", err)
-		}
-		out := make([]backend, n)
-		for i := range out {
-			out[i] = &hashBackend{h: tab.NewHandle()}
-		}
-		return out, nil
 	}
-	return nil, fmt.Errorf("server: unknown index %q (want %q, %q, or %q)", index, IndexSkipList, IndexBwTree, IndexHash)
+	mint, err := sh.OpenIndex(string(index), pmwcas.IndexOptions{})
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i] = &wordBackend{h: mint(int64(i) + 0x5e12)}
+	}
+	return out, nil
 }
 
 // blobBackend adapts a blobkv handle.
@@ -138,9 +110,6 @@ func (b *blobBackend) Put(key, val []byte) error { return b.h.Put(key, val) }
 //pmwcas:hotpath — server GET against the blob backend; the record copy lands in the connection's scratch
 func (b *blobBackend) Get(key []byte) ([]byte, error) {
 	v, err := b.h.GetAppend(key, b.buf[:0])
-	if errors.Is(err, pmwcas.ErrBlobNotFound) {
-		return nil, errNotFound
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -149,12 +118,7 @@ func (b *blobBackend) Get(key []byte) ([]byte, error) {
 }
 
 //pmwcas:hotpath — server DELETE against the blob backend
-func (b *blobBackend) Delete(key []byte) error {
-	if err := b.h.Delete(key); err != nil {
-		return errNotFound
-	}
-	return nil
-}
+func (b *blobBackend) Delete(key []byte) error { return b.h.Delete(key) }
 
 // maxKeyBytes is the largest encodable key — the inclusive upper bound
 // for an open-ended scan.
@@ -174,23 +138,21 @@ func (b *blobBackend) Scan(from, end []byte, limit int, fn func(key, val []byte)
 	})
 }
 
-// bwtreeBackend adapts a Bw-tree handle: keys and values are packed into
-// index words with the order-preserving codec, which bounds both at
-// keycodec.MaxLen bytes but keeps every mutation a single index write.
-type bwtreeBackend struct {
-	h *pmwcas.BwTreeHandle
+// wordBackend serves any word index through the shared handle
+// contract: keys and values are packed into index words with the
+// order-preserving codec, which bounds both at keycodec.MaxLen bytes but
+// keeps every mutation a single index write.
+type wordBackend struct {
+	h pmwcas.IndexHandle
 	// buf is Get's reusable decode scratch (see blobBackend.buf).
 	buf []byte
 }
 
-//pmwcas:hotpath — server PUT against the Bw-tree backend: codec pack plus one index upsert loop
-func (b *bwtreeBackend) Put(key, val []byte) error {
+//pmwcas:hotpath — server PUT against a word index: codec pack plus one index upsert loop
+func (b *wordBackend) Put(key, val []byte) error {
 	k, err := keycodec.Encode(key)
 	if err != nil {
 		return err
-	}
-	if len(val) > keycodec.MaxLen {
-		return errValueTooLarge
 	}
 	v, err := keycodec.Encode(val)
 	if err != nil {
@@ -199,27 +161,27 @@ func (b *bwtreeBackend) Put(key, val []byte) error {
 	// Upsert: race losses between the existence check inside Update and
 	// Insert are retried until one path wins.
 	for {
+		//lint:allow hotpath, nonblock — index dispatch: the handles Shard.OpenIndex mints are the indexes' own, and each one's point ops are themselves //pmwcas:hotpath roots (skiplist, bwtree, hashtable ops.go), so the proof continues on the other side of the interface (§6.3)
 		err := b.h.Update(k, v)
-		if !errors.Is(err, pmwcas.ErrBwTreeNotFound) {
+		if !errors.Is(err, pmwcas.ErrNotFound) {
 			return err
 		}
+		//lint:allow hotpath, nonblock — index dispatch: the handles Shard.OpenIndex mints are the indexes' own, and each one's point ops are themselves //pmwcas:hotpath roots (skiplist, bwtree, hashtable ops.go), so the proof continues on the other side of the interface (§6.3)
 		err = b.h.Insert(k, v)
-		if !errors.Is(err, pmwcas.ErrBwTreeKeyExists) {
+		if !errors.Is(err, pmwcas.ErrKeyExists) {
 			return err
 		}
 	}
 }
 
-//pmwcas:hotpath — server GET against the Bw-tree backend; the value decodes into the connection's scratch
-func (b *bwtreeBackend) Get(key []byte) ([]byte, error) {
+//pmwcas:hotpath — server GET against a word index; the value decodes into the connection's scratch
+func (b *wordBackend) Get(key []byte) ([]byte, error) {
 	k, err := keycodec.Encode(key)
 	if err != nil {
 		return nil, err
 	}
+	//lint:allow hotpath, nonblock — index dispatch: the handles Shard.OpenIndex mints are the indexes' own, and each one's point ops are themselves //pmwcas:hotpath roots (skiplist, bwtree, hashtable ops.go), so the proof continues on the other side of the interface (§6.3)
 	v, err := b.h.Get(k)
-	if errors.Is(err, pmwcas.ErrBwTreeNotFound) {
-		return nil, errNotFound
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -231,22 +193,17 @@ func (b *bwtreeBackend) Get(key []byte) ([]byte, error) {
 	return out, nil
 }
 
-//pmwcas:hotpath — server DELETE against the Bw-tree backend
-func (b *bwtreeBackend) Delete(key []byte) error {
+//pmwcas:hotpath — server DELETE against a word index
+func (b *wordBackend) Delete(key []byte) error {
 	k, err := keycodec.Encode(key)
 	if err != nil {
 		return err
 	}
-	if err := b.h.Delete(k); err != nil {
-		if errors.Is(err, pmwcas.ErrBwTreeNotFound) {
-			return errNotFound
-		}
-		return err
-	}
-	return nil
+	//lint:allow hotpath, nonblock — index dispatch: the handles Shard.OpenIndex mints are the indexes' own, and each one's point ops are themselves //pmwcas:hotpath roots (skiplist, bwtree, hashtable ops.go), so the proof continues on the other side of the interface (§6.3)
+	return b.h.Delete(k)
 }
 
-func (b *bwtreeBackend) Scan(from, end []byte, limit int, fn func(key, val []byte) bool) error {
+func (b *wordBackend) Scan(from, end []byte, limit int, fn func(key, val []byte) bool) error {
 	lo, err := keycodec.Encode(from)
 	if err != nil {
 		return err
@@ -257,7 +214,7 @@ func (b *bwtreeBackend) Scan(from, end []byte, limit int, fn func(key, val []byt
 	}
 	n := 0
 	var decodeErr error
-	err = b.h.Scan(lo, hi, func(e pmwcas.BwTreeEntry) bool {
+	err = b.h.Scan(lo, hi, func(e pmwcas.IndexEntry) bool {
 		if n >= limit {
 			return false
 		}
@@ -278,71 +235,6 @@ func (b *bwtreeBackend) Scan(from, end []byte, limit int, fn func(key, val []byt
 		return decodeErr
 	}
 	return err
-}
-
-// hashBackend adapts a hash table handle. The same codec regime as the
-// Bw-tree backend — keys and values packed into index words, both
-// bounded at keycodec.MaxLen bytes — but point operations only.
-type hashBackend struct {
-	h *pmwcas.HashTableHandle
-	// buf is Get's reusable decode scratch (see blobBackend.buf).
-	buf []byte
-}
-
-//pmwcas:hotpath — server PUT against the hash backend: codec pack plus one upsert
-func (b *hashBackend) Put(key, val []byte) error {
-	k, err := keycodec.Encode(key)
-	if err != nil {
-		return err
-	}
-	if len(val) > keycodec.MaxLen {
-		return errValueTooLarge
-	}
-	v, err := keycodec.Encode(val)
-	if err != nil {
-		return err
-	}
-	return b.h.Upsert(k, v)
-}
-
-//pmwcas:hotpath — server GET against the hash backend; the value decodes into the connection's scratch
-func (b *hashBackend) Get(key []byte) ([]byte, error) {
-	k, err := keycodec.Encode(key)
-	if err != nil {
-		return nil, err
-	}
-	v, err := b.h.Get(k)
-	if errors.Is(err, pmwcas.ErrHashNotFound) {
-		return nil, errNotFound
-	}
-	if err != nil {
-		return nil, err
-	}
-	out, err := keycodec.AppendDecode(b.buf[:0], v)
-	if err != nil {
-		return nil, err
-	}
-	b.buf = out
-	return out, nil
-}
-
-//pmwcas:hotpath — server DELETE against the hash backend
-func (b *hashBackend) Delete(key []byte) error {
-	k, err := keycodec.Encode(key)
-	if err != nil {
-		return err
-	}
-	if err := b.h.Delete(k); err != nil {
-		if errors.Is(err, pmwcas.ErrHashNotFound) {
-			return errNotFound
-		}
-		return err
-	}
-	return nil
-}
-
-func (b *hashBackend) Scan(from, end []byte, limit int, fn func(key, val []byte) bool) error {
-	return pmwcas.ErrHashUnordered
 }
 
 // scanUpperBound maps a request's end-key to an encoded inclusive upper

@@ -464,12 +464,11 @@ func (s *Server) handleSlow(b backend, req *wire.Request) wire.Response {
 // errResponse maps backend errors onto wire statuses.
 func errResponse(err error) wire.Response {
 	switch {
-	case errors.Is(err, errNotFound):
+	case errors.Is(err, pmwcas.ErrNotFound):
 		return wire.Response{Status: wire.StatusNotFound, Msg: "key not found"}
 	case errors.Is(err, keycodec.ErrTooLong),
-		errors.Is(err, errValueTooLarge),
 		errors.Is(err, pmwcas.ErrBlobValueTooLarge),
-		errors.Is(err, pmwcas.ErrHashUnordered):
+		errors.Is(err, pmwcas.ErrUnordered):
 		//lint:allow hotpath — renders the rejection message for a malformed request; the OK and NotFound arms return constant strings (§6.3)
 		return wire.Response{Status: wire.StatusBadRequest, Msg: err.Error()}
 	}

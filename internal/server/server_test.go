@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"pmwcas"
+	"pmwcas/internal/blobkv"
+	"pmwcas/internal/keycodec"
 	"pmwcas/internal/wire"
 )
 
@@ -75,10 +77,21 @@ func dial(t *testing.T, addr string) *wire.Client {
 	return c
 }
 
+// TestPutGetDeleteScan runs one script against every index: the wire
+// surface is the same whatever serves it, except that the hash index has
+// no order to SCAN in and the word indexes cap values at the codec limit.
 func TestPutGetDeleteScan(t *testing.T) {
-	for _, index := range []Index{IndexSkipList, IndexBwTree} {
-		t.Run(string(index), func(t *testing.T) {
-			_, _, addr, _ := startServer(t, index, 4)
+	for _, tc := range []struct {
+		index    Index
+		ordered  bool
+		maxValue int
+	}{
+		{IndexSkipList, true, blobkv.MaxValueLen},
+		{IndexBwTree, true, keycodec.MaxLen},
+		{IndexHash, false, keycodec.MaxLen},
+	} {
+		t.Run(string(tc.index), func(t *testing.T) {
+			_, _, addr, _ := startServer(t, tc.index, 4)
 			c := dial(t, addr)
 
 			if err := c.Ping(); err != nil {
@@ -118,6 +131,39 @@ func TestPutGetDeleteScan(t *testing.T) {
 			}
 			if err := c.Delete([]byte("date")); !errors.Is(err, wire.ErrNotFound) {
 				t.Fatalf("second delete: %v", err)
+			}
+			if _, err := c.Get([]byte("date")); !errors.Is(err, wire.ErrNotFound) {
+				t.Fatalf("get after delete: %v", err)
+			}
+			// The largest value the index holds is served; one byte more is
+			// a BAD_REQUEST, and the connection survives it.
+			big := bytes.Repeat([]byte("x"), tc.maxValue+1)
+			if err := c.Put([]byte("big"), big[:tc.maxValue]); err != nil {
+				t.Fatalf("put %d-byte value: %v", tc.maxValue, err)
+			}
+			if got, err := c.Get([]byte("big")); err != nil || !bytes.Equal(got, big[:tc.maxValue]) {
+				t.Fatalf("get %d-byte value: %d bytes, %v", tc.maxValue, len(got), err)
+			}
+			resp, err := c.Do(&wire.Request{Op: wire.OpPut, Key: []byte("big"), Value: big})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Status != wire.StatusBadRequest {
+				t.Fatalf("%d-byte value: %s, want BAD_REQUEST", len(big), resp.Status)
+			}
+			if err := c.Delete([]byte("big")); err != nil {
+				t.Fatal(err)
+			}
+
+			if !tc.ordered {
+				resp, err := c.Do(&wire.Request{Op: wire.OpScan, Key: []byte("a"), End: []byte("d")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.Status != wire.StatusBadRequest {
+					t.Fatalf("SCAN on %s: %s, want BAD_REQUEST", tc.index, resp.Status)
+				}
+				return
 			}
 			// Ordered scan over a closed range.
 			entries, err := c.Scan([]byte("a"), []byte("d"), 0)
@@ -164,6 +210,14 @@ func TestBadRequests(t *testing.T) {
 	if resp.Status != wire.StatusBadRequest {
 		t.Fatalf("long key: %s", resp.Status)
 	}
+	// The same key is as malformed on DELETE as on PUT.
+	resp, err = c.Do(&wire.Request{Op: wire.OpDelete, Key: []byte("way too long a key")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != wire.StatusBadRequest {
+		t.Fatalf("long key on DELETE: %s", resp.Status)
+	}
 	// Oversized value on the bwtree-free skiplist path.
 	resp, err = c.Do(&wire.Request{Op: wire.OpPut, Key: []byte("k"), Value: bytes.Repeat([]byte("x"), 5000)})
 	if err != nil {
@@ -182,21 +236,6 @@ func TestBadRequests(t *testing.T) {
 	}
 	// The connection still works after every rejection.
 	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBwTreeValueLimit(t *testing.T) {
-	_, _, addr, _ := startServer(t, IndexBwTree, 2)
-	c := dial(t, addr)
-	resp, err := c.Do(&wire.Request{Op: wire.OpPut, Key: []byte("k"), Value: []byte("eight!!!")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusBadRequest {
-		t.Fatalf("8-byte value on bwtree: %s, want BAD_REQUEST", resp.Status)
-	}
-	if err := c.Put([]byte("k"), []byte("seven!!"[:7])); err != nil {
 		t.Fatal(err)
 	}
 }

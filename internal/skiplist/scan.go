@@ -1,6 +1,9 @@
 package skiplist
 
-import "pmwcas/internal/nvram"
+import (
+	"pmwcas/internal/index"
+	"pmwcas/internal/nvram"
+)
 
 // This file implements forward and reverse range scans. The doubly-linked
 // design makes reverse scans first-class: prev pointers are maintained
@@ -10,10 +13,7 @@ import "pmwcas/internal/nvram"
 // place (§6.1).
 
 // Entry is one key/value pair yielded by a scan.
-type Entry struct {
-	Key   uint64
-	Value uint64
-}
+type Entry = index.Entry
 
 // Scan visits keys in [from, to] in ascending order, calling fn for each;
 // fn returning false stops the scan. Concurrent mutations may or may not

@@ -49,6 +49,7 @@ import (
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
 	"pmwcas/internal/epoch"
+	"pmwcas/internal/index"
 	"pmwcas/internal/metrics"
 	"pmwcas/internal/nvram"
 )
@@ -96,10 +97,9 @@ func nodeSize(height int) uint64 {
 const RootWords = 4
 
 var (
-	// ErrKeyExists is returned by Insert when the key is present.
-	ErrKeyExists = errors.New("skiplist: key exists")
-	// ErrNotFound is returned by Delete/Update/Get when the key is absent.
-	ErrNotFound = errors.New("skiplist: key not found")
+	// ErrKeyExists and ErrNotFound are the shared index sentinels.
+	ErrKeyExists = index.ErrKeyExists
+	ErrNotFound  = index.ErrNotFound
 	// ErrKeyRange is returned for keys outside (0, MaxKey).
 	ErrKeyRange = errors.New("skiplist: key out of range")
 	// ErrValueRange is returned for values with reserved bits set.

@@ -25,6 +25,12 @@
 //	th := tree.NewHandle()
 //	th.Insert(42, 420)
 //
+// Every index handle satisfies IndexHandle, and OpenIndex opens one by
+// name ("skiplist", "bwtree", "hash"), routing across shards:
+//
+//	newHandle, _ := store.OpenIndex("hash", pmwcas.IndexOptions{})
+//	newHandle(1).Insert(42, 420)
+//
 // Crash and recover (or persist to a file with Checkpoint/OpenFile):
 //
 //	store.Crash()          // power failure: unflushed state is gone
@@ -42,6 +48,7 @@ import (
 	"pmwcas/internal/core"
 	"pmwcas/internal/epoch"
 	"pmwcas/internal/hashtable"
+	"pmwcas/internal/index"
 	"pmwcas/internal/keycodec"
 	"pmwcas/internal/nvram"
 	"pmwcas/internal/pqueue"
@@ -106,8 +113,21 @@ type SkipList = skiplist.List
 // SkipListHandle is a per-goroutine skip list context.
 type SkipListHandle = skiplist.Handle
 
-// SkipListEntry is one key/value pair yielded by a scan.
-type SkipListEntry = skiplist.Entry
+// IndexHandle is the word-index contract: the per-goroutine surface
+// SkipListHandle, CASSkipListHandle, BwTreeHandle and HashTableHandle
+// all satisfy, and what Store.OpenIndex mints.
+type IndexHandle = index.Handle
+
+// IndexEntry is one key/value pair yielded by an index scan.
+type IndexEntry = index.Entry
+
+// SkipListEntry, BwTreeEntry and HashEntry are IndexEntry's per-index
+// names.
+type (
+	SkipListEntry = IndexEntry
+	BwTreeEntry   = IndexEntry
+	HashEntry     = IndexEntry
+)
 
 // CASSkipList is the volatile single-word-CAS baseline skip list.
 type CASSkipList = skiplist.CASList
@@ -137,9 +157,6 @@ type BwTree = bwtree.Tree
 // BwTreeHandle is a per-goroutine Bw-tree context.
 type BwTreeHandle = bwtree.Handle
 
-// BwTreeEntry is one key/value pair yielded by a tree scan.
-type BwTreeEntry = bwtree.Entry
-
 // SMOMode selects the Bw-tree structure-modification protocol.
 type SMOMode = bwtree.SMOMode
 
@@ -159,9 +176,6 @@ type HashTable = hashtable.Table
 // HashTableHandle is a per-goroutine hash table context.
 type HashTableHandle = hashtable.Handle
 
-// HashEntry is one key/value pair yielded by a hash table Range.
-type HashEntry = hashtable.Entry
-
 // EpochManager is the epoch-based reclamation manager shared by the
 // PMwCAS pool and the indexes (§5.1).
 type EpochManager = epoch.Manager
@@ -169,18 +183,30 @@ type EpochManager = epoch.Manager
 // EpochStats counts epoch clock advances and deferred/freed garbage.
 type EpochStats = epoch.Stats
 
-// Sentinel errors re-exported from the index packages.
+// Sentinel errors. Every index (and BlobKV) reports an absent or
+// already-present key with the same bare value, so callers compare
+// against one sentinel whatever index they hold.
 var (
-	ErrSkipListKeyExists = skiplist.ErrKeyExists
-	ErrSkipListNotFound  = skiplist.ErrNotFound
-	ErrBlobNotFound      = blobkv.ErrNotFound
+	ErrNotFound  = index.ErrNotFound
+	ErrKeyExists = index.ErrKeyExists
+	// ErrUnordered is returned by Scan on the hash table and on handles
+	// routed across shards, which have no key order to scan in.
+	ErrUnordered = index.ErrUnordered
+
 	ErrBlobValueTooLarge = blobkv.ErrValueTooLarge
-	ErrBwTreeKeyExists   = bwtree.ErrKeyExists
-	ErrBwTreeNotFound    = bwtree.ErrNotFound
-	ErrHashKeyExists     = hashtable.ErrKeyExists
-	ErrHashNotFound      = hashtable.ErrNotFound
-	ErrHashUnordered     = hashtable.ErrUnordered
 	ErrPoolExhausted     = core.ErrPoolExhausted
+)
+
+// The shared sentinels' per-index names.
+var (
+	ErrSkipListKeyExists = ErrKeyExists
+	ErrSkipListNotFound  = ErrNotFound
+	ErrBlobNotFound      = ErrNotFound
+	ErrBwTreeKeyExists   = ErrKeyExists
+	ErrBwTreeNotFound    = ErrNotFound
+	ErrHashKeyExists     = ErrKeyExists
+	ErrHashNotFound      = ErrNotFound
+	ErrHashUnordered     = ErrUnordered
 )
 
 // MaxSkipListKey is the largest insertable skip list key.

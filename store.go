@@ -666,6 +666,86 @@ func (sh *Shard) HashTable(opts HashTableOptions) (*HashTable, error) {
 	return t, nil
 }
 
+// IndexOptions carries each index's open options through OpenIndex: the
+// named index reads its own field and ignores the other.
+type IndexOptions struct {
+	BwTree BwTreeOptions
+	Hash   HashTableOptions
+}
+
+// OpenIndex opens this shard's word index by name — "skiplist", "bwtree"
+// or "hash" — and returns the function that mints its per-goroutine
+// handles. The seed feeds the skip list's tower-height RNG; the other
+// indexes ignore it.
+func (sh *Shard) OpenIndex(name string, opt IndexOptions) (func(seed int64) IndexHandle, error) {
+	switch name {
+	case "skiplist":
+		l, err := sh.SkipList()
+		if err != nil {
+			return nil, err
+		}
+		return func(seed int64) IndexHandle { return l.NewHandle(seed) }, nil
+	case "bwtree":
+		t, err := sh.BwTree(opt.BwTree)
+		if err != nil {
+			return nil, err
+		}
+		return func(int64) IndexHandle { return t.NewHandle() }, nil
+	case "hash":
+		t, err := sh.HashTable(opt.Hash)
+		if err != nil {
+			return nil, err
+		}
+		return func(int64) IndexHandle { return t.NewHandle() }, nil
+	}
+	return nil, fmt.Errorf("pmwcas: unknown index %q (want skiplist, bwtree or hash)", name)
+}
+
+// OpenIndex opens the named word index on every shard, in shard order.
+// On a single-shard store the minted handles are the index's own; on a
+// multi-shard store each handle holds one per shard and routes every
+// point operation to the key's home shard (ShardForKey).
+func (s *Store) OpenIndex(name string, opt IndexOptions) (func(seed int64) IndexHandle, error) {
+	if len(s.shards) == 1 {
+		return s.Shard(0).OpenIndex(name, opt)
+	}
+	mints := make([]func(int64) IndexHandle, len(s.shards))
+	for i := range mints {
+		m, err := s.Shard(i).OpenIndex(name, opt)
+		if err != nil {
+			return nil, fmt.Errorf("pmwcas: shard %d: %w", i, err)
+		}
+		mints[i] = m
+	}
+	return func(seed int64) IndexHandle {
+		r := &routedHandle{s: s, hs: make([]IndexHandle, len(mints))}
+		for i, m := range mints {
+			r.hs[i] = m(seed)
+		}
+		return r
+	}, nil
+}
+
+// routedHandle is one goroutine's handle on a multi-shard word index.
+type routedHandle struct {
+	s  *Store
+	hs []IndexHandle // one per shard, index = shard number
+}
+
+func (r *routedHandle) home(key uint64) IndexHandle { return r.hs[r.s.ShardForKey(key)] }
+
+func (r *routedHandle) Insert(key, value uint64) error { return r.home(key).Insert(key, value) }
+func (r *routedHandle) Get(key uint64) (uint64, error) { return r.home(key).Get(key) }
+func (r *routedHandle) Update(key, value uint64) error { return r.home(key).Update(key, value) }
+func (r *routedHandle) Delete(key uint64) error        { return r.home(key).Delete(key) }
+
+// Scan reports ErrUnordered: hash placement leaves no key order across
+// shards. (The server merges per-shard scans itself, over Shard.OpenIndex
+// handles.)
+func (r *routedHandle) Scan(from, to uint64, fn func(IndexEntry) bool) error {
+	return ErrUnordered
+}
+
 // Crash simulates a power failure: every cache line that was not written
 // back is lost. The caller must guarantee quiescence (no in-flight
 // operations), exactly as a real power failure stops all CPUs. Follow
