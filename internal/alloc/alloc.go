@@ -28,6 +28,7 @@ package alloc
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -532,16 +533,22 @@ func joinLines(s []string) string {
 }
 
 // InUse returns the number of allocated blocks and bytes across all
-// classes, computed from the durable bitmaps.
+// classes, computed from the durable bitmaps: one device load per bitmap
+// word (64 blocks), so a stats read stays small next to the device-op
+// counts it is reported beside.
 func (a *Allocator) InUse() (blocks, bytes uint64) {
 	for ci := range a.classes {
 		c := &a.classes[ci]
-		for i := uint64(0); i < c.count; i++ {
-			if a.bitTest(c, i) {
-				blocks++
-				bytes += c.blockSize
+		var n uint64
+		for idx := uint64(0); idx < c.count; idx += 64 {
+			w := a.dev.Load(a.bitWord(c, idx))
+			if rem := c.count - idx; rem < 64 {
+				w &= 1<<rem - 1 // bits past the class's last block are not blocks
 			}
+			n += uint64(bits.OnesCount64(w))
 		}
+		blocks += n
+		bytes += n * c.blockSize
 	}
 	return blocks, bytes
 }

@@ -161,6 +161,67 @@ func TestInUseAccounting(t *testing.T) {
 	}
 }
 
+// TestInUseMatchesPerBitWalk: InUse counts a bitmap word at a time; on a
+// churned allocator it must agree with testing every block's bit, also
+// for classes whose count is not a multiple of 64 (a masked tail word)
+// and when that tail word carries bits past the last block. It reads one
+// device word per 64 blocks.
+func TestInUseMatchesPerBitWalk(t *testing.T) {
+	spec := []Class{
+		{BlockSize: 64, Count: 200}, // 3 full words + 8 bits
+		{BlockSize: 128, Count: 64}, // exactly one word
+		{BlockSize: 256, Count: 37}, // less than one word
+	}
+	dev, a, scratch := testEnv(t, spec, 1)
+	h := a.NewHandle()
+	rng := rand.New(rand.NewSource(5))
+	var live []nvram.Offset
+	for i := 0; i < 2000; i++ {
+		if len(live) > 0 && rng.Intn(5) < 2 {
+			j := rng.Intn(len(live))
+			if err := a.Free(live[j]); err != nil {
+				t.Fatalf("Free: %v", err)
+			}
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			continue
+		}
+		b, err := h.Alloc(spec[rng.Intn(len(spec))].BlockSize, scratch.Base)
+		if errors.Is(err, ErrOutOfMemory) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Alloc: %v", err)
+		}
+		live = append(live, b)
+	}
+	// Stray bits beyond the last block of the 37-block class: not blocks.
+	tail := a.bitWord(&a.classes[2], 0)
+	dev.Store(tail, dev.Load(tail)|1<<37|1<<63)
+
+	var wantBlocks, wantBytes uint64
+	for ci := range a.classes {
+		c := &a.classes[ci]
+		for i := uint64(0); i < c.count; i++ {
+			if a.bitTest(c, i) {
+				wantBlocks++
+				wantBytes += c.blockSize
+			}
+		}
+	}
+	if wantBlocks != uint64(len(live)) || wantBlocks == 0 {
+		t.Fatalf("per-bit walk finds %d blocks, %d are live", wantBlocks, len(live))
+	}
+	before := dev.Stats().Loads
+	blocks, bytes := a.InUse()
+	if blocks != wantBlocks || bytes != wantBytes {
+		t.Fatalf("InUse = (%d, %d), per-bit walk = (%d, %d)", blocks, bytes, wantBlocks, wantBytes)
+	}
+	if loads := dev.Stats().Loads - before; loads != 4+1+1 {
+		t.Fatalf("InUse issued %d device loads, want one per bitmap word (6)", loads)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	dev := nvram.New(1 << 20)
 	l := nvram.NewLayout(dev)

@@ -41,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // WordSize is the size of a device word in bytes.
@@ -68,6 +69,25 @@ type Stats struct {
 	Crashes uint64 // simulated power failures
 }
 
+// statLanes is the number of lanes the access counters are striped
+// over: enough that two goroutines rarely hash to the same one.
+const (
+	laneBits  = 8
+	statLanes = 1 << laneBits
+)
+
+// stackShift is log2 of the smallest goroutine stack (2 KiB): stacks are
+// power-of-two sized and aligned to their size, so two live goroutines
+// never have stack addresses that agree above this shift.
+const stackShift = 11
+
+// statLane is one lane of the device's counters, padded to a host cache
+// line so two lanes never share one.
+type statLane struct {
+	loads, stores, cases, flushes, fences atomic.Uint64
+	_                                     [LineBytes - 5*WordSize]byte
+}
+
 // Device is a simulated NVRAM device.
 type Device struct {
 	words     []uint64 // cache view, len == size/8
@@ -80,15 +100,12 @@ type Device struct {
 	yieldEvery   uint64 // if > 0, Gosched every N accesses (see WithYield)
 	yieldCnt     atomic.Uint64
 
-	stats struct {
-		loads, stores, cases, flushes, fences, crashes atomic.Uint64
-	}
-
 	evictMu  sync.Mutex
 	evictRng *rand.Rand
 	evictCnt atomic.Uint64
 
 	crashed atomic.Bool
+	crashes atomic.Uint64
 
 	hook atomic.Pointer[Hook]
 
@@ -97,6 +114,31 @@ type Device struct {
 	// Without the psan build tag it is an empty struct and every shadow
 	// hook below compiles to nothing (see psan.go / psan_off.go).
 	shadow shadowState
+
+	// Every access counts itself, so the counters are the one thing all
+	// goroutines write on every device op. Kept on a single line they
+	// made that line the device's bottleneck (two clients completed
+	// fewer ops than one), so they are striped over lanes and each
+	// goroutine counts on the lane its stack address picks (see lane).
+	// Stats sums the lanes: totals stay exact. The lanes are their own
+	// allocation (see newLanes): a lane must start on a host cache line,
+	// and a field of Device cannot promise that.
+	stats *[statLanes]statLane
+}
+
+// newLanes returns zeroed lanes whose first byte is on a host cache-line
+// boundary, so that each lane is exactly one line. The allocator only
+// promises word alignment (a Device's fields sit 8 bytes into their slot,
+// behind the allocation header, and a lane placed there straddled two
+// lines and shared each with its neighbour), so one lane of slack is
+// allocated and the start rounded up.
+func newLanes() *[statLanes]statLane {
+	buf := make([]statLane, statLanes+1)
+	p := unsafe.Pointer(&buf[0])
+	if rem := uintptr(p) % LineBytes; rem != 0 {
+		p = unsafe.Add(p, LineBytes-rem)
+	}
+	return (*[statLanes]statLane)(p)
 }
 
 // Hook observes every mutating device operation (stores, CASes, flushes)
@@ -172,6 +214,7 @@ func New(size uint64, opts ...Option) *Device {
 		dirty:     make([]uint32, lines),
 		size:      size,
 		evictRng:  rand.New(rand.NewSource(1)),
+		stats:     newLanes(),
 	}
 	for _, o := range opts {
 		o(d)
@@ -198,10 +241,30 @@ func (d *Device) index(off Offset) uint64 {
 	return i
 }
 
+// lane returns the calling goroutine's counter lane. Device methods take
+// no handle to hang a lane on, so the lane comes from the one thing that
+// tells goroutines apart for free: the address of a local variable lies
+// on the caller's stack, and live stacks do not overlap. The 2 KiB block
+// of stack the call runs in is hashed (Fibonacci hashing: stacks come
+// from a few aligned spans, so their raw low bits repeat) to a lane. Two
+// goroutines collide with probability 1/statLanes, and a goroutine moves
+// lanes as its stack deepens or is copied; both cost at most a shared
+// line, never a count.
+//
+// The accessed word's address would pick a lane too, but a word many
+// goroutines read (a list head, a root, a directory) would then have them
+// all count on one lane: the counter would turn a read-shared line into a
+// write-shared one, which the modelled hardware does not do.
+func (d *Device) lane() *statLane {
+	var local byte
+	block := uint64(uintptr(unsafe.Pointer(&local))) >> stackShift
+	return &d.stats[block*0x9E3779B97F4A7C15>>(64-laneBits)]
+}
+
 // Load atomically reads the word at off from the cache view.
 func (d *Device) Load(off Offset) uint64 {
 	d.maybeYield()
-	d.stats.loads.Add(1)
+	d.lane().loads.Add(1)
 	i := d.index(off)
 	v := atomic.LoadUint64(&d.words[i])
 	//lint:allow hotpath — psan shadow bookkeeping; disarmed (mask==0 early return) outside diagnostics runs, so its allocations never tax production fast paths (§6.3)
@@ -221,7 +284,7 @@ func (d *Device) Load(off Offset) uint64 {
 // reviewed suppression naming this contract.
 func (d *Device) LoadHint(off Offset) uint64 {
 	d.maybeYield()
-	d.stats.loads.Add(1)
+	d.lane().loads.Add(1)
 	return atomic.LoadUint64(&d.words[d.index(off)])
 }
 
@@ -238,7 +301,7 @@ func (d *Device) maybeYield() {
 func (d *Device) Store(off Offset, val uint64) {
 	d.maybeYield()
 	d.callHook("store", off)
-	d.stats.stores.Add(1)
+	d.lane().stores.Add(1)
 	i := d.index(off)
 	atomic.StoreUint64(&d.words[i], val)
 	atomic.StoreUint32(&d.dirty[i/LineWords], 1)
@@ -253,7 +316,7 @@ func (d *Device) Store(off Offset, val uint64) {
 func (d *Device) CAS(off Offset, old, new uint64) bool {
 	d.maybeYield()
 	d.callHook("cas", off)
-	d.stats.cases.Add(1)
+	d.lane().cases.Add(1)
 	i := d.index(off)
 	ok := atomic.CompareAndSwapUint64(&d.words[i], old, new)
 	if ok {
@@ -275,7 +338,7 @@ func (d *Device) CAS(off Offset, old, new uint64) bool {
 // line is never left clean with unpersisted contents.
 func (d *Device) Flush(off Offset) {
 	d.callHook("flush", off)
-	d.stats.flushes.Add(1)
+	d.lane().flushes.Add(1)
 	if d.flushLatency > 0 {
 		spin(d.flushLatency)
 	}
@@ -297,7 +360,7 @@ func (d *Device) flushLine(line uint64) {
 // calling code documents its ordering points the same way a real
 // implementation would.
 func (d *Device) Fence() {
-	d.stats.fences.Add(1)
+	d.lane().fences.Add(1)
 	//lint:allow hotpath — psan shadow bookkeeping; disarmed (mask==0 early return) outside diagnostics runs, so its allocations never tax production fast paths (§6.3)
 	d.shadowFence()
 }
@@ -325,7 +388,7 @@ func (d *Device) maybeEvict() {
 // quiescence. After Crash the device is immediately usable again (the
 // "restart"); Crashed reports that at least one crash has occurred.
 func (d *Device) Crash() {
-	d.stats.crashes.Add(1)
+	d.crashes.Add(1)
 	d.crashed.Store(true)
 	for i := range d.words {
 		atomic.StoreUint64(&d.words[i], atomic.LoadUint64(&d.persisted[i]))
@@ -358,6 +421,7 @@ func (d *Device) CloneCrashed() *Device {
 		dirty:     make([]uint32, len(d.dirty)),
 		size:      d.size,
 		evictRng:  rand.New(rand.NewSource(1)),
+		stats:     newLanes(),
 	}
 	for i := range d.persisted {
 		v := atomic.LoadUint64(&d.persisted[i])
@@ -399,26 +463,34 @@ func (d *Device) FlushAll() {
 	}
 }
 
-// Stats returns a snapshot of the device's operation counters.
+// Stats returns a snapshot of the device's operation counters. Every
+// access is counted exactly once, so at quiescence the totals are exact;
+// under concurrent accesses the lanes are read one by one and each total
+// is a value the counter held at some point during the call.
 func (d *Device) Stats() Stats {
-	return Stats{
-		Loads:   d.stats.loads.Load(),
-		Stores:  d.stats.stores.Load(),
-		CASes:   d.stats.cases.Load(),
-		Flushes: d.stats.flushes.Load(),
-		Fences:  d.stats.fences.Load(),
-		Crashes: d.stats.crashes.Load(),
+	s := Stats{Crashes: d.crashes.Load()}
+	for i := range d.stats {
+		c := &d.stats[i]
+		s.Loads += c.loads.Load()
+		s.Stores += c.stores.Load()
+		s.CASes += c.cases.Load()
+		s.Flushes += c.flushes.Load()
+		s.Fences += c.fences.Load()
 	}
+	return s
 }
 
 // ResetStats zeroes the operation counters.
 func (d *Device) ResetStats() {
-	d.stats.loads.Store(0)
-	d.stats.stores.Store(0)
-	d.stats.cases.Store(0)
-	d.stats.flushes.Store(0)
-	d.stats.fences.Store(0)
-	d.stats.crashes.Store(0)
+	for i := range d.stats {
+		c := &d.stats[i]
+		c.loads.Store(0)
+		c.stores.Store(0)
+		c.cases.Store(0)
+		c.flushes.Store(0)
+		c.fences.Store(0)
+	}
+	d.crashes.Store(0)
 }
 
 // spin busy-waits for roughly the given duration. A sleep would be far too

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewRoundsUpToLine(t *testing.T) {
@@ -487,5 +489,110 @@ func TestResetStatsInterleaving(t *testing.T) {
 	e.FlushAll()
 	if n := e.DirtyLines(); n != 0 {
 		t.Fatalf("DirtyLines after FlushAll = %d", n)
+	}
+}
+
+// TestStatsExactUnderConcurrency: the counters are striped over lanes,
+// and the totals must still count every access exactly once — whether
+// the goroutines work on lines of their own or all on the same few.
+func TestStatsExactUnderConcurrency(t *testing.T) {
+	const goroutines, rounds = 8, 2000
+	for _, tc := range []struct {
+		name string
+		off  func(g, i int) Offset
+	}{
+		{"disjoint", func(g, i int) Offset { return Offset(g*LineBytes + i%LineWords*WordSize) }},
+		{"overlapping", func(g, i int) Offset { return Offset(i % 3 * LineBytes) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := New(goroutines * LineBytes)
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < rounds; i++ {
+						off := tc.off(g, i)
+						d.Load(off)
+						d.LoadHint(off)
+						for n := 0; n < 3; n++ {
+							d.Store(off, uint64(i))
+						}
+						for n := 0; n < 4; n++ {
+							d.CAS(off, 0, 1) // failed attempts count too
+						}
+						d.Flush(off)
+						for n := 0; n < 5; n++ {
+							d.Fence()
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			const n = goroutines * rounds
+			want := Stats{Loads: 2 * n, Stores: 3 * n, CASes: 4 * n, Flushes: n, Fences: 5 * n}
+			if got := d.Stats(); got != want {
+				t.Fatalf("Stats = %+v, want %+v", got, want)
+			}
+			d.Crash()
+			if got := d.Stats().Crashes; got != 1 {
+				t.Fatalf("Crashes = %d, want 1", got)
+			}
+			d.ResetStats()
+			if got := d.Stats(); got != (Stats{}) {
+				t.Fatalf("Stats after ResetStats = %+v, want all zero", got)
+			}
+		})
+	}
+}
+
+// TestStatLaneLayout pins what keeps two lanes off one host cache line:
+// a lane is exactly one line long, and the lanes of a running device (and
+// of its crashed clone) start on a line boundary in memory, not merely at
+// an aligned field offset.
+func TestStatLaneLayout(t *testing.T) {
+	if s := unsafe.Sizeof(statLane{}); s != LineBytes {
+		t.Fatalf("sizeof(statLane) = %d, want %d", s, LineBytes)
+	}
+	d := New(1 << 12)
+	for name, dev := range map[string]*Device{"New": d, "CloneCrashed": d.CloneCrashed()} {
+		if rem := uintptr(unsafe.Pointer(&dev.stats[0])) % LineBytes; rem != 0 {
+			t.Errorf("%s: first lane starts %d bytes into a cache line, want 0", name, rem)
+		}
+	}
+}
+
+// BenchmarkDeviceParallel is the device's scaling command: the same
+// load/store/CAS/flush/fence round from every worker, on lines of the
+// worker's own ("disjoint") or on one line set all workers share
+// ("shared", where the simulated words themselves contend). Read it with
+// -cpu 1,2: disjoint ns/op should fall as workers are added.
+func BenchmarkDeviceParallel(b *testing.B) {
+	const size = 1 << 20
+	const span = 64 * LineBytes // lines each worker cycles through
+	for _, shared := range []bool{false, true} {
+		name := "disjoint"
+		if shared {
+			name = "shared"
+		}
+		b.Run(name, func(b *testing.B) {
+			d := New(size)
+			var workers atomic.Uint64
+			b.RunParallel(func(pb *testing.PB) {
+				base := Offset(0)
+				if !shared {
+					base = Offset(workers.Add(1)-1) * span % size
+				}
+				for i := uint64(0); pb.Next(); i++ {
+					off := base + Offset(i*LineBytes%span)
+					v := d.Load(off)
+					d.Store(off+WordSize, v+1)
+					d.CAS(off, v, v+1)
+					d.Flush(off)
+					d.Fence()
+				}
+			})
+			b.ReportMetric(float64(d.Stats().Flushes)/float64(b.N), "flushes/op")
+		})
 	}
 }
