@@ -1,21 +1,25 @@
-// Command experiments regenerates every table and figure of the paper's
-// evaluation in one run (experiment index E1-E9 in DESIGN.md, plus E11,
-// the traversal flush-elision delta of EXPERIMENTS.md), printing
-// paper-style tables. Absolute numbers reflect the simulated NVRAM
-// substrate; the shapes — who wins, by what factor, where contention and
-// persistence costs bite — are the reproduction targets.
+// Command experiments regenerates every table of EXPERIMENTS.md: the
+// paper's evaluation (E1-E9) and the extension tables E10 (index
+// matrix), E11 (traversal flush elision) and E12 (shard-count scaling),
+// printing paper-style tables. Absolute numbers reflect the simulated
+// NVRAM substrate; the shapes — who wins, by what factor, where
+// contention and persistence costs bite — are the reproduction targets.
+// Nothing gates on these tables; the gate is `go run ./bench`.
 //
 // Usage:
 //
-//	experiments [-quick] [-threads n] [-flushns n]
+//	experiments [-quick] [-only eN] [-threads n] [-flushns n]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"pmwcas"
@@ -33,17 +37,86 @@ type scale struct {
 	preload  int
 	scanOps  int
 	recPools []int
+	shards   []int
 }
 
-func main() {
-	quick := flag.Bool("quick", false, "reduced parameters (seconds instead of minutes)")
-	threads := flag.Int("threads", 4, "worker goroutines")
-	flushNS := flag.Int("flushns", 100, "simulated CLWB latency in ns (0 = free flushes)")
-	yield := flag.Int("yield", 4, "interleave logical threads every N device accesses (0 = off)")
-	runAblations := flag.Bool("ablations", false, "also run the design-knob ablation sweeps (A1-A4)")
-	repsFlag := flag.Int("reps", 3, "repetitions per index-workload cell (median reported)")
-	only := flag.String("only", "", "run a single experiment (e1..e9, e11)")
-	flag.Parse()
+type experiment struct {
+	name, title string
+	fn          func(threads int, sc scale, flush time.Duration)
+}
+
+// experiments is the one list of what this command can run: main walks
+// it in order, -only selects from it, and the usage text is printed
+// from it.
+var experiments = []experiment{
+	{"e1", "MwCAS microbenchmark, low contention", e1},
+	{"e2", "MwCAS microbenchmark, high contention", e2},
+	{"e3", "cost vs words per descriptor", e3},
+	{"e4", "persistence anatomy (flushes and helps per op)", e4},
+	{"e5", "skip list variants", e5},
+	{"e6", "Bw-tree variants", e6},
+	{"e7", "recovery time", e7},
+	{"e8", "reverse scans", e8},
+	{"e9", "descriptor space", e9},
+	{"e10", "index matrix: 3 indexes x 4 workloads x 2 distributions", e10},
+	{"e11", "traversal flush elision", e11},
+	{"e12", "shard-count scaling of the hash index", e12},
+}
+
+// selectExperiments returns the experiments -only names: all of them
+// when it is empty, none when it names nothing in the table.
+func selectExperiments(only string) []experiment {
+	if only == "" {
+		return experiments
+	}
+	for i, e := range experiments {
+		if e.name == only {
+			return experiments[i : i+1]
+		}
+	}
+	return nil
+}
+
+// experimentList renders the table for the usage text and the
+// unknown-name error.
+func experimentList() string {
+	var b strings.Builder
+	for _, e := range experiments {
+		fmt.Fprintf(&b, "  %-4s %s\n", e.name, e.title)
+	}
+	return b.String()
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run is main with its exit status returned: 2 for a command line it
+// cannot act on, 1 when a cell's correctness check failed.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "reduced parameters (seconds instead of minutes)")
+	threads := fs.Int("threads", 4, "worker goroutines")
+	flushNS := fs.Int("flushns", 100, "simulated CLWB latency in ns (0 = free flushes)")
+	yield := fs.Int("yield", 4, "interleave logical threads every N device accesses (0 = off)")
+	runAblations := fs.Bool("ablations", false, "also run the design-knob ablation sweeps (A1-A4)")
+	repsFlag := fs.Int("reps", 3, "repetitions per index-workload cell (median reported)")
+	only := fs.String("only", "", "run a single experiment, by `name`")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: experiments [flags]")
+		fs.PrintDefaults()
+		fmt.Fprintf(stderr, "experiments:\n%s", experimentList())
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	selected := selectExperiments(*only)
+	if selected == nil {
+		fmt.Fprintf(stderr, "experiments: no experiment %q; the experiments are:\n%s", *only, experimentList())
+		return 2
+	}
 	yieldEvery = *yield
 	reps = *repsFlag
 	if *quick {
@@ -52,37 +125,27 @@ func main() {
 
 	sc := scale{
 		microOps: 200000, indexOps: 50000, keySpace: 1 << 20, preload: 1 << 19,
-		scanOps: 20000, recPools: []int{1024, 4096, 16384},
+		scanOps: 20000, recPools: []int{1024, 4096, 16384}, shards: []int{1, 2, 4, 8},
 	}
 	if *quick {
 		sc = scale{
 			microOps: 20000, indexOps: 5000, keySpace: 1 << 14, preload: 1 << 13,
-			scanOps: 2000, recPools: []int{1024, 4096},
+			scanOps: 2000, recPools: []int{1024, 4096}, shards: []int{1, 4},
 		}
 	}
 	flush := time.Duration(*flushNS) * time.Nanosecond
 
-	run := func(name string, fn func()) {
-		if *only == "" || *only == name {
-			fn()
-		}
+	for _, e := range selected {
+		e.fn(*threads, sc, flush)
 	}
-	run("e1", func() { e1e2(*threads, sc, flush) })
-	run("e3", func() { e3(*threads, sc, flush) })
-	run("e4", func() { e4(*threads, sc, flush) })
-	run("e5", func() { e5(*threads, sc, flush) })
-	run("e6", func() { e6(*threads, sc, flush) })
-	run("e7", func() { e7(sc) })
-	run("e8", func() { e8(sc, flush) })
-	run("e9", func() { e9() })
-	run("e11", func() { e11(*threads, sc, flush) })
 	if *runAblations {
 		ablations(*threads, sc)
 	}
 	if badRuns > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: %d run(s) produced incorrect results\n", badRuns)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "experiments: %d run(s) produced incorrect results\n", badRuns)
+		return 1
 	}
+	return 0
 }
 
 // badRuns counts experiment cells whose correctness check failed (e.g. a
@@ -140,26 +203,26 @@ func fail(err error) {
 }
 
 // E1/E2: MwCAS microbenchmark under low and high contention.
-func e1e2(threads int, sc scale, flush time.Duration) {
-	for _, cell := range []struct {
-		name  string
-		array int
-	}{
-		{"E1: MwCAS microbenchmark — LOW contention (100k-word array, 4-word ops)", 100000},
-		{"E2: MwCAS microbenchmark — HIGH contention (8-word array, 4-word ops)", 8},
-	} {
-		tbl := harness.NewTable(cell.name,
-			"variant", "ops/s", "success", "helps/op", "flushes/op", "htm fallbacks")
-		for _, v := range []harness.MicroVariant{harness.VariantMwCAS, harness.VariantPMwCAS, harness.VariantHTM} {
-			r := micro(v, threads, sc.microOps, cell.array, 4, flush)
-			fb := "-"
-			if v == harness.VariantHTM {
-				fb = fmt.Sprint(r.HTMStats.Fallbacks)
-			}
-			tbl.Add(string(v), harness.Throughput(r.OpsPerSec), r.SuccessRate, r.HelpsPer, r.FlushesPer, fb)
+func e1(threads int, sc scale, flush time.Duration) {
+	microContention("E1: MwCAS microbenchmark — LOW contention (100k-word array, 4-word ops)", 100000, threads, sc, flush)
+}
+
+func e2(threads int, sc scale, flush time.Duration) {
+	microContention("E2: MwCAS microbenchmark — HIGH contention (8-word array, 4-word ops)", 8, threads, sc, flush)
+}
+
+func microContention(title string, array, threads int, sc scale, flush time.Duration) {
+	tbl := harness.NewTable(title,
+		"variant", "ops/s", "success", "helps/op", "flushes/op", "htm fallbacks")
+	for _, v := range []harness.MicroVariant{harness.VariantMwCAS, harness.VariantPMwCAS, harness.VariantHTM} {
+		r := micro(v, threads, sc.microOps, array, 4, flush)
+		fb := "-"
+		if v == harness.VariantHTM {
+			fb = fmt.Sprint(r.HTMStats.Fallbacks)
 		}
-		tbl.Print(os.Stdout)
+		tbl.Add(string(v), harness.Throughput(r.OpsPerSec), r.SuccessRate, r.HelpsPer, r.FlushesPer, fb)
 	}
+	tbl.Print(os.Stdout)
 }
 
 // E3: cost vs words per descriptor.
@@ -189,10 +252,14 @@ func e4(threads int, sc scale, flush time.Duration) {
 	tbl.Print(os.Stdout)
 }
 
-func newStore(mode pmwcas.Mode, flush time.Duration) *pmwcas.Store {
+// newStore builds one store per cell so cells never share a heap. The
+// total device, descriptor and handle budget is the same whatever the
+// shard count: only how it is partitioned varies.
+func newStore(mode pmwcas.Mode, flush time.Duration, shards int) *pmwcas.Store {
 	runtime.GC() // release the previous variant's device before allocating
 	s, err := pmwcas.Create(pmwcas.Config{
-		Size: 256 << 20, Mode: mode, Descriptors: 4096, MaxHandles: 256,
+		Size: 256 << 20, Mode: mode, Shards: shards,
+		Descriptors: max(4096/shards, 256), MaxHandles: max(256/shards, 64),
 		FlushLatency: flush, YieldEvery: yieldEvery,
 	})
 	if err != nil {
@@ -224,7 +291,7 @@ func e5(threads int, sc scale, flush time.Duration) {
 			"variant", "ops/s", "flushes/op", "overhead vs cas")
 		var base float64
 
-		s := newStore(pmwcas.Volatile, flush)
+		s := newStore(pmwcas.Volatile, flush, 1)
 		cl, err := s.CASSkipList()
 		if err != nil {
 			fail(err)
@@ -241,7 +308,7 @@ func e5(threads int, sc scale, flush time.Duration) {
 			label string
 			mode  pmwcas.Mode
 		}{{"mwcas (volatile)", pmwcas.Volatile}, {"pmwcas (persistent)", pmwcas.Persistent}} {
-			s := newStore(variant.mode, flush)
+			s := newStore(variant.mode, flush, 1)
 			r, err := runMedian(open(s, variant.label, "skiplist", pmwcas.IndexOptions{}), w,
 				func() uint64 { return s.Device().Stats().Flushes })
 			if err != nil {
@@ -276,7 +343,7 @@ func e6(threads int, sc scale, flush time.Duration) {
 			{"mwcas (volatile)", pmwcas.Volatile, pmwcas.SMOPMwCAS},
 			{"pmwcas (persistent)", pmwcas.Persistent, pmwcas.SMOPMwCAS},
 		} {
-			s := newStore(variant.mode, flush)
+			s := newStore(variant.mode, flush, 1)
 			f := open(s, variant.label, "bwtree", pmwcas.IndexOptions{BwTree: pmwcas.BwTreeOptions{SMO: variant.smo}})
 			r, err := runMedian(f, w, func() uint64 { return s.Device().Stats().Flushes })
 			if err != nil {
@@ -294,14 +361,88 @@ func e6(threads int, sc scale, flush time.Duration) {
 	}
 }
 
-// E11: traversal flush elision (ROADMAP item 3). Runs the persistent
-// skip list and Bw-tree under concurrent workloads with elision off
-// (the paper's conservative flush-before-read on every dirty word) and
-// on (descend paths use ReadTraverse; only CAS targets are persisted),
-// and reports the flush-per-op delta. Read-side flushes are
-// contention-driven — a single-threaded run sees almost none because
-// phase 2 eagerly persists — so this cell is only meaningful with
-// threads > 1 and yield interleaving.
+type matrixShape struct {
+	name    string
+	mix     harness.Mix
+	preload bool
+}
+
+// matrixShapes are the workload rows of E10. The scan row is last so
+// that E12, on the hash index, which has no key order to scan, takes
+// the rows before it.
+var matrixShapes = []matrixShape{
+	{"load", harness.Mix{Inserts: 100}, false},
+	{"read", harness.ReadHeavy, true},
+	{"mixed", harness.UpdateHeavy, true},
+	{"scan", harness.ScanHeavy, true},
+}
+
+// matrixRows runs one index on a store of the given shard count through
+// shapes × {uniform, zipf}, one fresh persistent store per cell, and adds
+// a row per cell under label. OpenIndex routes keys by Store.ShardForKey,
+// the placement the server's sharded backend uses, without the network.
+func matrixRows(tbl *harness.Table, label, index string, shards, threads int, sc scale, flush time.Duration, shapes []matrixShape) {
+	for _, shape := range shapes {
+		for _, d := range []harness.Distribution{harness.Uniform, harness.Zipf} {
+			if index == "hash" && shape.mix.Scans > 0 {
+				// Reported, not measured: a hash table faking a range
+				// scan would be benchmarking a lie.
+				tbl.Add(label, shape.name, d, "n/a (unordered)", "-")
+				continue
+			}
+			w := harness.Workload{
+				Threads: threads, OpsPer: sc.indexOps, KeySpace: sc.keySpace,
+				Dist: d, Mix: shape.mix,
+			}
+			run := runMedian
+			if shape.preload {
+				w.Preload = sc.preload
+			} else {
+				run = harness.Run // a load cannot repeat on the store it filled
+			}
+			s := newStore(pmwcas.Persistent, flush, shards)
+			r, err := run(open(s, label, index, pmwcas.IndexOptions{}), w,
+				func() uint64 { return s.Device().Stats().Flushes })
+			if err != nil {
+				fail(err)
+			}
+			tbl.Add(label, shape.name, d, harness.Throughput(r.OpsPerSec), r.FlushesPer)
+		}
+	}
+}
+
+// E10: every persistent index through four workload shapes under two key
+// distributions on identical stores — which index for which workload.
+func e10(threads int, sc scale, flush time.Duration) {
+	tbl := harness.NewTable(
+		fmt.Sprintf("E10: index matrix — persistent stores, %d threads, %d keys", threads, sc.keySpace),
+		"index", "workload", "dist", "ops/s", "flushes/op")
+	for _, ix := range []string{"skiplist", "bwtree", "hash"} {
+		matrixRows(tbl, ix, ix, 1, threads, sc, flush, matrixShapes)
+	}
+	tbl.Print(os.Stdout)
+}
+
+// E12: the shard-per-core layout — the hash index across shard counts,
+// so the only variable is how the store is partitioned.
+func e12(threads int, sc scale, flush time.Duration) {
+	tbl := harness.NewTable(
+		fmt.Sprintf("E12: shard matrix — persistent hash index, %d threads, %d keys", threads, sc.keySpace),
+		"shards", "workload", "dist", "ops/s", "flushes/op")
+	for _, n := range sc.shards {
+		matrixRows(tbl, fmt.Sprint(n), "hash", n, threads, sc, flush, matrixShapes[:len(matrixShapes)-1])
+	}
+	tbl.Print(os.Stdout)
+}
+
+// E11: traversal flush elision. Runs the persistent skip list and
+// Bw-tree under concurrent workloads with elision off (the paper's
+// conservative flush-before-read on every dirty word) and on (descend
+// paths use ReadTraverse; only CAS targets are persisted), and reports
+// the flush-per-op delta. Read-side flushes are contention-driven — a
+// single-threaded run sees almost none because phase 2 eagerly persists
+// — so this cell is only meaningful with threads > 1 and yield
+// interleaving.
 func e11(threads int, sc scale, flush time.Duration) {
 	defer core.SetFlushElision(true) // restore the default for later cells
 	for _, cell := range []struct {
@@ -331,7 +472,7 @@ func e11(threads int, sc scale, flush time.Duration) {
 				on    bool
 			}{{"off", false}, {"on", true}} {
 				core.SetFlushElision(el.on)
-				s := newStore(pmwcas.Persistent, flush)
+				s := newStore(pmwcas.Persistent, flush, 1)
 				r, err := runMedian(open(s, idx.label, idx.name, pmwcas.IndexOptions{}), w,
 					func() uint64 { return s.Device().Stats().Flushes })
 				if err != nil {
@@ -351,7 +492,7 @@ func e11(threads int, sc scale, flush time.Duration) {
 }
 
 // E7: recovery time.
-func e7(sc scale) {
+func e7(_ int, sc scale, _ time.Duration) {
 	tbl := harness.NewTable("E7: recovery time vs descriptor pool and in-flight ops",
 		"pool", "in-flight", "recovery", "all-or-nothing")
 	for _, pool := range sc.recPools {
@@ -372,7 +513,7 @@ func e7(sc scale) {
 }
 
 // E8: reverse scans, doubly-linked vs baseline fix-up traversal.
-func e8(sc scale, flush time.Duration) {
+func e8(_ int, sc scale, flush time.Duration) {
 	const scanLen = 100
 	tbl := harness.NewTable("E8: reverse range scans (100-key ranges)",
 		"variant", "scans/s")
@@ -403,12 +544,12 @@ func e8(sc scale, flush time.Duration) {
 		}
 		tbl.Add(label, harness.Throughput(float64(sc.scanOps)/time.Since(start).Seconds()))
 	}
-	cl, err := newStore(pmwcas.Volatile, flush).CASSkipList()
+	cl, err := newStore(pmwcas.Volatile, flush, 1).CASSkipList()
 	if err != nil {
 		fail(err)
 	}
 	run("cas + prev fix-up", cl.NewHandle(1))
-	l, err := newStore(pmwcas.Persistent, flush).SkipList()
+	l, err := newStore(pmwcas.Persistent, flush, 1).SkipList()
 	if err != nil {
 		fail(err)
 	}
@@ -417,7 +558,7 @@ func e8(sc scale, flush time.Duration) {
 }
 
 // E9: descriptor space analysis (Appendix B shape).
-func e9() {
+func e9(int, scale, time.Duration) {
 	tbl := harness.NewTable("E9: descriptor pool space (bytes)",
 		"words/desc", "bytes/desc", "pool=4xthreads(48)", "pool=16384")
 	for _, w := range []int{4, 8, 16} {

@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"pmwcas/internal/harness"
-	"pmwcas/internal/metrics"
 	"pmwcas/internal/wire"
 )
 
@@ -46,7 +44,6 @@ func main() {
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request I/O timeout")
 	seed := flag.Int64("seed", 1, "base RNG seed")
 	showStats := flag.Bool("stats", false, "print server STATS after the run")
-	jsonOut := flag.String("json", "", "write the run result as JSON (throughput, client percentiles, server METRICS histograms) to this path")
 	flag.Parse()
 
 	if *gets+*puts+*dels+*scans != 100 {
@@ -129,99 +126,9 @@ func main() {
 	if *showStats {
 		printServerStats(*addr, *timeout)
 	}
-	if *jsonOut != "" {
-		res := benchResult{
-			Config: benchConfig{
-				Conns: *conns, Ops: *ops, Keys: *keys, Dist: *dist,
-				Gets: *gets, Puts: *puts, Dels: *dels, Scans: *scans,
-				ValSize: *valSize, Pipeline: *pipeline, Preload: *preload,
-			},
-			ElapsedNs: elapsed.Nanoseconds(),
-			TotalOps:  total,
-			Errors:    errs,
-			NotFound:  notFound,
-			OpsPerSec: float64(total) / elapsed.Seconds(),
-		}
-		if len(lats) > 0 {
-			res.LatencyNs = &benchLatency{
-				P50: pct(lats, 50).Nanoseconds(),
-				P90: pct(lats, 90).Nanoseconds(),
-				P99: pct(lats, 99).Nanoseconds(),
-				Max: lats[len(lats)-1].Nanoseconds(),
-			}
-		}
-		res.Server = fetchServerHistograms(*addr, *timeout)
-		if err := writeResult(*jsonOut, &res); err != nil {
-			fatalf("write %s: %v", *jsonOut, err)
-		}
-	}
 	if errs > 0 {
 		os.Exit(1)
 	}
-}
-
-// benchResult is the -json output schema: one run, flat enough to diff
-// between CI pushes (cmd/benchdiff consumes it).
-type benchResult struct {
-	Config    benchConfig                    `json:"config"`
-	ElapsedNs int64                          `json:"elapsed_ns"`
-	TotalOps  int                            `json:"total_ops"`
-	Errors    int                            `json:"errors"`
-	NotFound  int                            `json:"not_found"`
-	OpsPerSec float64                        `json:"ops_per_sec"`
-	LatencyNs *benchLatency                  `json:"latency_ns,omitempty"`
-	Server    map[string]metrics.HistSummary `json:"server,omitempty"`
-}
-
-type benchConfig struct {
-	Conns    int    `json:"conns"`
-	Ops      int    `json:"ops"`
-	Keys     uint64 `json:"keys"`
-	Dist     string `json:"dist"`
-	Gets     int    `json:"gets"`
-	Puts     int    `json:"puts"`
-	Dels     int    `json:"dels"`
-	Scans    int    `json:"scans"`
-	ValSize  int    `json:"valsize"`
-	Pipeline int    `json:"pipeline"`
-	Preload  int    `json:"preload"`
-}
-
-type benchLatency struct {
-	P50 int64 `json:"p50"`
-	P90 int64 `json:"p90"`
-	P99 int64 `json:"p99"`
-	Max int64 `json:"max"`
-}
-
-// fetchServerHistograms pulls the server's METRICS snapshot and keeps
-// the histogram summaries (latency distributions measured server-side,
-// free of client scheduling noise). Best-effort: a server without the
-// METRICS op just yields no section.
-func fetchServerHistograms(addr string, timeout time.Duration) map[string]metrics.HistSummary {
-	c, err := wire.Dial(addr)
-	if err != nil {
-		return nil
-	}
-	defer c.Close()
-	c.Timeout = timeout
-	text, err := c.Metrics()
-	if err != nil {
-		return nil
-	}
-	sums := metrics.ParseSummaries(text)
-	if len(sums) == 0 {
-		return nil
-	}
-	return sums
-}
-
-func writeResult(path string, res *benchResult) error {
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // worker is one connection's state; run issues its share of the load.

@@ -4,31 +4,55 @@ import (
 	"testing"
 
 	"pmwcas/internal/core"
+	"pmwcas/internal/nvram"
 )
 
-// BenchmarkPointOps is the committed allocation budget for the Bw-tree's
-// annotated fast paths (BENCH_allocs.txt, gated by benchdiff -allocs in
-// CI): steady-state Update+Get against a preloaded tree. Updates post
-// deltas and periodically consolidate, so the measured figure includes
-// the amortized SMO cost the §6.3 waivers price in.
-func BenchmarkPointOps(b *testing.B) {
-	e := newTreeEnv(b, core.Persistent, SMOPMwCAS, nil)
+// pointOps preloads a persistent tree and returns its steady-state
+// Update+Get pair: what BenchmarkPointOps times and what
+// TestPointOpsAllocBudget counts allocations of.
+func pointOps(tb testing.TB) func(i int) {
+	e := newTreeEnv(tb, core.Persistent, SMOPMwCAS, nil)
 	h := e.tree.NewHandle()
 	const keys = 512
 	for k := uint64(1); k <= keys; k++ {
 		if err := h.Insert(k, k); err != nil {
-			b.Fatalf("preload %d: %v", k, err)
+			tb.Fatalf("preload %d: %v", k, err)
 		}
 	}
+	return func(i int) {
+		k := uint64(i%keys) + 1
+		if err := h.Update(k, uint64(i%1024)+1); err != nil {
+			tb.Fatalf("update %d: %v", k, err)
+		}
+		if _, err := h.Get(k); err != nil {
+			tb.Fatalf("get %d: %v", k, err)
+		}
+	}
+}
+
+func BenchmarkPointOps(b *testing.B) {
+	op := pointOps(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := uint64(i%keys) + 1
-		if err := h.Update(k, uint64(i%1024)+1); err != nil {
-			b.Fatalf("update %d: %v", k, err)
-		}
-		if _, err := h.Get(k); err != nil {
-			b.Fatalf("get %d: %v", k, err)
-		}
+		op(i)
+	}
+}
+
+// TestPointOpsAllocBudget is the dynamic half of the //pmwcas:hotpath
+// contract on the Bw-tree's annotated fast paths (the static half is
+// pmwcaslint's hotpath analyzer): steady-state Update+Get against a
+// preloaded tree. Updates post deltas and periodically consolidate, so
+// the budget of 1 alloc/op is the amortized SMO cost the §6.3 waivers
+// price in (the epoch-sweep consolidation finalizer's chain-block list),
+// not a fast-path allocation.
+func TestPointOpsAllocBudget(t *testing.T) {
+	if nvram.SanitizerEnabled {
+		t.Skip("psan's shadow state allocates on every device op")
+	}
+	op := pointOps(t)
+	i := 0
+	if got := testing.AllocsPerRun(20000, func() { op(i); i++ }); got > 1 {
+		t.Fatalf("Update+Get = %v allocs/op, budget 1", got)
 	}
 }

@@ -354,7 +354,7 @@ func (p *Pool) read(addr nvram.Offset) uint64 {
 }
 
 // noElide disables traversal flush elision when set. The default (elision
-// on) implements ROADMAP item 3: persistence cost scales with writes, not
+// on) is traversal flush elision: persistence cost scales with writes, not
 // traversals. The knob exists so cmd/experiments can measure the delta and
 // so operators can fall back to the paper's conservative rule.
 var noElide atomic.Bool

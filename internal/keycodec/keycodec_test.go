@@ -159,9 +159,8 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendDecode is the committed allocation budget for the
-// scratch-reusing decode path (BENCH_allocs.txt, gated by benchdiff
-// -allocs in CI): 0 allocs/op once the buffer has its capacity.
+// BenchmarkAppendDecode times the scratch-reusing decode path;
+// TestCodecAllocFree pins its allocation count.
 func BenchmarkAppendDecode(b *testing.B) {
 	k, err := EncodeString("seven77")
 	if err != nil {
@@ -176,5 +175,24 @@ func BenchmarkAppendDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf = out
+	}
+}
+
+// TestCodecAllocFree pins the key codec's allocation budget: Encode, and
+// AppendDecode once the buffer has its capacity, allocate nothing.
+func TestCodecAllocFree(t *testing.T) {
+	s := []byte("seven77")
+	buf := make([]byte, 0, MaxLen)
+	got := testing.AllocsPerRun(1000, func() {
+		k, err := Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf, err = AppendDecode(buf[:0], k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("Encode+AppendDecode = %v allocs/op, budget 0", got)
 	}
 }

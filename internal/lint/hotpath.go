@@ -43,7 +43,8 @@ const hotpathAnnotation = "//pmwcas:hotpath"
 // conversion of a non-pointer-shaped value is assumed to box.
 //
 // Two amortized idioms are permitted statically and pinned dynamically
-// by the CI allocation-budget gate (cmd/benchdiff -allocs): a
+// by the tier-1 allocation-budget tests (TestPointOpsAllocBudget,
+// TestCodecAllocFree, TestWireRoundTripAllocFree): a
 // self-append `x = append(x, ...)` (growth amortizes to zero) and a
 // `make` under a cap() guard (the reuse branch is the steady state).
 //

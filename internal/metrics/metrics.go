@@ -448,36 +448,3 @@ func (s Snapshot) Format() string {
 	}
 	return string(b)
 }
-
-// ParseSummaries parses the histogram lines of a Format payload back
-// into summaries, keyed by name — the loadgen side of the perf
-// trajectory (BENCH_server.json pulls its server-side percentiles
-// through this).
-func ParseSummaries(text string) map[string]HistSummary {
-	out := make(map[string]HistSummary)
-	var name string
-	var h HistSummary
-	for _, line := range splitLines(text) {
-		n, err := fmt.Sscanf(line, "%s count=%d mean=%d p50=%d p95=%d p99=%d max=%d",
-			&name, &h.Count, &h.Mean, &h.P50, &h.P95, &h.P99, &h.Max)
-		if err == nil && n == 7 {
-			out[name] = h
-		}
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
-}

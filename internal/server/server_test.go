@@ -321,6 +321,48 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestMetricsCoversEveryLayer: after a small GET/PUT/SCAN mix over
+// loopback, the METRICS payload carries a populated histogram from every
+// layer a request crosses — server, PMwCAS, epochs, allocator, index. A
+// layer whose instrument is renamed or no longer recorded fails here.
+// The mix is 400 ops because guard hold time is sampled 1-in-64.
+func TestMetricsCoversEveryLayer(t *testing.T) {
+	_, _, addr, _ := startServer(t, IndexSkipList, 2)
+	c := dial(t, addr)
+	for i := 0; i < 200; i++ {
+		key := []byte(fmt.Sprintf("m%03d", i))
+		if err := c.Put(key, []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Get(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Scan([]byte("m"), nil, 10); err != nil {
+		t.Fatal(err)
+	}
+	text, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]uint64{}
+	for _, line := range strings.Split(text, "\n") {
+		var name string
+		var n uint64
+		if _, err := fmt.Sscanf(line, "%s count=%d", &name, &n); err == nil {
+			counts[name] = n
+		}
+	}
+	for _, name := range []string{
+		"server_get_ns", "server_put_ns", "server_scan_ns", "server_pipeline_depth",
+		"core_pmwcas_exec_ns", "epoch_guard_hold_ns", "alloc_ns", "skiplist_find_steps",
+	} {
+		if counts[name] == 0 {
+			t.Errorf("histogram %s is missing or empty after the mix\nmetrics:\n%s", name, text)
+		}
+	}
+}
+
 func TestConnectionCapGracefulRejection(t *testing.T) {
 	srv, _, addr, _ := startServer(t, IndexSkipList, 1)
 

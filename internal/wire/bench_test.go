@@ -45,10 +45,9 @@ func (s *rtState) roundTrip() error {
 	return nil
 }
 
-// BenchmarkWireRoundTrip is the committed allocation budget for the
-// codec (BENCH_allocs.txt, gated by benchdiff -allocs in CI): encode and
-// decode one request and one response with reused buffers at 0
-// allocs/op.
+// BenchmarkWireRoundTrip times encoding and decoding one request and one
+// response with reused buffers; TestWireRoundTripAllocFree pins the
+// allocation count.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	var s rtState
 	b.ReportAllocs()

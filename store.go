@@ -30,8 +30,8 @@ type Config struct {
 	// each owning its own slice of the device: descriptor pool, allocator
 	// arena, epoch manager, root line, and index regions. Shards never
 	// share mutable state, so operations on different shards contend on
-	// nothing — the shard-per-core layout of ROADMAP item 1. Keys are
-	// placed by ShardForKey; all capacity knobs below are per shard.
+	// nothing — the shard-per-core layout. Keys are placed by
+	// ShardForKey; all capacity knobs below are per shard.
 	Shards int
 	// Descriptors is each shard's PMwCAS pool capacity (default 1024).
 	Descriptors int
