@@ -46,9 +46,11 @@ func kvSpec() []alloc.Class {
 	}
 }
 
-func newKVEnv(t testing.TB) *kenv {
+func newKVEnv(t testing.TB) *kenv { return newKVEnvSpec(t, kvSpec()) }
+
+func newKVEnvSpec(t testing.TB, spec []alloc.Class) *kenv {
 	t.Helper()
-	e := &kenv{spec: kvSpec()}
+	e := &kenv{spec: spec}
 	poolBytes := core.PoolSize(kvDescs, skiplist.MinDescriptorWords)
 	aBytes := alloc.MetaSize(e.spec, allocHandles)
 	e.dev = nvram.New(poolBytes + aBytes + 1<<14)
@@ -103,6 +105,59 @@ func (e *kenv) reopen(t testing.TB) {
 	e.dev.SetHook(nil)
 	e.dev.Crash()
 	e.build(t, true)
+}
+
+// TestOverwritePutBill pins the persist bill of a blob overwrite by one
+// goroutine, with a 64-byte value whose 80-byte record takes a 128-byte
+// block as in a Store: 6 flushes and 2 fences to allocate the record
+// (delivery slot twice, bitmap, two zeroed lines, target word), 2 and 1
+// to write it, 5 and 2 for the 2-word PMwCAS on one node line, 1 to clear
+// the staging slot, and 3 and 1 when the descriptor is finalized (bitmap,
+// erased entry field, header). None of them finds its line clean.
+func TestOverwritePutBill(t *testing.T) {
+	e := newKVEnvSpec(t, []alloc.Class{
+		{BlockSize: 64, Count: 256},
+		{BlockSize: 128, Count: 256},
+		{BlockSize: 256, Count: 16}, // list sentinels
+	})
+	h := e.kv.NewHandle(1)
+	const keys, puts = 16, 256
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%02d", i%keys)) }
+	val := bytes.Repeat([]byte{'v'}, 64)
+	// Run every pending finalizer, so that each window pays for exactly
+	// the descriptors its own puts retired.
+	drain := func() {
+		for i := 0; i < 3; i++ {
+			e.pool.Epochs().Advance()
+			e.pool.Epochs().Collect()
+		}
+	}
+	for i := 0; i < keys; i++ {
+		if err := h.Put(key(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain()
+	before := e.dev.Stats()
+	for i := 0; i < puts; i++ {
+		if err := h.Put(key(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain()
+	after := e.dev.Stats()
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"flushes", after.Flushes - before.Flushes, 17},
+		{"fences", after.Fences - before.Fences, 6},
+		{"clean flushes", after.CleanFlushes - before.CleanFlushes, 0},
+	} {
+		if c.got != c.want*puts {
+			t.Errorf("%s per overwrite = %.2f, want %d", c.name, float64(c.got)/puts, c.want)
+		}
+	}
 }
 
 func TestPutGetDelete(t *testing.T) {

@@ -98,7 +98,7 @@ restart:
 
 // Get returns the value stored under key.
 //
-//pmwcas:hotpath — Bw-tree point lookup; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by the -benchmem gate
+//pmwcas:hotpath — Bw-tree point lookup; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by TestPointOpsAllocBudget
 func (h *Handle) Get(key uint64) (uint64, error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
@@ -125,21 +125,21 @@ func (h *Handle) Contains(key uint64) bool {
 
 // Insert adds key/value; ErrKeyExists if present.
 //
-//pmwcas:hotpath — Bw-tree point insert; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by the -benchmem gate
+//pmwcas:hotpath — Bw-tree point insert; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by TestPointOpsAllocBudget
 func (h *Handle) Insert(key, value uint64) error {
 	return h.write(key, value, recInsert)
 }
 
 // Update replaces the value under key; ErrNotFound if absent.
 //
-//pmwcas:hotpath — Bw-tree point update; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by the -benchmem gate
+//pmwcas:hotpath — Bw-tree point update; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by TestPointOpsAllocBudget
 func (h *Handle) Update(key, value uint64) error {
 	return h.write(key, value, recUpdate)
 }
 
 // Delete removes key; ErrNotFound if absent.
 //
-//pmwcas:hotpath — Bw-tree point delete; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by the -benchmem gate
+//pmwcas:hotpath — Bw-tree point delete; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by TestPointOpsAllocBudget
 func (h *Handle) Delete(key uint64) error {
 	return h.write(key, 0, recDelete)
 }

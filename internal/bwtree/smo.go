@@ -250,7 +250,7 @@ func (h *Handle) consolidate(lpid uint64, v *pageView) (did bool) {
 		return false
 	}
 	t0 := smoStart()
-	//lint:allow hotpath — SMO timing closure; consolidation is amortized maintenance triggered past chain/size thresholds, its cost pinned by the -benchmem gate, not the per-op proof (§6.3)
+	//lint:allow hotpath — SMO timing closure; consolidation is amortized maintenance triggered past chain/size thresholds, its cost pinned by TestPointOpsAllocBudget, not the per-op proof (§6.3)
 	defer func() { h.observeSMO(mConsolidateNs, t0, did) }()
 	if t.smo == SMOSingleCAS {
 		return h.consolidateCAS(lpid, v)
@@ -290,7 +290,7 @@ func (h *Handle) split(path []pathEntry, lpid uint64, v *pageView) (did bool) {
 		return false // split only consolidated pages; maintenance will return
 	}
 	t0 := smoStart()
-	//lint:allow hotpath — SMO timing closure; a split is amortized maintenance triggered past chain/size thresholds, its cost pinned by the -benchmem gate, not the per-op proof (§6.3)
+	//lint:allow hotpath — SMO timing closure; a split is amortized maintenance triggered past chain/size thresholds, its cost pinned by TestPointOpsAllocBudget, not the per-op proof (§6.3)
 	defer func() { h.observeSMO(mSplitNs, t0, did) }()
 	t := h.tree
 	size := len(v.leafEntries) + len(v.innerEntries)
@@ -444,7 +444,7 @@ func (h *Handle) merge(path []pathEntry, lpid uint64, v *pageView) (did bool) {
 		return false
 	}
 	t0 := smoStart()
-	//lint:allow hotpath — SMO timing closure; a merge is amortized maintenance triggered past chain/size thresholds, its cost pinned by the -benchmem gate, not the per-op proof (§6.3)
+	//lint:allow hotpath — SMO timing closure; a merge is amortized maintenance triggered past chain/size thresholds, its cost pinned by TestPointOpsAllocBudget, not the per-op proof (§6.3)
 	defer func() { h.observeSMO(mMergeNs, t0, did) }()
 	parent := path[len(path)-1]
 	pv := h.resolve(parent.head)
@@ -494,7 +494,7 @@ func (h *Handle) merge(path []pathEntry, lpid uint64, v *pageView) (did bool) {
 		return false
 	}
 	if lv.isLeaf {
-		//lint:allow hotpath — merge is the rarest SMO (underflow after deletes); its scratch is amortized away, pinned by the -benchmem gate (§6.3)
+		//lint:allow hotpath — merge is the rarest SMO (underflow after deletes); its scratch is amortized away, pinned by TestPointOpsAllocBudget (§6.3)
 		merged := make([]Entry, 0, len(lv.leafEntries)+len(rv.leafEntries))
 		merged = append(merged, lv.leafEntries...)
 		merged = append(merged, rv.leafEntries...)
@@ -507,7 +507,7 @@ func (h *Handle) merge(path []pathEntry, lpid uint64, v *pageView) (did bool) {
 			return false
 		}
 	} else {
-		//lint:allow hotpath — merge is the rarest SMO (underflow after deletes); its scratch is amortized away, pinned by the -benchmem gate (§6.3)
+		//lint:allow hotpath — merge is the rarest SMO (underflow after deletes); its scratch is amortized away, pinned by TestPointOpsAllocBudget (§6.3)
 		merged := make([]InnerEntry, 0, len(lv.innerEntries)+len(rv.innerEntries))
 		merged = append(merged, lv.innerEntries...)
 		merged = append(merged, rv.innerEntries...)

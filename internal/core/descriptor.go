@@ -69,7 +69,7 @@ const (
 
 // MaxWordsPerDescriptor bounds Config.WordsPerDescriptor. Beyond keeping
 // the countMask honest, the constant sizes the stack arrays the execute
-// path uses instead of heap slices (installOrder's sort scratch).
+// path uses instead of heap slices (exec's sorted copy of the targets).
 const MaxWordsPerDescriptor = 64
 
 // descSize returns the padded byte size of a descriptor with capacity k.
@@ -308,14 +308,19 @@ func wordOff(d nvram.Offset, i int) nvram.Offset {
 	return d + descWordsOff + uint64(i)*wordStride
 }
 
-// flushEntries persists a descriptor's entry lines (not the header).
-func (p *Pool) flushEntries(d nvram.Offset) {
+// flushEntries persists the lines holding a descriptor's first n entries
+// (not the header, and not the capacity beyond n, which no one wrote) and
+// returns how many lines it flushed.
+func (p *Pool) flushEntries(d nvram.Offset, n int) uint64 {
 	if p.mode != Persistent {
-		return
+		return 0
 	}
-	for off := d + descWordsOff; off < d+p.size; off += nvram.LineBytes {
+	var lines uint64
+	for off := d + descWordsOff; off < wordOff(d, n); off += nvram.LineBytes {
 		p.dev.Flush(off)
+		lines++
 	}
+	return lines
 }
 
 // flushHeader persists a descriptor's status and count. Callers must have
@@ -590,7 +595,7 @@ func (d *Descriptor) ReserveEntry(addr nvram.Offset, old uint64, policy Policy) 
 	// never-leak guarantee for reserved memory depends on the persisted
 	// count never naming an unpersisted entry.
 	p := d.h.pool
-	p.flushEntries(d.off)
+	p.flushEntries(d.off, d.n)
 	p.dev.Fence()
 	p.flushHeader(d.off)
 	p.dev.Fence()
@@ -607,10 +612,15 @@ func (d *Descriptor) RemoveWord(addr nvram.Offset) error {
 		if p.dev.Load(wordOff(d.off, i)+wordAddrOff) == addr {
 			// Move the last entry into the hole. Parent offsets in meta
 			// are per-descriptor constants, so a straight 4-word copy is
-			// correct.
+			// correct. The source line is flushed first: it may fall past
+			// the lines Execute flushes for the shorter count, and the
+			// copy must not be read off a line that is never written back.
 			last := d.n - 1
 			if i != last {
 				from, to := wordOff(d.off, last), wordOff(d.off, i)
+				if p.mode == Persistent {
+					p.dev.Flush(from)
+				}
 				for f := 0; f < wordStride; f += nvram.WordSize {
 					p.dev.Store(to+uint64(f), p.dev.Load(from+uint64(f)))
 				}

@@ -33,7 +33,7 @@ func plantStalledRDCSS(t *testing.T, e *env) (mdesc, addr0, addr1 nvram.Offset) 
 	// the RDCSS pointer for word 0 exactly as install_mwcas_descriptor
 	// would — and stop, as if the thread were preempted indefinitely.
 	p := e.pool
-	p.flushEntries(d.off)
+	p.flushEntries(d.off, d.n)
 	e.dev.Fence()
 	e.dev.Store(d.off+descStatusOff, StatusUndecided)
 	p.flushHeader(d.off)
@@ -121,7 +121,7 @@ func TestReaderCompletesStalledDescriptor(t *testing.T) {
 
 	// Hand-run phase 1 completely, then stall before the status flip.
 	p := e.pool
-	p.flushEntries(d.off)
+	p.flushEntries(d.off, d.n)
 	e.dev.Fence()
 	e.dev.Store(d.off+descStatusOff, StatusUndecided)
 	p.flushHeader(d.off)

@@ -60,14 +60,13 @@ func (d *Descriptor) Execute() (bool, error) {
 	// releases reserved memory. Only once every entry is durable does the
 	// status flip to Undecided (flushed with the count in the header
 	// line), arming the roll-back path.
-	p.flushEntries(d.off)
+	entryLines := p.flushEntries(d.off, d.n)
 	p.dev.Fence()
 	p.dev.Store(d.off+descStatusOff, StatusUndecided)
 	p.flushHeader(d.off)
 	p.dev.Fence()
 	if p.mode == Persistent {
-		// flushEntries covers the entry lines, flushHeader one more.
-		obs.flushes += (p.size-descWordsOff)/nvram.LineBytes + 1
+		obs.flushes += entryLines + 1 // flushHeader is one more
 		obs.fences += 2
 	}
 
@@ -108,29 +107,53 @@ func (d *Descriptor) Execute() (bool, error) {
 	return ok, nil
 }
 
-// installOrder fills order[:n] with the descriptor's entry indexes
-// sorted by target address. Every thread — owner or helper — computes
-// the same order, so all Phase-1 acquisitions happen in one global order
-// and overlapping operations cannot deadlock each other's help chains
-// (§2.2). The order lives only on this thread's stack (the caller's
-// fixed array; no make, no sort.Slice closure — exec is on the
-// //pmwcas:hotpath proof); the durable entries never move, which keeps
-// torn-flush recovery sound. Insertion sort: n is at most
-// MaxWordsPerDescriptor and in practice ≤ 4, where quadratic beats the
-// sort package's interface machinery outright.
-func (p *Pool) installOrder(mdesc nvram.Offset, n int, order *[MaxWordsPerDescriptor]int) {
+// target is exec's copy of one descriptor entry: the word it names, where
+// the entry lives, and the value persistTargets expects to find there.
+type target struct {
+	addr nvram.Offset // the target word
+	w    nvram.Offset // the entry (word descriptor)
+	val  uint64       // the value being persisted, without DirtyFlag
+}
+
+// loadTargets fills ts[:n] with the descriptor's entries sorted by target
+// address, loading each address once. Every thread — owner or helper —
+// computes the same order, so all Phase-1 acquisitions happen in one
+// global order and overlapping operations cannot deadlock each other's
+// help chains (§2.2), and targets sharing a line end up adjacent. The
+// copy lives only on this thread's stack (the caller's fixed array; no
+// make, no sort.Slice closure — exec is on the //pmwcas:hotpath proof);
+// the durable entries never move, which keeps torn-flush recovery sound.
+// Insertion sort: n is at most MaxWordsPerDescriptor and in practice ≤ 4,
+// where quadratic beats the sort package's interface machinery outright.
+func (p *Pool) loadTargets(mdesc nvram.Offset, n int, ts *[MaxWordsPerDescriptor]target) {
 	for i := 0; i < n; i++ {
-		order[i] = i
-	}
-	for i := 1; i < n; i++ {
-		key := order[i]
-		ka := p.dev.Load(wordOff(mdesc, key) + wordAddrOff)
-		j := i - 1
-		for j >= 0 && p.dev.Load(wordOff(mdesc, order[j])+wordAddrOff) > ka {
-			order[j+1] = order[j]
-			j--
+		w := wordOff(mdesc, i)
+		t := target{addr: p.dev.Load(w + wordAddrOff), w: w}
+		j := i
+		for ; j > 0 && ts[j-1].addr > t.addr; j-- {
+			ts[j] = ts[j-1]
 		}
-		order[j+1] = key
+		ts[j] = t
+	}
+}
+
+// persistTargets is Persist for a whole descriptor's sorted targets: it
+// writes back each distinct line once, then clears each target's dirty
+// bit if the word still holds val. Flush before clear, as in Persist: no
+// bit is cleared before its line is written back. Persistent mode only.
+func (p *Pool) persistTargets(ts []target, o *opObs) {
+	line := ^uint64(0)
+	for _, t := range ts {
+		if l := t.addr / nvram.LineBytes; l != line {
+			p.dev.Flush(t.addr)
+			line = l
+			if o != nil {
+				o.flushes++
+			}
+		}
+	}
+	for _, t := range ts {
+		p.dev.CAS(t.addr, t.val|DirtyFlag, t.val)
 	}
 }
 
@@ -148,20 +171,18 @@ func (p *Pool) exec(mdesc nvram.Offset, helping bool, o *opObs) bool {
 		}
 	}
 	n := int(p.dev.Load(mdesc+descCountOff) & countMask)
+	var ts [MaxWordsPerDescriptor]target
+	p.loadTargets(mdesc, n, &ts)
 
 	// ----- Phase 1: install a descriptor pointer in every target word,
 	// in global address order.
 	if p.readStatus(mdesc) == StatusUndecided {
 		st := StatusSucceeded
-		var order [MaxWordsPerDescriptor]int
-		p.installOrder(mdesc, n, &order)
 	words:
-		for _, i := range order[:n] {
-			w := wordOff(mdesc, i)
-			addr := p.dev.Load(w + wordAddrOff)
-			old := p.dev.Load(w + wordOldOff)
+		for _, t := range ts[:n] {
+			old := p.dev.Load(t.w + wordOldOff)
 			for {
-				rval := p.installMwCASDescriptor(w, addr, old, mdesc, o)
+				rval := p.installMwCASDescriptor(t.w, t.addr, old, mdesc, o)
 				switch {
 				case rval == old,
 					rval&MwCASFlag != 0 && rval&AddressMask == mdesc:
@@ -171,7 +192,7 @@ func (p *Pool) exec(mdesc nvram.Offset, helping bool, o *opObs) bool {
 					// Clashed with another in-progress PMwCAS: make sure
 					// what we saw is durable, help it finish, retry ours.
 					if rval&DirtyFlag != 0 {
-						p.persist(addr, rval, o)
+						p.persist(t.addr, rval, o)
 					}
 					mInstallRetries.Add(laneOf(o, mdesc), 1)
 					p.exec(rval&AddressMask&^DirtyFlag, true, o)
@@ -179,7 +200,7 @@ func (p *Pool) exec(mdesc nvram.Offset, helping bool, o *opObs) bool {
 				case rval&DirtyFlag != 0:
 					// A plain value that merely is not persisted yet; after
 					// persisting it may well equal the expected value.
-					p.persist(addr, rval, o)
+					p.persist(t.addr, rval, o)
 					continue
 				default:
 					// A clean value different from what we expect: lost.
@@ -194,11 +215,10 @@ func (p *Pool) exec(mdesc nvram.Offset, helping bool, o *opObs) bool {
 		// threads may persist decisions on, so recovery must already be
 		// able to see (and roll forward) every word this operation covers.
 		if st == StatusSucceeded && p.mode == Persistent {
-			for i := 0; i < n; i++ {
-				w := wordOff(mdesc, i)
-				addr := p.dev.Load(w + wordAddrOff)
-				p.persist(addr, mdesc|MwCASFlag|DirtyFlag, o)
+			for k := range ts[:n] {
+				ts[k].val = mdesc | MwCASFlag
 			}
+			p.persistTargets(ts[:n], o)
 		}
 
 		// Decide. Exactly one thread's CAS moves Undecided to a final
@@ -226,27 +246,27 @@ func (p *Pool) exec(mdesc nvram.Offset, helping bool, o *opObs) bool {
 	succeeded := p.readStatus(mdesc) == StatusSucceeded
 
 	// ----- Phase 2: replace descriptor pointers with final values (new on
-	// success, old on failure/rollback).
+	// success, old on failure/rollback), then persist them all at once.
 	var t2 time.Time
 	if o != nil && o.timed {
 		t2 = time.Now()
 	}
-	for i := 0; i < n; i++ {
-		w := wordOff(mdesc, i)
-		addr := p.dev.Load(w + wordAddrOff)
-		var val uint64
-		if succeeded {
-			val = p.dev.Load(w + wordNewOff)
-		} else {
-			val = p.dev.Load(w + wordOldOff)
-		}
-		expected := mdesc | MwCASFlag | p.dirty
-		if !p.dev.CAS(addr, expected, val|p.dirty) && p.dirty != 0 {
+	field := uint64(wordOldOff)
+	if succeeded {
+		field = wordNewOff
+	}
+	expected := mdesc | MwCASFlag | p.dirty
+	for k := range ts[:n] {
+		t := &ts[k]
+		t.val = p.dev.Load(t.w + field)
+		if !p.dev.CAS(t.addr, expected, t.val|p.dirty) && p.dirty != 0 {
 			// The descriptor pointer may sit there already persisted
 			// (dirty bit cleared by a reader); swing that form too.
-			p.dev.CAS(addr, expected&^DirtyFlag, val|p.dirty)
+			p.dev.CAS(t.addr, expected&^DirtyFlag, t.val|p.dirty)
 		}
-		p.persist(addr, val|p.dirty, o)
+	}
+	if p.mode == Persistent {
+		p.persistTargets(ts[:n], o)
 	}
 	if !t2.IsZero() {
 		mPhase2Lat.ObserveSince(o.lane, t2)

@@ -180,6 +180,74 @@ func TestExecuteSingleWordDegeneratesToCAS(t *testing.T) {
 	}
 }
 
+// TestExecuteFlushBill pins what an uncontended Execute persists on a
+// descriptor with room for 15 entries: the entry lines its count covers,
+// the header, each distinct target line once before the decision, the
+// status, and each distinct target line once after it. No flush finds a
+// clean line, and the per-op histograms charge exactly what the device
+// counted.
+func TestExecuteFlushBill(t *testing.T) {
+	const words = 15
+	for _, tc := range []struct {
+		name    string
+		offs    []nvram.Offset // target words, from the data region's base
+		flushes uint64
+	}{
+		// entry lines + header + target lines + status + target lines
+		{"1 entry", []nvram.Offset{0}, 1 + 1 + 1 + 1 + 1},
+		{"2 entries on one line", []nvram.Offset{0, 8}, 1 + 1 + 1 + 1 + 1},
+		{"2 entries on two lines", []nvram.Offset{0, nvram.LineBytes}, 1 + 1 + 2 + 1 + 2},
+		{"4 entries on three lines", []nvram.Offset{2 * nvram.LineBytes, 8, nvram.LineBytes, 0}, 2 + 1 + 3 + 1 + 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := nvram.New(1 << 16)
+			l := nvram.NewLayout(dev)
+			p, err := NewPool(Config{Device: dev, Region: l.Carve(PoolSize(4, words)),
+				DescriptorCount: 4, WordsPerDescriptor: words, Mode: Persistent})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := l.Carve(1 << 10)
+			h := p.NewHandle()
+			d, err := h.AllocateDescriptor(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, off := range tc.offs {
+				if err := d.AddWord(data.Base+off, 0, uint64(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dev.Stats()
+			flushObs, fenceObs := mFlushesPerOp.Snapshot(), mFencesPerOp.Snapshot()
+			if ok, err := d.Execute(); !ok || err != nil {
+				t.Fatalf("Execute = %v, %v", ok, err)
+			}
+			after := dev.Stats()
+			if got := after.Flushes - before.Flushes; got != tc.flushes {
+				t.Errorf("device flushes = %d, want %d", got, tc.flushes)
+			}
+			if got := after.Fences - before.Fences; got != 2 {
+				t.Errorf("device fences = %d, want 2", got)
+			}
+			if got := after.CleanFlushes - before.CleanFlushes; got != 0 {
+				t.Errorf("clean flushes = %d, want 0", got)
+			}
+			if got := mFlushesPerOp.Snapshot().Sum - flushObs.Sum; got != after.Flushes-before.Flushes {
+				t.Errorf("core_pmwcas_flushes_per_op observed %d, device counted %d", got, after.Flushes-before.Flushes)
+			}
+			if got := mFencesPerOp.Snapshot().Sum - fenceObs.Sum; got != after.Fences-before.Fences {
+				t.Errorf("core_pmwcas_fences_per_op observed %d, device counted %d", got, after.Fences-before.Fences)
+			}
+			for i, off := range tc.offs {
+				if got := h.Read(data.Base + off); got != uint64(i+1) {
+					t.Errorf("word %d = %d, want %d", i, got, i+1)
+				}
+			}
+		})
+	}
+}
+
 func TestPersistentExecuteIsDurable(t *testing.T) {
 	e := newEnv(t, Persistent, false)
 	addrs := e.initWords(10, 20)

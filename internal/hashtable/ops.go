@@ -148,7 +148,7 @@ func (h *Handle) tryDouble(g int) {
 // style: every mutation bumps the bucket version, so an unchanged meta
 // word brackets an atomic snapshot of the bucket.
 //
-//pmwcas:hotpath — extendible-hash point lookup; allocation-free up to amortized split/double work, pinned by the -benchmem gate
+//pmwcas:hotpath — extendible-hash point lookup; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Get(key uint64) (uint64, error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
@@ -182,7 +182,7 @@ func (h *Handle) Get(key uint64) (uint64, error) {
 // version compare validates the duplicate/free-slot scan atomically
 // (including against a concurrent split sealing the bucket).
 //
-//pmwcas:hotpath — extendible-hash point insert; allocation-free up to amortized split/double work, pinned by the -benchmem gate
+//pmwcas:hotpath — extendible-hash point insert; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Insert(key, value uint64) error {
 	if err := checkKey(key); err != nil {
 		return err
@@ -260,7 +260,7 @@ func (h *Handle) Insert(key, value uint64) error {
 // (version bump + value swap). The unchanged version proves the key
 // still occupies the slot the scan found it in.
 //
-//pmwcas:hotpath — extendible-hash point update; allocation-free up to amortized split/double work, pinned by the -benchmem gate
+//pmwcas:hotpath — extendible-hash point update; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Update(key, value uint64) error {
 	if err := checkKey(key); err != nil {
 		return err
@@ -318,7 +318,7 @@ func (h *Handle) Update(key, value uint64) error {
 // the version, so the slot is immediately reusable (no tombstones — a
 // bucket never probes beyond itself).
 //
-//pmwcas:hotpath — extendible-hash point delete; allocation-free up to amortized split/double work, pinned by the -benchmem gate
+//pmwcas:hotpath — extendible-hash point delete; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Delete(key uint64) error {
 	if err := checkKey(key); err != nil {
 		return err
@@ -375,7 +375,7 @@ func (h *Handle) Delete(key uint64) error {
 
 // Upsert stores value under key whether or not it is present.
 //
-//pmwcas:hotpath — extendible-hash point upsert; allocation-free up to amortized split/double work, pinned by the -benchmem gate
+//pmwcas:hotpath — extendible-hash point upsert; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Upsert(key, value uint64) error {
 	for {
 		err := h.Update(key, value)

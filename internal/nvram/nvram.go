@@ -61,12 +61,13 @@ type Offset = uint64
 // Stats holds operation counters for a Device. Counters are cumulative
 // since device creation or the last ResetStats.
 type Stats struct {
-	Loads   uint64 // word loads
-	Stores  uint64 // word stores
-	CASes   uint64 // compare-and-swap attempts
-	Flushes uint64 // explicit line write-backs (CLWB equivalents)
-	Fences  uint64 // store fences
-	Crashes uint64 // simulated power failures
+	Loads        uint64 // word loads
+	Stores       uint64 // word stores
+	CASes        uint64 // compare-and-swap attempts
+	Flushes      uint64 // explicit line write-backs (CLWB equivalents)
+	CleanFlushes uint64 // of Flushes, those that found the line already clean
+	Fences       uint64 // store fences
+	Crashes      uint64 // simulated power failures
 }
 
 // statLanes is the number of lanes the access counters are striped
@@ -84,8 +85,8 @@ const stackShift = 11
 // statLane is one lane of the device's counters, padded to a host cache
 // line so two lanes never share one.
 type statLane struct {
-	loads, stores, cases, flushes, fences atomic.Uint64
-	_                                     [LineBytes - 5*WordSize]byte
+	loads, stores, cases, flushes, cleanFlushes, fences atomic.Uint64
+	_                                                   [LineBytes - 6*WordSize]byte
 }
 
 // Device is a simulated NVRAM device.
@@ -330,7 +331,8 @@ func (d *Device) CAS(off Offset, old, new uint64) bool {
 
 // Flush writes the cache line containing off back to the persisted image
 // and clears its dirty mark, modelling CLWB. Flushing a clean line is a
-// no-op apart from the latency and counter.
+// no-op apart from the latency and counters: it is counted in Flushes and
+// in CleanFlushes, the write-backs that wrote nothing back.
 //
 // The dirty mark is cleared before the line is copied: any store that
 // lands after the clear re-marks the line, so a concurrently updated word
@@ -338,21 +340,26 @@ func (d *Device) CAS(off Offset, old, new uint64) bool {
 // line is never left clean with unpersisted contents.
 func (d *Device) Flush(off Offset) {
 	d.callHook("flush", off)
-	d.lane().flushes.Add(1)
+	l := d.lane()
+	l.flushes.Add(1)
 	if d.flushLatency > 0 {
 		spin(d.flushLatency)
 	}
-	d.flushLine(d.index(off) / LineWords)
+	if !d.flushLine(d.index(off) / LineWords) {
+		l.cleanFlushes.Add(1)
+	}
 }
 
-func (d *Device) flushLine(line uint64) {
-	atomic.StoreUint32(&d.dirty[line], 0)
+// flushLine writes one line back and reports whether it was dirty.
+func (d *Device) flushLine(line uint64) bool {
+	wasDirty := atomic.SwapUint32(&d.dirty[line], 0) == 1
 	base := line * LineWords
 	for i := base; i < base+LineWords; i++ {
 		atomic.StoreUint64(&d.persisted[i], atomic.LoadUint64(&d.words[i]))
 	}
 	//lint:allow hotpath — psan shadow bookkeeping; disarmed (mask==0 early return) outside diagnostics runs, so its allocations never tax production fast paths (§6.3)
 	d.shadowFlushLine(line)
+	return wasDirty
 }
 
 // Fence orders preceding flushes before subsequent stores (SFENCE). In the
@@ -475,6 +482,7 @@ func (d *Device) Stats() Stats {
 		s.Stores += c.stores.Load()
 		s.CASes += c.cases.Load()
 		s.Flushes += c.flushes.Load()
+		s.CleanFlushes += c.cleanFlushes.Load()
 		s.Fences += c.fences.Load()
 	}
 	return s
@@ -488,6 +496,7 @@ func (d *Device) ResetStats() {
 		c.stores.Store(0)
 		c.cases.Store(0)
 		c.flushes.Store(0)
+		c.cleanFlushes.Store(0)
 		c.fences.Store(0)
 	}
 	d.crashes.Store(0)

@@ -494,7 +494,10 @@ func TestResetStatsInterleaving(t *testing.T) {
 
 // TestStatsExactUnderConcurrency: the counters are striped over lanes,
 // and the totals must still count every access exactly once — whether
-// the goroutines work on lines of their own or all on the same few.
+// the goroutines work on lines of their own or all on the same few. Each
+// round also flushes a line only its goroutine writes twice in a row: the
+// first flush finds the line dirty, the second finds it clean, so the
+// clean-flush total is exact too.
 func TestStatsExactUnderConcurrency(t *testing.T) {
 	const goroutines, rounds = 8, 2000
 	for _, tc := range []struct {
@@ -505,23 +508,26 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 		{"overlapping", func(g, i int) Offset { return Offset(i % 3 * LineBytes) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := New(goroutines * LineBytes)
+			d := New(2 * goroutines * LineBytes)
 			var wg sync.WaitGroup
 			for g := 0; g < goroutines; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
+					own := Offset((goroutines + g) * LineBytes)
 					for i := 0; i < rounds; i++ {
 						off := tc.off(g, i)
 						d.Load(off)
 						d.LoadHint(off)
-						for n := 0; n < 3; n++ {
+						for n := 0; n < 2; n++ {
 							d.Store(off, uint64(i))
 						}
+						d.Store(own, uint64(i))
 						for n := 0; n < 4; n++ {
 							d.CAS(off, 0, 1) // failed attempts count too
 						}
-						d.Flush(off)
+						d.Flush(own) // dirty
+						d.Flush(own) // clean
 						for n := 0; n < 5; n++ {
 							d.Fence()
 						}
@@ -530,7 +536,7 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 			}
 			wg.Wait()
 			const n = goroutines * rounds
-			want := Stats{Loads: 2 * n, Stores: 3 * n, CASes: 4 * n, Flushes: n, Fences: 5 * n}
+			want := Stats{Loads: 2 * n, Stores: 3 * n, CASes: 4 * n, Flushes: 2 * n, CleanFlushes: n, Fences: 5 * n}
 			if got := d.Stats(); got != want {
 				t.Fatalf("Stats = %+v, want %+v", got, want)
 			}
@@ -547,9 +553,9 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 }
 
 // TestStatLaneLayout pins what keeps two lanes off one host cache line:
-// a lane is exactly one line long, and the lanes of a running device (and
-// of its crashed clone) start on a line boundary in memory, not merely at
-// an aligned field offset.
+// a lane, six counters and their padding, is exactly one line long, and the
+// lanes of a running device (and of its crashed clone) start on a line
+// boundary in memory, not merely at an aligned field offset.
 func TestStatLaneLayout(t *testing.T) {
 	if s := unsafe.Sizeof(statLane{}); s != LineBytes {
 		t.Fatalf("sizeof(statLane) = %d, want %d", s, LineBytes)

@@ -230,8 +230,8 @@ func (d *Device) ShadowCommit() {
 	if len(pending) == 0 {
 		return
 	}
-	// Grace period: a concurrent PMwCAS that is between its Phase-2 CAS
-	// and the persist that immediately follows it has already durably
+	// Grace period: a concurrent PMwCAS that is between its Phase-2 CASes
+	// and the persist that immediately follows them has already durably
 	// committed (its status word persisted first), so a value observed in
 	// that window is recoverable even though the origin line's flush has
 	// not landed yet. That flush is inevitably coming — wait it out

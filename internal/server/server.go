@@ -512,6 +512,7 @@ func FormatStats(st pmwcas.StoreStats) string {
 	add("device_stores", st.Device.Stores)
 	add("device_cases", st.Device.CASes)
 	add("device_flushes", st.Device.Flushes)
+	add("device_clean_flushes", st.Device.CleanFlushes)
 	add("device_fences", st.Device.Fences)
 	add("device_crashes", st.Device.Crashes)
 	return string(b)

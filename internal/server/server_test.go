@@ -319,6 +319,10 @@ func TestStats(t *testing.T) {
 	if counters["alloc_blocks_cap"] == 0 || counters["descriptors_cap"] == 0 {
 		t.Errorf("capacity counters missing:\n%s", text)
 	}
+	// Zero is a fine value for it; the line must be there.
+	if _, ok := counters["device_clean_flushes"]; !ok {
+		t.Errorf("device_clean_flushes missing:\n%s", text)
+	}
 }
 
 // TestMetricsCoversEveryLayer: after a small GET/PUT/SCAN mix over

@@ -13,7 +13,7 @@ import (
 // PMwCAS commits; taller towers are then linked level by level, each with
 // its own PMwCAS, exactly as §6.1 describes.
 //
-//pmwcas:hotpath — PMwCAS-skiplist point insert; allocation-free up to amortized SMO work, pinned by the -benchmem gate
+//pmwcas:hotpath — PMwCAS-skiplist point insert; allocation-free up to amortized SMO work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Insert(key, value uint64) error {
 	if err := checkKey(key); err != nil {
 		return err
@@ -141,7 +141,7 @@ func (h *Handle) promote(node nvram.Offset, key uint64, level int) bool {
 
 // Get returns the value stored under key.
 //
-//pmwcas:hotpath — PMwCAS-skiplist point lookup; allocation-free up to amortized SMO work, pinned by the -benchmem gate
+//pmwcas:hotpath — PMwCAS-skiplist point lookup; allocation-free up to amortized SMO work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Get(key uint64) (uint64, error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
@@ -166,7 +166,7 @@ func (h *Handle) Contains(key uint64) bool {
 // guarded by a compare entry on the node's base next word, so an update
 // can never land on a node that a concurrent Delete has already removed.
 //
-//pmwcas:hotpath — PMwCAS-skiplist point update; allocation-free up to amortized SMO work, pinned by the -benchmem gate
+//pmwcas:hotpath — PMwCAS-skiplist point update; allocation-free up to amortized SMO work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Update(key, value uint64) error {
 	if err := checkKey(key); err != nil {
 		return err
@@ -341,7 +341,7 @@ func (h *Handle) deleteOuter(key uint64, policy core.Policy) (uint64, error) {
 // the base PMwCAS's FreeOldOnSuccess policy) can never be reachable from
 // any level.
 //
-//pmwcas:hotpath — PMwCAS-skiplist point delete; allocation-free up to amortized SMO work, pinned by the -benchmem gate
+//pmwcas:hotpath — PMwCAS-skiplist point delete; allocation-free up to amortized SMO work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Delete(key uint64) error {
 	if err := checkKey(key); err != nil {
 		return err
