@@ -212,7 +212,7 @@ func New(cfg Config) (*Tree, error) {
 		// root page (New had not returned, so no operation ran). Scrub it;
 		// anything else is corruption.
 		if sv := t.dev.Load(stagedOff); sv != 0 {
-			//lint:allow rawload, flagmask, guardfact — quiescent first-open scrub: a nonzero staging word proves the crash hit the init publish window, before any PMwCAS ever targeted this mapping word; recovery is single-threaded, so no epoch guard exists yet (§4.4)
+			//lint:allow rawload, flushfact, guardfact — quiescent first-open scrub: a nonzero staging word proves the crash hit the init publish window, before any PMwCAS ever targeted this mapping word; recovery is single-threaded, so no epoch guard exists yet (§4.4)
 			if t.dev.Load(t.mappingOff(RootLPID)) != sv {
 				return nil, errors.New("bwtree: staging word disagrees with root mapping — image corrupt")
 			}

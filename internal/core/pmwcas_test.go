@@ -317,7 +317,7 @@ func TestAddWordValidation(t *testing.T) {
 		t.Fatalf("over-capacity AddWord accepted: %v", err)
 	}
 	d.Discard()
-	//lint:allow descreuse — exercises the ErrDescriptorDone guard on a retired descriptor
+	//lint:allow descflow — exercises the ErrDescriptorDone guard on a retired descriptor
 	if err := d.AddWord(addrs[4], 5, 9); !errors.Is(err, ErrDescriptorDone) {
 		t.Fatalf("AddWord after Discard accepted: %v", err)
 	}

@@ -107,7 +107,7 @@ func NewManager() *Manager {
 //	g := m.Register()
 //	go func() { g.Enter(); ... }() // WRONG: register inside the goroutine
 //
-// (pmwcaslint's guardpair analyzer reports this pattern.)
+// (pmwcaslint's guardfact analyzer reports this pattern.)
 func (m *Manager) Register() *Guard {
 	g := &Guard{mgr: m, lane: metrics.NextStripe()}
 	m.mu.Lock()

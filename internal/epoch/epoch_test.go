@@ -1,4 +1,4 @@
-//lint:file-allow guardpair — lifecycle tests pin and release the epoch at explicit
+//lint:file-allow guardfact — lifecycle tests pin and release the epoch at explicit
 // points (Exit mid-test, between Collects); a t.Fatal path stranding a guard only
 // happens in an already-failed test.
 

@@ -43,21 +43,21 @@ func (f *ReturnsDeadDescriptor) String() string {
 	return fmt.Sprintf("ReturnsDeadDescriptor%v", f.Results)
 }
 
-// DescFlow extends descreuse across function boundaries. descreuse sees
-// a descriptor die only when Execute/Discard appears in the same body;
-// when the retirement happens inside a callee — a commit helper, a
-// cleanup function — the caller's continued use of the handle is just as
-// fatal (§4.1) but invisible to a per-function check. DescFlow exports
-// KillsDescriptor / ReturnsDeadDescriptor facts from the callee's
-// package and replays them at every call site, so `commit(d)` followed
-// by `d.AddWord(...)` is flagged even when commit lives three packages
-// away. Direct Execute/Discard in the same body stays descreuse's
-// report; descflow only fires on interprocedural kills, so no diagnostic
-// is ever doubled.
+// DescFlow reports uses of a *core.Descriptor after Execute or Discard.
+// A descriptor is single-shot (paper §4.1): Execute hands it to the
+// helping/recycling machinery, and Discard returns it to the pool.
+// Touching it afterwards races with concurrent helpers and with the
+// pool's reuse of the slot — AddWord on an executed descriptor can
+// corrupt an unrelated in-flight PMwCAS. The retirement may happen in
+// the same body or inside a callee — a commit helper, a cleanup
+// function: DescFlow exports KillsDescriptor / ReturnsDeadDescriptor
+// facts from the callee's package and replays them at every call site,
+// so `commit(d)` followed by `d.AddWord(...)` is flagged even when commit
+// lives three packages away.
 var DescFlow = &analysis.Analyzer{
 	Name: "descflow",
-	Doc: "report a *core.Descriptor used after a callee retired it " +
-		"(Execute/Discard in a called function kills the caller's handle too, paper §4.1)",
+	Doc: "report a *core.Descriptor used after Execute/Discard retired it, in the same body or in a callee " +
+		"(descriptors are single-shot; allocate a fresh one per operation, paper §4.1)",
 	Requires:  []*analysis.Analyzer{Suppress, inspect.Analyzer, ctrlflow.Analyzer},
 	FactTypes: []analysis.Fact{(*KillsDescriptor)(nil), (*ReturnsDeadDescriptor)(nil)},
 	Run:       runDescFlow,
@@ -66,9 +66,6 @@ var DescFlow = &analysis.Analyzer{
 func isDescType(t types.Type) bool { return t != nil && isNamed(t, corePath, "Descriptor") }
 
 func runDescFlow(pass *analysis.Pass) (interface{}, error) {
-	if pkgExempt(pass.Pkg.Path()) {
-		return nil, nil // core's helping machinery retires other threads' descriptors by design
-	}
 	sup := suppressionsOf(pass)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
@@ -82,13 +79,15 @@ func runDescFlow(pass *analysis.Pass) (interface{}, error) {
 
 	// Phase 1: grow KillsDescriptor and ReturnsDeadDescriptor to a
 	// fixpoint over this package's declarations, so chains of forwarding
-	// helpers resolve in any source order. Like descreuse, the contract
-	// binds in test files too, but facts are exported only for non-test
-	// declarations — nothing can import a test unit's facts.
+	// helpers resolve in any source order. The contract binds in test
+	// files too, but facts are exported only for non-test declarations —
+	// nothing can import a test unit's facts. Core's helping machinery
+	// retires other threads' descriptors by design, so core exports no
+	// facts; its own bodies are still checked for direct kills.
 	var decls []*ast.FuncDecl
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && !pkgExempt(pass.Pkg.Path()) {
 				decls = append(decls, fd)
 			}
 		}
@@ -175,19 +174,19 @@ func (dc *descFlowChecker) deadFact(fn *types.Func) *ReturnsDeadDescriptor {
 }
 
 // directKill reports whether call is Execute or Discard invoked on an
-// identifier, returning that identifier's variable.
-func (dc *descFlowChecker) directKill(call *ast.CallExpr) (*types.Var, bool) {
+// identifier, returning that identifier and its variable.
+func (dc *descFlowChecker) directKill(call *ast.CallExpr) (*ast.Ident, *types.Var, bool) {
 	info := dc.pass.TypesInfo
 	name, recv, recvType, ok := methodCall(info, call)
 	if !ok || !isDescType(recvType) || (name != "Execute" && name != "Discard") {
-		return nil, false
+		return nil, nil, false
 	}
 	id, ok := ast.Unparen(recv).(*ast.Ident)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	v, ok := info.Uses[id].(*types.Var)
-	return v, ok
+	return id, v, ok
 }
 
 // killedArgs returns the descriptor variables that call retires in a
@@ -238,7 +237,7 @@ func (dc *descFlowChecker) growKills(d *ast.FuncDecl, fn *types.Func) bool {
 		if !ok {
 			return true
 		}
-		if v, ok := dc.directKill(call); ok {
+		if _, v, ok := dc.directKill(call); ok {
 			if i, isParam := index[v]; isParam {
 				killed[i] = true
 			}
@@ -301,7 +300,7 @@ func (dc *descFlowChecker) growDeadReturns(d *ast.FuncDecl, fn *types.Func) bool
 		case *ast.FuncLit:
 			return false
 		case *ast.DeferStmt:
-			if v, ok := dc.directKill(x.Call); ok {
+			if _, v, ok := dc.directKill(x.Call); ok {
 				kills[v] = append(kills[v], killRec{x.Pos(), true})
 			}
 			for _, v := range dc.killedArgs(x.Call) {
@@ -325,7 +324,7 @@ func (dc *descFlowChecker) growDeadReturns(d *ast.FuncDecl, fn *types.Func) bool
 				}
 			}
 		case *ast.CallExpr:
-			if v, ok := dc.directKill(x); ok {
+			if _, v, ok := dc.directKill(x); ok {
 				kills[v] = append(kills[v], killRec{x.Pos(), false})
 			}
 			for _, v := range dc.killedArgs(x) {
@@ -411,8 +410,8 @@ func dedupInts(in []int) []int {
 }
 
 // descFlowEvent is one descriptor-relevant action in source order within
-// a CFG block. Kill events come only from interprocedural facts — a
-// direct Execute/Discard in this body is descreuse's report, not ours.
+// a CFG block. Kill events come from a direct Execute/Discard or from a
+// callee's KillsDescriptor fact.
 type descFlowEvent struct {
 	pos    token.Pos
 	v      *types.Var
@@ -420,6 +419,12 @@ type descFlowEvent struct {
 	killer string // for evKill and dead-assigns: who retired it
 	dead   bool   // for evAssign: RHS is an already-retired descriptor
 }
+
+const (
+	evUse = iota
+	evKill
+	evAssign
+)
 
 func (dc *descFlowChecker) checkBody(g *cfg.CFG) {
 	if g == nil {
@@ -473,6 +478,16 @@ func (dc *descFlowChecker) checkBody(g *cfg.CFG) {
 						}
 					}
 				case *ast.CallExpr:
+					// The receiver or argument is handed over, not used
+					// after death; the kill lands at the closing paren so
+					// it orders after every argument.
+					if id, v, ok := dc.directKill(c); ok {
+						skipUse[id.Pos()] = true
+						events[i] = append(events[i], descFlowEvent{
+							c.Rparen, v, evKill, types.ExprString(c.Fun), false})
+						sawKill = true
+						return true
+					}
 					fn := calleeFunc(info, c)
 					if kf := dc.killsFact(fn); kf != nil {
 						for _, pi := range kf.Params {
@@ -484,9 +499,6 @@ func (dc *descFlowChecker) checkBody(g *cfg.CFG) {
 								continue
 							}
 							if v, ok := info.Uses[id].(*types.Var); ok && isDescType(v.Type()) {
-								// The argument itself is handed over, not used
-								// after death; the kill lands at the closing
-								// paren so it orders after every argument.
 								skipUse[id.Pos()] = true
 								events[i] = append(events[i], descFlowEvent{
 									c.Rparen, v, evKill, fn.FullName(), false})
@@ -518,8 +530,8 @@ func (dc *descFlowChecker) checkBody(g *cfg.CFG) {
 		return
 	}
 
-	// Forward may-dataflow, as in descreuse: a descriptor dead on any
-	// incoming path is dead. State maps the variable to its killer.
+	// Forward may-dataflow: a descriptor dead on any incoming path is
+	// dead. State maps the variable to its killer.
 	apply := func(state map[*types.Var]string, evs []descFlowEvent) map[*types.Var]string {
 		out := make(map[*types.Var]string, len(state))
 		for v, k := range state {
@@ -572,8 +584,8 @@ func (dc *descFlowChecker) checkBody(g *cfg.CFG) {
 				reported[e.pos] = true
 				if ok, note := dc.sup.allowed(e.pos, "descflow"); !ok {
 					dc.pass.Reportf(e.pos,
-						"descriptor %s used after %s retired it; the Execute/Discard happened in the callee, "+
-							"but the handle is just as dead — descriptors are single-shot (paper §4.1)%s",
+						"descriptor %s used after %s retired it; descriptors are single-shot — "+
+							"allocate a fresh one with AllocateDescriptor (paper §4.1)%s",
 						e.v.Name(), killer, note)
 				}
 			}

@@ -27,18 +27,21 @@ func (f *ReturnsUnflushed) String() string {
 	return fmt.Sprintf("ReturnsUnflushed%v", f.Results)
 }
 
-// FlushFact is the interprocedural companion of flagmask (§3, §4.2): it
-// follows raw-loaded protocol words across call boundaries. Functions
-// that return such a word — directly, through a local variable, or by
-// forwarding another ReturnsUnflushed function's result, across any
-// number of package hops — export the fact; call sites that compare,
-// switch on, or re-store the returned value without masking the reserved
-// bits are reported. flagmask only sees a load and its comparison when
-// they share a function body; flushfact removes that horizon.
+// FlushFact reports comparisons, switches and re-stores of raw-loaded
+// PMwCAS words that do not first mask the reserved flag bits (§3, §4.2).
+// A word read with Device.Load can carry DirtyFlag / MwCASFlag /
+// RDCSSFlag in its top bits; `load == plain` is then false even when the
+// payloads agree, code that acts on the comparison acts on a value that
+// is not yet durable, and a re-store writes a set dirty bit back as
+// payload. The load may happen in the same function body, or in a
+// callee: functions that return such a word — directly, through a local
+// variable, or by forwarding another ReturnsUnflushed function's result,
+// across any number of package hops — export the fact, and their call
+// sites are checked like a local load.
 var FlushFact = &analysis.Analyzer{
 	Name: "flushfact",
-	Doc: "report unmasked comparison/switch/re-store of a word some callee raw-loaded from a PMwCAS-managed " +
-		"address (interprocedural flagmask via ReturnsUnflushed facts; mask with &^ core.FlagsMask or use core.PCASRead)",
+	Doc: "report unmasked comparison/switch/re-store of a word raw-loaded from a PMwCAS-managed address, in the " +
+		"same body or by a callee (ReturnsUnflushed facts; mask with &^ core.FlagsMask or use core.PCASRead)",
 	Requires:  []*analysis.Analyzer{Suppress},
 	FactTypes: []analysis.Fact{(*ReturnsUnflushed)(nil)},
 	Run:       runFlushFact,
@@ -110,7 +113,8 @@ func runFlushFact(pass *analysis.Pass) (interface{}, error) {
 
 	// Phase 2 — check: inside every function (test files excepted:
 	// crash-recovery tests inspect raw words on purpose), flag unmasked
-	// use of values that flow from a ReturnsUnflushed call.
+	// use of raw-loaded values. Same-body loads count only in files that
+	// take part in the protocol; volatile baselines never import core.
 	for _, file := range pass.Files {
 		if isTestFile(pass.Fset, file.Pos()) {
 			continue
@@ -120,7 +124,7 @@ func runFlushFact(pass *analysis.Pass) (interface{}, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkUnflushedUses(pass, sup, managed, factFor, fd.Body)
+			checkUnflushedUses(pass, sup, managed, factFor, fd.Body, refersToCore(file))
 		}
 	}
 	return nil, nil
@@ -145,8 +149,8 @@ func mergeResultSet(prev *ReturnsUnflushed, results map[int]bool) *ReturnsUnflus
 }
 
 // wordTaint tracks, inside one function body, which variables hold a
-// raw-loaded protocol word. It is position-ordered like flagmask's
-// tracker: a use is tainted if the latest assignment before it was.
+// raw-loaded protocol word. It is position-ordered: a use is tainted if
+// the latest assignment before it was.
 type wordTaint struct {
 	pass    *analysis.Pass
 	managed map[string]bool
@@ -225,8 +229,7 @@ func containsInt(s []int, x int) bool {
 
 // taintedExpr reports whether e carries a raw-loaded protocol word, and
 // through which callee's fact (nil when the taint is a raw load in this
-// function — that case belongs to flagmask on the use side, but feeds the
-// export side here). Masking expressions are never tainted: any operator
+// function). Masking expressions are never tainted: any operator
 // other than a parenthesis or a single-argument conversion breaks the
 // value's identity as a raw word.
 func (t *wordTaint) taintedExpr(e ast.Expr) (bool, *types.Func) {
@@ -327,28 +330,30 @@ func unflushedReturns(pass *analysis.Pass, managed map[string]bool, factFor func
 }
 
 // checkUnflushedUses reports unmasked comparisons, switches, and
-// re-stores of values that flow out of ReturnsUnflushed calls.
-func checkUnflushedUses(pass *analysis.Pass, sup *suppressions, managed map[string]bool, factFor func(*types.Func) *ReturnsUnflushed, body ast.Node) {
+// re-stores of raw-loaded values: values that flow out of
+// ReturnsUnflushed calls and, when localLoads, loads made in body itself.
+func checkUnflushedUses(pass *analysis.Pass, sup *suppressions, managed map[string]bool, factFor func(*types.Func) *ReturnsUnflushed, body ast.Node, localLoads bool) {
 	info := pass.TypesInfo
 	t := newWordTaint(pass, managed, factFor, body)
 
-	// factTainted is the check-side query: taint must have arrived through
-	// a callee's fact. Raw loads compared in the same function are
-	// flagmask's findings; reporting them again here would double up.
-	factTainted := func(e ast.Expr) (*types.Func, bool) {
+	// rawWord reports whether e carries a raw-loaded word, and through
+	// which callee's fact (nil for a load in this body).
+	rawWord := func(e ast.Expr) (*types.Func, bool) {
 		tainted, via := t.taintedExpr(e)
-		if !tainted || via == nil {
-			return nil, false
-		}
-		return via, true
+		return via, tainted && (via != nil || localLoads)
 	}
 
 	report := func(pos token.Pos, via *types.Func, what, fix string) {
-		if ok, note := sup.allowed(pos, "flushfact"); !ok {
-			pass.Reportf(pos,
-				"%s the unflushed PMwCAS word returned by %s (fact ReturnsUnflushed); %s (paper §3, §4.2)%s",
-				what, via.FullName(), fix, note)
+		ok, note := sup.allowed(pos, "flushfact")
+		if ok {
+			return
 		}
+		src, read := "a raw Device.Load in this function", "read it via core.PCASRead"
+		if via != nil {
+			src, read = via.FullName()+" (fact ReturnsUnflushed)", "have the callee read via core.PCASRead"
+		}
+		pass.Reportf(pos, "%s the unflushed PMwCAS word returned by %s; %s, or %s (paper §3, §4.2)%s",
+			what, src, fix, read, note)
 	}
 
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -357,8 +362,8 @@ func checkUnflushedUses(pass *analysis.Pass, sup *suppressions, managed map[stri
 			if x.Op != token.EQL && x.Op != token.NEQ {
 				return true
 			}
-			lv, lt := factTainted(x.X)
-			rv, rt := factTainted(x.Y)
+			lv, lt := rawWord(x.X)
+			rv, rt := rawWord(x.Y)
 			if !lt && !rt {
 				return true
 			}
@@ -368,25 +373,25 @@ func checkUnflushedUses(pass *analysis.Pass, sup *suppressions, managed map[stri
 				return true
 			}
 			via := lv
-			if via == nil {
+			if !lt {
 				via = rv
 			}
 			report(x.OpPos, via, "comparison ("+x.Op.String()+") of",
-				"mask with &^ core.DirtyFlag (or &^ core.FlagsMask) before comparing, or have the callee read via core.PCASRead")
+				"mask with &^ core.DirtyFlag (or &^ core.FlagsMask) before comparing")
 		case *ast.SwitchStmt:
 			if x.Tag == nil {
 				return true
 			}
-			if via, ok := factTainted(x.Tag); ok {
+			if via, ok := rawWord(x.Tag); ok {
 				report(x.Tag.Pos(), via, "switch on",
-					"mask with &^ core.DirtyFlag (or &^ core.FlagsMask) before switching, or have the callee read via core.PCASRead")
+					"mask with &^ core.DirtyFlag (or &^ core.FlagsMask) before switching")
 			}
 		case *ast.CallExpr:
 			for _, argIdx := range storeValueArgs(info, x) {
 				if argIdx >= len(x.Args) {
 					continue
 				}
-				if via, ok := factTainted(x.Args[argIdx]); ok {
+				if via, ok := rawWord(x.Args[argIdx]); ok {
 					report(x.Args[argIdx].Pos(), via, "re-storing",
 						"a set dirty bit would be written back as payload; mask with &^ core.FlagsMask first")
 				}

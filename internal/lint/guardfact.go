@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/ctrlflow"
@@ -49,11 +48,16 @@ func (f *ReadsWord) String() string { return fmt.Sprintf("ReadsWord%v", f.Params
 // must be called under an active epoch guard.
 const guardAnnotation = "//pmwcas:requires-guard"
 
-// GuardFact enforces the epoch-protection contract (§5.1) at the points
-// that matter: the dereferences. guardpair proves Enter and Exit pair up;
-// guardfact proves the protected reads actually happen between them. A
-// protocol read of a PMwCAS-managed word — direct, or through a helper
-// that carries a ReadsWord fact, or inside a callee annotated
+// GuardFact enforces the epoch-guard contract (§5.1). Pairing: a
+// function that calls Guard.Enter must guarantee a matching Guard.Exit on
+// every non-panicking path out of it — in practice `defer g.Exit()` —
+// and a Guard must never cross a goroutine boundary: guards are
+// goroutine-affine, and a guard shared between goroutines corrupts the
+// manager's minimum-protected-epoch computation. Pairing binds in every
+// package and in test files.
+//
+// Coverage: a protocol read of a PMwCAS-managed word — direct, or through
+// a helper that carries a ReadsWord fact, or inside a callee annotated
 // //pmwcas:requires-guard — must be dominated by an active Guard.Enter:
 // on every path from the function's entry to the read there is an Enter
 // with no intervening Exit (a forward must-dataflow over the go/cfg
@@ -64,7 +68,8 @@ const guardAnnotation = "//pmwcas:requires-guard"
 // package or any importing one.
 var GuardFact = &analysis.Analyzer{
 	Name: "guardfact",
-	Doc: "report epoch-protected dereferences not dominated by an active Guard.Enter " +
+	Doc: "report Guard.Enter without a matching Exit on every return path, guards escaping to goroutines, and " +
+		"epoch-protected dereferences not dominated by an active Guard.Enter " +
 		"(//pmwcas:requires-guard pushes the obligation to callers; §5.1)",
 	Requires:  []*analysis.Analyzer{Suppress, inspect.Analyzer, ctrlflow.Analyzer},
 	FactTypes: []analysis.Fact{(*RequiresGuard)(nil), (*ReadsWord)(nil)},
@@ -72,18 +77,36 @@ var GuardFact = &analysis.Analyzer{
 }
 
 func runGuardFact(pass *analysis.Pass) (interface{}, error) {
-	if pkgExempt(pass.Pkg.Path()) {
-		return nil, nil // core and nvram implement the protocol; the contract binds their clients
-	}
 	sup := suppressionsOf(pass)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-	managed := managedSet(pass)
+
+	// Pairing and goroutine affinity bind in every package and file,
+	// tests included.
+	var goLits []*ast.FuncLit
+	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil), (*ast.GoStmt)(nil)}, func(n ast.Node) {
+		switch fn := n.(type) {
+		case *ast.FuncDecl:
+			if fn.Body != nil {
+				checkGuardPairing(pass, sup, fn.Body, cfgs.FuncDecl(fn))
+			}
+		case *ast.FuncLit:
+			checkGuardPairing(pass, sup, fn.Body, cfgs.FuncLit(fn))
+		case *ast.GoStmt:
+			checkGuardEscape(pass, sup, fn)
+			if lit, ok := fn.Call.Fun.(*ast.FuncLit); ok {
+				goLits = append(goLits, lit)
+			}
+		}
+	})
+	if pkgExempt(pass.Pkg.Path()) {
+		return nil, nil // core and nvram implement the protocol; the coverage contract binds their clients
+	}
 
 	gc := &guardChecker{
 		pass:      pass,
 		sup:       sup,
-		managed:   managed,
+		managed:   managedSet(pass),
 		annotated: make(map[*types.Func]bool),
 		readsWord: make(map[*types.Func]*ReadsWord),
 	}
@@ -105,7 +128,7 @@ func runGuardFact(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				continue
 			}
-			if hasGuardAnnotation(fd) {
+			if hasAnnotation(fd, guardAnnotation) {
 				gc.annotated[fn] = true
 				pass.ExportObjectFact(fn, &RequiresGuard{})
 			}
@@ -141,41 +164,19 @@ func runGuardFact(pass *analysis.Pass) (interface{}, error) {
 	// (their contract moves the obligation to callers); goroutine literals
 	// are independent scopes — a guard held at spawn time is
 	// goroutine-affine and does not travel into the new goroutine.
-	goLits := make(map[*ast.FuncLit]bool)
-	ins.Preorder([]ast.Node{(*ast.GoStmt)(nil)}, func(n ast.Node) {
-		if lit, ok := n.(*ast.GoStmt).Call.Fun.(*ast.FuncLit); ok {
-			goLits[lit] = true
-		}
-	})
 	for _, d := range decls {
 		fn, _ := pass.TypesInfo.Defs[d.Name].(*types.Func)
 		if fn != nil && gc.annotated[fn] {
 			continue
 		}
-		gc.checkBody(d.Body, cfgs.FuncDecl(d), false)
+		gc.checkCoverage(cfgs.FuncDecl(d), false)
 	}
-	ins.Preorder([]ast.Node{(*ast.FuncLit)(nil)}, func(n ast.Node) {
-		lit := n.(*ast.FuncLit)
-		if !goLits[lit] || isTestFile(pass.Fset, lit.Pos()) {
-			return
+	for _, lit := range goLits {
+		if !isTestFile(pass.Fset, lit.Pos()) {
+			gc.checkCoverage(cfgs.FuncLit(lit), true)
 		}
-		gc.checkBody(lit.Body, cfgs.FuncLit(lit), true)
-	})
+	}
 	return nil, nil
-}
-
-// hasGuardAnnotation reports whether the declaration's doc comment
-// carries //pmwcas:requires-guard.
-func hasGuardAnnotation(d *ast.FuncDecl) bool {
-	if d.Doc == nil {
-		return false
-	}
-	for _, c := range d.Doc.List {
-		if strings.HasPrefix(strings.TrimSpace(c.Text), guardAnnotation) {
-			return true
-		}
-	}
-	return false
 }
 
 func mergeParamSet(prev *ReadsWord, params map[int]bool) *ReadsWord {
@@ -322,186 +323,313 @@ func (gc *guardChecker) readerParams(d *ast.FuncDecl, fn *types.Func) map[int]bo
 	return out
 }
 
-// guardOp is one epoch-protected dereference found in a function body.
-type guardOp struct {
-	pos   token.Pos
-	what  string
-	goRun bool // the op is the operand of a go statement: never protected
-}
-
-// checkBody reports every epoch-protected dereference in body that is not
-// dominated by an active Guard.Enter. goroutineScope marks a go-statement
-// function literal, whose diagnostics explain that the spawner's guard
-// does not travel.
-func (gc *guardChecker) checkBody(body *ast.BlockStmt, g *cfg.CFG, goroutineScope bool) {
+// checkCoverage reports every epoch-protected dereference in g that is
+// not dominated by an active Guard.Enter. goroutineScope marks a
+// go-statement function literal, whose diagnostics explain that the
+// spawner's guard does not travel.
+func (gc *guardChecker) checkCoverage(g *cfg.CFG, goroutineScope bool) {
 	if g == nil {
 		return
 	}
 	info := gc.pass.TypesInfo
-
-	// Per block: guard Enter/Exit events and protected ops, in source
-	// order. Nested function literals are their own scopes; deferred
-	// statements run at return, outside this flow.
-	type event struct {
+	type guardOp struct {
+		block int
 		pos   token.Pos
-		key   string
-		enter bool
+		what  string
+		goRun bool // the op is the operand of a go statement: never protected
 	}
-	events := make([][]event, len(g.Blocks))
-	ops := make([][]guardOp, len(g.Blocks))
-	for i, b := range g.Blocks {
-		for _, node := range b.Nodes {
-			var inGo *ast.GoStmt
-			if gs, ok := node.(*ast.GoStmt); ok {
-				inGo = gs
+	var ops []guardOp
+	flow := newGuardFlow(info, g, func(block int, top, n ast.Node) {
+		c, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		add := func(format string, args ...interface{}) {
+			gs, inGo := top.(*ast.GoStmt)
+			ops = append(ops, guardOp{block, c.Pos(), fmt.Sprintf(format, args...), inGo && gs.Call == c})
+		}
+		if off := gc.protocolReadTarget(c); off != nil {
+			if name, shares := sharesFingerprint(info, off, gc.managed); shares {
+				add("read of PMwCAS-managed word (offset names %q)", name)
 			}
-			ast.Inspect(node, func(n ast.Node) bool {
+			return
+		}
+		fn := calleeFunc(info, c)
+		if gc.requiresGuard(fn) {
+			add("call to %s, which is annotated //pmwcas:requires-guard", fn.FullName())
+			return
+		}
+		if rw := gc.readsWordFact(fn); rw != nil {
+			for _, pi := range rw.Params {
+				if pi >= len(c.Args) {
+					continue
+				}
+				if name, shares := sharesFingerprint(info, c.Args[pi], gc.managed); shares {
+					add("call to %s dereferencing PMwCAS-managed word (offset names %q)", fn.FullName(), name)
+					break
+				}
+			}
+		}
+	})
+	if len(ops) == 0 {
+		return
+	}
+	must := flow.solve(true)
+	for _, op := range ops {
+		if must[op.block] == nil {
+			continue // unreachable
+		}
+		if len(flow.held(must[op.block], op.block, op.pos)) > 0 && !op.goRun {
+			continue
+		}
+		ok, note := gc.sup.allowed(op.pos, "guardfact")
+		switch {
+		case ok: // suppressed
+		case op.goRun:
+			gc.pass.Reportf(op.pos,
+				"%s started as a goroutine; the spawner's guard is goroutine-affine and does not travel — "+
+					"Register a guard and Enter it inside the goroutine (§5.1)%s", op.what, note)
+		case goroutineScope:
+			gc.pass.Reportf(op.pos,
+				"%s inside a goroutine with no active epoch guard; the spawner's guard does not travel — "+
+					"Register a guard and Enter it in this goroutine, or the memory may be reclaimed mid-read (§5.1)%s", op.what, note)
+		default:
+			gc.pass.Reportf(op.pos,
+				"%s is not dominated by an active Guard.Enter: some path reaches it with no guard held, so a "+
+					"concurrent delete may reclaim the memory mid-read (§5.1); enter a guard (defer g.Exit()), or annotate "+
+					"this function //pmwcas:requires-guard to move the obligation to its callers%s", op.what, note)
+		}
+	}
+}
+
+// checkGuardPairing reports an Enter in body that some non-panicking exit
+// leaves open. A `defer key.Exit()` anywhere in the function covers its
+// receiver on every path, panics included.
+func checkGuardPairing(pass *analysis.Pass, sup *suppressions, body *ast.BlockStmt, g *cfg.CFG) {
+	info := pass.TypesInfo
+	deferred := make(map[string]bool)
+	first := make(map[string]token.Pos) // receiver key -> its first Enter
+	ast.Inspect(body, func(x ast.Node) bool {
+		switch c := x.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.DeferStmt:
+			if method, key, ok := isGuardMethod(info, c.Call); ok && method == "Exit" {
+				deferred[key] = true
+			}
+			return false
+		case *ast.CallExpr:
+			if method, key, ok := isGuardMethod(info, c); ok && method == "Enter" {
+				if _, seen := first[key]; !seen {
+					first[key] = c.Pos()
+				}
+			}
+		}
+		return true
+	})
+	for key := range deferred {
+		delete(first, key)
+	}
+	if len(first) == 0 || g == nil {
+		return
+	}
+	flow := newGuardFlow(info, g, nil)
+	may := flow.solve(false)
+	reported := make(map[string]bool)
+	for i, b := range g.Blocks {
+		if len(b.Succs) > 0 || !b.Live || endsInPanic(b) {
+			continue
+		}
+		for key := range flow.held(may[i], i, token.NoPos) {
+			pos, open := first[key]
+			if !open || reported[key] {
+				continue
+			}
+			reported[key] = true
+			if ok, note := sup.allowed(pos, "guardfact"); !ok {
+				pass.Reportf(pos,
+					"%s.Enter() is not matched by an Exit on every return path; use `defer %s.Exit()` "+
+						"(an open guard pins the epoch and blocks reclamation forever, paper §5.1)%s",
+					key, key, note)
+			}
+		}
+	}
+}
+
+// endsInPanic reports whether the block's last node is a call to the
+// panic builtin: a panicking path is allowed to leave a guard open (the
+// process is going down; deferred Exits still run where they exist).
+func endsInPanic(b *cfg.Block) bool {
+	if len(b.Nodes) == 0 {
+		return false
+	}
+	stmt, ok := b.Nodes[len(b.Nodes)-1].(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := stmt.X.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	return ok && id.Name == "panic"
+}
+
+// checkGuardEscape reports epoch.Guard values crossing into a goroutine:
+// as arguments of the go call, or captured by the goroutine's function
+// literal.
+func checkGuardEscape(pass *analysis.Pass, sup *suppressions, g *ast.GoStmt) {
+	info := pass.TypesInfo
+	isGuardType := func(t types.Type) bool { return t != nil && isNamed(t, epochPath, "Guard") }
+	report := func(pos token.Pos, how string) {
+		if ok, note := sup.allowed(pos, "guardfact"); !ok {
+			pass.Reportf(pos,
+				"epoch.Guard %s; guards are goroutine-affine — call Register() in the new goroutine instead (paper §5.1)%s",
+				how, note)
+		}
+	}
+	for _, arg := range g.Call.Args {
+		if isGuardType(info.TypeOf(arg)) {
+			report(arg.Pos(), "passed as an argument to a goroutine")
+		}
+	}
+	lit, ok := g.Call.Fun.(*ast.FuncLit)
+	if !ok {
+		return
+	}
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		// A free variable is declared outside the literal.
+		if obj, ok := info.Uses[id].(*types.Var); ok && isGuardType(obj.Type()) &&
+			(obj.Pos() < lit.Pos() || obj.Pos() > lit.End()) {
+			report(id.Pos(), "captured by a goroutine closure")
+		}
+		return true
+	})
+}
+
+// isGuardMethod reports whether call invokes Enter or Exit on an
+// epoch.Guard, returning the method name and a stable key for the
+// receiver expression.
+func isGuardMethod(info *types.Info, call *ast.CallExpr) (method, key string, ok bool) {
+	name, recv, recvType, isM := methodCall(info, call)
+	if !isM || (name != "Enter" && name != "Exit") || !isNamed(recvType, epochPath, "Guard") {
+		return "", "", false
+	}
+	return name, types.ExprString(recv), true
+}
+
+// guardEvent is one Enter/Exit call, keyed by its receiver expression.
+type guardEvent struct {
+	pos   token.Pos
+	key   string
+	enter bool
+}
+
+// guardFlow is the Guard.Enter/Exit dataflow over one function's CFG,
+// shared by guardfact and nonblock: the must-held state proves a read is
+// covered, the may-held state finds a guard left open at return or a
+// blocking op inside a guarded region.
+type guardFlow struct {
+	events [][]guardEvent // per block, in source order
+	preds  [][]int
+}
+
+// newGuardFlow scans g's blocks for guard events. Nested function
+// literals are their own scopes and deferred statements run at return,
+// outside this flow, so neither is entered. visit, if non-nil, sees every
+// other node the scan reaches, with its block and the block node that
+// contains it.
+func newGuardFlow(info *types.Info, g *cfg.CFG, visit func(block int, top, n ast.Node)) *guardFlow {
+	f := &guardFlow{events: make([][]guardEvent, len(g.Blocks)), preds: make([][]int, len(g.Blocks))}
+	for i, b := range g.Blocks {
+		for _, s := range b.Succs {
+			f.preds[s.Index] = append(f.preds[s.Index], i)
+		}
+		for _, top := range b.Nodes {
+			ast.Inspect(top, func(n ast.Node) bool {
 				switch c := n.(type) {
-				case *ast.FuncLit, *ast.DeferStmt:
+				case nil, *ast.FuncLit, *ast.DeferStmt:
 					return false
 				case *ast.CallExpr:
 					if method, key, ok := isGuardMethod(info, c); ok {
-						events[i] = append(events[i], event{c.Pos(), key, method == "Enter"})
+						f.events[i] = append(f.events[i], guardEvent{c.Pos(), key, method == "Enter"})
 						return true
 					}
-					goRun := inGo != nil && inGo.Call == c
-					if off := gc.protocolReadTarget(c); off != nil {
-						if name, shares := sharesFingerprint(info, off, gc.managed); shares {
-							ops[i] = append(ops[i], guardOp{c.Pos(),
-								fmt.Sprintf("read of PMwCAS-managed word (offset names %q)", name), goRun})
-						}
-						return true
-					}
-					fn := calleeFunc(info, c)
-					if gc.requiresGuard(fn) {
-						ops[i] = append(ops[i], guardOp{c.Pos(),
-							fmt.Sprintf("call to %s, which is annotated //pmwcas:requires-guard", fn.FullName()), goRun})
-						return true
-					}
-					if rw := gc.readsWordFact(fn); rw != nil {
-						for _, pi := range rw.Params {
-							if pi >= len(c.Args) {
-								continue
-							}
-							if name, shares := sharesFingerprint(info, c.Args[pi], gc.managed); shares {
-								ops[i] = append(ops[i], guardOp{c.Pos(),
-									fmt.Sprintf("call to %s dereferencing PMwCAS-managed word (offset names %q)", fn.FullName(), name), goRun})
-								break
-							}
-						}
-					}
+				}
+				if visit != nil {
+					visit(i, top, n)
 				}
 				return true
 			})
 		}
-		sort.SliceStable(events[i], func(a, b int) bool { return events[i][a].pos < events[i][b].pos })
-		sort.SliceStable(ops[i], func(a, b int) bool { return ops[i][a].pos < ops[i][b].pos })
+		sort.SliceStable(f.events[i], func(a, b int) bool { return f.events[i][a].pos < f.events[i][b].pos })
 	}
-	any := false
-	for i := range ops {
-		if len(ops[i]) > 0 {
-			any = true
-		}
-	}
-	if !any {
-		return
-	}
+	return f
+}
 
-	// Forward must-dataflow: the set of guard keys held on EVERY path into
-	// a block. nil is ⊤ (unvisited); the meet is set intersection — a
-	// guard protects a read only if no path reaches the read without it.
-	preds := make([][]int, len(g.Blocks))
-	for i, b := range g.Blocks {
-		for _, s := range b.Succs {
-			preds[s.Index] = append(preds[s.Index], i)
-		}
-	}
-	apply := func(state map[string]bool, evs []event) map[string]bool {
-		out := make(map[string]bool, len(state))
-		for k := range state {
-			out[k] = true
-		}
-		for _, e := range evs {
-			if e.enter {
-				out[e.key] = true
-			} else {
-				delete(out, e.key)
-			}
-		}
-		return out
-	}
-	in := make([]map[string]bool, len(g.Blocks))
-	in[0] = map[string]bool{}
+// solve returns the guard keys held at each block's entry: on every path
+// when must (the meet is intersection), on some path otherwise (union).
+// nil marks a block no path from the entry reaches.
+func (f *guardFlow) solve(must bool) []map[string]bool {
+	in := make([]map[string]bool, len(f.events))
 	for changed := true; changed; {
 		changed = false
-		for i := range g.Blocks {
-			if i == 0 {
-				continue
-			}
+		for i := range in {
 			var meet map[string]bool
-			seen := false
-			for _, p := range preds[i] {
+			if i == 0 {
+				meet = map[string]bool{} // nothing is held on entry
+			}
+			for _, p := range f.preds[i] {
 				if in[p] == nil {
-					continue // ⊤ contributes nothing to an intersection
+					continue // unreached: contributes nothing to either meet
 				}
-				out := apply(in[p], events[p])
-				if !seen {
+				out := f.held(in[p], p, token.NoPos)
+				switch {
+				case meet == nil:
 					meet = out
-					seen = true
-					continue
-				}
-				for k := range meet {
-					if !out[k] {
-						delete(meet, k)
+				case must:
+					for k := range meet {
+						if !out[k] {
+							delete(meet, k)
+						}
+					}
+				default:
+					for k := range out {
+						meet[k] = true
 					}
 				}
 			}
-			if !seen {
-				continue
-			}
-			if in[i] == nil || len(in[i]) != len(meet) || !sameKeys(in[i], meet) {
+			if meet != nil && (in[i] == nil || !sameKeys(in[i], meet)) {
 				in[i] = meet
 				changed = true
 			}
 		}
 	}
+	return in
+}
 
-	for i := range g.Blocks {
-		if len(ops[i]) == 0 || in[i] == nil {
-			continue
+// held replays block's events that precede pos (all of them for NoPos)
+// on top of the entry state in.
+func (f *guardFlow) held(in map[string]bool, block int, pos token.Pos) map[string]bool {
+	out := make(map[string]bool, len(in))
+	for k := range in {
+		out[k] = true
+	}
+	for _, e := range f.events[block] {
+		if pos.IsValid() && e.pos >= pos {
+			break
 		}
-		// Replay events and ops in source order within the block.
-		state := apply(in[i], nil)
-		ei := 0
-		for _, op := range ops[i] {
-			for ei < len(events[i]) && events[i][ei].pos < op.pos {
-				state = apply(state, events[i][ei:ei+1])
-				ei++
-			}
-			if len(state) > 0 && !op.goRun {
-				continue
-			}
-			if ok, note := gc.sup.allowed(op.pos, "guardfact"); ok {
-				continue
-			} else {
-				switch {
-				case op.goRun:
-					gc.pass.Reportf(op.pos,
-						"%s started as a goroutine; the spawner's guard is goroutine-affine and does not travel — "+
-							"Register a guard and Enter it inside the goroutine (§5.1)%s", op.what, note)
-				case goroutineScope:
-					gc.pass.Reportf(op.pos,
-						"%s inside a goroutine with no active epoch guard; the spawner's guard does not travel — "+
-							"Register a guard and Enter it in this goroutine, or the memory may be reclaimed mid-read (§5.1)%s", op.what, note)
-				default:
-					gc.pass.Reportf(op.pos,
-						"%s is not dominated by an active Guard.Enter: some path reaches it with no guard held, so a "+
-							"concurrent delete may reclaim the memory mid-read (§5.1); enter a guard (defer g.Exit()), or annotate "+
-							"this function //pmwcas:requires-guard to move the obligation to its callers%s", op.what, note)
-				}
-			}
+		if e.enter {
+			out[e.key] = true
+		} else {
+			delete(out, e.key)
 		}
 	}
+	return out
 }
 
 func sameKeys(a, b map[string]bool) bool {

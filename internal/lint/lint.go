@@ -7,53 +7,47 @@
 //
 //   - rawload (§3, §4.2): outside internal/core and internal/nvram, a
 //     PMwCAS-managed word must not be read or swapped with a direct
-//     Device.Load / Device.CAS. Reads must go through core.PCASRead or
-//     (*core.Handle).Read, which flush a dirty word before acting on it;
-//     swaps must go through core.PCAS or a descriptor.
-//   - flagmask (§3, §4.2): a raw-loaded protocol word carries reserved
-//     bits (DirtyFlag, MwCASFlag, RDCSSFlag); comparing it against a
-//     plain value with ==, != or switch without masking is a latent
-//     recovery bug.
-//   - guardpair (§5.1): every Guard.Enter must be matched by Guard.Exit
-//     on all paths out of the function (in practice: defer g.Exit()),
-//     and a Guard must never escape to another goroutine — guards are
-//     goroutine-affine.
+//     Device.Load / LoadHint / CAS. Reads must go through core.PCASRead
+//     or (*core.Handle).Read, which flush a dirty word before acting on
+//     it; swaps must go through core.PCAS or a descriptor.
 //   - storefence (§3): a Device.Store to persistent memory that is never
 //     followed by a Flush (and Fence) on any path publishes volatile
 //     state; a crash silently discards it.
-//   - descreuse (§4.1): a descriptor is single-shot; after Execute or
+//
+// The remaining checkers follow their contract across function and
+// package boundaries using go/analysis Facts (serialized per-package
+// summaries the build system threads from a dependency's analysis run to
+// its importers):
+//
+//   - flushfact (§3, §4.2): a raw-loaded protocol word carries reserved
+//     bits (DirtyFlag, MwCASFlag, RDCSSFlag); comparing it against a
+//     plain value with ==, != or switch without masking is a latent
+//     recovery bug. The load and the comparison may share a function
+//     body, or the load may sit in a callee: a function whose return
+//     value is such a word exports a ReturnsUnflushed fact, and any
+//     caller — in this package or an importing one — that compares,
+//     switches on, or re-stores that value unmasked is flagged.
+//   - guardfact (§5.1): every Guard.Enter must be matched by Guard.Exit
+//     on all non-panicking paths out of the function (in practice: defer
+//     g.Exit()), and a Guard must never escape to another goroutine —
+//     guards are goroutine-affine. Within that pairing, every
+//     epoch-protected dereference — a protocol read of a managed word,
+//     directly or through a reader helper whose ReadsWord fact says the
+//     offset flows in from a parameter — must be dominated by an active
+//     Guard.Enter: a forward must-dataflow over the go/cfg control-flow
+//     graph proves a guard is held on every path to the read, with no
+//     intervening Exit. A helper that runs under its caller's guard
+//     declares it with //pmwcas:requires-guard, which silences its
+//     in-body diagnostics, exports a RequiresGuard fact, and moves the
+//     dominance obligation to every call site — in this package or any
+//     importing one, hop by hop.
+//   - descflow (§4.1): a descriptor is single-shot; after Execute or
 //     Discard it belongs to the pool's recycling machinery and must not
-//     be touched again.
-//
-// The five checkers above are intra-procedural. Four further checkers
-// carry the same invariants across function and package boundaries using
-// go/analysis Facts (serialized per-package summaries the build system
-// threads from a dependency's analysis run to its importers):
-//
-//   - flushfact (§3, §4.2): a function whose return value is a raw-loaded
-//     protocol word exports a ReturnsUnflushed fact; any caller — in this
-//     package or an importing one — that compares, switches on, or
-//     re-stores that value without masking the reserved bits is flagged.
-//     This closes flagmask's call-boundary blind spot: the helper and the
-//     comparison no longer need to share a function body.
-//   - guardfact (§5.1): every epoch-protected dereference — a protocol
-//     read of a managed word, directly or through a reader helper whose
-//     ReadsWord fact says the offset flows in from a parameter — must be
-//     dominated by an active Guard.Enter: a forward must-dataflow over
-//     the go/cfg control-flow graph proves a guard is held on every path
-//     to the read, with no intervening Exit. A helper that runs under
-//     its caller's guard declares it with //pmwcas:requires-guard, which
-//     silences its in-body diagnostics, exports a RequiresGuard fact,
-//     and moves the dominance obligation to every call site — in this
-//     package or any importing one, hop by hop. guardpair checks that
-//     Enter and Exit pair up; guardfact checks that the dereferences
-//     actually happen inside the pair.
-//   - descflow (§4.1): functions that Execute or Discard a descriptor
+//     be touched again. Functions that Execute or Discard a descriptor
 //     parameter export a KillsDescriptor fact (and ReturnsDeadDescriptor
-//     when they return an already-retired descriptor); callers that keep
-//     using the handle afterwards are flagged even though the kill
-//     happened in a callee — descreuse's single-function horizon no
-//     longer hides it.
+//     when they return an already-retired descriptor), so a caller that
+//     keeps using the handle is flagged whether the kill happened in its
+//     own body or in a callee.
 //   - persistord (DESIGN.md §6.2): verifies persist ordering around
 //     traversal flush elision. (*core.Handle).ReadTraverse skips the
 //     flush-before-read on pure descend paths; the value it returns is a
@@ -78,9 +72,9 @@
 //     unproven functions are default-deny findings. Two amortized
 //     idioms — self-append and cap()-guarded make — pass statically and
 //     are pinned dynamically by the CI allocation-budget gate.
-//   - nonblock (DESIGN.md §6.3): inside epoch-guarded regions (a
-//     may-held-guard dataflow over go/cfg, the dual of guardfact's
-//     must-analysis) and throughout //pmwcas:hotpath /
+//   - nonblock (DESIGN.md §6.3): inside epoch-guarded regions (the
+//     may-held state of guardfact's guard dataflow, the dual of its
+//     must-held dominance state) and throughout //pmwcas:hotpath /
 //     //pmwcas:requires-guard bodies, no operation may park the
 //     goroutine: channel ops, select, sync locks and waits, time.Sleep,
 //     and OS calls are findings, propagated interprocedurally as
@@ -104,12 +98,13 @@
 // flagged; reading those raw is the documented idiom of this codebase.
 //
 // Files that never reference pmwcas/internal/core are exempt from the
-// persistence-protocol analyzers (rawload, flagmask, storefence): by
-// construction they do not participate in the PMwCAS protocol (the
+// raw-word checks (rawload, storefence, and flushfact's same-body loads):
+// by construction they do not participate in the PMwCAS protocol (the
 // volatile single-word-CAS baselines the paper measures against live in
-// such files). Test files are likewise exempt from those three —
+// such files). Test files are likewise exempt from those checks —
 // crash-recovery tests poke raw durable state on purpose — but not from
-// guardpair or descreuse, whose contracts bind everywhere.
+// guardfact's Enter/Exit pairing or descflow, whose contracts bind
+// everywhere.
 //
 // # Suppressions
 //
@@ -150,23 +145,37 @@ const (
 	epochPath = "pmwcas/internal/epoch"
 )
 
-// Analyzers is the full pmwcaslint suite, in reporting order. The first
-// five are the intra-procedural checkers from the original suite; the
-// next four are the facts-based interprocedural checkers; staleallow
-// audits the suppressions and //pmwcas: annotations the others consulted.
-var Analyzers = []*analysis.Analyzer{
+// checkers are the analyzers a //lint:allow may name, in reporting order.
+var checkers = []*analysis.Analyzer{
 	RawLoad,
-	FlagMask,
-	GuardPair,
 	StoreFence,
-	DescReuse,
 	FlushFact,
 	GuardFact,
 	DescFlow,
 	PersistOrd,
 	HotPath,
 	NonBlock,
-	StaleAllow,
+}
+
+// Analyzers is the full pmwcaslint suite: the checkers, then staleallow,
+// which audits the suppressions and //pmwcas: annotations they consulted.
+var Analyzers = append(append([]*analysis.Analyzer{}, checkers...), StaleAllow)
+
+// pkgExempt reports whether path is a package that implements the
+// protocol itself (core, nvram). The checkers whose contract binds the
+// protocol's clients skip them.
+func pkgExempt(path string) bool {
+	return strings.HasSuffix(path, corePath) || strings.HasSuffix(path, nvramPath)
+}
+
+// fileAt returns the *ast.File in pass.Files containing pos.
+func fileAt(pass *analysis.Pass, pos token.Pos) *ast.File {
+	for _, f := range pass.Files {
+		if f.FileStart <= pos && pos <= f.FileEnd {
+			return f
+		}
+	}
+	return nil
 }
 
 // isNamed reports whether t (after pointer indirection) is the named type

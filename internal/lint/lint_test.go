@@ -7,13 +7,10 @@ import (
 	"pmwcas/internal/lint/linttest"
 )
 
-func TestRawLoad(t *testing.T)   { linttest.Run(t, linttest.TestData(t), lint.RawLoad, "rawload") }
-func TestFlagMask(t *testing.T)  { linttest.Run(t, linttest.TestData(t), lint.FlagMask, "flagmask") }
-func TestGuardPair(t *testing.T) { linttest.Run(t, linttest.TestData(t), lint.GuardPair, "guardpair") }
+func TestRawLoad(t *testing.T) { linttest.Run(t, linttest.TestData(t), lint.RawLoad, "rawload") }
 func TestStoreFence(t *testing.T) {
 	linttest.Run(t, linttest.TestData(t), lint.StoreFence, "storefence")
 }
-func TestDescReuse(t *testing.T) { linttest.Run(t, linttest.TestData(t), lint.DescReuse, "descreuse") }
 
 // The interprocedural analyzers run over fixture package chains in
 // dependency order: facts exported while analyzing a/ are imported while
@@ -27,6 +24,23 @@ func TestGuardFact(t *testing.T) {
 }
 func TestDescFlow(t *testing.T) {
 	linttest.RunDirs(t, linttest.TestData(t), lint.DescFlow, "descflow/a", "descflow/b", "descflow/c")
+}
+
+// The samebody/ fixtures hold the violations a function commits on its
+// own: the flag-masked read, the single-shot descriptor and the paired
+// guard, each now reported by its contract's interprocedural analyzer.
+func TestFlagMask(t *testing.T) {
+	linttest.Run(t, linttest.TestData(t), lint.FlushFact, "flushfact/samebody")
+}
+func TestGuardPair(t *testing.T) {
+	linttest.Run(t, linttest.TestData(t), lint.GuardFact, "guardfact/samebody")
+}
+
+// descflow/pmwcas/internal/core ends in core's import path, so it runs
+// under core's exemption: no facts, direct kills still reported.
+func TestDescReuse(t *testing.T) {
+	linttest.RunDirs(t, linttest.TestData(t), lint.DescFlow,
+		"descflow/samebody", "descflow/pmwcas/internal/core")
 }
 func TestPersistOrd(t *testing.T) {
 	linttest.RunDirs(t, linttest.TestData(t), lint.PersistOrd, "persistord/a", "persistord/b", "persistord/c")

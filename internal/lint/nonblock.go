@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -32,10 +31,9 @@ func (*MayBlock) AFact() {}
 func (f *MayBlock) String() string { return "MayBlock(" + f.Op + ")" }
 
 // NonBlock verifies the progress half of the lock-free fast-path
-// contract (DESIGN.md §6.3): inside an epoch-guarded region — the
-// union-dataflow region after a Guard.Enter on some path, composing
-// with guardfact's Enter/Exit event machinery — and anywhere in the
-// body of a function annotated //pmwcas:hotpath or
+// contract (DESIGN.md §6.3): inside an epoch-guarded region — where
+// guardfact's guard dataflow says a Guard.Enter is held on some path —
+// and anywhere in the body of a function annotated //pmwcas:hotpath or
 // //pmwcas:requires-guard (which executes inside its caller's guard or
 // a descriptor-helping region), the code must not park the goroutine:
 // no channel operations or select, no sync.Mutex/RWMutex lock,
@@ -106,7 +104,7 @@ func runNonBlock(pass *analysis.Pass) (interface{}, error) {
 			}
 			s := &nbSummary{
 				decl:      fd,
-				wholeBody: hasAnnotation(fd, hotpathAnnotation) || hasGuardAnnotation(fd),
+				wholeBody: hasAnnotation(fd, hotpathAnnotation) || hasAnnotation(fd, guardAnnotation),
 			}
 			scanBlockOps(pass, sup, fd.Body, s)
 			sums[fn] = s
@@ -240,14 +238,15 @@ func checkBlockingRegions(pass *analysis.Pass, sup *suppressions, fn *types.Func
 		return
 	}
 
-	// Per-block guard events and candidate ops in source order.
-	type event struct {
-		pos   token.Pos
-		key   string
-		enter bool
+	// Place each candidate op in its CFG block during guardfact's event
+	// scan, then ask the may-held state — a union over predecessors, the
+	// dual of guardfact's dominance meet — whether some guarded path
+	// reaches it.
+	type placed struct {
+		block int
+		op    nbOp
 	}
-	events := make([][]event, len(g.Blocks))
-	ops := make([][]nbOp, len(g.Blocks))
+	var ops []placed
 	opIndex := make(map[token.Pos][]nbOp, len(s.ops)+len(s.calls))
 	for _, op := range s.ops {
 		opIndex[op.pos] = append(opIndex[op.pos], op)
@@ -255,111 +254,32 @@ func checkBlockingRegions(pass *analysis.Pass, sup *suppressions, fn *types.Func
 	for _, op := range s.calls {
 		opIndex[op.pos] = append(opIndex[op.pos], op)
 	}
-	for i, b := range g.Blocks {
-		for _, node := range b.Nodes {
-			ast.Inspect(node, func(n ast.Node) bool {
-				if n == nil {
-					return false
-				}
-				switch c := n.(type) {
-				case *ast.FuncLit, *ast.DeferStmt:
-					return false
-				case *ast.CallExpr:
-					if method, key, ok := isGuardMethod(info, c); ok {
-						events[i] = append(events[i], event{c.Pos(), key, method == "Enter"})
-						return true
-					}
-				}
-				if pending, ok := opIndex[n.Pos()]; ok {
-					var keep []nbOp
-					for _, op := range pending {
-						if opNodeMatches(n, op) {
-							ops[i] = append(ops[i], op)
-						} else {
-							keep = append(keep, op)
-						}
-					}
-					if len(keep) == 0 {
-						delete(opIndex, n.Pos())
-					} else {
-						opIndex[n.Pos()] = keep
-					}
-				}
-				return true
-			})
+	flow := newGuardFlow(info, g, func(block int, _, n ast.Node) {
+		pending, ok := opIndex[n.Pos()]
+		if !ok {
+			return
 		}
-		sort.SliceStable(events[i], func(a, b int) bool { return events[i][a].pos < events[i][b].pos })
-		sort.SliceStable(ops[i], func(a, b int) bool { return ops[i][a].pos < ops[i][b].pos })
-	}
-	any := false
-	for i := range ops {
-		if len(ops[i]) > 0 {
-			any = true
+		var keep []nbOp
+		for _, op := range pending {
+			if opNodeMatches(n, op) {
+				ops = append(ops, placed{block, op})
+			} else {
+				keep = append(keep, op)
+			}
 		}
-	}
-	if !any {
+		if len(keep) == 0 {
+			delete(opIndex, n.Pos())
+		} else {
+			opIndex[n.Pos()] = keep
+		}
+	})
+	if len(ops) == 0 {
 		return
 	}
-
-	// Forward may-dataflow: the set of guard keys held on SOME path into
-	// a block — the union over predecessors (guardfact's machinery with
-	// the dual meet: there it takes an intersection to prove protection,
-	// here a union to catch any guarded path that reaches a blocking op).
-	preds := make([][]int, len(g.Blocks))
-	for i, b := range g.Blocks {
-		for _, succ := range b.Succs {
-			preds[succ.Index] = append(preds[succ.Index], i)
-		}
-	}
-	apply := func(state map[string]bool, evs []event) map[string]bool {
-		out := make(map[string]bool, len(state))
-		for k := range state {
-			out[k] = true
-		}
-		for _, e := range evs {
-			if e.enter {
-				out[e.key] = true
-			} else {
-				delete(out, e.key)
-			}
-		}
-		return out
-	}
-	in := make([]map[string]bool, len(g.Blocks))
-	for i := range in {
-		in[i] = map[string]bool{}
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := range g.Blocks {
-			union := map[string]bool{}
-			for _, p := range preds[i] {
-				for k := range apply(in[p], events[p]) {
-					union[k] = true
-				}
-			}
-			if len(union) != len(in[i]) || !sameKeys(union, in[i]) {
-				in[i] = union
-				changed = true
-			}
-		}
-	}
-
-	for i := range g.Blocks {
-		if len(ops[i]) == 0 {
-			continue
-		}
-		state := apply(in[i], nil)
-		ei := 0
-		for _, op := range ops[i] {
-			for ei < len(events[i]) && events[i][ei].pos < op.pos {
-				state = apply(state, events[i][ei:ei+1])
-				ei++
-			}
-			if len(state) == 0 {
-				continue
-			}
-			report(op, "inside an epoch-guarded region")
+	may := flow.solve(false)
+	for _, p := range ops {
+		if len(flow.held(may[p.block], p.block, p.op.pos)) > 0 {
+			report(p.op, "inside an epoch-guarded region")
 		}
 	}
 
@@ -369,8 +289,8 @@ func checkBlockingRegions(pass *analysis.Pass, sup *suppressions, fn *types.Func
 	// conservatively rather than silently dropping it.
 	if len(opIndex) > 0 {
 		entersGuard := false
-		for i := range events {
-			for _, e := range events[i] {
+		for i := range flow.events {
+			for _, e := range flow.events[i] {
 				if e.enter {
 					entersGuard = true
 				}

@@ -1,9 +1,7 @@
 package lint
 
 import (
-	"flag"
 	"go/ast"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 )
@@ -15,29 +13,8 @@ var RawLoad = &analysis.Analyzer{
 	Name: "rawload",
 	Doc: "report raw Device.Load/Device.CAS on PMwCAS-managed words (paper §3: reads must flush-before-read " +
 		"via core.PCASRead or Handle.Read; swaps must go through core.PCAS or a descriptor)",
-	Flags:    rawloadFlags(),
 	Requires: []*analysis.Analyzer{Suppress},
 	Run:      runRawLoad,
-}
-
-// rawloadAllowPkgs holds the comma-separated list of import-path suffixes
-// exempt from the rule: the packages that implement the protocol itself.
-var rawloadAllowPkgs string
-
-func rawloadFlags() flag.FlagSet {
-	fs := flag.NewFlagSet("rawload", flag.ExitOnError)
-	fs.StringVar(&rawloadAllowPkgs, "allowpkgs", "pmwcas/internal/core,pmwcas/internal/nvram",
-		"comma-separated import-path suffixes exempt from the rule")
-	return *fs
-}
-
-func pkgExempt(path string) bool {
-	for _, suf := range strings.Split(rawloadAllowPkgs, ",") {
-		if suf != "" && (path == suf || strings.HasSuffix(path, suf)) {
-			return true
-		}
-	}
-	return false
 }
 
 func runRawLoad(pass *analysis.Pass) (interface{}, error) {

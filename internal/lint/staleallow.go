@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -26,30 +27,19 @@ var StaleAllow = &analysis.Analyzer{
 	Name: "staleallow",
 	Doc: "report //lint:allow suppressions that no longer suppress anything, " +
 		"name an unknown analyzer, or carry no reason",
-	Requires: []*analysis.Analyzer{
-		Suppress,
-		RawLoad, FlagMask, GuardPair, StoreFence, DescReuse,
-		FlushFact, GuardFact, DescFlow, PersistOrd,
-		HotPath, NonBlock,
-	},
-	Run: runStaleAllow,
+	Requires: append([]*analysis.Analyzer{Suppress}, checkers...),
+	Run:      runStaleAllow,
 }
 
-// checkerNames are the analyzer names a suppression may legitimately
+// checkerNames lists the analyzer names a suppression may legitimately
 // grant. staleallow itself is deliberately absent: an audit finding is
 // fixed by deleting the dead comment, not by suppressing the auditor.
-var checkerNames = map[string]bool{
-	"rawload":    true,
-	"flagmask":   true,
-	"guardpair":  true,
-	"storefence": true,
-	"descreuse":  true,
-	"flushfact":  true,
-	"guardfact":  true,
-	"descflow":   true,
-	"persistord": true,
-	"hotpath":    true,
-	"nonblock":   true,
+func checkerNames() []string {
+	names := make([]string, len(checkers))
+	for i, a := range checkers {
+		names[i] = a.Name
+	}
+	return names
 }
 
 // annotationNames are the //pmwcas: marker annotations the suite
@@ -82,6 +72,7 @@ func runStaleAllow(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 
+	known := checkerNames()
 	sup.mu.Lock()
 	defer sup.mu.Unlock()
 	for _, e := range sup.entries {
@@ -98,10 +89,9 @@ func runStaleAllow(pass *analysis.Pass) (interface{}, error) {
 			pass.Reportf(e.pos,
 				"%s %s has no reason and is ignored by the checkers; state why the violation is deliberate after “—”, or delete the comment",
 				kind, e.name)
-		case !checkerNames[e.name]:
-			pass.Reportf(e.pos,
-				"%s names unknown analyzer %q (known: rawload, flagmask, guardpair, storefence, descreuse, flushfact, guardfact, descflow, persistord, hotpath, nonblock)",
-				kind, e.name)
+		case !slices.Contains(known, e.name):
+			pass.Reportf(e.pos, "%s names unknown analyzer %q (known: %s)",
+				kind, e.name, strings.Join(known, ", "))
 		case !e.used:
 			pass.Reportf(e.pos,
 				"stale suppression: %s %s no longer suppresses any diagnostic here — the violation it excused is gone; delete it",

@@ -28,12 +28,12 @@ func Inspect(d *core.Descriptor) int {
 }
 
 // Spent returns a descriptor it has already executed:
-// ReturnsDeadDescriptor[0].
+// ReturnsDeadDescriptor[0]. Returning it is itself a use after death.
 func Spent(h *core.Handle) *core.Descriptor {
 	d, err := h.AllocateDescriptor(0)
 	if err != nil {
 		return nil
 	}
 	_, _ = d.Execute()
-	return d
+	return d // want `descriptor d used after d\.Execute retired it`
 }

@@ -1,6 +1,7 @@
-// Fixtures for the descreuse analyzer: a descriptor is single-shot;
-// after Execute or Discard it must not be touched again.
-package descreuse
+// Same-body fixture for the descflow analyzer: a descriptor is
+// single-shot; after Execute or Discard in the same function it must not
+// be touched again.
+package samebody
 
 import (
 	"pmwcas/internal/core"
@@ -18,7 +19,7 @@ func badAddAfterExecute(h *core.Handle, addr nvram.Offset) error {
 	if _, err := d.Execute(); err != nil {
 		return err
 	}
-	return d.AddWord(addr, 1, 2) // want `used after Execute/Discard`
+	return d.AddWord(addr, 1, 2) // want `descriptor d used after d\.Execute retired it`
 }
 
 func badUseAfterDiscard(h *core.Handle) int {
@@ -27,7 +28,7 @@ func badUseAfterDiscard(h *core.Handle) int {
 		return 0
 	}
 	_ = d.Discard()
-	return d.WordCount() // want `used after Execute/Discard`
+	return d.WordCount() // want `descriptor d used after d\.Discard retired it`
 }
 
 func goodFreshAllocation(h *core.Handle, addr nvram.Offset) error {
@@ -61,6 +62,6 @@ func goodSingleShot(h *core.Handle, addr nvram.Offset) error {
 func goodSuppressed(h *core.Handle) nvram.Offset {
 	d, _ := h.AllocateDescriptor(0)
 	_, _ = d.Execute()
-	//lint:allow descreuse — Offset is a stable identity, safe to read after retirement
+	//lint:allow descflow — Offset is a stable identity, safe to read after retirement
 	return d.Offset()
 }

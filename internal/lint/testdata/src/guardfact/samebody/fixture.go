@@ -1,6 +1,6 @@
-// Fixtures for the guardpair analyzer: Enter/Exit balance on all return
-// paths, and guards escaping to other goroutines.
-package guardpair
+// Pairing fixture for the guardfact analyzer: Enter/Exit balance on all
+// return paths, and guards escaping to other goroutines.
+package samebody
 
 import (
 	"errors"
@@ -12,7 +12,7 @@ var errBusy = errors.New("busy")
 
 func badEarlyReturn(m *epoch.Manager, fail bool) error {
 	g := m.Register()
-	g.Enter() // want `not matched by an Exit on every return path`
+	g.Enter() // want `g\.Enter\(\) is not matched by an Exit on every return path`
 	if fail {
 		return errBusy
 	}
@@ -54,13 +54,13 @@ func goodPanicPath(m *epoch.Manager, fail bool) {
 
 func badGoArg(m *epoch.Manager) {
 	g := m.Register()
-	go pinAndWork(g) // want `passed as an argument to a goroutine`
+	go pinAndWork(g) // want `epoch\.Guard passed as an argument to a goroutine`
 }
 
 func badCapture(m *epoch.Manager) {
 	g := m.Register()
 	go func() {
-		pinAndWork(g) // want `captured by a goroutine closure`
+		pinAndWork(g) // want `epoch\.Guard captured by a goroutine closure`
 	}()
 }
 
@@ -76,7 +76,7 @@ func goodGoroutineLocal(m *epoch.Manager) {
 
 func goodSuppressed(m *epoch.Manager) {
 	g := m.Register()
-	//lint:allow guardpair — the guard is exited by the paired completion callback
+	//lint:allow guardfact — the guard is exited by the paired completion callback
 	g.Enter()
 }
 

@@ -67,6 +67,16 @@ func BeforeEnter(g *epoch.Guard, ch chan int) {
 	sink += <-ch // after Exit: no finding
 }
 
+// SomePathGuarded: the guard is held on only one path into the receive;
+// a region is guarded if any path reaching the op holds a guard.
+func SomePathGuarded(g *epoch.Guard, ch chan int, pin bool) {
+	if pin {
+		g.Enter()
+		defer g.Exit()
+	}
+	sink += <-ch // want `channel receive inside an epoch-guarded region`
+}
+
 //pmwcas:hotpath — fixture: the annotation makes the whole body a checked region
 func Hot() {
 	time.Sleep(time.Nanosecond) // want `time.Sleep in Hot, whose annotation promises`

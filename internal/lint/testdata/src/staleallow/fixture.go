@@ -27,18 +27,26 @@ func (b *box) publish(old, new uint64) bool {
 	return core.PCAS(b.dev, b.word, old, new)
 }
 
-// liveSuppression really absorbs a flagmask diagnostic; the auditor must
-// stay silent about it.
+// liveSuppression really absorbs a flushfact diagnostic; the auditor
+// must stay silent about it.
 func (b *box) liveSuppression(expect uint64) bool {
-	//lint:allow flagmask — recovery clears the flags before this path runs
+	//lint:allow flushfact — recovery clears the flags before this path runs
 	return b.dev.Load(b.word) == expect
 }
 
 // fixedLongAgo: the read below was converted to PCASRead, but the
 // suppression outlived the violation.
 func (b *box) fixedLongAgo(expect uint64) bool {
-	// want+1 `stale suppression: lint:allow flagmask no longer suppresses any diagnostic here`
-	//lint:allow flagmask — the comparison below used to be a raw load
+	// want+1 `stale suppression: lint:allow flushfact no longer suppresses any diagnostic here`
+	//lint:allow flushfact — the comparison below used to be a raw load
+	return core.PCASRead(b.dev, b.word) == expect
+}
+
+// retiredName: flushfact now reports what flagmask did; a suppression
+// still naming the old analyzer guards nothing.
+func (b *box) retiredName(expect uint64) bool {
+	// want+1 `names unknown analyzer "flagmask" \(known: rawload, storefence, flushfact, guardfact, descflow, persistord, hotpath, nonblock\)`
+	//lint:allow flagmask — the retired name
 	return core.PCASRead(b.dev, b.word) == expect
 }
 
