@@ -7,10 +7,11 @@ import (
 	"pmwcas/internal/nvram"
 )
 
-// pointOps preloads a persistent tree and returns its steady-state
-// Update+Get pair: what BenchmarkPointOps times and what
-// TestPointOpsAllocBudget counts allocations of.
-func pointOps(tb testing.TB) func(i int) {
+// pointOps preloads a persistent tree (height 4) and returns its device
+// with the steady-state Update and Get: what BenchmarkPointOps times,
+// TestPointOpsAllocBudget counts allocations of and
+// TestPointOpsDeviceOpBudget counts device ops of.
+func pointOps(tb testing.TB) (dev *nvram.Device, update, get func(i int)) {
 	e := newTreeEnv(tb, core.Persistent, SMOPMwCAS, nil)
 	h := e.tree.NewHandle()
 	const keys = 512
@@ -19,23 +20,28 @@ func pointOps(tb testing.TB) func(i int) {
 			tb.Fatalf("preload %d: %v", k, err)
 		}
 	}
-	return func(i int) {
+	update = func(i int) {
 		k := uint64(i%keys) + 1
 		if err := h.Update(k, uint64(i%1024)+1); err != nil {
 			tb.Fatalf("update %d: %v", k, err)
 		}
+	}
+	get = func(i int) {
+		k := uint64(i%keys) + 1
 		if _, err := h.Get(k); err != nil {
 			tb.Fatalf("get %d: %v", k, err)
 		}
 	}
+	return e.dev, update, get
 }
 
 func BenchmarkPointOps(b *testing.B) {
-	op := pointOps(b)
+	_, update, get := pointOps(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op(i)
+		update(i)
+		get(i)
 	}
 }
 
@@ -50,9 +56,39 @@ func TestPointOpsAllocBudget(t *testing.T) {
 	if nvram.SanitizerEnabled {
 		t.Skip("psan's shadow state allocates on every device op")
 	}
-	op := pointOps(t)
+	_, update, get := pointOps(t)
 	i := 0
-	if got := testing.AllocsPerRun(20000, func() { op(i); i++ }); got > 1 {
+	if got := testing.AllocsPerRun(20000, func() { update(i); get(i); i++ }); got > 1 {
 		t.Fatalf("Update+Get = %v allocs/op, budget 1", got)
+	}
+}
+
+// TestPointOpsDeviceOpBudget is the count twin of TestPointOpsAllocBudget:
+// device ops (loads + stores + CASes + flushes + fences) per steady-state
+// Get and Update on the same tree. Point ops search each page of the
+// descent in place, so a Get costs its chain walks plus a binary search
+// per level; materialising every page on the way down cost 101.5 per Get
+// and 260.7 per Update.
+func TestPointOpsDeviceOpBudget(t *testing.T) {
+	dev, update, get := pointOps(t)
+	ops := func(s nvram.Stats) uint64 { return s.Loads + s.Stores + s.CASes + s.Flushes + s.Fences }
+	const n = 4096
+	perOp := func(op func(int)) float64 {
+		before := dev.Stats()
+		for i := 0; i < n; i++ {
+			op(i)
+		}
+		return float64(ops(dev.Stats())-ops(before)) / n
+	}
+	// One untimed round of updates first, so every leaf is in its
+	// steady consolidate-every-few-updates cycle.
+	perOp(update)
+	g, u := perOp(get), perOp(update)
+	t.Logf("device ops: Get %.1f, Update %.1f", g, u)
+	if g > 60 {
+		t.Errorf("Get = %.1f device ops, budget 60", g)
+	}
+	if u > 200 {
+		t.Errorf("Update = %.1f device ops, budget 200", u)
 	}
 }

@@ -298,9 +298,9 @@ type Handle struct {
 	// (//pmwcas:hotpath): pathBuf backs descend's ancestor stack, and
 	// viewRing backs resolve's materialized views round-robin. A
 	// pageView's entry slices are valid only until viewRingSize further
-	// resolve calls on the same handle; no code path holds more than a
-	// handful of views (merge holds four), and none holds one across a
-	// descend, which resolves once per level.
+	// resolve calls on the same handle. descend searches pages in place
+	// and resolves nothing; maintenance and Scan resolve, and the most
+	// views any path holds at once is merge's four.
 	pathBuf  []pathEntry
 	viewRing [viewRingSize]viewBuf
 	viewIdx  int
@@ -315,8 +315,8 @@ type viewBuf struct {
 
 // viewRingSize bounds how many pageViews resolved through one handle are
 // live at once (power of two for cheap wrap-around). The deepest holder
-// is maybeMerge: the caller's view plus parent, left, and right.
-const viewRingSize = 16
+// is merge: maintain's view plus parent, left, and right.
+const viewRingSize = 8
 
 // NewHandle creates a per-goroutine handle.
 func (t *Tree) NewHandle() *Handle {
@@ -333,7 +333,7 @@ func (t *Tree) NewHandle() *Handle {
 // contract mode-independent.
 //
 // Descriptor-mode reads elide the dirty-bit flush (DESIGN.md §6.2): a
-// mapping value is followed to resolve the page chain or handed back to
+// mapping value is followed to read the page chain or handed back to
 // a later PMwCAS as the expected-old operand, which the install path
 // re-persists at the target. Baseline-mode CAS publishes re-store the
 // head word they read, but those stores are themselves validated by the

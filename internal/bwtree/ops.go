@@ -37,12 +37,13 @@ const maxDescentDepth = 64
 // proof, where constructing an error would allocate).
 var errDescentDiverged = errors.New("bwtree: descent did not converge (structure corrupt?)")
 
-// descend walks from the root to the leaf covering key, helping
-// in-flight baseline splits along the way, and returns the inner-page
-// path, the leaf's LPID, and the resolved leaf view.
+// descend walks from the root to the leaf covering key, searching each
+// page in place, helping in-flight baseline splits along the way, and
+// returns the inner-page path, the leaf's LPID, and the leaf's answer
+// for key.
 //
 //pmwcas:requires-guard — dereferences mapping words and page chains
-func (h *Handle) descend(key uint64) ([]pathEntry, uint64, pageView, error) {
+func (h *Handle) descend(key uint64) ([]pathEntry, uint64, pageHit, error) {
 	t := h.tree
 restart:
 	for attempt := 0; attempt < maxDescentRestarts; attempt++ {
@@ -60,40 +61,39 @@ restart:
 			if head == 0 {
 				continue restart // LPID died (merge) between route and read
 			}
-			v := h.resolve(head)
-			if v.removed {
+			s := t.search(head, key)
+			if s.removed {
 				continue restart
 			}
-			if key > v.high {
+			if key > s.high {
 				// An orphan split (baseline mode) leaves this range
 				// reachable only through the side link until someone
 				// posts the parent update; needing the lateral move is
 				// precisely the signal that the posting is missing, so
 				// help before following the link (Bw-tree help-along).
-				if v.hasSplit && t.smo == SMOSingleCAS && len(path) > 0 {
-					h.helpSplitCAS(path[len(path)-1].lpid, v.low, v.splitSep,
-						v.preSplitHigh, lpid, v.splitSibling)
+				if s.high < s.baseHigh && t.smo == SMOSingleCAS && len(path) > 0 {
+					h.helpSplitCAS(path[len(path)-1].lpid, s.low, s.high,
+						s.baseHigh, lpid, s.side)
 				}
-				if v.side == 0 {
+				if s.side == 0 {
 					continue restart // stale route past the rightmost page
 				}
-				lpid = v.side
+				lpid = s.side
 				continue
 			}
-			if v.isLeaf {
+			if s.isLeaf {
 				mDescendDepth.Observe(h.lane, int64(depth)+1)
-				return path, lpid, v, nil
+				return path, lpid, s, nil
 			}
-			child, ok := v.route(key)
-			if !ok {
+			if !s.found {
 				continue restart
 			}
 			path = append(path, pathEntry{lpid: lpid, head: head})
-			lpid = child
+			lpid = s.val
 		}
 		continue restart // implausible depth: restart defensively
 	}
-	return nil, 0, pageView{}, errDescentDiverged
+	return nil, 0, pageHit{}, errDescentDiverged
 }
 
 // Get returns the value stored under key.
@@ -106,15 +106,14 @@ func (h *Handle) Get(key uint64) (uint64, error) {
 	g := h.core.Guard()
 	g.Enter()
 	defer g.Exit()
-	_, _, v, err := h.descend(key)
+	_, _, s, err := h.descend(key)
 	if err != nil {
 		return 0, err
 	}
-	val, ok := v.get(key)
-	if !ok {
+	if !s.found {
 		return 0, ErrNotFound
 	}
-	return val, nil
+	return s.val, nil
 }
 
 // Contains reports whether key is present.
@@ -175,29 +174,28 @@ func (h *Handle) writeOnce(key, value, typ uint64) error {
 	g.Enter()
 	defer g.Exit()
 
-	path, leafLPID, v, err := h.descend(key)
+	path, leafLPID, s, err := h.descend(key)
 	if err != nil {
 		return err
 	}
-	_, present := v.get(key)
 	switch typ {
 	case recInsert:
-		if present {
+		if s.found {
 			return ErrKeyExists
 		}
 	case recUpdate, recDelete:
-		if !present {
+		if !s.found {
 			return ErrNotFound
 		}
 	}
 
 	if t.smo == SMOSingleCAS {
-		delta, err := buildLeafDelta(t, h.ah, typ, key, value, uint64(v.head), v.chain+1, scratchWord)
+		delta, err := buildLeafDelta(t, h.ah, typ, key, value, uint64(s.head), s.chain+1, scratchWord)
 		if err != nil {
 			return err
 		}
 		//lint:allow rawload — baseline mode installs deltas with plain CAS (paper §6.2), outside the dirty-bit protocol
-		if !t.dev.CAS(t.mappingOff(leafLPID), uint64(v.head), uint64(delta)) {
+		if !t.dev.CAS(t.mappingOff(leafLPID), uint64(s.head), uint64(delta)) {
 			_ = t.alloc.Free(delta)
 			return errRetry
 		}
@@ -206,12 +204,12 @@ func (h *Handle) writeOnce(key, value, typ uint64) error {
 		if err != nil {
 			return err
 		}
-		field, err := d.ReserveEntry(t.mappingOff(leafLPID), uint64(v.head), core.PolicyFreeNewOnFailure)
+		field, err := d.ReserveEntry(t.mappingOff(leafLPID), uint64(s.head), core.PolicyFreeNewOnFailure)
 		if err != nil {
 			d.Discard()
 			return err
 		}
-		if _, err := buildLeafDelta(t, h.ah, typ, key, value, uint64(v.head), v.chain+1, field); err != nil {
+		if _, err := buildLeafDelta(t, h.ah, typ, key, value, uint64(s.head), s.chain+1, field); err != nil {
 			d.Discard()
 			return err
 		}
@@ -241,10 +239,11 @@ func (h *Handle) Scan(from, to uint64, fn func(Entry) bool) error {
 	g.Enter()
 	defer g.Exit()
 
-	_, _, v, err := h.descend(from)
+	_, _, s, err := h.descend(from)
 	if err != nil {
 		return err
 	}
+	v := h.resolve(uint64(s.head))
 	for {
 		for _, e := range v.leafEntries {
 			if e.Key < from {
@@ -272,11 +271,11 @@ func (h *Handle) Scan(from, to uint64, fn func(Entry) bool) error {
 				}
 			}
 		}
-		_, _, v2, err := h.descend(cursor)
+		_, _, s, err := h.descend(cursor)
 		if err != nil {
 			return err
 		}
-		v = v2
+		v = h.resolve(uint64(s.head))
 	}
 }
 

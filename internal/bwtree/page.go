@@ -112,20 +112,11 @@ type InnerEntry struct {
 // chain under the caller's epoch guard.
 type pageView struct {
 	head   nvram.Offset // chain head this view was resolved from
-	base   nvram.Offset // the base record at the chain's end
 	isLeaf bool
 	chain  int // number of deltas above the base
 
 	low, high uint64
 	side      uint64 // right sibling LPID (possibly updated by a split delta)
-
-	// Split information pending in the chain, if any: keys above
-	// splitSep have moved to splitSibling; preSplitHigh is the page's
-	// upper fence before the split (needed by baseline help-along).
-	hasSplit     bool
-	splitSep     uint64
-	splitSibling uint64
-	preSplitHigh uint64
 
 	removed bool // page was merged away
 
@@ -171,7 +162,7 @@ func (h *Handle) resolve(head uint64) pageView {
 	t := h.tree
 	v := pageView{head: nvram.Offset(head)}
 	// Materialize into the handle's ring scratch (see Handle.viewRing):
-	// resolve runs on every level of every descend, so per-call makes
+	// every write that consolidates resolves its page, so per-call makes
 	// here would dominate the point ops' allocation profile.
 	b := &h.viewRing[h.viewIdx&(viewRingSize-1)]
 	h.viewIdx++
@@ -180,7 +171,6 @@ func (h *Handle) resolve(head uint64) pageView {
 	for {
 		typ := t.recType(rec)
 		if typ == recBaseLeaf || typ == recBaseInner {
-			v.base = rec
 			v.isLeaf = typ == recBaseLeaf
 			break
 		}
@@ -192,12 +182,13 @@ func (h *Handle) resolve(head uint64) pageView {
 		rec = nvram.Offset(t.recNext(rec))
 	}
 	b.deltas = deltas
+	base := rec
 	v.chain = len(deltas)
-	v.low = t.dev.Load(v.base + baseLowOff)
-	v.high = t.dev.Load(v.base + baseHighOff)
-	v.side = t.dev.Load(v.base + baseSideOff)
+	v.low = t.dev.Load(base + baseLowOff)
+	v.high = t.dev.Load(base + baseHighOff)
+	v.side = t.dev.Load(base + baseSideOff)
 
-	n := t.recCount(v.base)
+	n := t.recCount(base)
 	if v.isLeaf {
 		// Upper bound on growth: each delta adds at most one entry, so
 		// replay can never outgrow the reservation and reallocate.
@@ -206,7 +197,7 @@ func (h *Handle) resolve(head uint64) pageView {
 		}
 		v.leafEntries = b.leaf[:0]
 		for i := 0; i < n; i++ {
-			e := t.entryOff(v.base, i)
+			e := t.entryOff(base, i)
 			v.leafEntries = append(v.leafEntries, Entry{Key: t.dev.Load(e), Value: t.dev.Load(e + 8)})
 		}
 	} else {
@@ -215,7 +206,7 @@ func (h *Handle) resolve(head uint64) pageView {
 		}
 		v.innerEntries = b.inner[:0]
 		for i := 0; i < n; i++ {
-			e := t.entryOff(v.base, i)
+			e := t.entryOff(base, i)
 			v.innerEntries = append(v.innerEntries, InnerEntry{t.dev.Load(e), t.dev.Load(e + 8)})
 		}
 	}
@@ -269,8 +260,6 @@ func (v *pageView) applyLeafDelete(key uint64) {
 // applySplit truncates the view at the separator: keys above sep now
 // live at the sibling.
 func (v *pageView) applySplit(sep, sibling uint64) {
-	v.hasSplit, v.splitSep, v.splitSibling = true, sep, sibling
-	v.preSplitHigh = v.high
 	if v.isLeaf {
 		i := leafSearch(v.leafEntries, sep, true)
 		v.leafEntries = v.leafEntries[:i]
@@ -311,22 +300,96 @@ func (v *pageView) applyIndexDelete(low, high, child uint64) {
 	v.innerEntries = append(v.innerEntries[:lo], v.innerEntries[hi:]...)
 }
 
-// route returns the child LPID covering key in an inner view.
-func (v *pageView) route(key uint64) (uint64, bool) {
-	i := innerSearch(v.innerEntries, key, false)
-	if i == len(v.innerEntries) {
-		return 0, false
-	}
-	return v.innerEntries[i].Child, true
+// pageHit is one key's answer from one page, read in place by search:
+// the page's fences and, when key is within them, the key's value (leaf)
+// or the child that routes it (inner).
+type pageHit struct {
+	head    nvram.Offset
+	chain   int // deltas above the base, from the head's meta word
+	isLeaf  bool
+	removed bool
+
+	low, high uint64 // high is a pending split's separator, if any
+	side      uint64 // right sibling LPID (the split sibling, if any)
+	baseHigh  uint64 // the base's upper fence; above high iff a split is pending
+
+	found bool
+	val   uint64 // leaf value or inner child LPID
 }
 
-// get looks a key up in a leaf view.
-func (v *pageView) get(key uint64) (uint64, bool) {
-	i := leafSearch(v.leafEntries, key, false)
-	if i < len(v.leafEntries) && v.leafEntries[i].Key == key {
-		return v.leafEntries[i].Value, true
+// search answers a point lookup or a routing step on the chain at head
+// without materialising the page. It visits deltas newest-first, so the
+// first record for key wins: a leaf delta for key, or an index-entry or
+// index-delete delta whose range holds key. The newest split delta sets
+// the page's fences. Then it binary-searches the base's sorted entries.
+// Each record's meta word is loaded once: O(chain + log n) loads, where
+// resolve pays O(chain + 2n).
+func (t *Tree) search(head, key uint64) pageHit {
+	s := pageHit{head: nvram.Offset(head)}
+	split, decided := false, false
+	rec := s.head
+	for {
+		meta := t.dev.Load(rec + recMetaOff)
+		if rec == s.head {
+			s.chain = int(meta >> 8 & 0xffff)
+		}
+		switch typ := meta & 0xff; typ {
+		case recInsert, recUpdate, recDelete:
+			if !decided && t.dev.Load(rec+deltaKeyOff) == key {
+				decided, s.found = true, typ != recDelete
+				if s.found {
+					s.val = t.dev.Load(rec + deltaValOff)
+				}
+			}
+		case recSplit:
+			if !split {
+				split = true
+				s.high, s.side = t.dev.Load(rec+splitSepOff), t.dev.Load(rec+splitSiblingOff)
+			}
+		case recIndexEntry:
+			if !decided && key > t.dev.Load(rec+idxLowOff) && key <= t.dev.Load(rec+idxHighOff) {
+				child := rec + idxRightOff
+				if key <= t.dev.Load(rec+idxMidOff) {
+					child = rec + idxLeftOff
+				}
+				decided, s.found, s.val = true, true, t.dev.Load(child)
+			}
+		case recIndexDelete:
+			if !decided && key > t.dev.Load(rec+idxDelLowOff) && key <= t.dev.Load(rec+idxDelHighOff) {
+				decided, s.found, s.val = true, true, t.dev.Load(rec+idxDelChildOff)
+			}
+		case recBaseLeaf, recBaseInner:
+			s.isLeaf = typ == recBaseLeaf
+			s.low, s.baseHigh = t.dev.Load(rec+baseLowOff), t.dev.Load(rec+baseHighOff)
+			if !split {
+				s.high, s.side = s.baseHigh, t.dev.Load(rec+baseSideOff)
+			}
+			if decided {
+				return s
+			}
+			// First entry with key >= the target; at is that entry's key.
+			n := int(meta >> 24)
+			lo, hi, at := 0, n, uint64(0)
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if k := t.dev.Load(t.entryOff(rec, mid)); k < key {
+					lo = mid + 1
+				} else {
+					hi, at = mid, k
+				}
+			}
+			if lo < n && (!s.isLeaf || at == key) {
+				s.found, s.val = true, t.dev.Load(t.entryOff(rec, lo)+8)
+			}
+			return s
+		case recRemoved:
+			s.removed = true
+			return s
+		default:
+			panic(fmt.Sprintf("bwtree: record %#x has corrupt type %d", rec, typ))
+		}
+		rec = nvram.Offset(t.dev.Load(rec + recNextOff))
 	}
-	return 0, false
 }
 
 // ---- record builders -------------------------------------------------

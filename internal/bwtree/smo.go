@@ -147,19 +147,23 @@ func (t *Tree) registerCallbacks() error {
 func (h *Handle) maintain(path []pathEntry, lpid uint64) {
 	t := h.tree
 	head := h.readMapping(lpid)
+	// A short chain with merging off has nothing to fire: consolidation
+	// waits for consolAt deltas and split refuses chained pages.
+	if chain := t.recChain(nvram.Offset(head)); chain > 0 && chain < t.consolAt && t.mergeBelow == 0 {
+		return
+	}
 	v := h.resolve(head)
 	if v.removed {
 		return
 	}
 	if v.chain >= t.consolAt {
-		if !h.consolidate(lpid, &v) {
+		page := h.consolidate(lpid, &v)
+		// While the mapping still holds the new base, the view already
+		// is its content.
+		if page == 0 || h.readMapping(lpid) != uint64(page) {
 			return
 		}
-		head = h.readMapping(lpid)
-		v = h.resolve(head)
-		if v.removed || v.chain > 0 {
-			return
-		}
+		v.head, v.chain = page, 0
 	}
 	capacity := t.leafCap
 	if !v.isLeaf {
@@ -240,31 +244,30 @@ func (h *Handle) collapseRoot(v *pageView) bool {
 	return ok
 }
 
-// consolidate replaces a delta chain with a fresh base page. Returns
-// whether the swap landed.
+// consolidate replaces a delta chain with a fresh base page. Returns the
+// base it installed, or 0 if the swap did not land.
 //
 //pmwcas:requires-guard — reads the mapping word it intends to swap
-func (h *Handle) consolidate(lpid uint64, v *pageView) (did bool) {
+func (h *Handle) consolidate(lpid uint64, v *pageView) (page nvram.Offset) {
 	t := h.tree
 	if v.removed || v.chain == 0 {
-		return false
+		return 0
 	}
 	t0 := smoStart()
 	//lint:allow hotpath — SMO timing closure; consolidation is amortized maintenance triggered past chain/size thresholds, its cost pinned by TestPointOpsAllocBudget, not the per-op proof (§6.3)
-	defer func() { h.observeSMO(mConsolidateNs, t0, did) }()
+	defer func() { h.observeSMO(mConsolidateNs, t0, page != 0) }()
 	if t.smo == SMOSingleCAS {
 		return h.consolidateCAS(lpid, v)
 	}
 	d, err := h.core.AllocateDescriptor(cbSMO)
 	if err != nil {
-		return false
+		return 0
 	}
 	field, err := d.ReserveEntry(t.mappingOff(lpid), uint64(v.head), core.PolicyFreeOne)
 	if err != nil {
 		d.Discard()
-		return false
+		return 0
 	}
-	var page nvram.Offset
 	if v.isLeaf {
 		page, err = buildLeafInto(t, h.ah, v.leafEntries, v.low, v.high, v.side, field)
 	} else {
@@ -272,11 +275,12 @@ func (h *Handle) consolidate(lpid uint64, v *pageView) (did bool) {
 	}
 	if err != nil {
 		d.Discard()
-		return false
+		return 0
 	}
-	_ = page
-	ok, _ := d.Execute()
-	return ok
+	if ok, _ := d.Execute(); !ok {
+		return 0
+	}
+	return page
 }
 
 // split divides an oversized, fully consolidated page, posting the new

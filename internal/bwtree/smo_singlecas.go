@@ -15,10 +15,10 @@ import (
 const scratchWord = nvram.WordSize
 
 // consolidateCAS swaps a consolidated page in with one CAS, freeing the
-// old chain through the epoch manager.
+// old chain through the epoch manager. Returns the installed base, or 0.
 //
 //pmwcas:requires-guard — reads the mapping word it intends to swap
-func (h *Handle) consolidateCAS(lpid uint64, v *pageView) bool {
+func (h *Handle) consolidateCAS(lpid uint64, v *pageView) nvram.Offset {
 	t := h.tree
 	var page nvram.Offset
 	var err error
@@ -28,14 +28,14 @@ func (h *Handle) consolidateCAS(lpid uint64, v *pageView) bool {
 		page, err = buildInnerInto(t, h.ah, v.innerEntries, v.low, v.high, v.side, scratchWord)
 	}
 	if err != nil {
-		return false
+		return 0
 	}
 	if !t.dev.CAS(t.mappingOff(lpid), uint64(v.head), uint64(page)) {
 		_ = t.alloc.Free(page)
-		return false
+		return 0
 	}
 	t.deferFree(uint64(v.head))
-	return true
+	return page
 }
 
 // splitCAS is the paper's multi-step split (Figure 4c/4d): install the
@@ -154,26 +154,25 @@ func (h *Handle) helpSplitCAS(parentLPID, low, sep, high, pLPID, qLPID uint64) {
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		head := h.readMapping(parentLPID)
-		pv := h.resolve(head)
-		if pv.removed {
+		ps := t.search(head, probe)
+		if ps.removed {
 			return
 		}
 		// The parent itself may have split past our separator.
-		if probe > pv.high {
-			if pv.side == 0 {
+		if probe > ps.high {
+			if ps.side == 0 {
 				return
 			}
-			parentLPID = pv.side
+			parentLPID = ps.side
 			continue
 		}
-		if child, ok := pv.route(probe); !ok || child == qLPID {
+		if ps.isLeaf || !ps.found || ps.val == qLPID {
 			return // already posted (or parent reorganized underneath us)
-		} else if child != pLPID {
+		} else if ps.val != pLPID {
 			return // routing moved on; a consolidation already folded it in
 		}
-		parentChain := t.recChain(nvram.Offset(head))
 		idxD, err := buildIndexEntryDelta(t, h.ah, low, sep, high, pLPID, qLPID,
-			head, parentChain+1, scratchWord)
+			head, ps.chain+1, scratchWord)
 		if err != nil {
 			return
 		}
