@@ -38,7 +38,7 @@ func main() {
 	dels := flag.Int("dels", 0, "percent DELETE")
 	scans := flag.Int("scans", 10, "percent SCAN")
 	scanLimit := flag.Int("scanlimit", 50, "entries per SCAN")
-	valSize := flag.Int("valsize", 64, "value size in bytes (use <=7 against a bwtree server)")
+	valSize := flag.Int("valsize", 64, "value size in bytes")
 	pipeline := flag.Int("pipeline", 1, "requests in flight per connection (1 = synchronous)")
 	preload := flag.Int("preload", 0, "keys to PUT sequentially before the timed run")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request I/O timeout")

@@ -40,7 +40,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":7171", "listen address")
 	file := flag.String("file", "", "store snapshot path: loaded at start if present, checkpointed on shutdown (persistent mode)")
-	index := flag.String("index", "skiplist", "storage backend: skiplist (blob values), bwtree, or hash (word values; no SCAN)")
+	index := flag.String("index", "skiplist", "index the blob layer keeps keys in: skiplist, bwtree, or hash (no SCAN)")
 	mode := flag.String("mode", "persistent", "persistence mode: persistent or volatile")
 	sizeMiB := flag.Uint64("size", 256, "store size in MiB")
 	shards := flag.Int("shards", 1, "independent store shards; keys are hash-partitioned, SCAN merges shards in key order")

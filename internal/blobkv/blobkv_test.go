@@ -11,6 +11,7 @@ import (
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/keycodec"
 	"pmwcas/internal/nvram"
 	"pmwcas/internal/skiplist"
@@ -92,7 +93,8 @@ func (e *kenv) build(t testing.TB, recover bool) {
 		t.Fatalf("skiplist.New: %v", err)
 	}
 	e.kv, err = Open(Config{
-		List: e.list, Allocator: e.alloc, Device: e.dev,
+		Index:     func(seed int64) index.Owner { return e.list.NewHandle(seed) },
+		Allocator: e.alloc, Device: e.dev,
 		Staging: e.stage, MaxHandles: kvHandles,
 	})
 	if err != nil {
@@ -221,8 +223,8 @@ func TestValidation(t *testing.T) {
 	if err := h.Put([]byte("k"), make([]byte, MaxValueLen+1)); !errors.Is(err, ErrValueTooLarge) {
 		t.Fatalf("huge value: %v", err)
 	}
-	if h.Has([]byte("waytoolong")) {
-		t.Fatal("Has(long key) = true")
+	if _, err := h.Get([]byte("waytoolong")); !errors.Is(err, keycodec.ErrTooLong) {
+		t.Fatalf("Get(long key): %v", err)
 	}
 }
 
@@ -262,8 +264,8 @@ func TestScansAndPrefix(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("range scan found %d", n)
 	}
-	if h.Len() != len(pairs) {
-		t.Fatalf("Len = %d", h.Len())
+	if n := count(t, h); n != len(pairs) {
+		t.Fatalf("full scan found %d keys, want %d", n, len(pairs))
 	}
 }
 
@@ -347,7 +349,7 @@ func TestQuickAgainstReferenceMap(t *testing.T) {
 				}
 			}
 		}
-		return h.Len() == len(ref)
+		return count(t, h) == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -591,6 +593,16 @@ func TestStagedOrphanFreedOnOpen(t *testing.T) {
 	if blocks != base {
 		t.Fatalf("orphan record leaked: %d blocks, want %d", blocks, base)
 	}
+}
+
+// count scans the whole keyspace and returns how many keys it holds.
+func count(t testing.TB, h *Handle) int {
+	t.Helper()
+	n := 0
+	if err := h.ScanPrefix(nil, func(_, _ []byte) bool { n++; return true }); err != nil {
+		t.Fatalf("ScanPrefix: %v", err)
+	}
+	return n
 }
 
 func keyFor(t *testing.T, s string) uint64 {

@@ -8,26 +8,26 @@ import (
 	"fmt"
 
 	"pmwcas/internal/alloc"
+	"pmwcas/internal/index"
 	"pmwcas/internal/keycodec"
 	"pmwcas/internal/nvram"
-	"pmwcas/internal/skiplist"
 )
 
 // Check audits the blob layer of a (recovered, quiescent) store: every
-// skip list entry's value must be a well-formed record block whose
-// embedded key matches the index, and every non-zero staging slot must
-// reference a valid block (staged records are reachable — they are
-// exactly what staging recovery will free or keep on the next Open).
+// index entry's value must be a well-formed record block whose embedded
+// key matches the index, and every non-zero staging slot must reference a
+// valid block (staged records are reachable — they are exactly what
+// staging recovery will free or keep on the next Open).
 //
-// listEntries is the base-level content returned by skiplist.Check. The
-// returned blocks are the record blocks the blob layer reaches beyond
-// the index nodes themselves; blobs is the decoded logical contents for
-// a durable-linearizability oracle.
+// entries is the content of the index the layer is on, as its Check
+// returns it. The returned blocks are the record blocks the blob layer
+// reaches beyond the index's own blocks; blobs is the decoded logical
+// contents for a durable-linearizability oracle.
 func Check(dev *nvram.Device, a *alloc.Allocator, staging nvram.Region, maxHandles int,
-	listEntries []skiplist.Entry) ([]nvram.Offset, map[string][]byte, error) {
+	entries []index.Entry) ([]nvram.Offset, map[string][]byte, error) {
 
 	var blocks []nvram.Offset
-	blobs := make(map[string][]byte, len(listEntries))
+	blobs := make(map[string][]byte, len(entries))
 
 	checkRecord := func(rec nvram.Offset, wantKey uint64) (int, error) {
 		size, err := a.BlockSize(rec)
@@ -46,7 +46,7 @@ func Check(dev *nvram.Device, a *alloc.Allocator, staging nvram.Region, maxHandl
 		return int(n), nil
 	}
 
-	for _, e := range listEntries {
+	for _, e := range entries {
 		rec := nvram.Offset(e.Value)
 		if _, err := checkRecord(rec, e.Key); err != nil {
 			return nil, nil, err

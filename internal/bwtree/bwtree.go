@@ -35,6 +35,7 @@ import (
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
+	"pmwcas/internal/epoch"
 	"pmwcas/internal/index"
 	"pmwcas/internal/metrics"
 	"pmwcas/internal/nvram"
@@ -325,6 +326,10 @@ func (t *Tree) NewHandle() *Handle {
 		pathBuf: make([]pathEntry, 0, maxDescentDepth),
 	}
 }
+
+// Guard exposes the handle's epoch guard (index.Owner): hold it across
+// reading a value and dereferencing the block it names.
+func (h *Handle) Guard() *epoch.Guard { return h.core.Guard() }
 
 // readMapping reads a mapping word under the caller's guard, helping any
 // in-flight PMwCAS in descriptor modes. The baseline branch masks the

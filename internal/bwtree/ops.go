@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/metrics"
 )
 
@@ -122,38 +123,76 @@ func (h *Handle) Contains(key uint64) bool {
 	return err == nil
 }
 
+// anyValue is write's expect when any current value will do: it has
+// reserved bits set, so no stored value (and no checked expect) can
+// equal it.
+const anyValue = ^uint64(0)
+
 // Insert adds key/value; ErrKeyExists if present.
 //
 //pmwcas:hotpath — Bw-tree point insert; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by TestPointOpsAllocBudget
 func (h *Handle) Insert(key, value uint64) error {
-	return h.write(key, value, recInsert)
+	_, err := h.write(key, anyValue, value, recInsert, false)
+	return err
 }
 
 // Update replaces the value under key; ErrNotFound if absent.
 //
 //pmwcas:hotpath — Bw-tree point update; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by TestPointOpsAllocBudget
 func (h *Handle) Update(key, value uint64) error {
-	return h.write(key, value, recUpdate)
+	_, err := h.write(key, anyValue, value, recUpdate, false)
+	return err
 }
 
 // Delete removes key; ErrNotFound if absent.
 //
 //pmwcas:hotpath — Bw-tree point delete; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by TestPointOpsAllocBudget
 func (h *Handle) Delete(key uint64) error {
-	return h.write(key, 0, recDelete)
+	_, err := h.write(key, anyValue, 0, recDelete, false)
+	return err
 }
 
-// write installs one leaf delta (insert, update, or delete — Figure 4a)
-// and runs page maintenance afterwards.
-func (h *Handle) write(key, value uint64, typ uint64) error {
-	if err := checkKey(key); err != nil {
+// CompareUpdateOwned is Update of a value the tree owns, and only while
+// it is expect: the update delta records expect, and the PMwCAS that
+// installs the delta frees expect's block once the epoch allows.
+//
+//pmwcas:hotpath — blob-layer overwrite on the Bw-tree; allocation-free like Update, which shares its body
+func (h *Handle) CompareUpdateOwned(key, expect, value uint64) error {
+	if err := checkValue(expect); err != nil {
 		return err
+	}
+	_, err := h.write(key, expect, value, recUpdate, true)
+	return err
+}
+
+// DeleteOwned is Delete of a value the tree owns: the delete delta
+// records the value, and the PMwCAS that installs the delta frees its
+// block. It returns the value it removed.
+//
+//pmwcas:hotpath — blob-layer delete on the Bw-tree; allocation-free like Delete, which shares its body
+func (h *Handle) DeleteOwned(key uint64) (uint64, error) {
+	return h.write(key, anyValue, 0, recDelete, true)
+}
+
+// errOwnedSingleCAS rejects owned writes in the baseline mode, whose
+// plain-CAS installs have no recycle policy to free the displaced block.
+var errOwnedSingleCAS = errors.New("bwtree: owned values need a descriptor SMO mode")
+
+// write installs one leaf delta (insert, update, or delete — Figure 4a)
+// and runs page maintenance afterwards. It returns the value the write
+// displaced.
+func (h *Handle) write(key, expect, value, typ uint64, owned bool) (uint64, error) {
+	if err := checkKey(key); err != nil {
+		return 0, err
 	}
 	if err := checkValue(value); err != nil {
-		return err
+		return 0, err
+	}
+	if owned && h.tree.smo == SMOSingleCAS {
+		return 0, errOwnedSingleCAS
 	}
 	for {
-		err := h.writeOnce(key, value, typ)
+		old, err := h.writeOnce(key, expect, value, typ, owned)
 		if errors.Is(err, core.ErrPoolExhausted) {
 			h.tree.pool.ReclaimPause()
 			continue
@@ -161,14 +200,19 @@ func (h *Handle) write(key, value uint64, typ uint64) error {
 		if errors.Is(err, errRetry) {
 			continue
 		}
-		return err
+		return old, err
 	}
 }
 
 // errRetry signals a lost installation race: re-descend and try again.
 var errRetry = errors.New("bwtree: retry")
 
-func (h *Handle) writeOnce(key, value, typ uint64) error {
+// writeOnce makes one attempt. The descent's hit is the key's current
+// value, checked against expect; the mapping-word PMwCAS expects the head
+// that hit was read from, so the check holds at the install. An owned
+// write records the displaced value in its delta and pins it there with
+// an old == new FreeOldOnSuccess entry, which frees its block on success.
+func (h *Handle) writeOnce(key, expect, value, typ uint64, owned bool) (uint64, error) {
 	t := h.tree
 	g := h.core.Guard()
 	g.Enter()
@@ -176,53 +220,65 @@ func (h *Handle) writeOnce(key, value, typ uint64) error {
 
 	path, leafLPID, s, err := h.descend(key)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	switch typ {
-	case recInsert:
-		if s.found {
-			return ErrKeyExists
+	switch {
+	case typ == recInsert && s.found:
+		return 0, ErrKeyExists
+	case typ != recInsert && !s.found:
+		return 0, ErrNotFound
+	case expect != anyValue && s.val != expect:
+		return 0, index.ErrValueMismatch
+	}
+	var displaced uint64
+	if owned {
+		if typ == recUpdate && s.val == value {
+			return s.val, nil // already in place: freeing it would be wrong
 		}
-	case recUpdate, recDelete:
-		if !s.found {
-			return ErrNotFound
-		}
+		displaced = s.val
 	}
 
 	if t.smo == SMOSingleCAS {
-		delta, err := buildLeafDelta(t, h.ah, typ, key, value, uint64(s.head), s.chain+1, scratchWord)
+		delta, err := buildLeafDelta(t, h.ah, typ, key, value, 0, uint64(s.head), s.chain+1, scratchWord)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		//lint:allow rawload — baseline mode installs deltas with plain CAS (paper §6.2), outside the dirty-bit protocol
 		if !t.dev.CAS(t.mappingOff(leafLPID), uint64(s.head), uint64(delta)) {
 			_ = t.alloc.Free(delta)
-			return errRetry
+			return 0, errRetry
 		}
 	} else {
 		d, err := h.core.AllocateDescriptor(0)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		field, err := d.ReserveEntry(t.mappingOff(leafLPID), uint64(s.head), core.PolicyFreeNewOnFailure)
 		if err != nil {
 			d.Discard()
-			return err
+			return 0, err
 		}
-		if _, err := buildLeafDelta(t, h.ah, typ, key, value, uint64(s.head), s.chain+1, field); err != nil {
+		delta, err := buildLeafDelta(t, h.ah, typ, key, value, displaced, uint64(s.head), s.chain+1, field)
+		if err != nil {
 			d.Discard()
-			return err
+			return 0, err
+		}
+		if displaced != 0 {
+			if err := d.AddWordWithPolicy(delta+deltaOwnedOff, displaced, displaced, core.PolicyFreeOldOnSuccess); err != nil {
+				d.Discard()
+				return 0, err
+			}
 		}
 		ok, err := d.Execute()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if !ok {
-			return errRetry
+			return 0, errRetry
 		}
 	}
 	h.maintain(path, leafLPID)
-	return nil
+	return s.val, nil
 }
 
 // Scan visits keys in [from, to] ascending, following leaf side links.

@@ -29,7 +29,8 @@ import (
 //
 // Delta records (prepended by updates and SMOs):
 //
-//	insert/delete/update: +16 key, +24 value
+//	insert/delete/update: +16 key, +24 value, +32 the owned value it
+//	                      displaces (written by owned writes only)
 //	split:                +16 sep, +24 sibling LPID
 //	index-entry:          +16 low, +24 mid, +32 high, +40 left, +48 right
 //	                      (keys in (low,mid] -> left, (mid,high] -> right)
@@ -45,8 +46,9 @@ const (
 	baseEntriesOff = 40
 	entrySize      = 16
 
-	deltaKeyOff = 16
-	deltaValOff = 24
+	deltaKeyOff   = 16
+	deltaValOff   = 24
+	deltaOwnedOff = 32
 
 	splitSepOff     = 16
 	splitSiblingOff = 24
@@ -447,8 +449,10 @@ func buildInnerInto(t *Tree, ah *alloc.Handle, entries []InnerEntry, low, high, 
 
 const deltaSize = 64 // all delta records fit one cache line
 
-// buildLeafDelta writes an insert/update/delete delta over next.
-func buildLeafDelta(t *Tree, ah *alloc.Handle, typ uint64, key, val, next uint64, chain int, target nvram.Offset) (nvram.Offset, error) {
+// buildLeafDelta writes an insert/update/delete delta over next. A
+// nonzero displaced is the owned value the delta replaces; it goes to
+// +32, where the installing PMwCAS pins it.
+func buildLeafDelta(t *Tree, ah *alloc.Handle, typ uint64, key, val, displaced, next uint64, chain int, target nvram.Offset) (nvram.Offset, error) {
 	d, err := ah.Alloc(deltaSize, target)
 	if err != nil {
 		return 0, err
@@ -457,6 +461,9 @@ func buildLeafDelta(t *Tree, ah *alloc.Handle, typ uint64, key, val, next uint64
 	t.dev.Store(d+recNextOff, next)
 	t.dev.Store(d+deltaKeyOff, key)
 	t.dev.Store(d+deltaValOff, val)
+	if displaced != 0 {
+		t.dev.Store(d+deltaOwnedOff, displaced)
+	}
 	t.flushRecord(d, deltaSize)
 	return d, nil
 }

@@ -382,10 +382,6 @@ var noElide atomic.Bool
 // SetFlushElision enables or disables traversal flush elision globally.
 func SetFlushElision(on bool) { noElide.Store(!on) }
 
-// FlushElisionEnabled reports whether ReadTraverse may return dirty values
-// without flushing them.
-func FlushElisionEnabled() bool { return !noElide.Load() }
-
 // ReadTraverse reads a PMwCAS-managed word for navigation only. Unlike
 // Read, it may return a value whose dirty bit is set — without flushing
 // the line — because a traversal-only value never enters durable state:

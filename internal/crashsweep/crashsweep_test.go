@@ -49,7 +49,7 @@ func TestSweepShort(t *testing.T) {
 	if testing.Short() {
 		ops = 12
 	}
-	for _, w := range []string{"skiplist", "bwtree", "hashtable", "pqueue", "blobkv"} {
+	for _, w := range []string{"skiplist", "bwtree", "hashtable", "pqueue", "blobkv", "blobkv-bwtree", "blobkv-hash"} {
 		w := w
 		t.Run(w, func(t *testing.T) {
 			t.Parallel()
@@ -221,11 +221,11 @@ func TestViolationIsPinned(t *testing.T) {
 		if err := h.Insert(7, 70); err != nil {
 			return err
 		}
-		kv.begin(kvOp{kvPut, 7, 70})
+		kv.begin(kvOp{key: 7, val: 70})
 		kv.commit(true)
 		// Lie: acknowledge a write that never happened. Every later crash
 		// point must flag the recovered image for missing key 8.
-		kv.begin(kvOp{kvPut, 8, 80})
+		kv.begin(kvOp{key: 8, val: 80})
 		kv.commit(true)
 		return h.Insert(9, 90) // generate post-lie crash points
 	}

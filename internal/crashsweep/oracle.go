@@ -3,6 +3,7 @@ package crashsweep
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sync"
 
 	"pmwcas"
@@ -30,43 +31,75 @@ type snap interface {
 	match(ds *pmwcas.DurableState) error
 }
 
-// ---- integer KV oracle (every word index) ----------------------------
+// ---- map oracle (every word index, every blob layer) -----------------
 
-type kvKind int
-
-const (
-	kvPut kvKind = iota
-	kvDelete
-)
-
-type kvOp struct {
-	kind kvKind
-	key  uint64
-	val  uint64
+// mapOp is one put or delete on a key/value model.
+type mapOp[K comparable, V any] struct {
+	del bool
+	key K
+	val V // put only
 }
 
-func (op kvOp) String() string {
-	if op.kind == kvDelete {
-		return fmt.Sprintf("delete(%#x)", op.key)
+func (op mapOp[K, V]) String() string {
+	if op.del {
+		return fmt.Sprintf("delete(%#v)", op.key)
 	}
-	return fmt.Sprintf("put(%#x, %#x)", op.key, op.val)
+	return fmt.Sprintf("put(%#v, %#v)", op.key, op.val)
 }
+
+func (op mapOp[K, V]) apply(m map[K]V) {
+	if op.del {
+		delete(m, op.key)
+	} else {
+		m[op.key] = op.val
+	}
+}
+
+// mapOracle models a key/value workload. state extracts the recovered
+// contents from an image; equal compares two values.
+type mapOracle[K comparable, V any] struct {
+	state func(*pmwcas.DurableState) map[K]V
+	equal func(a, b V) bool
+
+	mu      sync.Mutex
+	model   map[K]V
+	pending *mapOp[K, V]
+}
+
+// kvOracle models a word index; blobOracle a blob layer.
+type (
+	kvOracle   = mapOracle[uint64, uint64]
+	kvOp       = mapOp[uint64, uint64]
+	blobOracle = mapOracle[string, []byte]
+	blobOp     = mapOp[string, []byte]
+)
 
 // stateFunc selects one index's entries from a recovered image.
 type stateFunc func(*pmwcas.DurableState) []pmwcas.IndexEntry
 
-type kvOracle struct {
-	mu      sync.Mutex
-	state   stateFunc
-	model   map[uint64]uint64
-	pending *kvOp
+func newKVOracle(entries stateFunc) *kvOracle {
+	return &kvOracle{
+		state: func(ds *pmwcas.DurableState) map[uint64]uint64 {
+			m := map[uint64]uint64{}
+			for _, e := range entries(ds) {
+				m[e.Key] = e.Value
+			}
+			return m
+		},
+		equal: func(a, b uint64) bool { return a == b },
+		model: map[uint64]uint64{},
+	}
 }
 
-func newKVOracle(state stateFunc) *kvOracle {
-	return &kvOracle{state: state, model: map[uint64]uint64{}}
+func newBlobOracle() *blobOracle {
+	return &blobOracle{
+		state: func(ds *pmwcas.DurableState) map[string][]byte { return ds.Blobs },
+		equal: bytes.Equal,
+		model: map[string][]byte{},
+	}
 }
 
-func (o *kvOracle) begin(op kvOp) {
+func (o *mapOracle[K, V]) begin(op mapOp[K, V]) {
 	o.mu.Lock()
 	o.pending = &op
 	o.mu.Unlock()
@@ -75,38 +108,27 @@ func (o *kvOracle) begin(op kvOp) {
 // commit resolves the pending operation: applied folds it into the
 // model, !applied drops it (the operation returned an error and left no
 // durable trace).
-func (o *kvOracle) commit(applied bool) {
+func (o *mapOracle[K, V]) commit(applied bool) {
 	o.mu.Lock()
 	if applied && o.pending != nil {
-		applyKV(o.model, *o.pending)
+		o.pending.apply(o.model)
 	}
 	o.pending = nil
 	o.mu.Unlock()
 }
 
 // expect returns the model's view of key for live read-back checks.
-func (o *kvOracle) expect(key uint64) (uint64, bool) {
+func (o *mapOracle[K, V]) expect(key K) (V, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	v, ok := o.model[key]
 	return v, ok
 }
 
-func applyKV(m map[uint64]uint64, op kvOp) {
-	if op.kind == kvDelete {
-		delete(m, op.key)
-	} else {
-		m[op.key] = op.val
-	}
-}
-
-func (o *kvOracle) snapshot() snap {
+func (o *mapOracle[K, V]) snapshot() snap {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	s := &kvSnap{state: o.state, model: make(map[uint64]uint64, len(o.model))}
-	for k, v := range o.model {
-		s.model[k] = v
-	}
+	s := &mapSnap[K, V]{o: o, model: maps.Clone(o.model)}
 	if o.pending != nil {
 		op := *o.pending
 		s.pending = &op
@@ -114,50 +136,42 @@ func (o *kvOracle) snapshot() snap {
 	return s
 }
 
-type kvSnap struct {
-	state   stateFunc
-	model   map[uint64]uint64
-	pending *kvOp
+type mapSnap[K comparable, V any] struct {
+	o       *mapOracle[K, V] // for state and equal only
+	model   map[K]V
+	pending *mapOp[K, V]
 }
 
-func (s *kvSnap) match(ds *pmwcas.DurableState) error {
-	got := map[uint64]uint64{}
-	for _, e := range s.state(ds) {
-		got[e.Key] = e.Value
-	}
-	if err := diffKV(got, s.model); err == nil {
+func (s *mapSnap[K, V]) match(ds *pmwcas.DurableState) error {
+	got := s.o.state(ds)
+	err := s.diff(got, s.model)
+	if err == nil {
 		return nil
 	}
-	if s.pending != nil {
-		alt := make(map[uint64]uint64, len(s.model)+1)
-		for k, v := range s.model {
-			alt[k] = v
-		}
-		applyKV(alt, *s.pending)
-		if err := diffKV(got, alt); err == nil {
-			return nil
-		}
+	if s.pending == nil {
+		return fmt.Errorf("recovered state diverges from model with no operation in flight: %w", err)
 	}
-	err := diffKV(got, s.model)
-	if s.pending != nil {
-		return fmt.Errorf("recovered state matches neither model nor model+%v: %w", *s.pending, err)
+	alt := maps.Clone(s.model)
+	s.pending.apply(alt)
+	if s.diff(got, alt) == nil {
+		return nil
 	}
-	return fmt.Errorf("recovered state diverges from model with no operation in flight: %w", err)
+	return fmt.Errorf("recovered state matches neither model nor model+%v: %w", *s.pending, err)
 }
 
-func diffKV(got, want map[uint64]uint64) error {
+func (s *mapSnap[K, V]) diff(got, want map[K]V) error {
 	for k, v := range want {
 		g, ok := got[k]
 		if !ok {
-			return fmt.Errorf("key %#x missing (want %#x)", k, v)
+			return fmt.Errorf("key %#v missing (want %#v)", k, v)
 		}
-		if g != v {
-			return fmt.Errorf("key %#x = %#x, want %#x", k, g, v)
+		if !s.o.equal(g, v) {
+			return fmt.Errorf("key %#v = %#v, want %#v", k, g, v)
 		}
 	}
 	for k, g := range got {
 		if _, ok := want[k]; !ok {
-			return fmt.Errorf("unexpected key %#x = %#x", k, g)
+			return fmt.Errorf("unexpected key %#v = %#v", k, g)
 		}
 	}
 	return nil
@@ -259,112 +273,4 @@ func equalU64(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// ---- byte-string blob oracle (blobkv, server) ------------------------
-
-type blobOp struct {
-	del bool
-	key string
-	val []byte
-}
-
-type blobOracle struct {
-	mu      sync.Mutex
-	model   map[string][]byte
-	pending *blobOp
-}
-
-func newBlobOracle() *blobOracle { return &blobOracle{model: map[string][]byte{}} }
-
-func (o *blobOracle) begin(op blobOp) {
-	o.mu.Lock()
-	o.pending = &op
-	o.mu.Unlock()
-}
-
-func (o *blobOracle) commit(applied bool) {
-	o.mu.Lock()
-	if applied && o.pending != nil {
-		applyBlob(o.model, *o.pending)
-	}
-	o.pending = nil
-	o.mu.Unlock()
-}
-
-func (o *blobOracle) expect(key string) ([]byte, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	v, ok := o.model[key]
-	return v, ok
-}
-
-func applyBlob(m map[string][]byte, op blobOp) {
-	if op.del {
-		delete(m, op.key)
-	} else {
-		m[op.key] = op.val
-	}
-}
-
-func (o *blobOracle) snapshot() snap {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	s := &blobSnap{model: make(map[string][]byte, len(o.model))}
-	for k, v := range o.model {
-		s.model[k] = v
-	}
-	if o.pending != nil {
-		op := *o.pending
-		s.pending = &op
-	}
-	return s
-}
-
-type blobSnap struct {
-	model   map[string][]byte
-	pending *blobOp
-}
-
-func (s *blobSnap) match(ds *pmwcas.DurableState) error {
-	if err := diffBlob(ds.Blobs, s.model); err == nil {
-		return nil
-	}
-	if s.pending != nil {
-		alt := make(map[string][]byte, len(s.model)+1)
-		for k, v := range s.model {
-			alt[k] = v
-		}
-		applyBlob(alt, *s.pending)
-		if err := diffBlob(ds.Blobs, alt); err == nil {
-			return nil
-		}
-	}
-	err := diffBlob(ds.Blobs, s.model)
-	if s.pending != nil {
-		kind := "put"
-		if s.pending.del {
-			kind = "delete"
-		}
-		return fmt.Errorf("recovered blobs match neither model nor model+%s(%q): %w", kind, s.pending.key, err)
-	}
-	return fmt.Errorf("recovered blobs diverge from model with no operation in flight: %w", err)
-}
-
-func diffBlob(got, want map[string][]byte) error {
-	for k, v := range want {
-		g, ok := got[k]
-		if !ok {
-			return fmt.Errorf("key %q missing", k)
-		}
-		if !bytes.Equal(g, v) {
-			return fmt.Errorf("key %q holds %d bytes %x, want %d bytes %x", k, len(g), g, len(v), v)
-		}
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			return fmt.Errorf("unexpected key %q", k)
-		}
-	}
-	return nil
 }

@@ -26,18 +26,39 @@ type workload struct {
 	run       func(st *pmwcas.Store, o oracle, opt Options) error
 }
 
-// wordSpec is a word-index workload as data. Each step draws a key from
-// [1, keys] and one of six lots: the first puts are upserts, the next
+// mixSpec is a workload's op mix as data. Each step draws a key from
+// keys of them and one of six lots: the first puts are upserts, the next
 // dels deletes, the rest read-backs checked against the model.
-type wordSpec struct {
-	index      string // Store.OpenIndex name
+type mixSpec struct {
+	index      string // Store.OpenIndex or Shard.OpenBlobKV name
 	iopts      pmwcas.IndexOptions
 	keys       int
 	puts, dels int
-	state      stateFunc
+	state      stateFunc // word workloads: the index's recovered entries
 }
 
-func wordWorkload(name string, shards int, s wordSpec) workload {
+// blobSpec is the skip-list and server blob mix: few enough keys that
+// puts frequently overwrite — the free-old-record path — and deletes
+// frequently hit.
+var blobSpec = mixSpec{index: "skiplist", keys: 12, puts: 4, dels: 1}
+
+// blobWorkload is a blob mix over one index's blob layer.
+func blobWorkload(name string, s mixSpec) workload {
+	return workload{
+		name:      name,
+		copts:     pmwcas.CheckOptions{Blob: true},
+		newOracle: func() oracle { return newBlobOracle() },
+		run: func(st *pmwcas.Store, o oracle, opt Options) error {
+			kv, err := st.Shard(0).OpenBlobKV(s.index, s.iopts)
+			if err != nil {
+				return err
+			}
+			return runBlobOps(kv.NewHandle(opt.Seed), s, pmwcas.ErrNotFound, o.(*blobOracle), opt)
+		},
+	}
+}
+
+func wordWorkload(name string, shards int, s mixSpec) workload {
 	return workload{
 		name:      name,
 		shards:    shards,
@@ -52,27 +73,28 @@ func wordWorkload(name string, shards int, s wordSpec) workload {
 // over 96 keys force many splits and several directory doublings — the
 // structure-changing crash points — alongside the plain
 // insert/update/delete descriptor paths.
-var hashSpec = wordSpec{
+var hashSpec = mixSpec{
 	index: "hash", keys: 96, puts: 4, dels: 1,
 	iopts: pmwcas.IndexOptions{Hash: pmwcas.HashTableOptions{SlotsPerBucket: 4}},
 	state: func(ds *pmwcas.DurableState) []pmwcas.IndexEntry { return ds.Hash },
 }
 
+// bwtreeOpts uses deliberately tiny pages and aggressive maintenance
+// thresholds, so a few hundred upsert-heavy operations force every SMO —
+// consolidation, splits (including root splits), and merges — under the
+// sweep.
+var bwtreeOpts = pmwcas.BwTreeOptions{LeafCapacity: 8, InnerCapacity: 8, ConsolidateAfter: 3, MergeBelow: 3}
+
 var workloads = []workload{
 	// A small key space, so most operations hit existing towers (the
 	// delete/unlink and update paths, not just fresh inserts).
-	wordWorkload("skiplist", 1, wordSpec{
+	wordWorkload("skiplist", 1, mixSpec{
 		index: "skiplist", keys: 48, puts: 3, dels: 2,
 		state: func(ds *pmwcas.DurableState) []pmwcas.IndexEntry { return ds.SkipList },
 	}),
-	// Deliberately tiny pages and aggressive maintenance thresholds, so a
-	// few hundred upsert-heavy operations force every SMO — consolidation,
-	// splits (including root splits), and merges — under the sweep.
-	wordWorkload("bwtree", 1, wordSpec{
+	wordWorkload("bwtree", 1, mixSpec{
 		index: "bwtree", keys: 96, puts: 4, dels: 1,
-		iopts: pmwcas.IndexOptions{BwTree: pmwcas.BwTreeOptions{
-			LeafCapacity: 8, InnerCapacity: 8, ConsolidateAfter: 3, MergeBelow: 3,
-		}},
+		iopts: pmwcas.IndexOptions{BwTree: bwtreeOpts},
 		state: func(ds *pmwcas.DurableState) []pmwcas.IndexEntry { return ds.BwTree },
 	}),
 	wordWorkload("hashtable", 1, hashSpec),
@@ -81,12 +103,16 @@ var workloads = []workload{
 		newOracle: func() oracle { return newQueueOracle() },
 		run:       runPQueue,
 	},
-	{
-		name:      "blobkv",
-		copts:     pmwcas.CheckOptions{Blob: true},
-		newOracle: func() oracle { return newBlobOracle() },
-		run:       runBlobKV,
-	},
+	blobWorkload("blobkv", blobSpec),
+	// The blob mix over the other two indexes. The Bw-tree's tiny pages,
+	// twice the keys and an even put/delete mix put owned update and
+	// delete deltas through consolidation, splits and merges (at -ops 100
+	// -seed 1: a leaf split and a merge); the hash table's tiny buckets put
+	// owned slots through bucket splits.
+	blobWorkload("blobkv-bwtree", mixSpec{
+		index: "bwtree", iopts: pmwcas.IndexOptions{BwTree: bwtreeOpts}, keys: 24, puts: 2, dels: 2,
+	}),
+	blobWorkload("blobkv-hash", mixSpec{index: "hash", iopts: hashSpec.iopts, keys: 12, puts: 4, dels: 1}),
 	{
 		name:      "server",
 		copts:     pmwcas.CheckOptions{Blob: true},
@@ -122,7 +148,7 @@ func workloadByName(name string) (workload, bool) {
 
 // runWords drives one word-index workload. OpenIndex routes across the
 // store's shards, so the same loop serves one shard or several.
-func runWords(st *pmwcas.Store, kv *kvOracle, opt Options, s wordSpec) error {
+func runWords(st *pmwcas.Store, kv *kvOracle, opt Options, s mixSpec) error {
 	mint, err := st.OpenIndex(s.index, s.iopts)
 	if err != nil {
 		return err
@@ -134,7 +160,7 @@ func runWords(st *pmwcas.Store, kv *kvOracle, opt Options, s wordSpec) error {
 		switch lot := rng.Intn(6); {
 		case lot < s.puts: // upsert
 			val := uint64(rng.Intn(1<<20)) + 1
-			kv.begin(kvOp{kvPut, key, val})
+			kv.begin(kvOp{key: key, val: val})
 			err := h.Insert(key, val)
 			if errors.Is(err, pmwcas.ErrKeyExists) {
 				err = h.Update(key, val)
@@ -144,7 +170,7 @@ func runWords(st *pmwcas.Store, kv *kvOracle, opt Options, s wordSpec) error {
 				return fmt.Errorf("put %#x: %w", key, err)
 			}
 		case lot < s.puts+s.dels:
-			kv.begin(kvOp{kvDelete, key, 0})
+			kv.begin(kvOp{del: true, key: key})
 			err := h.Delete(key)
 			kv.commit(err == nil)
 			if err != nil && !errors.Is(err, pmwcas.ErrNotFound) {
@@ -198,31 +224,12 @@ func runPQueue(st *pmwcas.Store, o oracle, opt Options) error {
 	return nil
 }
 
-// blobKeys is the key pool for the blob workloads (keycodec limits keys
-// to 7 bytes). Small enough that puts frequently overwrite — the
-// free-old-record path — and deletes frequently hit.
-func blobKeys() []string {
-	keys := make([]string, 12)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%02d", i)
-	}
-	return keys
-}
-
 // blobClient is what the blob mix needs of its target: a blobkv handle
 // in process, or the wire client in front of a server.
 type blobClient interface {
 	Put(key, val []byte) error
 	Get(key []byte) ([]byte, error)
 	Delete(key []byte) error
-}
-
-func runBlobKV(st *pmwcas.Store, o oracle, opt Options) error {
-	kv, err := st.BlobKV()
-	if err != nil {
-		return err
-	}
-	return runBlobOps(kv.NewHandle(opt.Seed), pmwcas.ErrBlobNotFound, o.(*blobOracle), opt)
 }
 
 // runServer drives the same blob mix through the full network stack: a
@@ -255,7 +262,7 @@ func runServer(st *pmwcas.Store, o oracle, opt Options) error {
 		shutdown()
 		return err
 	}
-	if err := runBlobOps(c, wire.ErrNotFound, o.(*blobOracle), opt); err != nil {
+	if err := runBlobOps(c, blobSpec, wire.ErrNotFound, o.(*blobOracle), opt); err != nil {
 		c.Close()
 		shutdown()
 		return err
@@ -269,15 +276,19 @@ func runServer(st *pmwcas.Store, o oracle, opt Options) error {
 	return shutdown()
 }
 
-// runBlobOps is the blob mix: puts (fresh or overwrite, 0-95 bytes),
-// deletes and read-backs over blobKeys, against either client.
-func runBlobOps(c blobClient, notFound error, bo *blobOracle, opt Options) error {
+// runBlobOps drives a blob mix against either client: puts (fresh or
+// overwrite, 0-95 bytes), deletes and read-backs over s.keys keys
+// (keycodec limits them to 7 bytes).
+func runBlobOps(c blobClient, s mixSpec, notFound error, bo *blobOracle, opt Options) error {
 	rng := rand.New(rand.NewSource(opt.Seed))
-	keys := blobKeys()
+	keys := make([]string, s.keys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%02d", i)
+	}
 	for i := 0; i < opt.Ops; i++ {
 		key := keys[rng.Intn(len(keys))]
-		switch rng.Intn(6) {
-		case 0, 1, 2, 3:
+		switch lot := rng.Intn(6); {
+		case lot < s.puts:
 			val := make([]byte, rng.Intn(96))
 			rng.Read(val)
 			bo.begin(blobOp{key: key, val: val})
@@ -286,14 +297,14 @@ func runBlobOps(c blobClient, notFound error, bo *blobOracle, opt Options) error
 			if err != nil {
 				return fmt.Errorf("put %q: %w", key, err)
 			}
-		case 4:
+		case lot < s.puts+s.dels:
 			bo.begin(blobOp{del: true, key: key})
 			err := c.Delete([]byte(key))
 			bo.commit(err == nil)
 			if err != nil && !errors.Is(err, notFound) {
 				return fmt.Errorf("delete %q: %w", key, err)
 			}
-		case 5:
+		default:
 			got, err := c.Get([]byte(key))
 			want, ok := bo.expect(key)
 			if errors.Is(err, notFound) {

@@ -77,6 +77,7 @@ import (
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
+	"pmwcas/internal/epoch"
 	"pmwcas/internal/index"
 	"pmwcas/internal/metrics"
 	"pmwcas/internal/nvram"
@@ -437,6 +438,10 @@ type Handle struct {
 func (t *Table) NewHandle() *Handle {
 	return &Handle{t: t, core: t.pool.NewHandle(), ah: t.alloc.NewHandle(), lane: metrics.NextStripe()}
 }
+
+// Guard exposes the handle's epoch guard (index.Owner): hold it across
+// reading a value and dereferencing the block it names.
+func (h *Handle) Guard() *epoch.Guard { return h.core.Guard() }
 
 // checkKey and checkValue return bare sentinels: the %#x wrapping they
 // once carried cost an Errorf allocation on every point op, and callers

@@ -13,6 +13,21 @@ import (
 	"pmwcas/internal/nvram"
 )
 
+// upsert stores value under key whether or not it is present, retrying
+// the races between Update's miss and Insert's hit.
+func upsert(h *Handle, key, value uint64) error {
+	for {
+		err := h.Update(key, value)
+		if !errors.Is(err, ErrNotFound) {
+			return err
+		}
+		err = h.Insert(key, value)
+		if !errors.Is(err, ErrKeyExists) {
+			return err
+		}
+	}
+}
+
 const (
 	htDescs    = 128
 	htWords    = MinDescriptorWords
@@ -152,10 +167,10 @@ func TestBasicCRUD(t *testing.T) {
 			if err := h.Update(8, 80); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("Update missing: %v", err)
 			}
-			if err := h.Upsert(8, 80); err != nil {
+			if err := upsert(h, 8, 80); err != nil {
 				t.Fatalf("Upsert fresh: %v", err)
 			}
-			if err := h.Upsert(8, 88); err != nil {
+			if err := upsert(h, 8, 88); err != nil {
 				t.Fatalf("Upsert existing: %v", err)
 			}
 			if v, _ := h.Get(8); v != 88 {
@@ -548,7 +563,7 @@ func TestConcurrentTorture(t *testing.T) {
 				case 0:
 					h.Get(k)
 				case 1:
-					h.Upsert(k, uint64(w)<<32|uint64(i))
+					upsert(h, k, uint64(w)<<32|uint64(i))
 				case 2:
 					h.Delete(k)
 				case 3:

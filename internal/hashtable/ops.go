@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/metrics"
 	"pmwcas/internal/nvram"
 )
@@ -256,12 +257,32 @@ func (h *Handle) Insert(key, value uint64) error {
 	}
 }
 
+// anyValue is update's expect for a plain Update: it has reserved bits
+// set, so no stored value (and no checked expect) can equal it.
+const anyValue = ^uint64(0)
+
 // Update replaces the value under an existing key: a two-word PMwCAS
 // (version bump + value swap). The unchanged version proves the key
 // still occupies the slot the scan found it in.
 //
 //pmwcas:hotpath — extendible-hash point update; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Update(key, value uint64) error {
+	return h.update(key, anyValue, value, core.PolicyNone)
+}
+
+// CompareUpdateOwned is Update of a value the slot owns, and only while
+// it is expect: the value entry carries FreeOldOnSuccess, so the PMwCAS
+// that installs value frees expect's block once the epoch allows.
+//
+//pmwcas:hotpath — blob-layer overwrite on the hash table; allocation-free like Update, which shares its body
+func (h *Handle) CompareUpdateOwned(key, expect, value uint64) error {
+	if err := checkValue(expect); err != nil {
+		return err
+	}
+	return h.update(key, expect, value, core.PolicyFreeOldOnSuccess)
+}
+
+func (h *Handle) update(key, expect, value uint64, policy core.Policy) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
@@ -283,11 +304,20 @@ func (h *Handle) Update(key, value uint64) error {
 				break
 			}
 		}
-		if slot < 0 {
+		if slot < 0 || (expect != anyValue && (old != expect || old == value)) {
+			// Answer without a PMwCAS — absent, a stale expect, or the
+			// owned value already in place (freeing it would be wrong) —
+			// once the unchanged version proves the scan.
 			if h.core.Read(b+bucketMetaOff) != meta {
 				continue
 			}
-			return ErrNotFound
+			switch {
+			case slot < 0:
+				return ErrNotFound
+			case old != expect:
+				return index.ErrValueMismatch
+			}
+			return nil
 		}
 		d, err := h.core.AllocateDescriptor(0)
 		if err != nil {
@@ -300,7 +330,7 @@ func (h *Handle) Update(key, value uint64) error {
 			d.Discard()
 			return err
 		}
-		if err := d.AddWord(slotValOff(b, slot), old, value); err != nil {
+		if err := d.AddWordWithPolicy(slotValOff(b, slot), old, value, policy); err != nil {
 			d.Discard()
 			return err
 		}
@@ -320,8 +350,22 @@ func (h *Handle) Update(key, value uint64) error {
 //
 //pmwcas:hotpath — extendible-hash point delete; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Delete(key uint64) error {
+	_, err := h.delete(key, core.PolicyNone)
+	return err
+}
+
+// DeleteOwned is Delete of a value the slot owns: the value entry carries
+// FreeOldOnSuccess, so the PMwCAS that clears the slot frees the block.
+// It returns the value it removed.
+//
+//pmwcas:hotpath — blob-layer delete on the hash table; allocation-free like Delete, which shares its body
+func (h *Handle) DeleteOwned(key uint64) (uint64, error) {
+	return h.delete(key, core.PolicyFreeOldOnSuccess)
+}
+
+func (h *Handle) delete(key uint64, policy core.Policy) (uint64, error) {
 	if err := checkKey(key); err != nil {
-		return err
+		return 0, err
 	}
 	hash := mix64(key)
 	g := h.core.Guard()
@@ -342,7 +386,7 @@ func (h *Handle) Delete(key uint64) error {
 			if h.core.Read(b+bucketMetaOff) != meta {
 				continue
 			}
-			return ErrNotFound
+			return 0, ErrNotFound
 		}
 		d, err := h.core.AllocateDescriptor(0)
 		if err != nil {
@@ -353,38 +397,22 @@ func (h *Handle) Delete(key uint64) error {
 		}
 		if err := d.AddWord(b+bucketMetaOff, meta, bumpVersion(meta)); err != nil {
 			d.Discard()
-			return err
+			return 0, err
 		}
 		if err := d.AddWord(slotKeyOff(b, slot), key, 0); err != nil {
 			d.Discard()
-			return err
+			return 0, err
 		}
-		if err := d.AddWord(slotValOff(b, slot), old, 0); err != nil {
+		if err := d.AddWordWithPolicy(slotValOff(b, slot), old, 0, policy); err != nil {
 			d.Discard()
-			return err
+			return 0, err
 		}
 		ok, err := d.Execute()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if ok {
-			return nil
-		}
-	}
-}
-
-// Upsert stores value under key whether or not it is present.
-//
-//pmwcas:hotpath — extendible-hash point upsert; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
-func (h *Handle) Upsert(key, value uint64) error {
-	for {
-		err := h.Update(key, value)
-		if !errors.Is(err, ErrNotFound) {
-			return err
-		}
-		err = h.Insert(key, value)
-		if !errors.Is(err, ErrKeyExists) {
-			return err
+			return old, nil
 		}
 	}
 }

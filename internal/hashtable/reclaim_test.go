@@ -137,7 +137,7 @@ func TestCrashSweepReclaim(t *testing.T) {
 		// The recovered table remains fully usable, including further
 		// reclamation.
 		h2 := e.tab.NewHandle()
-		if err := h2.Upsert(keys+1, 1); err != nil {
+		if err := upsert(h2, keys+1, 1); err != nil {
 			t.Fatalf("crash at %d: post-recovery Upsert: %v", k, err)
 		}
 		h2.ReclaimSealed(1)
@@ -174,7 +174,7 @@ func TestReclaimConcurrent(t *testing.T) {
 				k := uint64((w*ops+i)%200) + 1
 				switch i % 3 {
 				case 0:
-					h.Upsert(k, uint64(i)+1)
+					upsert(h, k, uint64(i)+1)
 				case 1:
 					h.Get(k)
 				case 2:

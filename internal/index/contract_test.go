@@ -15,6 +15,10 @@ var (
 	_ index.Handle = (*bwtree.Handle)(nil)
 	_ index.Handle = (*hashtable.Handle)(nil)
 
+	_ index.Owner = (*skiplist.Handle)(nil)
+	_ index.Owner = (*bwtree.Handle)(nil)
+	_ index.Owner = (*hashtable.Handle)(nil)
+
 	_ index.ReverseScanner = (*skiplist.Handle)(nil)
 	_ index.ReverseScanner = (*skiplist.CASHandle)(nil)
 )

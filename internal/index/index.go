@@ -9,7 +9,11 @@
 // rejection on a point op must not allocate (DESIGN.md §6.3).
 package index
 
-import "errors"
+import (
+	"errors"
+
+	"pmwcas/internal/epoch"
+)
 
 var (
 	// ErrNotFound is returned by Get, Update and Delete for an absent key.
@@ -19,6 +23,9 @@ var (
 	// ErrUnordered is returned by Scan on an index with no key order to
 	// scan in (the hash table; handles routed across hash-placed shards).
 	ErrUnordered = errors.New("index: range scans unsupported (index is unordered)")
+	// ErrValueMismatch is returned by Owner.CompareUpdateOwned when the
+	// key's value is not the expected one.
+	ErrValueMismatch = errors.New("index: value mismatch")
 )
 
 // Entry is one key/value pair yielded by a scan.
@@ -34,8 +41,30 @@ type Handle interface {
 	Update(key, value uint64) error
 	Delete(key uint64) error
 	// Scan visits keys in [from, to] in ascending order until fn returns
-	// false. Unordered indexes report ErrUnordered.
+	// false. Unordered indexes report ErrUnordered. fn runs under the
+	// scan's epoch guard.
 	Scan(from, to uint64, fn func(Entry) bool) error
+}
+
+// Owner is the capability of persistent index handles whose values may
+// be allocator blocks the index owns (paper §5.2 ownership transfer): the
+// PMwCAS that replaces or removes a value also frees the block it
+// displaced, through the FreeOldOnSuccess recycle policy, so the free is
+// crash-atomic with the index change and waits out the epoch. A value
+// layer (blobkv) keeps its out-of-line records this way.
+type Owner interface {
+	Handle
+	// CompareUpdateOwned replaces key's value with value if it is expect,
+	// and frees expect's block. ErrValueMismatch if the value is another;
+	// ErrNotFound if key is absent.
+	CompareUpdateOwned(key, expect, value uint64) error
+	// DeleteOwned removes key, frees its value's block and returns the
+	// value it removed. The caller must not free it again.
+	DeleteOwned(key uint64) (uint64, error)
+	// Guard is the handle's epoch guard. Hold it across "look up a value,
+	// then read its block", or a concurrent update may recycle the block
+	// mid-read.
+	Guard() *epoch.Guard
 }
 
 // ReverseScanner is the optional capability of handles that scan in

@@ -1,115 +1,100 @@
 package server
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 
 	"pmwcas"
 	"pmwcas/internal/keycodec"
 )
 
-// A backend is one connection's handle onto the store: per-connection
-// state (epoch guard, allocator slot, staging slot) lives inside it, so
-// two connections never share a handle and the store's lock-free paths
-// run genuinely concurrently. Backends are minted once at server start
-// (handle budgets are a startup decision in every layer below) and
-// leased to connections from a pool.
-type backend interface {
-	Put(key, val []byte) error
-	Get(key []byte) ([]byte, error)
-	Delete(key []byte) error
-	// Scan visits entries with keys in [from, end] in order, at most
-	// limit of them. An empty end means the end of the keyspace.
-	Scan(from, end []byte, limit int, fn func(key, val []byte) bool) error
-}
-
-// Index names a server storage backend.
-type Index string
-
-// Supported indexes.
-const (
-	// IndexSkipList serves keys from the blob KV layer over the PMwCAS
-	// skip list: values up to blobkv.MaxValueLen bytes, crash-atomic.
-	IndexSkipList Index = "skiplist"
-	// IndexBwTree serves keys from the Bw-tree. Keys and values both
-	// travel through the order-preserving word codec, so values are
-	// limited to keycodec.MaxLen bytes — a counters-and-flags regime.
-	IndexBwTree Index = "bwtree"
-	// IndexHash serves keys from the extendible hash table, the same
-	// codec-bounded regime as the Bw-tree but with O(1) point lookups and
-	// no key order: SCAN is rejected with a BAD_REQUEST (the wire protocol
-	// has no UNSUPPORTED status, and returning hash-ordered entries for an
-	// op every other index serves in key order would be a silent lie).
-	IndexHash Index = "hash"
-)
-
-// newBackends mints n per-connection backends for the chosen index. On
-// a multi-shard store each backend is a shardedBackend routing by key
-// over one sub-backend per shard.
-func newBackends(store *pmwcas.Store, index Index, n int) ([]backend, error) {
-	shards := store.ShardCount()
-	per := make([][]backend, shards)
-	for si := range per {
-		subs, err := newShardBackends(store.Shard(si), index, n)
-		if err != nil {
-			return nil, fmt.Errorf("server: shard %d: %w", si, err)
-		}
-		per[si] = subs
-	}
-	if shards == 1 {
-		return per[0], nil
-	}
-	out := make([]backend, n)
-	for i := range out {
-		subs := make([]backend, shards)
-		for si := range subs {
-			subs[si] = per[si][i]
-		}
-		out[i] = &shardedBackend{store: store, subs: subs}
-	}
-	return out, nil
-}
-
-// newShardBackends mints n single-shard backends over one shard: blob
-// values over the skip list, or codec-packed words on any other index
-// the store can open by name.
-func newShardBackends(sh *pmwcas.Shard, index Index, n int) ([]backend, error) {
-	out := make([]backend, n)
-	if index == IndexSkipList {
-		kv, err := sh.BlobKV()
-		if err != nil {
-			return nil, fmt.Errorf("open blobkv: %w", err)
-		}
-		for i := range out {
-			out[i] = &blobBackend{h: kv.NewHandle(int64(i) + 0x5e12)}
-		}
-		return out, nil
-	}
-	mint, err := sh.OpenIndex(string(index), pmwcas.IndexOptions{})
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		out[i] = &wordBackend{h: mint(int64(i) + 0x5e12)}
-	}
-	return out, nil
-}
-
-// blobBackend adapts a blobkv handle.
-type blobBackend struct {
-	h *pmwcas.BlobKVHandle
+// A backend is one connection's handle set onto the store: one blob KV
+// handle per shard, each with its own epoch guard, allocator slot and
+// staging slot, so two connections never share a handle and the store's
+// lock-free paths run genuinely concurrently. Backends are minted once at
+// server start (handle budgets are a startup decision in every layer
+// below) and leased to connections from a pool.
+//
+// Point operations route to the key's home shard — the same placement
+// Store.ShardForKey gives everyone, so all connections agree where a key
+// lives. SCAN merges the shards' ordered streams back into one global key
+// order, batch-pulling from each shard so a large range never
+// materializes in memory.
+type backend struct {
+	store *pmwcas.Store
+	hs    []*pmwcas.BlobKVHandle // one per shard, index = shard number
 	// buf is Get's reusable value scratch. A connection handles one
 	// request at a time and encodes the response before the next read,
 	// so the returned value may alias it.
 	buf []byte
 }
 
-//pmwcas:hotpath — server PUT against the blob backend; record staging reuses the handle's slot
-func (b *blobBackend) Put(key, val []byte) error { return b.h.Put(key, val) }
+// Index names the index a server's blob layer keeps its keys in.
+type Index string
 
-//pmwcas:hotpath — server GET against the blob backend; the record copy lands in the connection's scratch
-func (b *blobBackend) Get(key []byte) ([]byte, error) {
-	v, err := b.h.GetAppend(key, b.buf[:0])
+// Supported indexes. Every one serves values up to blobkv.MaxValueLen
+// bytes through the blob KV layer, crash-atomically.
+const (
+	// IndexSkipList keeps keys in the PMwCAS skip list.
+	IndexSkipList Index = "skiplist"
+	// IndexBwTree keeps keys in the Bw-tree.
+	IndexBwTree Index = "bwtree"
+	// IndexHash keeps keys in the extendible hash table: O(1) point
+	// lookups and no key order, so SCAN is rejected with a BAD_REQUEST
+	// (the wire protocol has no UNSUPPORTED status, and returning
+	// hash-ordered entries for an op every other index serves in key
+	// order would be a silent lie).
+	IndexHash Index = "hash"
+)
+
+// newBackends mints n per-connection backends: each shard's blob layer
+// is opened over the chosen index, and every backend gets one handle on
+// each.
+func newBackends(store *pmwcas.Store, index Index, n int) ([]*backend, error) {
+	out := make([]*backend, n)
+	for i := range out {
+		out[i] = &backend{store: store}
+	}
+	for si := 0; si < store.ShardCount(); si++ {
+		kv, err := store.Shard(si).OpenBlobKV(string(index), pmwcas.IndexOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("server: shard %d: open blobkv: %w", si, err)
+		}
+		for i, b := range out {
+			b.hs = append(b.hs, kv.NewHandle(int64(i)+0x5e12))
+		}
+	}
+	return out, nil
+}
+
+// home returns the handle on key's home shard.
+func (b *backend) home(key []byte) (*pmwcas.BlobKVHandle, error) {
+	if len(b.hs) == 1 {
+		return b.hs[0], nil
+	}
+	k, err := keycodec.Encode(key)
+	if err != nil {
+		return nil, err
+	}
+	return b.hs[b.store.ShardForKey(k)], nil
+}
+
+//pmwcas:hotpath — server PUT: route by key hash, then one blob-layer put; record staging reuses the handle's slot
+func (b *backend) Put(key, val []byte) error {
+	h, err := b.home(key)
+	if err != nil {
+		return err
+	}
+	return h.Put(key, val)
+}
+
+//pmwcas:hotpath — server GET: route by key hash; the record copy lands in the connection's scratch
+func (b *backend) Get(key []byte) ([]byte, error) {
+	h, err := b.home(key)
+	if err != nil {
+		return nil, err
+	}
+	v, err := h.GetAppend(key, b.buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -117,19 +102,68 @@ func (b *blobBackend) Get(key []byte) ([]byte, error) {
 	return v, nil
 }
 
-//pmwcas:hotpath — server DELETE against the blob backend
-func (b *blobBackend) Delete(key []byte) error { return b.h.Delete(key) }
+//pmwcas:hotpath — server DELETE: route by key hash, then one blob-layer delete
+func (b *backend) Delete(key []byte) error {
+	h, err := b.home(key)
+	if err != nil {
+		return err
+	}
+	return h.Delete(key)
+}
 
 // maxKeyBytes is the largest encodable key — the inclusive upper bound
 // for an open-ended scan.
 var maxKeyBytes = []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
-func (b *blobBackend) Scan(from, end []byte, limit int, fn func(key, val []byte) bool) error {
+// Scan visits entries with keys in [from, end] in order, at most limit
+// of them. An empty end means the end of the keyspace. Each emitted entry
+// is durable on its home shard at emission time, so the merged stream is
+// exactly as consistent as a single-shard scan under concurrent writers:
+// an ordered snapshot-free walk.
+func (b *backend) Scan(from, end []byte, limit int, fn func(key, val []byte) bool) error {
 	if len(end) == 0 {
 		end = maxKeyBytes
 	}
+	if len(b.hs) == 1 {
+		return scanShard(b.hs[0], from, end, limit, fn)
+	}
+	cursors := make([]*shardCursor, len(b.hs))
+	for i, h := range b.hs {
+		cursors[i] = &shardCursor{h: h, next: append([]byte(nil), from...)}
+	}
+	for emitted := 0; emitted < limit; emitted++ {
+		// Refill any drained cursor, then pick the smallest head. Keys are
+		// unique across shards (each lives only on its home shard), so ties
+		// are impossible and the pick order is total.
+		min := -1
+		for i, c := range cursors {
+			if err := c.refill(end); err != nil {
+				return err
+			}
+			if len(c.buf) == 0 {
+				continue
+			}
+			if min < 0 || bytes.Compare(c.buf[0].k, cursors[min].buf[0].k) < 0 {
+				min = i
+			}
+		}
+		if min < 0 {
+			return nil // every shard exhausted
+		}
+		head := cursors[min].buf[0]
+		cursors[min].buf = cursors[min].buf[1:]
+		if !fn(head.k, head.v) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// scanShard is one shard's ordered scan of [from, end], at most limit
+// entries.
+func scanShard(h *pmwcas.BlobKVHandle, from, end []byte, limit int, fn func(key, val []byte) bool) error {
 	n := 0
-	return b.h.Scan(from, end, func(k, v []byte) bool {
+	return h.Scan(from, end, func(k, v []byte) bool {
 		if n >= limit {
 			return false
 		}
@@ -138,111 +172,71 @@ func (b *blobBackend) Scan(from, end []byte, limit int, fn func(key, val []byte)
 	})
 }
 
-// wordBackend serves any word index through the shared handle
-// contract: keys and values are packed into index words with the
-// order-preserving codec, which bounds both at keycodec.MaxLen bytes but
-// keeps every mutation a single index write.
-type wordBackend struct {
-	h pmwcas.IndexHandle
-	// buf is Get's reusable decode scratch (see blobBackend.buf).
-	buf []byte
+// scanBatch is how many entries a shard cursor pulls per refill. Small
+// enough that a limit-1 scan does not drag a big batch off every shard,
+// large enough to amortize the per-batch index descent.
+const scanBatch = 32
+
+// shardCursor is one shard's position in a merged scan: a buffered
+// batch of pending entries and the key to resume from.
+type shardCursor struct {
+	h    *pmwcas.BlobKVHandle
+	buf  []kvPair
+	next []byte // resume key for the following batch
+	done bool   // the shard has no entries past buf
 }
 
-//pmwcas:hotpath — server PUT against a word index: codec pack plus one index upsert loop
-func (b *wordBackend) Put(key, val []byte) error {
-	k, err := keycodec.Encode(key)
-	if err != nil {
-		return err
-	}
-	v, err := keycodec.Encode(val)
-	if err != nil {
-		return err
-	}
-	// Upsert: race losses between the existence check inside Update and
-	// Insert are retried until one path wins.
-	for {
-		//lint:allow hotpath, nonblock — index dispatch: the handles Shard.OpenIndex mints are the indexes' own, and each one's point ops are themselves //pmwcas:hotpath roots (skiplist, bwtree, hashtable ops.go), so the proof continues on the other side of the interface (§6.3)
-		err := b.h.Update(k, v)
-		if !errors.Is(err, pmwcas.ErrNotFound) {
-			return err
-		}
-		//lint:allow hotpath, nonblock — index dispatch: the handles Shard.OpenIndex mints are the indexes' own, and each one's point ops are themselves //pmwcas:hotpath roots (skiplist, bwtree, hashtable ops.go), so the proof continues on the other side of the interface (§6.3)
-		err = b.h.Insert(k, v)
-		if !errors.Is(err, pmwcas.ErrKeyExists) {
-			return err
-		}
-	}
-}
+type kvPair struct{ k, v []byte }
 
-//pmwcas:hotpath — server GET against a word index; the value decodes into the connection's scratch
-func (b *wordBackend) Get(key []byte) ([]byte, error) {
-	k, err := keycodec.Encode(key)
-	if err != nil {
-		return nil, err
+// refill pulls the cursor's next batch if its buffer is empty. The
+// underlying Scan's callback may reuse its argument slices, so entries
+// are copied out.
+func (c *shardCursor) refill(end []byte) error {
+	if c.done || len(c.buf) > 0 {
+		return nil
 	}
-	//lint:allow hotpath, nonblock — index dispatch: the handles Shard.OpenIndex mints are the indexes' own, and each one's point ops are themselves //pmwcas:hotpath roots (skiplist, bwtree, hashtable ops.go), so the proof continues on the other side of the interface (§6.3)
-	v, err := b.h.Get(k)
-	if err != nil {
-		return nil, err
-	}
-	out, err := keycodec.AppendDecode(b.buf[:0], v)
-	if err != nil {
-		return nil, err
-	}
-	b.buf = out
-	return out, nil
-}
-
-//pmwcas:hotpath — server DELETE against a word index
-func (b *wordBackend) Delete(key []byte) error {
-	k, err := keycodec.Encode(key)
-	if err != nil {
-		return err
-	}
-	//lint:allow hotpath, nonblock — index dispatch: the handles Shard.OpenIndex mints are the indexes' own, and each one's point ops are themselves //pmwcas:hotpath roots (skiplist, bwtree, hashtable ops.go), so the proof continues on the other side of the interface (§6.3)
-	return b.h.Delete(k)
-}
-
-func (b *wordBackend) Scan(from, end []byte, limit int, fn func(key, val []byte) bool) error {
-	lo, err := keycodec.Encode(from)
-	if err != nil {
-		return err
-	}
-	hi, err := scanUpperBound(end)
-	if err != nil {
-		return err
-	}
-	n := 0
-	var decodeErr error
-	err = b.h.Scan(lo, hi, func(e pmwcas.IndexEntry) bool {
-		if n >= limit {
-			return false
-		}
-		k, err := keycodec.Decode(e.Key)
-		if err != nil {
-			decodeErr = err
-			return false
-		}
-		v, err := keycodec.Decode(e.Value)
-		if err != nil {
-			decodeErr = err
-			return false
-		}
-		n++
-		return fn(k, v)
+	got := 0
+	var last []byte
+	err := scanShard(c.h, c.next, end, scanBatch, func(k, v []byte) bool {
+		kk := append([]byte(nil), k...)
+		c.buf = append(c.buf, kvPair{kk, append([]byte(nil), v...)})
+		last = kk
+		got++
+		return true
 	})
-	if decodeErr != nil {
-		return decodeErr
+	if err != nil {
+		return err
 	}
-	return err
+	if got < scanBatch {
+		// The shard had fewer than a full batch left in [next, end].
+		c.done = true
+		return nil
+	}
+	nk, ok := successorKey(last)
+	if !ok {
+		c.done = true // last was the top of the keyspace
+		return nil
+	}
+	c.next = nk
+	return nil
 }
 
-// scanUpperBound maps a request's end-key to an encoded inclusive upper
-// bound; empty means "everything from the lower bound on".
-func scanUpperBound(end []byte) (uint64, error) {
-	if len(end) == 0 {
-		_, hi, err := keycodec.PrefixRange(nil)
-		return hi, err
+// successorKey returns the smallest key strictly greater than k in the
+// bounded keyspace (keys up to keycodec.MaxLen bytes, byte order). The
+// second result is false when k is the keyspace's maximum.
+func successorKey(k []byte) ([]byte, bool) {
+	if len(k) < keycodec.MaxLen {
+		// Room to grow: k followed by the smallest byte.
+		return append(append([]byte(nil), k...), 0x00), true
 	}
-	return keycodec.Encode(end)
+	// Maximum length: increment, dropping trailing 0xff bytes. The result
+	// is shorter than k yet strictly greater, with nothing in between.
+	s := append([]byte(nil), k...)
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] != 0xff {
+			s[i]++
+			return s[:i+1], true
+		}
+	}
+	return nil, false
 }

@@ -14,7 +14,6 @@ import (
 
 	"pmwcas"
 	"pmwcas/internal/blobkv"
-	"pmwcas/internal/keycodec"
 	"pmwcas/internal/wire"
 )
 
@@ -22,9 +21,13 @@ import (
 // on a loopback port. The returned shutdown func is idempotent.
 func startServer(t *testing.T, index Index, maxConns int) (*Server, *pmwcas.Store, string, func()) {
 	t.Helper()
-	store, err := pmwcas.Create(pmwcas.Config{
-		Size: 64 << 20, Descriptors: 2048, MaxHandles: 64,
-	})
+	return startServerOn(t, pmwcas.Config{Size: 64 << 20, Descriptors: 2048, MaxHandles: 64}, index, maxConns)
+}
+
+// startServerOn is startServer over a store created from cfg.
+func startServerOn(t *testing.T, cfg pmwcas.Config, index Index, maxConns int) (*Server, *pmwcas.Store, string, func()) {
+	t.Helper()
+	store, err := pmwcas.Create(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +82,15 @@ func dial(t *testing.T, addr string) *wire.Client {
 
 // TestPutGetDeleteScan runs one script against every index: the wire
 // surface is the same whatever serves it, except that the hash index has
-// no order to SCAN in and the word indexes cap values at the codec limit.
+// no order to SCAN in.
 func TestPutGetDeleteScan(t *testing.T) {
 	for _, tc := range []struct {
-		index    Index
-		ordered  bool
-		maxValue int
+		index   Index
+		ordered bool
 	}{
-		{IndexSkipList, true, blobkv.MaxValueLen},
-		{IndexBwTree, true, keycodec.MaxLen},
-		{IndexHash, false, keycodec.MaxLen},
+		{IndexSkipList, true},
+		{IndexBwTree, true},
+		{IndexHash, false},
 	} {
 		t.Run(string(tc.index), func(t *testing.T) {
 			_, _, addr, _ := startServer(t, tc.index, 4)
@@ -135,14 +137,14 @@ func TestPutGetDeleteScan(t *testing.T) {
 			if _, err := c.Get([]byte("date")); !errors.Is(err, wire.ErrNotFound) {
 				t.Fatalf("get after delete: %v", err)
 			}
-			// The largest value the index holds is served; one byte more is
-			// a BAD_REQUEST, and the connection survives it.
-			big := bytes.Repeat([]byte("x"), tc.maxValue+1)
-			if err := c.Put([]byte("big"), big[:tc.maxValue]); err != nil {
-				t.Fatalf("put %d-byte value: %v", tc.maxValue, err)
+			// The largest value the blob layer holds is served; one byte
+			// more is a BAD_REQUEST, and the connection survives it.
+			big := bytes.Repeat([]byte("x"), blobkv.MaxValueLen+1)
+			if err := c.Put([]byte("big"), big[:blobkv.MaxValueLen]); err != nil {
+				t.Fatalf("put %d-byte value: %v", blobkv.MaxValueLen, err)
 			}
-			if got, err := c.Get([]byte("big")); err != nil || !bytes.Equal(got, big[:tc.maxValue]) {
-				t.Fatalf("get %d-byte value: %d bytes, %v", tc.maxValue, len(got), err)
+			if got, err := c.Get([]byte("big")); err != nil || !bytes.Equal(got, big[:blobkv.MaxValueLen]) {
+				t.Fatalf("get %d-byte value: %d bytes, %v", blobkv.MaxValueLen, len(got), err)
 			}
 			resp, err := c.Do(&wire.Request{Op: wire.OpPut, Key: []byte("big"), Value: big})
 			if err != nil {
@@ -237,6 +239,40 @@ func TestBadRequests(t *testing.T) {
 	// The connection still works after every rejection.
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An index failure that is not a missing key answers ERR, not
+// NOT_FOUND: with the store's one 64-byte class full (a fresh Bw-tree's
+// root page plus five blob inserts of a record and a delta each), a
+// DELETE of a present key cannot allocate its delta.
+func TestIndexErrorsAnswerErr(t *testing.T) {
+	cfg := pmwcas.Config{
+		Size: 8 << 20, Descriptors: 256, MaxHandles: 8,
+		Classes: []pmwcas.SizeClass{{BlockSize: 64, Count: 11}},
+	}
+	_, _, addr, _ := startServerOn(t, cfg, IndexBwTree, 1)
+	c := dial(t, addr)
+	val := bytes.Repeat([]byte("v"), 40)
+	for i := 0; i < 5; i++ {
+		if err := c.Put([]byte(fmt.Sprintf("k%d", i)), val); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	for _, req := range []*wire.Request{
+		{Op: wire.OpPut, Key: []byte("k5"), Value: val},
+		{Op: wire.OpDelete, Key: []byte("k0")},
+	} {
+		resp, err := c.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != wire.StatusErr {
+			t.Fatalf("%s with the class full: %s %q, want ERR", req.Op, resp.Status, resp.Msg)
+		}
+	}
+	if got, err := c.Get([]byte("k0")); err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("get k0 = %q, %v", got, err)
 	}
 }
 

@@ -2,65 +2,32 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"pmwcas"
+	"pmwcas/internal/wire"
 )
 
 // startShardedServer is startServer over a four-shard store.
 func startShardedServer(t *testing.T, index Index, maxConns int) (*Server, *pmwcas.Store, string) {
 	t.Helper()
-	store, err := pmwcas.Create(pmwcas.Config{
+	srv, store, addr, _ := startServerOn(t, pmwcas.Config{
 		Size: 16 << 20, Shards: 4, Descriptors: 512, MaxHandles: 32,
 		BwTreeMappingSlots: 1 << 12, HashDirSlots: 1 << 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{
-		Store:      store,
-		Index:      index,
-		MaxConns:   maxConns,
-		DrainGrace: 500 * time.Millisecond,
-		Logf:       t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	for srv.Addr() == nil {
-		time.Sleep(time.Millisecond)
-	}
-	var once sync.Once
-	t.Cleanup(func() {
-		once.Do(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				t.Errorf("shutdown: %v", err)
-			}
-			if err := <-serveErr; err != nil {
-				t.Errorf("serve: %v", err)
-			}
-		})
-	})
-	return srv, store, ln.Addr().String()
+	}, index, maxConns)
+	return srv, store, addr
 }
 
+// value is key i's value: longer than a word, so it takes the blob
+// layer's out-of-line record on every index.
+func value(i int) string { return fmt.Sprintf("value %d, %s", i, strings.Repeat("*", i%64)) }
+
 // TestShardedServerEndToEnd drives the ordered indexes over a
-// multi-shard store through the wire protocol: point operations route
+// multi-shard store through the wire protocol, with values longer than a
+// word: point operations route
 // to each key's home shard, and SCAN returns the union of all shards in
 // global key order — the shard-merge must be invisible to clients.
 func TestShardedServerEndToEnd(t *testing.T) {
@@ -74,7 +41,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 			for i := 0; i < n; i++ {
 				k := fmt.Sprintf("k%04d", i*7)
 				keys = append(keys, k)
-				if err := cl.Put([]byte(k), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				if err := cl.Put([]byte(k), []byte(value(i))); err != nil {
 					t.Fatalf("Put(%s): %v", k, err)
 				}
 			}
@@ -85,7 +52,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				got, err := cl.Get([]byte(keys[i]))
-				if err != nil || string(got) != fmt.Sprintf("v%d", i) {
+				if err != nil || string(got) != value(i) {
 					t.Fatalf("Get(%s) = %q, %v", keys[i], got, err)
 				}
 			}
@@ -155,8 +122,8 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShardedServerHash: the hash index routes point ops across shards
-// and still rejects SCAN, and the hash structure counters flow through
+// TestShardedServerHash: the hash index routes point ops (with values
+// longer than a word) across shards and still rejects SCAN, and the hash structure counters flow through
 // the merged STATS surface.
 func TestShardedServerHash(t *testing.T) {
 	_, _, addr := startShardedServer(t, IndexHash, 2)
@@ -164,18 +131,22 @@ func TestShardedServerHash(t *testing.T) {
 	const n = 300
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("h%04d", i)
-		if err := cl.Put([]byte(k), []byte("v")); err != nil {
+		if err := cl.Put([]byte(k), []byte(value(i))); err != nil {
 			t.Fatalf("Put(%s): %v", k, err)
 		}
 	}
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("h%04d", i)
-		if v, err := cl.Get([]byte(k)); err != nil || string(v) != "v" {
+		if v, err := cl.Get([]byte(k)); err != nil || string(v) != value(i) {
 			t.Fatalf("Get(%s) = %q, %v", k, v, err)
 		}
 	}
-	if _, err := cl.Scan([]byte("h"), nil, 10); err == nil {
-		t.Fatal("SCAN on the sharded hash index did not error")
+	resp, err := cl.Do(&wire.Request{Op: wire.OpScan, Key: []byte("h"), Limit: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != wire.StatusBadRequest {
+		t.Fatalf("SCAN on the sharded hash index: %s, want BAD_REQUEST", resp.Status)
 	}
 	stats, err := cl.Stats()
 	if err != nil {

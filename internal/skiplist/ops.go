@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
 )
 
@@ -156,11 +157,9 @@ func (h *Handle) Get(key uint64) (uint64, error) {
 	return h.read(r.found + nodeValueOff), nil
 }
 
-// Contains reports whether key is present.
-func (h *Handle) Contains(key uint64) bool {
-	_, err := h.Get(key)
-	return err == nil
-}
+// anyValue is compareUpdate's expect for a plain Update: it has reserved
+// bits set, so no stored value (and no checked expect) can equal it.
+const anyValue = ^uint64(0)
 
 // Update replaces the value stored under key. The single-word update is
 // guarded by a compare entry on the node's base next word, so an update
@@ -168,83 +167,29 @@ func (h *Handle) Contains(key uint64) bool {
 //
 //pmwcas:hotpath — PMwCAS-skiplist point update; allocation-free up to amortized SMO work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Update(key, value uint64) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	if err := checkValue(value); err != nil {
-		return err
-	}
-	for {
-		err := h.update(key, value)
-		if errors.Is(err, core.ErrPoolExhausted) {
-			h.list.pool.ReclaimPause()
-			continue
-		}
-		return err
-	}
+	return h.compareUpdateOuter(key, anyValue, value, core.PolicyNone)
 }
 
-func (h *Handle) update(key, value uint64) error {
-	g := h.core.Guard()
-	g.Enter()
-	defer g.Exit()
-	for {
-		r := h.find(key)
-		if r.found == 0 {
-			return ErrNotFound
-		}
-		next := h.read(r.found + linkOff(0, false))
-		if next&DeletedMask != 0 {
-			return ErrNotFound
-		}
-		old := h.read(r.found + nodeValueOff)
-		if old == value {
-			return nil
-		}
-		d, err := h.core.AllocateDescriptor(0)
-		if err != nil {
-			return err
-		}
-		fail := d.AddWord(r.found+nodeValueOff, old, value)
-		if fail == nil {
-			fail = d.AddWord(r.found+linkOff(0, false), next, next) // liveness guard
-		}
-		if fail != nil {
-			d.Discard()
-			return fail
-		}
-		if ok, _ := d.Execute(); ok {
-			return nil
-		}
-	}
-}
-
-// CompareUpdate replaces the value stored under key only if it currently
-// equals expect — compare-and-set on the value word, guarded against
-// deleted nodes like Update. Returns ErrValueMismatch when the stored
-// value is not expect, ErrNotFound when the key is absent.
+// CompareUpdateOwned replaces the value stored under key only if it
+// currently equals expect — compare-and-set on the value word, guarded
+// against deleted nodes like Update. The values are allocator block
+// offsets owned by the list entry: on success, expect's block is freed
+// through the PMwCAS recycling machinery (Table 1, FreeOldOnSuccess) —
+// atomically with the update as far as crashes are concerned, and only
+// after the epoch proves no reader still holds it. Returns
+// index.ErrValueMismatch when the stored value is not expect, ErrNotFound
+// when the key is absent.
 //
-// This is the primitive layered stores need to manage out-of-line
-// values: the caller learns exactly which old value it displaced, so it
-// (and only it) can reclaim that value's storage.
-func (h *Handle) CompareUpdate(key, expect, value uint64) error {
-	return h.compareUpdateOuter(key, expect, value, core.PolicyNone)
-}
-
-// CompareUpdateOwned is CompareUpdate for values that are allocator block
-// offsets owned by the list entry: on success, the displaced old value's
-// block is freed through the PMwCAS recycling machinery (Table 1,
-// FreeOldOnSuccess) — atomically with the update as far as crashes are
-// concerned, and only after the epoch proves no reader still holds it.
+//pmwcas:hotpath — blob-layer overwrite on the skip list; allocation-free like Update, which shares its body
 func (h *Handle) CompareUpdateOwned(key, expect, value uint64) error {
+	if err := checkValue(expect); err != nil {
+		return err
+	}
 	return h.compareUpdateOuter(key, expect, value, core.PolicyFreeOldOnSuccess)
 }
 
 func (h *Handle) compareUpdateOuter(key, expect, value uint64, policy core.Policy) error {
 	if err := checkKey(key); err != nil {
-		return err
-	}
-	if err := checkValue(expect); err != nil {
 		return err
 	}
 	if err := checkValue(value); err != nil {
@@ -260,10 +205,9 @@ func (h *Handle) compareUpdateOuter(key, expect, value uint64, policy core.Polic
 	}
 }
 
-// ErrValueMismatch is returned by CompareUpdate when the stored value is
-// not the expected one.
-var ErrValueMismatch = errors.New("skiplist: value mismatch")
-
+// compareUpdate is one two-entry PMwCAS on the node: the value word,
+// compared against the value just read (which must be expect, unless
+// expect is anyValue), and the base next word as a liveness guard.
 func (h *Handle) compareUpdate(key, expect, value uint64, policy core.Policy) error {
 	g := h.core.Guard()
 	g.Enter()
@@ -278,8 +222,8 @@ func (h *Handle) compareUpdate(key, expect, value uint64, policy core.Policy) er
 			return ErrNotFound
 		}
 		cur := h.read(r.found + nodeValueOff)
-		if cur != expect {
-			return ErrValueMismatch
+		if expect != anyValue && cur != expect {
+			return index.ErrValueMismatch
 		}
 		if cur == value {
 			return nil
@@ -288,7 +232,7 @@ func (h *Handle) compareUpdate(key, expect, value uint64, policy core.Policy) er
 		if err != nil {
 			return err
 		}
-		fail := d.AddWordWithPolicy(r.found+nodeValueOff, expect, value, policy)
+		fail := d.AddWordWithPolicy(r.found+nodeValueOff, cur, value, policy)
 		if fail == nil {
 			fail = d.AddWord(r.found+linkOff(0, false), next, next) // liveness guard
 		}
@@ -304,35 +248,16 @@ func (h *Handle) compareUpdate(key, expect, value uint64, policy core.Policy) er
 	}
 }
 
-// DeleteValue removes key and returns the value it held at the moment of
-// unlinking. The base-level PMwCAS includes the value word as a compare
-// entry, so the returned value is exact — no concurrent Update can slip
-// between the read and the unlink. Layered stores use this to reclaim
-// out-of-line value storage safely.
-func (h *Handle) DeleteValue(key uint64) (uint64, error) {
-	return h.deleteOuter(key, core.PolicyNone)
-}
-
 // DeleteOwned removes key whose value is an allocator block offset owned
 // by the entry: the block is freed through the PMwCAS recycling
-// machinery together with the node itself, crash-safely. It returns the
-// freed value for bookkeeping; the caller must NOT free it again.
+// machinery together with the node itself, crash-safely. The base-level
+// PMwCAS includes the value word as a compare entry, so the returned
+// value is exact — no concurrent update can slip between the read and
+// the unlink. The caller must NOT free it again.
+//
+//pmwcas:hotpath — blob-layer delete on the skip list; allocation-free like Delete, which shares its body
 func (h *Handle) DeleteOwned(key uint64) (uint64, error) {
-	return h.deleteOuter(key, core.PolicyFreeOldOnSuccess)
-}
-
-func (h *Handle) deleteOuter(key uint64, policy core.Policy) (uint64, error) {
-	if err := checkKey(key); err != nil {
-		return 0, err
-	}
-	for {
-		v, err := h.delete(key, true, policy)
-		if errors.Is(err, core.ErrPoolExhausted) {
-			h.list.pool.ReclaimPause()
-			continue
-		}
-		return v, err
-	}
+	return h.deleteOuter(key, true)
 }
 
 // Delete removes key. It unlinks upper levels top-down — one PMwCAS per
@@ -343,20 +268,25 @@ func (h *Handle) deleteOuter(key uint64, policy core.Policy) (uint64, error) {
 //
 //pmwcas:hotpath — PMwCAS-skiplist point delete; allocation-free up to amortized SMO work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Delete(key uint64) error {
+	_, err := h.deleteOuter(key, false)
+	return err
+}
+
+func (h *Handle) deleteOuter(key uint64, owned bool) (uint64, error) {
 	if err := checkKey(key); err != nil {
-		return err
+		return 0, err
 	}
 	for {
-		_, err := h.delete(key, false, core.PolicyNone)
+		v, err := h.delete(key, owned)
 		if errors.Is(err, core.ErrPoolExhausted) {
 			h.list.pool.ReclaimPause()
 			continue
 		}
-		return err
+		return v, err
 	}
 }
 
-func (h *Handle) delete(key uint64, pinValue bool, valuePolicy core.Policy) (uint64, error) {
+func (h *Handle) delete(key uint64, owned bool) (uint64, error) {
 	g := h.core.Guard()
 	g.Enter()
 	defer g.Exit()
@@ -384,7 +314,7 @@ func (h *Handle) delete(key uint64, pinValue bool, valuePolicy core.Policy) (uin
 		if livedUpper {
 			continue // re-check: promotions may have raced in below us
 		}
-		res, val, err := h.unlinkBase(node, key, height, pinValue, valuePolicy)
+		res, val, err := h.unlinkBase(node, key, height, owned)
 		if err != nil {
 			return 0, err
 		}
@@ -452,12 +382,12 @@ const (
 // unlinkBase removes the base level and seals all upper levels in one
 // PMwCAS. The pred.next[0] entry carries FreeOldOnSuccess: its old value
 // is the node itself, recycled once the epoch proves no traversal can
-// still touch it (§6.1). With pinValue set, the node's value word joins
-// the PMwCAS as a compare entry, certifying exactly which value the
-// deletion removed.
+// still touch it (§6.1). When the value is owned, the node's value word
+// joins the PMwCAS as an old == new FreeOldOnSuccess entry: it certifies
+// exactly which value the deletion removed and frees that value's block.
 //
 //pmwcas:requires-guard — reads the doomed node's links and value word
-func (h *Handle) unlinkBase(node nvram.Offset, key uint64, height int, pinValue bool, valuePolicy core.Policy) (unlinkResult, uint64, error) {
+func (h *Handle) unlinkBase(node nvram.Offset, key uint64, height int, owned bool) (unlinkResult, uint64, error) {
 	succ := h.read(node + linkOff(0, false))
 	if succ&DeletedMask != 0 {
 		return unlinkLost, 0, nil // another deleter won
@@ -483,9 +413,9 @@ func (h *Handle) unlinkBase(node nvram.Offset, key uint64, height int, pinValue 
 		return unlinkRetry, 0, nil
 	}
 	var val uint64
-	if pinValue {
+	if owned {
 		val = h.read(node + nodeValueOff)
-		if err := d.AddWordWithPolicy(node+nodeValueOff, val, val, valuePolicy); err != nil {
+		if err := d.AddWordWithPolicy(node+nodeValueOff, val, val, core.PolicyFreeOldOnSuccess); err != nil {
 			d.Discard()
 			return unlinkRetry, 0, nil
 		}

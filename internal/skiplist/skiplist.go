@@ -64,7 +64,7 @@ const DeletedMask uint64 = 1 << 60
 const MaxKey = DeletedMask - 1
 
 // MaxHeight is the tallest tower supported. A base delete needs
-// 3 + (MaxHeight-1) descriptor words, plus one more when DeleteValue
+// 3 + (MaxHeight-1) descriptor words, plus one more when DeleteOwned
 // pins the value word, so the pool backing the list must have
 // WordsPerDescriptor >= 3 + MaxHeight.
 const MaxHeight = 12

@@ -144,8 +144,8 @@ type QueueHandle = pqueue.Handle
 // ErrQueueEmpty is returned by Dequeue on an empty queue.
 var ErrQueueEmpty = pqueue.ErrEmpty
 
-// BlobKV is the byte-string KV layer over the skip list: short string
-// keys, arbitrary-length values stored as out-of-line records.
+// BlobKV is the byte-string KV layer over any persistent index: short
+// string keys, arbitrary-length values stored as out-of-line records.
 type BlobKV = blobkv.Store
 
 // BlobKVHandle is a per-goroutine BlobKV context.

@@ -3,6 +3,7 @@ package pmwcas
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"pmwcas/internal/bwtree"
 	"pmwcas/internal/core"
 	"pmwcas/internal/hashtable"
+	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
 	"pmwcas/internal/pqueue"
 	"pmwcas/internal/skiplist"
@@ -579,29 +581,62 @@ func (sh *Shard) Queue() (*Queue, error) {
 // BlobKV opens shard 0's blob KV layer; see Shard.BlobKV.
 func (s *Store) BlobKV() (*BlobKV, error) { return s.Shard(0).BlobKV() }
 
-// BlobKV opens this shard's byte-string key-value layer over its skip
-// list: short string keys, arbitrary-length values in out-of-line
-// records, crash-atomic updates. Singleton per shard.
-func (sh *Shard) BlobKV() (*BlobKV, error) {
-	list, err := sh.SkipList()
+// BlobKV opens this shard's blob KV layer over its skip list; see
+// OpenBlobKV.
+func (sh *Shard) BlobKV() (*BlobKV, error) { return sh.OpenBlobKV("skiplist", IndexOptions{}) }
+
+// blobIndexes names the indexes a blob layer can be on. A shard records
+// its layer's index in the last word of the staging region, as its
+// position here plus one; zero means no layer has been opened. The
+// region is line-rounded and holds MaxHandles words for MaxHandles/4
+// slots, so that word is always spare.
+var blobIndexes = []string{"skiplist", "bwtree", "hash"}
+
+func (st *storeShard) blobTagWord() Offset { return st.blobRegion.End() - nvram.WordSize }
+
+// blobIndexOn names the index a blob-layer tag records.
+func blobIndexOn(tag uint64) string {
+	if tag == 0 || tag > uint64(len(blobIndexes)) {
+		return fmt.Sprintf("unknown (tag %d)", tag)
+	}
+	return blobIndexes[tag-1]
+}
+
+// OpenBlobKV opens this shard's byte-string key-value layer over the
+// named index ("skiplist", "bwtree" or "hash"): short string keys,
+// values up to blobkv.MaxValueLen bytes in out-of-line records,
+// crash-atomic updates. Singleton per shard: the first open records the
+// index durably, and reopening the layer over another index fails.
+func (sh *Shard) OpenBlobKV(name string, opt IndexOptions) (*BlobKV, error) {
+	st, dev := sh.state(), sh.s.dev
+	tag := uint64(slices.Index(blobIndexes, name) + 1)
+	on := dev.Load(st.blobTagWord())
+	if on != 0 && on != tag {
+		return nil, fmt.Errorf("pmwcas: shard %d's blob layer is on the %s index; cannot reopen it over %s",
+			sh.i, blobIndexOn(on), name)
+	}
+	mint, err := sh.openOwner(name, opt)
 	if err != nil {
 		return nil, err
 	}
-	st := sh.state()
-	// Each blobkv handle consumes a skip list and an allocator handle, so
-	// only a quarter of the shard's handle budget is exposed here.
-	n := sh.s.cfg.MaxHandles / 4
-	if n < 1 {
-		n = 1
+	if on == 0 {
+		dev.Store(st.blobTagWord(), tag)
+		dev.Flush(st.blobTagWord())
+		dev.Fence()
 	}
+	// Each blobkv handle consumes an index and an allocator handle, so
+	// only a quarter of the shard's handle budget is exposed here.
 	return blobkv.Open(blobkv.Config{
-		List:       list,
+		Index:      mint,
 		Allocator:  st.alloc,
-		Device:     sh.s.dev,
+		Device:     dev,
 		Staging:    st.blobRegion,
-		MaxHandles: n,
+		MaxHandles: blobSlots(&sh.s.cfg),
 	})
 }
+
+// blobSlots is how many blobkv handles (and staging slots) a shard has.
+func blobSlots(cfg *Config) int { return max(cfg.MaxHandles/4, 1) }
 
 // BwTree opens shard 0's Bw-tree; see Shard.BwTree.
 func (s *Store) BwTree(opts BwTreeOptions) (*BwTree, error) { return s.Shard(0).BwTree(opts) }
@@ -678,25 +713,35 @@ type IndexOptions struct {
 // handles. The seed feeds the skip list's tower-height RNG; the other
 // indexes ignore it.
 func (sh *Shard) OpenIndex(name string, opt IndexOptions) (func(seed int64) IndexHandle, error) {
+	mint, err := sh.openOwner(name, opt)
+	if err != nil {
+		return nil, err
+	}
+	return func(seed int64) IndexHandle { return mint(seed) }, nil
+}
+
+// openOwner is OpenIndex minting the handles as index.Owner, which every
+// persistent index's handle is.
+func (sh *Shard) openOwner(name string, opt IndexOptions) (func(seed int64) index.Owner, error) {
 	switch name {
 	case "skiplist":
 		l, err := sh.SkipList()
 		if err != nil {
 			return nil, err
 		}
-		return func(seed int64) IndexHandle { return l.NewHandle(seed) }, nil
+		return func(seed int64) index.Owner { return l.NewHandle(seed) }, nil
 	case "bwtree":
 		t, err := sh.BwTree(opt.BwTree)
 		if err != nil {
 			return nil, err
 		}
-		return func(int64) IndexHandle { return t.NewHandle() }, nil
+		return func(int64) index.Owner { return t.NewHandle() }, nil
 	case "hash":
 		t, err := sh.HashTable(opt.Hash)
 		if err != nil {
 			return nil, err
 		}
-		return func(int64) IndexHandle { return t.NewHandle() }, nil
+		return func(int64) index.Owner { return t.NewHandle() }, nil
 	}
 	return nil, fmt.Errorf("pmwcas: unknown index %q (want skiplist, bwtree or hash)", name)
 }
@@ -815,10 +860,11 @@ func (s *Store) Checkpoint(path string) error { return s.dev.SaveFile(path) }
 
 // CheckOptions tunes Store.CheckInvariants.
 type CheckOptions struct {
-	// Blob additionally validates skip list values as blob-KV records and
-	// scans the blob staging slots. Set it whenever the store's skip list
-	// is used through BlobKV — without it the list's values are opaque
-	// integers and staged blob records would read as allocator leaks.
+	// Blob additionally validates the values of the index each shard's
+	// blob layer is on as blob-KV records and scans the blob staging
+	// slots. Set it whenever the store is used through BlobKV or
+	// OpenBlobKV — without it the index's values are opaque integers and
+	// blob records would read as allocator leaks.
 	Blob bool
 }
 
@@ -904,13 +950,16 @@ func (s *Store) checkShard(i int, sh *storeShard, opt CheckOptions, st *DurableS
 	st.HashCheck.SeveredEdges += hstats.SeveredEdges
 
 	if opt.Blob {
-		n := s.cfg.MaxHandles / 4
-		if n < 1 {
-			n = 1
+		// Blob records live on the same shard as their index entries, so
+		// this shard's slice of the layer's index is exactly its Check's.
+		idx := entries
+		switch blobIndexOn(s.dev.Load(sh.blobTagWord())) {
+		case "bwtree":
+			idx = tentries
+		case "hash":
+			idx = hentries
 		}
-		// Blob records live on the same shard as their skip list entries,
-		// so this shard's slice of st.SkipList is exactly `entries`.
-		blocks, blobs, err := blobkv.Check(s.dev, sh.alloc, sh.blobRegion, n, entries)
+		blocks, blobs, err := blobkv.Check(s.dev, sh.alloc, sh.blobRegion, blobSlots(&s.cfg), idx)
 		if err != nil {
 			return err
 		}
