@@ -174,9 +174,10 @@ func (h *Handle) DeleteOwned(key uint64) (uint64, error) {
 	return h.write(key, anyValue, 0, recDelete, true)
 }
 
-// errOwnedSingleCAS rejects owned writes in the baseline mode, whose
+// ErrOwnedSingleCAS rejects owned writes in the baseline mode, whose
 // plain-CAS installs have no recycle policy to free the displaced block.
-var errOwnedSingleCAS = errors.New("bwtree: owned values need a descriptor SMO mode")
+// Layers that own their values refuse the mode when they open.
+var ErrOwnedSingleCAS = errors.New("bwtree: owned values need a descriptor SMO mode")
 
 // write installs one leaf delta (insert, update, or delete — Figure 4a)
 // and runs page maintenance afterwards. It returns the value the write
@@ -189,7 +190,7 @@ func (h *Handle) write(key, expect, value, typ uint64, owned bool) (uint64, erro
 		return 0, err
 	}
 	if owned && h.tree.smo == SMOSingleCAS {
-		return 0, errOwnedSingleCAS
+		return 0, ErrOwnedSingleCAS
 	}
 	for {
 		old, err := h.writeOnce(key, expect, value, typ, owned)

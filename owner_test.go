@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"pmwcas/internal/alloc"
+	"pmwcas/internal/bwtree"
 	"pmwcas/internal/index"
 )
 
@@ -188,6 +190,137 @@ func TestOpenBlobKVIndexMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	check()
+}
+
+// crashRecover restarts a store from its durable image.
+func crashRecover(t *testing.T, store *Store) {
+	t.Helper()
+	if err := store.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Recover(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Images written before the blob layer recorded its index have no tag.
+// A Bw-tree or hash table in one holds word values, so no blob layer may
+// open over it; a skip-list blob layer in one stays on the skip list.
+func TestOpenBlobKVUntaggedImages(t *testing.T) {
+	for _, name := range []string{"bwtree", "hash"} {
+		t.Run(name+"-words", func(t *testing.T) {
+			store, err := Create(testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			mint, err := store.Shard(0).OpenIndex(name, IndexOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := mint(1)
+			for k := uint64(1); k <= 20; k++ {
+				if err := h.Insert(k, 0x6f6c6c6568+k); err != nil { // keycodec-packed words
+					t.Fatal(err)
+				}
+			}
+			crashRecover(t, store)
+			_, err = store.Shard(0).OpenBlobKV(name, IndexOptions{})
+			if err == nil || !strings.Contains(err.Error(), "word values") {
+				t.Fatalf("OpenBlobKV over a %s of words = %v, want a refusal", name, err)
+			}
+			if mint, err = store.Shard(0).OpenIndex(name, IndexOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := mint(1).Get(7); err != nil || v != 0x6f6c6c6568+7 {
+				t.Fatalf("word index after the refusal: Get = (%#x, %v)", v, err)
+			}
+		})
+	}
+	t.Run("skiplist-blobs", func(t *testing.T) {
+		store, err := Create(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		kv, err := store.BlobKV()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := kv.NewHandle(1).Put([]byte("k"), []byte("blob")); err != nil {
+			t.Fatal(err)
+		}
+		tagWord := store.shards[0].blobTagWord()
+		store.dev.Store(tagWord, 0)
+		store.dev.Flush(tagWord)
+		store.dev.Fence()
+		crashRecover(t, store)
+		for _, other := range []string{"bwtree", "hash"} {
+			_, err := store.Shard(0).OpenBlobKV(other, IndexOptions{})
+			if err == nil || !strings.Contains(err.Error(), "skiplist") || !strings.Contains(err.Error(), other) {
+				t.Fatalf("OpenBlobKV(%s) over an untagged skip-list layer = %v, want an error naming both", other, err)
+			}
+		}
+		kv, err = store.BlobKV()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := kv.NewHandle(1).Get([]byte("k")); err != nil || string(v) != "blob" {
+			t.Fatalf("Get = (%q, %v)", v, err)
+		}
+		if _, err := store.CheckInvariants(CheckOptions{Blob: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// A blob layer over a SingleCAS Bw-tree could never free a displaced
+// record, so the open fails and leaves the shard free for another index.
+func TestOpenBlobKVRefusesSingleCAS(t *testing.T) {
+	store, err := Create(Config{Size: 4 << 20, Mode: Volatile, Descriptors: 64, BwTreeMappingSlots: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := IndexOptions{BwTree: BwTreeOptions{SMO: SMOSingleCAS}}
+	if _, err := store.Shard(0).OpenBlobKV("bwtree", opt); !errors.Is(err, bwtree.ErrOwnedSingleCAS) {
+		t.Fatalf("OpenBlobKV over a SingleCAS Bw-tree = %v, want ErrOwnedSingleCAS", err)
+	}
+	if _, err := store.Shard(0).OpenBlobKV("hash", IndexOptions{}); err != nil {
+		t.Fatalf("OpenBlobKV(hash) after the refusal: %v", err)
+	}
+}
+
+// Two first opens racing over different indexes: one wins, the other is
+// refused naming both, and the tag names the winner.
+func TestOpenBlobKVConcurrentFirstOpens(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		store, err := Create(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := []string{"bwtree", "hash"}
+		errs := make([]error, len(names))
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i, name := range names {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[i] = store.Shard(0).OpenBlobKV(name, IndexOptions{})
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if (errs[0] == nil) == (errs[1] == nil) {
+			t.Fatalf("round %d: both or neither open succeeded: %v, %v", round, errs[0], errs[1])
+		}
+		won := names[0]
+		if errs[0] != nil {
+			won = names[1]
+		}
+		if got := blobIndexOn(store.dev.Load(store.shards[0].blobTagWord())); got != won {
+			t.Fatalf("round %d: tag names %s, the %s open won", round, got, won)
+		}
+	}
 }
 
 // exhaustedBwTreeConfig is a store with one size class: 11 blocks of 64

@@ -168,6 +168,9 @@ type storeShard struct {
 	htMu    sync.Mutex
 	ht      *hashtable.Table
 	htSlots int
+	// blobMu serializes OpenBlobKV, so two first opens cannot both find
+	// no index tag and open layers over different indexes.
+	blobMu sync.Mutex
 }
 
 // Store assembles the full system: simulated NVRAM device and, per
@@ -602,27 +605,77 @@ func blobIndexOn(tag uint64) string {
 	return blobIndexes[tag-1]
 }
 
+// blobTag reads which index this shard's blob layer is on, for opening
+// one over name. Images from before the tag hold 0 there, and their
+// layer, if any, is on the skip list, the only index a layer could be on
+// then: a skip list or a staged record reads as that layer. A Bw-tree or
+// hash table already there holds word values, which a layer opened over
+// it would take for record offsets, so that is refused. (OpenBlobKV
+// writes the tag before it creates the index, so a layer's own index is
+// never found untagged.)
+func (sh *Shard) blobTag(name string) (uint64, error) {
+	st, dev := sh.state(), sh.s.dev
+	if on := dev.Load(st.blobTagWord()); on != 0 {
+		return on, nil
+	}
+	legacy := dev.Load(st.rootsRegion.Base) != 0 // the skip list's head anchor
+	for off := st.blobRegion.Base; off < st.blobTagWord() && !legacy; off += nvram.WordSize {
+		legacy = dev.Load(off) != 0
+	}
+	if legacy {
+		return 1, nil // blobIndexes[0], the skip list
+	}
+	anchor := map[string]Offset{
+		"bwtree": st.metaRegion.Base, // the tree's magic
+		"hash":   st.hashRegion.Base, // the table's depth word
+	}[name]
+	if anchor != 0 && dev.Load(anchor) != 0 {
+		return 0, fmt.Errorf("pmwcas: shard %d's %s index already holds word values; a blob layer cannot open over it",
+			sh.i, name)
+	}
+	return 0, nil
+}
+
 // OpenBlobKV opens this shard's byte-string key-value layer over the
 // named index ("skiplist", "bwtree" or "hash"): short string keys,
 // values up to blobkv.MaxValueLen bytes in out-of-line records,
 // crash-atomic updates. Singleton per shard: the first open records the
-// index durably, and reopening the layer over another index fails.
+// index durably, and reopening the layer over another index fails. The
+// Bw-tree must run a descriptor SMO mode: SMOSingleCAS installs deltas
+// with plain CAS, which cannot free the record an overwrite displaces.
 func (sh *Shard) OpenBlobKV(name string, opt IndexOptions) (*BlobKV, error) {
 	st, dev := sh.state(), sh.s.dev
 	tag := uint64(slices.Index(blobIndexes, name) + 1)
-	on := dev.Load(st.blobTagWord())
+	if tag == 0 {
+		return nil, errUnknownIndex(name)
+	}
+	if name == "bwtree" && opt.BwTree.SMO == SMOSingleCAS {
+		return nil, fmt.Errorf("pmwcas: shard %d: %w", sh.i, bwtree.ErrOwnedSingleCAS)
+	}
+	st.blobMu.Lock()
+	defer st.blobMu.Unlock()
+	on, err := sh.blobTag(name)
+	if err != nil {
+		return nil, err
+	}
 	if on != 0 && on != tag {
 		return nil, fmt.Errorf("pmwcas: shard %d's blob layer is on the %s index; cannot reopen it over %s",
 			sh.i, blobIndexOn(on), name)
 	}
-	mint, err := sh.openOwner(name, opt)
-	if err != nil {
-		return nil, err
-	}
-	if on == 0 {
-		dev.Store(st.blobTagWord(), tag)
+	setTag := func(v uint64) {
+		dev.Store(st.blobTagWord(), v)
 		dev.Flush(st.blobTagWord())
 		dev.Fence()
+	}
+	if on == 0 {
+		setTag(tag)
+	}
+	mint, err := sh.openOwner(name, opt)
+	if err != nil {
+		if on == 0 {
+			setTag(0) // the layer never opened, so it is on no index yet
+		}
+		return nil, err
 	}
 	// Each blobkv handle consumes an index and an allocator handle, so
 	// only a quarter of the shard's handle budget is exposed here.
@@ -743,7 +796,11 @@ func (sh *Shard) openOwner(name string, opt IndexOptions) (func(seed int64) inde
 		}
 		return func(int64) index.Owner { return t.NewHandle() }, nil
 	}
-	return nil, fmt.Errorf("pmwcas: unknown index %q (want skiplist, bwtree or hash)", name)
+	return nil, errUnknownIndex(name)
+}
+
+func errUnknownIndex(name string) error {
+	return fmt.Errorf("pmwcas: unknown index %q (want skiplist, bwtree or hash)", name)
 }
 
 // OpenIndex opens the named word index on every shard, in shard order.
