@@ -149,8 +149,12 @@ type Pool struct {
 	// descs holds one volatile Descriptor struct per pool slot, recycled
 	// in lockstep with the slot itself: AllocateDescriptor hands out
 	// &descs[idx] reinitialized, so acquiring a descriptor never
-	// heap-allocates. The aliasing is safe because takeIndex grants
-	// exclusive ownership of idx until retire returns it.
+	// heap-allocates. Each carries the owner's DRAM copy of its entries,
+	// a kWord-long slice of one slab cut in NewPool. The owner stages
+	// into both copies and reads only this one (so does finalize on the
+	// Retire path, once the owner is done); helpers and recovery read
+	// NVRAM. The aliasing is safe because takeIndex grants exclusive
+	// ownership of idx until Retire returns it.
 	descs []Descriptor
 
 	callbackMu sync.RWMutex
@@ -212,6 +216,10 @@ func NewPool(cfg Config) (*Pool, error) {
 		// pools leave the device unarmed — their data structures never
 		// flush, so persist-ordering has no meaning there.
 		cfg.Device.SetShadowMask(DirtyFlag)
+	}
+	ents := make([]entry, p.nDesc*p.kWord)
+	for i := range p.descs {
+		p.descs[i].ents = ents[i*p.kWord : (i+1)*p.kWord : (i+1)*p.kWord]
 	}
 	p.freeList = make([]int, 0, p.nDesc)
 	for i := p.nDesc - 1; i >= 0; i-- {
@@ -476,7 +484,7 @@ func (h *Handle) AllocateDescriptor(callbackID uint16) (*Descriptor, error) {
 	p.dev.Store(d+descCountOff, uint64(callbackID)<<callbackShift)
 	p.stats.allocated.Add(1)
 	ds := &p.descs[idx]
-	*ds = Descriptor{h: h, off: d, idx: idx}
+	*ds = Descriptor{h: h, off: d, idx: idx, cb: callbackID, ents: ds.ents}
 	return ds, nil
 }
 
@@ -491,8 +499,20 @@ type Descriptor struct {
 	h    *Handle
 	off  nvram.Offset
 	idx  int
-	n    int  // entries added so far
-	done bool // Execute or Discard has run
+	n    int     // entries added so far
+	cb   uint16  // finalize callback ID
+	done bool    // Execute or Discard has run
+	ents []entry // ents[:n] is the owner's DRAM copy of the NVRAM entries
+}
+
+// entry is one descriptor entry as the owner staged it. A ReserveEntry
+// new value is delivered by the allocator into NVRAM only: reserved says
+// new is not known here and must be loaded from the device.
+type entry struct {
+	addr     nvram.Offset
+	old, new uint64
+	policy   Policy
+	reserved bool
 }
 
 // Offset returns the descriptor's NVRAM offset (useful in tests/tools).
@@ -529,29 +549,36 @@ func (d *Descriptor) checkAddable(addr nvram.Offset, vals [2]uint64, nvals int) 
 			return ErrFlagBits
 		}
 	}
-	p := d.h.pool
-	for i := 0; i < d.n; i++ {
-		if p.dev.Load(wordOff(d.off, i)+wordAddrOff) == addr {
+	for _, e := range d.ents[:d.n] {
+		if e.addr == addr {
 			return ErrDuplicateAddress
 		}
 	}
 	return nil
 }
 
-func (d *Descriptor) writeEntry(i int, addr nvram.Offset, old, new uint64, policy Policy) {
+// storeEntry writes e as entry i into both copies: the four NVRAM words
+// and the owner's DRAM entry.
+func (d *Descriptor) storeEntry(i int, e entry) {
 	p := d.h.pool
 	w := wordOff(d.off, i)
-	p.dev.Store(w+wordAddrOff, addr)
-	p.dev.Store(w+wordOldOff, old)
-	p.dev.Store(w+wordNewOff, new)
-	p.dev.Store(w+wordMetaOff, uint64(policy)|d.off<<metaParentShift)
+	p.dev.Store(w+wordAddrOff, e.addr)
+	p.dev.Store(w+wordOldOff, e.old)
+	p.dev.Store(w+wordNewOff, e.new)
+	p.dev.Store(w+wordMetaOff, uint64(e.policy)|d.off<<metaParentShift)
+	d.ents[i] = e
 }
 
-func (d *Descriptor) bumpCount() {
+// storeCount writes the header's count word from the owner's copy.
+func (d *Descriptor) storeCount() {
+	d.h.pool.dev.Store(d.off+descCountOff, uint64(d.cb)<<callbackShift|uint64(d.n))
+}
+
+// addEntry appends e, then the count that covers it.
+func (d *Descriptor) addEntry(e entry) {
+	d.storeEntry(d.n, e)
 	d.n++
-	p := d.h.pool
-	cur := p.dev.Load(d.off + descCountOff)
-	p.dev.Store(d.off+descCountOff, cur&^uint64(countMask)|uint64(d.n))
+	d.storeCount()
 }
 
 // AddWord specifies one word to modify: compare against old, install new
@@ -570,8 +597,7 @@ func (d *Descriptor) AddWordWithPolicy(addr nvram.Offset, old, new uint64, polic
 	if err := d.checkAddable(addr, [2]uint64{old, new}, 2); err != nil {
 		return err
 	}
-	d.writeEntry(d.n, addr, old, new, policy)
-	d.bumpCount()
+	d.addEntry(entry{addr: addr, old: old, new: new, policy: policy})
 	return nil
 }
 
@@ -589,8 +615,7 @@ func (d *Descriptor) ReserveEntry(addr nvram.Offset, old uint64, policy Policy) 
 	if err := d.checkAddable(addr, [2]uint64{old, 0}, 1); err != nil {
 		return 0, err
 	}
-	d.writeEntry(d.n, addr, old, 0, policy)
-	d.bumpCount()
+	d.addEntry(entry{addr: addr, old: old, policy: policy, reserved: true})
 	// Entries first, then the count that covers them: recovery's
 	// never-leak guarantee for reserved memory depends on the persisted
 	// count never naming an unpersisted entry.
@@ -607,27 +632,22 @@ func (d *Descriptor) RemoveWord(addr nvram.Offset) error {
 	if d.done {
 		return ErrDescriptorDone
 	}
-	p := d.h.pool
-	for i := 0; i < d.n; i++ {
-		if p.dev.Load(wordOff(d.off, i)+wordAddrOff) == addr {
-			// Move the last entry into the hole. Parent offsets in meta
-			// are per-descriptor constants, so a straight 4-word copy is
-			// correct. The source line is flushed first: it may fall past
-			// the lines Execute flushes for the shorter count, and the
-			// copy must not be read off a line that is never written back.
+	for i := range d.ents[:d.n] {
+		if d.ents[i].addr == addr {
+			// Move the last entry into the hole, from the owner's copy.
+			// A reserved new value exists only in NVRAM, so it is loaded
+			// (once) and carried over as a known value.
 			last := d.n - 1
 			if i != last {
-				from, to := wordOff(d.off, last), wordOff(d.off, i)
-				if p.mode == Persistent {
-					p.dev.Flush(from)
+				e := d.ents[last]
+				if e.reserved {
+					e.new = d.h.pool.dev.Load(wordOff(d.off, last) + wordNewOff)
+					e.reserved = false
 				}
-				for f := 0; f < wordStride; f += nvram.WordSize {
-					p.dev.Store(to+uint64(f), p.dev.Load(from+uint64(f)))
-				}
+				d.storeEntry(i, e)
 			}
 			d.n--
-			cur := p.dev.Load(d.off + descCountOff)
-			p.dev.Store(d.off+descCountOff, cur&^uint64(countMask)|uint64(d.n))
+			d.storeCount()
 			return nil
 		}
 	}
@@ -678,31 +698,24 @@ func (p *Pool) retire(d nvram.Offset, idx int, succeeded bool) {
 // the success bit (bit 0). The pool registers itself with DeferRetire
 // instead of a closure so the retire path never heap-allocates.
 func (p *Pool) Retire(off, aux uint64) {
-	p.finalize(nvram.Offset(off), aux&1 != 0)
-	p.releaseIndex(int(aux >> 1))
+	ds := &p.descs[aux>>1]
+	p.finalize(DescriptorView{pool: p, off: nvram.Offset(off), n: ds.n, ents: ds.ents[:ds.n]}, ds.cb, aux&1 != 0)
+	p.releaseIndex(ds.idx)
 }
 
-// finalize applies recycling policies (or the registered callback), then
-// durably resets the descriptor to Free with zero count. The persist
-// order matters: entries become invisible (count=0) only after their
-// memory is freed, so a crash inside finalize re-runs the frees — the
-// allocator tolerates the resulting double-free attempts during recovery.
-func (p *Pool) finalize(d nvram.Offset, succeeded bool) {
-	cw := p.dev.Load(d + descCountOff)
-	cbID := uint16(cw >> callbackShift & callbackIDMask)
-	n := int(cw & countMask)
-	if n > p.kWord {
-		// Same refusal as Recover: a count beyond the descriptor's
-		// capacity is corruption, and walking the wild "entries" from here
-		// (or handing them to a callback) could free arbitrary blocks.
-		n = 0
-	}
-	view := DescriptorView{pool: p, off: d, n: n}
+// finalize applies recycling policies (or the registered callback) to
+// view's entries, then durably resets the descriptor to Free with zero
+// count. The persist order matters: entries become invisible (count=0)
+// only after their memory is freed, so a crash inside finalize re-runs
+// the frees — the allocator tolerates the resulting double-free attempts
+// during recovery.
+func (p *Pool) finalize(view DescriptorView, cbID uint16, succeeded bool) {
 	if fn := p.callback(cbID); fn != nil {
 		fn(view, succeeded)
 	} else {
 		view.applyPolicies(succeeded)
 	}
+	d := view.off
 	p.dev.Store(d+descCountOff, 0)
 	p.dev.Store(d+descStatusOff, StatusFree)
 	p.flushHeader(d) // status and count share the header line
@@ -722,6 +735,7 @@ type DescriptorView struct {
 	pool *Pool
 	off  nvram.Offset
 	n    int
+	ents []entry // the owner's DRAM copy on the Retire path; nil in recovery, which reads NVRAM
 }
 
 // WordCount returns the number of entries.
@@ -729,21 +743,34 @@ func (v DescriptorView) WordCount() int { return v.n }
 
 // Address returns entry i's target address.
 func (v DescriptorView) Address(i int) nvram.Offset {
+	if v.ents != nil {
+		return v.ents[i].addr
+	}
 	return v.pool.dev.Load(wordOff(v.off, i) + wordAddrOff)
 }
 
 // Old returns entry i's expected value.
 func (v DescriptorView) Old(i int) uint64 {
+	if v.ents != nil {
+		return v.ents[i].old
+	}
 	return v.pool.dev.Load(wordOff(v.off, i) + wordOldOff)
 }
 
-// New returns entry i's desired value.
+// New returns entry i's desired value. A reserved value still unknown
+// to the copy (the descriptor was discarded) is loaded from NVRAM.
 func (v DescriptorView) New(i int) uint64 {
+	if v.ents != nil && !v.ents[i].reserved {
+		return v.ents[i].new
+	}
 	return v.pool.dev.Load(wordOff(v.off, i) + wordNewOff)
 }
 
 // Policy returns entry i's recycling policy.
 func (v DescriptorView) Policy(i int) Policy {
+	if v.ents != nil {
+		return v.ents[i].policy
+	}
 	return Policy(v.pool.dev.Load(wordOff(v.off, i)+wordMetaOff) & metaPolicyMask)
 }
 

@@ -42,7 +42,19 @@ func plantStalledRDCSS(t *testing.T, e *env) (mdesc, addr0, addr1 nvram.Offset) 
 	if !e.dev.CAS(addrs[0], 10, wd|RDCSSFlag) {
 		t.Fatal("planting RDCSS pointer failed")
 	}
+	poisonOwnerCopy(d)
 	return d.off, addrs[0], addrs[1]
+}
+
+// poisonOwnerCopy overwrites a stalled descriptor's DRAM copy of its
+// entries with garbage values and policies. Whoever finishes the
+// operation next — a helper or recovery — must work from the durable
+// entries alone; one that read the owner's copy would roll 0xdead or
+// 0xbeef into the real words.
+func poisonOwnerCopy(d *Descriptor) {
+	for i := range d.ents {
+		d.ents[i].old, d.ents[i].new, d.ents[i].policy = 0xdead, 0xbeef, PolicyFreeOne
+	}
 }
 
 // A reader that trips over a stalled RDCSS pointer must complete the
@@ -92,11 +104,27 @@ func TestCompetitorCompletesStalledRDCSS(t *testing.T) {
 // explicitly handled in §4.4).
 func TestRecoveryResolvesStalledRDCSS(t *testing.T) {
 	e := newEnv(t, Persistent, false)
-	_, addr0, addr1 := plantStalledRDCSS(t, e)
+	mdesc, addr0, addr1 := plantStalledRDCSS(t, e)
 	// Persist the planted pointer as an eviction could have.
 	e.dev.Flush(addr0)
 
-	st := e.reopen(t)
+	// Restart by hand, handing the restarted slot the stalled owner's
+	// poisoned copy: recovery must read the durable entries only.
+	stale := e.pool
+	e.dev.Crash()
+	p, err := NewPool(Config{Device: e.dev, Region: e.poolReg,
+		DescriptorCount: testDescs, WordsPerDescriptor: testWords, Mode: Persistent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := p.descIndex(mdesc)
+	p.descs[idx].n = stale.descs[idx].n
+	copy(p.descs[idx].ents, stale.descs[idx].ents)
+	st, err := p.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.pool = p
 	if st.RolledBack != 1 {
 		t.Fatalf("recovery stats = %+v, want 1 rollback", st)
 	}
@@ -131,6 +159,7 @@ func TestReaderCompletesStalledDescriptor(t *testing.T) {
 			t.Fatal("planting descriptor pointer failed")
 		}
 	}
+	poisonOwnerCopy(d)
 
 	reader := e.pool.NewHandle()
 	if got := reader.Read(addrs[0]); got != 50 {

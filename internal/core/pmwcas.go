@@ -70,8 +70,15 @@ func (d *Descriptor) Execute() (bool, error) {
 		obs.fences += 2
 	}
 
+	// The allocator delivered each reserved new value into NVRAM only;
+	// load it once into the copy exec reads.
+	for i := range d.ents[:d.n] {
+		if e := &d.ents[i]; e.reserved {
+			e.new, e.reserved = p.dev.Load(wordOff(d.off, i)+wordNewOff), false
+		}
+	}
 	d.h.guard.Enter()
-	ok := p.exec(d.off, false, &obs)
+	ok := p.exec(d.off, d.ents[:d.n], &obs)
 	d.h.guard.Exit()
 
 	// Commit boundary for the psan persistency sanitizer: a successful
@@ -108,15 +115,19 @@ func (d *Descriptor) Execute() (bool, error) {
 }
 
 // target is exec's copy of one descriptor entry: the word it names, where
-// the entry lives, and the value persistTargets expects to find there.
+// the entry lives, its old and new values (the owner's only; a helper
+// loads them from the entry when it needs them), and the value
+// persistTargets expects to find there.
 type target struct {
-	addr nvram.Offset // the target word
-	w    nvram.Offset // the entry (word descriptor)
-	val  uint64       // the value being persisted, without DirtyFlag
+	addr     nvram.Offset // the target word
+	w        nvram.Offset // the entry (word descriptor)
+	old, new uint64
+	val      uint64 // the value being persisted, without DirtyFlag
 }
 
 // loadTargets fills ts[:n] with the descriptor's entries sorted by target
-// address, loading each address once. Every thread — owner or helper —
+// address: from the owner's DRAM copy own, or, for a helper (own nil),
+// loading each address from NVRAM once. Every thread — owner or helper —
 // computes the same order, so all Phase-1 acquisitions happen in one
 // global order and overlapping operations cannot deadlock each other's
 // help chains (§2.2), and targets sharing a line end up adjacent. The
@@ -125,10 +136,14 @@ type target struct {
 // the durable entries never move, which keeps torn-flush recovery sound.
 // Insertion sort: n is at most MaxWordsPerDescriptor and in practice ≤ 4,
 // where quadratic beats the sort package's interface machinery outright.
-func (p *Pool) loadTargets(mdesc nvram.Offset, n int, ts *[MaxWordsPerDescriptor]target) {
+func (p *Pool) loadTargets(mdesc nvram.Offset, own []entry, n int, ts *[MaxWordsPerDescriptor]target) {
 	for i := 0; i < n; i++ {
-		w := wordOff(mdesc, i)
-		t := target{addr: p.dev.Load(w + wordAddrOff), w: w}
+		t := target{w: wordOff(mdesc, i)}
+		if own != nil {
+			t.addr, t.old, t.new = own[i].addr, own[i].old, own[i].new
+		} else {
+			t.addr = p.dev.Load(t.w + wordAddrOff)
+		}
 		j := i
 		for ; j > 0 && ts[j-1].addr > t.addr; j-- {
 			ts[j] = ts[j-1]
@@ -160,8 +175,12 @@ func (p *Pool) persistTargets(ts []target, o *opObs) {
 // exec is the cooperative core of Algorithm 2, runnable by the owner and
 // by any helper that encountered the descriptor. It is idempotent: any
 // number of threads may execute it concurrently for the same descriptor
-// and exactly one outcome is installed.
-func (p *Pool) exec(mdesc nvram.Offset, helping bool, o *opObs) bool {
+// and exactly one outcome is installed. own is the entry source: the
+// owner passes its DRAM copy of the entries, a helper passes nil and
+// reads them from NVRAM, the only copy it can trust.
+func (p *Pool) exec(mdesc nvram.Offset, own []entry, o *opObs) bool {
+	helping := own == nil
+	n := len(own)
 	if helping {
 		p.stats.helps.Add(1)
 		if metrics.On() {
@@ -169,10 +188,10 @@ func (p *Pool) exec(mdesc nvram.Offset, helping bool, o *opObs) bool {
 			mHelps.Inc(lane)
 			metrics.DefaultTrace().Record(metrics.TraceHelp, uint64(mdesc), lane, 0)
 		}
+		n = int(p.dev.Load(mdesc+descCountOff) & countMask)
 	}
-	n := int(p.dev.Load(mdesc+descCountOff) & countMask)
 	var ts [MaxWordsPerDescriptor]target
-	p.loadTargets(mdesc, n, &ts)
+	p.loadTargets(mdesc, own, n, &ts)
 
 	// ----- Phase 1: install a descriptor pointer in every target word,
 	// in global address order.
@@ -180,7 +199,10 @@ func (p *Pool) exec(mdesc nvram.Offset, helping bool, o *opObs) bool {
 		st := StatusSucceeded
 	words:
 		for _, t := range ts[:n] {
-			old := p.dev.Load(t.w + wordOldOff)
+			old := t.old
+			if helping {
+				old = p.dev.Load(t.w + wordOldOff)
+			}
 			for {
 				rval := p.installMwCASDescriptor(t.w, t.addr, old, mdesc, o)
 				switch {
@@ -195,7 +217,7 @@ func (p *Pool) exec(mdesc nvram.Offset, helping bool, o *opObs) bool {
 						p.persist(t.addr, rval, o)
 					}
 					mInstallRetries.Add(laneOf(o, mdesc), 1)
-					p.exec(rval&AddressMask&^DirtyFlag, true, o)
+					p.exec(rval&AddressMask&^DirtyFlag, nil, o)
 					continue
 				case rval&DirtyFlag != 0:
 					// A plain value that merely is not persisted yet; after
@@ -234,16 +256,16 @@ func (p *Pool) exec(mdesc nvram.Offset, helping bool, o *opObs) bool {
 
 	// Persist the decision before Phase 2 (§4.3): once any new value is
 	// visible, recovery must roll forward, which it can only know from a
-	// durable status.
-	if p.mode == Persistent {
-		if cur := p.dev.Load(mdesc + descStatusOff); cur&DirtyFlag != 0 {
-			Persist(p.dev, mdesc+descStatusOff, cur)
-			if o != nil {
-				o.flushes++
-			}
+	// durable status. The decided status cannot change again while this
+	// thread can reach the descriptor, so one load serves both purposes.
+	cur := p.dev.Load(mdesc + descStatusOff)
+	if p.mode == Persistent && cur&DirtyFlag != 0 {
+		Persist(p.dev, mdesc+descStatusOff, cur)
+		if o != nil {
+			o.flushes++
 		}
 	}
-	succeeded := p.readStatus(mdesc) == StatusSucceeded
+	succeeded := cur&^DirtyFlag == StatusSucceeded
 
 	// ----- Phase 2: replace descriptor pointers with final values (new on
 	// success, old on failure/rollback), then persist them all at once.
@@ -258,7 +280,14 @@ func (p *Pool) exec(mdesc nvram.Offset, helping bool, o *opObs) bool {
 	expected := mdesc | MwCASFlag | p.dirty
 	for k := range ts[:n] {
 		t := &ts[k]
-		t.val = p.dev.Load(t.w + field)
+		switch {
+		case helping:
+			t.val = p.dev.Load(t.w + field)
+		case succeeded:
+			t.val = t.new
+		default:
+			t.val = t.old
+		}
 		if !p.dev.CAS(t.addr, expected, t.val|p.dirty) && p.dirty != 0 {
 			// The descriptor pointer may sit there already persisted
 			// (dirty bit cleared by a reader); swing that form too.
@@ -366,7 +395,7 @@ func (p *Pool) read(addr nvram.Offset) uint64 {
 		if v&MwCASFlag != 0 {
 			p.stats.reads.Add(1)
 			mReadHelps.Add(metrics.StripeAt(int(addr/nvram.WordSize)), 1)
-			p.exec(v&AddressMask, true, nil)
+			p.exec(v&AddressMask, nil, nil)
 			continue
 		}
 		return v
@@ -425,7 +454,7 @@ func (p *Pool) readTraverse(addr nvram.Offset) uint64 {
 			}
 			p.stats.reads.Add(1)
 			mReadHelps.Add(metrics.StripeAt(int(addr/nvram.WordSize)), 1)
-			p.exec(v&AddressMask, true, nil)
+			p.exec(v&AddressMask, nil, nil)
 			continue
 		}
 		// Plain value: return it dirty-bit-stripped without persisting.

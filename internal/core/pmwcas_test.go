@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -242,6 +243,76 @@ func TestExecuteFlushBill(t *testing.T) {
 			for i, off := range tc.offs {
 				if got := h.Read(data.Base + off); got != uint64(i+1) {
 					t.Errorf("word %d = %d, want %d", i, got, i+1)
+				}
+			}
+		})
+	}
+}
+
+// TestExecuteDeviceOpBill pins what a whole uncontended PMwCAS costs the
+// device, from AllocateDescriptor through the finalize that frees its
+// slot, with n entries on n distinct target lines. The owner loads only
+// what it cannot know from its DRAM copy of the entries: the slot's free
+// status, the Phase-1 status, each target's install load and RDCSS status
+// check, and the status once decided — 2n + 3 loads, where re-reading its
+// own entries off the device cost 13/21/30/40. Stores, CASes, flushes and
+// fences are the NVRAM image's bill and stay exactly where they were.
+func TestExecuteDeviceOpBill(t *testing.T) {
+	const slots, rounds = 15, 320
+	for _, tc := range []struct {
+		n                              int
+		stores, cases, flushes, fences uint64
+	}{
+		{1, 9, 8, 6, 3},
+		{2, 14, 14, 8, 3},
+		{3, 19, 20, 11, 3},
+		{4, 24, 26, 13, 3},
+	} {
+		t.Run(fmt.Sprintf("%d entries", tc.n), func(t *testing.T) {
+			dev := nvram.New(1 << 16)
+			l := nvram.NewLayout(dev)
+			p, err := NewPool(Config{Device: dev, Region: l.Carve(PoolSize(slots, testWords)),
+				DescriptorCount: slots, WordsPerDescriptor: testWords, Mode: Persistent})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := l.Carve(testWords * nvram.LineBytes)
+			h := p.NewHandle()
+			before := dev.Stats()
+			for r := uint64(0); r < rounds; r++ {
+				d, err := h.AllocateDescriptor(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < tc.n; i++ {
+					if err := d.AddWord(data.Base+uint64(i)*nvram.LineBytes, r, r+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if ok, err := d.Execute(); !ok || err != nil {
+					t.Fatalf("round %d: Execute = %v, %v", r, ok, err)
+				}
+			}
+			// Finalize every retired slot, so each round is billed whole.
+			for p.Epochs().Stats().Pending > 0 {
+				p.ReclaimPause()
+			}
+			after := dev.Stats()
+			per := func(a, b uint64) float64 { return float64(a-b) / rounds }
+			if got, max := per(after.Loads, before.Loads), float64(2*tc.n+3); got > max {
+				t.Errorf("loads = %.2f per PMwCAS, budget %v", got, max)
+			}
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"stores", per(after.Stores, before.Stores), float64(tc.stores)},
+				{"CASes", per(after.CASes, before.CASes), float64(tc.cases)},
+				{"flushes", per(after.Flushes, before.Flushes), float64(tc.flushes)},
+				{"fences", per(after.Fences, before.Fences), float64(tc.fences)},
+			} {
+				if c.got != c.want {
+					t.Errorf("%s = %.2f per PMwCAS, want %v", c.name, c.got, c.want)
 				}
 			}
 		})

@@ -71,16 +71,18 @@ func (p *Pool) Recover() (RecoveryStats, error) {
 			p.flushHeader(d)
 		}
 
+		// Recovery has no owner's copy: the view reads NVRAM.
+		view, cbID := DescriptorView{pool: p, off: d, n: n}, uint16(cw>>callbackShift&callbackIDMask)
 		switch status {
 		case StatusFree:
 			if n > 0 {
-				p.finalize(d, false)
+				p.finalize(view, cbID, false)
 				st.Reclaimed++
 			}
 		case StatusUndecided, StatusFailed, StatusSucceeded:
 			succeeded := status == StatusSucceeded
 			st.WordsRepaired += p.repairWords(d, n, succeeded)
-			p.finalize(d, succeeded)
+			p.finalize(view, cbID, succeeded)
 			if succeeded {
 				st.RolledForward++
 			} else {

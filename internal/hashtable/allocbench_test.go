@@ -7,10 +7,11 @@ import (
 	"pmwcas/internal/nvram"
 )
 
-// pointOps preloads a persistent table and returns its steady-state
-// Update+Get pair: what BenchmarkPointOps times and what
-// TestPointOpsAllocBudget counts allocations of.
-func pointOps(tb testing.TB) func(i int) {
+// pointOps preloads a persistent table and returns its device with the
+// steady-state Update and Get: what BenchmarkPointOps times,
+// TestPointOpsAllocBudget counts allocations of and
+// TestPointOpsDeviceOpBudget counts device ops of.
+func pointOps(tb testing.TB) (dev *nvram.Device, update, get func(i int)) {
 	e := newHTEnv(tb, core.Persistent, 8)
 	h := e.tab.NewHandle()
 	const keys = 512
@@ -19,23 +20,28 @@ func pointOps(tb testing.TB) func(i int) {
 			tb.Fatalf("preload %d: %v", k, err)
 		}
 	}
-	return func(i int) {
+	update = func(i int) {
 		k := uint64(i%keys) + 1
 		if err := h.Update(k, uint64(i%1024)+1); err != nil {
 			tb.Fatalf("update %d: %v", k, err)
 		}
+	}
+	get = func(i int) {
+		k := uint64(i%keys) + 1
 		if _, err := h.Get(k); err != nil {
 			tb.Fatalf("get %d: %v", k, err)
 		}
 	}
+	return e.dev, update, get
 }
 
 func BenchmarkPointOps(b *testing.B) {
-	op := pointOps(b)
+	_, update, get := pointOps(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op(i)
+		update(i)
+		get(i)
 	}
 }
 
@@ -48,9 +54,39 @@ func TestPointOpsAllocBudget(t *testing.T) {
 	if nvram.SanitizerEnabled {
 		t.Skip("psan's shadow state allocates on every device op")
 	}
-	op := pointOps(t)
+	_, update, get := pointOps(t)
 	i := 0
-	if got := testing.AllocsPerRun(20000, func() { op(i); i++ }); got > 0 {
+	if got := testing.AllocsPerRun(20000, func() { update(i); get(i); i++ }); got > 0 {
 		t.Fatalf("Update+Get = %v allocs/op, budget 0", got)
+	}
+}
+
+// TestPointOpsDeviceOpBudget is the count twin of TestPointOpsAllocBudget:
+// device ops (loads + stores + CASes + flushes + fences) per steady-state
+// Get and Update on the same table. An Update is a PMwCAS on the value
+// slot, so much of its bill is the descriptor's: while the PMwCAS owner
+// re-read its own entries off the device it cost 72.0 per Update (13.7
+// per Get), and the budget keeps the owner on its DRAM copy.
+func TestPointOpsDeviceOpBudget(t *testing.T) {
+	dev, update, get := pointOps(t)
+	ops := func(s nvram.Stats) uint64 { return s.Loads + s.Stores + s.CASes + s.Flushes + s.Fences }
+	const n = 4096
+	perOp := func(op func(int)) float64 {
+		before := dev.Stats()
+		for i := 0; i < n; i++ {
+			op(i)
+		}
+		return float64(ops(dev.Stats())-ops(before)) / n
+	}
+	// One untimed round of updates first, so every retired descriptor
+	// of the preload has been finalized.
+	perOp(update)
+	g, u := perOp(get), perOp(update)
+	t.Logf("device ops: Get %.1f, Update %.1f", g, u)
+	if g > 14.2 {
+		t.Errorf("Get = %.1f device ops, budget 14.2", g)
+	}
+	if u > 60 {
+		t.Errorf("Update = %.1f device ops, budget 60", u)
 	}
 }

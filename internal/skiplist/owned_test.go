@@ -90,21 +90,33 @@ func TestCompareUpdateLinearizesConcurrentCAS(t *testing.T) {
 			ah := e.alloc.NewHandle()
 			guard := h.Guard()
 			for i := 0; i < perG; i++ {
+				nb := e.block(t, ah, g, 0)
 				for {
+					// The guard spans read and CAS. Released in between,
+					// it would let v be freed and recycled into another
+					// goroutine's update before this CAS (ABA), which
+					// would then overwrite a newer count. compareUpdate,
+					// unlike CompareUpdateOwned, returns pool exhaustion,
+					// so the guard is dropped before reclaiming.
 					guard.Enter()
 					v, err := h.Get(7)
-					c := e.dev.Load(v)
-					guard.Exit()
 					if err != nil {
+						guard.Exit()
 						t.Errorf("Get: %v", err)
 						return
 					}
-					nb := e.block(t, ah, g, c+1)
-					err = h.CompareUpdateOwned(7, v, nb)
+					e.dev.Store(nb, e.dev.Load(v)+1)
+					e.dev.Flush(nb)
+					e.dev.Fence()
+					err = h.compareUpdate(7, v, nb, core.PolicyFreeOldOnSuccess)
+					guard.Exit()
 					if err == nil {
 						break
 					}
-					e.alloc.Free(nb)
+					if errors.Is(err, core.ErrPoolExhausted) {
+						e.pool.ReclaimPause()
+						continue
+					}
 					if !errors.Is(err, index.ErrValueMismatch) {
 						t.Errorf("CompareUpdateOwned: %v", err)
 						return
