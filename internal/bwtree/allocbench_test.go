@@ -68,9 +68,10 @@ func TestPointOpsAllocBudget(t *testing.T) {
 // Get and Update on the same tree. Point ops search each page of the
 // descent in place, so a Get costs its chain walks plus a binary search
 // per level; materialising every page on the way down cost 101.5 per Get
-// and 260.7 per Update. Update is 169.1 now that the PMwCAS owner reads
-// its DRAM copy of the descriptor entries (178.1 when it re-read them off
-// the device).
+// and 260.7 per Update. With the PMwCAS owner reading its DRAM copy of
+// the descriptor entries they were 47.4 and 169.1; since a split leaves
+// both halves as fresh bases (no split delta over the old chain) they
+// are 38.9 and 160.9.
 func TestPointOpsDeviceOpBudget(t *testing.T) {
 	dev, update, get := pointOps(t)
 	ops := func(s nvram.Stats) uint64 { return s.Loads + s.Stores + s.CASes + s.Flushes + s.Fences }

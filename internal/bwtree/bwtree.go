@@ -246,7 +246,7 @@ func New(cfg Config) (*Tree, error) {
 		}
 	}
 	ah := cfg.Allocator.NewHandle()
-	root, err := buildLeafInto(t, ah, nil, 0, MaxKey, 0, stagedOff)
+	root, err := buildBase(t, ah, recBaseLeaf, nil, 0, MaxKey, 0, stagedOff)
 	if err != nil {
 		return nil, fmt.Errorf("bwtree: building root: %w", err)
 	}
@@ -296,22 +296,19 @@ type Handle struct {
 	lane metrics.Stripe
 
 	// Reused scratch, so the point-op fast paths stay allocation-free
-	// (//pmwcas:hotpath): pathBuf backs descend's ancestor stack, and
-	// viewRing backs resolve's materialized views round-robin. A
-	// pageView's entry slices are valid only until viewRingSize further
-	// resolve calls on the same handle. descend searches pages in place
-	// and resolves nothing; maintenance and Scan resolve, and the most
-	// views any path holds at once is merge's four.
+	// (//pmwcas:hotpath): pathBuf backs descend's ancestor stack;
+	// decided, routes and routed are resolve's working sets, and
+	// viewRing backs the pages it returns, round-robin. A pageView's
+	// entries are valid only until viewRingSize further resolve calls on
+	// the same handle. descend searches pages in place and resolves
+	// nothing; maintenance and Scan resolve, and the most views any path
+	// holds at once is merge's four.
 	pathBuf  []pathEntry
-	viewRing [viewRingSize]viewBuf
+	decided  []decided
+	routes   []route
+	routed   []Entry
+	viewRing [viewRingSize][]Entry
 	viewIdx  int
-}
-
-// viewBuf is one reusable set of resolve buffers.
-type viewBuf struct {
-	deltas []nvram.Offset
-	leaf   []Entry
-	inner  []InnerEntry
 }
 
 // viewRingSize bounds how many pageViews resolved through one handle are
@@ -403,11 +400,11 @@ func (t *Tree) Stats(h *Handle) Stats {
 			s.ChainLinks += view.chain
 			if view.isLeaf {
 				s.Leaves++
-				s.Keys += len(view.leafEntries)
+				s.Keys += len(view.entries)
 			} else {
 				s.Inners++
-				for _, e := range view.innerEntries {
-					next = append(next, e.Child)
+				for _, e := range view.entries {
+					next = append(next, e.Value)
 				}
 			}
 		}

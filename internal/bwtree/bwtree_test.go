@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
@@ -46,7 +47,13 @@ func btSpec() []alloc.Class {
 
 func newTreeEnv(t testing.TB, mode core.Mode, smo SMOMode, tweak func(*Config)) *tenv {
 	t.Helper()
-	e := &tenv{spec: btSpec(), smo: smo, mode: mode}
+	return newTreeEnvSpec(t, mode, smo, btSpec(), tweak)
+}
+
+// newTreeEnvSpec is newTreeEnv over the allocator size classes spec.
+func newTreeEnvSpec(t testing.TB, mode core.Mode, smo SMOMode, spec []alloc.Class, tweak func(*Config)) *tenv {
+	t.Helper()
+	e := &tenv{spec: spec, smo: smo, mode: mode}
 	poolBytes := core.PoolSize(btDescs, btWords)
 	aBytes := alloc.MetaSize(e.spec, btHandles)
 	e.dev = nvram.New(poolBytes + aBytes + 1<<16)
@@ -145,7 +152,7 @@ func (e *tenv) checkStructure(t *testing.T) {
 		if v.isLeaf {
 			var keys []uint64
 			prev := v.low
-			for _, ent := range v.leafEntries {
+			for _, ent := range v.entries {
 				if ent.Key <= prev {
 					t.Fatalf("leaf %d keys not strictly ascending: %d after %d", lpid, ent.Key, prev)
 				}
@@ -157,14 +164,14 @@ func (e *tenv) checkStructure(t *testing.T) {
 			}
 			return keys
 		}
-		if len(v.innerEntries) == 0 {
+		if len(v.entries) == 0 {
 			t.Fatalf("inner %d is empty", lpid)
 		}
 		var keys []uint64
 		// Copy the routing entries before recursing: resolve recycles its
 		// view buffers per handle (Handle.viewRing), so the recursive
-		// walk below would overwrite v.innerEntries.
-		inner := append([]InnerEntry(nil), v.innerEntries...)
+		// walk below would overwrite v.entries.
+		inner := append([]Entry(nil), v.entries...)
 		vHigh := v.high
 		childLow := v.low
 		for i, ent := range inner {
@@ -173,7 +180,7 @@ func (e *tenv) checkStructure(t *testing.T) {
 					t.Fatalf("inner %d separators not ascending at %d", lpid, i)
 				}
 			}
-			keys = append(keys, walk(ent.Child, childLow, ent.Key, depth+1)...)
+			keys = append(keys, walk(ent.Value, childLow, ent.Key, depth+1)...)
 			childLow = ent.Key
 		}
 		if inner[len(inner)-1].Key != vHigh {
@@ -614,6 +621,111 @@ func TestConcurrentContendedMix(t *testing.T) {
 			wg.Wait()
 			if !t.Failed() {
 				e.checkStructure(t)
+			}
+		})
+	}
+}
+
+// TestConcurrentLoadFromEmpty: four goroutines insert 1,250 fresh
+// random keys each into an empty tree with the default capacities.
+// Nobody appends to a chain at twice the consolidation threshold, and a
+// page splits whatever its chain, so maintenance keeps up: no chain
+// outgrows that cap and the load takes tens of milliseconds (the time
+// bound only catches a stall; -race runs are slower). Before, a few lost
+// consolidation races grew the root leaf past the largest size class,
+// after which nothing could consolidate or split it again and every
+// insert walked one ever-longer chain.
+func TestConcurrentLoadFromEmpty(t *testing.T) {
+	const goroutines, perG = 4, 1250
+	rng := rand.New(rand.NewSource(5))
+	fresh := map[uint64]bool{}
+	var keys []uint64
+	for len(keys) < goroutines*perG {
+		if k := uint64(rng.Int63n(1<<40)) + 1; !fresh[k] {
+			fresh[k] = true
+			keys = append(keys, k)
+		}
+	}
+	for _, vt := range variants() {
+		t.Run(vt.name, func(t *testing.T) {
+			e := newTreeEnv(t, vt.mode, vt.smo, func(c *Config) {
+				c.LeafCapacity, c.InnerCapacity, c.ConsolidateAfter = 0, 0, 0
+			})
+			start := time.Now()
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(keys []uint64) {
+					defer wg.Done()
+					h := e.tree.NewHandle()
+					for _, k := range keys {
+						if err := h.Insert(k, k); err != nil {
+							t.Errorf("Insert(%d): %v", k, err)
+							return
+						}
+					}
+				}(keys[g*perG : (g+1)*perG])
+			}
+			wg.Wait()
+			elapsed := time.Since(start)
+			if t.Failed() {
+				return
+			}
+			st := e.tree.Stats(e.tree.NewHandle())
+			t.Logf("%v, %+v", elapsed, st)
+			if st.Keys != len(keys) {
+				t.Errorf("Stats.Keys = %d, want %d", st.Keys, len(keys))
+			}
+			// Writers never append to a chain at the cap; the baseline's
+			// split delta may sit one above it until the next
+			// consolidation.
+			maxChain := 2 * e.tree.consolAt
+			if vt.smo == SMOSingleCAS {
+				maxChain++
+			}
+			if st.MaxChain > maxChain {
+				t.Errorf("MaxChain = %d, cap %d", st.MaxChain, maxChain)
+			}
+			if elapsed > 20*time.Second {
+				t.Errorf("load took %v", elapsed)
+			}
+			e.checkStructure(t)
+		})
+	}
+}
+
+// TestCrowdedChainReportsOutOfMemory: when no block can hold a
+// consolidated page, a writer that meets a crowded chain fails with the
+// allocator's error instead of appending past the cap, and the tree
+// keeps its contents and keeps serving reads.
+func TestCrowdedChainReportsOutOfMemory(t *testing.T) {
+	for _, vt := range variants() {
+		t.Run(vt.name, func(t *testing.T) {
+			// One page-sized block: the first consolidation takes it and
+			// the next cannot be built.
+			spec := []alloc.Class{{BlockSize: 64, Count: 256}, {BlockSize: 512, Count: 1}}
+			e := newTreeEnvSpec(t, vt.mode, vt.smo, spec, nil)
+			h := e.tree.NewHandle()
+			var err error
+			n := uint64(0)
+			for err == nil && n < 100 {
+				n++
+				err = h.Insert(n, n)
+			}
+			if !errors.Is(err, alloc.ErrOutOfMemory) {
+				t.Fatalf("Insert(%d) = %v, want ErrOutOfMemory", n, err)
+			}
+			st := e.tree.Stats(h)
+			if st.MaxChain != 2*e.tree.consolAt {
+				t.Errorf("MaxChain = %d, want the cap %d", st.MaxChain, 2*e.tree.consolAt)
+			}
+			for k := uint64(1); k < n; k++ {
+				if v, err := h.Get(k); err != nil || v != k {
+					t.Fatalf("Get(%d) = (%d, %v)", k, v, err)
+				}
+			}
+			if _, err := h.Get(n); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get of the refused key: %v", err)
 			}
 		})
 	}

@@ -145,7 +145,7 @@ func Check(dev *nvram.Device, mapping, meta nvram.Region) ([]nvram.Offset, []Ent
 		}
 		if v.isLeaf {
 			prev := low
-			for _, e := range v.leafEntries {
+			for _, e := range v.entries {
 				if e.Key <= prev || e.Key > high {
 					return fmt.Errorf("bwtree: leaf %d key %#x violates order within (%#x,%#x]", lpid, e.Key, low, high)
 				}
@@ -157,14 +157,14 @@ func Check(dev *nvram.Device, mapping, meta nvram.Region) ([]nvram.Offset, []Ent
 			}
 			return nil
 		}
-		if len(v.innerEntries) == 0 {
+		if len(v.entries) == 0 {
 			return fmt.Errorf("bwtree: inner page %d has no routing entries", lpid)
 		}
 		// Copy the routing entries out of the view before recursing: the
 		// recursion resolves descendant pages through the same handle,
 		// and resolve recycles its view buffers ring-wise (Handle.viewRing),
-		// so v.innerEntries would be overwritten under us.
-		inner := append([]InnerEntry(nil), v.innerEntries...)
+		// so v.entries would be overwritten under us.
+		inner := append([]Entry(nil), v.entries...)
 		childLow := low
 		for i, e := range inner {
 			if e.Key <= childLow || e.Key > high {
@@ -173,7 +173,7 @@ func Check(dev *nvram.Device, mapping, meta nvram.Region) ([]nvram.Offset, []Ent
 			if i == len(inner)-1 && e.Key != high {
 				return fmt.Errorf("bwtree: inner %d last routing key %#x does not reach fence %#x", lpid, e.Key, high)
 			}
-			if err := descend(e.Child, childLow, e.Key, depth+1); err != nil {
+			if err := descend(e.Value, childLow, e.Key, depth+1); err != nil {
 				return err
 			}
 			childLow = e.Key

@@ -37,8 +37,9 @@ func runUntilCrash(dev *nvram.Device, k int, fn func()) (completed bool) {
 // post-insert key set, keep all invariants, and keep serving writes.
 func TestCrashSweepInsertWithSplit(t *testing.T) {
 	// 19 preloaded keys: the consolidations during preload leave a
-	// 16-entry base with a 3-delta chain, so the swept insert trips
-	// consolidation to 20 entries > LeafCapacity and splits.
+	// 16-entry base with a 3-delta chain, so the swept insert brings the
+	// page to 20 entries > LeafCapacity at the consolidation threshold,
+	// and maintenance splits it, chain and all, in one PMwCAS.
 	const preload = 19
 
 	for k := 1; ; k++ {
@@ -100,13 +101,15 @@ func TestCrashSweepMerge(t *testing.T) {
 	for k := 1; ; k++ {
 		e := newTreeEnv(t, core.Persistent, SMOPMwCAS, func(c *Config) { c.MergeBelow = 6 })
 		h := e.tree.NewHandle()
-		// Build two adjacent leaves, then drain one to the merge point.
+		// Build two adjacent leaves (the 17th key splits the root leaf
+		// into 1..8 and 9..17), then drain the right one to the merge
+		// point: six keys left, 19..24.
 		for key := uint64(1); key <= 24; key++ {
 			if err := h.Insert(key, key); err != nil {
 				t.Fatalf("preload: %v", err)
 			}
 		}
-		for key := uint64(13); key <= 20; key++ {
+		for key := uint64(9); key <= 18; key++ {
 			if err := h.Delete(key); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
@@ -116,7 +119,7 @@ func TestCrashSweepMerge(t *testing.T) {
 		leavesBefore := e.tree.Stats(h).Leaves
 
 		completed := runUntilCrash(e.dev, k, func() {
-			if err := h.Delete(21); err != nil {
+			if err := h.Delete(19); err != nil {
 				t.Fatalf("Delete: %v", err)
 			}
 			drainTree(e)
@@ -124,7 +127,7 @@ func TestCrashSweepMerge(t *testing.T) {
 
 		e.reopen(t)
 		h2 := e.tree.NewHandle()
-		_, err := h2.Get(21)
+		_, err := h2.Get(19)
 		present := err == nil
 		if !present && !errors.Is(err, ErrNotFound) {
 			t.Fatalf("crash at %d: Get: %v", k, err)
@@ -135,7 +138,7 @@ func TestCrashSweepMerge(t *testing.T) {
 			wantLen--
 		}
 		if len(after) != wantLen {
-			t.Fatalf("crash at %d: %d keys after recovery, want %d (21 present=%v)",
+			t.Fatalf("crash at %d: %d keys after recovery, want %d (19 present=%v)",
 				k, len(after), wantLen, present)
 		}
 		e.checkStructure(t)

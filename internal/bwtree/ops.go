@@ -239,8 +239,18 @@ func (h *Handle) writeOnce(key, expect, value, typ uint64, owned bool) (uint64, 
 		displaced = s.val
 	}
 
+	if t.crowded(s.chain) {
+		// Nobody appends to a crowded chain: help shorten it, then retry.
+		// Maintenance that cannot build a page surfaces here (e.g.
+		// alloc.ErrOutOfMemory) instead of the chain growing past its cap.
+		if err := h.maintain(path, leafLPID); err != nil {
+			return 0, err
+		}
+		return 0, errRetry
+	}
+
 	if t.smo == SMOSingleCAS {
-		delta, err := buildLeafDelta(t, h.ah, typ, key, value, 0, uint64(s.head), s.chain+1, scratchWord)
+		delta, err := buildDelta(t, h.ah, typ, uint64(s.head), s.chain+1, [5]uint64{key, value}, 2, scratchWord)
 		if err != nil {
 			return 0, err
 		}
@@ -254,12 +264,12 @@ func (h *Handle) writeOnce(key, expect, value, typ uint64, owned bool) (uint64, 
 		if err != nil {
 			return 0, err
 		}
-		field, err := d.ReserveEntry(t.mappingOff(leafLPID), uint64(s.head), core.PolicyFreeNewOnFailure)
-		if err != nil {
-			d.Discard()
-			return 0, err
+		n := 2 // an owned write also records the value it displaces
+		if displaced != 0 {
+			n = 3
 		}
-		delta, err := buildLeafDelta(t, h.ah, typ, key, value, displaced, uint64(s.head), s.chain+1, field)
+		delta, err := h.reserveDelta(d, leafLPID, uint64(s.head), core.PolicyFreeNewOnFailure,
+			typ, uint64(s.head), s.chain+1, [5]uint64{key, value, displaced}, n)
 		if err != nil {
 			d.Discard()
 			return 0, err
@@ -278,7 +288,7 @@ func (h *Handle) writeOnce(key, expect, value, typ uint64, owned bool) (uint64, 
 			return 0, errRetry
 		}
 	}
-	h.maintain(path, leafLPID)
+	_ = h.maintain(path, leafLPID) // best-effort: the write has landed
 	return s.val, nil
 }
 
@@ -302,7 +312,7 @@ func (h *Handle) Scan(from, to uint64, fn func(Entry) bool) error {
 	}
 	v := h.resolve(uint64(s.head))
 	for {
-		for _, e := range v.leafEntries {
+		for _, e := range v.entries {
 			if e.Key < from {
 				continue
 			}

@@ -81,10 +81,7 @@ func metaWord(typ uint64, chain int, count int) uint64 {
 	return typ | uint64(chain)<<8 | uint64(count)<<24
 }
 
-func (t *Tree) recType(rec nvram.Offset) uint64 { return t.dev.Load(rec+recMetaOff) & 0xff }
-func (t *Tree) recChain(rec nvram.Offset) int   { return int(t.dev.Load(rec+recMetaOff) >> 8 & 0xffff) }
-func (t *Tree) recCount(rec nvram.Offset) int   { return int(t.dev.Load(rec+recMetaOff) >> 24) }
-func (t *Tree) recNext(rec nvram.Offset) uint64 { return t.dev.Load(rec + recNextOff) }
+func (t *Tree) recChain(rec nvram.Offset) int { return int(t.dev.Load(rec+recMetaOff) >> 8 & 0xffff) }
 func (t *Tree) entryOff(rec nvram.Offset, i int) nvram.Offset {
 	return rec + baseEntriesOff + uint64(i)*entrySize
 }
@@ -101,255 +98,104 @@ func (t *Tree) flushRecord(rec nvram.Offset, size uint64) {
 	t.dev.Fence()
 }
 
-// Entry is a key/value pair in a leaf.
+// Entry is a key/value pair in a leaf. An inner page's routing entry has
+// the same shape: the child's inclusive upper fence and the child LPID.
 type Entry = index.Entry
 
-// InnerEntry routes keys at or below Key to Child.
-type InnerEntry struct {
-	Key   uint64
-	Child uint64
-}
-
-// pageView is the logical content of one page, resolved from its delta
-// chain under the caller's epoch guard.
-type pageView struct {
-	head   nvram.Offset // chain head this view was resolved from
-	isLeaf bool
-	chain  int // number of deltas above the base
-
-	low, high uint64
-	side      uint64 // right sibling LPID (possibly updated by a split delta)
-
-	removed bool // page was merged away
-
-	leafEntries  []Entry      // resolved leaf content (sorted), nil for inner
-	innerEntries []InnerEntry // resolved inner content (sorted), nil for leaf
-}
-
-// leafSearch returns the first index i with es[i].Key >= key (or > key
-// when excl). Hand-rolled because sort.Search's func-value argument is a
-// closure the compiler heap-allocates at every call, and these searches
-// sit inside resolve's delta replay on the //pmwcas:hotpath proof.
-func leafSearch(es []Entry, key uint64, excl bool) int {
-	lo, hi := 0, len(es)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if k := es[mid].Key; k < key || (excl && k == key) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// innerSearch is leafSearch over routing entries.
-func innerSearch(es []InnerEntry, key uint64, excl bool) int {
-	lo, hi := 0, len(es)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if k := es[mid].Key; k < key || (excl && k == key) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// resolve materializes the logical view of a chain. It walks the chain
-// once, collecting deltas, then replays them oldest-first over the base.
-// O(chain + count); chains are kept short by consolidation.
-func (h *Handle) resolve(head uint64) pageView {
-	t := h.tree
-	v := pageView{head: nvram.Offset(head)}
-	// Materialize into the handle's ring scratch (see Handle.viewRing):
-	// every write that consolidates resolves its page, so per-call makes
-	// here would dominate the point ops' allocation profile.
-	b := &h.viewRing[h.viewIdx&(viewRingSize-1)]
-	h.viewIdx++
-	deltas := b.deltas[:0]
-	rec := nvram.Offset(head)
-	for {
-		typ := t.recType(rec)
-		if typ == recBaseLeaf || typ == recBaseInner {
-			v.isLeaf = typ == recBaseLeaf
-			break
-		}
-		if typ == recRemoved {
-			v.removed = true
-			return v
-		}
-		deltas = append(deltas, rec)
-		rec = nvram.Offset(t.recNext(rec))
-	}
-	b.deltas = deltas
-	base := rec
-	v.chain = len(deltas)
-	v.low = t.dev.Load(base + baseLowOff)
-	v.high = t.dev.Load(base + baseHighOff)
-	v.side = t.dev.Load(base + baseSideOff)
-
-	n := t.recCount(base)
-	if v.isLeaf {
-		// Upper bound on growth: each delta adds at most one entry, so
-		// replay can never outgrow the reservation and reallocate.
-		if cap(b.leaf) < n+len(deltas) {
-			b.leaf = make([]Entry, 0, n+len(deltas))
-		}
-		v.leafEntries = b.leaf[:0]
-		for i := 0; i < n; i++ {
-			e := t.entryOff(base, i)
-			v.leafEntries = append(v.leafEntries, Entry{Key: t.dev.Load(e), Value: t.dev.Load(e + 8)})
-		}
-	} else {
-		if cap(b.inner) < n+2*len(deltas) {
-			b.inner = make([]InnerEntry, 0, n+2*len(deltas))
-		}
-		v.innerEntries = b.inner[:0]
-		for i := 0; i < n; i++ {
-			e := t.entryOff(base, i)
-			v.innerEntries = append(v.innerEntries, InnerEntry{t.dev.Load(e), t.dev.Load(e + 8)})
-		}
-	}
-
-	// Replay deltas oldest-first (they were prepended, so iterate the
-	// collected slice backwards).
-	for i := len(deltas) - 1; i >= 0; i-- {
-		d := deltas[i]
-		switch t.recType(d) {
-		case recInsert, recUpdate:
-			v.applyLeafPut(t.dev.Load(d+deltaKeyOff), t.dev.Load(d+deltaValOff))
-		case recDelete:
-			v.applyLeafDelete(t.dev.Load(d + deltaKeyOff))
-		case recSplit:
-			sep := t.dev.Load(d + splitSepOff)
-			sib := t.dev.Load(d + splitSiblingOff)
-			v.applySplit(sep, sib)
-		case recIndexEntry:
-			v.applyIndexEntry(
-				t.dev.Load(d+idxLowOff), t.dev.Load(d+idxMidOff), t.dev.Load(d+idxHighOff),
-				t.dev.Load(d+idxLeftOff), t.dev.Load(d+idxRightOff))
-		case recIndexDelete:
-			v.applyIndexDelete(
-				t.dev.Load(d+idxDelLowOff), t.dev.Load(d+idxDelHighOff), t.dev.Load(d+idxDelChildOff))
-		default:
-			panic(fmt.Sprintf("bwtree: delta %#x has corrupt type %d", d, t.recType(d)))
-		}
-	}
-	return v
-}
-
-// applyLeafPut inserts or replaces a key in the resolved view.
-func (v *pageView) applyLeafPut(key, val uint64) {
-	i := leafSearch(v.leafEntries, key, false)
-	if i < len(v.leafEntries) && v.leafEntries[i].Key == key {
-		v.leafEntries[i].Value = val
-		return
-	}
-	v.leafEntries = append(v.leafEntries, Entry{})
-	copy(v.leafEntries[i+1:], v.leafEntries[i:])
-	v.leafEntries[i] = Entry{Key: key, Value: val}
-}
-
-func (v *pageView) applyLeafDelete(key uint64) {
-	i := leafSearch(v.leafEntries, key, false)
-	if i < len(v.leafEntries) && v.leafEntries[i].Key == key {
-		v.leafEntries = append(v.leafEntries[:i], v.leafEntries[i+1:]...)
-	}
-}
-
-// applySplit truncates the view at the separator: keys above sep now
-// live at the sibling.
-func (v *pageView) applySplit(sep, sibling uint64) {
-	if v.isLeaf {
-		i := leafSearch(v.leafEntries, sep, true)
-		v.leafEntries = v.leafEntries[:i]
-	} else {
-		i := innerSearch(v.innerEntries, sep, true)
-		v.innerEntries = v.innerEntries[:i]
-	}
-	v.high = sep
-	v.side = sibling
-}
-
-// applyIndexEntry splits the routing entry covering (low, high]: keys in
-// (low, mid] go left, (mid, high] go right. The low bound is carried in
-// the delta for layout fidelity with the paper's (Kp, Kq) description
-// but is implied by the preceding entry during replay.
-func (v *pageView) applyIndexEntry(_, mid, high, left, right uint64) {
-	i := innerSearch(v.innerEntries, high, false)
-	if i == len(v.innerEntries) || v.innerEntries[i].Key != high {
-		// The covered entry is gone (e.g., truncated by a later split
-		// replay); the delta is a no-op for this view.
-		return
-	}
-	v.innerEntries[i].Child = right
-	v.innerEntries = append(v.innerEntries, InnerEntry{})
-	copy(v.innerEntries[i+1:], v.innerEntries[i:])
-	v.innerEntries[i] = InnerEntry{mid, left}
-}
-
-// applyIndexDelete collapses all routing entries in (low, high] into one
-// entry high -> child (page merge at the parent).
-func (v *pageView) applyIndexDelete(low, high, child uint64) {
-	lo := innerSearch(v.innerEntries, low, true)
-	hi := innerSearch(v.innerEntries, high, false)
-	if hi == len(v.innerEntries) || v.innerEntries[hi].Key != high {
-		return
-	}
-	v.innerEntries[hi].Child = child
-	v.innerEntries = append(v.innerEntries[:lo], v.innerEntries[hi:]...)
-}
-
-// pageHit is one key's answer from one page, read in place by search:
-// the page's fences and, when key is within them, the key's value (leaf)
-// or the child that routes it (inner).
-type pageHit struct {
+// pageHdr is what one walk of a chain learns about its page, whatever
+// the reader wants from it.
+type pageHdr struct {
 	head    nvram.Offset
 	chain   int // deltas above the base, from the head's meta word
 	isLeaf  bool
-	removed bool
+	removed bool // page was merged away: restart
 
 	low, high uint64 // high is a pending split's separator, if any
 	side      uint64 // right sibling LPID (the split sibling, if any)
 	baseHigh  uint64 // the base's upper fence; above high iff a split is pending
 
+	base  nvram.Offset // the base page
+	count int          // its entry count
+}
+
+// walker visits one chain newest-first, loading each record's meta word
+// once. It applies the rules every reader of a page shares: the newest
+// split delta sets the upper fence and the side link, and the walk ends
+// at the base page (kind, fences, entries) or at a removed marker. next
+// stops at each delta that names keys, for the reader to judge; for any
+// key, the first such record that names it decides (a leaf delta for
+// the key, an index delta whose range holds it), else the base does.
+type walker struct {
+	pageHdr
+	t     *Tree
+	rec   nvram.Offset
+	split bool
+}
+
+func (t *Tree) walk(head uint64) walker {
+	return walker{pageHdr: pageHdr{head: nvram.Offset(head)}, t: t, rec: nvram.Offset(head)}
+}
+
+// next returns the next leaf or index delta and its type, or type 0
+// once the walk is over and pageHdr is complete.
+func (w *walker) next() (nvram.Offset, uint64) {
+	dev := w.t.dev
+	for {
+		rec := w.rec
+		meta := dev.Load(rec + recMetaOff)
+		if rec == w.head {
+			w.chain = int(meta >> 8 & 0xffff)
+		}
+		switch typ := meta & 0xff; typ {
+		case recInsert, recUpdate, recDelete, recIndexEntry, recIndexDelete:
+			w.rec = nvram.Offset(dev.Load(rec + recNextOff))
+			return rec, typ
+		case recSplit:
+			if !w.split {
+				w.split = true
+				w.high, w.side = dev.Load(rec+splitSepOff), dev.Load(rec+splitSiblingOff)
+			}
+			w.rec = nvram.Offset(dev.Load(rec + recNextOff))
+		case recBaseLeaf, recBaseInner:
+			w.isLeaf, w.base, w.count = typ == recBaseLeaf, rec, int(meta>>24)
+			w.low, w.baseHigh = dev.Load(rec+baseLowOff), dev.Load(rec+baseHighOff)
+			if !w.split {
+				w.high, w.side = w.baseHigh, dev.Load(rec+baseSideOff)
+			}
+			return 0, 0
+		case recRemoved:
+			w.removed = true
+			return 0, 0
+		default:
+			panic(fmt.Sprintf("bwtree: record %#x has corrupt type %d", rec, typ))
+		}
+	}
+}
+
+// pageHit is one key's answer from one page, read in place by search:
+// the page's header and, when key is within its fences, the key's value
+// (leaf) or the child that routes it (inner).
+type pageHit struct {
+	pageHdr
 	found bool
 	val   uint64 // leaf value or inner child LPID
 }
 
 // search answers a point lookup or a routing step on the chain at head
-// without materialising the page. It visits deltas newest-first, so the
-// first record for key wins: a leaf delta for key, or an index-entry or
-// index-delete delta whose range holds key. The newest split delta sets
-// the page's fences. Then it binary-searches the base's sorted entries.
-// Each record's meta word is loaded once: O(chain + log n) loads, where
-// resolve pays O(chain + 2n).
+// without materialising the page: the first delta that names key
+// decides, else a binary search of the base's sorted entries does.
+// O(chain + log n) loads.
 func (t *Tree) search(head, key uint64) pageHit {
-	s := pageHit{head: nvram.Offset(head)}
-	split, decided := false, false
-	rec := s.head
-	for {
-		meta := t.dev.Load(rec + recMetaOff)
-		if rec == s.head {
-			s.chain = int(meta >> 8 & 0xffff)
+	var s pageHit
+	decided := false
+	w := t.walk(head)
+	for rec, typ := w.next(); typ != 0; rec, typ = w.next() {
+		if decided {
+			continue
 		}
-		switch typ := meta & 0xff; typ {
-		case recInsert, recUpdate, recDelete:
-			if !decided && t.dev.Load(rec+deltaKeyOff) == key {
-				decided, s.found = true, typ != recDelete
-				if s.found {
-					s.val = t.dev.Load(rec + deltaValOff)
-				}
-			}
-		case recSplit:
-			if !split {
-				split = true
-				s.high, s.side = t.dev.Load(rec+splitSepOff), t.dev.Load(rec+splitSiblingOff)
-			}
+		switch typ {
 		case recIndexEntry:
-			if !decided && key > t.dev.Load(rec+idxLowOff) && key <= t.dev.Load(rec+idxHighOff) {
+			if key > t.dev.Load(rec+idxLowOff) && key <= t.dev.Load(rec+idxHighOff) {
 				child := rec + idxRightOff
 				if key <= t.dev.Load(rec+idxMidOff) {
 					child = rec + idxLeftOff
@@ -357,41 +203,211 @@ func (t *Tree) search(head, key uint64) pageHit {
 				decided, s.found, s.val = true, true, t.dev.Load(child)
 			}
 		case recIndexDelete:
-			if !decided && key > t.dev.Load(rec+idxDelLowOff) && key <= t.dev.Load(rec+idxDelHighOff) {
+			if key > t.dev.Load(rec+idxDelLowOff) && key <= t.dev.Load(rec+idxDelHighOff) {
 				decided, s.found, s.val = true, true, t.dev.Load(rec+idxDelChildOff)
 			}
-		case recBaseLeaf, recBaseInner:
-			s.isLeaf = typ == recBaseLeaf
-			s.low, s.baseHigh = t.dev.Load(rec+baseLowOff), t.dev.Load(rec+baseHighOff)
-			if !split {
-				s.high, s.side = s.baseHigh, t.dev.Load(rec+baseSideOff)
-			}
-			if decided {
-				return s
-			}
-			// First entry with key >= the target; at is that entry's key.
-			n := int(meta >> 24)
-			lo, hi, at := 0, n, uint64(0)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if k := t.dev.Load(t.entryOff(rec, mid)); k < key {
-					lo = mid + 1
-				} else {
-					hi, at = mid, k
+		default:
+			if t.dev.Load(rec+deltaKeyOff) == key {
+				decided, s.found = true, typ != recDelete
+				if s.found {
+					s.val = t.dev.Load(rec + deltaValOff)
 				}
 			}
-			if lo < n && (!s.isLeaf || at == key) {
-				s.found, s.val = true, t.dev.Load(t.entryOff(rec, lo)+8)
-			}
-			return s
-		case recRemoved:
-			s.removed = true
-			return s
-		default:
-			panic(fmt.Sprintf("bwtree: record %#x has corrupt type %d", rec, typ))
 		}
-		rec = nvram.Offset(t.dev.Load(rec + recNextOff))
 	}
+	s.pageHdr = w.pageHdr
+	if decided || s.removed {
+		return s
+	}
+	// First entry with key >= the target; at is that entry's key.
+	lo, hi, at := 0, s.count, uint64(0)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if k := t.dev.Load(t.entryOff(s.base, mid)); k < key {
+			lo = mid + 1
+		} else {
+			hi, at = mid, k
+		}
+	}
+	if lo < s.count && (!s.isLeaf || at == key) {
+		s.found, s.val = true, t.dev.Load(t.entryOff(s.base, lo)+8)
+	}
+	return s
+}
+
+// pageView is the whole logical content of one page, read by resolve
+// under the caller's epoch guard.
+type pageView struct {
+	pageHdr
+	entries []Entry // in key order, all within (low, high]
+}
+
+// decided is the newest leaf delta for one key (resolve's scratch).
+type decided struct {
+	key uint64
+	rec nvram.Offset
+	del bool
+}
+
+// route is one index delta and the range it routes (resolve's scratch).
+type route struct {
+	low, high uint64
+	rec       nvram.Offset
+	typ       uint64
+}
+
+// resolve reads a page's whole content. One walk collects what the
+// chain decides: the newest leaf delta for each key, kept in key order,
+// or each index delta's range. One merge with the base's sorted entries
+// then yields the page in key order. A base entry survives unless a
+// delta decides its key, and nothing above the page's upper fence
+// survives. Nothing is replayed, so the cost is O(n + chain·log chain)
+// loads with no shifting of the page's entries.
+//
+// The entries live in the handle's view ring (Handle.viewRing): they are
+// valid until viewRingSize further resolve calls on the same handle.
+func (h *Handle) resolve(head uint64) pageView {
+	t := h.tree
+	ks, rs := h.decided[:0], h.routes[:0]
+	w := t.walk(head)
+	for rec, typ := w.next(); typ != 0; rec, typ = w.next() {
+		switch typ {
+		case recIndexEntry:
+			rs = append(rs, route{t.dev.Load(rec + idxLowOff), t.dev.Load(rec + idxHighOff), rec, typ})
+		case recIndexDelete:
+			rs = append(rs, route{t.dev.Load(rec + idxDelLowOff), t.dev.Load(rec + idxDelHighOff), rec, typ})
+		default:
+			// Insert in key order unless a newer delta decided the key.
+			k := t.dev.Load(rec + deltaKeyOff)
+			lo, hi := 0, len(ks)
+			for lo < hi {
+				if mid := int(uint(lo+hi) >> 1); ks[mid].key < k {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			if lo < len(ks) && ks[lo].key == k {
+				continue
+			}
+			ks = append(ks, decided{})
+			copy(ks[lo+1:], ks[lo:])
+			ks[lo] = decided{k, rec, typ == recDelete}
+		}
+	}
+	h.decided, h.routes = ks, rs
+	v := pageView{pageHdr: w.pageHdr}
+	if v.removed {
+		return v
+	}
+	i := h.viewIdx & (viewRingSize - 1)
+	h.viewIdx++
+	if n := v.count + len(ks) + 2*len(rs); cap(h.viewRing[i]) < n {
+		h.viewRing[i] = make([]Entry, 0, n)
+	}
+	if v.isLeaf {
+		v.entries = t.mergeLeaf(h.viewRing[i][:0], &v.pageHdr, ks)
+	} else {
+		v.entries = h.mergeInner(h.viewRing[i][:0], &v.pageHdr, rs)
+	}
+	return v
+}
+
+// mergeLeaf merges a leaf's base entries with its decided keys.
+func (t *Tree) mergeLeaf(out []Entry, p *pageHdr, ks []decided) []Entry {
+	j := 0
+	for i := 0; i < p.count; i++ {
+		e := t.entryOff(p.base, i)
+		k := t.dev.Load(e)
+		if k > p.high {
+			break
+		}
+		for ; j < len(ks) && ks[j].key < k; j++ {
+			out = t.appendDecided(out, ks[j])
+		}
+		if j < len(ks) && ks[j].key == k {
+			out = t.appendDecided(out, ks[j])
+			j++
+			continue
+		}
+		out = append(out, Entry{Key: k, Value: t.dev.Load(e + 8)})
+	}
+	for ; j < len(ks) && ks[j].key <= p.high; j++ {
+		out = t.appendDecided(out, ks[j])
+	}
+	return out
+}
+
+func (t *Tree) appendDecided(out []Entry, d decided) []Entry {
+	if !d.del {
+		out = append(out, Entry{Key: d.key, Value: t.dev.Load(d.rec + deltaValOff)})
+	}
+	return out
+}
+
+// mergeInner merges an inner page's base entries with the routing
+// entries of its index deltas. A routing entry's key is the upper end of
+// the range it routes, and it survives unless a newer index delta's
+// range holds that key. (A delta's range is a union of whole routing
+// ranges of the page it was posted to, so it covers a range entirely or
+// not at all.)
+func (h *Handle) mergeInner(out []Entry, p *pageHdr, rs []route) []Entry {
+	t := h.tree
+	ds := h.routed[:0]
+	for i, r := range rs {
+		if r.typ == recIndexDelete {
+			ds = addRoute(ds, rs[:i], p.high, r.high, t.dev.Load(r.rec+idxDelChildOff))
+			continue
+		}
+		ds = addRoute(ds, rs[:i], p.high, t.dev.Load(r.rec+idxMidOff), t.dev.Load(r.rec+idxLeftOff))
+		ds = addRoute(ds, rs[:i], p.high, r.high, t.dev.Load(r.rec+idxRightOff))
+	}
+	h.routed = ds
+	j := 0
+	for i := 0; i < p.count; i++ {
+		e := t.entryOff(p.base, i)
+		k := t.dev.Load(e)
+		if k > p.high {
+			break
+		}
+		if covered(rs, k) {
+			continue
+		}
+		for ; j < len(ds) && ds[j].Key < k; j++ {
+			out = append(out, ds[j])
+		}
+		out = append(out, Entry{Key: k, Value: t.dev.Load(e + 8)})
+	}
+	for ; j < len(ds); j++ {
+		out = append(out, ds[j])
+	}
+	return out
+}
+
+// addRoute inserts the routing entry (key, child) into ds in key order,
+// unless key is past the page's fence or a newer delta's range holds it.
+func addRoute(ds []Entry, newer []route, high, key, child uint64) []Entry {
+	if key > high || covered(newer, key) {
+		return ds
+	}
+	i := len(ds)
+	for i > 0 && ds[i-1].Key > key {
+		i--
+	}
+	ds = append(ds, Entry{})
+	copy(ds[i+1:], ds[i:])
+	ds[i] = Entry{Key: key, Value: child}
+	return ds
+}
+
+// covered reports whether key lies in the range of one of rs.
+func covered(rs []route, key uint64) bool {
+	for _, r := range rs {
+		if key > r.low && key <= r.high {
+			return true
+		}
+	}
+	return false
 }
 
 // ---- record builders -------------------------------------------------
@@ -401,22 +417,17 @@ func (t *Tree) search(head, key uint64) pageHit {
 // delivered into the descriptor (crash-owned); in SMOSingleCAS mode the
 // caller frees explicitly on failure.
 
-func leafSize(n int) uint64  { return baseEntriesOff + uint64(n)*entrySize }
-func innerSize(n int) uint64 { return leafSize(n) }
+func baseSize(n int) uint64 { return baseEntriesOff + uint64(n)*entrySize }
 
-// buildLeaf writes a leaf base page and returns its offset. target is
-// where the allocator delivers the block (a descriptor new-value field,
-// or a scratch word in volatile contexts).
-func buildLeaf(t *Tree, ah *alloc.Handle, entries []Entry, low, high, side uint64) (nvram.Offset, error) {
-	return buildLeafInto(t, ah, entries, low, high, side, nvram.WordSize)
-}
-
-func buildLeafInto(t *Tree, ah *alloc.Handle, entries []Entry, low, high, side uint64, target nvram.Offset) (nvram.Offset, error) {
-	page, err := ah.Alloc(leafSize(len(entries)), target)
+// buildBase writes a base page (recBaseLeaf or recBaseInner) and returns
+// its offset. target is where the allocator delivers the block (a
+// descriptor new-value field, or a scratch word in volatile contexts).
+func buildBase(t *Tree, ah *alloc.Handle, typ uint64, entries []Entry, low, high, side uint64, target nvram.Offset) (nvram.Offset, error) {
+	page, err := ah.Alloc(baseSize(len(entries)), target)
 	if err != nil {
 		return 0, err
 	}
-	t.dev.Store(page+recMetaOff, metaWord(recBaseLeaf, 0, len(entries)))
+	t.dev.Store(page+recMetaOff, metaWord(typ, 0, len(entries)))
 	t.dev.Store(page+recNextOff, 0)
 	t.dev.Store(page+baseLowOff, low)
 	t.dev.Store(page+baseHighOff, high)
@@ -425,122 +436,42 @@ func buildLeafInto(t *Tree, ah *alloc.Handle, entries []Entry, low, high, side u
 		t.dev.Store(t.entryOff(page, i), e.Key)
 		t.dev.Store(t.entryOff(page, i)+8, e.Value)
 	}
-	t.flushRecord(page, leafSize(len(entries)))
+	t.flushRecord(page, baseSize(len(entries)))
 	return page, nil
 }
 
-func buildInnerInto(t *Tree, ah *alloc.Handle, entries []InnerEntry, low, high, side uint64, target nvram.Offset) (nvram.Offset, error) {
-	page, err := ah.Alloc(innerSize(len(entries)), target)
-	if err != nil {
-		return 0, err
+// buildPage writes v's entries [from, to) as a base page of v's kind
+// under the given fences: the whole page (consolidation) or one half of
+// it (a split).
+func buildPage(t *Tree, ah *alloc.Handle, v *pageView, from, to int, low, high, side uint64, target nvram.Offset) (nvram.Offset, error) {
+	typ := recBaseInner
+	if v.isLeaf {
+		typ = recBaseLeaf
 	}
-	t.dev.Store(page+recMetaOff, metaWord(recBaseInner, 0, len(entries)))
-	t.dev.Store(page+recNextOff, 0)
-	t.dev.Store(page+baseLowOff, low)
-	t.dev.Store(page+baseHighOff, high)
-	t.dev.Store(page+baseSideOff, side)
-	for i, e := range entries {
-		t.dev.Store(t.entryOff(page, i), e.Key)
-		t.dev.Store(t.entryOff(page, i)+8, e.Child)
-	}
-	t.flushRecord(page, innerSize(len(entries)))
-	return page, nil
+	return buildBase(t, ah, typ, v.entries[from:to], low, high, side, target)
 }
 
 const deltaSize = 64 // all delta records fit one cache line
 
-// buildLeafDelta writes an insert/update/delete delta over next. A
-// nonzero displaced is the owned value the delta replaces; it goes to
-// +32, where the installing PMwCAS pins it.
-func buildLeafDelta(t *Tree, ah *alloc.Handle, typ uint64, key, val, displaced, next uint64, chain int, target nvram.Offset) (nvram.Offset, error) {
+// buildDelta writes a delta record of type typ over next: the header,
+// then the first n words of body from +16 on (the layouts above).
+func buildDelta(t *Tree, ah *alloc.Handle, typ, next uint64, chain int, body [5]uint64, n int, target nvram.Offset) (nvram.Offset, error) {
 	d, err := ah.Alloc(deltaSize, target)
 	if err != nil {
 		return 0, err
 	}
 	t.dev.Store(d+recMetaOff, metaWord(typ, chain, 0))
 	t.dev.Store(d+recNextOff, next)
-	t.dev.Store(d+deltaKeyOff, key)
-	t.dev.Store(d+deltaValOff, val)
-	if displaced != 0 {
-		t.dev.Store(d+deltaOwnedOff, displaced)
+	for i := 0; i < n; i++ {
+		t.dev.Store(d+deltaKeyOff+uint64(i)*nvram.WordSize, body[i])
 	}
 	t.flushRecord(d, deltaSize)
 	return d, nil
-}
-
-func buildSplitDelta(t *Tree, ah *alloc.Handle, sep, sibling, next uint64, chain int, target nvram.Offset) (nvram.Offset, error) {
-	d, err := ah.Alloc(deltaSize, target)
-	if err != nil {
-		return 0, err
-	}
-	t.dev.Store(d+recMetaOff, metaWord(recSplit, chain, 0))
-	t.dev.Store(d+recNextOff, next)
-	t.dev.Store(d+splitSepOff, sep)
-	t.dev.Store(d+splitSiblingOff, sibling)
-	t.flushRecord(d, deltaSize)
-	return d, nil
-}
-
-func buildIndexEntryDelta(t *Tree, ah *alloc.Handle, low, mid, high, left, right, next uint64, chain int, target nvram.Offset) (nvram.Offset, error) {
-	d, err := ah.Alloc(deltaSize, target)
-	if err != nil {
-		return 0, err
-	}
-	t.dev.Store(d+recMetaOff, metaWord(recIndexEntry, chain, 0))
-	t.dev.Store(d+recNextOff, next)
-	t.dev.Store(d+idxLowOff, low)
-	t.dev.Store(d+idxMidOff, mid)
-	t.dev.Store(d+idxHighOff, high)
-	t.dev.Store(d+idxLeftOff, left)
-	t.dev.Store(d+idxRightOff, right)
-	t.flushRecord(d, deltaSize)
-	return d, nil
-}
-
-func buildIndexDeleteDelta(t *Tree, ah *alloc.Handle, low, high, child, next uint64, chain int, target nvram.Offset) (nvram.Offset, error) {
-	d, err := ah.Alloc(deltaSize, target)
-	if err != nil {
-		return 0, err
-	}
-	t.dev.Store(d+recMetaOff, metaWord(recIndexDelete, chain, 0))
-	t.dev.Store(d+recNextOff, next)
-	t.dev.Store(d+idxDelLowOff, low)
-	t.dev.Store(d+idxDelHighOff, high)
-	t.dev.Store(d+idxDelChildOff, child)
-	t.flushRecord(d, deltaSize)
-	return d, nil
-}
-
-func buildRemovedMarker(t *Tree, ah *alloc.Handle, target nvram.Offset) (nvram.Offset, error) {
-	d, err := ah.Alloc(deltaSize, target)
-	if err != nil {
-		return 0, err
-	}
-	t.dev.Store(d+recMetaOff, metaWord(recRemoved, 0, 0))
-	t.dev.Store(d+recNextOff, 0)
-	t.flushRecord(d, deltaSize)
-	return d, nil
-}
-
-// chainBlocks returns every record offset in a chain, head first, for
-// bulk freeing after consolidation or merge.
-func (t *Tree) chainBlocks(head uint64) []nvram.Offset {
-	var out []nvram.Offset
-	rec := nvram.Offset(head)
-	for rec != 0 {
-		out = append(out, rec)
-		typ := t.recType(rec)
-		if typ == recBaseLeaf || typ == recBaseInner || typ == recRemoved {
-			break
-		}
-		rec = nvram.Offset(t.recNext(rec))
-	}
-	return out
 }
 
 // freeChain releases every record in a chain.
 func (t *Tree) freeChain(head uint64) {
-	for _, rec := range t.chainBlocks(head) {
+	for _, rec := range chainBlocksOf(t.dev, head) {
 		_ = t.alloc.Free(rec)
 	}
 }

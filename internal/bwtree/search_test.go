@@ -2,18 +2,23 @@ package bwtree
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
 	"pmwcas/internal/core"
+	"pmwcas/internal/nvram"
 )
 
-// TestSearchMatchesResolve is the differential check on the in-place
-// walk. Trees are built by three concurrent goroutines of random
-// inserts, updates and deletes; between rounds, every live page is
-// probed at every key that matters to it (each key a record names, the
+// TestSearchMatchesResolve is the differential check on the two page
+// readers. Trees are built from empty by three concurrent goroutines of
+// random inserts, updates and deletes; between rounds, every live page
+// is read by replay (the reference below) and by resolve, which must
+// agree on the page's header and its whole content, and is probed with
+// search at every key that matters to it (each key a record names, the
 // keys beside them, the fences and the keys past them). For each probe,
-// search must agree with resolve followed by a lookup: on the fences,
+// search must agree with replay followed by a lookup: on the fences,
 // the chain length, whether the key redirects past the page, and the
 // found flag with its value (leaf) or child (inner). The merging run
 // puts index-delete deltas on inner chains.
@@ -37,14 +42,6 @@ func TestSearchMatchesResolve(t *testing.T) {
 			// Handles are a bounded resource: make four and reuse them.
 			check := e.tree.NewHandle()
 			writers := []*Handle{e.tree.NewHandle(), e.tree.NewHandle(), e.tree.NewHandle()}
-			// Preload every eighth key from one goroutine: concurrent writers
-			// on an empty tree's single leaf can starve its consolidation
-			// (ROADMAP item 8), and then nothing ever splits.
-			for k := uint64(1); k <= 1000; k += 8 {
-				if err := check.Insert(k, k); err != nil {
-					t.Fatalf("preload %d: %v", k, err)
-				}
-			}
 			for round := 0; round < 6; round++ {
 				// Even rounds grow the tree, odd rounds drain it.
 				insert, del := 3, 1
@@ -85,9 +82,9 @@ func TestSearchMatchesResolve(t *testing.T) {
 	}
 }
 
-// checkSearch probes every live page of a quiescent tree (see
+// checkSearch reads every live page of a quiescent tree (see
 // TestSearchMatchesResolve), counts the record types on the chains into
-// seen, and returns the number of (page, key) pairs checked.
+// seen, and returns the number of (page, key) pairs probed.
 func checkSearch(t *testing.T, tr *Tree, h *Handle, seen map[uint64]int) int {
 	t.Helper()
 	g := h.core.Guard()
@@ -99,23 +96,31 @@ func checkSearch(t *testing.T, tr *Tree, h *Handle, seen map[uint64]int) int {
 		if head == 0 {
 			continue
 		}
-		v := h.resolve(head)
+		v := replay(tr, head)
+		got := h.resolve(head)
+		if got.removed != v.removed {
+			t.Fatalf("LPID %d: resolve says removed %v, replay %v", lpid, got.removed, v.removed)
+		}
 		if v.removed {
 			if s := tr.search(head, 1); !s.removed {
-				t.Fatalf("LPID %d: resolve says removed, search does not", lpid)
+				t.Fatalf("LPID %d: replay says removed, search does not", lpid)
 			}
 			continue
+		}
+		if got.isLeaf != v.isLeaf || got.chain != v.chain || got.low != v.low || got.high != v.high ||
+			got.side != v.side || !slices.Equal(got.entries, v.entries) {
+			t.Fatalf("LPID %d: resolve %+v, replay %+v", lpid, got, v)
 		}
 		// The probe keys: every key a record names, the fences, and the
 		// neighbours of each.
 		var keys []uint64
 		split := false
-		for _, rec := range tr.chainBlocks(head) {
-			typ := tr.recType(rec)
+		for _, rec := range chainBlocksOf(tr.dev, head) {
+			typ := tr.dev.Load(rec+recMetaOff) & 0xff
 			seen[typ]++
 			switch typ {
 			case recBaseLeaf, recBaseInner:
-				for i := 0; i < tr.recCount(rec); i++ {
+				for i := 0; i < int(tr.dev.Load(rec+recMetaOff)>>24); i++ {
 					keys = append(keys, tr.dev.Load(tr.entryOff(rec, i)))
 				}
 			case recIndexEntry:
@@ -139,7 +144,7 @@ func checkSearch(t *testing.T, tr *Tree, h *Handle, seen map[uint64]int) int {
 				s := tr.search(head, key)
 				if s.removed || s.isLeaf != v.isLeaf || s.chain != v.chain ||
 					s.low != v.low || s.high != v.high || s.side != v.side || (s.baseHigh != s.high) != split {
-					t.Fatalf("LPID %d key %d: search page %+v, resolve low %d high %d side %d chain %d leaf %v split %v",
+					t.Fatalf("LPID %d key %d: search page %+v, replay low %d high %d side %d chain %d leaf %v split %v",
 						lpid, key, s, v.low, v.high, v.side, v.chain, v.isLeaf, split)
 				}
 				if key > v.high {
@@ -147,7 +152,7 @@ func checkSearch(t *testing.T, tr *Tree, h *Handle, seen map[uint64]int) int {
 				}
 				found, val := lookup(&v, key)
 				if s.found != found || (found && s.val != val) {
-					t.Fatalf("LPID %d (leaf %v) key %d: search (%v, %d), resolve (%v, %d)",
+					t.Fatalf("LPID %d (leaf %v) key %d: search (%v, %d), replay (%v, %d)",
 						lpid, v.isLeaf, key, s.found, s.val, found, val)
 				}
 			}
@@ -156,19 +161,87 @@ func checkSearch(t *testing.T, tr *Tree, h *Handle, seen map[uint64]int) int {
 	return pairs
 }
 
-// lookup answers key from a resolved view: the value in a leaf, the
+// replay is the reference page reader: it collects the chain's deltas,
+// then applies them oldest-first to a copy of the base, each the way it
+// changed the page when it was posted. A split delta truncates the page
+// at its separator; an index-entry delta splits the routing entry whose
+// key is its high, and an index-delete delta folds the entries in its
+// range into one; either is a no-op when that entry is gone.
+func replay(tr *Tree, head uint64) pageView {
+	dev := tr.dev
+	v := pageView{pageHdr: pageHdr{head: nvram.Offset(head)}}
+	var deltas []nvram.Offset
+	rec := v.head
+	for {
+		typ := dev.Load(rec+recMetaOff) & 0xff
+		if typ == recRemoved {
+			v.removed = true
+			return v
+		}
+		if typ == recBaseLeaf || typ == recBaseInner {
+			v.isLeaf = typ == recBaseLeaf
+			break
+		}
+		deltas = append(deltas, rec)
+		rec = nvram.Offset(dev.Load(rec + recNextOff))
+	}
+	v.chain = len(deltas)
+	v.low, v.high, v.side = dev.Load(rec+baseLowOff), dev.Load(rec+baseHighOff), dev.Load(rec+baseSideOff)
+	for i := 0; i < int(dev.Load(rec+recMetaOff)>>24); i++ {
+		e := tr.entryOff(rec, i)
+		v.entries = append(v.entries, Entry{Key: dev.Load(e), Value: dev.Load(e + 8)})
+	}
+	// at is the first entry at or above key (above it when excl).
+	at := func(key uint64, excl bool) int {
+		return sort.Search(len(v.entries), func(i int) bool {
+			k := v.entries[i].Key
+			return k > key || (!excl && k == key)
+		})
+	}
+	for i := len(deltas) - 1; i >= 0; i-- {
+		d := deltas[i]
+		w := func(off nvram.Offset) uint64 { return dev.Load(d + off) }
+		switch w(recMetaOff) & 0xff {
+		case recInsert, recUpdate:
+			key, val := w(deltaKeyOff), w(deltaValOff)
+			if j := at(key, false); j < len(v.entries) && v.entries[j].Key == key {
+				v.entries[j].Value = val
+			} else {
+				v.entries = slices.Insert(v.entries, j, Entry{Key: key, Value: val})
+			}
+		case recDelete:
+			key := w(deltaKeyOff)
+			if j := at(key, false); j < len(v.entries) && v.entries[j].Key == key {
+				v.entries = slices.Delete(v.entries, j, j+1)
+			}
+		case recSplit:
+			v.high, v.side = w(splitSepOff), w(splitSiblingOff)
+			v.entries = v.entries[:at(v.high, true)]
+		case recIndexEntry:
+			high := w(idxHighOff)
+			if j := at(high, false); j < len(v.entries) && v.entries[j].Key == high {
+				v.entries[j].Value = w(idxRightOff)
+				v.entries = slices.Insert(v.entries, j, Entry{Key: w(idxMidOff), Value: w(idxLeftOff)})
+			}
+		case recIndexDelete:
+			high := w(idxDelHighOff)
+			if j := at(high, false); j < len(v.entries) && v.entries[j].Key == high {
+				v.entries[j].Value = w(idxDelChildOff)
+				v.entries = slices.Delete(v.entries, at(w(idxDelLowOff), true), j)
+			}
+		default:
+			panic("replay: corrupt delta type")
+		}
+	}
+	return v
+}
+
+// lookup answers key from a page's content: the value in a leaf, the
 // routing child in an inner page.
 func lookup(v *pageView, key uint64) (bool, uint64) {
-	if v.isLeaf {
-		i := leafSearch(v.leafEntries, key, false)
-		if i < len(v.leafEntries) && v.leafEntries[i].Key == key {
-			return true, v.leafEntries[i].Value
-		}
+	i := sort.Search(len(v.entries), func(i int) bool { return v.entries[i].Key >= key })
+	if i == len(v.entries) || (v.isLeaf && v.entries[i].Key != key) {
 		return false, 0
 	}
-	i := innerSearch(v.innerEntries, key, false)
-	if i == len(v.innerEntries) {
-		return false, 0
-	}
-	return true, v.innerEntries[i].Child
+	return true, v.entries[i].Value
 }

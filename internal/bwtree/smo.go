@@ -38,14 +38,15 @@ func smoStart() time.Time {
 // Structure modification operations: consolidation, splits, and merges.
 //
 // In SMOPMwCAS mode every SMO is a single PMwCAS over the mapping-table
-// words it touches — split delta, sibling installation, and the parent's
-// index-entry delta commit or vanish together (§6.2, "the approach
-// collapses the multi-step SMO into a single PMwCAS"). Maintenance is
-// best-effort: a failed SMO just means somebody changed a page first;
-// the next operation through the page retries.
+// words it touches — both halves of a split and the parent's index-entry
+// delta commit or vanish together (§6.2, "the approach collapses the
+// multi-step SMO into a single PMwCAS"). Maintenance is best-effort: a
+// failed SMO just means somebody changed a page first; the next
+// operation through the page retries. Only a crowded chain (see
+// crowded) makes a writer wait for maintenance to land.
 //
 // In SMOSingleCAS mode an SMO is the classic delta sequence with
-// help-along, implemented at the bottom of this file.
+// help-along, implemented in smo_singlecas.go.
 
 // cbSMO is the finalize-callback ID (registered at startup, §4.1) for
 // SMOs whose success-side garbage is an entire delta chain rather than a
@@ -119,7 +120,8 @@ func smoFinalize(dev *nvram.Device, a *alloc.Allocator, v core.DescriptorView, s
 	}
 }
 
-// chainBlocksOf is Tree.chainBlocks without a Tree (usable at recovery).
+// chainBlocksOf returns every record offset in a chain, head first, for
+// bulk freeing after an SMO (usable at recovery, without a Tree).
 func chainBlocksOf(dev *nvram.Device, head uint64) []nvram.Offset {
 	var out []nvram.Offset
 	rec := nvram.Offset(head)
@@ -139,70 +141,128 @@ func (t *Tree) registerCallbacks() error {
 	return nil
 }
 
-// maintain runs post-operation maintenance on a page: consolidate long
-// chains, then split oversized or merge undersized pages. Best-effort;
-// all failures are silent (retried by future traffic).
+// capacity is the most entries a page of the kind holds unsplit.
+func (t *Tree) capacity(leaf bool) int {
+	if leaf {
+		return t.leafCap
+	}
+	return t.innerCap
+}
+
+// crowded reports whether a chain has reached its cap, twice the
+// consolidation threshold. Nobody appends to a crowded chain: writers
+// and SMOs run its maintenance instead and retry, so chains shorten
+// under contention rather than grow (the Bw-tree's help-along
+// discipline).
+func (t *Tree) crowded(chain int) bool { return chain >= 2*t.consolAt }
+
+// maintain runs maintenance on a page after an operation: it splits an
+// oversized page whatever its chain, else consolidates a long chain, and
+// merges an undersized page. A lost race is not an error, since the next
+// operation through the page retries. It returns what kept an SMO from
+// being built (allocator, mapping table or descriptor pool out of room),
+// so a writer facing a crowded chain can report it rather than retry
+// forever.
 //
 //pmwcas:requires-guard — re-reads mappings and walks page chains
-func (h *Handle) maintain(path []pathEntry, lpid uint64) {
+func (h *Handle) maintain(path []pathEntry, lpid uint64) error {
 	t := h.tree
 	head := h.readMapping(lpid)
 	// A short chain with merging off has nothing to fire: consolidation
-	// waits for consolAt deltas and split refuses chained pages.
+	// waits for consolAt deltas, and a page outgrows its capacity only
+	// through deltas.
 	if chain := t.recChain(nvram.Offset(head)); chain > 0 && chain < t.consolAt && t.mergeBelow == 0 {
-		return
+		return nil
 	}
 	v := h.resolve(head)
 	if v.removed {
-		return
+		return nil
+	}
+	if len(v.entries) > t.capacity(v.isLeaf) {
+		did, err := h.split(path, lpid, &v)
+		if did {
+			h.maintainParent(path)
+		}
+		return err
 	}
 	if v.chain >= t.consolAt {
-		page := h.consolidate(lpid, &v)
+		if v.high < v.baseHigh && len(path) > 0 {
+			// A baseline split still pending here loses its help-along
+			// signal when the chain folds: post it first.
+			h.helpSplitCAS(path[len(path)-1].lpid, v.low, v.high, v.baseHigh, lpid, v.side)
+		}
+		page, err := h.consolidate(lpid, &v)
 		// While the mapping still holds the new base, the view already
 		// is its content.
 		if page == 0 || h.readMapping(lpid) != uint64(page) {
-			return
+			return err
 		}
 		v.head, v.chain = page, 0
 	}
-	capacity := t.leafCap
-	if !v.isLeaf {
-		capacity = t.innerCap
-	}
-	size := len(v.leafEntries) + len(v.innerEntries)
-	changedParent := false
 	switch {
-	case size > capacity:
-		changedParent = h.split(path, lpid, &v)
-	case t.mergeBelow > 0 && size < t.mergeBelow && lpid != RootLPID:
-		changedParent = h.merge(path, lpid, &v)
-	case t.mergeBelow > 0 && !v.isLeaf && lpid == RootLPID && len(path) == 0 &&
-		len(v.innerEntries) == 1:
+	case t.mergeBelow > 0 && len(v.entries) < t.mergeBelow && lpid != RootLPID:
+		if h.merge(path, lpid, &v) {
+			h.maintainParent(path)
+		}
+	case t.mergeBelow > 0 && !v.isLeaf && lpid == RootLPID && len(path) == 0 && len(v.entries) == 1:
 		// Merging drained the root down to a single child: collapse the
 		// height by hoisting the child's content behind the root LPID —
 		// repeatedly, since the hoisted child may itself be a single-entry
 		// inner.
 		if h.collapseRoot(&v) {
-			h.maintain(nil, RootLPID)
+			_ = h.maintain(nil, RootLPID)
 		}
 	}
-	// An SMO posts a delta to the parent; cascade maintenance upward so
-	// inner chains consolidate and inner pages split in turn.
-	if changedParent && len(path) > 0 {
-		h.maintain(path[:len(path)-1], path[len(path)-1].lpid)
+	return nil
+}
+
+// maintainParent cascades maintenance to the parent an SMO posts to, so
+// inner chains consolidate and inner pages split in turn.
+//
+//pmwcas:requires-guard — maintains the parent page
+func (h *Handle) maintainParent(path []pathEntry) {
+	if len(path) > 0 {
+		_ = h.maintain(path[:len(path)-1], path[len(path)-1].lpid)
 	}
 }
 
+// reservePage reserves lpid's mapping word in d, expecting old, and
+// builds v's entries [from, to) into it as a base page under the given
+// fences.
+func (h *Handle) reservePage(d *core.Descriptor, lpid, old uint64, policy core.Policy, v *pageView, from, to int, low, high, side uint64) (nvram.Offset, error) {
+	field, err := d.ReserveEntry(h.tree.mappingOff(lpid), old, policy)
+	if err != nil {
+		return 0, err
+	}
+	return buildPage(h.tree, h.ah, v, from, to, low, high, side, field)
+}
+
+// reserveDelta reserves lpid's mapping word in d, expecting old, and
+// builds into it a delta of type typ over next carrying body[:n].
+func (h *Handle) reserveDelta(d *core.Descriptor, lpid, old uint64, policy core.Policy, typ, next uint64, chain int, body [5]uint64, n int) (nvram.Offset, error) {
+	field, err := d.ReserveEntry(h.tree.mappingOff(lpid), old, policy)
+	if err != nil {
+		return 0, err
+	}
+	return buildDelta(h.tree, h.ah, typ, next, chain, body, n, field)
+}
+
+// reserveRemoved retires lpid behind a removed marker: its chain, old,
+// is freed on success and the marker on failure.
+func (h *Handle) reserveRemoved(d *core.Descriptor, lpid, old uint64) error {
+	_, err := h.reserveDelta(d, lpid, old, core.PolicyFreeOne, recRemoved, 0, 0, [5]uint64{}, 0)
+	return err
+}
+
 // collapseRoot replaces a single-child inner root with a copy of that
-// child, retiring the child's LPID — the inverse of splitRoot, and like
-// every SMO here a single PMwCAS: {root: oldRoot→childCopy,
+// child, retiring the child's LPID — the inverse of a root split, and
+// like every SMO here a single PMwCAS: {root: oldRoot→childCopy,
 // child: childChain→removed}. Readers mid-descent through the old child
 // LPID hit the removed marker and restart.
 //
 //pmwcas:requires-guard — reads mappings of pages another thread may retire
 func (h *Handle) collapseRoot(v *pageView) bool {
-	t := h.tree
-	childLPID := v.innerEntries[0].Child
+	childLPID := v.entries[0].Value
 	childHead := h.readMapping(childLPID)
 	if childHead == 0 {
 		return false
@@ -215,28 +275,13 @@ func (h *Handle) collapseRoot(v *pageView) bool {
 	if err != nil {
 		return false
 	}
-	// Root takes over the child's resolved content; the old root chain
-	// and the child's whole chain are freed on success.
-	fR, err := d.ReserveEntry(t.mappingOff(RootLPID), uint64(v.head), core.PolicyFreeOne)
-	if err != nil {
-		_ = d.Discard()
-		return false
-	}
-	if cv.isLeaf {
-		_, err = buildLeafInto(t, h.ah, cv.leafEntries, cv.low, cv.high, cv.side, fR)
-	} else {
-		_, err = buildInnerInto(t, h.ah, cv.innerEntries, cv.low, cv.high, cv.side, fR)
+	// Root takes over the child's content; the old root chain and the
+	// child's whole chain are freed on success.
+	_, err = h.reservePage(d, RootLPID, uint64(v.head), core.PolicyFreeOne, &cv, 0, len(cv.entries), cv.low, cv.high, cv.side)
+	if err == nil {
+		err = h.reserveRemoved(d, childLPID, childHead)
 	}
 	if err != nil {
-		_ = d.Discard()
-		return false
-	}
-	fC, err := d.ReserveEntry(t.mappingOff(childLPID), childHead, core.PolicyFreeOne)
-	if err != nil {
-		_ = d.Discard()
-		return false
-	}
-	if _, err := buildRemovedMarker(t, h.ah, fC); err != nil {
 		_ = d.Discard()
 		return false
 	}
@@ -244,195 +289,112 @@ func (h *Handle) collapseRoot(v *pageView) bool {
 	return ok
 }
 
-// consolidate replaces a delta chain with a fresh base page. Returns the
-// base it installed, or 0 if the swap did not land.
+// consolidate replaces a delta chain with a fresh base page. It returns
+// the base it installed, or 0 if the swap did not land, and the error
+// that kept the base from being built.
 //
 //pmwcas:requires-guard — reads the mapping word it intends to swap
-func (h *Handle) consolidate(lpid uint64, v *pageView) (page nvram.Offset) {
-	t := h.tree
-	if v.removed || v.chain == 0 {
-		return 0
-	}
+func (h *Handle) consolidate(lpid uint64, v *pageView) (page nvram.Offset, err error) {
 	t0 := smoStart()
 	//lint:allow hotpath — SMO timing closure; consolidation is amortized maintenance triggered past chain/size thresholds, its cost pinned by TestPointOpsAllocBudget, not the per-op proof (§6.3)
 	defer func() { h.observeSMO(mConsolidateNs, t0, page != 0) }()
-	if t.smo == SMOSingleCAS {
+	if h.tree.smo == SMOSingleCAS {
 		return h.consolidateCAS(lpid, v)
 	}
 	d, err := h.core.AllocateDescriptor(cbSMO)
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	field, err := d.ReserveEntry(t.mappingOff(lpid), uint64(v.head), core.PolicyFreeOne)
+	page, err = h.reservePage(d, lpid, uint64(v.head), core.PolicyFreeOne, v, 0, len(v.entries), v.low, v.high, v.side)
 	if err != nil {
 		d.Discard()
-		return 0
-	}
-	if v.isLeaf {
-		page, err = buildLeafInto(t, h.ah, v.leafEntries, v.low, v.high, v.side, field)
-	} else {
-		page, err = buildInnerInto(t, h.ah, v.innerEntries, v.low, v.high, v.side, field)
-	}
-	if err != nil {
-		d.Discard()
-		return 0
+		return 0, err
 	}
 	if ok, _ := d.Execute(); !ok {
-		return 0
+		return 0, nil
 	}
-	return page
+	return page, nil
 }
 
-// split divides an oversized, fully consolidated page, posting the new
-// sibling and the parent's index-entry delta in one PMwCAS. Root splits
-// move the old root behind a fresh LPID and swap a new inner root in —
-// also one PMwCAS.
+// split divides an oversized page at the middle of its content, whatever
+// its chain, in one PMwCAS: the lower half replaces the chain as a fresh
+// base behind the same LPID (the old chain is freed on success), the
+// upper half becomes a new page Q, and the parent gains an index-entry
+// delta routing to both. So a split consolidates as it goes, and no page
+// is ever built larger than half the content it splits. A root split
+// puts the lower half behind a fresh LPID too and swaps a two-entry inner
+// root in behind the root LPID — also one PMwCAS.
 //
 //pmwcas:requires-guard — reads parent and sibling mapping words
-func (h *Handle) split(path []pathEntry, lpid uint64, v *pageView) (did bool) {
-	if v.chain != 0 || v.removed {
-		return false // split only consolidated pages; maintenance will return
-	}
+func (h *Handle) split(path []pathEntry, lpid uint64, v *pageView) (did bool, err error) {
 	t0 := smoStart()
 	//lint:allow hotpath — SMO timing closure; a split is amortized maintenance triggered past chain/size thresholds, its cost pinned by TestPointOpsAllocBudget, not the per-op proof (§6.3)
 	defer func() { h.observeSMO(mSplitNs, t0, did) }()
 	t := h.tree
-	size := len(v.leafEntries) + len(v.innerEntries)
-	if size < 2 {
-		return false
+	root := lpid == RootLPID && len(path) == 0
+	if !root && len(path) == 0 {
+		return false, nil // stale: non-root page with no recorded parent
 	}
 	if t.smo == SMOSingleCAS {
 		return h.splitCAS(path, lpid, v)
 	}
-
-	var sep uint64
-	if v.isLeaf {
-		sep = v.leafEntries[len(v.leafEntries)/2-1].Key
-	} else {
-		sep = v.innerEntries[len(v.innerEntries)/2-1].Key
+	var parent pathEntry
+	parentChain := 0
+	if !root {
+		parent = path[len(path)-1]
+		if parentChain = t.recChain(nvram.Offset(parent.head)); t.crowded(parentChain) {
+			h.maintainParent(path)
+			return false, nil
+		}
 	}
-	if sep == v.high {
-		return false // cannot split: all weight at the top
-	}
-
-	if lpid == RootLPID && len(path) == 0 {
-		h.splitRoot(v, sep)
-		return false // the new root has no parent to maintain
-	}
-	if len(path) == 0 {
-		return false // stale: non-root page with no recorded parent
-	}
-	parent := path[len(path)-1]
-
-	qLPID, err := t.allocLPID()
-	if err != nil {
-		return false
-	}
-	d, err := h.core.AllocateDescriptor(cbSMO)
-	if err != nil {
-		return false
-	}
-	// Sibling Q takes the upper half.
-	fQ, err := d.ReserveEntry(t.mappingOff(qLPID), 0, core.PolicyFreeNewOnFailure)
-	if err != nil {
-		_ = d.Discard()
-		return false
-	}
-	if _, err := buildUpperHalf(t, h.ah, v, sep, fQ); err != nil {
-		_ = d.Discard()
-		return false
-	}
-	// Split delta on P.
-	fP, err := d.ReserveEntry(t.mappingOff(lpid), uint64(v.head), core.PolicyFreeNewOnFailure)
-	if err != nil {
-		_ = d.Discard()
-		return false
-	}
-	if _, err := buildSplitDelta(t, h.ah, sep, qLPID, uint64(v.head), v.chain+1, fP); err != nil {
-		_ = d.Discard()
-		return false
-	}
-	// Index-entry delta on the parent.
-	fO, err := d.ReserveEntry(t.mappingOff(parent.lpid), parent.head, core.PolicyFreeNewOnFailure)
-	if err != nil {
-		_ = d.Discard()
-		return false
-	}
-	parentChain := t.recChain(nvram.Offset(parent.head))
-	if _, err := buildIndexEntryDelta(t, h.ah, v.low, sep, v.high, lpid, qLPID,
-		parent.head, parentChain+1, fO); err != nil {
-		_ = d.Discard()
-		return false
-	}
-	ok, _ := d.Execute()
-	return ok
-}
-
-// splitRoot splits the root page behind a constant root LPID: the old
-// chain moves to fresh LPID P2 (under a split delta), the upper half
-// becomes Q, and a new two-entry inner root replaces the root mapping.
-//
-//pmwcas:requires-guard — reads the root mapping word mid-swap
-func (h *Handle) splitRoot(v *pageView, sep uint64) {
-	t := h.tree
-	p2, err := t.allocLPID()
-	if err != nil {
-		return
-	}
+	mid := len(v.entries) / 2
+	sep := v.entries[mid-1].Key
 	q, err := t.allocLPID()
 	if err != nil {
-		return
+		return false, err
+	}
+	p, pOld, pPolicy := lpid, uint64(v.head), core.PolicyFreeOne
+	if root {
+		if p, err = t.allocLPID(); err != nil {
+			return false, err
+		}
+		pOld, pPolicy = 0, core.PolicyFreeNewOnFailure
 	}
 	d, err := h.core.AllocateDescriptor(cbSMO)
 	if err != nil {
-		return
+		return false, err
 	}
-	fQ, err := d.ReserveEntry(t.mappingOff(q), 0, core.PolicyFreeNewOnFailure)
+	_, err = h.reservePage(d, q, 0, core.PolicyFreeNewOnFailure, v, mid, len(v.entries), sep, v.high, v.side)
+	if err == nil {
+		_, err = h.reservePage(d, p, pOld, pPolicy, v, 0, mid, v.low, sep, q)
+	}
+	if err == nil && root {
+		err = h.reserveRoot(d, v, sep, p, q)
+	} else if err == nil {
+		_, err = h.reserveDelta(d, parent.lpid, parent.head, core.PolicyFreeNewOnFailure,
+			recIndexEntry, parent.head, parentChain+1, [5]uint64{v.low, sep, v.high, p, q}, 5)
+	}
 	if err != nil {
 		_ = d.Discard()
-		return
+		return false, err
 	}
-	if _, err := buildUpperHalf(t, h.ah, v, sep, fQ); err != nil {
-		_ = d.Discard()
-		return
-	}
-	fP2, err := d.ReserveEntry(t.mappingOff(p2), 0, core.PolicyFreeNewOnFailure)
-	if err != nil {
-		_ = d.Discard()
-		return
-	}
-	if _, err := buildSplitDelta(t, h.ah, sep, q, uint64(v.head), v.chain+1, fP2); err != nil {
-		_ = d.Discard()
-		return
-	}
-	fR, err := d.ReserveEntry(t.mappingOff(RootLPID), uint64(v.head), core.PolicyFreeNewOnFailure)
-	if err != nil {
-		_ = d.Discard()
-		return
-	}
-	//lint:allow hotpath — root split happens O(log N) times over the tree's whole life; a two-entry scratch slice there is noise (§6.3)
-	entries := []InnerEntry{{Key: sep, Child: p2}, {Key: v.high, Child: q}}
-	if _, err := buildInnerInto(t, h.ah, entries, v.low, v.high, 0, fR); err != nil {
-		_ = d.Discard()
-		return
-	}
-	d.Execute()
+	ok, _ := d.Execute()
+	return ok && !root, nil // a new root has no parent to maintain
 }
 
-// buildUpperHalf materializes the sibling page holding keys above sep.
-func buildUpperHalf(t *Tree, ah *alloc.Handle, v *pageView, sep uint64, target nvram.Offset) (nvram.Offset, error) {
-	if v.isLeaf {
-		i := 0
-		for i < len(v.leafEntries) && v.leafEntries[i].Key <= sep {
-			i++
-		}
-		return buildLeafInto(t, ah, v.leafEntries[i:], sep, v.high, v.side, target)
+// reserveRoot reserves the root's mapping word in d, expecting v's head,
+// and builds into it the inner root over a split's halves: (low, sep]
+// routes to p and (sep, high] to q. The old root chain is freed on
+// success.
+func (h *Handle) reserveRoot(d *core.Descriptor, v *pageView, sep, p, q uint64) error {
+	field, err := d.ReserveEntry(h.tree.mappingOff(RootLPID), uint64(v.head), core.PolicyFreeOne)
+	if err != nil {
+		return err
 	}
-	i := 0
-	for i < len(v.innerEntries) && v.innerEntries[i].Key <= sep {
-		i++
-	}
-	return buildInnerInto(t, ah, v.innerEntries[i:], sep, v.high, v.side, target)
+	//lint:allow hotpath — root split happens O(log N) times over the tree's whole life; a two-entry scratch slice there is noise (§6.3)
+	entries := []Entry{{Key: sep, Value: p}, {Key: v.high, Value: q}}
+	_, err = buildBase(h.tree, h.ah, recBaseInner, entries, v.low, v.high, 0, field)
+	return err
 }
 
 // merge folds an underfull page (leaf or inner) into its left neighbor
@@ -451,6 +413,11 @@ func (h *Handle) merge(path []pathEntry, lpid uint64, v *pageView) (did bool) {
 	//lint:allow hotpath — SMO timing closure; a merge is amortized maintenance triggered past chain/size thresholds, its cost pinned by TestPointOpsAllocBudget, not the per-op proof (§6.3)
 	defer func() { h.observeSMO(mMergeNs, t0, did) }()
 	parent := path[len(path)-1]
+	parentChain := t.recChain(nvram.Offset(parent.head))
+	if t.crowded(parentChain) {
+		h.maintainParent(path)
+		return false
+	}
 	pv := h.resolve(parent.head)
 	if pv.removed || pv.isLeaf {
 		return false
@@ -458,8 +425,8 @@ func (h *Handle) merge(path []pathEntry, lpid uint64, v *pageView) (did bool) {
 
 	// Locate this page under the parent and pick the neighbor.
 	idx := -1
-	for i, e := range pv.innerEntries {
-		if e.Child == lpid {
+	for i, e := range pv.entries {
+		if e.Value == lpid {
 			idx = i
 			break
 		}
@@ -469,9 +436,9 @@ func (h *Handle) merge(path []pathEntry, lpid uint64, v *pageView) (did bool) {
 	}
 	var leftLPID, rightLPID uint64
 	if idx > 0 {
-		leftLPID, rightLPID = pv.innerEntries[idx-1].Child, lpid
-	} else if idx+1 < len(pv.innerEntries) {
-		leftLPID, rightLPID = lpid, pv.innerEntries[idx+1].Child
+		leftLPID, rightLPID = pv.entries[idx-1].Value, lpid
+	} else if idx+1 < len(pv.entries) {
+		leftLPID, rightLPID = lpid, pv.entries[idx+1].Value
 	} else {
 		return false // only child; nothing to merge with
 	}
@@ -486,64 +453,31 @@ func (h *Handle) merge(path []pathEntry, lpid uint64, v *pageView) (did bool) {
 	if lv.high != rv.low {
 		return false // not adjacent anymore (e.g., racing split in between)
 	}
+	if len(lv.entries)+len(rv.entries) > t.capacity(lv.isLeaf) {
+		return false // would immediately re-split
+	}
 
 	d, err := h.core.AllocateDescriptor(cbSMO)
 	if err != nil {
 		return false
 	}
 	// The left page absorbs both; its old chain is freed on success.
-	fL, err := d.ReserveEntry(t.mappingOff(leftLPID), lHead, core.PolicyFreeOne)
-	if err != nil {
-		_ = d.Discard()
-		return false
-	}
-	if lv.isLeaf {
-		//lint:allow hotpath — merge is the rarest SMO (underflow after deletes); its scratch is amortized away, pinned by TestPointOpsAllocBudget (§6.3)
-		merged := make([]Entry, 0, len(lv.leafEntries)+len(rv.leafEntries))
-		merged = append(merged, lv.leafEntries...)
-		merged = append(merged, rv.leafEntries...)
-		if len(merged) > t.leafCap {
-			_ = d.Discard()
-			return false // would immediately re-split
-		}
-		if _, err := buildLeafInto(t, h.ah, merged, lv.low, rv.high, rv.side, fL); err != nil {
-			_ = d.Discard()
-			return false
-		}
-	} else {
-		//lint:allow hotpath — merge is the rarest SMO (underflow after deletes); its scratch is amortized away, pinned by TestPointOpsAllocBudget (§6.3)
-		merged := make([]InnerEntry, 0, len(lv.innerEntries)+len(rv.innerEntries))
-		merged = append(merged, lv.innerEntries...)
-		merged = append(merged, rv.innerEntries...)
-		if len(merged) > t.innerCap {
-			_ = d.Discard()
-			return false
-		}
-		if _, err := buildInnerInto(t, h.ah, merged, lv.low, rv.high, rv.side, fL); err != nil {
-			_ = d.Discard()
-			return false
-		}
-	}
-	// The right page dies behind a removed marker; its chain is freed on
-	// success, the marker on failure.
-	fR, err := d.ReserveEntry(t.mappingOff(rightLPID), rHead, core.PolicyFreeOne)
-	if err != nil {
-		_ = d.Discard()
-		return false
-	}
-	if _, err := buildRemovedMarker(t, h.ah, fR); err != nil {
-		_ = d.Discard()
-		return false
+	//lint:allow hotpath — merge is the rarest SMO (underflow after deletes); its scratch is amortized away, pinned by TestPointOpsAllocBudget (§6.3)
+	merged := make([]Entry, 0, len(lv.entries)+len(rv.entries))
+	merged = append(merged, lv.entries...)
+	merged = append(merged, rv.entries...)
+	lv.entries = merged
+	_, err = h.reservePage(d, leftLPID, lHead, core.PolicyFreeOne, &lv, 0, len(merged), lv.low, rv.high, rv.side)
+	// The right page dies behind a removed marker.
+	if err == nil {
+		err = h.reserveRemoved(d, rightLPID, rHead)
 	}
 	// Parent: collapse the two routing entries into one.
-	fO, err := d.ReserveEntry(t.mappingOff(parent.lpid), parent.head, core.PolicyFreeNewOnFailure)
-	if err != nil {
-		_ = d.Discard()
-		return false
+	if err == nil {
+		_, err = h.reserveDelta(d, parent.lpid, parent.head, core.PolicyFreeNewOnFailure,
+			recIndexDelete, parent.head, parentChain+1, [5]uint64{lv.low, rv.high, leftLPID}, 3)
 	}
-	parentChain := t.recChain(nvram.Offset(parent.head))
-	if _, err := buildIndexDeleteDelta(t, h.ah, lv.low, rv.high, leftLPID,
-		parent.head, parentChain+1, fO); err != nil {
+	if err != nil {
 		_ = d.Discard()
 		return false
 	}

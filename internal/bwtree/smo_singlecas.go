@@ -18,65 +18,51 @@ const scratchWord = nvram.WordSize
 // old chain through the epoch manager. Returns the installed base, or 0.
 //
 //pmwcas:requires-guard — reads the mapping word it intends to swap
-func (h *Handle) consolidateCAS(lpid uint64, v *pageView) nvram.Offset {
+func (h *Handle) consolidateCAS(lpid uint64, v *pageView) (nvram.Offset, error) {
 	t := h.tree
-	var page nvram.Offset
-	var err error
-	if v.isLeaf {
-		page, err = buildLeafInto(t, h.ah, v.leafEntries, v.low, v.high, v.side, scratchWord)
-	} else {
-		page, err = buildInnerInto(t, h.ah, v.innerEntries, v.low, v.high, v.side, scratchWord)
-	}
+	page, err := buildPage(t, h.ah, v, 0, len(v.entries), v.low, v.high, v.side, scratchWord)
 	if err != nil {
-		return 0
+		return 0, err
 	}
 	if !t.dev.CAS(t.mappingOff(lpid), uint64(v.head), uint64(page)) {
 		_ = t.alloc.Free(page)
-		return 0
+		return 0, nil
 	}
 	t.deferFree(uint64(v.head))
-	return page
+	return page, nil
 }
 
 // splitCAS is the paper's multi-step split (Figure 4c/4d): install the
 // sibling, CAS the split delta onto P, then post the index-entry delta
 // to the parent — with every traversal helping finish step three when it
-// encounters an orphan split delta.
+// encounters an orphan split delta. The split delta goes on top of the
+// page's chain, whatever its length, and the lower half is consolidated
+// once the parent routes to both. (Consolidating first would let writers refill the fresh base
+// before the split lands, and the page would outgrow every block.)
 //
 //pmwcas:requires-guard — multi-step SMO reads mappings between CAS steps
-func (h *Handle) splitCAS(path []pathEntry, lpid uint64, v *pageView) bool {
+func (h *Handle) splitCAS(path []pathEntry, lpid uint64, v *pageView) (bool, error) {
 	t := h.tree
-	var sep uint64
-	if v.isLeaf {
-		sep = v.leafEntries[len(v.leafEntries)/2-1].Key
-	} else {
-		sep = v.innerEntries[len(v.innerEntries)/2-1].Key
-	}
-	if sep == v.high {
-		return false
-	}
-	if lpid == RootLPID && len(path) == 0 {
-		h.splitRootCAS(v, sep)
-		return false
-	}
+	mid := len(v.entries) / 2
+	sep := v.entries[mid-1].Key
 	if len(path) == 0 {
-		return false
+		return false, h.splitRootCAS(v, mid)
 	}
 	qLPID, err := t.allocLPID()
 	if err != nil {
-		return false
+		return false, err
 	}
-	qPage, err := buildUpperHalf(t, h.ah, v, sep, scratchWord)
+	qPage, err := buildPage(t, h.ah, v, mid, len(v.entries), sep, v.high, v.side, scratchWord)
 	if err != nil {
-		return false
+		return false, err
 	}
 	if !t.dev.CAS(t.mappingOff(qLPID), 0, uint64(qPage)) {
 		_ = t.alloc.Free(qPage)
-		return false
+		return false, nil
 	}
-	splitD, err := buildSplitDelta(t, h.ah, sep, qLPID, uint64(v.head), v.chain+1, scratchWord)
+	splitD, err := buildDelta(t, h.ah, recSplit, uint64(v.head), v.chain+1, [5]uint64{sep, qLPID}, 2, scratchWord)
 	if err != nil {
-		return false
+		return false, err
 	}
 	if !t.dev.CAS(t.mappingOff(lpid), uint64(v.head), uint64(splitD)) {
 		// Lost the race: unwind the sibling (nobody can have seen it —
@@ -85,48 +71,55 @@ func (h *Handle) splitCAS(path []pathEntry, lpid uint64, v *pageView) bool {
 		if t.dev.CAS(t.mappingOff(qLPID), uint64(qPage), 0) {
 			_ = t.alloc.Free(qPage)
 		}
-		return false
+		return false, nil
 	}
-	// Step 3, exactly the step other threads may need to help with.
-	h.helpSplitCAS(path[len(path)-1].lpid, v.low, sep, v.high, lpid, qLPID)
-	return true
+	// Step 3, exactly the step other threads may need to help with. Once
+	// it is done, consolidate the truncated lower half: a page an
+	// ascending load leaves behind would keep its whole chain for good.
+	// (Before it is done, the split delta is the help-along signal.)
+	if h.helpSplitCAS(path[len(path)-1].lpid, v.low, sep, v.high, lpid, qLPID) && v.chain > 0 {
+		pv := h.resolve(uint64(splitD))
+		_, _ = h.consolidateCAS(lpid, &pv) // best-effort, like any consolidation
+	}
+	return true, nil
 }
 
 // splitRootCAS splits the root in baseline mode: fresh P2 takes the old
 // chain behind a split delta, then a new inner root swaps in.
 //
 //pmwcas:requires-guard — reads the root mapping word mid-swap
-func (h *Handle) splitRootCAS(v *pageView, sep uint64) {
+func (h *Handle) splitRootCAS(v *pageView, mid int) error {
 	t := h.tree
+	sep := v.entries[mid-1].Key
 	p2, err := t.allocLPID()
 	if err != nil {
-		return
+		return err
 	}
 	q, err := t.allocLPID()
 	if err != nil {
-		return
+		return err
 	}
-	qPage, err := buildUpperHalf(t, h.ah, v, sep, scratchWord)
+	qPage, err := buildPage(t, h.ah, v, mid, len(v.entries), sep, v.high, v.side, scratchWord)
 	if err != nil {
-		return
+		return err
 	}
 	if !t.dev.CAS(t.mappingOff(q), 0, uint64(qPage)) {
 		_ = t.alloc.Free(qPage)
-		return
+		return nil
 	}
-	splitD, err := buildSplitDelta(t, h.ah, sep, q, uint64(v.head), v.chain+1, scratchWord)
+	splitD, err := buildDelta(t, h.ah, recSplit, uint64(v.head), v.chain+1, [5]uint64{sep, q}, 2, scratchWord)
 	if err != nil {
-		return
+		return err
 	}
 	if !t.dev.CAS(t.mappingOff(p2), 0, uint64(splitD)) {
 		_ = t.alloc.Free(splitD)
-		return
+		return nil
 	}
 	//lint:allow hotpath — root split happens O(log N) times over the tree's whole life; a two-entry scratch slice there is noise (§6.3)
-	entries := []InnerEntry{{Key: sep, Child: p2}, {Key: v.high, Child: q}}
-	newRoot, err := buildInnerInto(t, h.ah, entries, v.low, v.high, 0, scratchWord)
+	entries := []Entry{{Key: sep, Value: p2}, {Key: v.high, Value: q}}
+	newRoot, err := buildBase(t, h.ah, recBaseInner, entries, v.low, v.high, 0, scratchWord)
 	if err != nil {
-		return
+		return err
 	}
 	if !t.dev.CAS(t.mappingOff(RootLPID), uint64(v.head), uint64(newRoot)) {
 		// Lost: unwind everything (nothing was reachable yet).
@@ -138,47 +131,59 @@ func (h *Handle) splitRootCAS(v *pageView, sep uint64) {
 			_ = t.alloc.Free(qPage)
 		}
 	}
+	return nil
 }
 
 // helpSplitCAS posts the index-entry delta for a split of child P at sep
-// to the parent, if not already posted. Any traversal that sees an
-// orphan split delta calls this — the Bw-tree help-along protocol whose
-// subtleties §6.2 catalogs.
+// to the parent, if not already posted, and reports whether the parent
+// now routes (sep, high] to Q. Any traversal that sees an orphan split
+// delta calls this — the Bw-tree help-along protocol whose subtleties
+// §6.2 catalogs. A crowded parent chain is consolidated before the
+// delta goes on it.
 //
 //pmwcas:requires-guard — help-along reads the parent mapping word
-func (h *Handle) helpSplitCAS(parentLPID, low, sep, high, pLPID, qLPID uint64) {
+func (h *Handle) helpSplitCAS(parentLPID, low, sep, high, pLPID, qLPID uint64) bool {
 	t := h.tree
 	probe := sep + 1
 	if probe > high {
-		return
+		return false
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		head := h.readMapping(parentLPID)
 		ps := t.search(head, probe)
 		if ps.removed {
-			return
+			return false
 		}
 		// The parent itself may have split past our separator.
 		if probe > ps.high {
 			if ps.side == 0 {
-				return
+				return false
 			}
 			parentLPID = ps.side
 			continue
 		}
-		if ps.isLeaf || !ps.found || ps.val == qLPID {
-			return // already posted (or parent reorganized underneath us)
-		} else if ps.val != pLPID {
-			return // routing moved on; a consolidation already folded it in
+		if ps.isLeaf || !ps.found || ps.val != pLPID {
+			// Already posted, or routing moved on (a consolidation folded
+			// it in, or the parent reorganized underneath us).
+			return !ps.isLeaf && ps.found && ps.val == qLPID
 		}
-		idxD, err := buildIndexEntryDelta(t, h.ah, low, sep, high, pLPID, qLPID,
-			head, ps.chain+1, scratchWord)
+		if t.crowded(ps.chain) {
+			// Shorten the parent's chain before appending to it.
+			pv := h.resolve(head)
+			if _, err := h.consolidateCAS(parentLPID, &pv); err != nil {
+				return false
+			}
+			continue
+		}
+		idxD, err := buildDelta(t, h.ah, recIndexEntry, head, ps.chain+1,
+			[5]uint64{low, sep, high, pLPID, qLPID}, 5, scratchWord)
 		if err != nil {
-			return
+			return false
 		}
 		if t.dev.CAS(t.mappingOff(parentLPID), head, uint64(idxD)) {
-			return
+			return true
 		}
 		_ = t.alloc.Free(idxD)
 	}
+	return false
 }
