@@ -1,7 +1,7 @@
-// Command experiments regenerates every table of EXPERIMENTS.md: the
-// paper's evaluation (E1-E9) and the extension tables E10 (index
-// matrix), E11 (traversal flush elision) and E12 (shard-count scaling),
-// printing paper-style tables. Absolute numbers reflect the simulated
+// Command experiments regenerates every table of EXPERIMENTS.md but
+// E11's historical one: the paper's evaluation (E1-E9) and the extension
+// tables E10 (index matrix) and E12 (shard-count scaling), printing
+// paper-style tables. Absolute numbers reflect the simulated
 // NVRAM substrate; the shapes — who wins, by what factor, where
 // contention and persistence costs bite — are the reproduction targets.
 // Nothing gates on these tables; the gate is `go run ./bench`.
@@ -59,7 +59,6 @@ var experiments = []experiment{
 	{"e8", "reverse scans", e8},
 	{"e9", "descriptor space", e9},
 	{"e10", "index matrix: 3 indexes x 4 workloads x 2 distributions", e10},
-	{"e11", "traversal flush elision", e11},
 	{"e12", "shard-count scaling of the hash index", e12},
 }
 
@@ -435,62 +434,6 @@ func e12(threads int, sc scale, flush time.Duration) {
 	tbl.Print(os.Stdout)
 }
 
-// E11: traversal flush elision. Runs the persistent skip list and
-// Bw-tree under concurrent workloads with elision off (the paper's
-// conservative flush-before-read on every dirty word) and on (descend
-// paths use ReadTraverse; only CAS targets are persisted), and reports
-// the flush-per-op delta. Read-side flushes are contention-driven — a
-// single-threaded run sees almost none because phase 2 eagerly persists
-// — so this cell is only meaningful with threads > 1 and yield
-// interleaving.
-func e11(threads int, sc scale, flush time.Duration) {
-	defer core.SetFlushElision(true) // restore the default for later cells
-	for _, cell := range []struct {
-		label string
-		mix   harness.Mix
-		dist  harness.Distribution
-		keys  uint64
-		pre   int
-	}{
-		{"read-heavy 90/10 uniform", harness.ReadHeavy, harness.Uniform, sc.keySpace, sc.preload},
-		{"update-heavy 50/50 uniform", harness.UpdateHeavy, harness.Uniform, sc.keySpace, sc.preload},
-		// Zipfian skew over a small key space: traversals repeatedly
-		// pass hot, recently-written words, maximizing the dirty
-		// encounters the conservative rule would flush.
-		{"update-heavy 50/50 zipf hot", harness.UpdateHeavy, harness.Zipf, sc.keySpace >> 6, sc.preload >> 6},
-	} {
-		w := harness.Workload{
-			Threads: threads, OpsPer: sc.indexOps, KeySpace: cell.keys,
-			Dist: cell.dist, Mix: cell.mix, Preload: cell.pre,
-		}
-		tbl := harness.NewTable("E11: traversal flush elision — "+cell.label,
-			"index", "elision", "ops/s", "flushes/op", "flush reduction")
-		for _, idx := range []struct{ label, name string }{{"skip list", "skiplist"}, {"bw-tree", "bwtree"}} {
-			var base float64 // flushes/op with elision off
-			for _, el := range []struct {
-				label string
-				on    bool
-			}{{"off", false}, {"on", true}} {
-				core.SetFlushElision(el.on)
-				s := newStore(pmwcas.Persistent, flush, 1)
-				r, err := runMedian(open(s, idx.label, idx.name, pmwcas.IndexOptions{}), w,
-					func() uint64 { return s.Device().Stats().Flushes })
-				if err != nil {
-					fail(err)
-				}
-				red := "-"
-				if el.on && base > 0 {
-					red = fmt.Sprintf("%.1f%%", (1-r.FlushesPer/base)*100)
-				} else {
-					base = r.FlushesPer
-				}
-				tbl.Add(idx.label, el.label, harness.Throughput(r.OpsPerSec), r.FlushesPer, red)
-			}
-		}
-		tbl.Print(os.Stdout)
-	}
-}
-
 // E7: recovery time.
 func e7(_ int, sc scale, _ time.Duration) {
 	tbl := harness.NewTable("E7: recovery time vs descriptor pool and in-flight ops",
@@ -566,7 +509,7 @@ func e9(int, scale, time.Duration) {
 		l := nvram.NewLayout(dev)
 		pool, err := core.NewPool(core.Config{
 			Device: dev, Region: l.Carve(core.PoolSize(64, w)),
-			DescriptorCount: 64, WordsPerDescriptor: w, Mode: core.Volatile,
+			DescriptorCount: 64, WordsPerDescriptor: w,
 		})
 		if err != nil {
 			fail(err)

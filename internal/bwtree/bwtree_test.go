@@ -56,7 +56,11 @@ func newTreeEnvSpec(t testing.TB, mode core.Mode, smo SMOMode, spec []alloc.Clas
 	e := &tenv{spec: spec, smo: smo, mode: mode}
 	poolBytes := core.PoolSize(btDescs, btWords)
 	aBytes := alloc.MetaSize(e.spec, btHandles)
-	e.dev = nvram.New(poolBytes + aBytes + 1<<16)
+	var opts []nvram.Option
+	if mode == core.Volatile {
+		opts = append(opts, nvram.WithVolatile())
+	}
+	e.dev = nvram.New(poolBytes+aBytes+1<<16, opts...)
 	l := nvram.NewLayout(e.dev)
 	e.poolReg = l.Carve(poolBytes)
 	e.aReg = l.Carve(aBytes)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pmwcas/internal/alloc"
-	"pmwcas/internal/core"
 	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
 )
@@ -86,12 +85,9 @@ func (t *Tree) entryOff(rec nvram.Offset, i int) nvram.Offset {
 	return rec + baseEntriesOff + uint64(i)*entrySize
 }
 
-// flushRecord persists a freshly built record before publication. In
-// volatile pools this is free.
+// flushRecord persists a freshly built record before publication. On a
+// volatile device this is free.
 func (t *Tree) flushRecord(rec nvram.Offset, size uint64) {
-	if t.pool.Mode() != core.Persistent {
-		return
-	}
 	for off := rec; off < rec+size; off += nvram.LineBytes {
 		t.dev.Flush(off)
 	}

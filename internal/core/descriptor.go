@@ -13,15 +13,18 @@ import (
 	"pmwcas/internal/nvram"
 )
 
-// Mode selects whether a pool provides persistence guarantees.
+// Mode names whether a pool provides persistence guarantees. The device
+// decides it: a pool over a device built nvram.WithVolatile is Volatile.
 type Mode int
 
 const (
 	// Persistent enables the full dirty-bit protocol, flushing, and
 	// recovery (PMwCAS).
 	Persistent Mode = iota
-	// Volatile disables all flushing: the identical code path becomes the
-	// Harris-style volatile MwCAS the paper derives PMwCAS from.
+	// Volatile is a pool on a volatile device: flushes and fences cost
+	// nothing there and no dirty bit is set, so the identical code path
+	// becomes the Harris-style volatile MwCAS the paper derives PMwCAS
+	// from.
 	Volatile
 )
 
@@ -114,7 +117,9 @@ type Config struct {
 	// most MaxWordsPerDescriptor. The paper observes a handful (<= 4)
 	// suffices for non-trivial structures.
 	WordsPerDescriptor int
-	// Mode selects Persistent (PMwCAS) or Volatile (MwCAS).
+	// Mode must name the device's mode: Volatile for a device built
+	// nvram.WithVolatile, Persistent otherwise. NewPool rejects a
+	// mismatch; the device, not this field, is the source of truth.
 	Mode Mode
 	// Allocator, if set, is used by the recycling policies to free memory
 	// blocks referenced by old/new values. Required if any descriptor uses
@@ -139,8 +144,8 @@ type Pool struct {
 	kWord int
 	size  uint64 // descriptor stride
 
-	// dirty is DirtyFlag in Persistent mode, 0 in Volatile mode: the same
-	// code path compiles both protocols.
+	// dirty is DirtyFlag on a persistent device, 0 on a volatile one: the
+	// same code path compiles both protocols.
 	dirty uint64
 
 	freeMu   sync.Mutex
@@ -192,6 +197,13 @@ func NewPool(cfg Config) (*Pool, error) {
 	if !offsetOK(cfg.Region.End()) {
 		return nil, fmt.Errorf("core: region end %#x does not fit in a flagged word", cfg.Region.End())
 	}
+	mode := Persistent
+	if cfg.Device.Volatile() {
+		mode = Volatile
+	}
+	if cfg.Mode != mode {
+		return nil, fmt.Errorf("core: Config.Mode is %s but the device is %s", cfg.Mode, mode)
+	}
 	mgr := cfg.Epochs
 	if mgr == nil {
 		mgr = epoch.NewManager()
@@ -199,7 +211,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	p := &Pool{
 		dev:       cfg.Device,
 		reg:       cfg.Region,
-		mode:      cfg.Mode,
+		mode:      mode,
 		alloc:     cfg.Allocator,
 		mgr:       mgr,
 		nDesc:     cfg.DescriptorCount,
@@ -208,13 +220,13 @@ func NewPool(cfg Config) (*Pool, error) {
 		descs:     make([]Descriptor, cfg.DescriptorCount),
 		callbacks: make(map[uint16]FinalizeFunc),
 	}
-	if cfg.Mode == Persistent {
+	if mode == Persistent {
 		p.dirty = DirtyFlag
 		// Arm the psan sanitizer: it must ignore the dirty bit when
 		// comparing a word against its persisted image (the bit is
 		// volatile metadata a flush intentionally leaves set). Volatile
-		// pools leave the device unarmed — their data structures never
-		// flush, so persist-ordering has no meaning there.
+		// devices stay unarmed: nothing on them is ever written back, so
+		// persist-ordering has no meaning there.
 		cfg.Device.SetShadowMask(DirtyFlag)
 	}
 	ents := make([]entry, p.nDesc*p.kWord)
@@ -237,7 +249,7 @@ func (p *Pool) Epochs() *epoch.Manager { return p.mgr }
 // Device returns the underlying NVRAM device.
 func (p *Pool) Device() *nvram.Device { return p.dev }
 
-// Mode returns the pool's persistence mode.
+// Mode returns the pool's persistence mode, which its device decided.
 func (p *Pool) Mode() Mode { return p.mode }
 
 // WordsPerDescriptor returns each descriptor's fixed word capacity.
@@ -320,9 +332,6 @@ func wordOff(d nvram.Offset, i int) nvram.Offset {
 // (not the header, and not the capacity beyond n, which no one wrote) and
 // returns how many lines it flushed.
 func (p *Pool) flushEntries(d nvram.Offset, n int) uint64 {
-	if p.mode != Persistent {
-		return 0
-	}
 	var lines uint64
 	for off := d + descWordsOff; off < wordOff(d, n); off += nvram.LineBytes {
 		p.dev.Flush(off)
@@ -334,19 +343,13 @@ func (p *Pool) flushEntries(d nvram.Offset, n int) uint64 {
 // flushHeader persists a descriptor's status and count. Callers must have
 // flushed (and fenced) the entries the new count covers first.
 func (p *Pool) flushHeader(d nvram.Offset) {
-	if p.mode != Persistent {
-		return
-	}
 	p.dev.Flush(d + descStatusOff)
 }
 
-// persist implements Algorithm 1's persist in pool mode: in Volatile mode
-// it is free. A non-nil o charges the flush to that operation's cost
-// observation (one Flush, no fence — see Persist).
+// persist is Persist for a value the pool found dirty (so never on a
+// volatile device, which sets no dirty bit). A non-nil o charges the
+// flush to that operation's cost observation (one Flush, no fence).
 func (p *Pool) persist(addr nvram.Offset, value uint64, o *opObs) {
-	if p.mode != Persistent {
-		return
-	}
 	Persist(p.dev, addr, value)
 	if o != nil {
 		o.flushes++
@@ -719,9 +722,7 @@ func (p *Pool) finalize(view DescriptorView, cbID uint16, succeeded bool) {
 	p.dev.Store(d+descCountOff, 0)
 	p.dev.Store(d+descStatusOff, StatusFree)
 	p.flushHeader(d) // status and count share the header line
-	if p.mode == Persistent {
-		p.dev.Fence()
-	}
+	p.dev.Fence()
 	var aux uint64
 	if succeeded {
 		aux = 1
@@ -836,9 +837,7 @@ func (v DescriptorView) applyPolicies(succeeded bool) {
 		// second free of the same block expected rather than a bug.
 		_ = v.pool.alloc.FreeWithBarrier(victim, func() {
 			v.pool.dev.Store(field, 0)
-			if v.pool.mode == Persistent {
-				v.pool.dev.Flush(field)
-			}
+			v.pool.dev.Flush(field)
 		})
 	}
 }

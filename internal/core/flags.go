@@ -8,9 +8,10 @@
 // rule of the paper's dirty-bit protocol is enforced: no thread ever acts
 // on a value that is not durable, and descriptors are persisted at the
 // points recovery depends on. In Volatile mode the identical code path
-// runs with flushing disabled, yielding Harris-style volatile MwCAS — the
-// paper's headline engineering claim is precisely that one implementation
-// serves both DRAM and NVRAM.
+// runs on a volatile device (nvram.WithVolatile), whose flushes and
+// fences cost nothing and where no dirty bit is ever set, yielding
+// Harris-style volatile MwCAS — the paper's headline engineering claim
+// is precisely that one implementation serves both DRAM and NVRAM.
 package core
 
 import "pmwcas/internal/nvram"

@@ -16,12 +16,19 @@ import "pmwcas/internal/nvram"
 //
 // Words managed with PCAS must not be mixed with PMwCAS-managed words:
 // the two protocols interpret the flag bits differently.
+//
+// On a volatile device (nvram.WithVolatile) there is nothing to make
+// durable: PCAS and PCASFlush are one device CAS, PCASRead one load, and
+// no dirty bit is ever set.
 
 // Persist flushes the line holding addr and clears the word's dirty bit
 // (Algorithm 1, persist). value must be the flagged value just read. The
 // clear uses CAS because concurrent threads may race to set or change the
 // word; losing that race is fine — the winner's protocol covers the word.
 func Persist(dev *nvram.Device, addr nvram.Offset, value uint64) {
+	if dev.Volatile() {
+		return
+	}
 	dev.Flush(addr)
 	dev.CAS(addr, value, value&^DirtyFlag)
 }
@@ -47,6 +54,9 @@ func PCASRead(dev *nvram.Device, addr nvram.Offset) uint64 {
 func PCAS(dev *nvram.Device, addr nvram.Offset, oldValue, newValue uint64) bool {
 	if !IsClean(oldValue) || !IsClean(newValue) {
 		panic("core: PCAS operands must not carry flag bits")
+	}
+	if dev.Volatile() {
+		return dev.CAS(addr, oldValue, newValue)
 	}
 	// Make sure the current value is durable before replacing it.
 	PCASRead(dev, addr)

@@ -135,3 +135,33 @@ func BenchmarkPCAS(b *testing.B) {
 		PCAS(dev, addr, v, v+1)
 	}
 }
+
+// TestPCASOnVolatileDevice: on a volatile device there is nothing to make
+// durable, so PCAS and PCASFlush are one device CAS, PCASRead is one
+// load, Persist is nothing, and no word is ever left dirty.
+func TestPCASOnVolatileDevice(t *testing.T) {
+	dev := nvram.New(4096, nvram.WithVolatile())
+	addr := nvram.Offset(64)
+	dev.Store(addr, 1)
+	for _, step := range []struct {
+		name string
+		op   func() bool
+		cost nvram.Stats
+	}{
+		{"PCAS", func() bool { return PCAS(dev, addr, 1, 2) }, nvram.Stats{CASes: 1}},
+		{"PCASRead", func() bool { return PCASRead(dev, addr) == 2 }, nvram.Stats{Loads: 1}},
+		{"PCASFlush", func() bool { return PCASFlush(dev, addr, 2, 3) }, nvram.Stats{CASes: 1}},
+		{"Persist", func() bool { Persist(dev, addr, 3|DirtyFlag); return true }, nvram.Stats{}},
+	} {
+		dev.ResetStats()
+		if !step.op() {
+			t.Fatalf("%s failed", step.name)
+		}
+		if got := dev.Stats(); got != step.cost {
+			t.Fatalf("%s cost %+v, want %+v", step.name, got, step.cost)
+		}
+		if raw := dev.Load(addr); raw&DirtyFlag != 0 {
+			t.Fatalf("%s left the word dirty: %#x", step.name, raw)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"pmwcas/internal/metrics"
@@ -86,8 +85,8 @@ func (d *Descriptor) Execute() (bool, error) {
 	// this goroutine observed — verify none of them came off a line that
 	// was never flushed. Helpers are not checked here (they carry their
 	// own unrelated records); a failed Execute publishes nothing, so its
-	// records are dropped. Volatile mode never flushes by design.
-	if ok && p.mode == Persistent {
+	// records are dropped. A volatile device never arms the sanitizer.
+	if ok {
 		p.dev.ShadowCommit()
 	} else {
 		p.dev.ShadowDrop()
@@ -259,11 +258,8 @@ func (p *Pool) exec(mdesc nvram.Offset, own []entry, o *opObs) bool {
 	// durable status. The decided status cannot change again while this
 	// thread can reach the descriptor, so one load serves both purposes.
 	cur := p.dev.Load(mdesc + descStatusOff)
-	if p.mode == Persistent && cur&DirtyFlag != 0 {
-		Persist(p.dev, mdesc+descStatusOff, cur)
-		if o != nil {
-			o.flushes++
-		}
+	if cur&DirtyFlag != 0 {
+		p.persist(mdesc+descStatusOff, cur, o)
 	}
 	succeeded := cur&^DirtyFlag == StatusSucceeded
 
@@ -402,15 +398,6 @@ func (p *Pool) read(addr nvram.Offset) uint64 {
 	}
 }
 
-// noElide disables traversal flush elision when set. The default (elision
-// on) is traversal flush elision: persistence cost scales with writes, not
-// traversals. The knob exists so cmd/experiments can measure the delta and
-// so operators can fall back to the paper's conservative rule.
-var noElide atomic.Bool
-
-// SetFlushElision enables or disables traversal flush elision globally.
-func SetFlushElision(on bool) { noElide.Store(!on) }
-
 // ReadTraverse reads a PMwCAS-managed word for navigation only. Unlike
 // Read, it may return a value whose dirty bit is set — without flushing
 // the line — because a traversal-only value never enters durable state:
@@ -437,9 +424,6 @@ func (h *Handle) ReadTraverse(addr nvram.Offset) uint64 {
 }
 
 func (p *Pool) readTraverse(addr nvram.Offset) uint64 {
-	if p.mode != Persistent || noElide.Load() {
-		return p.read(addr)
-	}
 	for {
 		v := p.dev.Load(addr)
 		if v&RDCSSFlag != 0 {

@@ -35,7 +35,11 @@ func newEnv(t testing.TB, mode Mode, withAlloc bool) *env {
 	e := &env{spec: []alloc.Class{{BlockSize: 64, Count: 256}}}
 	poolBytes := PoolSize(testDescs, testWords)
 	aBytes := alloc.MetaSize(e.spec, 8)
-	e.dev = nvram.New(poolBytes + aBytes + 1<<16)
+	var opts []nvram.Option
+	if mode == Volatile {
+		opts = append(opts, nvram.WithVolatile())
+	}
+	e.dev = nvram.New(poolBytes+aBytes+1<<16, opts...)
 	l := nvram.NewLayout(e.dev)
 	e.poolReg = l.Carve(poolBytes)
 	e.aReg = l.Carve(aBytes)
@@ -137,6 +141,51 @@ func TestExecuteSuccessAllWords(t *testing.T) {
 				t.Fatalf("stats = %+v", s)
 			}
 		})
+	}
+}
+
+// TestPoolModeComesFromDevice: the device decides the mode. NewPool
+// rejects a Config.Mode that disagrees with it, and a PMwCAS on a
+// volatile device sets no dirty bit and neither flushes nor fences.
+func TestPoolModeComesFromDevice(t *testing.T) {
+	for _, c := range []struct {
+		volatile bool
+		mode     Mode
+		ok       bool
+	}{{false, Persistent, true}, {false, Volatile, false}, {true, Volatile, true}, {true, Persistent, false}} {
+		var opts []nvram.Option
+		if c.volatile {
+			opts = append(opts, nvram.WithVolatile())
+		}
+		dev := nvram.New(PoolSize(4, 4), opts...)
+		p, err := NewPool(Config{Device: dev, Region: nvram.Region{Len: dev.Size()},
+			DescriptorCount: 4, WordsPerDescriptor: 4, Mode: c.mode})
+		if (err == nil) != c.ok {
+			t.Fatalf("volatile device %v, Mode %s: NewPool error %v, want ok=%v", c.volatile, c.mode, err, c.ok)
+		}
+		if err == nil && p.Mode() != c.mode {
+			t.Fatalf("pool mode %s, want %s", p.Mode(), c.mode)
+		}
+	}
+
+	e := newEnv(t, Volatile, false)
+	addrs := e.initWords(1, 2, 3)
+	e.dev.ResetStats()
+	h := e.pool.NewHandle()
+	d, _ := h.AllocateDescriptor(0)
+	for i, a := range addrs {
+		d.AddWord(a, uint64(i+1), uint64(10*(i+1)))
+	}
+	if ok, err := d.Execute(); !ok || err != nil {
+		t.Fatalf("Execute = %v, %v; want true", ok, err)
+	}
+	for i, a := range addrs {
+		if raw := e.dev.Load(a); raw != uint64(10*(i+1)) {
+			t.Fatalf("word %d holds %#x, want a clean %d", i, raw, 10*(i+1))
+		}
+	}
+	if st := e.dev.Stats(); st.Flushes != 0 || st.Fences != 0 {
+		t.Fatalf("volatile PMwCAS issued %d flushes and %d fences", st.Flushes, st.Fences)
 	}
 }
 

@@ -76,7 +76,11 @@ func newSkipListEnv(t testing.TB, mode core.Mode) *skiplist.List {
 	}
 	poolBytes := core.PoolSize(512, skiplist.MinDescriptorWords)
 	aBytes := alloc.MetaSize(spec, 32)
-	dev := nvram.New(poolBytes + aBytes + 1<<14)
+	var opts []nvram.Option
+	if mode == core.Volatile {
+		opts = append(opts, nvram.WithVolatile())
+	}
+	dev := nvram.New(poolBytes+aBytes+1<<14, opts...)
 	l := nvram.NewLayout(dev)
 	poolReg := l.Carve(poolBytes)
 	aReg := l.Carve(aBytes)
@@ -297,7 +301,7 @@ func TestRunOtherFactories(t *testing.T) {
 	}
 	aBytes := alloc.MetaSize(spec, 16)
 	poolBytes := core.PoolSize(256, 16)
-	dev := nvram.New(aBytes + poolBytes + 1<<15)
+	dev := nvram.New(aBytes+poolBytes+1<<15, nvram.WithVolatile())
 	l := nvram.NewLayout(dev)
 	poolReg := l.Carve(poolBytes)
 	aReg := l.Carve(aBytes)

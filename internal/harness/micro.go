@@ -33,7 +33,7 @@ type MicroConfig struct {
 	ArrayWords int // shared word-array size — the contention knob
 	WordsPerOp int // words per MwCAS (descriptor size)
 
-	FlushLatency time.Duration // simulated CLWB cost (pmwcas only)
+	FlushLatency time.Duration // simulated CLWB cost; the mwcas variant's volatile device never pays it
 	HTM          htm.Config    // HTM knobs (htm only)
 
 	// YieldEvery interleaves logical threads every N device accesses so
@@ -74,6 +74,11 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	}
 
 	var opts []nvram.Option
+	mode := core.Persistent
+	if cfg.Variant == VariantMwCAS {
+		mode = core.Volatile
+		opts = append(opts, nvram.WithVolatile())
+	}
 	if cfg.FlushLatency > 0 {
 		opts = append(opts, nvram.WithFlushLatency(cfg.FlushLatency))
 	}
@@ -96,10 +101,6 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 
 	switch cfg.Variant {
 	case VariantPMwCAS, VariantMwCAS:
-		mode := core.Persistent
-		if cfg.Variant == VariantMwCAS {
-			mode = core.Volatile
-		}
 		pool, err := core.NewPool(core.Config{
 			Device: dev, Region: poolReg,
 			DescriptorCount: cfg.Descriptors, WordsPerDescriptor: cfg.WordsPerOp,

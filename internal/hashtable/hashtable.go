@@ -344,11 +344,8 @@ func New(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// flushRange persists [base, base+n) line by line (persistent mode only).
+// flushRange persists [base, base+n) line by line.
 func (t *Table) flushRange(base nvram.Offset, n uint64) {
-	if t.pool.Mode() != core.Persistent {
-		return
-	}
 	first := base &^ (nvram.LineBytes - 1)
 	for off := first; off < base+nvram.Offset(n); off += nvram.LineBytes {
 		t.dev.Flush(off)
@@ -356,29 +353,16 @@ func (t *Table) flushRange(base nvram.Offset, n uint64) {
 	t.dev.Fence()
 }
 
-// wordRead, wordCAS and wordCASFlush are the single-word primitives for
-// the anchor and directory words: the PCAS family in persistent mode,
-// plain device operations in volatile mode — where nothing ever sets a
-// dirty bit, so flushing would be pure overhead (and would skew the
-// volatile baseline the benchmarks compare against).
-func (t *Table) wordRead(addr nvram.Offset) uint64 {
-	if t.pool.Mode() == core.Persistent {
-		return core.PCASRead(t.dev, addr)
-	}
-	//lint:allow rawload — volatile mode publishes anchor and directory words with plain CAS; there is no dirty bit to observe (§4.2)
-	return t.dev.Load(addr)
-}
-
 // wordReadHint reads an anchor or directory word as a navigation hint.
-// In a regular persistent build it is wordRead: the PCASRead
-// flush-before-read, charged to the op like any protocol read. Under the
-// psan sanitizer build (-tags psan) it degrades to a masked raw load, the
-// same gating wordRead applies to volatile mode: the sanitizer's commit
-// check makes the flushing read redundant for navigation (a hint that is
-// never stored cannot commit unpersisted state), and keeping it would
-// charge every point op with hint-directory flushes the elision
-// experiments (EXPERIMENTS.md E11) deliberately exclude — double-counted
-// against the same Stats.Flushes the sanitizer run is validating.
+// In a regular build it is core.PCASRead: the flush-before-read, charged
+// to the op like any protocol read (on a volatile device, one load).
+// Under the psan sanitizer build (-tags psan) it degrades to a masked
+// raw load: the sanitizer's commit check makes the flushing read
+// redundant for navigation (a hint that is never stored cannot commit
+// unpersisted state), and keeping it would charge every point op with
+// hint-directory flushes the traversal flush elision deliberately
+// excludes — double-counted against the same Stats.Flushes the
+// sanitizer run is validating.
 // Only DirtyFlag is masked: a dirty hint is the true word, merely not
 // yet persisted, and every path out of locate re-validates through a
 // flushing read or a descriptor install before publishing anything.
@@ -388,29 +372,11 @@ func (t *Table) wordRead(addr nvram.Offset) uint64 {
 // every mode so Handle.dirRead can detect them and fall back to the full
 // protocol read.
 func (t *Table) wordReadHint(addr nvram.Offset) uint64 {
-	if t.pool.Mode() == core.Persistent && !nvram.SanitizerEnabled {
-		return core.PCASRead(t.dev, addr)
-	}
-	if t.pool.Mode() == core.Persistent {
+	if nvram.SanitizerEnabled {
 		//lint:allow rawload — psan hint read: directory and anchor words are re-derivable copies of durably published words (LoadHint contract); the dirty-masked value is a hint every caller re-validates (§4.2)
 		return t.dev.LoadHint(addr) &^ core.DirtyFlag
 	}
-	//lint:allow rawload — volatile mode publishes anchor and directory words with plain CAS; there is no dirty bit to observe (§4.2)
-	return t.dev.Load(addr)
-}
-
-func (t *Table) wordCAS(addr nvram.Offset, old, new uint64) bool {
-	if t.pool.Mode() == core.Persistent {
-		return core.PCAS(t.dev, addr, old, new)
-	}
-	return t.dev.CAS(addr, old, new)
-}
-
-func (t *Table) wordCASFlush(addr nvram.Offset, old, new uint64) bool {
-	if t.pool.Mode() == core.Persistent {
-		return core.PCASFlush(t.dev, addr, old, new)
-	}
-	return t.dev.CAS(addr, old, new)
+	return core.PCASRead(t.dev, addr)
 }
 
 // SlotsPerBucket reports the table's bucket capacity.

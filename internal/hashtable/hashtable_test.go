@@ -67,7 +67,11 @@ func newHTEnvDir(t testing.TB, mode core.Mode, slots int, dirSlots uint64) *htEn
 	}
 	poolBytes := core.PoolSize(htDescs, htWords)
 	aBytes := alloc.MetaSize(e.spec, htHandles)
-	e.dev = nvram.New(poolBytes + aBytes + dirSlots*nvram.WordSize + 1<<13)
+	var opts []nvram.Option
+	if mode == core.Volatile {
+		opts = append(opts, nvram.WithVolatile())
+	}
+	e.dev = nvram.New(poolBytes+aBytes+dirSlots*nvram.WordSize+1<<13, opts...)
 	l := nvram.NewLayout(e.dev)
 	e.poolReg = l.Carve(poolBytes)
 	e.aReg = l.Carve(aBytes)
@@ -593,19 +597,18 @@ func TestConcurrentTorture(t *testing.T) {
 }
 
 // TestVolatileModeNoFlushes pins the volatile baseline the benchmarks
-// divide by: point operations that allocate nothing must issue zero
-// flushes. (Splits still flush — the block allocator persists its own
-// metadata in every mode.)
+// divide by: on a volatile device no operation flushes or fences, not
+// even one that splits a bucket, doubles the directory or allocates.
 func TestVolatileModeNoFlushes(t *testing.T) {
 	e := newHTEnv(t, core.Volatile, DefaultSlotsPerBucket)
 	h := e.tab.NewHandle()
-	before := e.dev.Stats().Flushes
-	for k := uint64(1); k <= 10; k++ { // fits one bucket: no splits, no allocs
+	const n = 200 // many buckets' worth: splits, doublings, allocations
+	for k := uint64(1); k <= n; k++ {
 		if err := h.Insert(k, k); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
-	for k := uint64(1); k <= 10; k++ {
+	for k := uint64(1); k <= n; k++ {
 		if _, err := h.Get(k); err != nil {
 			t.Fatalf("Get: %v", err)
 		}
@@ -613,11 +616,16 @@ func TestVolatileModeNoFlushes(t *testing.T) {
 			t.Fatalf("Update: %v", err)
 		}
 	}
-	if err := h.Delete(3); err != nil {
-		t.Fatalf("Delete: %v", err)
+	for k := uint64(1); k <= n; k += 3 {
+		if err := h.Delete(k); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
 	}
-	if got := e.dev.Stats().Flushes; got != before {
-		t.Fatalf("volatile point ops issued %d flushes", got-before)
+	if st := e.tab.Stats(); st.Splits == 0 || st.Doublings == 0 {
+		t.Fatalf("%d keys made %d splits and %d doublings; want both", n, st.Splits, st.Doublings)
+	}
+	if st := e.dev.Stats(); st.Flushes != 0 || st.Fences != 0 {
+		t.Fatalf("volatile table issued %d flushes and %d fences", st.Flushes, st.Fences)
 	}
 }
 

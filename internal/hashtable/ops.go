@@ -26,15 +26,15 @@ var errDepthExhausted = errors.New("hashtable: bucket depth exhausted (pathologi
 // re-read through the full protocol read, which helps the operation to
 // completion and returns the plain entry.
 //
-// dirRead is the exact variant (wordRead underneath: the current value,
-// flush-before-read) for protocol decisions — the doubling copy, the
-// reclaim scrub/plant, sweeps and iteration. dirReadHint is the hint
+// dirRead is the exact variant (core.PCASRead underneath: the current
+// value, flush-before-read) for protocol decisions — the doubling copy,
+// the reclaim scrub/plant, sweeps and iteration. dirReadHint is the hint
 // variant (wordReadHint underneath) for locate's navigation, where the
 // psan build deliberately reads an unflushed hint copy.
 //
 //pmwcas:requires-guard — the fallback read may help a reclaim descriptor the epoch protects
 func (h *Handle) dirRead(off nvram.Offset) uint64 {
-	v := h.t.wordRead(off)
+	v := core.PCASRead(h.t.dev, off)
 	if v&(core.MwCASFlag|core.RDCSSFlag) != 0 {
 		return h.core.Read(off)
 	}
@@ -97,7 +97,7 @@ func (h *Handle) locate(hash uint64) (nvram.Offset, uint64) {
 		// a deeper bucket covers only a subset of the entry's class and
 		// would misroute its other keys. Losing the race just leaves a
 		// longer hint chain for the next walker.
-		t.wordCAS(dirOff, uint64(first), uint64(target))
+		core.PCAS(t.dev, dirOff, uint64(first), uint64(target))
 	}
 	if metaDepth(meta) > g && g < t.maxDepth {
 		h.tryDouble(g)
@@ -122,7 +122,7 @@ func (h *Handle) tryDouble(g int) {
 		return
 	}
 	defer t.growClaim.Store(false)
-	dw := t.wordRead(t.depthWord)
+	dw := core.PCASRead(t.dev, t.depthWord)
 	if int(dw)-1 != g {
 		return // raced: someone else already doubled
 	}
@@ -140,7 +140,7 @@ func (h *Handle) tryDouble(g int) {
 	// Persist the mirrored half before the flip: once the new depth is
 	// durable, recovery may route through the upper entries.
 	t.flushRange(t.dirBase+half*nvram.WordSize, uint64(half)*nvram.WordSize)
-	if t.wordCASFlush(t.depthWord, dw, dw+1) {
+	if core.PCASFlush(t.dev, t.depthWord, dw, dw+1) {
 		t.doublings.Add(1)
 	}
 }
@@ -523,7 +523,7 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 	// Eager directory repair: swing every live entry in b's suffix class
 	// to the matching child. Best-effort — entries this loop misses (or
 	// that a concurrent doubling re-copies stale) are repaired by walkers.
-	g := int(t.wordRead(t.depthWord)) - 1
+	g := int(core.PCASRead(t.dev, t.depthWord)) - 1
 	if depth < g {
 		class := hash & ((1 << uint(depth)) - 1)
 		for j := class; j < (1 << uint(g)); j += 1 << uint(depth) {
@@ -533,7 +533,7 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 				if (j>>uint(depth))&1 == 1 {
 					child = b1
 				}
-				t.wordCAS(off, b, child)
+				core.PCAS(t.dev, off, b, child)
 			}
 		}
 	}
@@ -560,7 +560,7 @@ func (h *Handle) Range(fn func(key, value uint64) bool) error {
 	g := h.core.Guard()
 	g.Enter()
 	defer g.Exit()
-	gdepth := int(t.wordRead(t.depthWord)) - 1
+	gdepth := int(core.PCASRead(t.dev, t.depthWord)) - 1
 	if gdepth < 0 {
 		return nil
 	}

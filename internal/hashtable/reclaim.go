@@ -104,7 +104,7 @@ func (h *Handle) tryReclaim(b nvram.Offset, class uint64, depth int) bool {
 		defer mReclaimNs.ObserveSince(h.lane, t0)
 	}
 
-	g := int(t.wordRead(t.depthWord)) - 1
+	g := int(core.PCASRead(t.dev, t.depthWord)) - 1
 	if depth >= g {
 		// The scrub steps entries to depth L+1, so their classes must be
 		// indexable: reclaim needs L+1 <= G.
@@ -157,14 +157,12 @@ func (h *Handle) tryReclaim(b nvram.Offset, class uint64, depth int) bool {
 			if (j>>uint(depth))&1 == 1 {
 				c = c1
 			}
-			t.wordCASFlush(off, uint64(e), c)
+			core.PCASFlush(t.dev, off, uint64(e), c)
 		}
 	}
-	if t.pool.Mode() == core.Persistent {
-		// The scrubbed entries must be durable before the PMwCAS below can
-		// free b: a crash must never persist the commit without them.
-		t.dev.Fence()
-	}
+	// The scrubbed entries must be durable before the PMwCAS below can
+	// free b: a crash must never persist the commit without them.
+	t.dev.Fence()
 
 	// Phase 2: plant b back into one scrubbed entry so the reclaim
 	// PMwCAS has a word whose old value is b.
@@ -173,7 +171,7 @@ func (h *Handle) tryReclaim(b nvram.Offset, class uint64, depth int) bool {
 	if vstar == uint64(b) || vstar == 0 {
 		return false // scrub just verified otherwise; be paranoid, not clever
 	}
-	if !t.wordCAS(off0, vstar, uint64(b)) {
+	if !core.PCAS(t.dev, off0, vstar, uint64(b)) {
 		return false // racing walker moved the entry; retry another time
 	}
 
@@ -183,22 +181,22 @@ func (h *Handle) tryReclaim(b nvram.Offset, class uint64, depth int) bool {
 	if err != nil {
 		// Undo the plant opportunistically and give up; a left-over plant
 		// is still a valid hint that lazy repair will compress away.
-		t.wordCAS(off0, uint64(b), vstar)
+		core.PCAS(t.dev, off0, uint64(b), vstar)
 		return false
 	}
 	if err := d.AddWordWithPolicy(off0, uint64(b), vstar, core.PolicyFreeOldOnSuccess); err != nil {
 		d.Discard()
-		t.wordCAS(off0, uint64(b), vstar)
+		core.PCAS(t.dev, off0, uint64(b), vstar)
 		return false
 	}
 	if err := d.AddWord(nvram.Offset(c0)+bucketParentOff, uint64(b), reclaimedPtr); err != nil {
 		d.Discard()
-		t.wordCAS(off0, uint64(b), vstar)
+		core.PCAS(t.dev, off0, uint64(b), vstar)
 		return false
 	}
 	if err := d.AddWord(nvram.Offset(c1)+bucketParentOff, uint64(b), reclaimedPtr); err != nil {
 		d.Discard()
-		t.wordCAS(off0, uint64(b), vstar)
+		core.PCAS(t.dev, off0, uint64(b), vstar)
 		return false
 	}
 	ok, err := d.Execute()
@@ -249,7 +247,7 @@ func (h *Handle) ReclaimSealed(max int) int {
 	g := h.core.Guard()
 	g.Enter()
 	defer g.Exit()
-	gdepth := int(t.wordRead(t.depthWord)) - 1
+	gdepth := int(core.PCASRead(t.dev, t.depthWord)) - 1
 	if gdepth < 0 {
 		return 0
 	}

@@ -24,6 +24,12 @@
 // WithEviction; it is off by default so tests exercise the strictest
 // possible persistence model.
 //
+// A device built WithVolatile is plain DRAM: there is nothing to write
+// back, so Flush, FlushAll and Fence return at once and are not counted.
+// Whether memory is volatile is decided here, once, at construction:
+// layers above flush and fence unconditionally and read Volatile only
+// where the answer changes more than a write-back (PMwCAS's dirty bit).
+//
 // All word accesses are performed with sync/atomic and are safe for
 // concurrent use. Crash, Recover, Snapshot and Restore require quiescence:
 // the caller must guarantee no concurrent accessors (a crash, after all,
@@ -96,6 +102,7 @@ type Device struct {
 	dirty     []uint32 // one flag per cache line, 1 == dirty
 
 	size         uint64
+	volatile     bool // DRAM: flushes and fences are no-ops (WithVolatile)
 	flushLatency time.Duration
 	evictEvery   int    // if > 0, approx. one random eviction per N stores
 	yieldEvery   uint64 // if > 0, Gosched every N accesses (see WithYield)
@@ -176,6 +183,12 @@ func WithFlushLatency(d time.Duration) Option {
 	return func(dev *Device) { dev.flushLatency = d }
 }
 
+// WithVolatile makes the device plain DRAM: Flush, FlushAll and Fence
+// return at once, with no count, latency, hook or sanitizer bookkeeping.
+func WithVolatile() Option {
+	return func(dev *Device) { dev.volatile = true }
+}
+
 // WithEviction enables opportunistic persistence: roughly one random dirty
 // line is written back per n stores, modelling cache-line replacement. n
 // must be positive.
@@ -226,6 +239,9 @@ func New(size uint64, opts ...Option) *Device {
 
 // Size returns the device capacity in bytes.
 func (d *Device) Size() uint64 { return d.size }
+
+// Volatile reports whether the device was built WithVolatile.
+func (d *Device) Volatile() bool { return d.volatile }
 
 // index converts a byte offset to a word index, panicking on misaligned or
 // out-of-range accesses. Simulated hardware traps wild pointers; in this
@@ -338,7 +354,12 @@ func (d *Device) CAS(off Offset, old, new uint64) bool {
 // lands after the clear re-marks the line, so a concurrently updated word
 // is either captured by this flush or remains dirty for a later one. The
 // line is never left clean with unpersisted contents.
+//
+// On a volatile device Flush returns at once.
 func (d *Device) Flush(off Offset) {
+	if d.volatile {
+		return
+	}
 	d.callHook("flush", off)
 	l := d.lane()
 	l.flushes.Add(1)
@@ -365,8 +386,11 @@ func (d *Device) flushLine(line uint64) bool {
 // Fence orders preceding flushes before subsequent stores (SFENCE). In the
 // simulator a flush is synchronous, so Fence only counts; it exists so
 // calling code documents its ordering points the same way a real
-// implementation would.
+// implementation would. On a volatile device Fence returns at once.
 func (d *Device) Fence() {
+	if d.volatile {
+		return
+	}
 	d.lane().fences.Add(1)
 	//lint:allow hotpath — psan shadow bookkeeping; disarmed (mask==0 early return) outside diagnostics runs, so its allocations never tax production fast paths (§6.3)
 	d.shadowFence()
@@ -461,8 +485,12 @@ func (d *Device) PersistedLoad(off Offset) uint64 {
 }
 
 // FlushAll persists every dirty line. Used by snapshotting and by tests
-// that need a clean baseline; real code paths flush selectively.
+// that need a clean baseline; real code paths flush selectively. On a
+// volatile device FlushAll returns at once.
 func (d *Device) FlushAll() {
+	if d.volatile {
+		return
+	}
 	for line := range d.dirty {
 		if atomic.LoadUint32(&d.dirty[line]) == 1 {
 			d.flushLine(uint64(line))

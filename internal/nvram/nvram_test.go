@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 )
 
@@ -30,6 +31,34 @@ func TestLoadStore(t *testing.T) {
 	}
 	if got := d.Load(24); got != 0 {
 		t.Fatalf("Load(24) = %d, want 0", got)
+	}
+}
+
+// TestVolatileDeviceHasNothingToWriteBack: on a WithVolatile device
+// Flush, FlushAll and Fence return at once — no count, no latency, no
+// hook — while loads, stores and CASes behave and count as usual.
+func TestVolatileDeviceHasNothingToWriteBack(t *testing.T) {
+	d := New(4096, WithVolatile(), WithFlushLatency(time.Hour))
+	if !d.Volatile() || New(4096).Volatile() {
+		t.Fatal("Volatile does not report the construction option")
+	}
+	d.SetHook(func(op string, off Offset) {
+		if op == "flush" {
+			t.Fatalf("flush hook fired at %#x", off)
+		}
+	})
+	d.Store(8, 1)
+	if !d.CAS(8, 1, 2) {
+		t.Fatal("CAS(1->2) failed")
+	}
+	d.Flush(8)
+	d.Fence()
+	d.FlushAll()
+	if got := d.Stats(); got != (Stats{Stores: 1, CASes: 1}) {
+		t.Fatalf("stats = %+v, want one store and one CAS", got)
+	}
+	if got := d.Load(8); got != 2 {
+		t.Fatalf("Load = %d, want 2", got)
 	}
 }
 

@@ -201,10 +201,8 @@ func (h *Handle) Enqueue(value uint64) error {
 		}
 		q.dev.Store(node+nodeValueOff, value)
 		q.dev.Store(node+nodeNextOff, 0)
-		if q.pool.Mode() == core.Persistent {
-			q.dev.Flush(node)
-			q.dev.Fence()
-		}
+		q.dev.Flush(node)
+		q.dev.Fence()
 		if err := d.AddWord(q.tailAnchor, tail, node); err != nil {
 			d.Discard()
 			return err

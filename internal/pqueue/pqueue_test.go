@@ -34,7 +34,11 @@ func newQEnv(t testing.TB, mode core.Mode) *qenv {
 	e := &qenv{spec: []alloc.Class{{BlockSize: 64, Count: 4096}}}
 	poolBytes := core.PoolSize(qDescs, qWords)
 	aBytes := alloc.MetaSize(e.spec, qHandles)
-	e.dev = nvram.New(poolBytes + aBytes + 1<<12)
+	var opts []nvram.Option
+	if mode == core.Volatile {
+		opts = append(opts, nvram.WithVolatile())
+	}
+	e.dev = nvram.New(poolBytes+aBytes+1<<12, opts...)
 	l := nvram.NewLayout(e.dev)
 	e.poolReg = l.Carve(poolBytes)
 	e.aReg = l.Carve(aBytes)

@@ -248,13 +248,10 @@ func linkOff(level int, prev bool) uint64 {
 	return o
 }
 
-// flushNode persists a node's lines (no-op cost in volatile pools is the
-// device's concern; the list always flushes so the same code serves both
-// modes, as in the paper).
+// flushNode persists a node's lines. It always flushes: on a volatile
+// device a flush costs nothing, so the same code serves both modes, as
+// in the paper.
 func (l *List) flushNode(n nvram.Offset, height int) {
-	if l.pool.Mode() != core.Persistent {
-		return
-	}
 	for off := n; off < n+nodeSize(height); off += nvram.LineBytes {
 		l.dev.Flush(off)
 	}

@@ -44,7 +44,11 @@ func newListEnv(t testing.TB, mode core.Mode) *lenv {
 	e := &lenv{spec: slSpec()}
 	poolBytes := core.PoolSize(slDescs, slWords)
 	aBytes := alloc.MetaSize(e.spec, slHandles)
-	e.dev = nvram.New(poolBytes + aBytes + 1<<14)
+	var opts []nvram.Option
+	if mode == core.Volatile {
+		opts = append(opts, nvram.WithVolatile())
+	}
+	e.dev = nvram.New(poolBytes+aBytes+1<<14, opts...)
 	l := nvram.NewLayout(e.dev)
 	e.poolReg = l.Carve(poolBytes)
 	e.aReg = l.Carve(aBytes)
@@ -538,7 +542,7 @@ func TestNewValidation(t *testing.T) {
 	}
 	smallPool, err := core.NewPool(core.Config{
 		Device: e.dev, Region: e.poolReg,
-		DescriptorCount: 4, WordsPerDescriptor: 4, Mode: core.Volatile,
+		DescriptorCount: 4, WordsPerDescriptor: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

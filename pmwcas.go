@@ -37,8 +37,9 @@
 //	store.Recover()        // allocator + PMwCAS recovery; indexes need
 //	                       // no recovery code of their own
 //
-// The same implementation runs volatile (Mode: Volatile) with identical
-// APIs and no flushing — the paper's central engineering claim.
+// The same implementation runs volatile (Mode: Volatile, a volatile
+// device) with identical APIs and free flushes — the paper's central
+// engineering claim.
 package pmwcas
 
 import (
@@ -62,8 +63,9 @@ type Mode = core.Mode
 const (
 	// Persistent enables the full dirty-bit protocol and recovery.
 	Persistent = core.Persistent
-	// Volatile disables flushing: the identical code becomes a volatile
-	// MwCAS (DRAM semantics).
+	// Volatile runs on a volatile device, where flushes and fences cost
+	// nothing: the identical code becomes a volatile MwCAS (DRAM
+	// semantics).
 	Volatile = core.Volatile
 )
 

@@ -26,7 +26,10 @@ type Config struct {
 	// from this Config, so reopening a device (or snapshot) requires the
 	// same Config.
 	Size uint64
-	// Mode selects Persistent (default) or Volatile.
+	// Mode selects Persistent (default) or Volatile. Create builds a
+	// Volatile store on a volatile device (nvram.WithVolatile), whose
+	// flushes and fences cost nothing; OpenDevice requires a device of
+	// the matching kind.
 	Mode Mode
 	// Shards partitions the store into independent engines (default 1),
 	// each owning its own slice of the device: descriptor pool, allocator
@@ -193,6 +196,9 @@ func Create(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	opts := []nvram.Option{}
+	if cfg.Mode == Volatile {
+		opts = append(opts, nvram.WithVolatile())
+	}
 	if cfg.FlushLatency > 0 {
 		opts = append(opts, nvram.WithFlushLatency(cfg.FlushLatency))
 	}
@@ -209,8 +215,9 @@ func Create(cfg Config) (*Store, error) {
 }
 
 // OpenDevice wraps an existing device (for example, one that just
-// crashed, or was restored from a snapshot) and, in Persistent mode,
-// runs allocator and PMwCAS recovery shard by shard.
+// crashed, or was restored from a snapshot) and, unless the device is
+// volatile, runs allocator and PMwCAS recovery shard by shard. cfg.Mode
+// must match the device.
 func OpenDevice(dev *nvram.Device, cfg Config) (*Store, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -218,7 +225,7 @@ func OpenDevice(dev *nvram.Device, cfg Config) (*Store, error) {
 	if dev.Size() < cfg.Size {
 		return nil, fmt.Errorf("pmwcas: device holds %d bytes, config requires %d", dev.Size(), cfg.Size)
 	}
-	return assemble(dev, cfg, cfg.Mode == Persistent)
+	return assemble(dev, cfg, !dev.Volatile())
 }
 
 // OpenFile restores a store from a snapshot file written by Checkpoint
@@ -546,7 +553,7 @@ func (sh *Shard) SkipList() (*SkipList, error) {
 // CASSkipList creates a fresh volatile baseline skip list sharing the
 // store's device and shard 0's allocator (for benchmarking against).
 func (s *Store) CASSkipList() (*CASSkipList, error) {
-	if s.cfg.Mode != Volatile {
+	if !s.dev.Volatile() {
 		return nil, errors.New("pmwcas: the CAS baseline skip list requires a Volatile store")
 	}
 	return skiplist.NewCAS(s.dev, s.shards[0].alloc, s.shards[0].pool.Epochs())

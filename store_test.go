@@ -2,6 +2,7 @@ package pmwcas
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 )
@@ -133,41 +134,122 @@ func TestStoreCheckpointAndOpenFile(t *testing.T) {
 	}
 }
 
+// TestStoreVolatileMode: a Volatile store runs on a volatile device, so
+// nothing it does writes back or fences — not the PMwCAS protocol, not
+// the allocator, not an index's record flushes, not the blob layer —
+// whatever the index and whatever structure changes its operations make.
 func TestStoreVolatileMode(t *testing.T) {
-	store, err := Create(Config{Size: 4 << 20, Mode: Volatile, Descriptors: 64, BwTreeMappingSlots: 256})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
+	create := func(t *testing.T) *Store {
+		t.Helper()
+		store, err := Create(Config{Size: 8 << 20, Mode: Volatile, Descriptors: 64, BwTreeMappingSlots: 1 << 12})
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		return store
 	}
-	if err := store.Crash(); err == nil {
-		t.Fatal("Crash on volatile store accepted")
+	noPersistence := func(t *testing.T, store *Store) {
+		t.Helper()
+		if st := store.Device().Stats(); st.Flushes != 0 || st.Fences != 0 {
+			t.Fatalf("volatile store issued %d flushes and %d fences", st.Flushes, st.Fences)
+		}
 	}
-	if _, err := store.Recover(); err == nil {
-		t.Fatal("Recover on volatile store accepted")
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	cl, err := store.CASSkipList()
-	if err != nil {
-		t.Fatalf("CASSkipList: %v", err)
+	const n = 300
+
+	t.Run("refusals", func(t *testing.T) {
+		store := create(t)
+		if err := store.Crash(); err == nil {
+			t.Fatal("Crash on volatile store accepted")
+		}
+		if _, err := store.Recover(); err == nil {
+			t.Fatal("Recover on volatile store accepted")
+		}
+	})
+	t.Run("skiplists", func(t *testing.T) {
+		store := create(t)
+		cl, err := store.CASSkipList()
+		must(t, err)
+		ch := cl.NewHandle(1)
+		list, err := store.SkipList()
+		must(t, err)
+		lh := list.NewHandle(1)
+		for k := uint64(1); k <= n; k++ {
+			must(t, ch.Insert(k, k))
+			must(t, lh.Insert(k, k))
+		}
+		for k := uint64(1); k <= n; k += 2 {
+			must(t, lh.Update(k, k+1))
+			must(t, lh.Delete(k))
+		}
+		noPersistence(t, store)
+	})
+	for _, smo := range []SMOMode{SMOPMwCAS, SMOSingleCAS} {
+		t.Run(fmt.Sprintf("bwtree-%v", smo), func(t *testing.T) {
+			store := create(t)
+			// Leaves of 8 split and consolidate many times over n keys.
+			tree, err := store.BwTree(BwTreeOptions{SMO: smo, LeafCapacity: 8, InnerCapacity: 8, ConsolidateAfter: 4})
+			must(t, err)
+			h := tree.NewHandle()
+			for k := uint64(1); k <= n; k++ {
+				must(t, h.Insert(k, k))
+			}
+			for k := uint64(1); k <= n; k += 2 {
+				must(t, h.Update(k, k+1))
+				must(t, h.Delete(k))
+			}
+			if st := tree.Stats(h); st.Height < 3 {
+				t.Fatalf("tree of %d keys has height %d: no splits to measure", n, st.Height)
+			}
+			noPersistence(t, store)
+		})
 	}
-	ch := cl.NewHandle(1)
-	if err := ch.Insert(1, 2); err != nil {
-		t.Fatalf("baseline Insert: %v", err)
-	}
-	// Device stats must show zero explicit flush traffic from the MwCAS
-	// path... allocator startup flushes aside, a volatile PMwCAS op adds
-	// no flushes.
-	list, _ := store.SkipList()
-	lh := list.NewHandle(1)
-	before := store.Device().Stats().Flushes
-	for k := uint64(1); k <= 50; k++ {
-		lh.Insert(k, k)
-	}
-	after := store.Device().Stats().Flushes
-	// Allocation flushes delivery records even in volatile stores (the
-	// allocator is persistence-agnostic); the MwCAS protocol itself must
-	// contribute nothing beyond that — bounded here loosely.
-	if after-before > 50*30 {
-		t.Fatalf("volatile inserts issued %d flushes", after-before)
-	}
+	t.Run("hash", func(t *testing.T) {
+		store := create(t)
+		ht, err := store.HashTable(HashTableOptions{})
+		must(t, err)
+		hh := ht.NewHandle()
+		for k := uint64(1); k <= n; k++ {
+			must(t, hh.Insert(k, k))
+		}
+		for k := uint64(1); k <= n; k += 2 {
+			must(t, hh.Update(k, k+1))
+			must(t, hh.Delete(k))
+		}
+		if st := store.Stats(); st.HashSplits == 0 || st.HashDoublings == 0 {
+			t.Fatalf("hash table of %d keys: %d splits, %d doublings", n, st.HashSplits, st.HashDoublings)
+		}
+		noPersistence(t, store)
+	})
+	t.Run("blob-queue", func(t *testing.T) {
+		store := create(t)
+		kv, err := store.Shard(0).OpenBlobKV("hash", IndexOptions{})
+		must(t, err)
+		bh := kv.NewHandle(1)
+		for i := 0; i < n; i++ {
+			must(t, bh.Put([]byte(fmt.Sprint("key", i)), []byte(fmt.Sprint("value", i))))
+		}
+		for i := 0; i < n; i += 2 {
+			must(t, bh.Put([]byte(fmt.Sprint("key", i)), []byte("replaced")))
+			must(t, bh.Delete([]byte(fmt.Sprint("key", i))))
+		}
+		q, err := store.Queue()
+		must(t, err)
+		qh := q.NewHandle()
+		for v := uint64(1); v <= 50; v++ {
+			must(t, qh.Enqueue(v))
+		}
+		for v := uint64(1); v <= 50; v++ {
+			if got, err := qh.Dequeue(); err != nil || got != v {
+				t.Fatalf("Dequeue = %d, %v; want %d", got, err, v)
+			}
+		}
+		noPersistence(t, store)
+	})
 }
 
 func TestStoreRootWordBounds(t *testing.T) {
