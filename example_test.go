@@ -125,6 +125,18 @@ func ExampleStore_BlobKV() {
 	h.Put([]byte("greet"), []byte("hello, nonvolatile world"))
 	v, _ := h.Get([]byte("greet"))
 	fmt.Println(string(v))
+
+	// A second Put replaces the record: the PMwCAS that installs the new
+	// one frees the old one.
+	h.Put([]byte("greet"), []byte("hello again"))
+	v, _ = h.Get([]byte("greet"))
+	fmt.Println(string(v))
+
+	h.Delete([]byte("greet"))
+	_, err := h.Get([]byte("greet"))
+	fmt.Println(err) // pmwcas.ErrNotFound
 	// Output:
 	// hello, nonvolatile world
+	// hello again
+	// index: key not found
 }

@@ -14,9 +14,10 @@
 //     the writing handle's staging slot, so a crash between allocation
 //     and linking can never leak it — Open's recovery frees any staged
 //     record its key does not reference;
-//   - an update installs the new record with CompareUpdateOwned: the
-//     displaced record is freed through the PMwCAS recycling machinery,
-//     atomically-with-the-update as far as crashes are concerned;
+//   - a put installs the new record with PutOwned, in one index descent:
+//     the record it displaces, if any, is freed through the PMwCAS
+//     recycling machinery, atomically-with-the-update as far as crashes
+//     are concerned;
 //   - a delete uses DeleteOwned, which frees the record in the same
 //     PMwCAS that removes the key.
 //
@@ -213,7 +214,7 @@ func (h *Handle) writeRecord(key uint64, val []byte) (nvram.Offset, error) {
 // free or finds no record staged at all; it can never free a block that
 // a later allocation now owns.
 func (h *Handle) unstage(rec nvram.Offset) {
-	//lint:allow hotpath — barrier closure on the unstage path: it runs only when a Put loses its publication race or fails outright, never on the success path (§6.3)
+	//lint:allow hotpath — barrier closure on the unstage path: it runs only when a Put fails outright, never on the success path (§6.3)
 	_ = h.s.alloc.FreeWithBarrier(rec, func() {
 		h.s.dev.Store(h.slot, 0)
 		h.s.dev.Flush(h.slot)
@@ -230,7 +231,7 @@ func (h *Handle) clearSlot() {
 // is crash-atomic: after recovery the key maps to either the old or the
 // new value, and no record block is leaked either way.
 //
-//pmwcas:hotpath — server blob PUT: one staged record write plus the index publication loop
+//pmwcas:hotpath — server blob PUT: one staged record write plus the index publication
 func (h *Handle) Put(key, val []byte) error {
 	k, err := keycodec.Encode(key)
 	if err != nil {
@@ -243,40 +244,15 @@ func (h *Handle) Put(key, val []byte) error {
 	if err != nil {
 		return err
 	}
-	for {
-		//lint:allow hotpath, nonblock — index dispatch: every index.Owner is an index's own handle, whose point ops are themselves //pmwcas:hotpath roots (skiplist, bwtree, hashtable ops.go), so the proof continues on the other side of the interface (§6.3)
-		cur, err := h.ix.Get(k)
-		switch {
-		case errors.Is(err, index.ErrNotFound):
-			//lint:allow hotpath, nonblock — index dispatch, as above (§6.3)
-			err := h.ix.Insert(k, rec)
-			if err == nil {
-				h.clearSlot()
-				return nil
-			}
-			if errors.Is(err, index.ErrKeyExists) {
-				continue // raced with another writer; try the update path
-			}
-			h.unstage(rec)
-			return err
-		case err != nil:
-			h.unstage(rec)
-			return err
-		default:
-			//lint:allow hotpath, nonblock — index dispatch, as above (§6.3)
-			err := h.ix.CompareUpdateOwned(k, cur, rec)
-			if err == nil {
-				// The old record is freed by the PMwCAS recycle policy.
-				h.clearSlot()
-				return nil
-			}
-			if errors.Is(err, index.ErrValueMismatch) || errors.Is(err, index.ErrNotFound) {
-				continue // lost a race; re-resolve
-			}
-			h.unstage(rec)
-			return err
-		}
+	// The index frees the record this one displaces, in the PMwCAS that
+	// installs it.
+	//lint:allow hotpath, nonblock — index dispatch: every index.Owner is an index's own handle, whose point ops are themselves //pmwcas:hotpath roots (skiplist, bwtree, hashtable ops.go), so the proof continues on the other side of the interface (§6.3)
+	if err := h.ix.PutOwned(k, rec); err != nil {
+		h.unstage(rec)
+		return err
 	}
+	h.clearSlot()
+	return nil
 }
 
 // Get returns a copy of the value stored under key. It allocates the

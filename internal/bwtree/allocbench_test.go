@@ -35,6 +35,31 @@ func pointOps(tb testing.TB) (dev *nvram.Device, update, get func(i int)) {
 	return e.dev, update, get
 }
 
+// putOps preloads a persistent tree with owned blocks and returns its
+// steady-state PutOwned overwrite: each call allocates a fresh block and
+// puts it, and the PMwCAS that installs its delta frees the block it
+// displaces.
+func putOps(tb testing.TB) func(i int) {
+	e := newTreeEnv(tb, core.Persistent, SMOPMwCAS, nil)
+	h := e.tree.NewHandle()
+	ah := e.alloc.NewHandle()
+	slot := e.metaReg.Base + 7*nvram.WordSize // a spare word of the meta line
+	const keys = 512
+	put := func(i int) {
+		b, err := ah.Alloc(64, slot)
+		if err != nil {
+			tb.Fatalf("alloc: %v", err)
+		}
+		if err := h.PutOwned(uint64(i%keys)+1, b); err != nil {
+			tb.Fatalf("put %d: %v", i, err)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		put(i)
+	}
+	return put
+}
+
 func BenchmarkPointOps(b *testing.B) {
 	_, update, get := pointOps(b)
 	b.ReportAllocs()
@@ -48,10 +73,11 @@ func BenchmarkPointOps(b *testing.B) {
 // TestPointOpsAllocBudget is the dynamic half of the //pmwcas:hotpath
 // contract on the Bw-tree's annotated fast paths (the static half is
 // pmwcaslint's hotpath analyzer): steady-state Update+Get against a
-// preloaded tree. Updates post deltas and periodically consolidate, so
-// the budget of 1 alloc/op is the amortized SMO cost the §6.3 waivers
-// price in (the epoch-sweep consolidation finalizer's chain-block list),
-// not a fast-path allocation.
+// preloaded tree, and steady-state owned overwrites (PutOwned). Writes
+// post deltas and periodically consolidate, so the budget of 1 alloc/op
+// is the amortized SMO cost the §6.3 waivers price in (the epoch-sweep
+// consolidation finalizer's chain-block list), not a fast-path
+// allocation.
 func TestPointOpsAllocBudget(t *testing.T) {
 	if nvram.SanitizerEnabled {
 		t.Skip("psan's shadow state allocates on every device op")
@@ -60,6 +86,10 @@ func TestPointOpsAllocBudget(t *testing.T) {
 	i := 0
 	if got := testing.AllocsPerRun(20000, func() { update(i); get(i); i++ }); got > 1 {
 		t.Fatalf("Update+Get = %v allocs/op, budget 1", got)
+	}
+	put := putOps(t)
+	if got := testing.AllocsPerRun(20000, func() { put(i); i++ }); got > 1 {
+		t.Fatalf("PutOwned = %v allocs/op, budget 1", got)
 	}
 }
 

@@ -8,6 +8,17 @@ import (
 	"pmwcas/internal/nvram"
 )
 
+// sweepStride spaces the crash points: every device op in the default
+// build, a sample under the race detector (the sweeps are single-driver,
+// so the detector only slows the replay; the full sweep runs in the plain
+// test job).
+func sweepStride(k int) int {
+	if raceEnabled {
+		return 1 + (k % 13)
+	}
+	return 1
+}
+
 type crashPanic struct{ step int }
 
 func runUntilCrash(dev *nvram.Device, k int, fn func()) (completed bool) {
@@ -42,7 +53,7 @@ func TestCrashSweepInsertWithSplit(t *testing.T) {
 	// and maintenance splits it, chain and all, in one PMwCAS.
 	const preload = 19
 
-	for k := 1; ; k++ {
+	for k := 1; ; k += sweepStride(k) {
 		e := newTreeEnv(t, core.Persistent, SMOPMwCAS, nil)
 		h := e.tree.NewHandle()
 		for key := uint64(1); key <= preload; key++ {
@@ -98,7 +109,7 @@ func TestCrashSweepInsertWithSplit(t *testing.T) {
 // TestCrashSweepMerge crashes at every step of a delete that triggers a
 // page merge (two leaves and the parent in one PMwCAS).
 func TestCrashSweepMerge(t *testing.T) {
-	for k := 1; ; k++ {
+	for k := 1; ; k += sweepStride(k) {
 		e := newTreeEnv(t, core.Persistent, SMOPMwCAS, func(c *Config) { c.MergeBelow = 6 })
 		h := e.tree.NewHandle()
 		// Build two adjacent leaves (the 17th key splits the root leaf
@@ -156,7 +167,7 @@ func TestCrashSweepMerge(t *testing.T) {
 // TestCrashSweepRootCollapse drives deletions that trigger merges and a
 // root collapse, with a crash at every device step of the final delete.
 func TestCrashSweepRootCollapse(t *testing.T) {
-	for k := 1; ; k++ {
+	for k := 1; ; k += sweepStride(k) {
 		e := newTreeEnv(t, core.Persistent, SMOPMwCAS, func(c *Config) { c.MergeBelow = 6 })
 		h := e.tree.NewHandle()
 		for key := uint64(1); key <= 40; key++ {
@@ -235,7 +246,7 @@ func drainTree(e *tenv) {
 // consolidation, checking the consolidated page (or the original chain)
 // survives and no page memory is lost to the point of failure.
 func TestCrashSweepConsolidation(t *testing.T) {
-	for k := 1; ; k++ {
+	for k := 1; ; k += sweepStride(k) {
 		e := newTreeEnv(t, core.Persistent, SMOPMwCAS, nil)
 		h := e.tree.NewHandle()
 		// Three deltas; the fourth write trips ConsolidateAfter(4).

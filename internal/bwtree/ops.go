@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"pmwcas/internal/core"
-	"pmwcas/internal/index"
 	"pmwcas/internal/metrics"
 )
 
@@ -123,16 +122,16 @@ func (h *Handle) Contains(key uint64) bool {
 	return err == nil
 }
 
-// anyValue is write's expect when any current value will do: it has
-// reserved bits set, so no stored value (and no checked expect) can
-// equal it.
-const anyValue = ^uint64(0)
+// recPut is write's type for PutOwned: the descent's answer makes it
+// recUpdate when the key is present and recInsert when it is absent. No
+// record ever carries it.
+const recPut = ^uint64(0)
 
 // Insert adds key/value; ErrKeyExists if present.
 //
 //pmwcas:hotpath — Bw-tree point insert; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by TestPointOpsAllocBudget
 func (h *Handle) Insert(key, value uint64) error {
-	_, err := h.write(key, anyValue, value, recInsert, false)
+	_, err := h.write(key, value, recInsert, false)
 	return err
 }
 
@@ -140,7 +139,7 @@ func (h *Handle) Insert(key, value uint64) error {
 //
 //pmwcas:hotpath — Bw-tree point update; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by TestPointOpsAllocBudget
 func (h *Handle) Update(key, value uint64) error {
-	_, err := h.write(key, anyValue, value, recUpdate, false)
+	_, err := h.write(key, value, recUpdate, false)
 	return err
 }
 
@@ -148,20 +147,18 @@ func (h *Handle) Update(key, value uint64) error {
 //
 //pmwcas:hotpath — Bw-tree point delete; delta-chain traffic must stay on NVRAM, not the Go heap — amortized consolidation pinned by TestPointOpsAllocBudget
 func (h *Handle) Delete(key uint64) error {
-	_, err := h.write(key, anyValue, 0, recDelete, false)
+	_, err := h.write(key, 0, recDelete, false)
 	return err
 }
 
-// CompareUpdateOwned is Update of a value the tree owns, and only while
-// it is expect: the update delta records expect, and the PMwCAS that
-// installs the delta frees expect's block once the epoch allows.
+// PutOwned inserts value under key, or replaces the value the tree owns
+// there: the update delta records the displaced value, and the PMwCAS
+// that installs the delta frees its block once the epoch allows. A value
+// already in place is a no-op that frees nothing.
 //
-//pmwcas:hotpath — blob-layer overwrite on the Bw-tree; allocation-free like Update, which shares its body
-func (h *Handle) CompareUpdateOwned(key, expect, value uint64) error {
-	if err := checkValue(expect); err != nil {
-		return err
-	}
-	_, err := h.write(key, expect, value, recUpdate, true)
+//pmwcas:hotpath — blob-layer PUT on the Bw-tree; allocation-free like Insert and Update, which share its body
+func (h *Handle) PutOwned(key, value uint64) error {
+	_, err := h.write(key, value, recPut, true)
 	return err
 }
 
@@ -171,7 +168,7 @@ func (h *Handle) CompareUpdateOwned(key, expect, value uint64) error {
 //
 //pmwcas:hotpath — blob-layer delete on the Bw-tree; allocation-free like Delete, which shares its body
 func (h *Handle) DeleteOwned(key uint64) (uint64, error) {
-	return h.write(key, anyValue, 0, recDelete, true)
+	return h.write(key, 0, recDelete, true)
 }
 
 // ErrOwnedSingleCAS rejects owned writes in the baseline mode, whose
@@ -182,7 +179,7 @@ var ErrOwnedSingleCAS = errors.New("bwtree: owned values need a descriptor SMO m
 // write installs one leaf delta (insert, update, or delete — Figure 4a)
 // and runs page maintenance afterwards. It returns the value the write
 // displaced.
-func (h *Handle) write(key, expect, value, typ uint64, owned bool) (uint64, error) {
+func (h *Handle) write(key, value, typ uint64, owned bool) (uint64, error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
 	}
@@ -193,7 +190,7 @@ func (h *Handle) write(key, expect, value, typ uint64, owned bool) (uint64, erro
 		return 0, ErrOwnedSingleCAS
 	}
 	for {
-		old, err := h.writeOnce(key, expect, value, typ, owned)
+		old, err := h.writeOnce(key, value, typ, owned)
 		if errors.Is(err, core.ErrPoolExhausted) {
 			h.tree.pool.ReclaimPause()
 			continue
@@ -208,12 +205,12 @@ func (h *Handle) write(key, expect, value, typ uint64, owned bool) (uint64, erro
 // errRetry signals a lost installation race: re-descend and try again.
 var errRetry = errors.New("bwtree: retry")
 
-// writeOnce makes one attempt. The descent's hit is the key's current
-// value, checked against expect; the mapping-word PMwCAS expects the head
-// that hit was read from, so the check holds at the install. An owned
-// write records the displaced value in its delta and pins it there with
-// an old == new FreeOldOnSuccess entry, which frees its block on success.
-func (h *Handle) writeOnce(key, expect, value, typ uint64, owned bool) (uint64, error) {
+// writeOnce makes one attempt on one descent. The descent's hit is the
+// key's current value; the mapping-word PMwCAS expects the head that hit
+// was read from, so it still holds at the install. An owned write records
+// the displaced value in its delta and pins it there with an old == new
+// FreeOldOnSuccess entry, which frees its block on success.
+func (h *Handle) writeOnce(key, value, typ uint64, owned bool) (uint64, error) {
 	t := h.tree
 	g := h.core.Guard()
 	g.Enter()
@@ -223,16 +220,20 @@ func (h *Handle) writeOnce(key, expect, value, typ uint64, owned bool) (uint64, 
 	if err != nil {
 		return 0, err
 	}
+	if typ == recPut {
+		typ = recInsert
+		if s.found {
+			typ = recUpdate
+		}
+	}
 	switch {
 	case typ == recInsert && s.found:
 		return 0, ErrKeyExists
 	case typ != recInsert && !s.found:
 		return 0, ErrNotFound
-	case expect != anyValue && s.val != expect:
-		return 0, index.ErrValueMismatch
 	}
 	var displaced uint64
-	if owned {
+	if owned && s.found {
 		if typ == recUpdate && s.val == value {
 			return s.val, nil // already in place: freeing it would be wrong
 		}

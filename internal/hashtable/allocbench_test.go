@@ -35,6 +35,30 @@ func pointOps(tb testing.TB) (dev *nvram.Device, update, get func(i int)) {
 	return e.dev, update, get
 }
 
+// putOps preloads a persistent table with owned blocks and returns its
+// steady-state PutOwned overwrite: each call allocates a fresh block and
+// puts it, and the PMwCAS frees the block it displaces.
+func putOps(tb testing.TB) func(i int) {
+	e := newHTEnv(tb, core.Persistent, 8)
+	h := e.tab.NewHandle()
+	ah := e.alloc.NewHandle()
+	slot := e.roots.Base + RootWords*nvram.WordSize // a spare roots word
+	const keys = 512
+	put := func(i int) {
+		b, err := ah.Alloc(64, slot)
+		if err != nil {
+			tb.Fatalf("alloc: %v", err)
+		}
+		if err := h.PutOwned(uint64(i%keys)+1, b); err != nil {
+			tb.Fatalf("put %d: %v", i, err)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		put(i)
+	}
+	return put
+}
+
 func BenchmarkPointOps(b *testing.B) {
 	_, update, get := pointOps(b)
 	b.ReportAllocs()
@@ -49,7 +73,7 @@ func BenchmarkPointOps(b *testing.B) {
 // contract on the hash table's annotated fast paths (the static half is
 // pmwcaslint's hotpath analyzer): steady-state Update+Get against a
 // preloaded table, past the split churn of loading, stays at 0
-// allocs/op.
+// allocs/op, and so does a steady-state owned overwrite (PutOwned).
 func TestPointOpsAllocBudget(t *testing.T) {
 	if nvram.SanitizerEnabled {
 		t.Skip("psan's shadow state allocates on every device op")
@@ -58,6 +82,10 @@ func TestPointOpsAllocBudget(t *testing.T) {
 	i := 0
 	if got := testing.AllocsPerRun(20000, func() { update(i); get(i); i++ }); got > 0 {
 		t.Fatalf("Update+Get = %v allocs/op, budget 0", got)
+	}
+	put := putOps(t)
+	if got := testing.AllocsPerRun(20000, func() { put(i); i++ }); got > 0 {
+		t.Fatalf("PutOwned = %v allocs/op, budget 0", got)
 	}
 }
 

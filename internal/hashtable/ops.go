@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"pmwcas/internal/core"
-	"pmwcas/internal/index"
 	"pmwcas/internal/metrics"
 	"pmwcas/internal/nvram"
 )
@@ -178,6 +177,15 @@ func (h *Handle) Get(key uint64) (uint64, error) {
 	}
 }
 
+// writeOp says what a write does with a present and with an absent key.
+type writeOp uint8
+
+const (
+	opInsert writeOp = iota // absent: fill a free slot; present: ErrKeyExists
+	opUpdate                // present: replace the value; absent: ErrNotFound
+	opPut                   // either, and a replaced value's block is freed
+)
+
 // Insert stores value under a key not yet present. One three-word
 // PMwCAS installs the slot pair and bumps the bucket version; the
 // version compare validates the duplicate/free-slot scan atomically
@@ -185,6 +193,34 @@ func (h *Handle) Get(key uint64) (uint64, error) {
 //
 //pmwcas:hotpath — extendible-hash point insert; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Insert(key, value uint64) error {
+	return h.write(key, value, opInsert)
+}
+
+// Update replaces the value under an existing key: a two-word PMwCAS
+// (version bump + value swap). The unchanged version proves the key
+// still occupies the slot the scan found it in.
+//
+//pmwcas:hotpath — extendible-hash point update; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
+func (h *Handle) Update(key, value uint64) error {
+	return h.write(key, value, opUpdate)
+}
+
+// PutOwned inserts value under key, or replaces the value the slot owns:
+// the value entry carries FreeOldOnSuccess, so the PMwCAS that installs
+// value frees the displaced block once the epoch allows. A value already
+// in place is a no-op that frees nothing.
+//
+//pmwcas:hotpath — blob-layer PUT on the hash table; allocation-free like Insert and Update, which share its body
+func (h *Handle) PutOwned(key, value uint64) error {
+	return h.write(key, value, opPut)
+}
+
+// write makes one locate and one slot scan per attempt and acts on what
+// the scan found: the two-word update of the key's slot, or the
+// three-word insert into a free slot, splitting a full bucket first.
+// Every answer given without a PMwCAS waits for the unchanged version to
+// prove the scan.
+func (h *Handle) write(key, value uint64, op writeOp) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
@@ -197,25 +233,36 @@ func (h *Handle) Insert(key, value uint64) error {
 	defer g.Exit()
 	for {
 		b, meta := h.locate(hash)
-		free := -1
-		dup := false
+		slot, free := -1, -1
 		for i := 0; i < h.t.slots; i++ {
 			k := h.core.Read(slotKeyOff(b, i))
 			if k == key {
-				dup = true
+				slot = i
 				break
 			}
 			if k == 0 && free < 0 {
 				free = i
 			}
 		}
-		if dup {
-			if h.core.Read(b+bucketMetaOff) != meta {
-				continue // stale scan; the key may be mid-delete
-			}
-			return ErrKeyExists
+		var old uint64
+		if slot >= 0 && op != opInsert {
+			old = h.core.Read(slotValOff(b, slot))
 		}
-		if free < 0 {
+		// Absent for an update, present for an insert, or an owned value
+		// already in place (freeing it would be wrong).
+		if slot < 0 && op == opUpdate || slot >= 0 && (op == opInsert || op == opPut && old == value) {
+			if h.core.Read(b+bucketMetaOff) != meta {
+				continue // stale scan; the key may be mid-insert or mid-delete
+			}
+			switch {
+			case slot < 0:
+				return ErrNotFound
+			case op == opInsert:
+				return ErrKeyExists
+			}
+			return nil
+		}
+		if slot < 0 && free < 0 {
 			if err := h.split(b, meta, hash); err != nil {
 				if errors.Is(err, core.ErrPoolExhausted) {
 					g.Exit()
@@ -238,11 +285,19 @@ func (h *Handle) Insert(key, value uint64) error {
 			d.Discard()
 			return err
 		}
-		if err := d.AddWord(slotKeyOff(b, free), 0, key); err != nil {
-			d.Discard()
-			return err
+		if slot < 0 {
+			err = d.AddWord(slotKeyOff(b, free), 0, key)
+			if err == nil {
+				err = d.AddWord(slotValOff(b, free), 0, value)
+			}
+		} else {
+			policy := core.PolicyNone
+			if op == opPut {
+				policy = core.PolicyFreeOldOnSuccess
+			}
+			err = d.AddWordWithPolicy(slotValOff(b, slot), old, value, policy)
 		}
-		if err := d.AddWord(slotValOff(b, free), 0, value); err != nil {
+		if err != nil {
 			d.Discard()
 			return err
 		}
@@ -254,93 +309,6 @@ func (h *Handle) Insert(key, value uint64) error {
 			return nil
 		}
 		// Lost to a concurrent mutation or split; retry from the directory.
-	}
-}
-
-// anyValue is update's expect for a plain Update: it has reserved bits
-// set, so no stored value (and no checked expect) can equal it.
-const anyValue = ^uint64(0)
-
-// Update replaces the value under an existing key: a two-word PMwCAS
-// (version bump + value swap). The unchanged version proves the key
-// still occupies the slot the scan found it in.
-//
-//pmwcas:hotpath — extendible-hash point update; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
-func (h *Handle) Update(key, value uint64) error {
-	return h.update(key, anyValue, value, core.PolicyNone)
-}
-
-// CompareUpdateOwned is Update of a value the slot owns, and only while
-// it is expect: the value entry carries FreeOldOnSuccess, so the PMwCAS
-// that installs value frees expect's block once the epoch allows.
-//
-//pmwcas:hotpath — blob-layer overwrite on the hash table; allocation-free like Update, which shares its body
-func (h *Handle) CompareUpdateOwned(key, expect, value uint64) error {
-	if err := checkValue(expect); err != nil {
-		return err
-	}
-	return h.update(key, expect, value, core.PolicyFreeOldOnSuccess)
-}
-
-func (h *Handle) update(key, expect, value uint64, policy core.Policy) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	if err := checkValue(value); err != nil {
-		return err
-	}
-	hash := mix64(key)
-	g := h.core.Guard()
-	g.Enter()
-	defer g.Exit()
-	for {
-		b, meta := h.locate(hash)
-		slot := -1
-		var old uint64
-		for i := 0; i < h.t.slots; i++ {
-			if h.core.Read(slotKeyOff(b, i)) == key {
-				slot = i
-				old = h.core.Read(slotValOff(b, i))
-				break
-			}
-		}
-		if slot < 0 || (expect != anyValue && (old != expect || old == value)) {
-			// Answer without a PMwCAS — absent, a stale expect, or the
-			// owned value already in place (freeing it would be wrong) —
-			// once the unchanged version proves the scan.
-			if h.core.Read(b+bucketMetaOff) != meta {
-				continue
-			}
-			switch {
-			case slot < 0:
-				return ErrNotFound
-			case old != expect:
-				return index.ErrValueMismatch
-			}
-			return nil
-		}
-		d, err := h.core.AllocateDescriptor(0)
-		if err != nil {
-			g.Exit()
-			h.t.pool.ReclaimPause()
-			g.Enter()
-			continue
-		}
-		if err := d.AddWord(b+bucketMetaOff, meta, bumpVersion(meta)); err != nil {
-			d.Discard()
-			return err
-		}
-		if err := d.AddWordWithPolicy(slotValOff(b, slot), old, value, policy); err != nil {
-			d.Discard()
-			return err
-		}
-		ok, err := d.Execute()
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
 	}
 }
 

@@ -23,9 +23,6 @@ var (
 	// ErrUnordered is returned by Scan on an index with no key order to
 	// scan in (the hash table; handles routed across hash-placed shards).
 	ErrUnordered = errors.New("index: range scans unsupported (index is unordered)")
-	// ErrValueMismatch is returned by Owner.CompareUpdateOwned when the
-	// key's value is not the expected one.
-	ErrValueMismatch = errors.New("index: value mismatch")
 )
 
 // Entry is one key/value pair yielded by a scan.
@@ -54,10 +51,10 @@ type Handle interface {
 // layer (blobkv) keeps its out-of-line records this way.
 type Owner interface {
 	Handle
-	// CompareUpdateOwned replaces key's value with value if it is expect,
-	// and frees expect's block. ErrValueMismatch if the value is another;
-	// ErrNotFound if key is absent.
-	CompareUpdateOwned(key, expect, value uint64) error
+	// PutOwned inserts value under key, or replaces whatever value key
+	// holds and frees that block, in one descent per attempt. A value
+	// already in place is left there and nothing is freed.
+	PutOwned(key, value uint64) error
 	// DeleteOwned removes key, frees its value's block and returns the
 	// value it removed. The caller must not free it again.
 	DeleteOwned(key uint64) (uint64, error)

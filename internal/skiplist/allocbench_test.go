@@ -30,6 +30,30 @@ func pointOps(tb testing.TB) func(i int) {
 	}
 }
 
+// putOps preloads a persistent list with owned blocks and returns its
+// steady-state PutOwned overwrite: each call allocates a fresh block and
+// puts it, and the PMwCAS frees the block it displaces.
+func putOps(tb testing.TB) func(i int) {
+	e := newListEnv(tb, core.Persistent)
+	h := e.list.NewHandle(1)
+	ah := e.alloc.NewHandle()
+	slot := e.roots.Base + RootWords*nvram.WordSize // a spare roots word
+	const keys = 512
+	put := func(i int) {
+		b, err := ah.Alloc(64, slot)
+		if err != nil {
+			tb.Fatalf("alloc: %v", err)
+		}
+		if err := h.PutOwned(uint64(i%keys)+1, b); err != nil {
+			tb.Fatalf("put %d: %v", i, err)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		put(i)
+	}
+	return put
+}
+
 func BenchmarkPointOps(b *testing.B) {
 	op := pointOps(b)
 	b.ReportAllocs()
@@ -42,7 +66,8 @@ func BenchmarkPointOps(b *testing.B) {
 // TestPointOpsAllocBudget is the dynamic half of the //pmwcas:hotpath
 // contract on the skip list's annotated fast paths (the static half is
 // pmwcaslint's hotpath analyzer): steady-state Update+Get against a
-// preloaded list, with no structural churn, stays at 0 allocs/op.
+// preloaded list, with no structural churn, stays at 0 allocs/op, and so
+// does a steady-state owned overwrite (PutOwned).
 func TestPointOpsAllocBudget(t *testing.T) {
 	if nvram.SanitizerEnabled {
 		t.Skip("psan's shadow state allocates on every device op")
@@ -51,5 +76,9 @@ func TestPointOpsAllocBudget(t *testing.T) {
 	i := 0
 	if got := testing.AllocsPerRun(20000, func() { op(i); i++ }); got > 0 {
 		t.Fatalf("Update+Get = %v allocs/op, budget 0", got)
+	}
+	put := putOps(t)
+	if got := testing.AllocsPerRun(20000, func() { put(i); i++ }); got > 0 {
+		t.Fatalf("PutOwned = %v allocs/op, budget 0", got)
 	}
 }

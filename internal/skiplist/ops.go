@@ -4,8 +4,16 @@ import (
 	"errors"
 
 	"pmwcas/internal/core"
-	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
+)
+
+// writeOp says what a write does with a present and with an absent key.
+type writeOp uint8
+
+const (
+	opInsert writeOp = iota // absent: link a node; present: ErrKeyExists
+	opUpdate                // present: replace the value; absent: ErrNotFound
+	opPut                   // either, and a replaced value's block is freed
 )
 
 // Insert adds key with value. It returns ErrKeyExists if the key is
@@ -16,6 +24,32 @@ import (
 //
 //pmwcas:hotpath — PMwCAS-skiplist point insert; allocation-free up to amortized SMO work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Insert(key, value uint64) error {
+	return h.writeOuter(key, value, opInsert)
+}
+
+// Update replaces the value stored under key. The single-word update is
+// guarded by a compare entry on the node's base next word, so an update
+// can never land on a node that a concurrent Delete has already removed.
+//
+//pmwcas:hotpath — PMwCAS-skiplist point update; allocation-free up to amortized SMO work, pinned by TestPointOpsAllocBudget
+func (h *Handle) Update(key, value uint64) error {
+	return h.writeOuter(key, value, opUpdate)
+}
+
+// PutOwned inserts value under key, or replaces the value key holds. The
+// values are allocator block offsets owned by the list entry: a replace
+// frees the displaced block through the PMwCAS recycling machinery
+// (Table 1, FreeOldOnSuccess) — atomically with the update as far as
+// crashes are concerned, and only after the epoch proves no reader still
+// holds it. Each attempt is one find, whose result the insert or the
+// update acts on. A value already in place is a no-op that frees nothing.
+//
+//pmwcas:hotpath — blob-layer PUT on the skip list; allocation-free like Insert and Update, which share its body
+func (h *Handle) PutOwned(key, value uint64) error {
+	return h.writeOuter(key, value, opPut)
+}
+
+func (h *Handle) writeOuter(key, value uint64, op writeOp) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
@@ -23,7 +57,7 @@ func (h *Handle) Insert(key, value uint64) error {
 		return err
 	}
 	for {
-		err := h.insert(key, value)
+		err := h.write(key, value, op)
 		if errors.Is(err, core.ErrPoolExhausted) {
 			// Unwound with no guard held: reclamation can now make
 			// progress. Retry the whole operation.
@@ -34,67 +68,124 @@ func (h *Handle) Insert(key, value uint64) error {
 	}
 }
 
-func (h *Handle) insert(key, value uint64) error {
-	l := h.list
+// write finds key once per attempt and acts on what it found. An absent
+// key gets a new node (insert). A live node gets one two-entry PMwCAS: the
+// value word, compared against the value just read, and the base next
+// word as a liveness guard.
+func (h *Handle) write(key, value uint64, op writeOp) error {
 	g := h.core.Guard()
 	g.Enter()
 	defer g.Exit()
 
-	var node nvram.Offset
-	height := h.randomHeight()
+	// The tower height is drawn once per op: by an Insert up front, so a
+	// refused Insert still advances the height stream as it always has,
+	// and by a put only when an attempt inserts.
+	height := 0
+	if op == opInsert {
+		height = h.randomHeight()
+	}
 	for {
 		r := h.find(key)
-		if r.found != 0 {
+		if r.found == 0 {
+			if op == opUpdate {
+				return ErrNotFound
+			}
+			if height == 0 {
+				height = h.randomHeight()
+			}
+			node, err := h.insert(r.preds[0], r.succs[0], key, value, height)
+			if err != nil {
+				return err
+			}
+			if node == 0 {
+				continue // lost the race; the failure policy recycled the node
+			}
+			// Promotions are best-effort: abandoning them (on deletion
+			// races or descriptor pressure) leaves a valid, merely
+			// shorter, tower.
+			for level := 1; level < height; level++ {
+				if !h.promote(node, key, level) {
+					break
+				}
+			}
+			return nil
+		}
+		if op == opInsert {
 			return ErrKeyExists
+		}
+		next := h.read(r.found + linkOff(0, false))
+		if next&DeletedMask != 0 {
+			if op == opUpdate {
+				return ErrNotFound
+			}
+			continue // deleted after find passed it: find again
+		}
+		cur := h.read(r.found + nodeValueOff)
+		if cur == value {
+			return nil // already in place: an owned put must not free it
+		}
+		policy := core.PolicyNone
+		if op == opPut {
+			policy = core.PolicyFreeOldOnSuccess
 		}
 		d, err := h.core.AllocateDescriptor(0)
 		if err != nil {
 			return err
 		}
-		// The new node is owned by the descriptor until the PMwCAS
-		// succeeds: allocated into the entry's new-value field, freed
-		// automatically if the insert loses its race (§5.2, Figure 3).
-		field, err := d.ReserveEntry(r.preds[0]+linkOff(0, false), r.succs[0], core.PolicyFreeNewOnFailure)
-		if err != nil {
+		fail := d.AddWordWithPolicy(r.found+nodeValueOff, cur, value, policy)
+		if fail == nil {
+			fail = d.AddWord(r.found+linkOff(0, false), next, next) // liveness guard
+		}
+		if fail != nil {
 			d.Discard()
-			return err
+			return fail
 		}
-		node, err = h.ah.Alloc(nodeSize(height), field)
-		if err != nil {
-			d.Discard()
-			return err
+		if ok, _ := d.Execute(); ok {
+			return nil
 		}
-		l.dev.Store(node+nodeKeyOff, key)
-		l.dev.Store(node+nodeValueOff, value)
-		l.dev.Store(node+nodeMetaOff, uint64(height))
-		l.dev.Store(node+linkOff(0, false), r.succs[0])
-		l.dev.Store(node+linkOff(0, true), r.preds[0])
-		l.flushNode(node, height)
-		l.dev.Fence()
-
-		if err := d.AddWord(r.succs[0]+linkOff(0, true), r.preds[0], node); err != nil {
-			d.Discard()
-			return err
-		}
-		ok, err := d.Execute()
-		if err != nil {
-			return err
-		}
-		if ok {
-			break
-		}
-		// Lost the race: neighborhood changed (or key appeared). The
-		// reserved node was recycled by the failure policy; retry.
+		// The value moved or the node's neighborhood changed: find again.
 	}
+}
 
-	// Promotions are best-effort: abandoning them (on deletion races or
-	// descriptor pressure) leaves a valid, merely shorter, tower.
-	for level := 1; level < height; level++ {
-		if !h.promote(node, key, level) {
-			break
-		}
+// insert links a new node of the given height between pred and succ at
+// the base level with one PMwCAS. It returns the node, or 0 when the
+// neighborhood changed (or the key appeared) first.
+func (h *Handle) insert(pred, succ nvram.Offset, key, value uint64, height int) (nvram.Offset, error) {
+	l := h.list
+	d, err := h.core.AllocateDescriptor(0)
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	// The new node is owned by the descriptor until the PMwCAS succeeds:
+	// allocated into the entry's new-value field, freed automatically if
+	// the insert loses its race (§5.2, Figure 3).
+	field, err := d.ReserveEntry(pred+linkOff(0, false), succ, core.PolicyFreeNewOnFailure)
+	if err != nil {
+		d.Discard()
+		return 0, err
+	}
+	node, err := h.ah.Alloc(nodeSize(height), field)
+	if err != nil {
+		d.Discard()
+		return 0, err
+	}
+	l.dev.Store(node+nodeKeyOff, key)
+	l.dev.Store(node+nodeValueOff, value)
+	l.dev.Store(node+nodeMetaOff, uint64(height))
+	l.dev.Store(node+linkOff(0, false), succ)
+	l.dev.Store(node+linkOff(0, true), pred)
+	l.flushNode(node, height)
+	l.dev.Fence()
+
+	if err := d.AddWord(succ+linkOff(0, true), pred, node); err != nil {
+		d.Discard()
+		return 0, err
+	}
+	ok, err := d.Execute()
+	if err != nil || !ok {
+		return 0, err
+	}
+	return node, nil
 }
 
 // promote links node into the level-i list. Returns false if the node was
@@ -155,97 +246,6 @@ func (h *Handle) Get(key uint64) (uint64, error) {
 		return 0, ErrNotFound
 	}
 	return h.read(r.found + nodeValueOff), nil
-}
-
-// anyValue is compareUpdate's expect for a plain Update: it has reserved
-// bits set, so no stored value (and no checked expect) can equal it.
-const anyValue = ^uint64(0)
-
-// Update replaces the value stored under key. The single-word update is
-// guarded by a compare entry on the node's base next word, so an update
-// can never land on a node that a concurrent Delete has already removed.
-//
-//pmwcas:hotpath — PMwCAS-skiplist point update; allocation-free up to amortized SMO work, pinned by TestPointOpsAllocBudget
-func (h *Handle) Update(key, value uint64) error {
-	return h.compareUpdateOuter(key, anyValue, value, core.PolicyNone)
-}
-
-// CompareUpdateOwned replaces the value stored under key only if it
-// currently equals expect — compare-and-set on the value word, guarded
-// against deleted nodes like Update. The values are allocator block
-// offsets owned by the list entry: on success, expect's block is freed
-// through the PMwCAS recycling machinery (Table 1, FreeOldOnSuccess) —
-// atomically with the update as far as crashes are concerned, and only
-// after the epoch proves no reader still holds it. Returns
-// index.ErrValueMismatch when the stored value is not expect, ErrNotFound
-// when the key is absent.
-//
-//pmwcas:hotpath — blob-layer overwrite on the skip list; allocation-free like Update, which shares its body
-func (h *Handle) CompareUpdateOwned(key, expect, value uint64) error {
-	if err := checkValue(expect); err != nil {
-		return err
-	}
-	return h.compareUpdateOuter(key, expect, value, core.PolicyFreeOldOnSuccess)
-}
-
-func (h *Handle) compareUpdateOuter(key, expect, value uint64, policy core.Policy) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	if err := checkValue(value); err != nil {
-		return err
-	}
-	for {
-		err := h.compareUpdate(key, expect, value, policy)
-		if errors.Is(err, core.ErrPoolExhausted) {
-			h.list.pool.ReclaimPause()
-			continue
-		}
-		return err
-	}
-}
-
-// compareUpdate is one two-entry PMwCAS on the node: the value word,
-// compared against the value just read (which must be expect, unless
-// expect is anyValue), and the base next word as a liveness guard.
-func (h *Handle) compareUpdate(key, expect, value uint64, policy core.Policy) error {
-	g := h.core.Guard()
-	g.Enter()
-	defer g.Exit()
-	for {
-		r := h.find(key)
-		if r.found == 0 {
-			return ErrNotFound
-		}
-		next := h.read(r.found + linkOff(0, false))
-		if next&DeletedMask != 0 {
-			return ErrNotFound
-		}
-		cur := h.read(r.found + nodeValueOff)
-		if expect != anyValue && cur != expect {
-			return index.ErrValueMismatch
-		}
-		if cur == value {
-			return nil
-		}
-		d, err := h.core.AllocateDescriptor(0)
-		if err != nil {
-			return err
-		}
-		fail := d.AddWordWithPolicy(r.found+nodeValueOff, cur, value, policy)
-		if fail == nil {
-			fail = d.AddWord(r.found+linkOff(0, false), next, next) // liveness guard
-		}
-		if fail != nil {
-			d.Discard()
-			return fail
-		}
-		if ok, _ := d.Execute(); ok {
-			return nil
-		}
-		// Either the value moved (report mismatch next round) or the
-		// node's neighborhood changed (retry resolves it).
-	}
 }
 
 // DeleteOwned removes key whose value is an allocator block offset owned

@@ -7,7 +7,6 @@ import (
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
-	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
 )
 
@@ -33,52 +32,45 @@ func (e *lenv) drain() {
 	}
 }
 
-func TestCompareUpdateSemantics(t *testing.T) {
+// PutOwned inserts an absent key and frees nothing; over a present key it
+// replaces the value and frees the displaced block once the epoch allows.
+func TestPutOwnedSemantics(t *testing.T) {
 	e := newListEnv(t, core.Persistent)
 	h := e.list.NewHandle(1)
 	ah := e.alloc.NewHandle()
+	base, _ := e.alloc.InUse()
 	a, b := e.block(t, ah, 0, 0), e.block(t, ah, 0, 0)
-	if err := h.CompareUpdateOwned(5, a, b); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("CompareUpdateOwned(absent): %v", err)
+	inUse := func(want uint64, when string) {
+		t.Helper()
+		e.drain()
+		if blocks, _ := e.alloc.InUse(); blocks != base+want {
+			t.Fatalf("%s: %d blocks in use, want %d", when, blocks-base, want)
+		}
 	}
-	h.Insert(5, a)
-	if err := h.CompareUpdateOwned(5, b, a); !errors.Is(err, index.ErrValueMismatch) {
-		t.Fatalf("stale expect: %v", err)
+	if err := h.PutOwned(5, a); err != nil {
+		t.Fatalf("PutOwned(absent): %v", err)
 	}
 	if v, _ := h.Get(5); v != a {
-		t.Fatalf("failed CAS mutated value: %#x", v)
+		t.Fatalf("value = %#x, want %#x", v, a)
 	}
-	if err := h.CompareUpdateOwned(5, a, b); err != nil {
-		t.Fatalf("CompareUpdateOwned: %v", err)
+	inUse(3, "after the insert") // node, a, b
+	if err := h.PutOwned(5, b); err != nil {
+		t.Fatalf("PutOwned(present): %v", err)
 	}
 	if v, _ := h.Get(5); v != b {
 		t.Fatalf("value = %#x, want %#x", v, b)
 	}
-	// Same-value CAS is a no-op: it must not free the block in place.
-	if err := h.CompareUpdateOwned(5, b, b); err != nil {
-		t.Fatalf("same-value CAS: %v", err)
-	}
-	e.drain()
-	if err := e.alloc.Free(b); err != nil {
-		t.Fatalf("same-value CAS freed the live block: %v", err)
-	}
-	if err := h.CompareUpdateOwned(5, DirtyValue(), 1); err == nil {
-		t.Fatal("flagged expect accepted")
-	}
+	inUse(2, "after the replace") // node, b
 }
 
 // DirtyValue returns a value with a reserved bit for validation tests.
 func DirtyValue() uint64 { return core.DirtyFlag }
 
-// Concurrent owned CASes on one key linearize: each replaces the block
-// holding count c with a fresh one holding c+1, so no increment is lost,
-// and every displaced block is freed.
-func TestCompareUpdateLinearizesConcurrentCAS(t *testing.T) {
+// Concurrent PutOwned calls on one key each displace exactly one block:
+// every displaced block is freed once, and only the last one stays.
+func TestPutOwnedConcurrentFreesEachDisplaced(t *testing.T) {
 	e := newListEnv(t, core.Persistent)
 	base, _ := e.alloc.InUse()
-	setup := e.list.NewHandle(0)
-	ah := e.alloc.NewHandle()
-	setup.Insert(7, e.block(t, ah, 0, 0))
 	const goroutines = 4
 	const perG = 200
 	var wg sync.WaitGroup
@@ -88,48 +80,15 @@ func TestCompareUpdateLinearizesConcurrentCAS(t *testing.T) {
 			defer wg.Done()
 			h := e.list.NewHandle(int64(g))
 			ah := e.alloc.NewHandle()
-			guard := h.Guard()
 			for i := 0; i < perG; i++ {
-				nb := e.block(t, ah, g, 0)
-				for {
-					// The guard spans read and CAS. Released in between,
-					// it would let v be freed and recycled into another
-					// goroutine's update before this CAS (ABA), which
-					// would then overwrite a newer count. compareUpdate,
-					// unlike CompareUpdateOwned, returns pool exhaustion,
-					// so the guard is dropped before reclaiming.
-					guard.Enter()
-					v, err := h.Get(7)
-					if err != nil {
-						guard.Exit()
-						t.Errorf("Get: %v", err)
-						return
-					}
-					e.dev.Store(nb, e.dev.Load(v)+1)
-					e.dev.Flush(nb)
-					e.dev.Fence()
-					err = h.compareUpdate(7, v, nb, core.PolicyFreeOldOnSuccess)
-					guard.Exit()
-					if err == nil {
-						break
-					}
-					if errors.Is(err, core.ErrPoolExhausted) {
-						e.pool.ReclaimPause()
-						continue
-					}
-					if !errors.Is(err, index.ErrValueMismatch) {
-						t.Errorf("CompareUpdateOwned: %v", err)
-						return
-					}
+				if err := h.PutOwned(7, e.block(t, ah, g, 0)); err != nil {
+					t.Errorf("PutOwned: %v", err)
+					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	h := e.list.NewHandle(99)
-	if v, _ := h.Get(7); e.dev.Load(v) != goroutines*perG {
-		t.Fatalf("counter = %d, want %d: lost updates", e.dev.Load(v), goroutines*perG)
-	}
 	e.drain()
 	if blocks, _ := e.alloc.InUse(); blocks != base+2 { // node + the last block
 		t.Fatalf("blocks = %d, want %d: displaced blocks leaked", blocks, base+2)
@@ -160,16 +119,15 @@ func TestOwnedValueLifecycle(t *testing.T) {
 	base, _ := e.alloc.InUse()
 
 	blockA := e.block(t, ah, 0, 0)
-	if err := h.Insert(9, blockA); err != nil {
+	if err := h.PutOwned(9, blockA); err != nil {
 		t.Fatal(err)
 	}
 	blockB := e.block(t, ah, 0, 0)
 	// Replace A with B: A must be freed by the policy.
-	if err := h.CompareUpdateOwned(9, blockA, blockB); err != nil {
-		t.Fatalf("CompareUpdateOwned: %v", err)
+	if err := h.PutOwned(9, blockB); err != nil {
+		t.Fatalf("PutOwned: %v", err)
 	}
-	e.pool.Epochs().Advance()
-	e.pool.Epochs().Collect()
+	e.drain()
 	blocks, _ := e.alloc.InUse()
 	if blocks != base+2 { // node + blockB
 		t.Fatalf("blocks = %d, want %d (A freed)", blocks, base+2)
@@ -179,32 +137,35 @@ func TestOwnedValueLifecycle(t *testing.T) {
 	if err != nil || v != blockB {
 		t.Fatalf("DeleteOwned = (%#x, %v)", v, err)
 	}
-	e.pool.Epochs().Advance()
-	e.pool.Epochs().Collect()
+	e.drain()
 	blocks, _ = e.alloc.InUse()
 	if blocks != base {
 		t.Fatalf("blocks = %d, want %d after DeleteOwned", blocks, base)
 	}
 }
 
-// A failed CompareUpdateOwned must not free anything.
+// A PutOwned that changes nothing frees nothing: putting the value
+// already in place is a no-op, and a value with reserved bits is refused.
 func TestOwnedUpdateFailureFreesNothing(t *testing.T) {
 	e := newListEnv(t, core.Persistent)
 	h := e.list.NewHandle(1)
 	ah := e.alloc.NewHandle()
 	blockA := e.block(t, ah, 0, 0)
-	h.Insert(4, blockA)
-	blockB := e.block(t, ah, 0, 0)
-	if err := h.CompareUpdateOwned(4, blockA+64 /* wrong */, blockB); !errors.Is(err, index.ErrValueMismatch) {
-		t.Fatalf("stale owned CAS: %v", err)
+	if err := h.PutOwned(4, blockA); err != nil {
+		t.Fatal(err)
 	}
-	e.pool.Epochs().Advance()
-	e.pool.Epochs().Collect()
-	// Both blocks still owned (B is the caller's problem to free/retry).
-	if err := e.alloc.Free(blockB); err != nil {
-		t.Fatalf("blockB was freed by a failed CAS: %v", err)
+	if err := h.PutOwned(4, blockA); err != nil {
+		t.Fatalf("same-value PutOwned: %v", err)
 	}
+	if err := h.PutOwned(4, DirtyValue()); !errors.Is(err, ErrValueRange) {
+		t.Fatalf("flagged PutOwned = %v, want ErrValueRange", err)
+	}
+	e.drain()
 	if v, _ := h.Get(4); v != blockA {
-		t.Fatalf("value changed on failed CAS: %#x", v)
+		t.Fatalf("value = %#x, want %#x", v, blockA)
+	}
+	// Still allocated: freeing it here succeeds exactly once.
+	if err := e.alloc.Free(blockA); err != nil {
+		t.Fatalf("a no-op PutOwned freed the live block: %v", err)
 	}
 }
