@@ -31,7 +31,6 @@ package bwtree
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
@@ -120,23 +119,11 @@ type Tree struct {
 	innerCap   int
 	consolAt   int
 	mergeBelow int
-
-	defers atomic.Uint64 // paces epoch collection for SMOSingleCAS frees
 }
 
-// deferFree schedules a chain for reclamation and keeps the epoch
-// machinery moving. In descriptor modes the pool's retire path does this;
-// in SMOSingleCAS mode nothing else would ever advance the epoch, and
-// deferred garbage (hence allocator memory) would grow without bound.
-func (t *Tree) deferFree(head uint64) {
-	mgr := t.pool.Epochs()
-	mgr.DeferRetire(t, head, 0)
-	mgr.Advance()
-	if t.defers.Add(1)%32 == 0 {
-		//lint:allow hotpath — amortized epoch sweep, 1 in 32 defers; reclamation callbacks are off the per-op cost model (§6.3)
-		mgr.Collect()
-	}
-}
+// deferFree schedules a chain for reclamation once no traversal can
+// still hold it; DeferRetire also keeps the epoch clock moving.
+func (t *Tree) deferFree(head uint64) { t.pool.Epochs().DeferRetire(t, head, 0) }
 
 // Retire implements epoch.Retiree: off is a retired chain head. The tree
 // registers itself with DeferRetire instead of a closure so scheduling

@@ -165,8 +165,6 @@ type Pool struct {
 	callbackMu sync.RWMutex
 	callbacks  map[uint16]FinalizeFunc
 
-	retires atomic.Uint64 // drives periodic epoch advancing
-
 	// poisoned, when non-nil, marks the pool as superseded (for example by
 	// Store.Recover building a fresh pool over the same region). Every
 	// entry point panics with the stored reason: a stale handle silently
@@ -670,7 +668,6 @@ func (d *Descriptor) Discard() error {
 	d.done = true
 	p := d.h.pool
 	p.stats.discarded.Add(1)
-	mDiscards.Inc(d.h.lane)
 	metrics.DefaultTrace().Record(metrics.TraceDiscard, uint64(d.off), d.h.lane, 0)
 	p.dev.ShadowDrop()
 	p.retire(d.off, d.idx, false)
@@ -687,13 +684,6 @@ func (p *Pool) retire(d nvram.Offset, idx int, succeeded bool) {
 	}
 	metrics.DefaultTrace().Record(metrics.TraceRetire, uint64(d), metrics.StripeAt(idx), aux)
 	p.mgr.DeferRetire(p, uint64(d), uint64(idx)<<1|aux)
-	// Advance eagerly (it is one atomic add) so garbage ages past active
-	// guards quickly; sweep the list periodically.
-	p.mgr.Advance()
-	if p.retires.Add(1)%32 == 0 {
-		//lint:allow hotpath — amortized epoch sweep, 1 in 32 retires; the finalizers it runs are off the per-op cost model (§6.3)
-		p.mgr.Collect()
-	}
 }
 
 // Retire implements epoch.Retiree for concluded descriptors: off is the

@@ -13,15 +13,12 @@ import (
 // helpers the owner's exec recruits are charged to the owner, matching
 // the paper's cost model where helping is part of the interfering
 // operation's latency.
-
+//
+// Operation outcomes (successes and failures, whose sum is the executes;
+// helps, read helps, discards) are counted once, in Pool.stats, and reach
+// STATS through Store.PoolStats; the counters here have no twin there.
 var (
-	mExecutes       = metrics.NewCounter("core_pmwcas_executes")
-	mSucceeded      = metrics.NewCounter("core_pmwcas_succeeded")
-	mFailed         = metrics.NewCounter("core_pmwcas_failed")
-	mHelps          = metrics.NewCounter("core_pmwcas_helps")
 	mInstallRetries = metrics.NewCounter("core_pmwcas_install_retries")
-	mReadHelps      = metrics.NewCounter("core_pmwcas_read_helps")
-	mDiscards       = metrics.NewCounter("core_pmwcas_discards")
 	mPoolExhausted  = metrics.NewCounter("core_pool_exhausted")
 
 	mExecLat      = metrics.NewHistogram("core_pmwcas_exec_ns")

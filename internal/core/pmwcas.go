@@ -39,7 +39,6 @@ func (d *Descriptor) Execute() (bool, error) {
 	var t0 time.Time
 	on := metrics.On()
 	if on {
-		mExecutes.Inc(obs.lane)
 		metrics.DefaultTrace().Record(metrics.TraceExecute, uint64(d.off), obs.lane, uint64(d.n))
 		d.h.ops++
 		if d.h.ops&latSampleMask == 0 {
@@ -98,11 +97,6 @@ func (d *Descriptor) Execute() (bool, error) {
 		p.stats.failed.Add(1)
 	}
 	if on {
-		if ok {
-			mSucceeded.Inc(obs.lane)
-		} else {
-			mFailed.Inc(obs.lane)
-		}
 		if obs.timed {
 			mExecLat.ObserveSince(obs.lane, t0)
 		}
@@ -183,9 +177,7 @@ func (p *Pool) exec(mdesc nvram.Offset, own []entry, o *opObs) bool {
 	if helping {
 		p.stats.helps.Add(1)
 		if metrics.On() {
-			lane := laneOf(o, mdesc)
-			mHelps.Inc(lane)
-			metrics.DefaultTrace().Record(metrics.TraceHelp, uint64(mdesc), lane, 0)
+			metrics.DefaultTrace().Record(metrics.TraceHelp, uint64(mdesc), laneOf(o, mdesc), 0)
 		}
 		n = int(p.dev.Load(mdesc+descCountOff) & countMask)
 	}
@@ -390,7 +382,6 @@ func (p *Pool) read(addr nvram.Offset) uint64 {
 		}
 		if v&MwCASFlag != 0 {
 			p.stats.reads.Add(1)
-			mReadHelps.Add(metrics.StripeAt(int(addr/nvram.WordSize)), 1)
 			p.exec(v&AddressMask, nil, nil)
 			continue
 		}
@@ -437,7 +428,6 @@ func (p *Pool) readTraverse(addr nvram.Offset) uint64 {
 				p.persist(addr, v, nil)
 			}
 			p.stats.reads.Add(1)
-			mReadHelps.Add(metrics.StripeAt(int(addr/nvram.WordSize)), 1)
 			p.exec(v&AddressMask, nil, nil)
 			continue
 		}

@@ -5,10 +5,13 @@
 // protection (Guard.Enter / Guard.Exit) around any window in which it may
 // dereference memory that another thread could concurrently retire. When
 // an object is removed from a structure it is not freed immediately;
-// instead it is Deferred with the current global epoch recorded as its
-// recycle epoch. The object's callback runs only after every registered
-// thread has been observed outside any epoch older than or equal to the
-// recycle epoch — at that point no thread can still hold a reference.
+// instead it is handed to DeferRetire with the current global epoch
+// recorded as its recycle epoch. Its Retiree runs only after every
+// registered thread has been observed outside any epoch older than or
+// equal to the recycle epoch — at that point no thread can still hold a
+// reference. DeferRetire also paces the clock: it advances the epoch on
+// every retire and sweeps the garbage list on every 32nd, so callers
+// never drive Advance or Collect themselves.
 //
 // A key property the paper relies on (§5.1): garbage lists do not need to
 // be persistent. They exist only to protect concurrent readers while the
@@ -26,8 +29,8 @@ import (
 
 // Observability (DRAM-only; see internal/metrics). Guard hold time is
 // sampled 1-in-64 so the per-Enter cost on the read hot path stays one
-// counter increment; reclamation lag is exact — Defer already takes a
-// lock, one timestamp does not change its cost class.
+// counter increment; reclamation lag is exact — DeferRetire already
+// takes a lock, one timestamp does not change its cost class.
 var (
 	mHoldNs   = metrics.NewHistogram("epoch_guard_hold_ns")
 	mLagNs    = metrics.NewHistogram("epoch_reclaim_lag_ns")
@@ -41,10 +44,9 @@ const holdSampleMask = 63
 // can never be a legitimate protected epoch.
 const idle = uint64(0)
 
-// Callback is invoked when a deferred object becomes unreachable by all
-// threads. Callbacks run on whichever goroutine triggers reclamation; they
-// must not block and must tolerate running long after the Defer call.
-type Callback func()
+// collectEvery is the sweep cadence: DeferRetire runs Collect on every
+// collectEvery-th retire, amortizing the sweep over the retires between.
+const collectEvery = 32
 
 // Manager is a global epoch clock plus the set of registered guards.
 type Manager struct {
@@ -53,41 +55,40 @@ type Manager struct {
 	mu     sync.Mutex
 	guards []*Guard
 
-	// garbage is guarded by gmu. Entries are appended by Defer and drained
-	// front-first by Collect; entries are in non-decreasing epoch order
-	// because Defer stamps the current global epoch.
+	// garbage is guarded by gmu. Entries are appended by DeferRetire and
+	// drained front-first by Collect; entries are in non-decreasing epoch
+	// order because DeferRetire stamps the current global epoch.
 	gmu     sync.Mutex
 	garbage []deferred
 
-	deferred atomic.Uint64 // total Defer calls, for introspection
-	freed    atomic.Uint64 // callbacks run
+	deferred atomic.Uint64 // total DeferRetire calls; paces Collect
+	freed    atomic.Uint64 // retirees run
 	advances atomic.Uint64 // Advance calls (epoch clock ticks)
 }
 
 // Stats is a snapshot of a manager's cumulative activity.
 type Stats struct {
 	Advances uint64 // epoch clock ticks since creation
-	Deferred uint64 // objects handed to Defer
-	Freed    uint64 // callbacks run
+	Deferred uint64 // objects handed to DeferRetire
+	Freed    uint64 // retirees run
 	Pending  uint64 // deferred objects not yet reclaimed
 	Guards   uint64 // guards currently registered (gauge, not cumulative)
 }
 
 type deferred struct {
-	epoch uint64
-	at    int64 // UnixNano at Defer, 0 when metrics were off
-	fn    Callback
-	// Closure-free alternative (DeferRetire): when fn is nil, Collect
-	// calls r.Retire(off, aux) instead.
+	epoch    uint64
+	at       int64 // UnixNano at DeferRetire, 0 when metrics were off
 	r        Retiree
 	off, aux uint64
 }
 
-// Retiree is the closure-free form of Defer, for callers on
-// //pmwcas:hotpath fast paths: a closure capturing locals heap-allocates
-// at every retire, while an interface holding an existing pointer plus
-// two plain words does not. Implementations receive back exactly the two
-// words stashed at DeferRetire time.
+// Retiree is what DeferRetire schedules: an existing object plus two
+// plain words, rather than a closure, because a closure capturing locals
+// heap-allocates at every retire on //pmwcas:hotpath fast paths while an
+// interface holding an existing pointer does not. Implementations receive
+// back exactly the two words stashed at DeferRetire time. Retire runs on
+// whichever goroutine triggers reclamation; it must not block and must
+// tolerate running long after the DeferRetire call.
 type Retiree interface {
 	Retire(off, aux uint64)
 }
@@ -149,42 +150,34 @@ func (m *Manager) Epoch() uint64 { return m.global.Load() }
 
 // Advance increments the global epoch. The paper leaves the advancing
 // policy to the user ("advanced by user-defined events, e.g., by memory
-// usage or physical time"); callers here advance either periodically or
-// every k Defers.
+// usage or physical time"); here DeferRetire advances on every retire,
+// so garbage ages past active guards quickly. Drain and tests call it
+// directly.
 func (m *Manager) Advance() uint64 {
 	m.advances.Add(1)
 	return m.global.Add(1)
 }
 
-// Defer schedules fn to run once no guard can still be inside an epoch <=
-// the current one. fn must be non-nil.
-func (m *Manager) Defer(fn Callback) {
-	e := m.global.Load()
-	var at int64
-	if metrics.On() {
-		at = time.Now().UnixNano()
-	}
-	//lint:allow nonblock — bounded append to the deferred list; Collect detaches under the same lock but runs callbacks outside it (§6.3)
-	m.gmu.Lock()
-	m.garbage = append(m.garbage, deferred{epoch: e, at: at, fn: fn})
-	m.gmu.Unlock()
-	m.deferred.Add(1)
-}
-
-// DeferRetire is Defer without the closure: when the object ages out,
-// r.Retire(off, aux) runs instead of a captured function. Hot retire
-// paths use it so that deferring reclamation never heap-allocates.
+// DeferRetire schedules r.Retire(off, aux) to run once no guard can still
+// be inside an epoch <= the current one, then advances the epoch (one
+// atomic add) and, on every collectEvery-th call, sweeps the garbage
+// list. Hot retire paths use it: deferring reclamation never
+// heap-allocates.
 func (m *Manager) DeferRetire(r Retiree, off, aux uint64) {
 	e := m.global.Load()
 	var at int64
 	if metrics.On() {
 		at = time.Now().UnixNano()
 	}
-	//lint:allow nonblock — bounded append to the deferred list; Collect detaches under the same lock but runs callbacks outside it (§6.3)
+	//lint:allow nonblock — bounded append to the deferred list; Collect detaches under the same lock but runs retirees outside it (§6.3)
 	m.gmu.Lock()
 	m.garbage = append(m.garbage, deferred{epoch: e, at: at, r: r, off: off, aux: aux})
 	m.gmu.Unlock()
-	m.deferred.Add(1)
+	m.Advance()
+	if m.deferred.Add(1)%collectEvery == 0 {
+		//lint:allow hotpath — amortized epoch sweep, 1 in 32 retires; the retirees it runs are off the per-op cost model (§6.3)
+		m.Collect()
+	}
 }
 
 // minProtected returns the smallest epoch any guard is currently inside,
@@ -202,17 +195,17 @@ func (m *Manager) minProtected() uint64 {
 	return min
 }
 
-// Collect runs the callbacks of every deferred object whose recycle epoch
+// Collect runs the retirees of every deferred object whose recycle epoch
 // is strictly below the minimum protected epoch, and returns how many ran.
 // An object deferred at epoch e is safe once every thread is idle or in an
 // epoch > e; advancing the clock after retiring guarantees progress.
 func (m *Manager) Collect() int {
 	safeBelow := m.minProtected()
 
-	// Detach the reclaimable prefix under the lock, run callbacks outside
-	// it: a callback may itself Defer (e.g., a destructor retiring a child
-	// object) without self-deadlock.
-	//lint:allow nonblock — bounded detach of the reclaimable prefix; callbacks run after Unlock (§6.3)
+	// Detach the reclaimable prefix under the lock, run retirees outside
+	// it: a retiree may itself DeferRetire (e.g., a destructor retiring a
+	// child object) without self-deadlock.
+	//lint:allow nonblock — bounded detach of the reclaimable prefix; retirees run after Unlock (§6.3)
 	m.gmu.Lock()
 	i := 0
 	for i < len(m.garbage) && m.garbage[i].epoch < safeBelow {
@@ -231,11 +224,7 @@ func (m *Manager) Collect() int {
 		}
 	}
 	for _, d := range ready {
-		if d.fn != nil {
-			d.fn()
-		} else {
-			d.r.Retire(d.off, d.aux)
-		}
+		d.r.Retire(d.off, d.aux)
 	}
 	mCollects.Inc(metrics.StripeAt(int(safeBelow)))
 	m.freed.Add(uint64(len(ready)))

@@ -11,17 +11,50 @@ import (
 	"testing"
 )
 
+// counter is a Retiree that counts its runs and keeps the words the last
+// one got back. Collect runs retirees on the goroutine that calls it.
+type counter struct {
+	ran  atomic.Int32
+	last [2]uint64
+}
+
+func (c *counter) Retire(off, aux uint64) {
+	c.ran.Add(1)
+	c.last = [2]uint64{off, aux}
+}
+
 func TestCollectWithNoGuardsRunsAfterAdvance(t *testing.T) {
 	m := NewManager()
-	var ran atomic.Int32
-	m.Defer(func() { ran.Add(1) })
+	var c counter
+	m.DeferRetire(&c, 7, 9)
 	// Deferred at epoch 1; minProtected is +inf (no guards), so it is
 	// immediately below the bound.
 	if n := m.Collect(); n != 1 {
 		t.Fatalf("Collect = %d, want 1", n)
 	}
-	if ran.Load() != 1 {
-		t.Fatal("callback did not run")
+	if c.ran.Load() != 1 || c.last != [2]uint64{7, 9} {
+		t.Fatalf("retiree ran %d times with %v, want once with [7 9]", c.ran.Load(), c.last)
+	}
+}
+
+// DeferRetire paces reclamation itself: every call ticks the clock, and
+// with no guard pinned the 32nd call sweeps every retiree handed over so
+// far, with no Advance or Collect from the caller.
+func TestDeferRetirePacesTheClock(t *testing.T) {
+	m := NewManager()
+	var c counter
+	before := m.Stats().Advances
+	for i := 0; i < 32; i++ {
+		if n := c.ran.Load(); n != 0 {
+			t.Fatalf("%d retirees ran after %d calls; the sweep is every 32nd", n, i)
+		}
+		m.DeferRetire(&c, uint64(i), 0)
+	}
+	if n := c.ran.Load(); n != 32 {
+		t.Fatalf("%d of 32 retirees ran", n)
+	}
+	if got := m.Stats().Advances - before; got != 32 {
+		t.Fatalf("Advances grew by %d over 32 retires, want 32", got)
 	}
 }
 
@@ -29,31 +62,30 @@ func TestActiveGuardBlocksReclamation(t *testing.T) {
 	m := NewManager()
 	g := m.Register()
 	g.Enter()
-	var ran atomic.Int32
-	m.Defer(func() { ran.Add(1) })
+	var c counter
+	m.DeferRetire(&c, 0, 0)
 	m.Advance()
 	if n := m.Collect(); n != 0 {
 		t.Fatalf("Collect reclaimed %d under active guard", n)
 	}
-	if ran.Load() != 0 {
-		t.Fatal("callback ran while a guard could still hold a reference")
+	if c.ran.Load() != 0 {
+		t.Fatal("retiree ran while a guard could still hold a reference")
 	}
 	g.Exit()
 	if n := m.Collect(); n != 1 {
 		t.Fatalf("Collect after Exit = %d, want 1", n)
 	}
-	if ran.Load() != 1 {
-		t.Fatal("callback did not run after guard exit")
+	if c.ran.Load() != 1 {
+		t.Fatal("retiree did not run after guard exit")
 	}
 }
 
 func TestGuardInNewerEpochDoesNotBlockOldGarbage(t *testing.T) {
 	m := NewManager()
 	g := m.Register()
-	var ran atomic.Int32
-	m.Defer(func() { ran.Add(1) }) // epoch 1
-	m.Advance()                    // epoch 2
-	g.Enter()                      // pinned at 2
+	var c counter
+	m.DeferRetire(&c, 0, 0) // at epoch 1, and advances to 2
+	g.Enter()               // pinned at 2
 	if n := m.Collect(); n != 1 {
 		t.Fatalf("Collect = %d, want 1: guard at epoch 2 cannot see epoch-1 garbage", n)
 	}
@@ -64,8 +96,8 @@ func TestSameEpochGarbageIsProtected(t *testing.T) {
 	m := NewManager()
 	g := m.Register()
 	g.Enter() // pinned at 1
-	var ran atomic.Int32
-	m.Defer(func() { ran.Add(1) }) // epoch 1: g may have read the object
+	var c counter
+	m.DeferRetire(&c, 0, 0) // epoch 1: g may have read the object
 	if n := m.Collect(); n != 0 {
 		t.Fatalf("Collect reclaimed same-epoch garbage under guard")
 	}
@@ -103,18 +135,25 @@ func TestExitWithoutEnterPanics(t *testing.T) {
 	g.Exit()
 }
 
+// TestDrain pins a guard while retiring so that DeferRetire's own sweeps
+// reclaim nothing, then drains the lot.
 func TestDrain(t *testing.T) {
 	m := NewManager()
-	var ran atomic.Int32
+	g := m.Register()
+	g.Enter()
+	var c counter
 	for i := 0; i < 100; i++ {
-		m.Defer(func() { ran.Add(1) })
-		m.Advance()
+		m.DeferRetire(&c, uint64(i), 0)
 	}
+	if n := c.ran.Load(); n != 0 {
+		t.Fatalf("%d retirees ran under a guard pinned before they were retired", n)
+	}
+	g.Exit()
 	if n := m.Drain(); n != 100 {
 		t.Fatalf("Drain = %d, want 100", n)
 	}
-	if ran.Load() != 100 {
-		t.Fatalf("ran = %d, want 100", ran.Load())
+	if c.ran.Load() != 100 {
+		t.Fatalf("ran = %d, want 100", c.ran.Load())
 	}
 	if m.Pending() != 0 {
 		t.Fatalf("Pending = %d after Drain", m.Pending())
@@ -125,7 +164,7 @@ func TestDrainPanicsWithActiveGuard(t *testing.T) {
 	m := NewManager()
 	g := m.Register()
 	g.Enter()
-	m.Defer(func() {})
+	m.DeferRetire(&counter{}, 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Drain with active guard did not panic")
@@ -134,51 +173,65 @@ func TestDrainPanicsWithActiveGuard(t *testing.T) {
 	m.Drain()
 }
 
+// parent is a Retiree that retires its child when it runs, as a
+// destructor retiring a child object would: the reclamation callback
+// itself defers.
+type parent struct {
+	m     *Manager
+	child *counter
+}
+
+func (p *parent) Retire(_, _ uint64) { p.m.DeferRetire(p.child, 0, 0) }
+
 func TestCallbackMayDefer(t *testing.T) {
 	m := NewManager()
-	var ran atomic.Int32
-	m.Defer(func() {
-		m.Defer(func() { ran.Add(1) })
-	})
-	m.Advance()
+	var c counter
+	m.DeferRetire(&parent{m, &c}, 0, 0)
 	m.Collect()
-	m.Advance()
 	m.Collect()
-	if ran.Load() != 1 {
-		t.Fatal("nested Defer from callback never ran")
+	if c.ran.Load() != 1 {
+		t.Fatal("child retired from a retiree never ran")
 	}
 }
 
 func TestStats(t *testing.T) {
 	m := NewManager()
-	m.Defer(func() {})
-	m.Defer(func() {})
+	var c counter
+	m.DeferRetire(&c, 0, 0)
+	m.DeferRetire(&c, 0, 0)
 	m.Advance()
 	m.Collect()
 	st := m.Stats()
 	if st.Deferred != 2 || st.Freed != 2 {
 		t.Fatalf("Stats = (%d,%d), want (2,2)", st.Deferred, st.Freed)
 	}
-	if st.Advances == 0 {
-		t.Fatal("Advance not counted")
+	if st.Advances != 3 {
+		t.Fatalf("Advances = %d, want 3 (one per retire, one explicit)", st.Advances)
 	}
 	if st.Pending != 0 {
 		t.Fatalf("Pending = %d, want 0", st.Pending)
 	}
 }
 
+// stressObj is an object the stress test's writer replaces and retires.
+type stressObj struct {
+	poisoned atomic.Bool
+	val      uint64
+}
+
+// poisoner retires stress objects by index: reclaiming one poisons it.
+type poisoner []*stressObj
+
+func (p poisoner) Retire(off, _ uint64) { p[off].poisoned.Store(true) }
+
 // Stress: concurrent readers traverse a shared object graph while a writer
-// retires and reuses objects through the manager. The test asserts no
-// object is reclaimed while a reader can still reach it (the reader checks
-// a poison flag set by the callback).
+// retires and reuses objects through the manager, which paces its own
+// sweeps. The test asserts no object is reclaimed while a reader can still
+// reach it (the reader checks a poison flag set by the retiree).
 func TestStressNoUseAfterReclaim(t *testing.T) {
-	type obj struct {
-		poisoned atomic.Bool
-		val      uint64
-	}
 	m := NewManager()
-	var current atomic.Pointer[obj]
-	current.Store(&obj{val: 1})
+	var current atomic.Pointer[stressObj]
+	current.Store(&stressObj{val: 1})
 
 	const readers = 4
 	var stop atomic.Bool
@@ -202,14 +255,12 @@ func TestStressNoUseAfterReclaim(t *testing.T) {
 		}()
 	}
 
-	for i := 0; i < 5000; i++ {
-		old := current.Load()
-		current.Store(&obj{val: uint64(i)})
-		m.Defer(func() { old.poisoned.Store(true) })
-		if i%16 == 0 {
-			m.Advance()
-			m.Collect()
-		}
+	const writes = 5000
+	retired := make(poisoner, writes)
+	for i := 0; i < writes; i++ {
+		retired[i] = current.Load()
+		current.Store(&stressObj{val: uint64(i)})
+		m.DeferRetire(retired, uint64(i), 0)
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -228,15 +279,12 @@ func BenchmarkEnterExit(b *testing.B) {
 	}
 }
 
-func BenchmarkDeferCollect(b *testing.B) {
+func BenchmarkDeferRetire(b *testing.B) {
 	m := NewManager()
+	var c counter
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Defer(func() {})
-		if i%64 == 0 {
-			m.Advance()
-			m.Collect()
-		}
+		m.DeferRetire(&c, uint64(i), 0)
 	}
 	m.Drain()
 }
@@ -289,8 +337,8 @@ func TestUnregisterUnblocksReclamation(t *testing.T) {
 	g.Enter()
 	// A forgotten guard that merely Exits still leaves a registry entry;
 	// Unregister removes it so minProtected no longer scans it.
-	var ran atomic.Int32
-	m.Defer(func() { ran.Add(1) })
+	var c counter
+	m.DeferRetire(&c, 0, 0)
 	if n := m.Collect(); n != 0 {
 		t.Fatalf("Collect = %d under active guard", n)
 	}
@@ -299,7 +347,7 @@ func TestUnregisterUnblocksReclamation(t *testing.T) {
 	if n := m.Collect(); n != 1 {
 		t.Fatalf("Collect after Unregister = %d, want 1", n)
 	}
-	if ran.Load() != 1 {
-		t.Fatal("callback did not run")
+	if c.ran.Load() != 1 {
+		t.Fatal("retiree did not run")
 	}
 }

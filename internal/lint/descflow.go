@@ -29,6 +29,8 @@ func (*KillsDescriptor) AFact() {}
 
 func (f *KillsDescriptor) String() string { return fmt.Sprintf("KillsDescriptor%v", f.Params) }
 
+func (f *KillsDescriptor) indices() *[]int { return &f.Params }
+
 // ReturnsDeadDescriptor is the fact descflow attaches to a function that
 // returns a descriptor it has already retired: the result is dead on
 // arrival and must not be touched by the caller.
@@ -42,6 +44,8 @@ func (*ReturnsDeadDescriptor) AFact() {}
 func (f *ReturnsDeadDescriptor) String() string {
 	return fmt.Sprintf("ReturnsDeadDescriptor%v", f.Results)
 }
+
+func (f *ReturnsDeadDescriptor) indices() *[]int { return &f.Results }
 
 // DescFlow reports uses of a *core.Descriptor after Execute or Discard.
 // A descriptor is single-shot (paper §4.1): Execute hands it to the
@@ -70,53 +74,22 @@ func runDescFlow(pass *analysis.Pass) (interface{}, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
 
-	dc := &descFlowChecker{
-		pass:  pass,
-		sup:   sup,
-		kills: make(map[*types.Func]*KillsDescriptor),
-		dead:  make(map[*types.Func]*ReturnsDeadDescriptor),
-	}
+	kills := newFactTable[KillsDescriptor](pass)
+	dead := newFactTable[ReturnsDeadDescriptor](pass)
+	dc := &descFlowChecker{pass: pass, sup: sup, kills: indicesOf(kills), dead: indicesOf(dead)}
 
-	// Phase 1: grow KillsDescriptor and ReturnsDeadDescriptor to a
-	// fixpoint over this package's declarations, so chains of forwarding
-	// helpers resolve in any source order. The contract binds in test
-	// files too, but facts are exported only for non-test declarations —
-	// nothing can import a test unit's facts. Core's helping machinery
-	// retires other threads' descriptors by design, so core exports no
-	// facts; its own bodies are still checked for direct kills.
-	var decls []*ast.FuncDecl
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && !pkgExempt(pass.Pkg.Path()) {
-				decls = append(decls, fd)
-			}
-		}
+	// Phase 1: grow KillsDescriptor, then ReturnsDeadDescriptor (which
+	// reads kills), so chains of forwarding helpers resolve in any source
+	// order. The contract binds in test files too, so their declarations
+	// take part (the table exports no test-file facts). Core's helping
+	// machinery retires other threads' descriptors by design, so core
+	// derives no facts; its own bodies are still checked for direct kills.
+	var decls []funcDecl
+	if !pkgExempt(pass.Pkg.Path()) {
+		decls = funcDecls(pass, true)
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, d := range decls {
-			fn, ok := pass.TypesInfo.Defs[d.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			if dc.growKills(d, fn) {
-				changed = true
-			}
-			if dc.growDeadReturns(d, fn) {
-				changed = true
-			}
-		}
-	}
-	for fn, f := range dc.kills {
-		if !isTestFile(pass.Fset, fn.Pos()) {
-			pass.ExportObjectFact(fn, f)
-		}
-	}
-	for fn, f := range dc.dead {
-		if !isTestFile(pass.Fset, fn.Pos()) {
-			pass.ExportObjectFact(fn, f)
-		}
-	}
+	growIndices(kills, decls, dc.killedParams)
+	growIndices(dead, decls, dc.deadResults)
 
 	// Phase 2: replay the facts at every call site.
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}, func(n ast.Node) {
@@ -135,42 +108,8 @@ func runDescFlow(pass *analysis.Pass) (interface{}, error) {
 type descFlowChecker struct {
 	pass  *analysis.Pass
 	sup   *suppressions
-	kills map[*types.Func]*KillsDescriptor
-	dead  map[*types.Func]*ReturnsDeadDescriptor
-}
-
-// killsFact returns fn's KillsDescriptor fact, local or imported.
-func (dc *descFlowChecker) killsFact(fn *types.Func) *KillsDescriptor {
-	if fn == nil || fn.Pkg() == nil {
-		return nil
-	}
-	if f, ok := dc.kills[fn]; ok {
-		return f
-	}
-	if fn.Pkg() != dc.pass.Pkg {
-		var f KillsDescriptor
-		if dc.pass.ImportObjectFact(fn, &f) {
-			return &f
-		}
-	}
-	return nil
-}
-
-// deadFact returns fn's ReturnsDeadDescriptor fact, local or imported.
-func (dc *descFlowChecker) deadFact(fn *types.Func) *ReturnsDeadDescriptor {
-	if fn == nil || fn.Pkg() == nil {
-		return nil
-	}
-	if f, ok := dc.dead[fn]; ok {
-		return f
-	}
-	if fn.Pkg() != dc.pass.Pkg {
-		var f ReturnsDeadDescriptor
-		if dc.pass.ImportObjectFact(fn, &f) {
-			return &f
-		}
-	}
-	return nil
+	kills func(*types.Func) []int // KillsDescriptor's parameter indices
+	dead  func(*types.Func) []int // ReturnsDeadDescriptor's result indices
 }
 
 // directKill reports whether call is Execute or Discard invoked on an
@@ -192,12 +131,8 @@ func (dc *descFlowChecker) directKill(call *ast.CallExpr) (*ast.Ident, *types.Va
 // killedArgs returns the descriptor variables that call retires in a
 // callee: arguments at a KillsDescriptor position.
 func (dc *descFlowChecker) killedArgs(call *ast.CallExpr) []*types.Var {
-	kf := dc.killsFact(calleeFunc(dc.pass.TypesInfo, call))
-	if kf == nil {
-		return nil
-	}
 	var out []*types.Var
-	for _, pi := range kf.Params {
+	for _, pi := range dc.kills(calleeFunc(dc.pass.TypesInfo, call)) {
 		if pi >= len(call.Args) {
 			continue
 		}
@@ -210,15 +145,12 @@ func (dc *descFlowChecker) killedArgs(call *ast.CallExpr) []*types.Var {
 	return out
 }
 
-// growKills recomputes which of d's parameters are retired by the time
-// the function returns, reporting whether the fact grew. Deferred kills
-// count — the descriptor is dead once the function has returned.
-func (dc *descFlowChecker) growKills(d *ast.FuncDecl, fn *types.Func) bool {
+// killedParams computes which of d's parameters are retired by the time
+// the function returns. Deferred kills count — the descriptor is dead
+// once the function has returned.
+func (dc *descFlowChecker) killedParams(d funcDecl) map[int]bool {
 	info := dc.pass.TypesInfo
-	params := paramsOf(info, d)
-	if len(params) == 0 {
-		return false
-	}
+	params := paramsOf(info, d.decl)
 	index := make(map[*types.Var]int, len(params))
 	for i, v := range params {
 		if isDescType(v.Type()) {
@@ -226,10 +158,10 @@ func (dc *descFlowChecker) growKills(d *ast.FuncDecl, fn *types.Func) bool {
 		}
 	}
 	if len(index) == 0 {
-		return false
+		return nil
 	}
 	killed := make(map[int]bool)
-	ast.Inspect(d.Body, func(n ast.Node) bool {
+	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // a closure may never run; don't promise a kill
 		}
@@ -250,34 +182,18 @@ func (dc *descFlowChecker) growKills(d *ast.FuncDecl, fn *types.Func) bool {
 		}
 		return true
 	})
-	if len(killed) == 0 {
-		return false
-	}
-	prev := dc.kills[fn]
-	merged := &KillsDescriptor{}
-	if prev != nil {
-		merged.Params = append(merged.Params, prev.Params...)
-	}
-	for i := range killed {
-		merged.Params = append(merged.Params, i)
-	}
-	merged.Params = dedupInts(merged.Params)
-	if prev != nil && len(merged.Params) == len(prev.Params) {
-		return false
-	}
-	dc.kills[fn] = merged
-	return true
+	return killed
 }
 
-// growDeadReturns recomputes which of d's results are descriptors that
-// are already retired at return, reporting whether the fact grew. The
-// approximation is positional: a kill of v earlier in the source with no
-// later rebind, or a deferred kill of v anywhere, makes `return v` dead.
-func (dc *descFlowChecker) growDeadReturns(d *ast.FuncDecl, fn *types.Func) bool {
+// deadResults computes which of d's results are descriptors that are
+// already retired at return. The approximation is positional: a kill of
+// v earlier in the source with no later rebind, or a deferred kill of v
+// anywhere, makes `return v` dead.
+func (dc *descFlowChecker) deadResults(d funcDecl) map[int]bool {
 	info := dc.pass.TypesInfo
-	sig, ok := fn.Type().(*types.Signature)
+	sig, ok := d.fn.Type().(*types.Signature)
 	if !ok || sig.Results() == nil {
-		return false
+		return nil
 	}
 	hasDescResult := false
 	for i := 0; i < sig.Results().Len(); i++ {
@@ -286,7 +202,7 @@ func (dc *descFlowChecker) growDeadReturns(d *ast.FuncDecl, fn *types.Func) bool
 		}
 	}
 	if !hasDescResult {
-		return false
+		return nil
 	}
 
 	type killRec struct {
@@ -295,7 +211,7 @@ func (dc *descFlowChecker) growDeadReturns(d *ast.FuncDecl, fn *types.Func) bool
 	}
 	kills := make(map[*types.Var][]killRec)
 	rebinds := make(map[*types.Var][]token.Pos)
-	ast.Inspect(d.Body, func(n ast.Node) bool {
+	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
 			return false
@@ -334,7 +250,7 @@ func (dc *descFlowChecker) growDeadReturns(d *ast.FuncDecl, fn *types.Func) bool
 		return true
 	})
 	if len(kills) == 0 {
-		return false
+		return nil
 	}
 
 	deadAtReturn := func(v *types.Var, retPos token.Pos) bool {
@@ -360,7 +276,7 @@ func (dc *descFlowChecker) growDeadReturns(d *ast.FuncDecl, fn *types.Func) bool
 	}
 
 	deadResults := make(map[int]bool)
-	ast.Inspect(d.Body, func(n ast.Node) bool {
+	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
@@ -379,34 +295,7 @@ func (dc *descFlowChecker) growDeadReturns(d *ast.FuncDecl, fn *types.Func) bool
 		}
 		return true
 	})
-	if len(deadResults) == 0 {
-		return false
-	}
-	prev := dc.dead[fn]
-	merged := &ReturnsDeadDescriptor{}
-	if prev != nil {
-		merged.Results = append(merged.Results, prev.Results...)
-	}
-	for i := range deadResults {
-		merged.Results = append(merged.Results, i)
-	}
-	merged.Results = dedupInts(merged.Results)
-	if prev != nil && len(merged.Results) == len(prev.Results) {
-		return false
-	}
-	dc.dead[fn] = merged
-	return true
-}
-
-func dedupInts(in []int) []int {
-	sort.Ints(in)
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return deadResults
 }
 
 // descFlowEvent is one descriptor-relevant action in source order within
@@ -448,10 +337,8 @@ func (dc *descFlowChecker) checkBody(g *cfg.CFG) {
 					if len(c.Rhs) == 1 {
 						if call, ok := ast.Unparen(c.Rhs[0]).(*ast.CallExpr); ok {
 							fn := calleeFunc(info, call)
-							if df := dc.deadFact(fn); df != nil {
-								for _, ri := range df.Results {
-									deadFrom[ri] = fn.FullName()
-								}
+							for _, ri := range dc.dead(fn) {
+								deadFrom[ri] = fn.FullName()
 							}
 						}
 					}
@@ -489,21 +376,19 @@ func (dc *descFlowChecker) checkBody(g *cfg.CFG) {
 						return true
 					}
 					fn := calleeFunc(info, c)
-					if kf := dc.killsFact(fn); kf != nil {
-						for _, pi := range kf.Params {
-							if pi >= len(c.Args) {
-								continue
-							}
-							id, ok := ast.Unparen(c.Args[pi]).(*ast.Ident)
-							if !ok {
-								continue
-							}
-							if v, ok := info.Uses[id].(*types.Var); ok && isDescType(v.Type()) {
-								skipUse[id.Pos()] = true
-								events[i] = append(events[i], descFlowEvent{
-									c.Rparen, v, evKill, fn.FullName(), false})
-								sawKill = true
-							}
+					for _, pi := range dc.kills(fn) {
+						if pi >= len(c.Args) {
+							continue
+						}
+						id, ok := ast.Unparen(c.Args[pi]).(*ast.Ident)
+						if !ok {
+							continue
+						}
+						if v, ok := info.Uses[id].(*types.Var); ok && isDescType(v.Type()) {
+							skipUse[id.Pos()] = true
+							events[i] = append(events[i], descFlowEvent{
+								c.Rparen, v, evKill, fn.FullName(), false})
+							sawKill = true
 						}
 					}
 				case *ast.Ident:

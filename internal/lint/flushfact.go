@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"golang.org/x/tools/go/analysis"
 )
@@ -26,6 +25,8 @@ func (*ReturnsUnflushed) AFact() {}
 func (f *ReturnsUnflushed) String() string {
 	return fmt.Sprintf("ReturnsUnflushed%v", f.Results)
 }
+
+func (f *ReturnsUnflushed) indices() *[]int { return &f.Results }
 
 // FlushFact reports comparisons, switches and re-stores of raw-loaded
 // PMwCAS words that do not first mask the reserved flag bits (§3, §4.2).
@@ -53,293 +54,47 @@ func runFlushFact(pass *analysis.Pass) (interface{}, error) {
 	}
 	sup := suppressionsOf(pass)
 	managed := managedSet(pass)
-
-	// local holds this package's facts while the fixpoint below grows
-	// them; imported packages' facts come from the fact store.
-	local := make(map[*types.Func]*ReturnsUnflushed)
-	factFor := func(fn *types.Func) *ReturnsUnflushed {
-		if fn == nil || fn.Pkg() == nil {
-			return nil
-		}
-		if f, ok := local[fn]; ok {
-			return f
-		}
-		if fn.Pkg() != pass.Pkg {
-			var f ReturnsUnflushed
-			if pass.ImportObjectFact(fn, &f) {
-				return &f
+	facts := newFactTable[ReturnsUnflushed](pass)
+	// The source is a raw Device.Load of a managed word. Composite flow
+	// stays off: a search result struct that carries a raw word in one
+	// field would otherwise taint its other fields' comparisons.
+	rule := taintRule{
+		info: pass.TypesInfo,
+		source: func(call *ast.CallExpr) bool {
+			m, ok := deviceCall(pass.TypesInfo, call)
+			if !ok || m != "Load" || len(call.Args) == 0 {
+				return false
 			}
-		}
-		return nil
+			_, shares := sharesFingerprint(pass.TypesInfo, call.Args[0], managed)
+			return shares
+		},
+		results: indicesOf(facts),
 	}
 
-	var decls []*ast.FuncDecl
-	for _, file := range pass.Files {
-		if isTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
-		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				decls = append(decls, fd)
-			}
-		}
-	}
-
-	// Phase 1 — export: grow ReturnsUnflushed facts to a fixpoint so
-	// chains of wrappers inside this package resolve in any source order.
-	// The result sets only grow, so termination is immediate.
-	for changed := true; changed; {
-		changed = false
-		for _, d := range decls {
-			fn, ok := pass.TypesInfo.Defs[d.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			results := unflushedReturns(pass, managed, factFor, d, fn)
-			if len(results) == 0 {
-				continue
-			}
-			prev := local[fn]
-			merged := mergeResultSet(prev, results)
-			if prev == nil || len(merged.Results) != len(prev.Results) {
-				local[fn] = merged
-				changed = true
-			}
-		}
-	}
-	for fn, fact := range local {
-		pass.ExportObjectFact(fn, fact)
-	}
+	// Phase 1 — export: functions whose results carry a raw-loaded word.
+	decls := funcDecls(pass, false)
+	growIndices(facts, decls, func(d funcDecl) map[int]bool { return rule.track(d.decl.Body).returns(d) })
 
 	// Phase 2 — check: inside every function (test files excepted:
 	// crash-recovery tests inspect raw words on purpose), flag unmasked
 	// use of raw-loaded values. Same-body loads count only in files that
 	// take part in the protocol; volatile baselines never import core.
-	for _, file := range pass.Files {
-		if isTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkUnflushedUses(pass, sup, managed, factFor, fd.Body, refersToCore(file))
-		}
+	for _, d := range decls {
+		checkUnflushedUses(pass, sup, rule.track(d.decl.Body), d.decl.Body, refersToCore(fileAt(pass, d.decl.Pos())))
 	}
 	return nil, nil
-}
-
-func mergeResultSet(prev *ReturnsUnflushed, results map[int]bool) *ReturnsUnflushed {
-	set := make(map[int]bool, len(results))
-	if prev != nil {
-		for _, i := range prev.Results {
-			set[i] = true
-		}
-	}
-	for i := range results {
-		set[i] = true
-	}
-	out := &ReturnsUnflushed{}
-	for i := range set {
-		out.Results = append(out.Results, i)
-	}
-	sort.Ints(out.Results)
-	return out
-}
-
-// wordTaint tracks, inside one function body, which variables hold a
-// raw-loaded protocol word. It is position-ordered: a use is tainted if
-// the latest assignment before it was.
-type wordTaint struct {
-	pass    *analysis.Pass
-	managed map[string]bool
-	factFor func(*types.Func) *ReturnsUnflushed
-	assigns map[*types.Var][]wtAssign
-}
-
-type wtAssign struct {
-	pos     token.Pos
-	tainted bool
-	viaFact *types.Func // non-nil when the taint arrived through a call's fact
-}
-
-func newWordTaint(pass *analysis.Pass, managed map[string]bool, factFor func(*types.Func) *ReturnsUnflushed, body ast.Node) *wordTaint {
-	t := &wordTaint{pass: pass, managed: managed, factFor: factFor, assigns: make(map[*types.Var][]wtAssign)}
-	info := pass.TypesInfo
-	record := func(lhs ast.Expr, tok token.Token, tainted bool, via *types.Func) {
-		id, ok := lhs.(*ast.Ident)
-		if !ok {
-			return
-		}
-		var obj types.Object
-		if tok == token.DEFINE {
-			obj = info.Defs[id]
-		} else {
-			obj = info.Uses[id]
-		}
-		if v, ok := obj.(*types.Var); ok {
-			t.assigns[v] = append(t.assigns[v], wtAssign{id.Pos(), tainted, via})
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		if len(as.Lhs) == len(as.Rhs) {
-			for i := range as.Lhs {
-				tainted, via := t.taintedExpr(as.Rhs[i])
-				record(as.Lhs[i], as.Tok, tainted, via)
-			}
-			return true
-		}
-		// Tuple assignment from a single call: x, y := f().
-		if len(as.Rhs) == 1 {
-			call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fact := t.factFor(calleeFunc(info, call))
-			for i := range as.Lhs {
-				tainted := fact != nil && containsInt(fact.Results, i)
-				var via *types.Func
-				if tainted {
-					via = calleeFunc(info, call)
-				}
-				record(as.Lhs[i], as.Tok, tainted, via)
-			}
-		}
-		return true
-	})
-	for _, as := range t.assigns {
-		sort.Slice(as, func(i, j int) bool { return as[i].pos < as[j].pos })
-	}
-	return t
-}
-
-func containsInt(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// taintedExpr reports whether e carries a raw-loaded protocol word, and
-// through which callee's fact (nil when the taint is a raw load in this
-// function). Masking expressions are never tainted: any operator
-// other than a parenthesis or a single-argument conversion breaks the
-// value's identity as a raw word.
-func (t *wordTaint) taintedExpr(e ast.Expr) (bool, *types.Func) {
-	info := t.pass.TypesInfo
-	e = ast.Unparen(e)
-	switch x := e.(type) {
-	case *ast.CallExpr:
-		// Conversion: nvram.Offset(raw) still carries the flag bits.
-		if tv, ok := info.Types[x.Fun]; ok && tv.IsType() && len(x.Args) == 1 {
-			return t.taintedExpr(x.Args[0])
-		}
-		if m, ok := deviceCall(info, x); ok && m == "Load" && len(x.Args) > 0 {
-			if _, shares := sharesFingerprint(info, x.Args[0], t.managed); shares {
-				return true, nil
-			}
-			return false, nil
-		}
-		if fact := t.factFor(calleeFunc(info, x)); fact != nil && containsInt(fact.Results, 0) {
-			return true, calleeFunc(info, x)
-		}
-	case *ast.Ident:
-		if v, ok := info.Uses[x].(*types.Var); ok {
-			latest := wtAssign{pos: token.NoPos}
-			for _, a := range t.assigns[v] {
-				if a.pos < x.Pos() && a.pos > latest.pos {
-					latest = a
-				}
-			}
-			return latest.tainted, latest.viaFact
-		}
-	}
-	return false, nil
-}
-
-// unflushedReturns computes which of d's results carry a raw-loaded
-// protocol word on some return path.
-func unflushedReturns(pass *analysis.Pass, managed map[string]bool, factFor func(*types.Func) *ReturnsUnflushed, d *ast.FuncDecl, fn *types.Func) map[int]bool {
-	t := newWordTaint(pass, managed, factFor, d.Body)
-	sig := fn.Type().(*types.Signature)
-	out := make(map[int]bool)
-	ast.Inspect(d.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // its returns are its own
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		if len(ret.Results) == 0 {
-			// Bare return with named results: consult the result vars.
-			for i := 0; i < sig.Results().Len(); i++ {
-				v := sig.Results().At(i)
-				latest := wtAssign{pos: token.NoPos}
-				for _, a := range t.assigns[v] {
-					if a.pos < ret.Pos() && a.pos > latest.pos {
-						latest = a
-					}
-				}
-				if latest.tainted {
-					out[i] = true
-				}
-			}
-			return true
-		}
-		if len(ret.Results) != sig.Results().Len() {
-			return true // single call returning a tuple: forwarded below
-		}
-		for i, res := range ret.Results {
-			if tainted, _ := t.taintedExpr(res); tainted {
-				out[i] = true
-			}
-		}
-		return true
-	})
-	// return f() forwarding a multi-result fact function.
-	ast.Inspect(d.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || len(ret.Results) != 1 || sig.Results().Len() < 2 {
-			return true
-		}
-		call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fact := factFor(calleeFunc(pass.TypesInfo, call)); fact != nil {
-			for _, i := range fact.Results {
-				if i < sig.Results().Len() {
-					out[i] = true
-				}
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // checkUnflushedUses reports unmasked comparisons, switches, and
 // re-stores of raw-loaded values: values that flow out of
 // ReturnsUnflushed calls and, when localLoads, loads made in body itself.
-func checkUnflushedUses(pass *analysis.Pass, sup *suppressions, managed map[string]bool, factFor func(*types.Func) *ReturnsUnflushed, body ast.Node, localLoads bool) {
+func checkUnflushedUses(pass *analysis.Pass, sup *suppressions, t *taint, body ast.Node, localLoads bool) {
 	info := pass.TypesInfo
-	t := newWordTaint(pass, managed, factFor, body)
 
 	// rawWord reports whether e carries a raw-loaded word, and through
 	// which callee's fact (nil for a load in this body).
 	rawWord := func(e ast.Expr) (*types.Func, bool) {
-		tainted, via := t.taintedExpr(e)
+		tainted, via := t.expr(e)
 		return via, tainted && (via != nil || localLoads)
 	}
 

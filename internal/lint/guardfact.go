@@ -44,6 +44,8 @@ func (*ReadsWord) AFact() {}
 
 func (f *ReadsWord) String() string { return fmt.Sprintf("ReadsWord%v", f.Params) }
 
+func (f *ReadsWord) indices() *[]int { return &f.Params }
+
 // guardAnnotation is the doc-comment marker declaring that a function
 // must be called under an active epoch guard.
 const guardAnnotation = "//pmwcas:requires-guard"
@@ -103,73 +105,36 @@ func runGuardFact(pass *analysis.Pass) (interface{}, error) {
 		return nil, nil // core and nvram implement the protocol; the coverage contract binds their clients
 	}
 
+	readsWord := newFactTable[ReadsWord](pass)
 	gc := &guardChecker{
 		pass:      pass,
 		sup:       sup,
 		managed:   managedSet(pass),
-		annotated: make(map[*types.Func]bool),
-		readsWord: make(map[*types.Func]*ReadsWord),
+		annotated: newFactTable[RequiresGuard](pass),
+		readsWord: indicesOf(readsWord),
 	}
 
-	// Phase 1: collect //pmwcas:requires-guard annotations and export the
-	// RequiresGuard facts they declare.
-	var decls []*ast.FuncDecl
-	for _, file := range pass.Files {
-		if isTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			decls = append(decls, fd)
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			if hasAnnotation(fd, guardAnnotation) {
-				gc.annotated[fn] = true
-				pass.ExportObjectFact(fn, &RequiresGuard{})
-			}
+	// Phase 1: //pmwcas:requires-guard annotations declare RequiresGuard.
+	decls := funcDecls(pass, false)
+	for _, d := range decls {
+		if hasAnnotation(d.decl, guardAnnotation) {
+			gc.annotated.local[d.fn] = &RequiresGuard{}
 		}
 	}
+	gc.annotated.export()
 
-	// Phase 2: grow ReadsWord facts to a fixpoint, so reader helpers that
-	// wrap other reader helpers resolve in any source order.
-	for changed := true; changed; {
-		changed = false
-		for _, d := range decls {
-			fn, ok := pass.TypesInfo.Defs[d.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			params := gc.readerParams(d, fn)
-			if len(params) == 0 {
-				continue
-			}
-			prev := gc.readsWord[fn]
-			merged := mergeParamSet(prev, params)
-			if prev == nil || len(merged.Params) != len(prev.Params) {
-				gc.readsWord[fn] = merged
-				changed = true
-			}
-		}
-	}
-	for fn, fact := range gc.readsWord {
-		pass.ExportObjectFact(fn, fact)
-	}
+	// Phase 2: ReadsWord, so reader helpers that wrap other reader
+	// helpers resolve in any source order.
+	growIndices(readsWord, decls, gc.readerParams)
 
 	// Phase 3: check every function body. Annotated functions are skipped
 	// (their contract moves the obligation to callers); goroutine literals
 	// are independent scopes — a guard held at spawn time is
 	// goroutine-affine and does not travel into the new goroutine.
 	for _, d := range decls {
-		fn, _ := pass.TypesInfo.Defs[d.Name].(*types.Func)
-		if fn != nil && gc.annotated[fn] {
-			continue
+		if gc.annotated.local[d.fn] == nil {
+			gc.checkCoverage(cfgs.FuncDecl(d.decl), false)
 		}
-		gc.checkCoverage(cfgs.FuncDecl(d), false)
 	}
 	for _, lit := range goLits {
 		if !isTestFile(pass.Fset, lit.Pos()) {
@@ -179,62 +144,12 @@ func runGuardFact(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-func mergeParamSet(prev *ReadsWord, params map[int]bool) *ReadsWord {
-	set := make(map[int]bool, len(params))
-	if prev != nil {
-		for _, i := range prev.Params {
-			set[i] = true
-		}
-	}
-	for i := range params {
-		set[i] = true
-	}
-	out := &ReadsWord{}
-	for i := range set {
-		out.Params = append(out.Params, i)
-	}
-	sort.Ints(out.Params)
-	return out
-}
-
 type guardChecker struct {
 	pass      *analysis.Pass
 	sup       *suppressions
 	managed   map[string]bool
-	annotated map[*types.Func]bool
-	readsWord map[*types.Func]*ReadsWord
-}
-
-// requiresGuard reports whether fn carries the RequiresGuard contract,
-// from this package's annotations or an imported fact.
-func (gc *guardChecker) requiresGuard(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if gc.annotated[fn] {
-		return true
-	}
-	if fn.Pkg() != gc.pass.Pkg {
-		return gc.pass.ImportObjectFact(fn, &RequiresGuard{})
-	}
-	return false
-}
-
-// readsWordFact returns fn's ReadsWord fact, local or imported.
-func (gc *guardChecker) readsWordFact(fn *types.Func) *ReadsWord {
-	if fn == nil || fn.Pkg() == nil {
-		return nil
-	}
-	if f, ok := gc.readsWord[fn]; ok {
-		return f
-	}
-	if fn.Pkg() != gc.pass.Pkg {
-		var f ReadsWord
-		if gc.pass.ImportObjectFact(fn, &f) {
-			return &f
-		}
-	}
-	return nil
+	annotated *factTable[RequiresGuard, *RequiresGuard]
+	readsWord func(*types.Func) []int // ReadsWord's parameter indices
 }
 
 // protocolReadTarget returns the offset expression of a protocol read:
@@ -276,9 +191,9 @@ func paramsOf(info *types.Info, d *ast.FuncDecl) []*types.Var {
 
 // readerParams computes which of d's parameters flow into a protocol
 // read target, directly or through another reader helper.
-func (gc *guardChecker) readerParams(d *ast.FuncDecl, fn *types.Func) map[int]bool {
+func (gc *guardChecker) readerParams(d funcDecl) map[int]bool {
 	info := gc.pass.TypesInfo
-	params := paramsOf(info, d)
+	params := paramsOf(info, d.decl)
 	if len(params) == 0 {
 		return nil
 	}
@@ -299,7 +214,7 @@ func (gc *guardChecker) readerParams(d *ast.FuncDecl, fn *types.Func) map[int]bo
 			return true
 		})
 	}
-	ast.Inspect(d.Body, func(n ast.Node) bool {
+	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
@@ -311,11 +226,9 @@ func (gc *guardChecker) readerParams(d *ast.FuncDecl, fn *types.Func) map[int]bo
 			mark(off)
 			return true
 		}
-		if rw := gc.readsWordFact(calleeFunc(info, call)); rw != nil {
-			for _, i := range rw.Params {
-				if i < len(call.Args) {
-					mark(call.Args[i])
-				}
+		for _, i := range gc.readsWord(calleeFunc(info, call)) {
+			if i < len(call.Args) {
+				mark(call.Args[i])
 			}
 		}
 		return true
@@ -355,19 +268,17 @@ func (gc *guardChecker) checkCoverage(g *cfg.CFG, goroutineScope bool) {
 			return
 		}
 		fn := calleeFunc(info, c)
-		if gc.requiresGuard(fn) {
+		if gc.annotated.has(fn) {
 			add("call to %s, which is annotated //pmwcas:requires-guard", fn.FullName())
 			return
 		}
-		if rw := gc.readsWordFact(fn); rw != nil {
-			for _, pi := range rw.Params {
-				if pi >= len(c.Args) {
-					continue
-				}
-				if name, shares := sharesFingerprint(info, c.Args[pi], gc.managed); shares {
-					add("call to %s dereferencing PMwCAS-managed word (offset names %q)", fn.FullName(), name)
-					break
-				}
+		for _, pi := range gc.readsWord(fn) {
+			if pi >= len(c.Args) {
+				continue
+			}
+			if name, shares := sharesFingerprint(info, c.Args[pi], gc.managed); shares {
+				add("call to %s dereferencing PMwCAS-managed word (offset names %q)", fn.FullName(), name)
+				break
 			}
 		}
 	})

@@ -134,73 +134,46 @@ type hpCall struct {
 // hpSummary is the per-function analysis input: local ops and outgoing
 // static calls.
 type hpSummary struct {
-	decl  *ast.FuncDecl
 	ops   []hpOp
 	calls []hpCall
 }
 
 func runHotPath(pass *analysis.Pass) (interface{}, error) {
 	sup := suppressionsOf(pass)
-	info := pass.TypesInfo
 
 	// Phase 1: summarize every function — allocation ops (suppressions
 	// waive them here, which is also how an op is exempted from the
 	// proof) and outgoing static calls.
-	sums := make(map[*types.Func]*hpSummary)
-	var order []*types.Func // deterministic iteration
+	decls := funcDecls(pass, false)
+	sums := make(map[*types.Func]*hpSummary, len(decls))
 	roots := make(map[*types.Func]bool)
-	for _, file := range pass.Files {
-		if isTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			s := &hpSummary{decl: fd}
-			scanAllocOps(pass, sup, fd.Body, s)
-			sums[fn] = s
-			order = append(order, fn)
-			if hasAnnotation(fd, hotpathAnnotation) {
-				roots[fn] = true
-			}
+	for _, d := range decls {
+		s := &hpSummary{}
+		scanAllocOps(pass, sup, d.decl.Body, s)
+		sums[d.fn] = s
+		if hasAnnotation(d.decl, hotpathAnnotation) {
+			roots[d.fn] = true
 		}
 	}
 
-	// Phase 2: greatest fixpoint. Start every op-free local function as
-	// a candidate and strike any whose callee set contains an unproven
-	// call; mutual recursion with no allocation anywhere in the cycle
-	// survives. A suppression at the call site waives the callee.
-	candidate := make(map[*types.Func]bool, len(sums))
-	for fn, s := range sums {
-		candidate[fn] = len(s.ops) == 0
-	}
+	// Phase 2: AllocFree, a greatest fixpoint. Every op-free function
+	// starts proven and is struck when a call it makes is not; mutual
+	// recursion with no allocation anywhere in the cycle survives. A
+	// suppression at the call site waives the callee.
+	allocFree := newFactTable[AllocFree](pass)
 	waived := make(map[token.Pos]bool)
 	proven := func(callee *types.Func) bool {
-		if callee == nil {
-			return false
-		}
-		callee = callee.Origin()
-		if isFiatAllocFree(callee) {
-			return true
-		}
-		if callee.Pkg() == pass.Pkg {
-			return candidate[callee]
-		}
-		return pass.ImportObjectFact(callee, &AllocFree{})
+		return callee != nil && (isFiatAllocFree(callee.Origin()) || allocFree.has(callee))
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range order {
-			if !candidate[fn] {
-				continue
+	solveCallGraph(allocFree, decls, true,
+		func(d funcDecl) *AllocFree {
+			if len(sums[d.fn].ops) > 0 {
+				return nil
 			}
-			for _, c := range sums[fn].calls {
+			return &AllocFree{}
+		},
+		func(d funcDecl) *AllocFree {
+			for _, c := range sums[d.fn].calls {
 				if proven(c.fn) || waived[c.pos] {
 					continue
 				}
@@ -208,17 +181,10 @@ func runHotPath(pass *analysis.Pass) (interface{}, error) {
 					waived[c.pos] = true
 					continue
 				}
-				candidate[fn] = false
-				changed = true
-				break
+				return nil
 			}
-		}
-	}
-	for _, fn := range order {
-		if candidate[fn] {
-			pass.ExportObjectFact(fn.Origin(), &AllocFree{})
-		}
-	}
+			return &AllocFree{}
+		})
 
 	// Phase 3: report. The obligated set is the annotated roots plus
 	// every local function reachable from one through static calls;
@@ -242,7 +208,8 @@ func runHotPath(pass *analysis.Pass) (interface{}, error) {
 			frontier = append(frontier, callee)
 		}
 	}
-	for _, fn := range order {
+	for _, d := range decls {
+		fn := d.fn
 		if !obligated[fn] {
 			continue
 		}

@@ -82,6 +82,22 @@
 //     documented bounded critical section) stops the propagation at its
 //     source.
 //
+// # One fact engine
+//
+// The six fact-carrying checkers share one engine (facts.go): one walk
+// over the package's function declarations; one lookup that answers a
+// fact for this package's functions from the fixpoint in progress and
+// for other packages' from the facts they exported; one fixpoint for the
+// facts that list parameter or result indices (ReturnsUnflushed,
+// PersistState, ReadsWord, KillsDescriptor, ReturnsDeadDescriptor); one
+// call-graph fixpoint for the boolean ones (AllocFree is a greatest
+// fixpoint, MayBlock and Flusher are least); and one value-taint
+// tracker. flushfact and persistord check one property — a value not
+// known to be persisted must not reach durable state — and differ only in
+// what they hand the tracker: the source (a raw Device.Load of a managed
+// word; ReadTraverse), the fact, and composite flow through struct and
+// array members, which persistord turns on and flushfact leaves off.
+//
 // # What "PMwCAS-managed" means to the analyzers
 //
 // The analyzers cannot know at compile time which arena words a PMwCAS
@@ -383,17 +399,18 @@ func managedSet(pass *analysis.Pass) map[string]bool {
 }
 
 // sharesFingerprint reports whether the offset expression names any
-// managed layout component, and returns one matching name for the
-// diagnostic.
+// managed layout component, and returns the least matching name for the
+// diagnostic, so the message is the same on every run.
 func sharesFingerprint(info *types.Info, expr ast.Expr, managed map[string]bool) (string, bool) {
 	own := make(map[string]bool)
 	fingerprints(info, expr, own)
+	least, ok := "", false
 	for name := range own {
-		if managed[name] {
-			return name, true
+		if managed[name] && (!ok || name < least) {
+			least, ok = name, true
 		}
 	}
-	return "", false
+	return least, ok
 }
 
 // refersToCore reports whether the file imports pmwcas/internal/core.

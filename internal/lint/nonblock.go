@@ -75,7 +75,6 @@ type nbOp struct {
 }
 
 type nbSummary struct {
-	decl      *ast.FuncDecl
 	ops       []nbOp // syntactic blocking ops, already suppression-filtered
 	calls     []nbOp // static and dynamic calls
 	wholeBody bool   // annotated hotpath/requires-guard: entire body is a checked region
@@ -83,108 +82,66 @@ type nbSummary struct {
 
 func runNonBlock(pass *analysis.Pass) (interface{}, error) {
 	sup := suppressionsOf(pass)
-	info := pass.TypesInfo
 	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
 
 	// Phase 1: summarize.
-	sums := make(map[*types.Func]*nbSummary)
-	var order []*types.Func
-	for _, file := range pass.Files {
-		if isTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			s := &nbSummary{
-				decl:      fd,
-				wholeBody: hasAnnotation(fd, hotpathAnnotation) || hasAnnotation(fd, guardAnnotation),
-			}
-			scanBlockOps(pass, sup, fd.Body, s)
-			sums[fn] = s
-			order = append(order, fn)
-		}
+	decls := funcDecls(pass, false)
+	sums := make(map[*types.Func]*nbSummary, len(decls))
+	for _, d := range decls {
+		s := &nbSummary{wholeBody: hasAnnotation(d.decl, hotpathAnnotation) || hasAnnotation(d.decl, guardAnnotation)}
+		scanBlockOps(pass, sup, d.decl.Body, s)
+		sums[d.fn] = s
 	}
 
-	// Phase 2: least fixpoint of MayBlock over the local call graph,
+	// Phase 2: MayBlock, a least fixpoint over the local call graph,
 	// seeded by syntactic ops and imported facts. Suppressed calls to
 	// MayBlock callees are waived and stop the propagation.
-	mb := make(map[*types.Func]string, len(sums))
-	for fn, s := range sums {
-		if len(s.ops) > 0 {
-			mb[fn] = s.ops[0].what
-		}
+	//
+	// Imported facts are trusted only for this module's packages (and the
+	// test fixtures). Under go vet the analyzer also runs over stdlib
+	// dependencies, where bounded mutexes guard lazy caches (reflect's
+	// layout cache, sync.Map's dirty promotion, fmt via both): treating
+	// those as parking hazards would taint nearly every formatted error.
+	// Direct blocking — sync primitives, time.Sleep, channel ops, calls
+	// into os/net/syscall — is still caught syntactically at every call
+	// site in this repo.
+	mayBlock := newFactTable[MayBlock](pass)
+	mayBlock.trust = func(p *types.Package) bool {
+		return strings.HasPrefix(p.Path(), "pmwcas/") || strings.HasPrefix(p.Path(), "fixtures/")
 	}
 	waived := make(map[token.Pos]bool)
-	calleeBlocks := func(callee *types.Func) (string, bool) {
-		if callee == nil {
-			return "", false
-		}
-		callee = callee.Origin()
-		if callee.Pkg() == pass.Pkg {
-			op, ok := mb[callee]
-			return op, ok
-		}
-		// Imported facts are trusted only for this module's packages (and
-		// the test fixtures). Under go vet the analyzer also runs over
-		// stdlib dependencies, where bounded mutexes guard lazy caches
-		// (reflect's layout cache, sync.Map's dirty promotion, fmt via
-		// both): treating those as parking hazards would taint nearly
-		// every formatted error. Direct blocking — sync primitives,
-		// time.Sleep, channel ops, calls into os/net/syscall — is still
-		// caught syntactically at every call site in this repo.
-		if p := callee.Pkg(); p == nil || !strings.HasPrefix(p.Path(), "pmwcas/") && !strings.HasPrefix(p.Path(), "fixtures/") {
-			return "", false
-		}
-		var f MayBlock
-		if pass.ImportObjectFact(callee, &f) {
-			return f.Op, true
-		}
-		return "", false
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range order {
-			if _, done := mb[fn]; done {
-				continue
+	solveCallGraph(mayBlock, decls, false,
+		func(d funcDecl) *MayBlock {
+			if ops := sums[d.fn].ops; len(ops) > 0 {
+				return &MayBlock{Op: ops[0].what}
 			}
-			for _, c := range sums[fn].calls {
+			return nil
+		},
+		func(d funcDecl) *MayBlock {
+			for _, c := range sums[d.fn].calls {
 				if c.dynamic || waived[c.pos] {
 					continue
 				}
-				op, blocks := calleeBlocks(c.fn)
-				if !blocks {
+				f := mayBlock.of(c.fn)
+				if f == nil {
 					continue
 				}
 				if ok, _ := sup.allowed(c.pos, "nonblock"); ok {
 					waived[c.pos] = true
 					continue
 				}
-				mb[fn] = op
-				changed = true
-				break
+				return &MayBlock{Op: f.Op}
 			}
-		}
-	}
-	for _, fn := range order {
-		if op, ok := mb[fn]; ok {
-			pass.ExportObjectFact(fn.Origin(), &MayBlock{Op: op})
-		}
-	}
+			return nil
+		})
 
 	// Phase 3: report ops and risky calls inside checked regions.
-	for _, fn := range order {
-		s := sums[fn]
+	for _, d := range decls {
+		s := sums[d.fn]
 		if len(s.ops) == 0 && len(s.calls) == 0 {
 			continue
 		}
-		checkBlockingRegions(pass, sup, fn, s, cfgs.FuncDecl(s.decl), calleeBlocks, waived)
+		checkBlockingRegions(pass, sup, d.fn, s, cfgs.FuncDecl(d.decl), mayBlock.of, waived)
 	}
 	return nil, nil
 }
@@ -194,7 +151,7 @@ func runNonBlock(pass *analysis.Pass) (interface{}, error) {
 // dynamic call that some path reaches with a guard held (or anywhere,
 // for wholeBody contracts).
 func checkBlockingRegions(pass *analysis.Pass, sup *suppressions, fn *types.Func, s *nbSummary,
-	g *cfg.CFG, calleeBlocks func(*types.Func) (string, bool), waived map[token.Pos]bool) {
+	g *cfg.CFG, mayBlock func(*types.Func) *MayBlock, waived map[token.Pos]bool) {
 	if g == nil {
 		return
 	}
@@ -209,15 +166,15 @@ func checkBlockingRegions(pass *analysis.Pass, sup *suppressions, fn *types.Func
 						"a parked guard stalls epoch reclamation for every thread (§6.3)%s", where, note)
 			}
 		case op.fn != nil:
-			bop, blocks := calleeBlocks(op.fn)
-			if !blocks || waived[op.pos] {
+			mb := mayBlock(op.fn)
+			if mb == nil || waived[op.pos] {
 				return
 			}
 			if ok, note := sup.allowed(op.pos, "nonblock"); !ok {
 				pass.Reportf(op.pos,
 					"call to %s, which may block (%s), %s — a parked guard stalls epoch reclamation "+
 						"for every thread; restructure, or waive with a reasoned //lint:allow nonblock (§6.3)%s",
-					op.fn.FullName(), bop, where, note)
+					op.fn.FullName(), mb.Op, where, note)
 			}
 		default:
 			// Syntactic ops were suppression-filtered at summary time.

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"golang.org/x/tools/go/analysis"
 )
@@ -29,6 +28,8 @@ func (*PersistState) AFact() {}
 func (f *PersistState) String() string {
 	return fmt.Sprintf("PersistState%v", f.Results)
 }
+
+func (f *PersistState) indices() *[]int { return &f.Results }
 
 // Flusher is the fact persistord attaches to a function that issues a
 // Device.Flush (or FlushAll), directly or through a Flusher callee. It is
@@ -80,156 +81,51 @@ var PersistOrd = &analysis.Analyzer{
 	Run:       runPersistOrd,
 }
 
-// hasTraversalAnnotation reports whether the declaration's doc comment
-// carries //pmwcas:traversal (same placement contract as requires-guard).
-func hasTraversalAnnotation(d *ast.FuncDecl) bool {
-	if d.Doc == nil {
-		return false
-	}
-	for _, c := range d.Doc.List {
-		if trimmedAnnotation(c.Text, traversalAnnotation) {
-			return true
-		}
-	}
-	return false
-}
-
-func trimmedAnnotation(text, prefix string) bool {
-	for len(text) > 0 && (text[0] == ' ' || text[0] == '\t') {
-		text = text[1:]
-	}
-	return len(text) >= len(prefix) && text[:len(prefix)] == prefix
-}
-
 func runPersistOrd(pass *analysis.Pass) (interface{}, error) {
 	if pkgExempt(pass.Pkg.Path()) {
 		return nil, nil
 	}
 	sup := suppressionsOf(pass)
+	info := pass.TypesInfo
+	decls := funcDecls(pass, false)
 
-	localPS := make(map[*types.Func]*PersistState)
-	localFl := make(map[*types.Func]bool)
-	psFor := func(fn *types.Func) *PersistState {
-		if fn == nil || fn.Pkg() == nil {
-			return nil
-		}
-		if f, ok := localPS[fn]; ok {
-			return f
-		}
-		if fn.Pkg() != pass.Pkg {
-			var f PersistState
-			if pass.ImportObjectFact(fn, &f) {
-				return &f
-			}
+	// Phase 1a — Flusher, a least fixpoint: a direct Device.Flush/FlushAll,
+	// or a call to a known Flusher, makes the function a Flusher.
+	flushers := newFactTable[Flusher](pass)
+	flushes := func(d funcDecl) *Flusher {
+		if bodyFlushes(info, d.decl.Body, flushers.has) {
+			return &Flusher{}
 		}
 		return nil
 	}
-	isFlusher := func(fn *types.Func) bool {
-		if fn == nil || fn.Pkg() == nil {
-			return false
-		}
-		if localFl[fn] {
-			return true
-		}
-		if fn.Pkg() != pass.Pkg {
-			var f Flusher
-			return pass.ImportObjectFact(fn, &f)
-		}
-		return false
-	}
+	solveCallGraph(flushers, decls, false, flushes, flushes)
 
-	type declInfo struct {
-		d         *ast.FuncDecl
-		fn        *types.Func
-		traversal bool
+	// Phase 1b — PersistState: the source is ReadTraverse, and composite
+	// flow is on — the find/descend helpers return result structs, not
+	// bare words. Annotated traversal functions export every result;
+	// unannotated functions export the results their returns taint.
+	states := newFactTable[PersistState](pass)
+	rule := taintRule{
+		info:      info,
+		source:    func(call *ast.CallExpr) bool { return isReadTraverse(info, call) },
+		results:   indicesOf(states),
+		composite: true,
 	}
-	var decls []declInfo
-	for _, file := range pass.Files {
-		if isTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			decls = append(decls, declInfo{fd, fn, hasTraversalAnnotation(fd)})
-		}
-	}
-
-	// Phase 1a — Flusher fixpoint: direct Device.Flush/FlushAll, or a call
-	// to a known Flusher, makes the function a Flusher. Sets only grow.
-	for changed := true; changed; {
-		changed = false
-		for _, di := range decls {
-			if localFl[di.fn] {
-				continue
-			}
-			if bodyFlushes(pass.TypesInfo, di.d.Body, isFlusher) {
-				localFl[di.fn] = true
-				changed = true
+	growIndices(states, decls, func(d funcDecl) map[int]bool {
+		results := rule.track(d.decl.Body).returns(d)
+		if hasAnnotation(d.decl, traversalAnnotation) {
+			for i := 0; i < d.fn.Type().(*types.Signature).Results().Len(); i++ {
+				results[i] = true
 			}
 		}
-	}
-
-	// Phase 1b — PersistState fixpoint: annotated traversal functions
-	// export every result; unannotated functions export the results their
-	// returns taint.
-	for changed := true; changed; {
-		changed = false
-		for _, di := range decls {
-			results := persistReturns(pass, psFor, di.d, di.fn)
-			if di.traversal {
-				sig := di.fn.Type().(*types.Signature)
-				for i := 0; i < sig.Results().Len(); i++ {
-					results[i] = true
-				}
-			}
-			if len(results) == 0 {
-				continue
-			}
-			prev := localPS[di.fn]
-			merged := mergePersistSet(prev, results)
-			if prev == nil || len(merged.Results) != len(prev.Results) {
-				localPS[di.fn] = merged
-				changed = true
-			}
-		}
-	}
-	for fn, fact := range localPS {
-		pass.ExportObjectFact(fn, fact)
-	}
-	for fn := range localFl {
-		pass.ExportObjectFact(fn, &Flusher{})
-	}
+		return results
+	})
 
 	// Phase 2 — per-function checks.
-	for _, di := range decls {
-		checkPersistOrd(pass, sup, psFor, isFlusher, di.d, di.traversal)
+	for _, d := range decls {
+		checkPersistOrd(pass, sup, rule.track(d.decl.Body), flushers.has, d.decl, hasAnnotation(d.decl, traversalAnnotation))
 	}
 	return nil, nil
-}
-
-func mergePersistSet(prev *PersistState, results map[int]bool) *PersistState {
-	set := make(map[int]bool, len(results))
-	if prev != nil {
-		for _, i := range prev.Results {
-			set[i] = true
-		}
-	}
-	for i := range results {
-		set[i] = true
-	}
-	out := &PersistState{}
-	for i := range set {
-		out.Results = append(out.Results, i)
-	}
-	sort.Ints(out.Results)
-	return out
 }
 
 // bodyFlushes reports whether the body issues a flush: a direct
@@ -257,205 +153,10 @@ func bodyFlushes(info *types.Info, body ast.Node, isFlusher func(*types.Func) bo
 	return found
 }
 
-// ptTaint tracks, inside one function body, which variables hold a value
-// observed through an elided traversal read. It is the persist-ordering
-// sibling of flushfact's wordTaint, extended with composite flow: filling
-// a member of a struct or array taints the whole variable, and reading a
-// member of a tainted variable yields a tainted value — the find/descend
-// helpers return result structs, not bare words.
-type ptTaint struct {
-	pass    *analysis.Pass
-	psFor   func(*types.Func) *PersistState
-	assigns map[*types.Var][]wtAssign
-}
-
-// rootIdent walks to the base identifier of a selector/index chain
-// (r.preds[0] -> r). nil when the base is not a plain identifier.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-func newPtTaint(pass *analysis.Pass, psFor func(*types.Func) *PersistState, body ast.Node) *ptTaint {
-	t := &ptTaint{pass: pass, psFor: psFor, assigns: make(map[*types.Var][]wtAssign)}
-	info := pass.TypesInfo
-	record := func(lhs ast.Expr, tok token.Token, tainted bool, via *types.Func) {
-		id, ok := lhs.(*ast.Ident)
-		composite := false
-		if !ok {
-			// r.preds[i] = v taints r: the struct now carries the value.
-			if id = rootIdent(lhs); id == nil || !tainted {
-				return
-			}
-			composite = true
-		}
-		var obj types.Object
-		if tok == token.DEFINE && !composite {
-			obj = info.Defs[id]
-		} else {
-			obj = info.Uses[id]
-		}
-		if v, ok := obj.(*types.Var); ok {
-			t.assigns[v] = append(t.assigns[v], wtAssign{id.Pos(), tainted, via})
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		if len(as.Lhs) == len(as.Rhs) {
-			for i := range as.Lhs {
-				tainted, via := t.taintedExpr(as.Rhs[i])
-				record(as.Lhs[i], as.Tok, tainted, via)
-			}
-			return true
-		}
-		// Tuple assignment from a single call: x, y := f().
-		if len(as.Rhs) == 1 {
-			call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fact := t.psFor(calleeFunc(info, call))
-			for i := range as.Lhs {
-				tainted := fact != nil && containsInt(fact.Results, i)
-				var via *types.Func
-				if tainted {
-					via = calleeFunc(info, call)
-				}
-				record(as.Lhs[i], as.Tok, tainted, via)
-			}
-		}
-		return true
-	})
-	for _, as := range t.assigns {
-		sort.Slice(as, func(i, j int) bool { return as[i].pos < as[j].pos })
-	}
-	return t
-}
-
 // isReadTraverse reports whether call is (*core.Handle).ReadTraverse.
 func isReadTraverse(info *types.Info, call *ast.CallExpr) bool {
 	name, recv, _, ok := methodCall(info, call)
 	return ok && name == "ReadTraverse" && isNamedRecv(info, recv, corePath, "Handle")
-}
-
-// taintedExpr reports whether e carries a traversal-read value, and
-// through which callee's fact (nil when the elided read happens in this
-// function). Value identity survives parens, conversions, and member
-// access on a tainted base; any other operator breaks it — the same
-// value-matching contract the psan runtime uses.
-func (t *ptTaint) taintedExpr(e ast.Expr) (bool, *types.Func) {
-	info := t.pass.TypesInfo
-	e = ast.Unparen(e)
-	switch x := e.(type) {
-	case *ast.CallExpr:
-		if tv, ok := info.Types[x.Fun]; ok && tv.IsType() && len(x.Args) == 1 {
-			return t.taintedExpr(x.Args[0])
-		}
-		if isReadTraverse(info, x) {
-			return true, nil
-		}
-		if fact := t.psFor(calleeFunc(info, x)); fact != nil && containsInt(fact.Results, 0) {
-			return true, calleeFunc(info, x)
-		}
-	case *ast.Ident:
-		if v, ok := info.Uses[x].(*types.Var); ok {
-			latest := wtAssign{pos: token.NoPos}
-			for _, a := range t.assigns[v] {
-				if a.pos < x.Pos() && a.pos > latest.pos {
-					latest = a
-				}
-			}
-			return latest.tainted, latest.viaFact
-		}
-	case *ast.SelectorExpr:
-		// A field of a tainted struct is tainted. Method values and
-		// package selectors resolve to non-var objects and fall through.
-		if _, ok := info.Selections[x]; ok {
-			return t.taintedExpr(x.X)
-		}
-	case *ast.IndexExpr:
-		return t.taintedExpr(x.X)
-	}
-	return false, nil
-}
-
-// persistReturns computes which of d's results carry a traversal-read
-// value on some return path.
-func persistReturns(pass *analysis.Pass, psFor func(*types.Func) *PersistState, d *ast.FuncDecl, fn *types.Func) map[int]bool {
-	t := newPtTaint(pass, psFor, d.Body)
-	sig := fn.Type().(*types.Signature)
-	out := make(map[int]bool)
-	ast.Inspect(d.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // its returns are its own
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		if len(ret.Results) == 0 {
-			for i := 0; i < sig.Results().Len(); i++ {
-				v := sig.Results().At(i)
-				latest := wtAssign{pos: token.NoPos}
-				for _, a := range t.assigns[v] {
-					if a.pos < ret.Pos() && a.pos > latest.pos {
-						latest = a
-					}
-				}
-				if latest.tainted {
-					out[i] = true
-				}
-			}
-			return true
-		}
-		if len(ret.Results) != sig.Results().Len() {
-			return true // single call returning a tuple: forwarded below
-		}
-		for i, res := range ret.Results {
-			if tainted, _ := t.taintedExpr(res); tainted {
-				out[i] = true
-			}
-		}
-		return true
-	})
-	// return f() forwarding a multi-result fact function.
-	ast.Inspect(d.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || len(ret.Results) != 1 || sig.Results().Len() < 2 {
-			return true
-		}
-		call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fact := psFor(calleeFunc(pass.TypesInfo, call)); fact != nil {
-			for _, i := range fact.Results {
-				if i < sig.Results().Len() {
-					out[i] = true
-				}
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // persistSinkArgs returns the indices of call's arguments that become
@@ -487,10 +188,9 @@ func persistSinkArgs(info *types.Info, call *ast.CallExpr) []int {
 }
 
 // checkPersistOrd applies the three rules to one function body.
-func checkPersistOrd(pass *analysis.Pass, sup *suppressions, psFor func(*types.Func) *PersistState,
+func checkPersistOrd(pass *analysis.Pass, sup *suppressions, t *taint,
 	isFlusher func(*types.Func) bool, d *ast.FuncDecl, traversal bool) {
 	info := pass.TypesInfo
-	t := newPtTaint(pass, psFor, d.Body)
 
 	report := func(pos token.Pos, format string, args ...interface{}) {
 		if ok, note := sup.allowed(pos, "persistord"); !ok {
@@ -531,7 +231,7 @@ func checkPersistOrd(pass *analysis.Pass, sup *suppressions, psFor func(*types.F
 			if argIdx >= len(call.Args) {
 				continue
 			}
-			tainted, via := t.taintedExpr(call.Args[argIdx])
+			tainted, via := t.expr(call.Args[argIdx])
 			if !tainted {
 				continue
 			}

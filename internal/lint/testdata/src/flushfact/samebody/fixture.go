@@ -66,3 +66,25 @@ func (b *box) goodSuppressed(expect uint64) bool {
 	//lint:allow flushfact — this word is written only by recovery, which never leaves flags set
 	return b.dev.Load(b.word) == expect
 }
+
+// casResult mirrors the search result of the volatile single-word-CAS
+// skip list: one field carries a raw-loaded word, the other does not.
+type casResult struct {
+	link uint64
+	hops int
+}
+
+// search returns a raw-loaded word inside a struct. flushfact follows
+// bare values only, so the struct result carries no ReturnsUnflushed.
+func (b *box) search() (r casResult) {
+	r.link = b.dev.Load(b.word)
+	r.hops = 1
+	return r
+}
+
+// goodSiblingField compares the struct's plain field. Composite flow
+// (persistord's, not flushfact's) would taint it through its sibling.
+func (b *box) goodSiblingField() bool {
+	r := b.search()
+	return r.hops == 1
+}

@@ -2,7 +2,6 @@ package skiplist
 
 import (
 	"math/rand"
-	"sync/atomic"
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/epoch"
@@ -29,12 +28,11 @@ import (
 
 // CASList is the single-word-CAS baseline skip list.
 type CASList struct {
-	dev    *nvram.Device
-	alloc  *alloc.Allocator
-	mgr    *epoch.Manager
-	head   nvram.Offset
-	tail   nvram.Offset
-	defers atomic.Uint64 // paces epoch collection (nothing else drives it)
+	dev   *nvram.Device
+	alloc *alloc.Allocator
+	mgr   *epoch.Manager
+	head  nvram.Offset
+	tail  nvram.Offset
 }
 
 // NewCAS builds a fresh baseline list. It shares the node layout and the
@@ -355,17 +353,11 @@ func (h *CASHandle) Delete(key uint64) error {
 	// side effect.
 	l.casSearch(key)
 
-	// Reclaim once no traversal can hold the node. Unlike the PMwCAS
-	// list, nothing else advances the epoch clock here, so deletion pays
-	// for its own reclamation pacing. DeferRetire records the list (an
-	// existing interface value) plus the offset instead of heap-allocating
-	// a capturing closure per delete.
+	// Reclaim once no traversal can hold the node; DeferRetire also paces
+	// the epoch clock. It records the list (an existing interface value)
+	// plus the offset instead of heap-allocating a capturing closure per
+	// delete.
 	l.mgr.DeferRetire(l, uint64(node), 0)
-	l.mgr.Advance()
-	if l.defers.Add(1)%32 == 0 {
-		//lint:allow hotpath — amortized epoch sweep, 1 in 32 deletes; the sweep's finalizers are off the per-op cost model (§6.3)
-		l.mgr.Collect()
-	}
 	return nil
 }
 

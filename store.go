@@ -519,7 +519,7 @@ func (sh *Shard) Alloc(size uint64, target Offset) (Offset, error) {
 
 // Free releases a block previously delivered by shard 0's Alloc or a
 // descriptor reservation. The caller must guarantee no thread can still
-// reach it (use Epochs().Defer for lock-free structures).
+// reach it (use Epochs().DeferRetire for lock-free structures).
 func (s *Store) Free(block Offset) error { return s.Shard(0).Free(block) }
 
 // Free releases a block on this shard's arena; see Store.Free.
