@@ -1,27 +1,22 @@
-// stringkeys: a currency-pair rate table keyed by short strings, using
-// the order-preserving key codec over the persistent skip list — string
-// range and prefix scans on an index that physically stores 8-byte words.
-//
-// Run with:
-//
-//	go run ./examples/stringkeys
-package main
+package pmwcas_test
 
 import (
 	"fmt"
-	"log"
 
 	"pmwcas"
 )
 
-func main() {
+// A currency-pair rate table keyed by short strings, using the
+// order-preserving key codec over the persistent skip list — string
+// range and prefix scans on an index that physically stores 8-byte words.
+func Example_stringKeys() {
 	store, err := pmwcas.Create(pmwcas.Config{Size: 16 << 20})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	list, err := store.SkipList()
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	h := list.NewHandle(1)
 
@@ -33,20 +28,15 @@ func main() {
 		"AUDUSD": 6655, "NZDUSD": 6012,
 	}
 	for sym, rate := range rates {
-		key, err := pmwcas.EncodeKeyString(sym)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := h.Insert(key, rate); err != nil {
-			log.Fatalf("insert %s: %v", sym, err)
+		if err := h.Insert(pmwcas.MustEncodeKey(sym), rate); err != nil {
+			panic(fmt.Sprintf("insert %s: %v", sym, err))
 		}
 	}
 
 	// Point lookup through the codec.
-	k := pmwcas.MustEncodeKey("GBPUSD")
-	rate, err := h.Get(k)
+	rate, err := h.Get(pmwcas.MustEncodeKey("GBPUSD"))
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("GBPUSD = %d.%04d\n", rate/10000, rate%10000)
 
@@ -54,13 +44,13 @@ func main() {
 	// one integer range scan.
 	lo, hi, err := pmwcas.KeyPrefixRange([]byte("EUR"))
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Println("EUR pairs:")
 	h.Scan(lo, hi, func(e pmwcas.SkipListEntry) bool {
 		sym, err := pmwcas.DecodeKeyString(e.Key)
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		fmt.Printf("  %s -> %d\n", sym, e.Value)
 		return true
@@ -76,14 +66,33 @@ func main() {
 	})
 
 	// Rates survive a power failure like any other key.
-	store.Crash()
+	if err := store.Crash(); err != nil {
+		panic(err)
+	}
 	if _, err := store.Recover(); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
-	list2, _ := store.SkipList()
-	h2 := list2.NewHandle(2)
-	if v, err := h2.Get(pmwcas.MustEncodeKey("USDJPY")); err != nil || v != rates["USDJPY"] {
-		log.Fatalf("USDJPY lost in crash: %d, %v", v, err)
+	list2, err := store.SkipList()
+	if err != nil {
+		panic(err)
 	}
-	fmt.Println("rates survived the power failure ✓")
+	v, err := list2.NewHandle(2).Get(pmwcas.MustEncodeKey("USDJPY"))
+	fmt.Println("USDJPY after the power failure:", v, err)
+	// Output:
+	// GBPUSD = 1.2905
+	// EUR pairs:
+	//   EURGBP -> 8422
+	//   EURJPY -> 169230
+	//   EURUSD -> 10871
+	// all pairs, reverse order:
+	//   USDJPY
+	//   USDCHF
+	//   NZDUSD
+	//   GBPUSD
+	//   GBPJPY
+	//   EURUSD
+	//   EURJPY
+	//   EURGBP
+	//   AUDUSD
+	// USDJPY after the power failure: 155720 <nil>
 }

@@ -134,9 +134,9 @@ func (t *Tree) Retire(off, _ uint64) { t.freeChain(off) }
 // metaMagic marks an initialized tree in the meta region.
 const metaMagic = 0x42775472 // "BwTr"
 
-// New opens (or, on a fresh region, creates) a tree. Reopening after a
-// crash requires allocator and pool recovery first; the tree itself
-// needs no recovery pass of its own.
+// New opens a tree, creating it on a fresh region with one PMwCAS
+// (core.Pool.OpenAnchors). Reopening after a crash requires allocator and
+// pool recovery first; the tree itself needs no recovery pass of its own.
 func New(cfg Config) (*Tree, error) {
 	if cfg.Pool == nil || cfg.Allocator == nil {
 		return nil, errors.New("bwtree: Pool and Allocator are required")
@@ -192,62 +192,47 @@ func New(cfg Config) (*Tree, error) {
 	}
 
 	magicOff := cfg.Meta.Base
-	stagedOff := cfg.Meta.Base + 2*nvram.WordSize
-	if t.dev.Load(magicOff) == metaMagic {
-		// Existing tree. A nonzero staging word means the crash hit inside
-		// the publish window after opportunistic eviction persisted the
-		// meta line mid-update; the staged word then still aliases the
-		// root page (New had not returned, so no operation ran). Scrub it;
-		// anything else is corruption.
-		if sv := t.dev.Load(stagedOff); sv != 0 {
-			//lint:allow rawload, flushfact, guardfact — quiescent first-open scrub: a nonzero staging word proves the crash hit the init publish window, before any PMwCAS ever targeted this mapping word; recovery is single-threaded, so no epoch guard exists yet (§4.4)
-			if t.dev.Load(t.mappingOff(RootLPID)) != sv {
-				return nil, errors.New("bwtree: staging word disagrees with root mapping — image corrupt")
-			}
-			t.dev.Store(stagedOff, 0)
-			t.dev.Flush(stagedOff)
-			t.dev.Fence()
-		}
-		return t, nil // existing tree
-	}
-
-	// Fresh tree: one empty leaf as root, built via staged-then-published
-	// creation. The root page is delivered into a staging word on the meta
-	// line, the mapping entry is installed, and only then does one line
-	// flush publish the magic, the next-LPID counter, and a cleared
-	// staging word together. A crash before that flush reads as
-	// "uninitialized"; the staged page (and a possibly-set mapping entry
-	// pointing at it) is released here on the next open, so first
-	// initialization never leaks the root page.
-	if b := t.dev.Load(stagedOff); b != 0 {
-		if err := cfg.Allocator.FreeWithBarrier(b, func() {
-			t.dev.Store(stagedOff, 0)
-			t.dev.Flush(stagedOff)
-			rootMap := t.mappingOff(RootLPID)
-			if t.dev.Load(rootMap) == b {
-				t.dev.Store(rootMap, 0)
-				t.dev.Flush(rootMap)
-			}
-		}); err != nil {
-			return nil, fmt.Errorf("bwtree: releasing staged root %#x: %w", b, err)
-		}
-	}
-	ah := cfg.Allocator.NewHandle()
-	root, err := buildBase(t, ah, recBaseLeaf, nil, 0, MaxKey, 0, stagedOff)
+	a, err := cfg.Pool.OpenAnchors([]nvram.Offset{magicOff, t.nextLPID, t.mappingOff(RootLPID)},
+		func(h *core.Handle) error { return t.create(h, magicOff) })
 	if err != nil {
-		return nil, fmt.Errorf("bwtree: building root: %w", err)
+		return nil, fmt.Errorf("bwtree: %w", err)
 	}
-	t.dev.Store(t.mappingOff(RootLPID), root)
-	t.dev.Flush(t.mappingOff(RootLPID))
-	t.dev.Fence()
-	// Publish: magic, next-LPID, and cleared staging word share the meta
-	// line, so one flush makes the tree exist atomically.
-	t.dev.Store(t.nextLPID, RootLPID+1)
-	t.dev.Store(magicOff, metaMagic)
-	t.dev.Store(stagedOff, 0)
-	t.dev.Flush(magicOff)
-	t.dev.Fence()
+	if a[0] != metaMagic {
+		return nil, fmt.Errorf("bwtree: meta region holds %#x, not a tree — image corrupt", a[0])
+	}
 	return t, nil
+}
+
+// create builds one empty leaf as the root page and publishes the tree
+// with one PMwCAS, {magic: 0→metaMagic, nextLPID: 0→RootLPID+1,
+// mapping[root]: 0→page}. The page is allocated into the root mapping
+// word's reserved entry, so the descriptor owns it until the PMwCAS
+// commits: a lost race or a crash frees it (§5.2), and the tree stays
+// absent.
+func (t *Tree) create(h *core.Handle, magicOff nvram.Offset) error {
+	d, err := h.AllocateDescriptor(0)
+	if err != nil {
+		return err
+	}
+	field, err := d.ReserveEntry(t.mappingOff(RootLPID), 0, core.PolicyFreeNewOnFailure)
+	if err != nil {
+		d.Discard()
+		return err
+	}
+	if _, err := buildBase(t, t.alloc.NewHandle(), recBaseLeaf, nil, 0, MaxKey, 0, field); err != nil {
+		d.Discard()
+		return err
+	}
+	if err := d.AddWord(magicOff, 0, metaMagic); err != nil {
+		d.Discard()
+		return err
+	}
+	if err := d.AddWord(t.nextLPID, 0, RootLPID+1); err != nil {
+		d.Discard()
+		return err
+	}
+	_, err = d.Execute()
+	return err
 }
 
 // mappingOff returns the mapping-table word for an LPID.

@@ -14,15 +14,16 @@ import (
 
 // Check audits the durable image of a (recovered, quiescent) Bw-tree. It
 // returns every arena block any mapping entry reaches — delta chains,
-// base pages, removed markers, and a staged-but-unpublished root — plus
-// the tree's logical contents in key order, for cross-checking the
-// allocator bitmap and a durable-linearizability oracle.
+// base pages and removed markers — plus the tree's logical contents in
+// key order, for cross-checking the allocator bitmap and a
+// durable-linearizability oracle.
 //
 // Invariants verified:
 //
-//   - meta is either unwritten (tree absent, any staged root page
-//     corroborated by the staging word) or carries the magic and a
-//     next-LPID counter within the mapping table;
+//   - the magic, the next-LPID counter and the root mapping word are all
+//     zero (tree absent) or all set, the magic to its one value: one
+//     PMwCAS creates the tree;
+//   - the next-LPID counter lies within the mapping table;
 //   - no mapping word or record header carries descriptor flags
 //     (recovery removes every descriptor pointer);
 //   - every non-zero mapping word heads a finite chain of well-typed
@@ -33,9 +34,7 @@ import (
 //     strictly ascending keys, routed-to pages that exist and are not
 //     removed, and values with no reserved bits.
 func Check(dev *nvram.Device, mapping, meta nvram.Region) ([]nvram.Offset, []Entry, error) {
-	magicOff := meta.Base
 	nextLPIDOff := meta.Base + nvram.WordSize
-	stagedOff := meta.Base + 2*nvram.WordSize
 	nLPID := mapping.Len / nvram.WordSize
 
 	loadClean := func(off nvram.Offset, what string) (uint64, error) {
@@ -46,30 +45,17 @@ func Check(dev *nvram.Device, mapping, meta nvram.Region) ([]nvram.Offset, []Ent
 		return raw &^ core.DirtyFlag, nil
 	}
 
-	staged := nvram.Offset(dev.Load(stagedOff))
-	rootMap, err := loadClean(mapping.Base+RootLPID*nvram.WordSize, "root mapping word")
+	a, err := core.CheckAnchors(dev, meta.Base, nextLPIDOff, mapping.Base+RootLPID*nvram.WordSize)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("bwtree: %w", err)
 	}
-	if dev.Load(magicOff) != metaMagic {
-		// Tree not (fully) published. The staged root page, if any, is
-		// reachable through the staging word; a set root mapping word must
-		// alias it (the mapping install precedes the meta publish).
-		if rootMap != 0 && nvram.Offset(rootMap) != staged {
-			return nil, nil, fmt.Errorf("bwtree: unpublished tree has root mapping %#x but staged %#x", rootMap, staged)
-		}
-		if staged != 0 {
-			return []nvram.Offset{staged}, nil, nil
-		}
-		return nil, nil, nil
+	if a == nil {
+		return nil, nil, nil // tree never created
 	}
-	if staged != 0 && staged != nvram.Offset(rootMap) {
-		return nil, nil, fmt.Errorf("bwtree: staging word %#x disagrees with root mapping %#x", staged, rootMap)
+	if a[0] != metaMagic {
+		return nil, nil, fmt.Errorf("bwtree: meta region holds %#x, not a tree", a[0])
 	}
-	nextLPID, err := loadClean(nextLPIDOff, "next-LPID counter")
-	if err != nil {
-		return nil, nil, err
-	}
+	nextLPID := a[1]
 	if nextLPID <= RootLPID || nextLPID > nLPID {
 		return nil, nil, fmt.Errorf("bwtree: next-LPID counter %d outside (1, %d]", nextLPID, nLPID)
 	}

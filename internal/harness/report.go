@@ -65,13 +65,6 @@ func (t *Table) Print(w io.Writer) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Throughput formats ops/sec compactly (e.g., "1.23M").
 func Throughput(opsPerSec float64) string {
 	switch {

@@ -29,10 +29,9 @@ type CheckStats struct {
 
 // Check audits the durable image of a (recovered, quiescent) hash table
 // anchored at roots with the directory at dir. It returns every arena
-// block the table reaches — live buckets, sealed interior buckets, and a
-// staged-but-unpublished first bucket — plus the table's logical
-// contents and structure counts, so callers can cross-check the
-// allocator bitmap and a durable-linearizability oracle.
+// block the table reaches — live buckets and sealed interior buckets —
+// plus the table's logical contents and structure counts, so callers can
+// cross-check the allocator bitmap and a durable-linearizability oracle.
 //
 // Since sealed-bucket reclamation (reclaim.go) the buckets form a
 // *forest*, not a single tree: reclaiming a tree's root tombstones its
@@ -48,8 +47,8 @@ type CheckStats struct {
 //
 // Invariants verified:
 //
-//   - the anchor line is absent, published, or a staged first-
-//     initialization state the staging word corroborates;
+//   - the depth word, the geometry word and dir[0] are all zero (table
+//     absent) or all set: one PMwCAS creates the table;
 //   - the durable slot geometry is sane and every live directory entry
 //     names a bucket whose class covers the entry's whole suffix class
 //     (local depth <= global depth);
@@ -67,23 +66,19 @@ type CheckStats struct {
 //     value (free slots of live buckets are fully zero).
 func Check(dev *nvram.Device, roots, dir nvram.Region) ([]nvram.Offset, []Entry, CheckStats, error) {
 	depthWord := roots.Base
-	stagedWord := roots.Base + nvram.WordSize
 	geomWord := roots.Base + 2*nvram.WordSize
 
 	load := func(off nvram.Offset) uint64 { return dev.Load(off) &^ core.DirtyFlag }
 
 	var stats CheckStats
-	dw := load(depthWord)
-	sv := load(stagedWord)
-	if dw == 0 {
-		// Table never published. The only block the image can own is a
-		// staged first bucket, reachable through the staging word; first
-		// initialization releases and retries it on the next open.
-		if sv != 0 {
-			return []nvram.Offset{nvram.Offset(sv)}, nil, stats, nil
-		}
-		return nil, nil, stats, nil
+	a, err := core.CheckAnchors(dev, depthWord, geomWord, dir.Base)
+	if err != nil {
+		return nil, nil, stats, fmt.Errorf("hashtable: %w", err)
 	}
+	if a == nil {
+		return nil, nil, stats, nil // table never created
+	}
+	dw, slots := a[0], a[1]
 	gdepth := int(dw) - 1
 	maxDepth := 0
 	for d := dir.Len / nvram.WordSize; d > 1; d >>= 1 {
@@ -92,15 +87,8 @@ func Check(dev *nvram.Device, roots, dir nvram.Region) ([]nvram.Offset, []Entry,
 	if gdepth > maxDepth {
 		return nil, nil, stats, fmt.Errorf("hashtable: global depth %d exceeds directory capacity %d", gdepth, maxDepth)
 	}
-	slots := load(geomWord)
-	if slots < 1 || slots > 255 {
+	if slots > 255 {
 		return nil, nil, stats, fmt.Errorf("hashtable: durable slot geometry %d outside [1,255]", slots)
-	}
-	// A nonzero staging word is legal only in the publish window, where it
-	// still aliases dir[0] (the depth word and staging word share one
-	// atomic line, so only eviction of the half-updated line exposes it).
-	if sv != 0 && sv != load(dir.Base) {
-		return nil, nil, stats, fmt.Errorf("hashtable: staging word %#x disagrees with dir[0] %#x", sv, load(dir.Base))
 	}
 
 	// Collect every bucket the directory reaches, walking child pointers

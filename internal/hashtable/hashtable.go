@@ -141,9 +141,9 @@ func mix64(x uint64) uint64 {
 }
 
 // RootWords is the number of durable anchor words the table needs: the
-// depth word (doubling as the exists-flag), a staging word for first
-// initialization, and the slot-geometry word. All share one cache line
-// so creation publishes atomically.
+// depth word (doubling as the exists-flag), one unused word, and the
+// slot-geometry word. The unused word keeps the geometry word where
+// existing images have it.
 const RootWords = 3
 
 // MinDescriptorWords is the descriptor capacity the table requires; the
@@ -242,8 +242,9 @@ type Config struct {
 }
 
 // New opens the table anchored at cfg.Roots, creating the first bucket
-// on first use. After a crash, allocator and pool recovery must run
-// before New; the table itself has no recovery code.
+// on first use with one PMwCAS (core.Pool.OpenAnchors). After a crash,
+// allocator and pool recovery must run before New; the table itself has
+// no recovery code.
 func New(cfg Config) (*Table, error) {
 	if cfg.Pool == nil || cfg.Allocator == nil {
 		return nil, errors.New("hashtable: Pool and Allocator are required")
@@ -277,71 +278,52 @@ func New(cfg Config) (*Table, error) {
 	for d := dirSlots; d > 1; d >>= 1 {
 		t.maxDepth++
 	}
-	staged := cfg.Roots.Base + nvram.WordSize
-
-	//lint:allow guardfact — single-threaded open path; no handle exists yet, so nothing can reclaim (§4.4)
-	dw := core.PCASRead(t.dev, t.depthWord)
-	sv := t.dev.Load(staged)
-	if dw != 0 {
-		// Existing table. Adopt the durable geometry; a mismatched request
-		// would silently misread every bucket.
-		if g := t.dev.Load(t.geomWord); g != uint64(t.slots) {
-			return nil, fmt.Errorf("hashtable: table exists with %d slots per bucket, config asks %d", g, t.slots)
-		}
-		// A nonzero staging word means the crash hit inside the publish
-		// window after opportunistic eviction persisted the anchor line
-		// mid-update; the staged word then still aliases dir[0] (New had
-		// not returned, so no operation ran). Scrub it; anything else is
-		// corruption.
-		if sv != 0 {
-			//lint:allow guardfact — single-threaded open path; no handle exists yet, so nothing can reclaim (§4.4)
-			if sv != core.PCASRead(t.dev, t.dirBase) {
-				return nil, errors.New("hashtable: staging word disagrees with dir[0] — image corrupt")
-			}
-			t.dev.Store(staged, 0)
-			t.dev.Flush(staged)
-			t.dev.Fence()
-		}
-		return t, nil
-	}
-	// Fresh table: one depth-0 bucket behind dir[0]. The bucket is
-	// delivered into a staging word sharing the depth word's cache line,
-	// initialized, made reachable through dir[0], and then published — the
-	// depth word set and the staging word cleared by one atomic line
-	// flush. A crash before that flush leaves the depth word durably zero
-	// (the table does not exist); the staged bucket, if any, is released
-	// here on the next open, so first initialization retries at any crash
-	// point.
-	if sv != 0 {
-		if err := cfg.Allocator.FreeWithBarrier(sv, func() {
-			t.dev.Store(staged, 0)
-			t.dev.Flush(staged)
-		}); err != nil {
-			return nil, fmt.Errorf("hashtable: releasing staged bucket %#x: %w", sv, err)
-		}
-	}
-	ah := cfg.Allocator.NewHandle()
-	b, err := ah.Alloc(bucketBytes(t.slots), staged)
+	a, err := cfg.Pool.OpenAnchors([]nvram.Offset{t.depthWord, t.geomWord, t.dirBase}, t.create)
 	if err != nil {
-		return nil, fmt.Errorf("hashtable: allocating first bucket: %w", err)
+		return nil, fmt.Errorf("hashtable: %w", err)
+	}
+	// Adopt the durable geometry; a mismatched request would silently
+	// misread every bucket.
+	if a[1] != uint64(t.slots) {
+		return nil, fmt.Errorf("hashtable: table exists with %d slots per bucket, config asks %d", a[1], t.slots)
+	}
+	return t, nil
+}
+
+// create builds the first, depth-0 bucket and publishes the table with
+// one PMwCAS, {depth: 0→1, dir[0]: 0→B, geometry: 0→slots}. The bucket is
+// allocated into dir[0]'s reserved entry, so the descriptor owns it until
+// the PMwCAS commits: a lost race or a crash frees it (§5.2), and the
+// table stays absent.
+func (t *Table) create(h *core.Handle) error {
+	d, err := h.AllocateDescriptor(0)
+	if err != nil {
+		return err
+	}
+	field, err := d.ReserveEntry(t.dirBase, 0, core.PolicyFreeNewOnFailure)
+	if err != nil {
+		d.Discard()
+		return err
+	}
+	b, err := t.alloc.NewHandle().Alloc(bucketBytes(t.slots), field)
+	if err != nil {
+		d.Discard()
+		return err
 	}
 	for off := nvram.Offset(0); off < nvram.Offset(bucketBytes(t.slots)); off += nvram.WordSize {
 		t.dev.Store(b+off, 0)
 	}
 	t.flushRange(b, bucketBytes(t.slots))
-	t.dev.Store(t.dirBase, b)
-	t.dev.Store(t.geomWord, uint64(t.slots))
-	t.dev.Flush(t.dirBase)
-	t.dev.Flush(t.geomWord)
-	t.dev.Fence()
-	// Publish: depth word set, staging cleared, in one atomic line flush.
-	// (geomWord shares the roots line; it was already flushed above, and
-	// re-persisting it here is harmless.)
-	t.dev.Store(t.depthWord, 1) // depth 0, published
-	t.dev.Store(staged, 0)
-	t.dev.Flush(t.depthWord)
-	t.dev.Fence()
-	return t, nil
+	if err := d.AddWord(t.depthWord, 0, 1); err != nil { // depth 0, published
+		d.Discard()
+		return err
+	}
+	if err := d.AddWord(t.geomWord, 0, uint64(t.slots)); err != nil {
+		d.Discard()
+		return err
+	}
+	_, err = d.Execute()
+	return err
 }
 
 // flushRange persists [base, base+n) line by line.

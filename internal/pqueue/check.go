@@ -14,13 +14,13 @@ import (
 
 // Check audits the durable image of a (recovered, quiescent) queue
 // anchored at roots. It returns every arena block the queue reaches —
-// the sentinel, all linked nodes, and a staged-but-unpublished sentinel —
-// plus the queued values in FIFO order for the durability oracle.
+// the sentinel and all linked nodes — plus the queued values in FIFO
+// order for the durability oracle.
 //
 // Invariants verified:
 //
-//   - anchors are both set, both zero (queue absent), or a staged
-//     first-initialization state the staging word corroborates;
+//   - anchors are both zero (queue absent) or both set: one PMwCAS
+//     creates the queue;
 //   - no reachable word carries descriptor flags (recovery removes every
 //     descriptor pointer);
 //   - the chain from the head sentinel is cycle-free and ends exactly at
@@ -28,10 +28,6 @@ import (
 //     together, so the tail can never lag);
 //   - queued values have no reserved bits set.
 func Check(dev *nvram.Device, roots nvram.Region) ([]nvram.Offset, []uint64, error) {
-	headAnchor := roots.Base
-	tailAnchor := roots.Base + nvram.WordSize
-	stagedOff := roots.Base + 2*nvram.WordSize
-
 	load := func(off nvram.Offset, what string) (uint64, error) {
 		raw := dev.Load(off)
 		if raw&(core.MwCASFlag|core.RDCSSFlag) != 0 {
@@ -40,28 +36,14 @@ func Check(dev *nvram.Device, roots nvram.Region) ([]nvram.Offset, []uint64, err
 		return raw &^ core.DirtyFlag, nil
 	}
 
-	head, err := load(headAnchor, "head anchor")
+	a, err := core.CheckAnchors(dev, roots.Base, roots.Base+nvram.WordSize)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("pqueue: %w", err)
 	}
-	tail, err := load(tailAnchor, "tail anchor")
-	if err != nil {
-		return nil, nil, err
+	if a == nil {
+		return nil, nil, nil // queue never created
 	}
-	staged := nvram.Offset(dev.Load(stagedOff))
-
-	if head == 0 || tail == 0 {
-		if (head != 0 && nvram.Offset(head) != staged) || (tail != 0 && nvram.Offset(tail) != staged) {
-			return nil, nil, fmt.Errorf("pqueue: torn anchors head=%#x tail=%#x staged=%#x", head, tail, staged)
-		}
-		if staged != 0 {
-			return []nvram.Offset{staged}, nil, nil
-		}
-		return nil, nil, nil
-	}
-	if staged != 0 && staged != nvram.Offset(head) {
-		return nil, nil, fmt.Errorf("pqueue: staging word %#x disagrees with head anchor %#x", staged, head)
-	}
+	head, tail := a[0], a[1]
 
 	// Walk the chain from the sentinel; the tail anchor must name the
 	// last node.

@@ -36,11 +36,9 @@ const (
 	nodeSize     = 64 // one cache line
 )
 
-// RootWords is the number of durable anchor words a queue needs: head
-// and tail anchors plus one staging word used only during first
-// initialization (all three must share one cache line so creation can
-// be published atomically).
-const RootWords = 3
+// RootWords is the number of durable anchor words a queue needs: the
+// head and tail anchors.
+const RootWords = 2
 
 var (
 	// ErrEmpty is returned by Dequeue on an empty queue.
@@ -69,8 +67,9 @@ type Config struct {
 }
 
 // New opens the queue anchored at cfg.Roots, creating the sentinel node
-// on first use. After a crash, allocator and pool recovery must run
-// before New; the queue itself has no recovery code.
+// on first use with one PMwCAS (core.Pool.OpenAnchors). After a crash,
+// allocator and pool recovery must run before New; the queue itself has
+// no recovery code.
 func New(cfg Config) (*Queue, error) {
 	if cfg.Pool == nil || cfg.Allocator == nil {
 		return nil, errors.New("pqueue: Pool and Allocator are required")
@@ -88,72 +87,42 @@ func New(cfg Config) (*Queue, error) {
 		headAnchor: cfg.Roots.Base,
 		tailAnchor: cfg.Roots.Base + nvram.WordSize,
 	}
-	staged := cfg.Roots.Base + 2*nvram.WordSize
-	//lint:allow guardfact — single-threaded open path; no handle exists yet, so nothing can reclaim (§4.4)
-	head := core.PCASRead(q.dev, q.headAnchor)
-	//lint:allow guardfact — single-threaded open path; no handle exists yet, so nothing can reclaim (§4.4)
-	tail := core.PCASRead(q.dev, q.tailAnchor)
-	sv := q.dev.Load(staged)
-	if head != 0 && tail != 0 {
-		// Existing queue. A nonzero staging word means the crash hit
-		// inside the publish window after opportunistic eviction persisted
-		// the anchor line mid-update; the staged word then still aliases
-		// the sentinel (New had not returned, so no operation ran). Scrub
-		// it; anything else is corruption.
-		if sv != 0 {
-			if sv != head {
-				return nil, errors.New("pqueue: staging word disagrees with anchors — image corrupt")
-			}
-			q.dev.Store(staged, 0)
-			q.dev.Flush(staged)
-			q.dev.Fence()
-		}
-		return q, nil // existing queue
+	if _, err := cfg.Pool.OpenAnchors([]nvram.Offset{q.headAnchor, q.tailAnchor}, q.create); err != nil {
+		return nil, fmt.Errorf("pqueue: %w", err)
 	}
-	if head != 0 || tail != 0 {
-		// One anchor persisted, the other not: an eviction-persisted
-		// prefix of the publish stores. The staged word still owns the
-		// sentinel, so reset the anchors and rebuild through the staging
-		// path below.
-		if (head != 0 && head != sv) || (tail != 0 && tail != sv) {
-			return nil, errors.New("pqueue: torn roots — recovery must run before New")
-		}
-		q.dev.Store(q.headAnchor, 0)
-		q.dev.Store(q.tailAnchor, 0)
-		q.dev.Flush(q.headAnchor)
-		q.dev.Fence()
-	}
-	// Fresh queue: one sentinel, referenced by both anchors. The sentinel
-	// is delivered into a staging word sharing the anchors' cache line,
-	// initialized, and then published — both anchors set and the staging
-	// word cleared by one atomic line flush. A crash before that flush
-	// leaves the anchors durably zero (the queue does not exist yet); the
-	// staged sentinel, if any, is released here on the next open, so first
-	// initialization can be retried at any crash point.
-	if b := q.dev.Load(staged); b != 0 {
-		if err := cfg.Allocator.FreeWithBarrier(b, func() {
-			q.dev.Store(staged, 0)
-			q.dev.Flush(staged)
-		}); err != nil {
-			return nil, fmt.Errorf("pqueue: releasing staged sentinel %#x: %w", b, err)
-		}
-	}
-	ah := cfg.Allocator.NewHandle()
-	sentinel, err := ah.Alloc(nodeSize, staged)
+	return q, nil
+}
+
+// create builds the sentinel node and publishes it with one PMwCAS,
+// {head: 0→S, tail: 0→S}. The sentinel is allocated into the head
+// anchor's reserved entry, so the descriptor owns it until the PMwCAS
+// commits: a lost race or a crash frees it (§5.2), and the anchors stay
+// zero.
+func (q *Queue) create(h *core.Handle) error {
+	d, err := h.AllocateDescriptor(0)
 	if err != nil {
-		return nil, fmt.Errorf("pqueue: allocating sentinel: %w", err)
+		return err
+	}
+	field, err := d.ReserveEntry(q.headAnchor, 0, core.PolicyFreeNewOnFailure)
+	if err != nil {
+		d.Discard()
+		return err
+	}
+	sentinel, err := q.alloc.NewHandle().Alloc(nodeSize, field)
+	if err != nil {
+		d.Discard()
+		return err
 	}
 	q.dev.Store(sentinel+nodeValueOff, 0)
 	q.dev.Store(sentinel+nodeNextOff, 0)
 	q.dev.Flush(sentinel)
 	q.dev.Fence()
-	// Publish: anchors set, staging cleared, in one atomic line flush.
-	q.dev.Store(q.headAnchor, sentinel)
-	q.dev.Store(q.tailAnchor, sentinel)
-	q.dev.Store(staged, 0)
-	q.dev.Flush(q.headAnchor)
-	q.dev.Fence()
-	return q, nil
+	if err := d.AddWord(q.tailAnchor, 0, sentinel); err != nil {
+		d.Discard()
+		return err
+	}
+	_, err = d.Execute()
+	return err
 }
 
 // Handle is a per-goroutine queue context.

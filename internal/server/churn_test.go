@@ -67,16 +67,26 @@ func TestConnectionChurnNoLeak(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// The gauge is part of the observable STATS surface.
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	// The gauge is part of the observable STATS surface. Dying
+	// connections from the churn are reaped asynchronously, so a BUSY
+	// rejection here is legitimate too: retry until the cap frees up.
+	var stats string
+	retryUntil := time.Now().Add(5 * time.Second)
+	for {
+		cl, err := wire.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err = cl.Stats()
+		cl.Close()
+		if err == nil {
+			break
+		}
+		if !strings.Contains(err.Error(), "BUSY") || time.Now().After(retryUntil) {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	stats, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Close()
 	if !strings.Contains(stats, "epoch_guards") {
 		t.Fatalf("STATS does not report the guard gauge:\n%s", stats)
 	}
@@ -86,7 +96,7 @@ func TestConnectionChurnNoLeak(t *testing.T) {
 	// reaped asynchronously, so a BUSY rejection right after the churn is
 	// legitimate — retry each seat until the cap frees up.
 	clients := make([]*wire.Client, maxConns)
-	retryUntil := time.Now().Add(5 * time.Second)
+	retryUntil = time.Now().Add(5 * time.Second)
 	for i := range clients {
 		key := []byte{byte('a' + i)}
 		for {

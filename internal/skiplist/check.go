@@ -19,14 +19,14 @@ import (
 
 // Check audits the durable image of a (recovered, quiescent) skip list
 // anchored at roots. It returns every arena block the list reaches —
-// sentinels, nodes, and staged-but-unpublished sentinels — plus the
-// logical contents of the base level, so callers can cross-check the
-// allocator bitmap and a durable-linearizability oracle.
+// sentinels and nodes — plus the logical contents of the base level, so
+// callers can cross-check the allocator bitmap and a
+// durable-linearizability oracle.
 //
 // Invariants verified:
 //
-//   - anchors are both set, both zero (list absent), or a staged
-//     first-initialization state the staging words corroborate;
+//   - anchors are both zero (list absent) or both set: one PMwCAS
+//     creates the list;
 //   - sentinel keys/heights are exactly as initialization wrote them;
 //   - no reachable link word carries a descriptor flag (recovery removes
 //     every descriptor pointer) or a deletion mark (marked nodes are
@@ -36,37 +36,14 @@ import (
 //   - towers are prefix-contiguous: a node linked at level i is linked at
 //     every level below, and level i's node set is a subset of level i-1's.
 func Check(dev *nvram.Device, roots nvram.Region) ([]nvram.Offset, []Entry, error) {
-	headRoot := roots.Base
-	tailRoot := roots.Base + nvram.WordSize
-	stagedHead := roots.Base + 2*nvram.WordSize
-	stagedTail := roots.Base + 3*nvram.WordSize
-
-	head := nvram.Offset(dev.Load(headRoot))
-	tail := nvram.Offset(dev.Load(tailRoot))
-	sh := nvram.Offset(dev.Load(stagedHead))
-	st := nvram.Offset(dev.Load(stagedTail))
-
-	var blocks []nvram.Offset
-	if head == 0 || tail == 0 {
-		// List not (fully) published. Any staged sentinels are reachable
-		// through the staging words; a lone anchor must alias its staged
-		// block (an eviction-persisted prefix of the publish stores).
-		if (head != 0 && head != sh) || (tail != 0 && tail != st) {
-			return nil, nil, fmt.Errorf("skiplist: torn anchors head=%#x tail=%#x staged=(%#x,%#x)", head, tail, sh, st)
-		}
-		if sh != 0 {
-			blocks = append(blocks, sh)
-		}
-		if st != 0 {
-			blocks = append(blocks, st)
-		}
-		return blocks, nil, nil
+	a, err := core.CheckAnchors(dev, roots.Base, roots.Base+nvram.WordSize)
+	if err != nil {
+		return nil, nil, fmt.Errorf("skiplist: %w", err)
 	}
-	// Published list: staging words are zero, or alias the anchors when
-	// the crash hit inside the publish window.
-	if (sh != 0 && sh != head) || (st != 0 && st != tail) {
-		return nil, nil, fmt.Errorf("skiplist: staging words (%#x,%#x) disagree with anchors (%#x,%#x)", sh, st, head, tail)
+	if a == nil {
+		return nil, nil, nil // list never created
 	}
+	head, tail := nvram.Offset(a[0]), nvram.Offset(a[1])
 
 	if k := dev.Load(head + nodeKeyOff); k != 0 {
 		return nil, nil, fmt.Errorf("skiplist: head sentinel key %#x, want 0", k)
@@ -143,6 +120,7 @@ func Check(dev *nvram.Device, roots nvram.Region) ([]nvram.Offset, []Entry, erro
 			}
 		}
 	}
+	blocks := make([]nvram.Offset, 0, len(levels[0]))
 	for node := range levels[0] {
 		blocks = append(blocks, node)
 	}

@@ -90,11 +90,9 @@ func nodeSize(height int) uint64 {
 	return uint64(nodeLinksOff + height*linkStride)
 }
 
-// RootWords is the number of durable root words a list needs: head and
-// tail anchors plus two staging words used only during first
-// initialization (all four must share one cache line so creation can be
-// published atomically).
-const RootWords = 4
+// RootWords is the number of durable root words a list needs: the head
+// and tail anchors.
+const RootWords = 2
 
 var (
 	// ErrKeyExists and ErrNotFound are the shared index sentinels.
@@ -125,9 +123,10 @@ type Config struct {
 }
 
 // New opens the list anchored at cfg.Roots, creating the sentinel towers
-// on first use. Reopening after a crash requires allocator and pool
-// recovery to have run first; the list itself needs no recovery logic of
-// its own — that is the point of the paper.
+// on first use with one PMwCAS (core.Pool.OpenAnchors). Reopening after
+// a crash requires allocator and pool recovery to have run first; the
+// list itself needs no recovery logic of its own — that is the point of
+// the paper.
 func New(cfg Config) (*List, error) {
 	if cfg.Pool == nil || cfg.Allocator == nil {
 		return nil, errors.New("skiplist: Pool and Allocator are required")
@@ -145,97 +144,50 @@ func New(cfg Config) (*List, error) {
 		alloc: cfg.Allocator,
 		roots: cfg.Roots,
 	}
-	headRoot := cfg.Roots.Base
-	tailRoot := cfg.Roots.Base + nvram.WordSize
-	stagedHead := cfg.Roots.Base + 2*nvram.WordSize
-	stagedTail := cfg.Roots.Base + 3*nvram.WordSize
-
-	l.head = l.dev.Load(headRoot)
-	l.tail = l.dev.Load(tailRoot)
-	sh := l.dev.Load(stagedHead)
-	st := l.dev.Load(stagedTail)
-	if l.head != 0 && l.tail != 0 {
-		// Existing list. Nonzero staging words mean the crash hit inside
-		// the publish window after opportunistic eviction persisted the
-		// anchor line mid-update; the staged words then still alias the
-		// sentinels (New had not returned, so no operation ran). Scrub
-		// them; anything else is corruption.
-		if sh != 0 || st != 0 {
-			if (sh != 0 && sh != l.head) || (st != 0 && st != l.tail) {
-				return nil, errors.New("skiplist: staging words disagree with anchors — image corrupt")
-			}
-			l.dev.Store(stagedHead, 0)
-			l.dev.Store(stagedTail, 0)
-			l.dev.Flush(stagedHead)
-			l.dev.Fence()
-		}
-		return l, nil // existing list
-	}
-	if l.head != 0 || l.tail != 0 {
-		// One anchor persisted, the other not: an eviction-persisted
-		// prefix of the publish stores. The staged words still own the
-		// sentinels, so reset the anchors and rebuild through the staging
-		// path below. A lone anchor the staging words do not corroborate
-		// is genuine corruption.
-		if (l.head != 0 && l.head != sh) || (l.tail != 0 && l.tail != st) {
-			return nil, errors.New("skiplist: torn roots — allocator recovery must run before New")
-		}
-		l.dev.Store(headRoot, 0)
-		l.dev.Store(tailRoot, 0)
-		l.dev.Flush(headRoot)
-		l.dev.Fence()
-		l.head, l.tail = 0, 0
-	}
-
-	// Fresh list: build the sentinel towers via staged-then-published
-	// creation. The sentinels are delivered into staging words that share
-	// the anchors' cache line, fully initialized and persisted, and only
-	// then published: one store set + line flush moves both anchors from
-	// zero to their sentinels and clears the staging words atomically. A
-	// crash anywhere before that flush leaves the anchors durably zero —
-	// the list simply does not exist yet — and the staged blocks are
-	// released here on the next open, so first initialization can be
-	// retried at any crash point without reformatting.
-	for _, st := range []nvram.Offset{stagedHead, stagedTail} {
-		if b := l.dev.Load(st); b != 0 {
-			staged := st
-			if err := cfg.Allocator.FreeWithBarrier(b, func() {
-				l.dev.Store(staged, 0)
-				l.dev.Flush(staged)
-			}); err != nil {
-				return nil, fmt.Errorf("skiplist: releasing staged sentinel %#x: %w", b, err)
-			}
-		}
-	}
-	ah := cfg.Allocator.NewHandle()
-	var err error
-	l.head, err = ah.Alloc(nodeSize(MaxHeight), stagedHead)
+	a, err := cfg.Pool.OpenAnchors([]nvram.Offset{cfg.Roots.Base, cfg.Roots.Base + nvram.WordSize}, l.create)
 	if err != nil {
-		return nil, fmt.Errorf("skiplist: allocating head sentinel: %w", err)
+		return nil, fmt.Errorf("skiplist: %w", err)
 	}
-	l.tail, err = ah.Alloc(nodeSize(MaxHeight), stagedTail)
-	if err != nil {
-		return nil, fmt.Errorf("skiplist: allocating tail sentinel: %w", err)
-	}
-	l.dev.Store(l.head+nodeKeyOff, 0)
-	l.dev.Store(l.tail+nodeKeyOff, MaxKey)
-	l.dev.Store(l.head+nodeMetaOff, MaxHeight)
-	l.dev.Store(l.tail+nodeMetaOff, MaxHeight)
-	for i := 0; i < MaxHeight; i++ {
-		l.dev.Store(l.head+linkOff(i, false), l.tail) // head.next[i] = tail
-		l.dev.Store(l.tail+linkOff(i, true), l.head)  // tail.prev[i] = head
-	}
-	l.flushNode(l.head, MaxHeight)
-	l.flushNode(l.tail, MaxHeight)
-	l.dev.Fence()
-	// Publish: anchors set, staging cleared, in one atomic line flush.
-	l.dev.Store(headRoot, l.head)
-	l.dev.Store(tailRoot, l.tail)
-	l.dev.Store(stagedHead, 0)
-	l.dev.Store(stagedTail, 0)
-	l.dev.Flush(headRoot)
-	l.dev.Fence()
+	l.head, l.tail = nvram.Offset(a[0]), nvram.Offset(a[1])
 	return l, nil
+}
+
+// create builds the sentinel towers and publishes them with one PMwCAS,
+// {head: 0→H, tail: 0→T}. Each tower is allocated into its anchor's
+// reserved entry, so the descriptor owns it until the PMwCAS commits: a
+// lost race or a crash frees it (§5.2), and the anchors stay zero.
+func (l *List) create(h *core.Handle) error {
+	ah := l.alloc.NewHandle()
+	d, err := h.AllocateDescriptor(0)
+	if err != nil {
+		return err
+	}
+	var towers [2]nvram.Offset
+	for i := range towers {
+		field, err := d.ReserveEntry(l.roots.Base+nvram.Offset(i)*nvram.WordSize, 0, core.PolicyFreeNewOnFailure)
+		if err != nil {
+			d.Discard()
+			return err
+		}
+		if towers[i], err = ah.Alloc(nodeSize(MaxHeight), field); err != nil {
+			d.Discard()
+			return err
+		}
+	}
+	head, tail := towers[0], towers[1]
+	l.dev.Store(head+nodeKeyOff, 0)
+	l.dev.Store(tail+nodeKeyOff, MaxKey)
+	l.dev.Store(head+nodeMetaOff, MaxHeight)
+	l.dev.Store(tail+nodeMetaOff, MaxHeight)
+	for i := 0; i < MaxHeight; i++ {
+		l.dev.Store(head+linkOff(i, false), tail) // head.next[i] = tail
+		l.dev.Store(tail+linkOff(i, true), head)  // tail.prev[i] = head
+	}
+	l.flushNode(head, MaxHeight)
+	l.flushNode(tail, MaxHeight)
+	l.dev.Fence()
+	_, err = d.Execute()
+	return err
 }
 
 // linkOff returns the byte offset of next[i] (prev=false) or prev[i]

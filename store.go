@@ -133,21 +133,14 @@ func (c *Config) fill() error {
 		// the per-shard data budget evenly.
 		per := (shardBudget - fixed) * 9 / 10 / 5
 		c.Classes = []SizeClass{
-			{BlockSize: 64, Count: max64(per/64, 64)},
-			{BlockSize: 128, Count: max64(per/128, 32)},
-			{BlockSize: 256, Count: max64(per/256, 16)},
-			{BlockSize: 1024, Count: max64(per/1024, 16)},
-			{BlockSize: 4096, Count: max64(per/4096, 8)},
+			{BlockSize: 64, Count: max(per/64, 64)},
+			{BlockSize: 128, Count: max(per/128, 32)},
+			{BlockSize: 256, Count: max(per/256, 16)},
+			{BlockSize: 1024, Count: max(per/1024, 16)},
+			{BlockSize: 4096, Count: max(per/4096, 8)},
 		}
 	}
 	return nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // storeShard is one shard's private slice of the store: its own regions,
