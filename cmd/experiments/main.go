@@ -23,11 +23,13 @@ import (
 	"time"
 
 	"pmwcas"
+	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
 	"pmwcas/internal/harness"
 	"pmwcas/internal/htm"
 	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
+	"pmwcas/internal/skiplist"
 )
 
 type scale struct {
@@ -267,6 +269,34 @@ func newStore(mode pmwcas.Mode, flush time.Duration, shards int) *pmwcas.Store {
 	return s
 }
 
+// casList builds the volatile single-word-CAS baseline skip list (E5,
+// E8) on a volatile device and allocator of its own, with room for a
+// node per key of the full-scale key space.
+func casList() (*skiplist.CASList, *nvram.Device) {
+	runtime.GC() // release the previous variant's device before allocating
+	spec := []alloc.Class{
+		{BlockSize: 64, Count: 1 << 20},
+		{BlockSize: 128, Count: 1 << 19},
+		{BlockSize: 256, Count: 1 << 18},
+		{BlockSize: 1024, Count: 1 << 10},
+	}
+	meta := alloc.MetaSize(spec, 4)
+	opts := []nvram.Option{nvram.WithVolatile()}
+	if yieldEvery > 0 {
+		opts = append(opts, nvram.WithYield(yieldEvery))
+	}
+	dev := nvram.New(meta+nvram.LineBytes, opts...)
+	a, err := alloc.New(dev, nvram.NewLayout(dev).Carve(meta), spec, 4)
+	if err != nil {
+		fail(err)
+	}
+	l, err := skiplist.NewCAS(dev, a, nil)
+	if err != nil {
+		fail(err)
+	}
+	return l, dev
+}
+
 // open is Store.OpenIndex as a labelled harness factory.
 func open(s *pmwcas.Store, label, index string, opt pmwcas.IndexOptions) harness.Factory {
 	mint, err := s.OpenIndex(index, opt)
@@ -290,13 +320,9 @@ func e5(threads int, sc scale, flush time.Duration) {
 			"variant", "ops/s", "flushes/op", "overhead vs cas")
 		var base float64
 
-		s := newStore(pmwcas.Volatile, flush, 1)
-		cl, err := s.CASSkipList()
-		if err != nil {
-			fail(err)
-		}
+		cl, dev := casList()
 		cas := harness.Factory{Label: "cas (volatile)", New: func(seed int64) harness.IndexOps { return cl.NewHandle(seed) }}
-		r, err := runMedian(cas, w, func() uint64 { return s.Device().Stats().Flushes })
+		r, err := runMedian(cas, w, func() uint64 { return dev.Stats().Flushes })
 		if err != nil {
 			fail(err)
 		}
@@ -487,10 +513,7 @@ func e8(_ int, sc scale, flush time.Duration) {
 		}
 		tbl.Add(label, harness.Throughput(float64(sc.scanOps)/time.Since(start).Seconds()))
 	}
-	cl, err := newStore(pmwcas.Volatile, flush, 1).CASSkipList()
-	if err != nil {
-		fail(err)
-	}
+	cl, _ := casList()
 	run("cas + prev fix-up", cl.NewHandle(1))
 	l, err := newStore(pmwcas.Persistent, flush, 1).SkipList()
 	if err != nil {

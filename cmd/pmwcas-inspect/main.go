@@ -63,7 +63,7 @@ func geometryFlags(fs *flag.FlagSet) func() pmwcas.Config {
 	size := fs.Uint64("size", 64<<20, "device size the store was created with")
 	descriptors := fs.Int("descriptors", 1024, "descriptor pool size (per shard)")
 	words := fs.Int("words", 0, "words per descriptor (0 = library default)")
-	handles := fs.Int("handles", 64, "max allocator handles")
+	handles := fs.Int("handles", 64, "MaxHandles the store was created with (sizes blob staging: MaxHandles/4 handles)")
 	mapping := fs.Uint64("mapping", 1<<16, "Bw-tree mapping slots")
 	shards := fs.Int("shards", 1, "shard count the store was created with")
 	return func() pmwcas.Config {

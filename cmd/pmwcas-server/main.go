@@ -61,10 +61,9 @@ func main() {
 		Size:        *sizeMiB << 20,
 		Shards:      *shards,
 		Descriptors: *descriptors,
-		// The skip-list backend spends 4 store handles per connection
-		// (blobkv handle budgeting; on a sharded store each connection
-		// holds a sub-backend on every shard); the slack covers the
-		// open/recovery handles each layer takes at startup.
+		// Each connection holds one blob handle on every shard, and a
+		// shard's blob layer has MaxHandles/4 of them (its staging
+		// slots); the slack leaves two spare.
 		MaxHandles: 4*(*maxConns) + 8,
 	}
 	switch *mode {

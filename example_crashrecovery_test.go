@@ -1,0 +1,139 @@
+package pmwcas_test
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+
+	"pmwcas"
+)
+
+// Cut the power at a random instruction inside a Bw-tree page split —
+// the multi-page structure modification that makes lock-free B+-trees
+// hard — and watch recovery restore a consistent tree, many times in a
+// row.
+//
+// This is the paper's §2.3 claim made executable: "PMwCAS allows one to
+// transform a volatile data structure to a persistent one without
+// application-specific recovery code ... as long as the application's use
+// of PMwCAS transforms the data structure from one consistent state to
+// another."
+func Example_crashRecovery() {
+	const trials = 25
+	rng := rand.New(rand.NewSource(7))
+	rolledBack, rolledForward := 0, 0
+
+	for trial := 0; trial < trials; trial++ {
+		store, err := pmwcas.Create(pmwcas.Config{Size: 16 << 20})
+		if err != nil {
+			panic(err)
+		}
+		tree, err := store.BwTree(pmwcas.BwTreeOptions{LeafCapacity: 16, ConsolidateAfter: 4})
+		if err != nil {
+			panic(err)
+		}
+		h := tree.NewHandle()
+
+		// Fill a leaf to the brink: the next insert consolidates past
+		// capacity and splits — one PMwCAS across three mapping words.
+		for k := uint64(1); k <= 19; k++ {
+			if err := h.Insert(k*10, k); err != nil {
+				panic(err)
+			}
+		}
+
+		// Cut the power at a random device operation during the
+		// split-triggering insert.
+		cut := rng.Intn(150) + 1
+		step := 0
+		crashed := false
+		func() {
+			defer func() {
+				if recover() != nil {
+					crashed = true
+				}
+			}()
+			store.Device().SetHook(func(string, pmwcas.Offset) {
+				step++
+				if step == cut {
+					panic("power failure")
+				}
+			})
+			defer store.Device().SetHook(nil)
+			h.Insert(195, 195)
+		}()
+		store.Device().SetHook(nil)
+
+		// Power failure + restart.
+		store.Device().Crash()
+		if _, err := store.Recover(); err != nil {
+			panic(err)
+		}
+		tree2, err := store.BwTree(pmwcas.BwTreeOptions{LeafCapacity: 16, ConsolidateAfter: 4})
+		if err != nil {
+			panic(err)
+		}
+		h2 := tree2.NewHandle()
+
+		// The tree must be exactly pre-insert or post-insert: never torn.
+		_, err = h2.Get(195)
+		switch {
+		case err == nil:
+			rolledForward++
+		case errors.Is(err, pmwcas.ErrBwTreeNotFound):
+			rolledBack++
+		default:
+			panic(fmt.Sprintf("trial %d: unexpected Get error: %v", trial, err))
+		}
+		for k := uint64(1); k <= 19; k++ {
+			if v, err := h2.Get(k * 10); err != nil || v != k {
+				panic(fmt.Sprintf("trial %d (cut at %d): pre-crash key %d broken: %d, %v",
+					trial, cut, k*10, v, err))
+			}
+		}
+		// And fully operational: push it through more splits.
+		for k := uint64(300); k < 400; k++ {
+			if err := h2.Insert(k, k); err != nil {
+				panic(fmt.Sprintf("trial %d: post-recovery insert: %v", trial, err))
+			}
+		}
+		verdict := "no crash reached"
+		if crashed {
+			verdict = "crashed mid-split"
+		}
+		fmt.Printf("trial %2d: cut at op %3d (%s) -> consistent ✓\n", trial, cut, verdict)
+	}
+
+	fmt.Printf("\n%d/%d trials consistent — %d recovered to pre-insert state, %d to post-insert.\n",
+		trials, trials, rolledBack, rolledForward)
+	fmt.Println("No index-specific recovery code ran: the descriptor pool scan did all of it.")
+	// Output:
+	// trial  0: cut at op  87 (crashed mid-split) -> consistent ✓
+	// trial  1: cut at op 121 (crashed mid-split) -> consistent ✓
+	// trial  2: cut at op   4 (crashed mid-split) -> consistent ✓
+	// trial  3: cut at op  64 (crashed mid-split) -> consistent ✓
+	// trial  4: cut at op  63 (crashed mid-split) -> consistent ✓
+	// trial  5: cut at op   9 (crashed mid-split) -> consistent ✓
+	// trial  6: cut at op  23 (crashed mid-split) -> consistent ✓
+	// trial  7: cut at op  53 (crashed mid-split) -> consistent ✓
+	// trial  8: cut at op  53 (crashed mid-split) -> consistent ✓
+	// trial  9: cut at op  97 (crashed mid-split) -> consistent ✓
+	// trial 10: cut at op  69 (crashed mid-split) -> consistent ✓
+	// trial 11: cut at op  32 (crashed mid-split) -> consistent ✓
+	// trial 12: cut at op  21 (crashed mid-split) -> consistent ✓
+	// trial 13: cut at op  81 (crashed mid-split) -> consistent ✓
+	// trial 14: cut at op  92 (crashed mid-split) -> consistent ✓
+	// trial 15: cut at op  21 (crashed mid-split) -> consistent ✓
+	// trial 16: cut at op 113 (crashed mid-split) -> consistent ✓
+	// trial 17: cut at op  13 (crashed mid-split) -> consistent ✓
+	// trial 18: cut at op 120 (crashed mid-split) -> consistent ✓
+	// trial 19: cut at op 111 (crashed mid-split) -> consistent ✓
+	// trial 20: cut at op  55 (crashed mid-split) -> consistent ✓
+	// trial 21: cut at op   7 (crashed mid-split) -> consistent ✓
+	// trial 22: cut at op  94 (crashed mid-split) -> consistent ✓
+	// trial 23: cut at op  12 (crashed mid-split) -> consistent ✓
+	// trial 24: cut at op  36 (crashed mid-split) -> consistent ✓
+	//
+	// 25/25 trials consistent — 9 recovered to pre-insert state, 16 to post-insert.
+	// No index-specific recovery code ran: the descriptor pool scan did all of it.
+}

@@ -2,27 +2,28 @@
 // reserve/activate interface the PMwCAS paper assumes (§5.2).
 //
 // The problem it solves: `p = malloc(n)` is two steps — reserving the
-// block and delivering its address into p — and a crash between them
-// leaks the block (it is owned by neither the allocator nor the
-// application). Following the paper (and posix_memalign-style NVM
-// allocators [17, 33]), Alloc therefore takes the *target word* the
-// address must be delivered into. The allocator persists the address into
-// that word before returning; until then a durable per-thread delivery
-// record names both the block and the target, so recovery can decide
-// whether the handoff completed (target word holds the block address →
-// ownership transferred) or must be rolled back (block returned to the
-// free list).
+// block and storing its address into p — and a crash between them leaks
+// the block (it is owned by neither the allocator nor the application).
+// Following the paper (and posix_memalign-style NVM allocators [17, 33]),
+// Alloc therefore takes the *target word* the address must be stored
+// into, and the ownership order closes the gap: the block is zeroed and
+// its address made durable in the target before its allocation bit is
+// set. A set bit thus always has a durable owner — the target — and a
+// crash before the bit persists leaves a free block, which the target's
+// owner frees again as a no-op (the bit is already clear) when its own
+// recovery runs. That recovery must run before anything allocates again,
+// or the owner would free the block under its next owner. The allocator
+// itself has nothing to recover.
 //
 // Layout inside the allocator's region (deterministic across restarts):
 //
-//	[ delivery slots: 2 words x maxHandles ]
 //	[ class 0: allocation bitmap ][ class 0: blocks ... ]
 //	[ class 1: allocation bitmap ][ class 1: blocks ... ]
 //	...
 //
-// Durable state is only the bitmaps and delivery slots. Free lists are
-// volatile and rebuilt from the bitmaps at startup, mirroring the paper's
-// observation that volatile bookkeeping needs no recovery of its own.
+// Durable state is only the bitmaps. Free lists are volatile and rebuilt
+// from the bitmaps at startup, mirroring the paper's observation that
+// volatile bookkeeping needs no recovery of its own.
 package alloc
 
 import (
@@ -72,10 +73,10 @@ func DefaultClasses(totalBlocks uint64) []Class {
 }
 
 // MetaSize returns the number of bytes a spec needs for the allocator's
-// region, so callers can size their layout carve.
+// region, so callers can size their layout carve. maxHandles is unused;
+// it stays for the benchmark ladder (bench/ladder.go), which passes it.
 func MetaSize(spec []Class, maxHandles int) uint64 {
-	total := uint64(maxHandles) * 2 * nvram.WordSize
-	total = roundLine(total)
+	var total uint64
 	for _, c := range spec {
 		total += roundLine((c.Count + 63) / 64 * nvram.WordSize) // bitmap
 		total += c.BlockSize * c.Count
@@ -110,11 +111,6 @@ type Allocator struct {
 	dev     *nvram.Device
 	region  nvram.Region
 	classes []class
-	slots   nvram.Offset // delivery slot array base
-	nslots  int
-
-	handleMu   sync.Mutex
-	nextHandle int
 
 	// poisoned, when non-nil, marks this allocator as superseded (see
 	// Pool.Poison); every entry point panics with the stored reason.
@@ -138,18 +134,16 @@ func (a *Allocator) checkPoisoned() {
 // New lays the allocator out over region and rebuilds volatile state from
 // the durable bitmaps. Calling New on a fresh (zeroed) region yields an
 // empty allocator; calling it after a crash on the same region and spec
-// yields the pre-crash allocator, ready for Recover.
+// yields the pre-crash allocator, ready for use: the bitmaps are the
+// whole durable state, so there is no recovery pass. maxHandles is
+// unused; it stays for the benchmark ladder (bench/ladder.go), which
+// passes it.
 func New(dev *nvram.Device, region nvram.Region, spec []Class, maxHandles int) (*Allocator, error) {
-	if maxHandles <= 0 {
-		return nil, fmt.Errorf("alloc: maxHandles must be positive, got %d", maxHandles)
-	}
 	if len(spec) == 0 {
 		return nil, errors.New("alloc: empty class spec")
 	}
-	a := &Allocator{dev: dev, region: region, nslots: maxHandles}
+	a := &Allocator{dev: dev, region: region}
 	off := region.Base
-	a.slots = off
-	off += roundLine(uint64(maxHandles) * 2 * nvram.WordSize)
 
 	prevSize := uint64(0)
 	a.classes = make([]class, len(spec))
@@ -257,34 +251,37 @@ func (a *Allocator) BlockSize(block nvram.Offset) (uint64, error) {
 	return a.classes[ci].blockSize, nil
 }
 
-// A Handle is one thread's allocation context: it owns a durable delivery
-// slot. Handles must not be shared between goroutines.
+// A Handle is one thread's allocation context. Handles must not be
+// shared between goroutines.
 type Handle struct {
 	a    *Allocator
-	slot nvram.Offset // 2 words: [block, target]
 	lane metrics.Stripe
 }
 
-// NewHandle returns the next free handle. It panics when more than
-// maxHandles handles are requested — handle count is a startup-time
-// configuration, not a runtime condition.
+// NewHandle returns a new allocation context.
 func (a *Allocator) NewHandle() *Handle {
 	a.checkPoisoned()
-	a.handleMu.Lock()
-	defer a.handleMu.Unlock()
-	if a.nextHandle >= a.nslots {
-		panic(fmt.Sprintf("alloc: more than %d handles requested", a.nslots))
-	}
-	h := &Handle{a: a, slot: a.slots + nvram.Offset(a.nextHandle)*2*nvram.WordSize, lane: metrics.NextStripe()}
-	a.nextHandle++
-	return h
+	return &Handle{a: a, lane: metrics.NextStripe()}
 }
 
-// Alloc reserves a block of at least size bytes, zeroes it, persistently
-// delivers its offset into the target word, and returns the offset. On
-// return the application owns the block: the delivery is durable and a
-// crash can no longer leak it. The previous contents of the target word
-// are overwritten.
+// Alloc reserves a block of at least size bytes, zeroes it, and delivers
+// its offset into the target word before marking it allocated, in this
+// order:
+//
+//  1. the block is zeroed and flushed, so a crash never exposes a stale
+//     incarnation;
+//  2. the offset is stored into target and flushed;
+//  3. a fence orders both before
+//  4. the allocation bit is set and flushed.
+//
+// So a set bit always has a durable owner. A crash before step 4 persists
+// leaves the bit clear: the block is free after the restart, and the
+// target's owner, whose recovery frees what target names, finds the bit
+// already clear — a no-op. Alloc ends without a fence: every caller fences
+// before it publishes the block (Execute does), and that fence makes the
+// bit durable too; a caller whose target is itself the published word
+// fences on return. The previous contents of the target word are
+// overwritten.
 //
 // If the preferred size class is exhausted, the next larger class is
 // used (internal fragmentation instead of failure).
@@ -314,32 +311,16 @@ func (h *Handle) Alloc(size uint64, target nvram.Offset) (nvram.Offset, error) {
 		c.mu.Unlock()
 
 		block := c.blocksBase + idx*c.blockSize
-
-		// 1. Durable delivery record: names both ends of the handoff.
-		a.dev.Store(h.slot, block)
-		a.dev.Store(h.slot+nvram.WordSize, target)
-		a.dev.Flush(h.slot)
-		a.dev.Fence()
-
-		// 2. Mark the block allocated.
-		a.bitSet(c, idx, true)
-
-		// 3. Zero the block so a crash never exposes a stale incarnation.
 		for off := block; off < block+c.blockSize; off += nvram.WordSize {
 			a.dev.Store(off, 0)
 		}
 		for off := block; off < block+c.blockSize; off += nvram.LineBytes {
 			a.dev.Flush(off)
 		}
-
-		// 4. Activate: deliver the address into the application's word.
 		a.dev.Store(target, block)
 		a.dev.Flush(target)
 		a.dev.Fence()
-
-		// 5. Retire the delivery record; the handoff is complete.
-		a.dev.Store(h.slot, 0)
-		a.dev.Flush(h.slot)
+		a.bitSet(c, idx, true)
 		mAllocs.Inc(h.lane)
 		if !t0.IsZero() {
 			mAllocNs.ObserveSince(h.lane, t0)
@@ -350,55 +331,59 @@ func (h *Handle) Alloc(size uint64, target nvram.Offset) (nvram.Offset, error) {
 	return 0, ErrOutOfMemory
 }
 
-// Free returns a block to its class. It is an error to free an offset
-// that is not an allocated block. Free is safe to call from recovery
-// callbacks: clearing an already-clear bit is idempotent there, but a
-// live double free is reported.
-func (a *Allocator) Free(block nvram.Offset) error {
-	return a.FreeWithBarrier(block, nil)
-}
-
-// FreeWithBarrier frees a block in two durable steps with a caller hook
-// in between: (1) the allocation bit is cleared persistently, (2) barrier
-// runs, (3) the block is published to the volatile free list and becomes
-// reallocatable.
-//
-// The hook exists for callers that keep their own durable record of the
-// pending free (e.g., a PMwCAS descriptor entry, §5.2): by erasing that
-// record in the barrier — after the bit clear but before republication —
-// a crash at any point either leaves the record intact with the free
-// already idempotently replayable (no reallocation can have happened
-// yet), or leaves no record and a fully freed block. Neither leaks nor
-// double-frees a reallocated block.
-func (a *Allocator) FreeWithBarrier(block nvram.Offset, barrier func()) error {
-	a.checkPoisoned()
+// locate maps a block offset to its class and index within the class.
+func (a *Allocator) locate(block nvram.Offset) (*class, uint64, bool) {
 	ci := a.classOf(block)
 	if ci < 0 {
-		return ErrBadBlock
+		return nil, 0, false
 	}
 	c := &a.classes[ci]
-	idx := (block - c.blocksBase) / c.blockSize
-	if !a.bitTest(c, idx) {
-		return ErrDoubleFree
-	}
-	a.bitSet(c, idx, false)
-	if barrier != nil {
-		//lint:allow hotpath — caller-supplied durability barrier: nil on the point-op path (Free), a bounded flush in recovery replay (§6.3)
-		barrier()
-	}
+	return c, (block - c.blocksBase) / c.blockSize, true
+}
+
+// push puts a block whose bit is clear back on its class's free list.
+func (c *class) push(idx uint64) {
 	//lint:allow nonblock — free-list push under a per-class leaf lock; bounded, no I/O, no nesting (§6.3)
 	c.mu.Lock()
 	c.free = append(c.free, idx)
 	c.mu.Unlock()
+}
+
+// Free returns a block to its class: its allocation bit is cleared
+// persistently, then the block is reallocatable. It is an error to free
+// an offset that is not a block start (ErrBadBlock) or a block whose bit
+// is already clear (ErrDoubleFree); recovery callbacks ignore the latter,
+// which is how an allocation whose bit never persisted is released.
+func (a *Allocator) Free(block nvram.Offset) error {
+	a.checkPoisoned()
+	c, idx, ok := a.locate(block)
+	if !ok {
+		return ErrBadBlock
+	}
+	if !a.bitTest(c, idx) {
+		return ErrDoubleFree
+	}
+	a.bitSet(c, idx, false)
+	c.push(idx)
 	mFrees.Inc(metrics.StripeAt(int(idx)))
 	return nil
 }
 
-// FreeManyWithBarrier is FreeWithBarrier for a batch: every block's
-// allocation bit is cleared persistently, then barrier runs once, then
-// all blocks are published for reuse together. Blocks whose bits are
-// already clear are skipped (idempotent replay after a crash). Invalid
-// offsets make the whole call fail before anything is freed.
+// FreeManyWithBarrier frees a batch behind one barrier: every block's
+// allocation bit is cleared and flushed, a fence orders the clears, then
+// barrier runs, and only then are the blocks put back on the free lists.
+//
+// The barrier is where a caller durably drops its own record of the
+// pending free (a descriptor's header reset, a staging slot's erase).
+// A crash before the barrier persists leaves that record naming blocks
+// whose bits may already be clear, and its replay skips them; a crash
+// after leaves no record. No block can be reallocated while a record
+// still names it, so a replay never frees another owner's block.
+//
+// Blocks whose bits are already clear are skipped, so a replay after a
+// crash is idempotent; the barrier still runs. Invalid offsets make the
+// whole call fail before anything is freed. blocks is reused as scratch:
+// on return its prefix holds the blocks this call freed.
 func (a *Allocator) FreeManyWithBarrier(blocks []nvram.Offset, barrier func()) error {
 	a.checkPoisoned()
 	for _, b := range blocks {
@@ -406,86 +391,42 @@ func (a *Allocator) FreeManyWithBarrier(blocks []nvram.Offset, barrier func()) e
 			return fmt.Errorf("%w: %#x", ErrBadBlock, b)
 		}
 	}
-	type loc struct {
-		c   *class
-		idx uint64
-	}
-	cleared := make([]loc, 0, len(blocks))
+	n := 0
 	for _, b := range blocks {
-		ci := a.classOf(b)
-		c := &a.classes[ci]
-		idx := (b - c.blocksBase) / c.blockSize
+		c, idx, _ := a.locate(b)
 		if !a.bitTest(c, idx) {
-			continue // already freed by an earlier, crashed attempt
+			continue // freed by an earlier, crashed attempt (or listed twice)
 		}
 		a.bitSet(c, idx, false)
-		cleared = append(cleared, loc{c, idx})
+		blocks[n] = b
+		n++
 	}
+	a.dev.Fence()
 	if barrier != nil {
+		//lint:allow hotpath — caller-supplied durability barrier: a header reset or a slot erase, bounded stores and flushes (§6.3)
 		barrier()
 	}
-	for _, l := range cleared {
-		//lint:allow nonblock — free-list push under a per-class leaf lock; bounded, no I/O, no nesting (§6.3)
-		l.c.mu.Lock()
-		l.c.free = append(l.c.free, l.idx)
-		l.c.mu.Unlock()
+	for _, b := range blocks[:n] {
+		c, idx, _ := a.locate(b)
+		c.push(idx)
 	}
-	mFrees.Add(metrics.StripeAt(len(cleared)), uint64(len(cleared)))
+	mFrees.Add(metrics.StripeAt(n), uint64(n))
 	return nil
 }
 
-// Recover completes or rolls back every in-flight delivery found in the
-// durable slots. It must run single-threaded after a crash, before the
-// PMwCAS recovery pass (§5.2: "the memory allocator runs its recovery
-// procedure first ... every pending allocation call being either completed
-// or rolled back"). It returns how many deliveries were completed and how
-// many rolled back.
-func (a *Allocator) Recover() (completed, rolledBack int) {
-	for s := 0; s < a.nslots; s++ {
-		slot := a.slots + nvram.Offset(s)*2*nvram.WordSize
-		block := a.dev.Load(slot)
-		if block == 0 {
-			continue
-		}
-		target := a.dev.Load(slot + nvram.WordSize)
-		ci := a.classOf(block)
-		if ci < 0 {
-			// Slot was torn (crash between the two slot stores can't
-			// happen — they share a line and are flushed together — but a
-			// corrupted image should not take recovery down).
-			a.dev.Store(slot, 0)
-			a.dev.Flush(slot)
-			continue
-		}
-		c := &a.classes[ci]
-		idx := (block - c.blocksBase) / c.blockSize
-		if a.dev.Load(target) == block {
-			// Handoff completed: the application owns the block. Make sure
-			// the allocation bit survived (the bit is flushed before the
-			// target, so it must have; assert by re-setting).
-			a.bitSet(c, idx, true)
-			completed++
-		} else {
-			// Handoff did not complete: reclaim the block.
-			if a.bitTest(c, idx) {
-				a.bitSet(c, idx, false)
-			}
-			rolledBack++
-		}
-		a.dev.Store(slot, 0)
-		a.dev.Flush(slot)
-	}
-	// Bits may have changed; rebuild the volatile free lists.
-	a.rebuildFreeLists()
-	return completed, rolledBack
+// Allocated reports whether block is a block start whose allocation bit
+// is set.
+func (a *Allocator) Allocated(block nvram.Offset) bool {
+	c, idx, ok := a.locate(block)
+	return ok && a.bitTest(c, idx)
 }
 
 // CheckInUse reconciles the durable allocation bitmaps against the set
 // of blocks a caller proved reachable from its structures' roots. It
 // returns an error naming every discrepancy in either direction:
 //
-//   - allocated but unreachable: a leak — no root, descriptor, or
-//     delivery record can ever free the block again;
+//   - allocated but unreachable: a leak — no root or descriptor can ever
+//     free the block again;
 //   - reachable but not allocated: a use-after-free in waiting — the
 //     block can be handed out again while a structure still points at it.
 //

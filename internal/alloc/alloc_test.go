@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -232,7 +233,6 @@ func TestNewValidation(t *testing.T) {
 		h    int
 	}{
 		{"empty spec", nil, 1},
-		{"zero handles", smallSpec, 0},
 		{"misaligned block size", []Class{{BlockSize: 100, Count: 4}}, 1},
 		{"unsorted", []Class{{BlockSize: 256, Count: 4}, {BlockSize: 64, Count: 4}}, 1},
 		{"zero count", []Class{{BlockSize: 64, Count: 0}}, 1},
@@ -245,27 +245,16 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// reopen simulates a restart: rebuild the allocator over the same region
-// after a crash, then run recovery.
-func reopen(t *testing.T, dev *nvram.Device, region nvram.Region, spec []Class, handles int) (*Allocator, int, int) {
-	t.Helper()
-	a, err := New(dev, region, spec, handles)
-	if err != nil {
-		t.Fatalf("reopen New: %v", err)
-	}
-	c, r := a.Recover()
-	return a, c, r
-}
-
 func TestRecoverNoInFlight(t *testing.T) {
 	dev, a, scratch := testEnv(t, smallSpec, 2)
 	h := a.NewHandle()
 	block, _ := h.Alloc(64, scratch.Base)
+	dev.Fence() // the caller's publishing fence
 	region := nvram.Region{Base: nvram.LineBytes, Len: MetaSize(smallSpec, 2)}
 	dev.Crash()
-	a2, completed, rolled := reopen(t, dev, region, smallSpec, 2)
-	if completed != 0 || rolled != 0 {
-		t.Fatalf("recover = (%d, %d), want (0, 0)", completed, rolled)
+	a2, err := New(dev, region, smallSpec, 2)
+	if err != nil {
+		t.Fatalf("reopen New: %v", err)
 	}
 	// The completed allocation must still be allocated.
 	if err := a2.Free(block); err != nil {
@@ -273,39 +262,41 @@ func TestRecoverNoInFlight(t *testing.T) {
 	}
 }
 
-// TestRecoverRollsBackUndeliveredAllocation simulates a crash after the
-// block was reserved (delivery record + bitmap durable) but before the
-// address reached the target word.
+// TestRecoverRollsBackUndeliveredAllocation crashes after the block's
+// offset is durable in the target but before its allocation bit is set:
+// the restart finds the block free, the target's owner frees it as a
+// no-op, and the block is allocatable again.
 func TestRecoverRollsBackUndeliveredAllocation(t *testing.T) {
 	dev, a, scratch := testEnv(t, smallSpec, 2)
 	h := a.NewHandle()
 	target := scratch.Base
-
-	// Hand-run the first half of Alloc's protocol.
-	block := uint64(0)
-	{
-		// Reserve block 0 of class 0 manually through the public API by
-		// allocating and then rewinding the target delivery: instead, we
-		// write the delivery record and bitmap directly, as a crash site
-		// between Alloc's steps 2 and 4 would leave them.
-		b, err := h.Alloc(64, target)
-		if err != nil {
-			t.Fatalf("Alloc: %v", err)
+	var img *nvram.Device
+	dev.SetHook(func(op string, off nvram.Offset) {
+		if op == "cas" && img == nil {
+			img = dev.CloneCrashed() // the bit's CAS has not happened yet
 		}
-		block = b
-		// Re-create the in-flight state: delivery record present, target
-		// not yet written.
-		dev.Store(h.slot, block)
-		dev.Store(h.slot+nvram.WordSize, target)
-		dev.Flush(h.slot)
-		dev.Store(target, 0)
-		dev.Flush(target)
+	})
+	block, err := h.Alloc(64, target)
+	dev.SetHook(nil)
+	if err != nil {
+		t.Fatalf("Alloc: %v", err)
+	}
+	if img == nil {
+		t.Fatal("Alloc set no allocation bit")
+	}
+	if got := img.Load(target); got != block {
+		t.Fatalf("target before the bit = %#x, want the delivered %#x", got, block)
 	}
 	region := nvram.Region{Base: nvram.LineBytes, Len: MetaSize(smallSpec, 2)}
-	dev.Crash()
-	a2, completed, rolled := reopen(t, dev, region, smallSpec, 2)
-	if completed != 0 || rolled != 1 {
-		t.Fatalf("recover = (%d, %d), want (0, 1)", completed, rolled)
+	a2, err := New(img, region, smallSpec, 2)
+	if err != nil {
+		t.Fatalf("reopen New: %v", err)
+	}
+	if a2.Allocated(block) {
+		t.Fatal("block allocated although its bit never persisted")
+	}
+	if err := a2.Free(block); !errors.Is(err, ErrDoubleFree) {
+		t.Fatalf("owner's recovery Free = %v, want ErrDoubleFree (a no-op)", err)
 	}
 	// The block must be free again: allocating everything must succeed.
 	h2 := a2.NewHandle()
@@ -324,8 +315,9 @@ func TestRecoverRollsBackUndeliveredAllocation(t *testing.T) {
 	}
 }
 
-// TestRecoverCompletesDeliveredAllocation simulates a crash after the
-// target word was written but before the delivery record was retired.
+// TestRecoverCompletesDeliveredAllocation crashes after Alloc and the
+// caller's publishing fence: the target keeps the delivery and the block
+// stays allocated, so freeing it succeeds exactly once.
 func TestRecoverCompletesDeliveredAllocation(t *testing.T) {
 	dev, a, scratch := testEnv(t, smallSpec, 2)
 	h := a.NewHandle()
@@ -334,24 +326,168 @@ func TestRecoverCompletesDeliveredAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	// Restore the delivery record as if the final slot clear never
-	// persisted.
-	dev.Store(h.slot, block)
-	dev.Store(h.slot+nvram.WordSize, target)
-	dev.Flush(h.slot)
-
+	dev.Fence() // the caller's publishing fence
 	region := nvram.Region{Base: nvram.LineBytes, Len: MetaSize(smallSpec, 2)}
 	dev.Crash()
-	a2, completed, rolled := reopen(t, dev, region, smallSpec, 2)
-	if completed != 1 || rolled != 0 {
-		t.Fatalf("recover = (%d, %d), want (1, 0)", completed, rolled)
+	a2, err := New(dev, region, smallSpec, 2)
+	if err != nil {
+		t.Fatalf("reopen New: %v", err)
 	}
 	if got := dev.Load(target); got != block {
 		t.Fatalf("target lost delivery: %#x, want %#x", got, block)
 	}
-	// Block must remain allocated: freeing succeeds exactly once.
+	if !a2.Allocated(block) {
+		t.Fatal("delivered block is free after the restart")
+	}
 	if err := a2.Free(block); err != nil {
 		t.Fatalf("Free: %v", err)
+	}
+	if err := a2.Free(block); !errors.Is(err, ErrDoubleFree) {
+		t.Fatalf("second Free = %v, want ErrDoubleFree", err)
+	}
+}
+
+// owners models the words that own blocks. A word holding a bare block
+// offset is a pending owner with a recovery of its own, as a descriptor
+// entry or a staging slot is: recovery frees the block, erasing the word
+// in the free's barrier. A word holding the offset with bit 0 set is a
+// committed owner, as a published index word is: recovery keeps it.
+type owners struct {
+	dev   *nvram.Device
+	words nvram.Region
+}
+
+const committed = 1
+
+func (o owners) word(i int) nvram.Offset { return o.words.Base + nvram.Offset(i)*nvram.WordSize }
+
+func (o owners) set(i int, v uint64) {
+	o.dev.Store(o.word(i), v)
+	o.dev.Flush(o.word(i))
+	o.dev.Fence()
+}
+
+// named returns the blocks the words name, pending ones only if pending.
+func (o owners) named(pending bool) []nvram.Offset {
+	var out []nvram.Offset
+	for i := 0; i < int(o.words.Len/nvram.WordSize); i++ {
+		if v := o.dev.Load(o.word(i)); v != 0 && (pending || v&committed != 0) {
+			out = append(out, v&^committed)
+		}
+	}
+	return out
+}
+
+// recover is the owners' recovery: it frees what the pending words name.
+func (o owners) recover(a *Allocator) error {
+	var pending []nvram.Offset
+	var ws []int
+	for i := 0; i < int(o.words.Len/nvram.WordSize); i++ {
+		if v := o.dev.Load(o.word(i)); v != 0 && v&committed == 0 {
+			pending, ws = append(pending, v), append(ws, i)
+		}
+	}
+	return a.FreeManyWithBarrier(pending, func() {
+		for _, i := range ws {
+			o.set(i, 0)
+		}
+	})
+}
+
+// checkImage rebuilds an allocator on a crashed copy of dev, as a
+// restart does, and checks that every set bit is named by an owner word.
+// It then runs the owners' recovery and checks that the blocks are back
+// exactly once: nothing leaked, nothing a committed word names is free,
+// and nothing is on a free list twice.
+func checkImage(dev *nvram.Device, region, words nvram.Region, spec []Class) error {
+	img := dev.CloneCrashed()
+	a, err := New(img, region, spec, 1)
+	if err != nil {
+		return err
+	}
+	o := owners{img, words}
+	named := map[nvram.Offset]bool{}
+	for _, b := range o.named(true) {
+		named[b] = true
+	}
+	for ci := range a.classes {
+		c := &a.classes[ci]
+		for i := uint64(0); i < c.count; i++ {
+			if b := c.blocksBase + i*c.blockSize; a.bitTest(c, i) && !named[b] {
+				return fmt.Errorf("block %#x is allocated but no owner word names it", b)
+			}
+		}
+	}
+	if err := o.recover(a); err != nil {
+		return err
+	}
+	if err := a.CheckInUse(o.named(false)); err != nil {
+		return fmt.Errorf("after the owners' recovery: %w", err)
+	}
+	for ci := range a.classes {
+		seen := map[uint64]bool{}
+		for _, idx := range a.classes[ci].free {
+			if seen[idx] {
+				return fmt.Errorf("class %d block %d is on the free list twice", ci, idx)
+			}
+			seen[idx] = true
+		}
+	}
+	return nil
+}
+
+// TestCrashAtEveryStepOwnsEveryBlock crashes at every device op of one
+// Alloc and of one barrier free, and checks each image (checkImage).
+// The free's barrier allocates and commits a block, as a concurrent
+// thread may: were the freed blocks put back before the barrier, it
+// would take one that a pending word still names, and recovery would
+// then free the block under its new, committed owner.
+func TestCrashAtEveryStepOwnsEveryBlock(t *testing.T) {
+	spec := []Class{{BlockSize: 64, Count: 8}, {BlockSize: 128, Count: 4}}
+	meta := MetaSize(spec, 1)
+	dev := nvram.New(meta + 1<<12)
+	l := nvram.NewLayout(dev)
+	region := l.Carve(meta)
+	words := l.Carve(nvram.LineBytes)
+	a, err := New(dev, region, spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := owners{dev, words}
+	h := a.NewHandle()
+	steps := 0
+	dev.SetHook(func(string, nvram.Offset) {
+		steps++
+		if err := checkImage(dev, region, words, spec); err != nil {
+			t.Fatalf("crash before step %d: %v", steps, err)
+		}
+	})
+	alloc := func(size uint64, w int) nvram.Offset {
+		b, err := h.Alloc(size, o.word(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.Fence() // the caller's publishing fence
+		return b
+	}
+	b0 := alloc(128, 0) // one Alloc of a two-line block
+	allocSteps := steps
+	b1 := alloc(64, 1)
+	// One barrier free of both.
+	err = a.FreeManyWithBarrier([]nvram.Offset{b0, b1}, func() {
+		o.set(2, uint64(alloc(64, 2))|committed)
+		o.set(0, 0)
+		o.set(1, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.SetHook(nil)
+	if err := checkImage(dev, region, words, spec); err != nil {
+		t.Fatalf("after the free: %v", err)
+	}
+	if allocSteps == 0 || steps <= 2*allocSteps {
+		t.Fatalf("checked %d crash points (%d in one Alloc), want the whole sequence", steps, allocSteps)
 	}
 }
 
@@ -397,7 +533,6 @@ func TestQuickCrashNeverLeaksOrDoubleAllocates(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				a.Recover()
 				h = a.NewHandle()
 			}
 		}

@@ -10,10 +10,12 @@
 // out-of-line as immutable record blocks; the index stores each record's
 // offset. Every mutation is crash-atomic:
 //
-//   - a new record is allocated with its address delivered durably into
-//     the writing handle's staging slot, so a crash between allocation
-//     and linking can never leak it — Open's recovery frees any staged
-//     record its key does not reference;
+//   - a new record is allocated with its address stored durably into the
+//     writing handle's staging slot before its allocation bit is set, so
+//     a crash between allocation and linking can never leak it — Open's
+//     recovery frees any staged record its key does not reference (a
+//     record whose bit never persisted needs no free: the slot is
+//     erased);
 //   - a put installs the new record with PutOwned, in one index descent:
 //     the record it displaces, if any, is freed through the PMwCAS
 //     recycling machinery, atomically-with-the-update as far as crashes
@@ -85,16 +87,14 @@ type Config struct {
 	// Staging is a durable region of at least MaxHandles words at a
 	// layout-stable location.
 	Staging nvram.Region
-	// MaxHandles bounds blobkv handles. Budgeting note: each blobkv
-	// handle consumes one index handle and one allocator handle, and
-	// Open itself uses one of each for staging recovery.
+	// MaxHandles bounds blobkv handles: one staging slot each.
 	MaxHandles int
 }
 
 // Open assembles the store and runs its (tiny) recovery pass: every
 // staged record either is exactly what its key maps to — the operation
-// completed — or is released. Idempotent; call after the allocator and
-// PMwCAS pools have recovered.
+// completed — or is released. Idempotent; call after the PMwCAS pool has
+// recovered and DropUnallocated has run.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Index == nil || cfg.Allocator == nil || cfg.Device == nil {
 		return nil, errors.New("blobkv: Index, Allocator and Device are required")
@@ -117,6 +117,22 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
+// DropUnallocated erases every staging slot that names a block whose
+// allocation bit is clear: the crash hit inside the record's Alloc, so
+// the record was never allocated and there is nothing to free. After a
+// crash it must run right after the PMwCAS pool recovers, before anything
+// can allocate the block again, or Open's staging recovery would free the
+// block under its new owner.
+func DropUnallocated(dev *nvram.Device, a *alloc.Allocator, staging nvram.Region, maxHandles int) {
+	for i := 0; i < maxHandles; i++ {
+		slot := staging.Base + nvram.Offset(i)*nvram.WordSize
+		if rec := dev.Load(slot); rec != 0 && !a.Allocated(rec) {
+			dev.Store(slot, 0)
+			dev.Flush(slot)
+		}
+	}
+}
+
 // recoverStaging resolves in-flight record publications from before a
 // crash.
 func (s *Store) recoverStaging() {
@@ -127,30 +143,26 @@ func (s *Store) recoverStaging() {
 		if rec == 0 {
 			continue
 		}
+		erase := func() {
+			s.dev.Store(slot, 0)
+			s.dev.Flush(slot)
+		}
 		key := s.dev.Load(rec + recKeyOff)
-		committed := false
 		if key != 0 {
 			if cur, err := ix.Get(key); err == nil && cur == rec {
-				committed = true
+				erase() // committed: the index owns the record
+				continue
 			}
 		}
-		if !committed {
-			// The slot is the only reference to the orphaned record, so the
-			// free must be interlocked with erasing it: FreeWithBarrier
-			// clears the slot before the block re-enters the free lists. A
-			// plain Free followed by the store would leave a crash window in
-			// which the slot durably points at a block another handle has
-			// already reallocated — the next recovery would then "free" live
-			// data. (Double free is tolerated: a crash inside a previous
-			// recovery's barrier may have cleared the bitmap but not yet the
-			// slot.)
-			_ = s.alloc.FreeWithBarrier(rec, func() {
-				s.dev.Store(slot, 0)
-				s.dev.Flush(slot)
-			})
-		}
-		s.dev.Store(slot, 0)
-		s.dev.Flush(slot)
+		// The slot is the only reference to the orphaned record, so it is
+		// erased in the free's barrier: after the allocation bit clears,
+		// before the block can be reallocated. A plain Free followed by the
+		// erase would leave a crash window in which the slot durably points
+		// at a block another handle has already reallocated — the next
+		// recovery would then "free" live data. (A crash inside this
+		// barrier leaves the bit clear, and the next recovery's
+		// DropUnallocated erases the slot.)
+		_ = s.alloc.FreeManyWithBarrier([]nvram.Offset{rec}, erase)
 	}
 }
 
@@ -215,7 +227,7 @@ func (h *Handle) writeRecord(key uint64, val []byte) (nvram.Offset, error) {
 // a later allocation now owns.
 func (h *Handle) unstage(rec nvram.Offset) {
 	//lint:allow hotpath — barrier closure on the unstage path: it runs only when a Put fails outright, never on the success path (§6.3)
-	_ = h.s.alloc.FreeWithBarrier(rec, func() {
+	_ = h.s.alloc.FreeManyWithBarrier([]nvram.Offset{rec}, func() {
 		h.s.dev.Store(h.slot, 0)
 		h.s.dev.Flush(h.slot)
 	})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -33,9 +34,6 @@ type kenv struct {
 const (
 	kvDescs   = 128
 	kvHandles = 8
-	// Each blobkv handle consumes one skiplist handle and one allocator
-	// handle, and Open's staging recovery takes one more.
-	allocHandles = 2*kvHandles + 2
 )
 
 func kvSpec() []alloc.Class {
@@ -53,7 +51,7 @@ func newKVEnvSpec(t testing.TB, spec []alloc.Class) *kenv {
 	t.Helper()
 	e := &kenv{spec: spec}
 	poolBytes := core.PoolSize(kvDescs, skiplist.MinDescriptorWords)
-	aBytes := alloc.MetaSize(e.spec, allocHandles)
+	aBytes := alloc.MetaSize(e.spec, 4)
 	e.dev = nvram.New(poolBytes + aBytes + 1<<14)
 	l := nvram.NewLayout(e.dev)
 	e.poolReg = l.Carve(poolBytes)
@@ -68,12 +66,9 @@ func newKVEnvSpec(t testing.TB, spec []alloc.Class) *kenv {
 func (e *kenv) build(t testing.TB, recover bool) {
 	t.Helper()
 	var err error
-	e.alloc, err = alloc.New(e.dev, e.aReg, e.spec, allocHandles)
+	e.alloc, err = alloc.New(e.dev, e.aReg, e.spec, 4)
 	if err != nil {
 		t.Fatalf("alloc.New: %v", err)
-	}
-	if recover {
-		e.alloc.Recover()
 	}
 	e.pool, err = core.NewPool(core.Config{
 		Device: e.dev, Region: e.poolReg,
@@ -87,6 +82,7 @@ func (e *kenv) build(t testing.TB, recover bool) {
 		if _, err := e.pool.Recover(); err != nil {
 			t.Fatalf("pool.Recover: %v", err)
 		}
+		DropUnallocated(e.dev, e.alloc, e.stage, kvHandles)
 	}
 	e.list, err = skiplist.New(skiplist.Config{Pool: e.pool, Allocator: e.alloc, Roots: e.roots})
 	if err != nil {
@@ -111,13 +107,14 @@ func (e *kenv) reopen(t testing.TB) {
 
 // TestOverwritePutBill pins the persist bill of a blob overwrite by one
 // goroutine, with a 64-byte value whose 80-byte record takes a 128-byte
-// block as in a Store: 6 flushes and 2 fences to allocate the record
-// (delivery slot twice, bitmap, two zeroed lines, target word), 2 and 1
+// block as in a Store: 4 flushes and 1 fence to allocate the record (two
+// zeroed lines and the staging slot, fenced, then the bitmap), 2 and 1
 // to write it, 5 and 2 for the 2-word PMwCAS on one node line, 1 to clear
-// the staging slot, and 3 and 1 when the descriptor is finalized (bitmap,
-// erased entry field, header). None of them finds its line clean. The
-// overwrite loads 43.5 words, one find down the skip list among them.
-// When Put looked the key up before writing, it loaded 76: a second find.
+// the staging slot, and 2 and 2 when the descriptor is finalized (the
+// displaced record's bitmap, fenced, then the header). None of them finds
+// its line clean. The overwrite loads 43.5 words, one find down the skip
+// list among them. When Put looked the key up before writing, it loaded
+// 76: a second find.
 func TestOverwritePutBill(t *testing.T) {
 	e := newKVEnvSpec(t, []alloc.Class{
 		{BlockSize: 64, Count: 256},
@@ -155,7 +152,7 @@ func TestOverwritePutBill(t *testing.T) {
 		got  uint64
 		want float64
 	}{
-		{"flushes", after.Flushes - before.Flushes, 17},
+		{"flushes", after.Flushes - before.Flushes, 14},
 		{"fences", after.Fences - before.Fences, 6},
 		{"clean flushes", after.CleanFlushes - before.CleanFlushes, 0},
 		{"loads", after.Loads - before.Loads, 43.5},
@@ -596,6 +593,128 @@ func TestStagedOrphanFreedOnOpen(t *testing.T) {
 	blocks, _ := e.alloc.InUse()
 	if blocks != base {
 		t.Fatalf("orphan record leaked: %d blocks, want %d", blocks, base)
+	}
+}
+
+// audit is the store's audit of a blob layer on a skip list, run on a
+// crashed image with every descriptor Free: a's bitmaps against the
+// list's blocks and the records Check reaches.
+func (e *kenv) audit(a *alloc.Allocator) error {
+	blocks, entries, err := skiplist.Check(e.dev, e.roots)
+	if err != nil {
+		return err
+	}
+	recs, _, err := Check(e.dev, a, e.stage, kvHandles, entries)
+	if err != nil {
+		return err
+	}
+	return a.CheckInUse(append(blocks, recs...))
+}
+
+// crashStaging writes a record for key on h and crashes: before the
+// record's allocation bit is set if early, else after the record is
+// staged. It returns the allocator rebuilt on the crashed image.
+func (e *kenv) crashStaging(t *testing.T, h *Handle, key string, early bool) *alloc.Allocator {
+	t.Helper()
+	type crash struct{}
+	if early {
+		// The allocator's first CAS sets the bit, after the slot names
+		// the record.
+		e.dev.SetHook(func(op string, _ nvram.Offset) {
+			if op == "cas" {
+				panic(crash{})
+			}
+		})
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil && r != (crash{}) {
+				panic(r)
+			}
+		}()
+		if _, err := h.writeRecord(keyFor(t, key), []byte("staged")); err != nil {
+			t.Fatalf("writeRecord: %v", err)
+		}
+	}()
+	e.dev.SetHook(nil)
+	e.dev.Crash()
+	a, err := alloc.New(e.dev, e.aReg, e.spec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// A crash inside a record's Alloc leaves its slot naming a block whose
+// bit is clear. The audit does not count that record as reachable (it
+// would read as dangling), and Open erases the slot without freeing
+// anything.
+func TestStagedRecordWithClearBit(t *testing.T) {
+	e := newKVEnv(t)
+	h := e.kv.NewHandle(1)
+	if err := h.Put([]byte("kept"), []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	e.pool.Epochs().Drain()
+	inUse, _ := e.alloc.InUse()
+	free := e.alloc.FreeBlocks(64)
+	a := e.crashStaging(t, h, "torn", true)
+	rec := nvram.Offset(e.dev.Load(h.slot))
+	if rec == 0 || a.Allocated(rec) {
+		t.Fatalf("slot names %#x (allocated %v), want a record whose bit is clear", rec, a.Allocated(rec))
+	}
+	if err := e.audit(a); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	e.build(t, true)
+	if got := e.dev.Load(h.slot); got != 0 {
+		t.Fatalf("Open left the slot naming %#x", got)
+	}
+	if got, _ := e.alloc.InUse(); got != inUse {
+		t.Fatalf("%d blocks in use after Open, want %d", got, inUse)
+	}
+	if got := e.alloc.FreeBlocks(64); got != free {
+		t.Fatalf("%d blocks free after Open, want %d: the record was freed again", got, free)
+	}
+}
+
+// A staged record with its bit set is reachable: the audit counts it
+// (it would read as a leak), and Open frees it.
+func TestStagedRecordWithBitSet(t *testing.T) {
+	e := newKVEnv(t)
+	h := e.kv.NewHandle(1)
+	inUse, _ := e.alloc.InUse()
+	a := e.crashStaging(t, h, "staged", false)
+	if rec := nvram.Offset(e.dev.Load(h.slot)); !a.Allocated(rec) {
+		t.Fatalf("slot names %#x, want an allocated record", rec)
+	}
+	if err := e.audit(a); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	e.build(t, true)
+	if got, _ := e.alloc.InUse(); got != inUse {
+		t.Fatalf("%d blocks in use after Open, want %d", got, inUse)
+	}
+}
+
+// A record an index entry names must have its bit set: the audit still
+// reports a clear one as dangling.
+func TestIndexedRecordWithClearBitIsDangling(t *testing.T) {
+	e := newKVEnv(t)
+	h := e.kv.NewHandle(1)
+	if err := h.Put([]byte("k"), []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	e.pool.Epochs().Drain()
+	rec, err := h.ix.Get(keyFor(t, "k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.alloc.Free(nvram.Offset(rec)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.audit(e.alloc); err == nil || !strings.Contains(err.Error(), "dangling") {
+		t.Fatalf("audit = %v, want a dangling record", err)
 	}
 }
 

@@ -16,8 +16,10 @@ import (
 // Check audits the blob layer of a (recovered, quiescent) store: every
 // index entry's value must be a well-formed record block whose embedded
 // key matches the index, and every non-zero staging slot must reference a
-// valid block (staged records are reachable — they are exactly what
-// staging recovery will free or keep on the next Open).
+// valid block. A staged record whose allocation bit is set is reachable:
+// it is exactly what staging recovery will free or keep on the next
+// Open. One whose bit is clear is not: the crash hit inside its Alloc,
+// and Open erases the slot without freeing anything.
 //
 // entries is the content of the index the layer is on, as its Check
 // returns it. The returned blocks are the record blocks the blob layer
@@ -59,8 +61,9 @@ func Check(dev *nvram.Device, a *alloc.Allocator, staging nvram.Region, maxHandl
 		blobs[string(key)] = readRecordRaw(dev, rec)
 	}
 
-	// Staging slots: a staged record is reachable durable state — the next
-	// Open either keeps it (committed, also indexed above) or frees it.
+	// Staging slots: a staged record with its bit set is reachable durable
+	// state — the next Open either keeps it (committed, also indexed
+	// above) or frees it.
 	for i := 0; i < maxHandles; i++ {
 		slot := staging.Base + nvram.Offset(i)*nvram.WordSize
 		rec := nvram.Offset(dev.Load(slot))
@@ -70,7 +73,9 @@ func Check(dev *nvram.Device, a *alloc.Allocator, staging nvram.Region, maxHandl
 		if _, err := checkRecord(rec, 0); err != nil {
 			return nil, nil, fmt.Errorf("blobkv: staging slot %d: %w", i, err)
 		}
-		blocks = append(blocks, rec)
+		if a.Allocated(rec) {
+			blocks = append(blocks, rec)
+		}
 	}
 	return blocks, blobs, nil
 }

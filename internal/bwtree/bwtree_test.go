@@ -106,7 +106,6 @@ func (e *tenv) reopen(t testing.TB) {
 	if err != nil {
 		t.Fatalf("alloc reopen: %v", err)
 	}
-	e.alloc.Recover()
 	e.pool, err = core.NewPool(core.Config{
 		Device: e.dev, Region: e.poolReg,
 		DescriptorCount: btDescs, WordsPerDescriptor: btWords,
@@ -115,7 +114,7 @@ func (e *tenv) reopen(t testing.TB) {
 	if err != nil {
 		t.Fatalf("pool reopen: %v", err)
 	}
-	RegisterRecoveryCallbacks(e.pool, e.alloc)
+	RegisterRecoveryCallbacks(e.pool)
 	if _, err := e.pool.Recover(); err != nil {
 		t.Fatalf("pool.Recover: %v", err)
 	}

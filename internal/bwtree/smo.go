@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
 	"pmwcas/internal/metrics"
 	"pmwcas/internal/nvram"
@@ -57,10 +56,10 @@ const cbSMO = 1
 // pool. It must run before Pool.Recover after a restart — recovery may
 // need to replay an SMO's chain frees. Tree construction calls it too;
 // duplicate registration is harmless.
-func RegisterRecoveryCallbacks(pool *core.Pool, a *alloc.Allocator) {
+func RegisterRecoveryCallbacks(pool *core.Pool) {
 	dev := pool.Device()
 	err := pool.RegisterCallback(cbSMO, func(v core.DescriptorView, succeeded bool) {
-		smoFinalize(dev, a, v, succeeded)
+		smoFinalize(dev, v, succeeded)
 	})
 	if err != nil && !errorsIsDup(err) {
 		panic(err)
@@ -71,51 +70,23 @@ func errorsIsDup(err error) bool {
 	return err != nil && errors.Is(err, core.ErrCallbackRegistered)
 }
 
-// smoFinalize implements Table-1 policy semantics for SMO descriptors,
-// with one difference: a successful FreeOne releases the whole delta
-// chain behind the old value, not just its head block. The frees are
-// interlocked with the descriptor entry exactly like the default
-// finalizer (clear bits, erase the entry durably, then republish), so a
-// crash mid-finalize is replayed safely by recovery.
-func smoFinalize(dev *nvram.Device, a *alloc.Allocator, v core.DescriptorView, succeeded bool) {
+// smoFinalize is Table-1 policy semantics for SMO descriptors, with one
+// difference: a successful FreeOne releases the whole delta chain behind
+// the old value, not just its head block. The blocks join the
+// descriptor's one free batch (DescriptorView.FreeBlock), so a crash
+// mid-finalize is replayed safely by recovery.
+func smoFinalize(dev *nvram.Device, v core.DescriptorView, succeeded bool) {
 	for i := 0; i < v.WordCount(); i++ {
-		switch v.Policy(i) {
-		case core.PolicyFreeOne:
-			if succeeded {
-				old := v.Old(i)
-				if old == 0 || !core.IsClean(old) {
-					continue
-				}
-				blocks := chainBlocksOf(dev, old)
-				field := v.OldFieldOffset(i)
-				_ = a.FreeManyWithBarrier(blocks, func() {
-					dev.Store(field, 0)
-					dev.Flush(field)
-				})
-			} else {
-				newv := v.New(i)
-				if newv == 0 || !core.IsClean(newv) {
-					continue
-				}
-				field := v.NewFieldOffset(i)
-				_ = a.FreeWithBarrier(nvram.Offset(newv), func() {
-					dev.Store(field, 0)
-					dev.Flush(field)
-				})
-			}
-		case core.PolicyFreeNewOnFailure:
-			if succeeded {
-				continue
-			}
-			newv := v.New(i)
-			if newv == 0 || !core.IsClean(newv) {
-				continue
-			}
-			field := v.NewFieldOffset(i)
-			_ = a.FreeWithBarrier(nvram.Offset(newv), func() {
-				dev.Store(field, 0)
-				dev.Flush(field)
-			})
+		victim := v.Victim(i, succeeded)
+		if victim == 0 {
+			continue
+		}
+		if !succeeded || v.Policy(i) != core.PolicyFreeOne {
+			_ = v.FreeBlock(victim)
+			continue
+		}
+		for _, rec := range chainBlocksOf(dev, victim) {
+			_ = v.FreeBlock(rec)
 		}
 	}
 }
@@ -137,7 +108,7 @@ func chainBlocksOf(dev *nvram.Device, head uint64) []nvram.Offset {
 }
 
 func (t *Tree) registerCallbacks() error {
-	RegisterRecoveryCallbacks(t.pool, t.alloc)
+	RegisterRecoveryCallbacks(t.pool)
 	return nil
 }
 

@@ -47,6 +47,51 @@ func (p *Pool) OpenAnchors(anchors []nvram.Offset, create func(*Handle) error) (
 	}
 }
 
+// AllocInto reserves a zeroed block of at least size bytes and publishes
+// it into target, replacing whatever target held (it is not freed), with
+// one PMwCAS {target: cur→block}. The block is allocated into the entry's
+// reserved field (PolicyFreeNewOnFailure), so until the PMwCAS commits the
+// descriptor owns it: a crash frees it and leaves target as it was (§5.2).
+// A rival's change to target between the read and the PMwCAS fails it,
+// frees the block, and AllocInto retries on the new value. It runs on a
+// handle of its own, released before it returns; the caller holds no
+// guard.
+func (p *Pool) AllocInto(size uint64, target nvram.Offset) (nvram.Offset, error) {
+	h := p.NewHandle()
+	// Not deferred: a panic inside Execute leaves the guard active.
+	b, err := h.allocInto(size, target)
+	h.release()
+	return b, err
+}
+
+func (h *Handle) allocInto(size uint64, target nvram.Offset) (nvram.Offset, error) {
+	ah := h.pool.alloc.NewHandle()
+	for {
+		d, err := h.AllocateDescriptor(0)
+		if err != nil {
+			return 0, err
+		}
+		field, err := d.ReserveEntry(target, h.Read(target), PolicyFreeNewOnFailure)
+		if err != nil {
+			d.Discard()
+			return 0, err
+		}
+		b, err := ah.Alloc(size, field)
+		if err != nil {
+			d.Discard()
+			return 0, err
+		}
+		// Execute fences before it publishes, ordering the bit with it.
+		ok, err := d.Execute()
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			return b, nil
+		}
+	}
+}
+
 // CheckAnchors reads the anchor words of a structure OpenAnchors opens
 // from the raw image of a recovered, quiescent store. It returns their
 // values with the dirty bit masked, or nil when all are zero (the

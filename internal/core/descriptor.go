@@ -228,8 +228,10 @@ func NewPool(cfg Config) (*Pool, error) {
 		cfg.Device.SetShadowMask(DirtyFlag)
 	}
 	ents := make([]entry, p.nDesc*p.kWord)
+	victims := make([]nvram.Offset, p.nDesc*p.kWord)
 	for i := range p.descs {
 		p.descs[i].ents = ents[i*p.kWord : (i+1)*p.kWord : (i+1)*p.kWord]
+		p.descs[i].victims = victims[i*p.kWord : i*p.kWord : (i+1)*p.kWord]
 	}
 	p.freeList = make([]int, 0, p.nDesc)
 	for i := p.nDesc - 1; i >= 0; i-- {
@@ -485,7 +487,7 @@ func (h *Handle) AllocateDescriptor(callbackID uint16) (*Descriptor, error) {
 	p.dev.Store(d+descCountOff, uint64(callbackID)<<callbackShift)
 	p.stats.allocated.Add(1)
 	ds := &p.descs[idx]
-	*ds = Descriptor{h: h, off: d, idx: idx, cb: callbackID, ents: ds.ents}
+	*ds = Descriptor{h: h, off: d, idx: idx, cb: callbackID, ents: ds.ents, victims: ds.victims}
 	return ds, nil
 }
 
@@ -504,6 +506,12 @@ type Descriptor struct {
 	cb   uint16  // finalize callback ID
 	done bool    // Execute or Discard has run
 	ents []entry // ents[:n] is the owner's DRAM copy of the NVRAM entries
+
+	// victims is finalize's batch of blocks to free, empty between
+	// finalizes. It starts as a kWord-capacity cut of one slab, enough
+	// for one victim per entry, and keeps any growth (a Bw-tree chain),
+	// so the batch does not heap-allocate.
+	victims []nvram.Offset
 }
 
 // entry is one descriptor entry as the owner staged it. A ReserveEntry
@@ -692,16 +700,19 @@ func (p *Pool) retire(d nvram.Offset, idx int, succeeded bool) {
 // instead of a closure so the retire path never heap-allocates.
 func (p *Pool) Retire(off, aux uint64) {
 	ds := &p.descs[aux>>1]
-	p.finalize(DescriptorView{pool: p, off: nvram.Offset(off), n: ds.n, ents: ds.ents[:ds.n]}, ds.cb, aux&1 != 0)
+	p.finalize(DescriptorView{pool: p, off: nvram.Offset(off), n: ds.n, ents: ds.ents[:ds.n], victims: &ds.victims}, ds.cb, aux&1 != 0)
 	p.releaseIndex(ds.idx)
 }
 
 // finalize applies recycling policies (or the registered callback) to
 // view's entries, then durably resets the descriptor to Free with zero
-// count. The persist order matters: entries become invisible (count=0)
-// only after their memory is freed, so a crash inside finalize re-runs
-// the frees — the allocator tolerates the resulting double-free attempts
-// during recovery.
+// count. The policies only queue their victims; the frees run as one
+// batch around the header reset (alloc.FreeManyWithBarrier): every
+// victim's bit is cleared and flushed, a fence orders the clears, the
+// reset persists, and only then are the victims reallocatable. A crash
+// before the reset persists leaves the entries visible, so recovery
+// re-runs the frees, skipping the bits already clear; no victim can have
+// been reallocated in between.
 func (p *Pool) finalize(view DescriptorView, cbID uint16, succeeded bool) {
 	if fn := p.callback(cbID); fn != nil {
 		fn(view, succeeded)
@@ -709,10 +720,18 @@ func (p *Pool) finalize(view DescriptorView, cbID uint16, succeeded bool) {
 		view.applyPolicies(succeeded)
 	}
 	d := view.off
-	p.dev.Store(d+descCountOff, 0)
-	p.dev.Store(d+descStatusOff, StatusFree)
-	p.flushHeader(d) // status and count share the header line
-	p.dev.Fence()
+	reset := func() {
+		p.dev.Store(d+descCountOff, 0)
+		p.dev.Store(d+descStatusOff, StatusFree)
+		p.flushHeader(d) // status and count share the header line
+		p.dev.Fence()
+	}
+	if victims := *view.victims; len(victims) > 0 {
+		_ = p.alloc.FreeManyWithBarrier(victims, reset)
+		*view.victims = victims[:0]
+	} else {
+		reset()
+	}
 	var aux uint64
 	if succeeded {
 		aux = 1
@@ -723,10 +742,11 @@ func (p *Pool) finalize(view DescriptorView, cbID uint16, succeeded bool) {
 // DescriptorView is a read-only view of a concluded descriptor handed to
 // finalize callbacks (normal execution and recovery).
 type DescriptorView struct {
-	pool *Pool
-	off  nvram.Offset
-	n    int
-	ents []entry // the owner's DRAM copy on the Retire path; nil in recovery, which reads NVRAM
+	pool    *Pool
+	off     nvram.Offset
+	n       int
+	ents    []entry         // the owner's DRAM copy on the Retire path; nil in recovery, which reads NVRAM
+	victims *[]nvram.Offset // the blocks FreeBlock queued, freed by finalize
 }
 
 // WordCount returns the number of entries.
@@ -765,69 +785,57 @@ func (v DescriptorView) Policy(i int) Policy {
 	return Policy(v.pool.dev.Load(wordOff(v.off, i)+wordMetaOff) & metaPolicyMask)
 }
 
-// OldFieldOffset returns the NVRAM offset of entry i's old-value field,
-// for custom finalizers that interlock frees with a durable erase of the
-// field (see FreeWithBarrier).
-func (v DescriptorView) OldFieldOffset(i int) nvram.Offset {
-	return wordOff(v.off, i) + wordOldOff
-}
-
-// NewFieldOffset is OldFieldOffset for the new-value field.
-func (v DescriptorView) NewFieldOffset(i int) nvram.Offset {
-	return wordOff(v.off, i) + wordNewOff
-}
-
-// FreeBlock releases an allocator block from a finalize callback. It is
-// exported on the view so custom callbacks can mix object-specific
-// destructor work with the default freeing.
+// FreeBlock queues an allocator block to be freed when the descriptor
+// is reset (see finalize); call it only from the callback the view was
+// handed to. It is exported on the view so custom callbacks can mix
+// object-specific destructor work with the default freeing. An offset
+// that is not a block start is refused, so one bad value cannot fail
+// the whole batch.
 func (v DescriptorView) FreeBlock(off nvram.Offset) error {
 	if v.pool.alloc == nil {
 		return errors.New("core: pool has no allocator")
 	}
-	return v.pool.alloc.Free(off)
+	if _, err := v.pool.alloc.BlockSize(off); err != nil {
+		return err
+	}
+	*v.victims = append(*v.victims, off)
+	return nil
+}
+
+// Victim returns the block entry i's policy frees when the operation
+// concluded as succeeded says (Table 1), or 0 when it frees none.
+func (v DescriptorView) Victim(i int, succeeded bool) uint64 {
+	var victim uint64
+	switch v.Policy(i) {
+	case PolicyFreeOne:
+		if succeeded {
+			victim = v.Old(i)
+		} else {
+			victim = v.New(i)
+		}
+	case PolicyFreeNewOnFailure:
+		if !succeeded {
+			victim = v.New(i)
+		}
+	case PolicyFreeOldOnSuccess:
+		if succeeded {
+			victim = v.Old(i)
+		}
+	}
+	if !IsClean(victim) {
+		return 0
+	}
+	return victim
 }
 
 // applyPolicies is the default finalizer: Table 1 semantics.
-//
-// Each free interlocks with the descriptor entry that names the block:
-// the entry's value field is erased durably after the allocation bit is
-// cleared but before the block can be reallocated (FreeWithBarrier). A
-// crash therefore either leaves the entry intact — recovery replays the
-// free, which is an idempotent no-op on the already-clear bit, harmless
-// because no reallocation can have happened — or finds the entry erased
-// and the block fully freed. The block is never leaked and never freed
-// out from under a new owner.
 func (v DescriptorView) applyPolicies(succeeded bool) {
+	if v.pool.alloc == nil {
+		return
+	}
 	for i := 0; i < v.n; i++ {
-		var victim uint64
-		var field nvram.Offset
-		w := wordOff(v.off, i)
-		switch v.Policy(i) {
-		case PolicyNone:
-			continue
-		case PolicyFreeOne:
-			if succeeded {
-				victim, field = v.Old(i), w+wordOldOff
-			} else {
-				victim, field = v.New(i), w+wordNewOff
-			}
-		case PolicyFreeNewOnFailure:
-			if !succeeded {
-				victim, field = v.New(i), w+wordNewOff
-			}
-		case PolicyFreeOldOnSuccess:
-			if succeeded {
-				victim, field = v.Old(i), w+wordOldOff
-			}
+		if victim := v.Victim(i, succeeded); victim != 0 {
+			_ = v.FreeBlock(victim)
 		}
-		if victim == 0 || !IsClean(victim) || v.pool.alloc == nil {
-			continue
-		}
-		// Ignore the error: finalize may rerun after a crash, making a
-		// second free of the same block expected rather than a bug.
-		_ = v.pool.alloc.FreeWithBarrier(victim, func() {
-			v.pool.dev.Store(field, 0)
-			v.pool.dev.Flush(field)
-		})
 	}
 }

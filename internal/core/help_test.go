@@ -232,7 +232,7 @@ func TestDescriptorViewAccessors(t *testing.T) {
 	e.pool.RegisterCallback(9, func(v DescriptorView, ok bool) {
 		if v.WordCount() == 1 && v.Address(0) == addrs[0] &&
 			v.Old(0) == 1 && v.New(0) == 2 && v.Policy(0) == PolicyNone &&
-			v.OldFieldOffset(0) != 0 && v.NewFieldOffset(0) != 0 {
+			v.Victim(0, ok) == 0 {
 			select {
 			case seen <- v:
 			default:

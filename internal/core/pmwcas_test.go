@@ -70,7 +70,8 @@ func newEnv(t testing.TB, mode Mode, withAlloc bool) *env {
 }
 
 // reopen simulates restart: crash the device, rebuild the environment
-// over the same regions, run allocator + pool recovery.
+// over the same regions (the allocator from its bitmaps), run pool
+// recovery.
 func (e *env) reopen(t testing.TB) RecoveryStats {
 	t.Helper()
 	e.dev.SetHook(nil)
@@ -80,7 +81,6 @@ func (e *env) reopen(t testing.TB) RecoveryStats {
 		if err != nil {
 			t.Fatalf("alloc reopen: %v", err)
 		}
-		a.Recover()
 		e.alloc = a
 	}
 	p, err := NewPool(Config{

@@ -17,8 +17,8 @@ type RecoveryStats struct {
 }
 
 // Recover completes or rolls back every operation that was in flight at
-// the crash (paper §4.4). It must run single-threaded, after the
-// allocator's own recovery (§5.2) and before any application thread
+// the crash (paper §4.4). It must run single-threaded, on an allocator
+// just rebuilt from its bitmaps (§5.2), and before any application thread
 // touches PMwCAS-managed words. Finalize callbacks referenced by
 // descriptors must already be registered.
 //
@@ -47,6 +47,7 @@ type RecoveryStats struct {
 // is idempotent: a crash during recovery is repaired by running it again.
 func (p *Pool) Recover() (RecoveryStats, error) {
 	var st RecoveryStats
+	var victims []nvram.Offset
 	p.checkPoisoned()
 	if p.mode != Persistent {
 		return st, fmt.Errorf("core: Recover on a %s pool", p.mode)
@@ -72,7 +73,7 @@ func (p *Pool) Recover() (RecoveryStats, error) {
 		}
 
 		// Recovery has no owner's copy: the view reads NVRAM.
-		view, cbID := DescriptorView{pool: p, off: d, n: n}, uint16(cw>>callbackShift&callbackIDMask)
+		view, cbID := DescriptorView{pool: p, off: d, n: n, victims: &victims}, uint16(cw>>callbackShift&callbackIDMask)
 		switch status {
 		case StatusFree:
 			if n > 0 {

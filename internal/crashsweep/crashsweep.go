@@ -9,8 +9,8 @@
 // acknowledged operations plus the at-most-one operation in flight) and
 // clones the device's persisted image (nvram.CloneCrashed) — exactly what a
 // power failure at that instant would leave. The clone is reopened with
-// pmwcas.OpenDevice, which runs allocator and PMwCAS recovery, and then
-// audited with Store.CheckInvariants. The recovered contents must equal the
+// pmwcas.OpenDevice, which rebuilds the allocators and runs PMwCAS
+// recovery, and then audited with Store.CheckInvariants. The recovered contents must equal the
 // oracle's model, or the model with the pending operation applied; anything
 // else is a lost acknowledgement or a torn operation. The live device never
 // notices — the workload resumes from the very operation that "crashed",

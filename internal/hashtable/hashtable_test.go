@@ -88,9 +88,6 @@ func (e *htEnv) build(t testing.TB, mode core.Mode, recover bool) {
 	if err != nil {
 		t.Fatalf("alloc.New: %v", err)
 	}
-	if recover {
-		e.alloc.Recover()
-	}
 	e.pool, err = core.NewPool(core.Config{
 		Device: e.dev, Region: e.poolReg,
 		DescriptorCount: htDescs, WordsPerDescriptor: htWords,
@@ -403,7 +400,6 @@ func TestGeometryMismatch(t *testing.T) {
 	}
 	e.dev.Crash()
 	e.alloc, _ = alloc.New(e.dev, e.aReg, e.spec, htHandles)
-	e.alloc.Recover()
 	pool, err := core.NewPool(core.Config{
 		Device: e.dev, Region: e.poolReg,
 		DescriptorCount: htDescs, WordsPerDescriptor: htWords,

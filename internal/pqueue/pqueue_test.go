@@ -54,9 +54,6 @@ func (e *qenv) build(t testing.TB, mode core.Mode, recover bool) {
 	if err != nil {
 		t.Fatalf("alloc.New: %v", err)
 	}
-	if recover {
-		e.alloc.Recover()
-	}
 	e.pool, err = core.NewPool(core.Config{
 		Device: e.dev, Region: e.poolReg,
 		DescriptorCount: qDescs, WordsPerDescriptor: qWords,

@@ -55,9 +55,9 @@ type Config struct {
 	// IndexSkipList).
 	Index Index
 	// MaxConns caps concurrent connections — it is also the store-handle
-	// pool size, so the store's MaxHandles budget must cover it (the blob
-	// layer spends 4 store handles per connection on each shard).
-	// Default 16.
+	// pool size, so the store's MaxHandles must cover it: each connection
+	// holds one blob handle on every shard, and a shard's blob layer has
+	// MaxHandles/4 of them. Default 16.
 	MaxConns int
 	// ReadTimeout, if set, closes connections idle longer than this.
 	ReadTimeout time.Duration

@@ -44,7 +44,7 @@ func NewCAS(dev *nvram.Device, a *alloc.Allocator, mgr *epoch.Manager) (*CASList
 		l.mgr = epoch.NewManager()
 	}
 	ah := a.NewHandle()
-	// The allocator's crash-safe delivery protocol is pointless for a
+	// The allocator's crash-safe ownership order is pointless for a
 	// volatile structure; deliver into the reserved first device line
 	// (offset 8), which no layout ever hands out.
 	var err error

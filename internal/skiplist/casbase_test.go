@@ -13,11 +13,11 @@ import (
 	"pmwcas/internal/nvram"
 )
 
-func newCASEnv(t testing.TB) (*CASList, *alloc.Allocator, *epoch.Manager) {
+func newCASEnv(t testing.TB, opts ...nvram.Option) (*CASList, *alloc.Allocator, *epoch.Manager) {
 	t.Helper()
 	spec := slSpec()
 	aBytes := alloc.MetaSize(spec, slHandles)
-	dev := nvram.New(aBytes + 1<<14)
+	dev := nvram.New(aBytes+1<<14, opts...)
 	l := nvram.NewLayout(dev)
 	aReg := l.Carve(aBytes)
 	a, err := alloc.New(dev, aReg, spec, slHandles)
@@ -266,5 +266,26 @@ func TestCASDeleteReclaims(t *testing.T) {
 	blocks, _ := a.InUse()
 	if blocks != base {
 		t.Fatalf("blocks = %d, want %d: CAS baseline leaked nodes", blocks, base)
+	}
+}
+
+// TestCASOnVolatileDevice: the baseline is a volatile structure, so on a
+// volatile device nothing it does writes back or fences, its node
+// allocations included.
+func TestCASOnVolatileDevice(t *testing.T) {
+	cl, _, _ := newCASEnv(t, nvram.WithVolatile())
+	h := cl.NewHandle(1)
+	for k := uint64(1); k <= 300; k++ {
+		if err := h.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(1); k <= 300; k += 2 {
+		if err := h.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cl.dev.Stats(); st.Flushes != 0 || st.Fences != 0 {
+		t.Fatalf("baseline issued %d flushes and %d fences on a volatile device", st.Flushes, st.Fences)
 	}
 }

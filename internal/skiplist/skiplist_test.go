@@ -88,7 +88,6 @@ func (e *lenv) reopen(t testing.TB) {
 	if err != nil {
 		t.Fatalf("alloc reopen: %v", err)
 	}
-	e.alloc.Recover()
 	e.pool, err = core.NewPool(core.Config{
 		Device:             e.dev,
 		Region:             e.poolReg,

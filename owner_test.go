@@ -462,9 +462,9 @@ func TestBlobPutBill(t *testing.T) {
 		index            string
 		overwrite, fresh bill
 	}{
-		{"skiplist", bill{11136, 4352, 1536}, bill{17956, 7422, 3074}},
-		{"bwtree", bill{12160, 8288, 3072}, bill{16269, 7843, 3142}},
-		{"hash", bill{4883, 4738, 1536}, bill{9260, 5902, 1965}},
+		{"skiplist", bill{11136, 3584, 1536}, bill{17956, 6398, 2562}},
+		{"bwtree", bill{12160, 6912, 2816}, bill{16269, 6695, 2616}},
+		{"hash", bill{4883, 3970, 1536}, bill{9260, 5265, 1684}},
 	} {
 		t.Run(c.index, func(t *testing.T) {
 			store, err := Create(testConfig())

@@ -34,8 +34,9 @@
 // Crash and recover (or persist to a file with Checkpoint/OpenFile):
 //
 //	store.Crash()          // power failure: unflushed state is gone
-//	store.Recover()        // allocator + PMwCAS recovery; indexes need
-//	                       // no recovery code of their own
+//	store.Recover()        // PMwCAS recovery over the allocator's
+//	                       // bitmaps; indexes need no recovery code
+//	                       // of their own
 //
 // The same implementation runs volatile (Mode: Volatile, a volatile
 // device) with identical APIs and free flushes — the paper's central
@@ -116,8 +117,8 @@ type SkipList = skiplist.List
 type SkipListHandle = skiplist.Handle
 
 // IndexHandle is the word-index contract: the per-goroutine surface
-// SkipListHandle, CASSkipListHandle, BwTreeHandle and HashTableHandle
-// all satisfy, and what Store.OpenIndex mints.
+// SkipListHandle, BwTreeHandle and HashTableHandle all satisfy, and
+// what Store.OpenIndex mints.
 type IndexHandle = index.Handle
 
 // IndexEntry is one key/value pair yielded by an index scan.
@@ -130,12 +131,6 @@ type (
 	BwTreeEntry   = IndexEntry
 	HashEntry     = IndexEntry
 )
-
-// CASSkipList is the volatile single-word-CAS baseline skip list.
-type CASSkipList = skiplist.CASList
-
-// CASSkipListHandle is a per-goroutine baseline skip list context.
-type CASSkipListHandle = skiplist.CASHandle
 
 // Queue is a persistent lock-free FIFO queue — PMwCAS beyond indexing.
 type Queue = pqueue.Queue

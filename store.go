@@ -43,8 +43,8 @@ type Config struct {
 	// WordsPerDescriptor is each descriptor's capacity (default: what the
 	// skip list needs, 3+MaxHeight).
 	WordsPerDescriptor int
-	// MaxHandles bounds concurrent allocator handles per shard
-	// (default 64).
+	// MaxHandles sizes each shard's blob staging (default 64): a shard's
+	// blob layer has MaxHandles/4 handles, one staging slot each.
 	MaxHandles int
 	// Classes overrides each shard's allocator size classes. The default
 	// covers skip list nodes, Bw-tree deltas, and Bw-tree pages.
@@ -209,8 +209,8 @@ func Create(cfg Config) (*Store, error) {
 
 // OpenDevice wraps an existing device (for example, one that just
 // crashed, or was restored from a snapshot) and, unless the device is
-// volatile, runs allocator and PMwCAS recovery shard by shard. cfg.Mode
-// must match the device.
+// volatile, rebuilds each allocator from its bitmaps and runs PMwCAS
+// recovery shard by shard. cfg.Mode must match the device.
 func OpenDevice(dev *nvram.Device, cfg Config) (*Store, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -256,17 +256,15 @@ func carveShard(l *nvram.Layout, cfg *Config) *storeShard {
 	return sh
 }
 
-// buildShard constructs a shard's allocator and pool over its regions
-// and, when recovering, replays that shard's deliveries and descriptors.
+// buildShard constructs a shard's allocator (its free lists rebuilt from
+// the durable bitmaps) and pool over its regions and, when recovering,
+// replays that shard's descriptors.
 func buildShard(dev *nvram.Device, cfg *Config, sh *storeShard, recover bool) (RecoveryStats, error) {
 	var rst RecoveryStats
 	var err error
 	sh.alloc, err = alloc.New(dev, sh.allocRegion, cfg.Classes, cfg.MaxHandles)
 	if err != nil {
 		return rst, fmt.Errorf("allocator: %w", err)
-	}
-	if recover {
-		sh.alloc.Recover()
 	}
 	sh.pool, err = core.NewPool(core.Config{
 		Device:             dev,
@@ -280,11 +278,14 @@ func buildShard(dev *nvram.Device, cfg *Config, sh *storeShard, recover bool) (R
 		return rst, fmt.Errorf("pool: %w", err)
 	}
 	// Finalize callbacks must exist before recovery replays descriptors.
-	bwtree.RegisterRecoveryCallbacks(sh.pool, sh.alloc)
+	bwtree.RegisterRecoveryCallbacks(sh.pool)
 	if recover {
 		if rst, err = sh.pool.Recover(); err != nil {
 			return rst, fmt.Errorf("recovery: %w", err)
 		}
+		// Before anything can allocate; OpenBlobKV's staging recovery
+		// runs later.
+		blobkv.DropUnallocated(dev, sh.alloc, sh.blobRegion, blobSlots(cfg))
 	}
 	return rst, nil
 }
@@ -497,17 +498,18 @@ func (sh *Shard) RootWord(i int) Offset {
 	return sh.state().rootsRegion.Base + nvram.LineBytes*2 + nvram.Offset(i)*nvram.WordSize
 }
 
-// Alloc reserves a block of at least size bytes on shard 0 and durably
-// delivers its offset into the target word (paper §5.2); see RootWord
-// for stable targets. Most callers want ReserveEntry on a descriptor
-// instead; this direct form exists for application root structures.
+// Alloc reserves a block of at least size bytes on shard 0, zeroed, and
+// publishes its offset into the target word with one PMwCAS, replacing
+// (not freeing) what target held; see RootWord for stable targets. Until
+// that PMwCAS commits its descriptor owns the block, so a crash inside
+// Alloc frees it and leaves target as it was (§5.2).
 func (s *Store) Alloc(size uint64, target Offset) (Offset, error) {
 	return s.Shard(0).Alloc(size, target)
 }
 
 // Alloc reserves a block on this shard's arena; see Store.Alloc.
 func (sh *Shard) Alloc(size uint64, target Offset) (Offset, error) {
-	return sh.state().alloc.NewHandle().Alloc(size, target)
+	return sh.state().pool.AllocInto(size, target)
 }
 
 // Free releases a block previously delivered by shard 0's Alloc or a
@@ -541,15 +543,6 @@ func (sh *Shard) SkipList() (*SkipList, error) {
 		Allocator: st.alloc,
 		Roots:     nvram.Region{Base: st.rootsRegion.Base, Len: nvram.LineBytes},
 	})
-}
-
-// CASSkipList creates a fresh volatile baseline skip list sharing the
-// store's device and shard 0's allocator (for benchmarking against).
-func (s *Store) CASSkipList() (*CASSkipList, error) {
-	if !s.dev.Volatile() {
-		return nil, errors.New("pmwcas: the CAS baseline skip list requires a Volatile store")
-	}
-	return skiplist.NewCAS(s.dev, s.shards[0].alloc, s.shards[0].pool.Epochs())
 }
 
 // BwTreeOptions tunes the store's Bw-tree.
@@ -677,8 +670,6 @@ func (sh *Shard) OpenBlobKV(name string, opt IndexOptions) (*BlobKV, error) {
 		}
 		return nil, err
 	}
-	// Each blobkv handle consumes an index and an allocator handle, so
-	// only a quarter of the shard's handle budget is exposed here.
 	return blobkv.Open(blobkv.Config{
 		Index:      mint,
 		Allocator:  st.alloc,
@@ -860,8 +851,8 @@ func (s *Store) Crash() error {
 	return nil
 }
 
-// Recover reruns allocator and PMwCAS recovery on this store after a
-// Crash, shard by shard in shard order (Config.RecoveryHook fires after
+// Recover rebuilds the allocators and reruns PMwCAS recovery on this
+// store after a Crash, shard by shard in shard order (Config.RecoveryHook fires after
 // each). Application finalize callbacks must already be registered.
 // Equivalent to (and interchangeable with) reopening via OpenDevice.
 func (s *Store) Recover() (RecoveryStats, error) {
@@ -869,8 +860,8 @@ func (s *Store) Recover() (RecoveryStats, error) {
 		return RecoveryStats{}, errors.New("pmwcas: Recover on a volatile store")
 	}
 	var total RecoveryStats
-	// Rebuild every shard's volatile state and replay its deliveries and
-	// descriptors into fresh substrates; nothing is swapped in until every
+	// Rebuild every shard's volatile state and replay its descriptors
+	// into fresh substrates; nothing is swapped in until every
 	// shard has recovered, so a failed recovery leaves the store as it was.
 	fresh := make([]*storeShard, len(s.shards))
 	for i, old := range s.shards {

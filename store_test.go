@@ -172,14 +172,10 @@ func TestStoreVolatileMode(t *testing.T) {
 	})
 	t.Run("skiplists", func(t *testing.T) {
 		store := create(t)
-		cl, err := store.CASSkipList()
-		must(t, err)
-		ch := cl.NewHandle(1)
 		list, err := store.SkipList()
 		must(t, err)
 		lh := list.NewHandle(1)
 		for k := uint64(1); k <= n; k++ {
-			must(t, ch.Insert(k, k))
 			must(t, lh.Insert(k, k))
 		}
 		for k := uint64(1); k <= n; k += 2 {
@@ -282,10 +278,152 @@ func TestStoreAllocFree(t *testing.T) {
 	}
 }
 
+// TestStoreAllocHasNoHandleBudget: each Store.Alloc takes an allocator
+// handle and a PMwCAS handle of its own, neither is rationed, and the
+// PMwCAS handle is released, so an application may allocate and free
+// through the store any number of times.
+func TestStoreAllocHasNoHandleBudget(t *testing.T) {
+	store, err := Create(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		block, err := store.Alloc(64, store.RootWord(0))
+		if err != nil {
+			t.Fatalf("Alloc %d: %v", i, err)
+		}
+		if err := store.Free(block); err != nil {
+			t.Fatalf("Free %d: %v", i, err)
+		}
+	}
+}
+
+// TestStoreAllocCrashKeepsOwner crashes at every device op of one
+// Store.Alloc that replaces a root word's block. After recovery the root
+// word names either the old block or the new one, and that block is
+// allocated: allocating until the crashed Alloc's block comes back never
+// hands out the block the root word names.
+func TestStoreAllocCrashKeepsOwner(t *testing.T) {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	type crash struct{}
+	for step := 1; ; step++ {
+		store, err := Create(testConfig())
+		must(err)
+		root := store.RootWord(0)
+		old, err := store.Alloc(128, root)
+		must(err)
+		ops := 0
+		store.Device().SetHook(func(string, Offset) {
+			if ops++; ops == step {
+				panic(crash{})
+			}
+		})
+		crashed := func() (crashed bool) {
+			defer func() {
+				if r := recover(); r != nil {
+					if r != (crash{}) {
+						panic(r)
+					}
+					crashed = true
+				}
+			}()
+			_, err := store.Alloc(128, root)
+			must(err)
+			return false
+		}()
+		store.Device().SetHook(nil)
+		if !crashed {
+			if step < 10 {
+				t.Fatalf("Alloc finished after %d device ops", step-1)
+			}
+			return
+		}
+		must(store.Crash())
+		_, err = store.Recover()
+		must(err)
+		named := store.PMwCASHandle().Read(root)
+		if !store.shards[0].alloc.Allocated(named) {
+			t.Fatalf("step %d: root word names %#x (old block %#x), which is free", step, named, old)
+		}
+		// The crashed Alloc's block is the lowest free one of its class,
+		// so it comes back within a few allocations if the crash freed it.
+		for i := 0; i < 4; i++ {
+			b, err := store.Alloc(128, store.RootWord(1))
+			must(err)
+			if b == named {
+				t.Fatalf("step %d: block %#x the root word names was allocated again", step, b)
+			}
+		}
+	}
+}
+
 func TestOpenDeviceSizeMismatch(t *testing.T) {
 	store, _ := Create(Config{Size: 4 << 20, Descriptors: 64, BwTreeMappingSlots: 256})
 	if _, err := OpenDevice(store.Device(), Config{Size: 64 << 20}); err == nil {
 		t.Fatal("undersized device accepted")
+	}
+}
+
+// TestTornStagedRecordOutlivesEarlyAllocation: a crash inside a blob
+// record's Alloc leaves its staging slot naming a block whose bit never
+// persisted, so the block is free after the restart. Recovery drops the
+// slot at once: a block allocated before the blob layer reopens is not
+// freed by the layer's staging recovery under its new owner.
+func TestTornStagedRecordOutlivesEarlyAllocation(t *testing.T) {
+	store, err := Create(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, err := store.BlobKV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := kv.NewHandle(1)
+	type crash struct{}
+	// The allocator's first CAS sets the record's bit, after the staging
+	// slot names it.
+	store.Device().SetHook(func(op string, _ Offset) {
+		if op == "cas" {
+			panic(crash{})
+		}
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != (crash{}) {
+				t.Fatalf("Put did not crash at its record's bit: %v", r)
+			}
+		}()
+		_ = h.Put([]byte("torn"), []byte("value"))
+	}()
+	store.Device().SetHook(nil)
+	sh := store.shards[0]
+	rec := store.dev.Load(sh.blobRegion.Base) // the first handle's slot
+	size, err := sh.alloc.BlockSize(rec)
+	if err != nil {
+		t.Fatalf("staging slot names %#x: %v", rec, err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(store.Crash())
+	_, err = store.Recover()
+	must(err)
+	for b := Offset(0); b != rec; {
+		b, err = store.Alloc(size, store.RootWord(0))
+		must(err)
+	}
+	_, err = store.BlobKV()
+	must(err)
+	if err := store.Free(rec); err != nil {
+		t.Fatalf("the block allocated before the blob layer reopened was freed: %v", err)
 	}
 }
 
