@@ -5,15 +5,22 @@
 // block and storing its address into p — and a crash between them leaks
 // the block (it is owned by neither the allocator nor the application).
 // Following the paper (and posix_memalign-style NVM allocators [17, 33]),
-// Alloc therefore takes the *target word* the address must be stored
-// into, and the ownership order closes the gap: the block is zeroed and
-// its address made durable in the target before its allocation bit is
-// set. A set bit thus always has a durable owner — the target — and a
-// crash before the bit persists leaves a free block, which the target's
-// owner frees again as a no-op (the bit is already clear) when its own
-// recovery runs. That recovery must run before anything allocates again,
-// or the owner would free the block under its next owner. The allocator
-// itself has nothing to recover.
+// an allocation is three steps, and the ownership order closes the gap:
+//
+//   - Reserve pops a free block and zeroes it with plain stores. Nothing
+//     is durable yet: the bit is clear, so a crash leaves the block free.
+//   - The caller fills the block with plain stores.
+//   - The owner takes it. Activate stores the address into a target word;
+//     core.Descriptor.ReserveEntry stages it as a descriptor entry. Either
+//     way the block's lines and the owner are flushed once and fenced, and
+//     only then is the allocation bit set.
+//
+// A set bit thus always has a durable owner and a durable fill, and a
+// crash before the bit persists leaves a free block, which the owner's
+// recovery frees again as a no-op (the bit is already clear). That
+// recovery must run before anything allocates again, or the owner would
+// free the block under its next owner. The allocator itself has nothing
+// to recover.
 //
 // Layout inside the allocator's region (deterministic across restarts):
 //
@@ -39,9 +46,10 @@ import (
 	"pmwcas/internal/nvram"
 )
 
-// Observability (DRAM-only; see internal/metrics). Alloc latency covers
-// the full reserve→zero→activate handoff, which is flush-dominated — it
-// is the persistency cost of node creation.
+// Observability (DRAM-only; see internal/metrics). alloc_ns times a
+// Reserve (the free-list pop and the zeroing); the handoff's flushes are
+// the owner's, shared with its own. A block is counted allocated when its
+// bit is set.
 var (
 	mAllocs   = metrics.NewCounter("alloc_blocks_allocated")
 	mFrees    = metrics.NewCounter("alloc_blocks_freed")
@@ -264,30 +272,20 @@ func (a *Allocator) NewHandle() *Handle {
 	return &Handle{a: a, lane: metrics.NextStripe()}
 }
 
-// Alloc reserves a block of at least size bytes, zeroes it, and delivers
-// its offset into the target word before marking it allocated, in this
-// order:
-//
-//  1. the block is zeroed and flushed, so a crash never exposes a stale
-//     incarnation;
-//  2. the offset is stored into target and flushed;
-//  3. a fence orders both before
-//  4. the allocation bit is set and flushed.
-//
-// So a set bit always has a durable owner. A crash before step 4 persists
-// leaves the bit clear: the block is free after the restart, and the
-// target's owner, whose recovery frees what target names, finds the bit
-// already clear — a no-op. Alloc ends without a fence: every caller fences
-// before it publishes the block (Execute does), and that fence makes the
-// bit durable too; a caller whose target is itself the published word
-// fences on return. The previous contents of the target word are
-// overwritten.
+// Reserve pops a free block of at least size bytes and zeroes it with
+// plain stores, so a set bit never exposes a stale incarnation. It
+// flushes nothing and fences nothing: the block stays volatile and its
+// bit clear, so until an owner takes it a crash leaves it free. The
+// caller fills it and hands it over with Activate or
+// core.Descriptor.ReserveEntry, which write every line back once, fill
+// and zeroing together; an error path before the handoff returns it with
+// Unreserve.
 //
 // If the preferred size class is exhausted, the next larger class is
 // used (internal fragmentation instead of failure).
 //
 //pmwcas:hotpath — runs inside index SMOs and descriptor refills; a heap allocation here defeats the persistent allocator's whole point
-func (h *Handle) Alloc(size uint64, target nvram.Offset) (nvram.Offset, error) {
+func (h *Handle) Reserve(size uint64) (nvram.Offset, error) {
 	a := h.a
 	a.checkPoisoned()
 	var t0 time.Time
@@ -314,14 +312,6 @@ func (h *Handle) Alloc(size uint64, target nvram.Offset) (nvram.Offset, error) {
 		for off := block; off < block+c.blockSize; off += nvram.WordSize {
 			a.dev.Store(off, 0)
 		}
-		for off := block; off < block+c.blockSize; off += nvram.LineBytes {
-			a.dev.Flush(off)
-		}
-		a.dev.Store(target, block)
-		a.dev.Flush(target)
-		a.dev.Fence()
-		a.bitSet(c, idx, true)
-		mAllocs.Inc(h.lane)
 		if !t0.IsZero() {
 			mAllocNs.ObserveSince(h.lane, t0)
 		}
@@ -329,6 +319,71 @@ func (h *Handle) Alloc(size uint64, target nvram.Offset) (nvram.Offset, error) {
 	}
 	mAllocOOM.Inc(h.lane)
 	return 0, ErrOutOfMemory
+}
+
+// Unreserve returns a reserved block that no owner took back to its free
+// list. Its bit was never set, so nothing durable changes.
+func (a *Allocator) Unreserve(block nvram.Offset) {
+	if c, idx, ok := a.locate(block); ok {
+		c.push(idx)
+	}
+}
+
+// Activate hands a filled reserved block to the word target, for an owner
+// that is not a descriptor (a staging slot, a volatile baseline's scratch
+// word), in this order:
+//
+//  1. every line of the block is flushed;
+//  2. the offset is stored into target and flushed;
+//  3. a fence orders both before
+//  4. the allocation bit is set and flushed (MarkAllocated).
+//
+// So a set bit always has a durable owner and a durable fill. A crash
+// before step 4 persists leaves the bit clear: the block is free after the
+// restart, and the target's owner, whose recovery frees what target names,
+// finds the bit already clear — a no-op. Activate ends without a fence:
+// every caller fences before it publishes the block (Execute does), and
+// that fence makes the bit durable too; a caller whose target is itself
+// the published word fences on return. The previous contents of the
+// target word are overwritten.
+func (h *Handle) Activate(block, target nvram.Offset) {
+	a := h.a
+	a.FlushBlock(block)
+	a.dev.Store(target, block)
+	a.dev.Flush(target)
+	a.dev.Fence()
+	a.MarkAllocated(block)
+}
+
+// Alloc is Reserve then Activate, for a caller with nothing to fill: the
+// block arrives zeroed in target.
+func (h *Handle) Alloc(size uint64, target nvram.Offset) (nvram.Offset, error) {
+	block, err := h.Reserve(size)
+	if err != nil {
+		return 0, err
+	}
+	h.Activate(block, target)
+	return block, nil
+}
+
+// FlushBlock writes back every line of a reserved block, without a fence:
+// the first step of a handoff.
+func (a *Allocator) FlushBlock(block nvram.Offset) {
+	if c, _, ok := a.locate(block); ok {
+		for off := block; off < block+c.blockSize; off += nvram.LineBytes {
+			a.dev.Flush(off)
+		}
+	}
+}
+
+// MarkAllocated sets and flushes a handed-off block's allocation bit,
+// without a fence: the last step of a handoff. The caller must already
+// have made the block's lines and its owner durable and fenced them.
+func (a *Allocator) MarkAllocated(block nvram.Offset) {
+	if c, idx, ok := a.locate(block); ok {
+		a.bitSet(c, idx, true)
+		mAllocs.Inc(metrics.StripeAt(int(idx)))
+	}
 }
 
 // locate maps a block offset to its class and index within the class.

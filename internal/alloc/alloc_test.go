@@ -395,11 +395,12 @@ func (o owners) recover(a *Allocator) error {
 }
 
 // checkImage rebuilds an allocator on a crashed copy of dev, as a
-// restart does, and checks that every set bit is named by an owner word.
+// restart does, and checks that every set bit is named by an owner word
+// and that its block holds the fills words records for it.
 // It then runs the owners' recovery and checks that the blocks are back
 // exactly once: nothing leaked, nothing a committed word names is free,
 // and nothing is on a free list twice.
-func checkImage(dev *nvram.Device, region, words nvram.Region, spec []Class) error {
+func checkImage(dev *nvram.Device, region, words nvram.Region, spec []Class, fills map[nvram.Offset]uint64) error {
 	img := dev.CloneCrashed()
 	a, err := New(img, region, spec, 1)
 	if err != nil {
@@ -413,8 +414,17 @@ func checkImage(dev *nvram.Device, region, words nvram.Region, spec []Class) err
 	for ci := range a.classes {
 		c := &a.classes[ci]
 		for i := uint64(0); i < c.count; i++ {
-			if b := c.blocksBase + i*c.blockSize; a.bitTest(c, i) && !named[b] {
+			b := c.blocksBase + i*c.blockSize
+			if !a.bitTest(c, i) {
+				continue
+			}
+			if !named[b] {
 				return fmt.Errorf("block %#x is allocated but no owner word names it", b)
+			}
+			for off := b; off < b+c.blockSize; off += nvram.WordSize {
+				if want, ok := fills[off]; ok && img.Load(off) != want {
+					return fmt.Errorf("block %#x is allocated but word %#x holds %#x, not its fill %#x", b, off, img.Load(off), want)
+				}
 			}
 		}
 	}
@@ -437,11 +447,13 @@ func checkImage(dev *nvram.Device, region, words nvram.Region, spec []Class) err
 }
 
 // TestCrashAtEveryStepOwnsEveryBlock crashes at every device op of one
-// Alloc and of one barrier free, and checks each image (checkImage).
-// The free's barrier allocates and commits a block, as a concurrent
-// thread may: were the freed blocks put back before the barrier, it
-// would take one that a pending word still names, and recovery would
-// then free the block under its new, committed owner.
+// Reserve→fill→Activate, of one Alloc and of one barrier free, and checks
+// each image (checkImage): every set bit is named by a durable owner, and
+// a filled block whose bit is set holds its fill, not zeros. The free's
+// barrier allocates and commits a block, as a concurrent thread may: were
+// the freed blocks put back before the barrier, it would take one that a
+// pending word still names, and recovery would then free the block under
+// its new, committed owner.
 func TestCrashAtEveryStepOwnsEveryBlock(t *testing.T) {
 	spec := []Class{{BlockSize: 64, Count: 8}, {BlockSize: 128, Count: 4}}
 	meta := MetaSize(spec, 1)
@@ -455,10 +467,11 @@ func TestCrashAtEveryStepOwnsEveryBlock(t *testing.T) {
 	}
 	o := owners{dev, words}
 	h := a.NewHandle()
+	fills := map[nvram.Offset]uint64{}
 	steps := 0
 	dev.SetHook(func(string, nvram.Offset) {
 		steps++
-		if err := checkImage(dev, region, words, spec); err != nil {
+		if err := checkImage(dev, region, words, spec, fills); err != nil {
 			t.Fatalf("crash before step %d: %v", steps, err)
 		}
 	})
@@ -470,8 +483,17 @@ func TestCrashAtEveryStepOwnsEveryBlock(t *testing.T) {
 		dev.Fence() // the caller's publishing fence
 		return b
 	}
-	b0 := alloc(128, 0) // one Alloc of a two-line block
-	allocSteps := steps
+	// One Reserve→fill→Activate of a two-line block, filled in both lines.
+	b0, err := h.Reserve(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fills[b0], fills[b0+nvram.LineBytes] = 0xf111, 0xf112
+	dev.Store(b0, fills[b0])
+	dev.Store(b0+nvram.LineBytes, fills[b0+nvram.LineBytes])
+	h.Activate(b0, o.word(0))
+	dev.Fence() // the caller's publishing fence
+	activateSteps := steps
 	b1 := alloc(64, 1)
 	// One barrier free of both.
 	err = a.FreeManyWithBarrier([]nvram.Offset{b0, b1}, func() {
@@ -483,11 +505,101 @@ func TestCrashAtEveryStepOwnsEveryBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.SetHook(nil)
-	if err := checkImage(dev, region, words, spec); err != nil {
+	if err := checkImage(dev, region, words, spec, nil); err != nil {
 		t.Fatalf("after the free: %v", err)
 	}
-	if allocSteps == 0 || steps <= 2*allocSteps {
-		t.Fatalf("checked %d crash points (%d in one Alloc), want the whole sequence", steps, allocSteps)
+	if activateSteps == 0 || steps <= 2*activateSteps {
+		t.Fatalf("checked %d crash points (%d in one handoff), want the whole sequence", steps, activateSteps)
+	}
+}
+
+// TestActivateFenceOrder checks that Activate's fence separates the last
+// flush of every block line and of the target from the bit's CAS. The
+// simulator persists a line at Flush, so a crash image cannot show a
+// missing fence; the hook reads the device's fence count at every op.
+func TestActivateFenceOrder(t *testing.T) {
+	dev, a, scratch := testEnv(t, smallSpec, 1)
+	h := a.NewHandle()
+	block, err := h.Reserve(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := block; off < block+256; off += nvram.LineBytes {
+		dev.Store(off, 7)
+	}
+	c, idx, _ := a.locate(block)
+	bit := a.bitWord(c, idx)
+	flushed := map[nvram.Offset]uint64{} // line → fence count at its last flush before the bit
+	var bitFences uint64
+	sawBit := false
+	dev.SetHook(func(op string, off nvram.Offset) {
+		switch f := dev.Stats().Fences; {
+		case op == "cas" && off == bit:
+			bitFences, sawBit = f, true
+		case op == "flush" && !sawBit:
+			flushed[off&^(nvram.LineBytes-1)] = f
+		}
+	})
+	h.Activate(block, scratch.Base)
+	dev.SetHook(nil)
+	if !sawBit {
+		t.Fatal("Activate set no bit")
+	}
+	lines := []nvram.Offset{scratch.Base}
+	for off := block; off < block+256; off += nvram.LineBytes {
+		lines = append(lines, off)
+	}
+	for _, line := range lines {
+		f, ok := flushed[line]
+		switch {
+		case !ok:
+			t.Errorf("line %#x was not flushed before the bit", line)
+		case f >= bitFences:
+			t.Errorf("no fence between line %#x's flush and the bit's CAS", line)
+		}
+	}
+}
+
+// TestReserveErrorPathsRestoreFreeBlocks forces each way a reservation
+// can end without a handoff — Unreserve, a class that runs dry, a
+// request no class holds — and checks that FreeBlocks comes back
+// unchanged and that nothing durable moved.
+func TestReserveErrorPathsRestoreFreeBlocks(t *testing.T) {
+	dev, a, _ := testEnv(t, smallSpec, 1)
+	h := a.NewHandle()
+	before := a.FreeBlocks(64)
+	flushes := dev.Stats().Flushes
+	var held []nvram.Offset
+	for {
+		b, err := h.Reserve(64)
+		if errors.Is(err, ErrOutOfMemory) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, b)
+	}
+	if n := a.FreeBlocks(64); n != 0 || uint64(len(held)) != before {
+		t.Fatalf("reserved %d of %d blocks, %d left free", len(held), before, n)
+	}
+	if _, err := h.Reserve(1 << 20); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Reserve(1 MiB) = %v, want ErrTooLarge", err)
+	}
+	for _, b := range held {
+		if a.Allocated(b) {
+			t.Fatalf("reserved block %#x has its bit set", b)
+		}
+		a.Unreserve(b)
+	}
+	if n := a.FreeBlocks(64); n != before {
+		t.Fatalf("FreeBlocks = %d after unreserving everything, want %d", n, before)
+	}
+	if n, _ := a.InUse(); n != 0 {
+		t.Fatalf("%d blocks in use after unreserving everything", n)
+	}
+	if got := dev.Stats().Flushes; got != flushes {
+		t.Fatalf("reserving and unreserving flushed %d lines", got-flushes)
 	}
 }
 

@@ -10,12 +10,12 @@
 // out-of-line as immutable record blocks; the index stores each record's
 // offset. Every mutation is crash-atomic:
 //
-//   - a new record is allocated with its address stored durably into the
-//     writing handle's staging slot before its allocation bit is set, so
-//     a crash between allocation and linking can never leak it — Open's
-//     recovery frees any staged record its key does not reference (a
-//     record whose bit never persisted needs no free: the slot is
-//     erased);
+//   - a new record is reserved, filled, and activated into the writing
+//     handle's staging slot: its lines and its address are durable before
+//     its allocation bit is set, so a crash between allocation and linking
+//     can never leak it — Open's recovery frees any staged record its key
+//     does not reference (a record whose bit never persisted needs no
+//     free: the slot is erased);
 //   - a put installs the new record with PutOwned, in one index descent:
 //     the record it displaces, if any, is freed through the PMwCAS
 //     recycling machinery, atomically-with-the-update as far as crashes
@@ -118,8 +118,8 @@ func Open(cfg Config) (*Store, error) {
 }
 
 // DropUnallocated erases every staging slot that names a block whose
-// allocation bit is clear: the crash hit inside the record's Alloc, so
-// the record was never allocated and there is nothing to free. After a
+// allocation bit is clear: the crash hit inside the record's Activate,
+// so the record was never allocated and there is nothing to free. After a
 // crash it must run right after the PMwCAS pool recovers, before anything
 // can allocate the block again, or Open's staging recovery would free the
 // block under its new owner.
@@ -147,12 +147,11 @@ func (s *Store) recoverStaging() {
 			s.dev.Store(slot, 0)
 			s.dev.Flush(slot)
 		}
-		key := s.dev.Load(rec + recKeyOff)
-		if key != 0 {
-			if cur, err := ix.Get(key); err == nil && cur == rec {
-				erase() // committed: the index owns the record
-				continue
-			}
+		// The record was filled before its bit was set, so it carries its
+		// key (DropUnallocated erased every slot whose bit is clear).
+		if cur, err := ix.Get(s.dev.Load(rec + recKeyOff)); err == nil && cur == rec {
+			erase() // committed: the index owns the record
+			continue
 		}
 		// The slot is the only reference to the orphaned record, so it is
 		// erased in the free's barrier: after the allocation bit clears,
@@ -195,11 +194,12 @@ func (s *Store) NewHandle(seed int64) *Handle {
 	return h
 }
 
-// writeRecord allocates, fills, and persists a record, leaving it staged
-// in the handle's slot (durably owned until published or recovered).
+// writeRecord reserves and fills a record, then activates it into the
+// handle's slot, which stages it (durably owned until published or
+// recovered). Activate writes back the record's lines with the slot;
+// the PMwCAS that publishes it fences first.
 func (h *Handle) writeRecord(key uint64, val []byte) (nvram.Offset, error) {
-	size := uint64(recHeader + (len(val)+7)/8*8)
-	rec, err := h.ah.Alloc(size, h.slot)
+	rec, err := h.ah.Reserve(uint64(recHeader + (len(val)+7)/8*8))
 	if err != nil {
 		return 0, err
 	}
@@ -213,10 +213,7 @@ func (h *Handle) writeRecord(key uint64, val []byte) (nvram.Offset, error) {
 		}
 		dev.Store(rec+recDataOff+nvram.Offset(i), w)
 	}
-	for off := rec; off < rec+size; off += nvram.LineBytes {
-		dev.Flush(off)
-	}
-	dev.Fence()
+	h.ah.Activate(rec, h.slot)
 	return rec, nil
 }
 

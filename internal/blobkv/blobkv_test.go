@@ -107,12 +107,14 @@ func (e *kenv) reopen(t testing.TB) {
 
 // TestOverwritePutBill pins the persist bill of a blob overwrite by one
 // goroutine, with a 64-byte value whose 80-byte record takes a 128-byte
-// block as in a Store: 4 flushes and 1 fence to allocate the record (two
-// zeroed lines and the staging slot, fenced, then the bitmap), 2 and 1
-// to write it, 5 and 2 for the 2-word PMwCAS on one node line, 1 to clear
-// the staging slot, and 2 and 2 when the descriptor is finalized (the
-// displaced record's bitmap, fenced, then the header). None of them finds
-// its line clean. The overwrite loads 43.5 words, one find down the skip
+// block as in a Store: 4 flushes and 1 fence to activate the filled
+// record (its two lines and the staging slot, fenced, then the bitmap),
+// 5 and 2 for the 2-word PMwCAS on one node line, 1 to clear the staging
+// slot, and 2 and 2 when the descriptor is finalized (the displaced
+// record's bitmap, fenced, then the header). None of them finds its line
+// clean. Before the record was filled before its bit was set, its zeroed
+// lines were flushed and fenced first and the filled ones again: 14
+// flushes and 6 fences. The overwrite loads 43.5 words, one find down the skip
 // list among them. When Put looked the key up before writing, it loaded
 // 76: a second find.
 func TestOverwritePutBill(t *testing.T) {
@@ -152,8 +154,8 @@ func TestOverwritePutBill(t *testing.T) {
 		got  uint64
 		want float64
 	}{
-		{"flushes", after.Flushes - before.Flushes, 14},
-		{"fences", after.Fences - before.Fences, 6},
+		{"flushes", after.Flushes - before.Flushes, 12},
+		{"fences", after.Fences - before.Fences, 5},
 		{"clean flushes", after.CleanFlushes - before.CleanFlushes, 0},
 		{"loads", after.Loads - before.Loads, 43.5},
 	} {
@@ -645,7 +647,7 @@ func (e *kenv) crashStaging(t *testing.T, h *Handle, key string, early bool) *al
 	return a
 }
 
-// A crash inside a record's Alloc leaves its slot naming a block whose
+// A crash inside a record's Activate leaves its slot naming a block whose
 // bit is clear. The audit does not count that record as reachable (it
 // would read as dangling), and Open erases the slot without freeing
 // anything.
@@ -735,4 +737,98 @@ func keyFor(t *testing.T, s string) uint64 {
 		t.Fatal(err)
 	}
 	return k
+}
+
+// A record is filled before its bit is set, so a staged record whose bit
+// is set and whose key word is zero never had its fill persisted: the
+// audit reports the image corrupt.
+func TestStagedRecordWithoutKeyIsCorrupt(t *testing.T) {
+	e := newKVEnv(t)
+	h := e.kv.NewHandle(1)
+	rec, err := h.ah.Alloc(64, h.slot) // activated, never filled
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.dev.Fence()
+	e.dev.Crash()
+	a, err := alloc.New(e.dev, e.aReg, e.spec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Allocated(rec) {
+		t.Fatalf("record %#x lost its bit", rec)
+	}
+	if err := e.audit(a); err == nil || !strings.Contains(err.Error(), "no key") {
+		t.Fatalf("audit of a staged record with no key = %v, want it reported corrupt", err)
+	}
+}
+
+// inBitmap reports whether off is an allocation-bitmap word of the
+// allocator alloc.New lays out over region for spec.
+func inBitmap(region nvram.Region, spec []alloc.Class, off nvram.Offset) bool {
+	base := region.Base
+	for _, c := range spec {
+		n := ((c.Count+63)/64*nvram.WordSize + nvram.LineBytes - 1) &^ (nvram.LineBytes - 1)
+		if off >= base && off < base+n {
+			return true
+		}
+		base += n + c.BlockSize*c.Count
+	}
+	return false
+}
+
+// TestPutFenceOrder checks that a fence separates a new block's bit from
+// the first descriptor pointer installed after it, on a blob PUT of a
+// fresh key (the record's Activate, then the skip-list insert's
+// ReserveEntry and Execute) and of a present key (the record's Activate,
+// then the overwrite's Execute). Activate and ReserveEntry end with the
+// bit's flush and no fence: the publishing Execute's fence orders it. The
+// simulator persists a line at Flush, so a crash image cannot show a
+// missing fence; the hook reads the device's fence count at every op,
+// and recognises a bit's CAS by the bit it adds and an install by the
+// descriptor flag it leaves.
+func TestPutFenceOrder(t *testing.T) {
+	e := newKVEnv(t)
+	h := e.kv.NewHandle(1)
+	for _, c := range []struct {
+		name string
+		key  string
+		bits int
+	}{
+		{"fresh key", "k", 2},
+		{"present key", "k", 1},
+	} {
+		var cas nvram.Offset // the previous op's CAS target, or 0
+		var casWord, casFences, bitFences uint64
+		bits, checked := 0, 0
+		pending := false
+		e.dev.SetHook(func(op string, off nvram.Offset) {
+			if cas != 0 {
+				v := e.dev.LoadHint(cas)
+				switch {
+				case inBitmap(e.aReg, e.spec, cas) && v&^casWord != 0:
+					bitFences, pending = casFences, true
+					bits++
+				case v&(core.RDCSSFlag|core.MwCASFlag) != 0 && pending:
+					if casFences <= bitFences {
+						t.Errorf("%s: no fence between a bit's flush and the descriptor install at %#x", c.name, cas)
+					}
+					pending = false
+					checked++
+				}
+				cas = 0
+			}
+			if op == "cas" {
+				cas, casWord, casFences = off, e.dev.LoadHint(off), e.dev.Stats().Fences
+			}
+		})
+		err := h.Put([]byte(c.key), []byte(c.name))
+		e.dev.SetHook(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits != c.bits || checked == 0 {
+			t.Fatalf("%s: saw %d bits set and %d installs after one, want %d and at least 1", c.name, bits, checked, c.bits)
+		}
+	}
 }

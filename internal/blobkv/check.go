@@ -18,8 +18,10 @@ import (
 // key matches the index, and every non-zero staging slot must reference a
 // valid block. A staged record whose allocation bit is set is reachable:
 // it is exactly what staging recovery will free or keep on the next
-// Open. One whose bit is clear is not: the crash hit inside its Alloc,
-// and Open erases the slot without freeing anything.
+// Open. It was filled before its bit was set, so a zero key word means
+// its fill never persisted: the image is corrupt. One whose bit is clear
+// is not reachable: the crash hit inside its Activate, and Open erases
+// the slot without freeing anything.
 //
 // entries is the content of the index the layer is on, as its Check
 // returns it. The returned blocks are the record blocks the blob layer
@@ -74,6 +76,9 @@ func Check(dev *nvram.Device, a *alloc.Allocator, staging nvram.Region, maxHandl
 			return nil, nil, fmt.Errorf("blobkv: staging slot %d: %w", i, err)
 		}
 		if a.Allocated(rec) {
+			if dev.Load(rec+recKeyOff) == 0 {
+				return nil, nil, fmt.Errorf("blobkv: staging slot %d: allocated record %#x has no key: its fill never persisted", i, rec)
+			}
 			blocks = append(blocks, rec)
 		}
 	}

@@ -205,21 +205,16 @@ func New(cfg Config) (*Tree, error) {
 
 // create builds one empty leaf as the root page and publishes the tree
 // with one PMwCAS, {magic: 0→metaMagic, nextLPID: 0→RootLPID+1,
-// mapping[root]: 0→page}. The page is allocated into the root mapping
-// word's reserved entry, so the descriptor owns it until the PMwCAS
-// commits: a lost race or a crash frees it (§5.2), and the tree stays
-// absent.
+// mapping[root]: 0→page}. The page is handed to the root mapping word's
+// entry, so the descriptor owns it until the PMwCAS commits: a lost race
+// or a crash frees it (§5.2), and the tree stays absent.
 func (t *Tree) create(h *core.Handle, magicOff nvram.Offset) error {
 	d, err := h.AllocateDescriptor(0)
 	if err != nil {
 		return err
 	}
-	field, err := d.ReserveEntry(t.mappingOff(RootLPID), 0, core.PolicyFreeNewOnFailure)
-	if err != nil {
-		d.Discard()
-		return err
-	}
-	if _, err := buildBase(t, t.alloc.NewHandle(), recBaseLeaf, nil, 0, MaxKey, 0, field); err != nil {
+	root := owner{d, t.mappingOff(RootLPID), 0, core.PolicyFreeNewOnFailure}
+	if _, err := buildBase(t, t.alloc.NewHandle(), recBaseLeaf, nil, 0, MaxKey, 0, root); err != nil {
 		d.Discard()
 		return err
 	}

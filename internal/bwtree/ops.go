@@ -251,7 +251,7 @@ func (h *Handle) writeOnce(key, value, typ uint64, owned bool) (uint64, error) {
 	}
 
 	if t.smo == SMOSingleCAS {
-		delta, err := buildDelta(t, h.ah, typ, uint64(s.head), s.chain+1, [5]uint64{key, value}, 2, scratchWord)
+		delta, err := buildDelta(t, h.ah, typ, uint64(s.head), s.chain+1, [5]uint64{key, value}, 2, owner{})
 		if err != nil {
 			return 0, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pmwcas/internal/alloc"
+	"pmwcas/internal/core"
 	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
 )
@@ -83,15 +84,6 @@ func metaWord(typ uint64, chain int, count int) uint64 {
 func (t *Tree) recChain(rec nvram.Offset) int { return int(t.dev.Load(rec+recMetaOff) >> 8 & 0xffff) }
 func (t *Tree) entryOff(rec nvram.Offset, i int) nvram.Offset {
 	return rec + baseEntriesOff + uint64(i)*entrySize
-}
-
-// flushRecord persists a freshly built record before publication. On a
-// volatile device this is free.
-func (t *Tree) flushRecord(rec nvram.Offset, size uint64) {
-	for off := rec; off < rec+size; off += nvram.LineBytes {
-		t.dev.Flush(off)
-	}
-	t.dev.Fence()
 }
 
 // Entry is a key/value pair in a leaf. An inner page's routing entry has
@@ -408,23 +400,32 @@ func covered(rs []route, key uint64) bool {
 
 // ---- record builders -------------------------------------------------
 //
-// Builders allocate, fill, and flush records but do not publish them.
-// When the caller installs via PMwCAS ReserveEntry, the allocation is
-// delivered into the descriptor (crash-owned); in SMOSingleCAS mode the
-// caller frees explicitly on failure.
+// Builders reserve a record, fill it, and hand it to its owner, but do not
+// publish it. The owner is a descriptor entry on the mapping word the
+// caller installs the record into (ReserveEntry: the descriptor frees it
+// if the PMwCAS fails or a crash interrupts it), or, in SMOSingleCAS mode,
+// the scratch word (Activate), and the caller frees the record explicitly
+// on failure.
+
+// owner names who takes a built record: the entry {addr: old→record} of
+// descriptor d under policy, or, with d nil, the scratch word.
+type owner struct {
+	d      *core.Descriptor
+	addr   nvram.Offset
+	old    uint64
+	policy core.Policy
+}
 
 func baseSize(n int) uint64 { return baseEntriesOff + uint64(n)*entrySize }
 
-// buildBase writes a base page (recBaseLeaf or recBaseInner) and returns
-// its offset. target is where the allocator delivers the block (a
-// descriptor new-value field, or a scratch word in volatile contexts).
-func buildBase(t *Tree, ah *alloc.Handle, typ uint64, entries []Entry, low, high, side uint64, target nvram.Offset) (nvram.Offset, error) {
-	page, err := ah.Alloc(baseSize(len(entries)), target)
+// buildBase builds a base page (recBaseLeaf or recBaseInner) for to and
+// returns its offset.
+func buildBase(t *Tree, ah *alloc.Handle, typ uint64, entries []Entry, low, high, side uint64, to owner) (nvram.Offset, error) {
+	page, err := ah.Reserve(baseSize(len(entries)))
 	if err != nil {
 		return 0, err
 	}
 	t.dev.Store(page+recMetaOff, metaWord(typ, 0, len(entries)))
-	t.dev.Store(page+recNextOff, 0)
 	t.dev.Store(page+baseLowOff, low)
 	t.dev.Store(page+baseHighOff, high)
 	t.dev.Store(page+baseSideOff, side)
@@ -432,27 +433,30 @@ func buildBase(t *Tree, ah *alloc.Handle, typ uint64, entries []Entry, low, high
 		t.dev.Store(t.entryOff(page, i), e.Key)
 		t.dev.Store(t.entryOff(page, i)+8, e.Value)
 	}
-	t.flushRecord(page, baseSize(len(entries)))
-	return page, nil
+	if to.d == nil {
+		ah.Activate(page, scratchWord)
+		return page, nil
+	}
+	return page, to.d.ReserveEntry(to.addr, to.old, page, to.policy)
 }
 
-// buildPage writes v's entries [from, to) as a base page of v's kind
+// buildPage builds v's entries [from, to) as a base page of v's kind
 // under the given fences: the whole page (consolidation) or one half of
 // it (a split).
-func buildPage(t *Tree, ah *alloc.Handle, v *pageView, from, to int, low, high, side uint64, target nvram.Offset) (nvram.Offset, error) {
+func buildPage(t *Tree, ah *alloc.Handle, v *pageView, from, to int, low, high, side uint64, o owner) (nvram.Offset, error) {
 	typ := recBaseInner
 	if v.isLeaf {
 		typ = recBaseLeaf
 	}
-	return buildBase(t, ah, typ, v.entries[from:to], low, high, side, target)
+	return buildBase(t, ah, typ, v.entries[from:to], low, high, side, o)
 }
 
 const deltaSize = 64 // all delta records fit one cache line
 
-// buildDelta writes a delta record of type typ over next: the header,
-// then the first n words of body from +16 on (the layouts above).
-func buildDelta(t *Tree, ah *alloc.Handle, typ, next uint64, chain int, body [5]uint64, n int, target nvram.Offset) (nvram.Offset, error) {
-	d, err := ah.Alloc(deltaSize, target)
+// buildDelta builds a delta record of type typ over next for to: the
+// header, then the first n words of body from +16 on (the layouts above).
+func buildDelta(t *Tree, ah *alloc.Handle, typ, next uint64, chain int, body [5]uint64, n int, to owner) (nvram.Offset, error) {
+	d, err := ah.Reserve(deltaSize)
 	if err != nil {
 		return 0, err
 	}
@@ -461,8 +465,11 @@ func buildDelta(t *Tree, ah *alloc.Handle, typ, next uint64, chain int, body [5]
 	for i := 0; i < n; i++ {
 		t.dev.Store(d+deltaKeyOff+uint64(i)*nvram.WordSize, body[i])
 	}
-	t.flushRecord(d, deltaSize)
-	return d, nil
+	if to.d == nil {
+		ah.Activate(d, scratchWord)
+		return d, nil
+	}
+	return d, to.d.ReserveEntry(to.addr, to.old, d, to.policy)
 }
 
 // freeChain releases every record in a chain.

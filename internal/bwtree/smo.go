@@ -197,25 +197,17 @@ func (h *Handle) maintainParent(path []pathEntry) {
 	}
 }
 
-// reservePage reserves lpid's mapping word in d, expecting old, and
-// builds v's entries [from, to) into it as a base page under the given
-// fences.
+// reservePage builds v's entries [from, to) as a base page under the
+// given fences and hands it to d's entry for lpid's mapping word,
+// expecting old.
 func (h *Handle) reservePage(d *core.Descriptor, lpid, old uint64, policy core.Policy, v *pageView, from, to int, low, high, side uint64) (nvram.Offset, error) {
-	field, err := d.ReserveEntry(h.tree.mappingOff(lpid), old, policy)
-	if err != nil {
-		return 0, err
-	}
-	return buildPage(h.tree, h.ah, v, from, to, low, high, side, field)
+	return buildPage(h.tree, h.ah, v, from, to, low, high, side, owner{d, h.tree.mappingOff(lpid), old, policy})
 }
 
-// reserveDelta reserves lpid's mapping word in d, expecting old, and
-// builds into it a delta of type typ over next carrying body[:n].
+// reserveDelta builds a delta of type typ over next carrying body[:n]
+// and hands it to d's entry for lpid's mapping word, expecting old.
 func (h *Handle) reserveDelta(d *core.Descriptor, lpid, old uint64, policy core.Policy, typ, next uint64, chain int, body [5]uint64, n int) (nvram.Offset, error) {
-	field, err := d.ReserveEntry(h.tree.mappingOff(lpid), old, policy)
-	if err != nil {
-		return 0, err
-	}
-	return buildDelta(h.tree, h.ah, typ, next, chain, body, n, field)
+	return buildDelta(h.tree, h.ah, typ, next, chain, body, n, owner{d, h.tree.mappingOff(lpid), old, policy})
 }
 
 // reserveRemoved retires lpid behind a removed marker: its chain, old,
@@ -353,18 +345,15 @@ func (h *Handle) split(path []pathEntry, lpid uint64, v *pageView) (did bool, er
 	return ok && !root, nil // a new root has no parent to maintain
 }
 
-// reserveRoot reserves the root's mapping word in d, expecting v's head,
-// and builds into it the inner root over a split's halves: (low, sep]
+// reserveRoot builds the inner root over a split's halves and hands it
+// to d's entry for the root's mapping word, expecting v's head: (low, sep]
 // routes to p and (sep, high] to q. The old root chain is freed on
 // success.
 func (h *Handle) reserveRoot(d *core.Descriptor, v *pageView, sep, p, q uint64) error {
-	field, err := d.ReserveEntry(h.tree.mappingOff(RootLPID), uint64(v.head), core.PolicyFreeOne)
-	if err != nil {
-		return err
-	}
 	//lint:allow hotpath — root split happens O(log N) times over the tree's whole life; a two-entry scratch slice there is noise (§6.3)
 	entries := []Entry{{Key: sep, Value: p}, {Key: v.high, Value: q}}
-	_, err = buildBase(h.tree, h.ah, recBaseInner, entries, v.low, v.high, 0, field)
+	_, err := buildBase(h.tree, h.ah, recBaseInner, entries, v.low, v.high, 0,
+		owner{d, h.tree.mappingOff(RootLPID), uint64(v.head), core.PolicyFreeOne})
 	return err
 }
 

@@ -10,8 +10,9 @@ import (
 
 // ---- SMOSingleCAS protocol --------------------------------------------
 
-// scratchWord receives allocator deliveries in volatile mode, where the
-// crash-safe handoff is irrelevant (first reserved device line).
+// scratchWord is the owner records are activated into in SMOSingleCAS
+// mode, where the crash-safe handoff is irrelevant (first reserved device
+// line).
 const scratchWord = nvram.WordSize
 
 // consolidateCAS swaps a consolidated page in with one CAS, freeing the
@@ -20,7 +21,7 @@ const scratchWord = nvram.WordSize
 //pmwcas:requires-guard — reads the mapping word it intends to swap
 func (h *Handle) consolidateCAS(lpid uint64, v *pageView) (nvram.Offset, error) {
 	t := h.tree
-	page, err := buildPage(t, h.ah, v, 0, len(v.entries), v.low, v.high, v.side, scratchWord)
+	page, err := buildPage(t, h.ah, v, 0, len(v.entries), v.low, v.high, v.side, owner{})
 	if err != nil {
 		return 0, err
 	}
@@ -52,7 +53,7 @@ func (h *Handle) splitCAS(path []pathEntry, lpid uint64, v *pageView) (bool, err
 	if err != nil {
 		return false, err
 	}
-	qPage, err := buildPage(t, h.ah, v, mid, len(v.entries), sep, v.high, v.side, scratchWord)
+	qPage, err := buildPage(t, h.ah, v, mid, len(v.entries), sep, v.high, v.side, owner{})
 	if err != nil {
 		return false, err
 	}
@@ -60,7 +61,7 @@ func (h *Handle) splitCAS(path []pathEntry, lpid uint64, v *pageView) (bool, err
 		_ = t.alloc.Free(qPage)
 		return false, nil
 	}
-	splitD, err := buildDelta(t, h.ah, recSplit, uint64(v.head), v.chain+1, [5]uint64{sep, qLPID}, 2, scratchWord)
+	splitD, err := buildDelta(t, h.ah, recSplit, uint64(v.head), v.chain+1, [5]uint64{sep, qLPID}, 2, owner{})
 	if err != nil {
 		return false, err
 	}
@@ -99,7 +100,7 @@ func (h *Handle) splitRootCAS(v *pageView, mid int) error {
 	if err != nil {
 		return err
 	}
-	qPage, err := buildPage(t, h.ah, v, mid, len(v.entries), sep, v.high, v.side, scratchWord)
+	qPage, err := buildPage(t, h.ah, v, mid, len(v.entries), sep, v.high, v.side, owner{})
 	if err != nil {
 		return err
 	}
@@ -107,7 +108,7 @@ func (h *Handle) splitRootCAS(v *pageView, mid int) error {
 		_ = t.alloc.Free(qPage)
 		return nil
 	}
-	splitD, err := buildDelta(t, h.ah, recSplit, uint64(v.head), v.chain+1, [5]uint64{sep, q}, 2, scratchWord)
+	splitD, err := buildDelta(t, h.ah, recSplit, uint64(v.head), v.chain+1, [5]uint64{sep, q}, 2, owner{})
 	if err != nil {
 		return err
 	}
@@ -117,7 +118,7 @@ func (h *Handle) splitRootCAS(v *pageView, mid int) error {
 	}
 	//lint:allow hotpath — root split happens O(log N) times over the tree's whole life; a two-entry scratch slice there is noise (§6.3)
 	entries := []Entry{{Key: sep, Value: p2}, {Key: v.high, Value: q}}
-	newRoot, err := buildBase(t, h.ah, recBaseInner, entries, v.low, v.high, 0, scratchWord)
+	newRoot, err := buildBase(t, h.ah, recBaseInner, entries, v.low, v.high, 0, owner{})
 	if err != nil {
 		return err
 	}
@@ -176,7 +177,7 @@ func (h *Handle) helpSplitCAS(parentLPID, low, sep, high, pLPID, qLPID uint64) b
 			continue
 		}
 		idxD, err := buildDelta(t, h.ah, recIndexEntry, head, ps.chain+1,
-			[5]uint64{low, sep, high, pLPID, qLPID}, 5, scratchWord)
+			[5]uint64{low, sep, high, pLPID, qLPID}, 5, owner{})
 		if err != nil {
 			return false
 		}

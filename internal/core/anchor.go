@@ -16,8 +16,8 @@ import (
 // returns their values. While they are not all set it calls create once,
 // which must publish every anchor from zero with one PMwCAS issued
 // through the handle it is given, allocating any new block into a
-// ReserveEntry field (PolicyFreeNewOnFailure) so that a lost race or a
-// crash frees it. After create the anchors are all set, by this create
+// ReserveEntry (PolicyFreeNewOnFailure) so that a lost race or a crash
+// frees it. After create the anchors are all set, by this create
 // or by a rival's, or the image is corrupt.
 //
 // Anchors are read with the protocol read, which helps a rival's
@@ -49,9 +49,10 @@ func (p *Pool) OpenAnchors(anchors []nvram.Offset, create func(*Handle) error) (
 
 // AllocInto reserves a zeroed block of at least size bytes and publishes
 // it into target, replacing whatever target held (it is not freed), with
-// one PMwCAS {target: cur→block}. The block is allocated into the entry's
-// reserved field (PolicyFreeNewOnFailure), so until the PMwCAS commits the
-// descriptor owns it: a crash frees it and leaves target as it was (§5.2).
+// one PMwCAS {target: cur→block}. The block is handed to the descriptor
+// by ReserveEntry (PolicyFreeNewOnFailure), so until the PMwCAS commits
+// the descriptor owns it: a crash frees it and leaves target as it was
+// (§5.2).
 // A rival's change to target between the read and the PMwCAS fails it,
 // frees the block, and AllocInto retries on the new value. It runs on a
 // handle of its own, released before it returns; the caller holds no
@@ -71,12 +72,10 @@ func (h *Handle) allocInto(size uint64, target nvram.Offset) (nvram.Offset, erro
 		if err != nil {
 			return 0, err
 		}
-		field, err := d.ReserveEntry(target, h.Read(target), PolicyFreeNewOnFailure)
-		if err != nil {
-			d.Discard()
-			return 0, err
+		b, err := ah.Reserve(size)
+		if err == nil {
+			err = d.ReserveEntry(target, h.Read(target), b, PolicyFreeNewOnFailure)
 		}
-		b, err := ah.Alloc(size, field)
 		if err != nil {
 			d.Discard()
 			return 0, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pmwcas/internal/alloc"
 	"pmwcas/internal/nvram"
 )
 
@@ -122,11 +123,11 @@ func TestCrashSweepAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestCrashSweepWithAllocation runs the full §5.2 flow — ReserveEntry,
-// persistent allocation delivered into the descriptor, Execute with
-// FreeOne — with a crash at every step, and verifies that recovery never
-// leaks a block, never double-allocates one, and keeps the target words
-// all-or-nothing.
+// TestCrashSweepWithAllocation runs the full §5.2 flow — Reserve, fill,
+// ReserveEntry, Execute with FreeOne — with a crash at every step, and
+// verifies that every set bit's block holds its fill on the crashed
+// image, and that recovery never leaks a block, never double-allocates
+// one, and keeps the target words all-or-nothing.
 func TestCrashSweepWithAllocation(t *testing.T) {
 	const totalBlocks = 256 // matches newEnv's spec
 
@@ -139,17 +140,11 @@ func TestCrashSweepWithAllocation(t *testing.T) {
 		// Pre-install two blocks so the swept operation replaces them
 		// (exercising FreeOne's old-side frees as well).
 		var oldBlocks [2]uint64
+		fills := map[uint64]uint64{}
 		for i := range addrs {
 			d, _ := h.AllocateDescriptor(0)
-			field, err := d.ReserveEntry(addrs[i], 0, PolicyFreeNewOnFailure)
-			if err != nil {
-				t.Fatalf("ReserveEntry: %v", err)
-			}
-			blk, err := ah.Alloc(64, field)
-			if err != nil {
-				t.Fatalf("Alloc: %v", err)
-			}
-			oldBlocks[i] = blk
+			oldBlocks[i] = reserveFilled(t, ah, d, addrs[i], 0, PolicyFreeNewOnFailure, uint64(i+1))
+			fills[oldBlocks[i]] = uint64(i + 1)
 			if ok, _ := d.Execute(); !ok {
 				t.Fatal("setup Execute failed")
 			}
@@ -163,12 +158,14 @@ func TestCrashSweepWithAllocation(t *testing.T) {
 				t.Fatalf("AllocateDescriptor: %v", err)
 			}
 			for i := range addrs {
-				field, err := d.ReserveEntry(addrs[i], oldBlocks[i], PolicyFreeOne)
+				b, err := ah.Reserve(64)
 				if err != nil {
-					t.Fatalf("ReserveEntry: %v", err)
+					t.Fatalf("Reserve: %v", err)
 				}
-				if _, err := ah.Alloc(64, field); err != nil {
-					t.Fatalf("Alloc: %v", err)
+				fills[b] = uint64(i + 11)
+				e.dev.Store(b, fills[b])
+				if err := d.ReserveEntry(addrs[i], oldBlocks[i], b, PolicyFreeOne); err != nil {
+					t.Fatalf("ReserveEntry: %v", err)
 				}
 			}
 			if ok, _ := d.Execute(); !ok {
@@ -177,6 +174,18 @@ func TestCrashSweepWithAllocation(t *testing.T) {
 			e.pool.Epochs().Advance()
 			e.pool.Epochs().Collect()
 		})
+
+		// On the crashed image, every set bit's block holds its fill.
+		img := e.dev.CloneCrashed()
+		ai, err := alloc.New(img, e.aReg, e.spec, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, fill := range fills {
+			if ai.Allocated(b) && img.Load(b) != fill {
+				t.Fatalf("crash at step %d: block %#x is allocated but holds %#x, not its fill %#x", k, b, img.Load(b), fill)
+			}
+		}
 
 		e.reopen(t)
 		h2 := e.pool.NewHandle()
@@ -217,9 +226,9 @@ func TestCrashSweepWithAllocation(t *testing.T) {
 	}
 }
 
-// TestCrashBeforeExecuteReclaimsReservedMemory: a crash after memory has
-// been delivered into a descriptor that never executed must free that
-// memory during recovery (never-leak guarantee of §5.2).
+// TestCrashBeforeExecuteReclaimsReservedMemory: a crash after a block has
+// been handed to a descriptor that never executed must free that block
+// during recovery (never-leak guarantee of §5.2).
 func TestCrashBeforeExecuteReclaimsReservedMemory(t *testing.T) {
 	e := newEnv(t, Persistent, true)
 	addrs := e.initWords(0)
@@ -227,13 +236,7 @@ func TestCrashBeforeExecuteReclaimsReservedMemory(t *testing.T) {
 	ah := e.alloc.NewHandle()
 
 	d, _ := h.AllocateDescriptor(0)
-	field, err := d.ReserveEntry(addrs[0], 0, PolicyFreeNewOnFailure)
-	if err != nil {
-		t.Fatalf("ReserveEntry: %v", err)
-	}
-	if _, err := ah.Alloc(64, field); err != nil {
-		t.Fatalf("Alloc: %v", err)
-	}
+	reserveFilled(t, ah, d, addrs[0], 0, PolicyFreeNewOnFailure, 1)
 	// Crash here: the descriptor is Free-with-entries, owning one block.
 	e.reopen(t)
 	blocks, _ := e.alloc.InUse()

@@ -514,14 +514,11 @@ type Descriptor struct {
 	victims []nvram.Offset
 }
 
-// entry is one descriptor entry as the owner staged it. A ReserveEntry
-// new value is delivered by the allocator into NVRAM only: reserved says
-// new is not known here and must be loaded from the device.
+// entry is one descriptor entry as the owner staged it.
 type entry struct {
 	addr     nvram.Offset
 	old, new uint64
 	policy   Policy
-	reserved bool
 }
 
 // Offset returns the descriptor's NVRAM offset (useful in tests/tools).
@@ -610,30 +607,33 @@ func (d *Descriptor) AddWordWithPolicy(addr nvram.Offset, old, new uint64, polic
 	return nil
 }
 
-// ReserveEntry adds an entry whose new value is not yet known and returns
-// the NVRAM offset of its new_value field (paper §2.2, §5.2). The caller
-// passes that offset to the persistent allocator as the delivery target,
-// making the descriptor the temporary owner of the allocation: a crash
-// between allocation and Execute is repaired by recovery, which frees the
-// reserved memory of never-executed descriptors.
+// ReserveEntry adds an entry that installs block, which the caller
+// reserved from the pool's allocator (alloc.Handle.Reserve) and filled,
+// and hands the block to the descriptor (paper §2.2, §5.2). From here the
+// descriptor owns it: a failed or discarded operation frees it by policy,
+// and a crash before Execute is repaired by recovery, which frees the
+// reserved memory of never-executed descriptors. On an error the block
+// goes back to the allocator unactivated.
 //
-// To make that guarantee real, ReserveEntry persists the descriptor's
-// entries and count before returning — the entry must be durable before
-// memory is delivered into it.
-func (d *Descriptor) ReserveEntry(addr nvram.Offset, old uint64, policy Policy) (nvram.Offset, error) {
-	if err := d.checkAddable(addr, [2]uint64{old, 0}, 1); err != nil {
-		return 0, err
-	}
-	d.addEntry(entry{addr: addr, old: old, policy: policy, reserved: true})
-	// Entries first, then the count that covers them: recovery's
-	// never-leak guarantee for reserved memory depends on the persisted
-	// count never naming an unpersisted entry.
+// The handoff persists in ownership order: the block's lines with the
+// entries, a fence, the count that covers them, a fence, and only then
+// the block's allocation bit. So a set bit always has a durable owner
+// and a durable fill, and the persisted count never names an unpersisted
+// entry. Execute's first fence orders the bit before any publication.
+func (d *Descriptor) ReserveEntry(addr nvram.Offset, old uint64, block nvram.Offset, policy Policy) error {
 	p := d.h.pool
+	if err := d.checkAddable(addr, [2]uint64{old, block}, 2); err != nil {
+		p.alloc.Unreserve(block)
+		return err
+	}
+	d.addEntry(entry{addr: addr, old: old, new: block, policy: policy})
+	p.alloc.FlushBlock(block)
 	p.flushEntries(d.off, d.n)
 	p.dev.Fence()
 	p.flushHeader(d.off)
 	p.dev.Fence()
-	return wordOff(d.off, d.n-1) + wordNewOff, nil
+	p.alloc.MarkAllocated(block)
+	return nil
 }
 
 // RemoveWord removes a previously specified target word (paper §2.2).
@@ -644,16 +644,8 @@ func (d *Descriptor) RemoveWord(addr nvram.Offset) error {
 	for i := range d.ents[:d.n] {
 		if d.ents[i].addr == addr {
 			// Move the last entry into the hole, from the owner's copy.
-			// A reserved new value exists only in NVRAM, so it is loaded
-			// (once) and carried over as a known value.
-			last := d.n - 1
-			if i != last {
-				e := d.ents[last]
-				if e.reserved {
-					e.new = d.h.pool.dev.Load(wordOff(d.off, last) + wordNewOff)
-					e.reserved = false
-				}
-				d.storeEntry(i, e)
+			if last := d.n - 1; i != last {
+				d.storeEntry(i, d.ents[last])
 			}
 			d.n--
 			d.storeCount()
@@ -768,10 +760,9 @@ func (v DescriptorView) Old(i int) uint64 {
 	return v.pool.dev.Load(wordOff(v.off, i) + wordOldOff)
 }
 
-// New returns entry i's desired value. A reserved value still unknown
-// to the copy (the descriptor was discarded) is loaded from NVRAM.
+// New returns entry i's desired value.
 func (v DescriptorView) New(i int) uint64 {
-	if v.ents != nil && !v.ents[i].reserved {
+	if v.ents != nil {
 		return v.ents[i].new
 	}
 	return v.pool.dev.Load(wordOff(v.off, i) + wordNewOff)

@@ -68,13 +68,6 @@ func (d *Descriptor) Execute() (bool, error) {
 		obs.fences += 2
 	}
 
-	// The allocator delivered each reserved new value into NVRAM only;
-	// load it once into the copy exec reads.
-	for i := range d.ents[:d.n] {
-		if e := &d.ents[i]; e.reserved {
-			e.new, e.reserved = p.dev.Load(wordOff(d.off, i)+wordNewOff), false
-		}
-	}
 	d.h.guard.Enter()
 	ok := p.exec(d.off, d.ents[:d.n], &obs)
 	d.h.guard.Exit()

@@ -69,6 +69,21 @@ func newEnv(t testing.TB, mode Mode, withAlloc bool) *env {
 	return e
 }
 
+// reserveFilled reserves a 64-byte block, stores fill into its first
+// word, and hands it to d as the entry {addr: old→block}.
+func reserveFilled(t testing.TB, ah *alloc.Handle, d *Descriptor, addr nvram.Offset, old uint64, policy Policy, fill uint64) nvram.Offset {
+	t.Helper()
+	b, err := ah.Reserve(64)
+	if err != nil {
+		t.Fatalf("Reserve: %v", err)
+	}
+	d.h.pool.dev.Store(b, fill)
+	if err := d.ReserveEntry(addr, old, b, policy); err != nil {
+		t.Fatalf("ReserveEntry: %v", err)
+	}
+	return b
+}
+
 // reopen simulates restart: crash the device, rebuild the environment
 // over the same regions (the allocator from its bitmaps), run pool
 // recovery.
@@ -553,24 +568,13 @@ func TestFreeOnePolicyFreesOldOnSuccess(t *testing.T) {
 
 	// Install block A at the word, then PMwCAS it to block B with FreeOne.
 	d0, _ := h.AllocateDescriptor(0)
-	field, err := d0.ReserveEntry(addrs[0], 0, PolicyFreeNewOnFailure)
-	if err != nil {
-		t.Fatalf("ReserveEntry: %v", err)
-	}
-	blockA, err := ah.Alloc(64, field)
-	if err != nil {
-		t.Fatalf("Alloc: %v", err)
-	}
+	blockA := reserveFilled(t, ah, d0, addrs[0], 0, PolicyFreeNewOnFailure, 1)
 	if ok, _ := d0.Execute(); !ok {
 		t.Fatal("install A failed")
 	}
 
 	d1, _ := h.AllocateDescriptor(0)
-	field1, _ := d1.ReserveEntry(addrs[0], blockA, PolicyFreeOne)
-	blockB, err := ah.Alloc(64, field1)
-	if err != nil {
-		t.Fatalf("Alloc B: %v", err)
-	}
+	blockB := reserveFilled(t, ah, d1, addrs[0], blockA, PolicyFreeOne, 2)
 	if ok, _ := d1.Execute(); !ok {
 		t.Fatal("swap to B failed")
 	}
@@ -598,10 +602,7 @@ func TestFreeNewOnFailurePolicy(t *testing.T) {
 	ah := e.alloc.NewHandle()
 
 	d, _ := h.AllocateDescriptor(0)
-	field, _ := d.ReserveEntry(addrs[0], 999 /* stale */, PolicyFreeNewOnFailure)
-	if _, err := ah.Alloc(64, field); err != nil {
-		t.Fatalf("Alloc: %v", err)
-	}
+	reserveFilled(t, ah, d, addrs[0], 999 /* stale */, PolicyFreeNewOnFailure, 1)
 	if ok, _ := d.Execute(); ok {
 		t.Fatal("Execute with stale expected succeeded")
 	}
@@ -619,10 +620,7 @@ func TestDiscardFreesReservedMemory(t *testing.T) {
 	h := e.pool.NewHandle()
 	ah := e.alloc.NewHandle()
 	d, _ := h.AllocateDescriptor(0)
-	field, _ := d.ReserveEntry(addrs[0], 0, PolicyFreeNewOnFailure)
-	if _, err := ah.Alloc(64, field); err != nil {
-		t.Fatalf("Alloc: %v", err)
-	}
+	reserveFilled(t, ah, d, addrs[0], 0, PolicyFreeNewOnFailure, 1)
 	d.Discard()
 	e.pool.Epochs().Advance()
 	e.pool.Epochs().Collect()
@@ -630,6 +628,100 @@ func TestDiscardFreesReservedMemory(t *testing.T) {
 	if blocks != 0 {
 		t.Fatalf("blocks in use after Discard = %d, want 0", blocks)
 	}
+}
+
+// TestReserveEntryFenceOrder checks ReserveEntry's two barriers: a fence
+// separates the last flush of the entries and of every block line from
+// the header's flush, and another separates the header's flush from the
+// bit's CAS. The simulator persists a line at Flush, so a crash image
+// cannot show a missing fence; the hook reads the device's fence count
+// at every op.
+func TestReserveEntryFenceOrder(t *testing.T) {
+	e := newEnv(t, Persistent, true)
+	addrs := e.initWords(0, 0)
+	h := e.pool.NewHandle()
+	ah := e.alloc.NewHandle()
+	d, _ := h.AllocateDescriptor(0)
+	if err := d.AddWord(addrs[1], 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ah.Reserve(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.dev.Store(b, 7)
+	off := d.Offset()
+	header := off + descStatusOff
+	flushed := map[nvram.Offset]uint64{} // line → fence count at its last flush before the header
+	var headerFences, bitFences uint64
+	sawHeader, sawBit := false, false
+	e.dev.SetHook(func(op string, off nvram.Offset) {
+		switch f := e.dev.Stats().Fences; {
+		case op == "flush" && off == header:
+			headerFences, sawHeader = f, true
+		case op == "flush" && !sawHeader:
+			flushed[off&^(nvram.LineBytes-1)] = f
+		case op == "cas" && e.aReg.Contains(off):
+			bitFences, sawBit = f, true
+		}
+	})
+	if err := d.ReserveEntry(addrs[0], 0, b, PolicyFreeNewOnFailure); err != nil {
+		t.Fatal(err)
+	}
+	e.dev.SetHook(nil)
+	d.Discard()
+	if !sawHeader || !sawBit {
+		t.Fatalf("ReserveEntry flushed the header: %v, set a bit: %v", sawHeader, sawBit)
+	}
+	for _, line := range []nvram.Offset{b, wordOff(off, 0), wordOff(off, 1)} {
+		f, ok := flushed[line&^(nvram.LineBytes-1)]
+		switch {
+		case !ok:
+			t.Errorf("line %#x was not flushed before the header", line)
+		case f >= headerFences:
+			t.Errorf("no fence between line %#x's flush and the header's", line)
+		}
+	}
+	if bitFences <= headerFences {
+		t.Error("no fence between the header's flush and the bit's CAS")
+	}
+}
+
+// TestReserveEntryErrorReturnsBlock: a ReserveEntry that refuses its
+// entry returns the block it was handed to the allocator, unactivated.
+func TestReserveEntryErrorReturnsBlock(t *testing.T) {
+	e := newEnv(t, Persistent, true)
+	addrs := e.initWords(0)
+	h := e.pool.NewHandle()
+	ah := e.alloc.NewHandle()
+	before := e.alloc.FreeBlocks(64)
+	d, _ := h.AllocateDescriptor(0)
+	if err := d.AddWord(addrs[0], 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		old  uint64
+		want error
+	}{
+		{"duplicate address", 0, ErrDuplicateAddress},
+		{"flagged old value", MwCASFlag, ErrFlagBits},
+	} {
+		b, err := ah.Reserve(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ReserveEntry(addrs[0], c.old, b, PolicyFreeNewOnFailure); !errors.Is(err, c.want) {
+			t.Fatalf("%s: ReserveEntry = %v, want %v", c.name, err, c.want)
+		}
+		if n := e.alloc.FreeBlocks(64); n != before {
+			t.Fatalf("%s: FreeBlocks = %d, want %d", c.name, n, before)
+		}
+		if e.alloc.Allocated(b) {
+			t.Fatalf("%s: refused block %#x has its bit set", c.name, b)
+		}
+	}
+	d.Discard()
 }
 
 func TestCustomFinalizeCallback(t *testing.T) {

@@ -292,33 +292,26 @@ func New(cfg Config) (*Table, error) {
 
 // create builds the first, depth-0 bucket and publishes the table with
 // one PMwCAS, {depth: 0→1, dir[0]: 0→B, geometry: 0→slots}. The bucket is
-// allocated into dir[0]'s reserved entry, so the descriptor owns it until
-// the PMwCAS commits: a lost race or a crash frees it (§5.2), and the
-// table stays absent.
+// handed to dir[0]'s entry, so the descriptor owns it until the PMwCAS
+// commits: a lost race or a crash frees it (§5.2), and the table stays
+// absent.
 func (t *Table) create(h *core.Handle) error {
 	d, err := h.AllocateDescriptor(0)
 	if err != nil {
 		return err
 	}
-	field, err := d.ReserveEntry(t.dirBase, 0, core.PolicyFreeNewOnFailure)
+	// Reserve zeroes the bucket: depth 0, version 0, every slot empty.
+	b, err := t.alloc.NewHandle().Reserve(bucketBytes(t.slots))
+	if err == nil {
+		err = d.ReserveEntry(t.dirBase, 0, b, core.PolicyFreeNewOnFailure)
+	}
+	if err == nil {
+		err = d.AddWord(t.depthWord, 0, 1) // depth 0, published
+	}
+	if err == nil {
+		err = d.AddWord(t.geomWord, 0, uint64(t.slots))
+	}
 	if err != nil {
-		d.Discard()
-		return err
-	}
-	b, err := t.alloc.NewHandle().Alloc(bucketBytes(t.slots), field)
-	if err != nil {
-		d.Discard()
-		return err
-	}
-	for off := nvram.Offset(0); off < nvram.Offset(bucketBytes(t.slots)); off += nvram.WordSize {
-		t.dev.Store(b+off, 0)
-	}
-	t.flushRange(b, bucketBytes(t.slots))
-	if err := d.AddWord(t.depthWord, 0, 1); err != nil { // depth 0, published
-		d.Discard()
-		return err
-	}
-	if err := d.AddWord(t.geomWord, 0, uint64(t.slots)); err != nil {
 		d.Discard()
 		return err
 	}

@@ -56,15 +56,17 @@ func newHTEnv(t testing.TB, mode core.Mode, slots int) *htEnv {
 // tests need a directory deep enough that sealed buckets sit below the
 // global depth (only those are reclaimable).
 func newHTEnvDir(t testing.TB, mode core.Mode, slots int, dirSlots uint64) *htEnv {
+	return newHTEnvSpec(t, mode, slots, dirSlots, []alloc.Class{
+		{BlockSize: 128, Count: 4096},
+		{BlockSize: 256, Count: 1024},
+		{BlockSize: 512, Count: 256},
+	})
+}
+
+// newHTEnvSpec builds an env over an allocator with the given classes.
+func newHTEnvSpec(t testing.TB, mode core.Mode, slots int, dirSlots uint64, spec []alloc.Class) *htEnv {
 	t.Helper()
-	e := &htEnv{
-		spec: []alloc.Class{
-			{BlockSize: 128, Count: 4096},
-			{BlockSize: 256, Count: 1024},
-			{BlockSize: 512, Count: 256},
-		},
-		slots: slots,
-	}
+	e := &htEnv{spec: spec, slots: slots}
 	poolBytes := core.PoolSize(htDescs, htWords)
 	aBytes := alloc.MetaSize(e.spec, htHandles)
 	var opts []nvram.Option
@@ -633,5 +635,32 @@ func TestLenEmpty(t *testing.T) {
 	}
 	if err := fmt.Errorf("wrap: %w", ErrUnordered); !errors.Is(err, ErrUnordered) {
 		t.Fatal("ErrUnordered lost identity under wrapping")
+	}
+}
+
+// TestSplitOutOfMemoryUnreserves: with room for one more bucket only, a
+// split reserves its first child, fails to reserve the second, and
+// returns the first unactivated: the insert fails with ErrOutOfMemory,
+// and the free count comes back unchanged.
+func TestSplitOutOfMemoryUnreserves(t *testing.T) {
+	const slots = 4
+	size := (bucketBytes(slots) + nvram.LineBytes - 1) &^ (nvram.LineBytes - 1)
+	e := newHTEnvSpec(t, core.Persistent, slots, htDirSlots, []alloc.Class{{BlockSize: size, Count: 2}})
+	if n := e.alloc.FreeBlocks(size); n != 1 {
+		t.Fatalf("%d buckets free after create, want 1", n)
+	}
+	h := e.tab.NewHandle()
+	var err error
+	for k := uint64(1); err == nil && k <= 64; k++ {
+		err = h.Insert(k, k)
+	}
+	if !errors.Is(err, alloc.ErrOutOfMemory) {
+		t.Fatalf("inserting past one bucket = %v, want ErrOutOfMemory", err)
+	}
+	if n := e.alloc.FreeBlocks(size); n != 1 {
+		t.Fatalf("%d buckets free after the failed split, want 1", n)
+	}
+	if n, _ := e.alloc.InUse(); n != 1 {
+		t.Fatalf("%d blocks in use after the failed split, want the root bucket", n)
 	}
 }

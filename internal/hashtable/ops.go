@@ -391,11 +391,12 @@ func (h *Handle) delete(key uint64, policy core.Policy) (uint64, error) {
 //	{ child0: 0 → b0, child1: 0 → b1, meta: v → v | sealed }
 //
 // The children carry b's slots redistributed by the next hash bit,
-// initialized and flushed before the install; the meta compare validates
-// that snapshot. A lost race or a crash reclaims both children through
-// the FreeNewOnFailure policy (§5.2). The sealed bucket stays allocated
-// forever as an interior node of the radix tree — that immutability is
-// what lets directory repair run lazily, unordered, and crash-ignored.
+// filled before they are handed to the descriptor; the meta compare
+// validates that snapshot. A lost race or a crash reclaims both children
+// through the FreeNewOnFailure policy (§5.2). The sealed bucket stays
+// allocated forever as an interior node of the radix tree — that
+// immutability is what lets directory repair run lazily, unordered, and
+// crash-ignored.
 //
 //pmwcas:requires-guard — re-reads the slots of a bucket a racing split may seal
 func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
@@ -425,41 +426,26 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 	if err != nil {
 		return err
 	}
-	f0, err := d.ReserveEntry(b+bucketChild0Off, 0, core.PolicyFreeNewOnFailure)
+	b0, err := h.ah.Reserve(bucketBytes(t.slots))
 	if err != nil {
 		d.Discard()
 		return err
 	}
-	b0, err := h.ah.Alloc(bucketBytes(t.slots), f0)
+	b1, err := h.ah.Reserve(bucketBytes(t.slots))
 	if err != nil {
+		t.alloc.Unreserve(b0)
 		d.Discard()
 		return err
 	}
-	f1, err := d.ReserveEntry(b+bucketChild1Off, 0, core.PolicyFreeNewOnFailure)
-	if err != nil {
-		d.Discard()
-		return err
-	}
-	b1, err := h.ah.Alloc(bucketBytes(t.slots), f1)
-	if err != nil {
-		d.Discard()
-		return err
-	}
-	// Initialize the children: depth+1, version 0, parent back-pointer,
-	// slots split on hash bit `depth`. Descriptor-owned until the install
-	// commits, so plain stores are private here.
+	// Fill the zeroed children: depth+1, version 0, parent back-pointer,
+	// slots split on hash bit `depth`. Reserved and unpublished, so plain
+	// stores are private here.
 	childMeta := uint64(depth+1) << depthShift
-	n0, n1 := 0, 0
 	for _, c := range [2]nvram.Offset{b0, b1} {
 		t.dev.Store(c+bucketMetaOff, childMeta)
-		t.dev.Store(c+bucketChild0Off, 0)
-		t.dev.Store(c+bucketChild1Off, 0)
 		t.dev.Store(c+bucketParentOff, b)
-		for i := 0; i < t.slots; i++ {
-			t.dev.Store(slotKeyOff(c, i), 0)
-			t.dev.Store(slotValOff(c, i), 0)
-		}
 	}
+	n0, n1 := 0, 0
 	for i := 0; i < t.slots; i++ {
 		if keys[i] == 0 {
 			continue
@@ -474,9 +460,13 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 			n1++
 		}
 	}
-	t.flushRange(b0, bucketBytes(t.slots))
-	t.flushRange(b1, bucketBytes(t.slots))
-	if err := d.AddWord(b+bucketMetaOff, meta, meta|sealedMask); err != nil {
+	// From each handoff on, the descriptor owns that child.
+	if err = d.ReserveEntry(b+bucketChild0Off, 0, b0, core.PolicyFreeNewOnFailure); err != nil {
+		t.alloc.Unreserve(b1)
+	} else if err = d.ReserveEntry(b+bucketChild1Off, 0, b1, core.PolicyFreeNewOnFailure); err == nil {
+		err = d.AddWord(b+bucketMetaOff, meta, meta|sealedMask)
+	}
+	if err != nil {
 		d.Discard()
 		return err
 	}

@@ -175,7 +175,7 @@ func storeValueArgs(info *types.Info, call *ast.CallExpr) []int {
 			case "AddWord", "AddWordWithPolicy":
 				return []int{1, 2}
 			case "ReserveEntry":
-				return []int{1}
+				return []int{1, 2}
 			}
 		}
 		return nil

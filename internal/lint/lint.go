@@ -12,7 +12,9 @@
 //     it; swaps must go through core.PCAS or a descriptor.
 //   - storefence (§3): a Device.Store to persistent memory that is never
 //     followed by a Flush (and Fence) on any path publishes volatile
-//     state; a crash silently discards it.
+//     state; a crash silently discards it. A store that fills a reserved
+//     block is written back by the Activate / ReserveEntry handoff that
+//     takes the block.
 //
 // The remaining checkers follow their contract across function and
 // package boundaries using go/analysis Facts (serialized per-package
@@ -159,6 +161,7 @@ const (
 	nvramPath = "pmwcas/internal/nvram"
 	corePath  = "pmwcas/internal/core"
 	epochPath = "pmwcas/internal/epoch"
+	allocPath = "pmwcas/internal/alloc"
 )
 
 // checkers are the analyzers a //lint:allow may name, in reporting order.
@@ -283,6 +286,17 @@ func protocolOffsetArg(info *types.Info, call *ast.CallExpr) ast.Expr {
 func isNamedRecv(info *types.Info, recv ast.Expr, path, name string) bool {
 	t := info.TypeOf(recv)
 	return t != nil && isNamed(t, path, name)
+}
+
+// isHandoff reports whether call hands a reserved block to its owner:
+// (*alloc.Handle).Activate or (*core.Descriptor).ReserveEntry. Either
+// writes back every line of the block and fences before the block's bit
+// is set, so the stores that filled the block are durable once it
+// returns (DESIGN.md §6.2).
+func isHandoff(info *types.Info, call *ast.CallExpr) bool {
+	name, recv, _, ok := methodCall(info, call)
+	return ok && (name == "Activate" && isNamedRecv(info, recv, allocPath, "Handle") ||
+		name == "ReserveEntry" && isNamedRecv(info, recv, corePath, "Descriptor"))
 }
 
 // calleeFunc resolves the function or method call invokes, or nil for

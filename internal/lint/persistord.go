@@ -63,7 +63,11 @@ const traversalAnnotation = "//pmwcas:traversal"
 //     PersistState fact (the result of a traversal helper, however many
 //     hops away) may be stored raw only when a Flush — direct or via a
 //     Flusher-fact callee — followed by a Fence appears later in the same
-//     function (the staged-initialisation idiom). Descriptor AddWord /
+//     function (the staged-initialisation idiom), or a handoff does: a
+//     store that fills a reserved block is made durable by the
+//     (*alloc.Handle).Activate or (*core.Descriptor).ReserveEntry call
+//     that takes the block, which writes back its lines and fences before
+//     the block can be published (isHandoff). Descriptor AddWord /
 //     ReserveEntry targets are exempt: descriptor installation re-reads
 //     and persists the target word at runtime before anything commits.
 //
@@ -226,6 +230,10 @@ func checkPersistOrd(pass *analysis.Pass, sup *suppressions, t *taint,
 			}
 		} else if isFlusher(calleeFunc(info, call)) {
 			flushes = append(flushes, call.Pos())
+		} else if isHandoff(info, call) {
+			// A handoff flushes the block, then fences.
+			flushes = append(flushes, call.Pos())
+			fences = append(fences, call.End())
 		}
 		for _, argIdx := range persistSinkArgs(info, call) {
 			if argIdx >= len(call.Args) {
@@ -253,8 +261,8 @@ func checkPersistOrd(pass *analysis.Pass, sup *suppressions, t *taint,
 
 	// Rule 3: each raw store of a fact-tainted value must be followed, in
 	// source order within this function, by a flush and then a fence — the
-	// staged-initialisation pattern that makes the destination durable
-	// before any commit can reference it.
+	// staged-initialisation pattern, or a handoff — that makes the
+	// destination durable before any commit can reference it.
 	for _, ob := range obligations {
 		cleared := false
 		for _, f := range flushes {

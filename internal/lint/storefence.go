@@ -19,10 +19,14 @@ import (
 // reachable Flush publishes state that recovery will never see.
 //
 // The check is deliberately one-sided: it fires only when no path after
-// the store contains a flush-like call (Device.Flush / FlushAll,
-// core.Persist / PCASFlush, or any callee whose name contains "flush" or
-// "persist"). Functions that flush on the happy path but not on error
-// unwinds are accepted — the unwind discards the work anyway.
+// the store contains a write-back: a flush-like call (Device.Flush /
+// FlushAll, core.Persist / PCASFlush, or any callee whose name contains
+// "flush" or "persist") or a handoff. A handoff —
+// (*alloc.Handle).Activate or (*core.Descriptor).ReserveEntry — takes a
+// reserved block the function filled and writes back every line of it
+// (isHandoff), so the stores that filled it need no flush of their own.
+// Functions that write back on the happy path but not on error unwinds
+// are accepted — the unwind discards the work anyway.
 var StoreFence = &analysis.Analyzer{
 	Name: "storefence",
 	Doc: "report Device.Store with no subsequent Flush on any path to return " +
@@ -67,8 +71,9 @@ func runStoreFence(pass *analysis.Pass) (interface{}, error) {
 }
 
 // flushLike reports whether the subtree contains a call that writes lines
-// back: Device.Flush/FlushAll, core.Persist/PCASFlush, or any callee
-// whose name contains "flush" or "persist" (local helpers like flushNode).
+// back: Device.Flush/FlushAll, core.Persist/PCASFlush, any callee whose
+// name contains "flush" or "persist" (local helpers like flushRange), or
+// a handoff of a reserved block.
 func flushLike(pass *analysis.Pass, n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(x ast.Node) bool {
@@ -78,6 +83,10 @@ func flushLike(pass *analysis.Pass, n ast.Node) bool {
 		call, ok := x.(*ast.CallExpr)
 		if !ok {
 			return true
+		}
+		if isHandoff(pass.TypesInfo, call) {
+			found = true
+			return false
 		}
 		var callee string
 		switch f := call.Fun.(type) {

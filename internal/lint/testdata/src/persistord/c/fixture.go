@@ -7,6 +7,7 @@ import (
 	"fixtures/persistord/a"
 	"fixtures/persistord/b"
 
+	"pmwcas/internal/alloc"
 	"pmwcas/internal/nvram"
 )
 
@@ -23,6 +24,29 @@ func GoodTwoHopStaged(l *a.List, off, dst nvram.Offset) {
 	l.Dev.Store(dst, cur.Val)
 	l.Dev.Flush(dst)
 	l.Dev.Fence()
+}
+
+// GoodTwoHopHandedOff: the same flow fills a reserved block, cleared by
+// the Activate that takes the block (it flushes the block, then fences).
+func GoodTwoHopHandedOff(l *a.List, ah *alloc.Handle, off, dst nvram.Offset) {
+	cur := b.Forward(l, off)
+	blk, err := ah.Reserve(64)
+	if err != nil {
+		return
+	}
+	l.Dev.Store(blk, cur.Val)
+	ah.Activate(blk, dst)
+}
+
+// BadTwoHopNoHandoff: filled but never handed over.
+func BadTwoHopNoHandoff(l *a.List, ah *alloc.Handle, off nvram.Offset) nvram.Offset {
+	cur := b.Forward(l, off)
+	blk, err := ah.Reserve(64)
+	if err != nil {
+		return 0
+	}
+	l.Dev.Store(blk, cur.Val) // want `publishing the possibly-unpersisted value returned by .*Forward .fact PersistState.`
+	return blk
 }
 
 // GoodSuppressed: a deliberate, reviewed exception is silenced the same

@@ -3,6 +3,7 @@
 package storefence
 
 import (
+	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
 	"pmwcas/internal/nvram"
 )
@@ -52,3 +53,44 @@ func (w *wal) persistHead() {
 	w.dev.Flush(w.head)
 	w.dev.Fence()
 }
+
+// goodFilledThenActivated: the stores fill a reserved block, and the
+// Activate that takes the block writes back every line of it.
+func (w *wal) goodFilledThenActivated(ah *alloc.Handle, v uint64) {
+	b, err := ah.Reserve(64)
+	if err != nil {
+		return
+	}
+	w.dev.Store(b, v)
+	ah.Activate(b, w.head)
+}
+
+// goodFilledThenReserveEntry: a descriptor entry taking the block writes
+// it back the same way.
+func (w *wal) goodFilledThenReserveEntry(ah *alloc.Handle, d *core.Descriptor, v uint64) error {
+	b, err := ah.Reserve(64)
+	if err != nil {
+		return err
+	}
+	w.dev.Store(b, v)
+	return d.ReserveEntry(w.head, 0, b, core.PolicyFreeNewOnFailure)
+}
+
+// badFilledNoHandoff: the block is filled but never handed over here.
+func (w *wal) badFilledNoHandoff(ah *alloc.Handle, v uint64) nvram.Offset {
+	b, err := ah.Reserve(64)
+	if err != nil {
+		return 0
+	}
+	w.dev.Store(b, v) // want `never followed by a Flush`
+	return b
+}
+
+// badHandoffByNameOnly: a callee merely named like a handoff writes
+// nothing back.
+func (w *wal) badHandoffByNameOnly(v uint64) {
+	w.dev.Store(w.head, v) // want `never followed by a Flush`
+	w.Activate(w.head)
+}
+
+func (w *wal) Activate(nvram.Offset) {}

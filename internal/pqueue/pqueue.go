@@ -94,30 +94,23 @@ func New(cfg Config) (*Queue, error) {
 }
 
 // create builds the sentinel node and publishes it with one PMwCAS,
-// {head: 0→S, tail: 0→S}. The sentinel is allocated into the head
-// anchor's reserved entry, so the descriptor owns it until the PMwCAS
-// commits: a lost race or a crash frees it (§5.2), and the anchors stay
-// zero.
+// {head: 0→S, tail: 0→S}. The sentinel is handed to the head anchor's
+// entry, so the descriptor owns it until the PMwCAS commits: a lost race
+// or a crash frees it (§5.2), and the anchors stay zero.
 func (q *Queue) create(h *core.Handle) error {
 	d, err := h.AllocateDescriptor(0)
 	if err != nil {
 		return err
 	}
-	field, err := d.ReserveEntry(q.headAnchor, 0, core.PolicyFreeNewOnFailure)
-	if err != nil {
-		d.Discard()
-		return err
+	// Reserve zeroes the sentinel: no value, no next.
+	sentinel, err := q.alloc.NewHandle().Reserve(nodeSize)
+	if err == nil {
+		err = d.ReserveEntry(q.headAnchor, 0, sentinel, core.PolicyFreeNewOnFailure)
 	}
-	sentinel, err := q.alloc.NewHandle().Alloc(nodeSize, field)
-	if err != nil {
-		d.Discard()
-		return err
+	if err == nil {
+		err = d.AddWord(q.tailAnchor, 0, sentinel)
 	}
-	q.dev.Store(sentinel+nodeValueOff, 0)
-	q.dev.Store(sentinel+nodeNextOff, 0)
-	q.dev.Flush(sentinel)
-	q.dev.Fence()
-	if err := d.AddWord(q.tailAnchor, 0, sentinel); err != nil {
+	if err != nil {
 		d.Discard()
 		return err
 	}
@@ -157,22 +150,17 @@ func (h *Handle) Enqueue(value uint64) error {
 			g.Enter()
 			continue
 		}
-		// The node is descriptor-owned until the link commits (§5.2).
-		field, err := d.ReserveEntry(nvram.Offset(tail)+nodeNextOff, 0, core.PolicyFreeNewOnFailure)
-		if err != nil {
-			d.Discard()
-			return err
+		// The node is filled, then descriptor-owned until the link
+		// commits (§5.2).
+		node, err := h.ah.Reserve(nodeSize)
+		if err == nil {
+			q.dev.Store(node+nodeValueOff, value)
+			err = d.ReserveEntry(nvram.Offset(tail)+nodeNextOff, 0, node, core.PolicyFreeNewOnFailure)
 		}
-		node, err := h.ah.Alloc(nodeSize, field)
-		if err != nil {
-			d.Discard()
-			return err
+		if err == nil {
+			err = d.AddWord(q.tailAnchor, tail, node)
 		}
-		q.dev.Store(node+nodeValueOff, value)
-		q.dev.Store(node+nodeNextOff, 0)
-		q.dev.Flush(node)
-		q.dev.Fence()
-		if err := d.AddWord(q.tailAnchor, tail, node); err != nil {
+		if err != nil {
 			d.Discard()
 			return err
 		}

@@ -44,19 +44,14 @@ func NewCAS(dev *nvram.Device, a *alloc.Allocator, mgr *epoch.Manager) (*CASList
 		l.mgr = epoch.NewManager()
 	}
 	ah := a.NewHandle()
-	// The allocator's crash-safe ownership order is pointless for a
-	// volatile structure; deliver into the reserved first device line
-	// (offset 8), which no layout ever hands out.
 	var err error
-	l.head, err = ah.Alloc(nodeSize(MaxHeight), nvram.WordSize)
-	if err != nil {
+	if l.head, err = ah.Reserve(nodeSize(MaxHeight)); err != nil {
 		return nil, err
 	}
-	l.tail, err = ah.Alloc(nodeSize(MaxHeight), nvram.WordSize)
-	if err != nil {
+	if l.tail, err = ah.Reserve(nodeSize(MaxHeight)); err != nil {
+		a.Unreserve(l.head)
 		return nil, err
 	}
-	dev.Store(l.head+nodeKeyOff, 0)
 	dev.Store(l.tail+nodeKeyOff, MaxKey)
 	dev.Store(l.head+nodeMetaOff, MaxHeight)
 	dev.Store(l.tail+nodeMetaOff, MaxHeight)
@@ -64,6 +59,11 @@ func NewCAS(dev *nvram.Device, a *alloc.Allocator, mgr *epoch.Manager) (*CASList
 		dev.Store(l.head+linkOff(i, false), l.tail)
 		dev.Store(l.tail+linkOff(i, true), l.head)
 	}
+	// The allocator's crash-safe ownership order is pointless for a
+	// volatile structure; activate into the reserved first device line
+	// (offset 8), which no layout ever hands out.
+	ah.Activate(l.head, nvram.WordSize)
+	ah.Activate(l.tail, nvram.WordSize)
 	return l, nil
 }
 
@@ -188,14 +188,14 @@ func (h *CASHandle) Insert(key, value uint64) error {
 		}
 		if node == 0 {
 			var err error
-			// Volatile list: deliver into the reserved scratch word.
-			node, err = h.ah.Alloc(nodeSize(height), nvram.WordSize)
-			if err != nil {
+			if node, err = h.ah.Reserve(nodeSize(height)); err != nil {
 				return err
 			}
 			l.dev.Store(node+nodeKeyOff, key)
 			l.dev.Store(node+nodeValueOff, value)
 			l.dev.Store(node+nodeMetaOff, uint64(height))
+			// Volatile list: activate into the reserved scratch word.
+			h.ah.Activate(node, nvram.WordSize)
 		}
 		l.dev.Store(node+linkOff(0, false), succ)
 		l.dev.Store(node+linkOff(0, true), pred)

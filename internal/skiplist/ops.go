@@ -156,27 +156,22 @@ func (h *Handle) insert(pred, succ nvram.Offset, key, value uint64, height int) 
 	if err != nil {
 		return 0, err
 	}
-	// The new node is owned by the descriptor until the PMwCAS succeeds:
-	// allocated into the entry's new-value field, freed automatically if
-	// the insert loses its race (§5.2, Figure 3).
-	field, err := d.ReserveEntry(pred+linkOff(0, false), succ, core.PolicyFreeNewOnFailure)
+	// The new node is filled, then handed to the descriptor, which owns
+	// it until the PMwCAS succeeds and frees it automatically if the
+	// insert loses its race (§5.2, Figure 3).
+	node, err := h.ah.Reserve(nodeSize(height))
+	if err == nil {
+		l.dev.Store(node+nodeKeyOff, key)
+		l.dev.Store(node+nodeValueOff, value)
+		l.dev.Store(node+nodeMetaOff, uint64(height))
+		l.dev.Store(node+linkOff(0, false), succ)
+		l.dev.Store(node+linkOff(0, true), pred)
+		err = d.ReserveEntry(pred+linkOff(0, false), succ, node, core.PolicyFreeNewOnFailure)
+	}
 	if err != nil {
 		d.Discard()
 		return 0, err
 	}
-	node, err := h.ah.Alloc(nodeSize(height), field)
-	if err != nil {
-		d.Discard()
-		return 0, err
-	}
-	l.dev.Store(node+nodeKeyOff, key)
-	l.dev.Store(node+nodeValueOff, value)
-	l.dev.Store(node+nodeMetaOff, uint64(height))
-	l.dev.Store(node+linkOff(0, false), succ)
-	l.dev.Store(node+linkOff(0, true), pred)
-	l.flushNode(node, height)
-	l.dev.Fence()
-
 	if err := d.AddWord(succ+linkOff(0, true), pred, node); err != nil {
 		d.Discard()
 		return 0, err

@@ -153,8 +153,8 @@ func New(cfg Config) (*List, error) {
 }
 
 // create builds the sentinel towers and publishes them with one PMwCAS,
-// {head: 0→H, tail: 0→T}. Each tower is allocated into its anchor's
-// reserved entry, so the descriptor owns it until the PMwCAS commits: a
+// {head: 0→H, tail: 0→T}. Each tower is filled, then handed to its
+// anchor's entry, so the descriptor owns it until the PMwCAS commits: a
 // lost race or a crash frees it (§5.2), and the anchors stay zero.
 func (l *List) create(h *core.Handle) error {
 	ah := l.alloc.NewHandle()
@@ -162,20 +162,17 @@ func (l *List) create(h *core.Handle) error {
 	if err != nil {
 		return err
 	}
-	var towers [2]nvram.Offset
-	for i := range towers {
-		field, err := d.ReserveEntry(l.roots.Base+nvram.Offset(i)*nvram.WordSize, 0, core.PolicyFreeNewOnFailure)
-		if err != nil {
-			d.Discard()
-			return err
-		}
-		if towers[i], err = ah.Alloc(nodeSize(MaxHeight), field); err != nil {
-			d.Discard()
-			return err
-		}
+	head, err := ah.Reserve(nodeSize(MaxHeight))
+	if err != nil {
+		d.Discard()
+		return err
 	}
-	head, tail := towers[0], towers[1]
-	l.dev.Store(head+nodeKeyOff, 0)
+	tail, err := ah.Reserve(nodeSize(MaxHeight))
+	if err != nil {
+		l.alloc.Unreserve(head)
+		d.Discard()
+		return err
+	}
 	l.dev.Store(tail+nodeKeyOff, MaxKey)
 	l.dev.Store(head+nodeMetaOff, MaxHeight)
 	l.dev.Store(tail+nodeMetaOff, MaxHeight)
@@ -183,9 +180,15 @@ func (l *List) create(h *core.Handle) error {
 		l.dev.Store(head+linkOff(i, false), tail) // head.next[i] = tail
 		l.dev.Store(tail+linkOff(i, true), head)  // tail.prev[i] = head
 	}
-	l.flushNode(head, MaxHeight)
-	l.flushNode(tail, MaxHeight)
-	l.dev.Fence()
+	if err = d.ReserveEntry(l.roots.Base, 0, head, core.PolicyFreeNewOnFailure); err != nil {
+		l.alloc.Unreserve(tail)
+	} else {
+		err = d.ReserveEntry(l.roots.Base+nvram.WordSize, 0, tail, core.PolicyFreeNewOnFailure)
+	}
+	if err != nil {
+		d.Discard()
+		return err
+	}
 	_, err = d.Execute()
 	return err
 }
@@ -198,15 +201,6 @@ func linkOff(level int, prev bool) uint64 {
 		o += nvram.WordSize
 	}
 	return o
-}
-
-// flushNode persists a node's lines. It always flushes: on a volatile
-// device a flush costs nothing, so the same code serves both modes, as
-// in the paper.
-func (l *List) flushNode(n nvram.Offset, height int) {
-	for off := n; off < n+nodeSize(height); off += nvram.LineBytes {
-		l.dev.Flush(off)
-	}
 }
 
 // key reads a node's key. Keys are immutable after initialization and

@@ -550,3 +550,39 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("undersized descriptor capacity accepted")
 	}
 }
+
+// TestCreateOutOfMemoryUnreserves: with room for one sentinel tower
+// only, New reserves the head, fails to reserve the tail, and returns the
+// head unactivated, so the free count comes back unchanged. So does the
+// baseline list's constructor.
+func TestCreateOutOfMemoryUnreserves(t *testing.T) {
+	spec := []alloc.Class{{BlockSize: 256, Count: 1}}
+	poolBytes := core.PoolSize(slDescs, slWords)
+	aBytes := alloc.MetaSize(spec, 1)
+	dev := nvram.New(poolBytes + aBytes + 1<<12)
+	l := nvram.NewLayout(dev)
+	poolReg, aReg, roots := l.Carve(poolBytes), l.Carve(aBytes), l.Carve(nvram.LineBytes)
+	a, err := alloc.New(dev, aReg, spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := core.NewPool(core.Config{
+		Device: dev, Region: poolReg, DescriptorCount: slDescs, WordsPerDescriptor: slWords,
+		Mode: core.Persistent, Allocator: a,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Pool: pool, Allocator: a, Roots: roots}); !errors.Is(err, alloc.ErrOutOfMemory) {
+		t.Fatalf("New with room for one tower = %v, want ErrOutOfMemory", err)
+	}
+	if n := a.FreeBlocks(256); n != 1 {
+		t.Fatalf("%d towers free after the failed New, want 1", n)
+	}
+	if _, err := NewCAS(dev, a, nil); !errors.Is(err, alloc.ErrOutOfMemory) {
+		t.Fatalf("NewCAS with room for one tower = %v, want ErrOutOfMemory", err)
+	}
+	if n := a.FreeBlocks(256); n != 1 {
+		t.Fatalf("%d towers free after the failed NewCAS, want 1", n)
+	}
+}
