@@ -31,7 +31,6 @@ func BenchmarkBlobKVScaling(b *testing.B) {
 		s, err := Create(Config{
 			Size:         256 << 20,
 			Descriptors:  4096,
-			MaxHandles:   4*64 + 8,
 			FlushLatency: 100 * time.Nanosecond,
 		})
 		if err != nil {

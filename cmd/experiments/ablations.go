@@ -69,7 +69,7 @@ func a3Eviction(threads int, sc scale) {
 	for _, evict := range []int{0, 16, 4} {
 		s, err := pmwcas.Create(pmwcas.Config{
 			Size: 256 << 20, Mode: pmwcas.Persistent, Descriptors: 4096,
-			MaxHandles: 256, EvictEvery: evict, YieldEvery: yieldEvery,
+			EvictEvery: evict, YieldEvery: yieldEvery,
 		})
 		if err != nil {
 			fail(err)
@@ -100,7 +100,7 @@ func a4ConsolidationThreshold(threads int, sc scale) {
 	for _, consol := range []int{2, 8, 32} {
 		s, err := pmwcas.Create(pmwcas.Config{
 			Size: 256 << 20, Mode: pmwcas.Persistent, Descriptors: 4096,
-			MaxHandles: 256, YieldEvery: yieldEvery,
+			YieldEvery: yieldEvery,
 		})
 		if err != nil {
 			fail(err)

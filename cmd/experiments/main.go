@@ -254,13 +254,13 @@ func e4(threads int, sc scale, flush time.Duration) {
 }
 
 // newStore builds one store per cell so cells never share a heap. The
-// total device, descriptor and handle budget is the same whatever the
-// shard count: only how it is partitioned varies.
+// total device and descriptor budget is the same whatever the shard
+// count: only how it is partitioned varies.
 func newStore(mode pmwcas.Mode, flush time.Duration, shards int) *pmwcas.Store {
 	runtime.GC() // release the previous variant's device before allocating
 	s, err := pmwcas.Create(pmwcas.Config{
 		Size: 256 << 20, Mode: mode, Shards: shards,
-		Descriptors: max(4096/shards, 256), MaxHandles: max(256/shards, 64),
+		Descriptors:  max(4096/shards, 256),
 		FlushLatency: flush, YieldEvery: yieldEvery,
 	})
 	if err != nil {

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	pmwcas-inspect -image store.img [-size bytes] [-descriptors n]
-//	               [-words n] [-handles n] [-mapping slots] [-keys]
+//	               [-words n] [-mapping slots] [-keys]
 //	pmwcas-inspect stats -image store.img [-shards n] [geometry flags]
 //	pmwcas-inspect trace [-addr host:port] [-timeout d] [-raw]
 //
@@ -63,7 +63,6 @@ func geometryFlags(fs *flag.FlagSet) func() pmwcas.Config {
 	size := fs.Uint64("size", 64<<20, "device size the store was created with")
 	descriptors := fs.Int("descriptors", 1024, "descriptor pool size (per shard)")
 	words := fs.Int("words", 0, "words per descriptor (0 = library default)")
-	handles := fs.Int("handles", 64, "MaxHandles the store was created with (sizes blob staging: MaxHandles/4 handles)")
 	mapping := fs.Uint64("mapping", 1<<16, "Bw-tree mapping slots")
 	shards := fs.Int("shards", 1, "shard count the store was created with")
 	return func() pmwcas.Config {
@@ -71,7 +70,6 @@ func geometryFlags(fs *flag.FlagSet) func() pmwcas.Config {
 			Size:               *size,
 			Descriptors:        *descriptors,
 			WordsPerDescriptor: *words,
-			MaxHandles:         *handles,
 			BwTreeMappingSlots: *mapping,
 			Shards:             *shards,
 		}

@@ -61,10 +61,6 @@ func main() {
 		Size:        *sizeMiB << 20,
 		Shards:      *shards,
 		Descriptors: *descriptors,
-		// Each connection holds one blob handle on every shard, and a
-		// shard's blob layer has MaxHandles/4 of them (its staging
-		// slots); the slack leaves two spare.
-		MaxHandles: 4*(*maxConns) + 8,
 	}
 	switch *mode {
 	case "persistent":

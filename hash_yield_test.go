@@ -26,7 +26,6 @@ func TestHashDirectoryReclaimRace(t *testing.T) {
 	cfg := Config{
 		Size:               8 << 20,
 		Descriptors:        256,
-		MaxHandles:         8,
 		BwTreeMappingSlots: 1 << 10,
 		HashDirSlots:       1 << 8,
 		YieldEvery:         32,

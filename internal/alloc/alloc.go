@@ -11,9 +11,9 @@
 //     is durable yet: the bit is clear, so a crash leaves the block free.
 //   - The caller fills the block with plain stores.
 //   - The owner takes it. Activate stores the address into a target word;
-//     core.Descriptor.ReserveEntry stages it as a descriptor entry. Either
-//     way the block's lines and the owner are flushed once and fenced, and
-//     only then is the allocation bit set.
+//     core.Descriptor.ReserveEntry stages it as a descriptor entry, which
+//     Execute activates. Either way the block's lines and the owner are
+//     flushed once and fenced, and only then is the allocation bit set.
 //
 // A set bit thus always has a durable owner and a durable fill, and a
 // crash before the bit persists leaves a free block, which the owner's
@@ -330,8 +330,8 @@ func (a *Allocator) Unreserve(block nvram.Offset) {
 }
 
 // Activate hands a filled reserved block to the word target, for an owner
-// that is not a descriptor (a staging slot, a volatile baseline's scratch
-// word), in this order:
+// that is not a descriptor (a volatile baseline's scratch word), in this
+// order:
 //
 //  1. every line of the block is flushed;
 //  2. the offset is stored into target and flushed;
@@ -429,7 +429,7 @@ func (a *Allocator) Free(block nvram.Offset) error {
 // barrier runs, and only then are the blocks put back on the free lists.
 //
 // The barrier is where a caller durably drops its own record of the
-// pending free (a descriptor's header reset, a staging slot's erase).
+// pending free (a descriptor's header reset).
 // A crash before the barrier persists leaves that record naming blocks
 // whose bits may already be clear, and its replay skips them; a crash
 // after leaves no record. No block can be reallocated while a record
@@ -458,7 +458,7 @@ func (a *Allocator) FreeManyWithBarrier(blocks []nvram.Offset, barrier func()) e
 	}
 	a.dev.Fence()
 	if barrier != nil {
-		//lint:allow hotpath — caller-supplied durability barrier: a header reset or a slot erase, bounded stores and flushes (§6.3)
+		//lint:allow hotpath — caller-supplied durability barrier: a descriptor header reset, bounded stores and flushes (§6.3)
 		barrier()
 	}
 	for _, b := range blocks[:n] {

@@ -10,18 +10,16 @@
 // out-of-line as immutable record blocks; the index stores each record's
 // offset. Every mutation is crash-atomic:
 //
-//   - a new record is reserved, filled, and activated into the writing
-//     handle's staging slot: its lines and its address are durable before
-//     its allocation bit is set, so a crash between allocation and linking
-//     can never leak it — Open's recovery frees any staged record its key
-//     does not reference (a record whose bit never persisted needs no
-//     free: the slot is erased);
-//   - a put installs the new record with PutOwned, in one index descent:
-//     the record it displaces, if any, is freed through the PMwCAS
-//     recycling machinery, atomically-with-the-update as far as crashes
-//     are concerned;
+//   - a put reserves and fills a new record and hands it to PutOwned,
+//     which makes it a descriptor entry of the PMwCAS that installs it,
+//     in one index descent (§5.2): the descriptor is the record's only
+//     owner until that PMwCAS commits, so a lost race or a crash frees it,
+//     and the record it displaces, if any, is freed by the same PMwCAS;
 //   - a delete uses DeleteOwned, which frees the record in the same
 //     PMwCAS that removes the key.
+//
+// So the layer has no durable state and no recovery of its own beyond
+// the index's and the descriptor pool's.
 //
 // Records are immutable after publication, so readers under an epoch
 // guard can copy them out without synchronizing with writers.
@@ -29,8 +27,6 @@ package blobkv
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/epoch"
@@ -43,8 +39,8 @@ import (
 // can hold; larger values would need dedicated size classes.
 const MaxValueLen = 4096 - recHeader
 
-// Record layout: word0 = byte length, word1 = index key (for staging
-// recovery), payload from +16 packed into words.
+// Record layout: word0 = byte length, word1 = index key (Check matches it
+// against the index), payload from +16 packed into words.
 const (
 	recLenOff  = 0
 	recKeyOff  = 8
@@ -65,17 +61,7 @@ type Store struct {
 	index func(seed int64) index.Owner
 	alloc *alloc.Allocator
 	dev   *nvram.Device
-
-	staging nvram.Region // one durable word per handle
-	nSlots  int
-
-	mu         sync.Mutex
-	nextHandle int
 }
-
-// StagingWords returns how many staging root words a store with the
-// given handle budget needs (for layout planning).
-func StagingWords(maxHandles int) uint64 { return uint64(maxHandles) }
 
 // Config wires a Store to its substrates.
 type Config struct {
@@ -84,120 +70,34 @@ type Config struct {
 	Index     func(seed int64) index.Owner
 	Allocator *alloc.Allocator
 	Device    *nvram.Device
-	// Staging is a durable region of at least MaxHandles words at a
-	// layout-stable location.
-	Staging nvram.Region
-	// MaxHandles bounds blobkv handles: one staging slot each.
-	MaxHandles int
 }
 
-// Open assembles the store and runs its (tiny) recovery pass: every
-// staged record either is exactly what its key maps to — the operation
-// completed — or is released. Idempotent; call after the PMwCAS pool has
-// recovered and DropUnallocated has run.
+// Open assembles the store. It has nothing to recover: call it after
+// the PMwCAS pool has recovered.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Index == nil || cfg.Allocator == nil || cfg.Device == nil {
 		return nil, errors.New("blobkv: Index, Allocator and Device are required")
 	}
-	if cfg.MaxHandles <= 0 {
-		return nil, errors.New("blobkv: MaxHandles must be positive")
-	}
-	if cfg.Staging.Len < StagingWords(cfg.MaxHandles)*nvram.WordSize {
-		return nil, fmt.Errorf("blobkv: staging region holds %d bytes, need %d",
-			cfg.Staging.Len, StagingWords(cfg.MaxHandles)*nvram.WordSize)
-	}
-	s := &Store{
-		index:   cfg.Index,
-		alloc:   cfg.Allocator,
-		dev:     cfg.Device,
-		staging: cfg.Staging,
-		nSlots:  cfg.MaxHandles,
-	}
-	s.recoverStaging()
-	return s, nil
+	return &Store{index: cfg.Index, alloc: cfg.Allocator, dev: cfg.Device}, nil
 }
 
-// DropUnallocated erases every staging slot that names a block whose
-// allocation bit is clear: the crash hit inside the record's Activate,
-// so the record was never allocated and there is nothing to free. After a
-// crash it must run right after the PMwCAS pool recovers, before anything
-// can allocate the block again, or Open's staging recovery would free the
-// block under its new owner.
-func DropUnallocated(dev *nvram.Device, a *alloc.Allocator, staging nvram.Region, maxHandles int) {
-	for i := 0; i < maxHandles; i++ {
-		slot := staging.Base + nvram.Offset(i)*nvram.WordSize
-		if rec := dev.Load(slot); rec != 0 && !a.Allocated(rec) {
-			dev.Store(slot, 0)
-			dev.Flush(slot)
-		}
-	}
-}
-
-// recoverStaging resolves in-flight record publications from before a
-// crash.
-func (s *Store) recoverStaging() {
-	ix := s.index(0x57a9)
-	for i := 0; i < s.nSlots; i++ {
-		slot := s.staging.Base + nvram.Offset(i)*nvram.WordSize
-		rec := s.dev.Load(slot)
-		if rec == 0 {
-			continue
-		}
-		erase := func() {
-			s.dev.Store(slot, 0)
-			s.dev.Flush(slot)
-		}
-		// The record was filled before its bit was set, so it carries its
-		// key (DropUnallocated erased every slot whose bit is clear).
-		if cur, err := ix.Get(s.dev.Load(rec + recKeyOff)); err == nil && cur == rec {
-			erase() // committed: the index owns the record
-			continue
-		}
-		// The slot is the only reference to the orphaned record, so it is
-		// erased in the free's barrier: after the allocation bit clears,
-		// before the block can be reallocated. A plain Free followed by the
-		// erase would leave a crash window in which the slot durably points
-		// at a block another handle has already reallocated — the next
-		// recovery would then "free" live data. (A crash inside this
-		// barrier leaves the bit clear, and the next recovery's
-		// DropUnallocated erases the slot.)
-		_ = s.alloc.FreeManyWithBarrier([]nvram.Offset{rec}, erase)
-	}
-}
-
-// Handle is one goroutine's access context; it owns one staging slot.
+// Handle is one goroutine's access context.
 type Handle struct {
-	s    *Store
-	ix   index.Owner
-	g    *epoch.Guard // ix's guard
-	ah   *alloc.Handle
-	slot nvram.Offset
+	s  *Store
+	ix index.Owner
+	g  *epoch.Guard // ix's guard
+	ah *alloc.Handle
 }
 
-// NewHandle returns a per-goroutine handle. It panics past MaxHandles —
-// handle budgeting is a startup decision.
+// NewHandle returns a per-goroutine handle.
 func (s *Store) NewHandle(seed int64) *Handle {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.nextHandle >= s.nSlots {
-		panic(fmt.Sprintf("blobkv: more than %d handles requested", s.nSlots))
-	}
 	ix := s.index(seed)
-	h := &Handle{
-		s:    s,
-		ix:   ix,
-		g:    ix.Guard(),
-		ah:   s.alloc.NewHandle(),
-		slot: s.staging.Base + nvram.Offset(s.nextHandle)*nvram.WordSize,
-	}
-	s.nextHandle++
-	return h
+	return &Handle{s: s, ix: ix, g: ix.Guard(), ah: s.alloc.NewHandle()}
 }
 
-// writeRecord reserves and fills a record, then activates it into the
-// handle's slot, which stages it (durably owned until published or
-// recovered). Activate writes back the record's lines with the slot;
-// the PMwCAS that publishes it fences first.
+// writeRecord reserves and fills a record. It stays reserved: PutOwned
+// hands it to the descriptor that publishes it, which writes back its
+// lines and activates it.
 func (h *Handle) writeRecord(key uint64, val []byte) (nvram.Offset, error) {
 	rec, err := h.ah.Reserve(uint64(recHeader + (len(val)+7)/8*8))
 	if err != nil {
@@ -213,34 +113,16 @@ func (h *Handle) writeRecord(key uint64, val []byte) (nvram.Offset, error) {
 		}
 		dev.Store(rec+recDataOff+nvram.Offset(i), w)
 	}
-	h.ah.Activate(rec, h.slot)
 	return rec, nil
-}
-
-// unstage releases an unpublished staged record. The slot is erased
-// inside the free's barrier — after the allocation bit clears but before
-// the block can be reallocated — so a crash either replays an idempotent
-// free or finds no record staged at all; it can never free a block that
-// a later allocation now owns.
-func (h *Handle) unstage(rec nvram.Offset) {
-	//lint:allow hotpath — barrier closure on the unstage path: it runs only when a Put fails outright, never on the success path (§6.3)
-	_ = h.s.alloc.FreeManyWithBarrier([]nvram.Offset{rec}, func() {
-		h.s.dev.Store(h.slot, 0)
-		h.s.dev.Flush(h.slot)
-	})
-}
-
-// clearSlot retires the staging record after successful publication.
-func (h *Handle) clearSlot() {
-	h.s.dev.Store(h.slot, 0)
-	h.s.dev.Flush(h.slot)
 }
 
 // Put stores val under key, inserting or replacing. The whole operation
 // is crash-atomic: after recovery the key maps to either the old or the
-// new value, and no record block is leaked either way.
+// new value, and no record block is leaked either way. A PMwCAS that
+// loses its race frees the record it carried, so Put writes a new one
+// and tries again.
 //
-//pmwcas:hotpath — server blob PUT: one staged record write plus the index publication
+//pmwcas:hotpath — server blob PUT: one record write plus the index publication
 func (h *Handle) Put(key, val []byte) error {
 	k, err := keycodec.Encode(key)
 	if err != nil {
@@ -249,19 +131,16 @@ func (h *Handle) Put(key, val []byte) error {
 	if len(val) > MaxValueLen {
 		return ErrValueTooLarge
 	}
-	rec, err := h.writeRecord(k, val)
-	if err != nil {
-		return err
+	for {
+		rec, err := h.writeRecord(k, val)
+		if err != nil {
+			return err
+		}
+		//lint:allow hotpath, nonblock — index dispatch: every index.Owner is an index's own handle, whose point ops are themselves //pmwcas:hotpath roots (skiplist, bwtree, hashtable ops.go), so the proof continues on the other side of the interface (§6.3)
+		if err := h.ix.PutOwned(k, rec); err != index.ErrRaced {
+			return err
+		}
 	}
-	// The index frees the record this one displaces, in the PMwCAS that
-	// installs it.
-	//lint:allow hotpath, nonblock — index dispatch: every index.Owner is an index's own handle, whose point ops are themselves //pmwcas:hotpath roots (skiplist, bwtree, hashtable ops.go), so the proof continues on the other side of the interface (§6.3)
-	if err := h.ix.PutOwned(k, rec); err != nil {
-		h.unstage(rec)
-		return err
-	}
-	h.clearSlot()
-	return nil
 }
 
 // Get returns a copy of the value stored under key. It allocates the

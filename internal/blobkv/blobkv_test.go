@@ -27,14 +27,10 @@ type kenv struct {
 	poolReg nvram.Region
 	aReg    nvram.Region
 	roots   nvram.Region
-	stage   nvram.Region
 	spec    []alloc.Class
 }
 
-const (
-	kvDescs   = 128
-	kvHandles = 8
-)
+const kvDescs = 128
 
 func kvSpec() []alloc.Class {
 	return []alloc.Class{
@@ -57,7 +53,6 @@ func newKVEnvSpec(t testing.TB, spec []alloc.Class) *kenv {
 	e.poolReg = l.Carve(poolBytes)
 	e.aReg = l.Carve(aBytes)
 	e.roots = l.Carve(nvram.LineBytes)
-	e.stage = l.Carve(StagingWords(kvHandles) * nvram.WordSize)
 	e.build(t, false)
 	return e
 }
@@ -82,7 +77,6 @@ func (e *kenv) build(t testing.TB, recover bool) {
 		if _, err := e.pool.Recover(); err != nil {
 			t.Fatalf("pool.Recover: %v", err)
 		}
-		DropUnallocated(e.dev, e.alloc, e.stage, kvHandles)
 	}
 	e.list, err = skiplist.New(skiplist.Config{Pool: e.pool, Allocator: e.alloc, Roots: e.roots})
 	if err != nil {
@@ -91,7 +85,6 @@ func (e *kenv) build(t testing.TB, recover bool) {
 	e.kv, err = Open(Config{
 		Index:     func(seed int64) index.Owner { return e.list.NewHandle(seed) },
 		Allocator: e.alloc, Device: e.dev,
-		Staging: e.stage, MaxHandles: kvHandles,
 	})
 	if err != nil {
 		t.Fatalf("blobkv.Open: %v", err)
@@ -107,16 +100,16 @@ func (e *kenv) reopen(t testing.TB) {
 
 // TestOverwritePutBill pins the persist bill of a blob overwrite by one
 // goroutine, with a 64-byte value whose 80-byte record takes a 128-byte
-// block as in a Store: 4 flushes and 1 fence to activate the filled
-// record (its two lines and the staging slot, fenced, then the bitmap),
-// 5 and 2 for the 2-word PMwCAS on one node line, 1 to clear the staging
-// slot, and 2 and 2 when the descriptor is finalized (the displaced
+// block as in a Store: 2 flushes as the filled record is staged in the
+// overwrite's descriptor (its two lines), 6 flushes and 3 fences for the
+// 2-word PMwCAS on one node line that hands it over (the entries, fenced,
+// the header, fenced, the record's bitmap, fenced, then the install's
+// three), and 2 and 2 when the descriptor is finalized (the displaced
 // record's bitmap, fenced, then the header). None of them finds its line
-// clean. Before the record was filled before its bit was set, its zeroed
-// lines were flushed and fenced first and the filled ones again: 14
-// flushes and 6 fences. The overwrite loads 43.5 words, one find down the skip
-// list among them. When Put looked the key up before writing, it loaded
-// 76: a second find.
+// clean. When the record was first activated into a staging slot, which
+// was cleared after the PMwCAS, the bill was 12 flushes and 5 fences. The
+// overwrite loads 43.5 words, one find down the skip list among them.
+// When Put looked the key up before writing, it loaded 76: a second find.
 func TestOverwritePutBill(t *testing.T) {
 	e := newKVEnvSpec(t, []alloc.Class{
 		{BlockSize: 64, Count: 256},
@@ -154,7 +147,7 @@ func TestOverwritePutBill(t *testing.T) {
 		got  uint64
 		want float64
 	}{
-		{"flushes", after.Flushes - before.Flushes, 12},
+		{"flushes", after.Flushes - before.Flushes, 10},
 		{"fences", after.Fences - before.Fences, 5},
 		{"clean flushes", after.CleanFlushes - before.CleanFlushes, 0},
 		{"loads", after.Loads - before.Loads, 43.5},
@@ -556,34 +549,8 @@ func TestCrashSweepDelete(t *testing.T) {
 	}
 }
 
-// unstage is the hard-error path of Put; exercise it directly: the
-// staged record must be freed and the slot durably cleared, in an order
-// that recovery can always replay.
-func TestUnstageReleasesRecordAndSlot(t *testing.T) {
-	e := newKVEnv(t)
-	h := e.kv.NewHandle(1)
-	base, _ := e.alloc.InUse()
-	rec, err := h.writeRecord(12345, []byte("staged"))
-	if err != nil {
-		t.Fatalf("writeRecord: %v", err)
-	}
-	if got := e.dev.Load(h.slot); got != rec {
-		t.Fatalf("slot = %#x, want %#x", got, rec)
-	}
-	h.unstage(rec)
-	if got := e.dev.Load(h.slot); got != 0 {
-		t.Fatalf("slot not cleared: %#x", got)
-	}
-	if got := e.dev.PersistedLoad(h.slot); got != 0 {
-		t.Fatalf("slot clear not durable: %#x", got)
-	}
-	blocks, _ := e.alloc.InUse()
-	if blocks != base {
-		t.Fatalf("record not freed: %d blocks", blocks)
-	}
-}
-
-// Crash while a record is staged but never linked: Open must free it.
+// Crash while a record is written but never handed to a descriptor: it
+// was only reserved, so the restart finds it free.
 func TestStagedOrphanFreedOnOpen(t *testing.T) {
 	e := newKVEnv(t)
 	h := e.kv.NewHandle(1)
@@ -591,7 +558,7 @@ func TestStagedOrphanFreedOnOpen(t *testing.T) {
 	if _, err := h.writeRecord(keyFor(t, "orphan"), []byte("never linked")); err != nil {
 		t.Fatalf("writeRecord: %v", err)
 	}
-	e.reopen(t) // includes blobkv.Open's staging recovery
+	e.reopen(t)
 	blocks, _ := e.alloc.InUse()
 	if blocks != base {
 		t.Fatalf("orphan record leaked: %d blocks, want %d", blocks, base)
@@ -606,97 +573,11 @@ func (e *kenv) audit(a *alloc.Allocator) error {
 	if err != nil {
 		return err
 	}
-	recs, _, err := Check(e.dev, a, e.stage, kvHandles, entries)
+	recs, _, err := Check(e.dev, a, entries)
 	if err != nil {
 		return err
 	}
 	return a.CheckInUse(append(blocks, recs...))
-}
-
-// crashStaging writes a record for key on h and crashes: before the
-// record's allocation bit is set if early, else after the record is
-// staged. It returns the allocator rebuilt on the crashed image.
-func (e *kenv) crashStaging(t *testing.T, h *Handle, key string, early bool) *alloc.Allocator {
-	t.Helper()
-	type crash struct{}
-	if early {
-		// The allocator's first CAS sets the bit, after the slot names
-		// the record.
-		e.dev.SetHook(func(op string, _ nvram.Offset) {
-			if op == "cas" {
-				panic(crash{})
-			}
-		})
-	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil && r != (crash{}) {
-				panic(r)
-			}
-		}()
-		if _, err := h.writeRecord(keyFor(t, key), []byte("staged")); err != nil {
-			t.Fatalf("writeRecord: %v", err)
-		}
-	}()
-	e.dev.SetHook(nil)
-	e.dev.Crash()
-	a, err := alloc.New(e.dev, e.aReg, e.spec, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-// A crash inside a record's Activate leaves its slot naming a block whose
-// bit is clear. The audit does not count that record as reachable (it
-// would read as dangling), and Open erases the slot without freeing
-// anything.
-func TestStagedRecordWithClearBit(t *testing.T) {
-	e := newKVEnv(t)
-	h := e.kv.NewHandle(1)
-	if err := h.Put([]byte("kept"), []byte("value")); err != nil {
-		t.Fatal(err)
-	}
-	e.pool.Epochs().Drain()
-	inUse, _ := e.alloc.InUse()
-	free := e.alloc.FreeBlocks(64)
-	a := e.crashStaging(t, h, "torn", true)
-	rec := nvram.Offset(e.dev.Load(h.slot))
-	if rec == 0 || a.Allocated(rec) {
-		t.Fatalf("slot names %#x (allocated %v), want a record whose bit is clear", rec, a.Allocated(rec))
-	}
-	if err := e.audit(a); err != nil {
-		t.Fatalf("audit: %v", err)
-	}
-	e.build(t, true)
-	if got := e.dev.Load(h.slot); got != 0 {
-		t.Fatalf("Open left the slot naming %#x", got)
-	}
-	if got, _ := e.alloc.InUse(); got != inUse {
-		t.Fatalf("%d blocks in use after Open, want %d", got, inUse)
-	}
-	if got := e.alloc.FreeBlocks(64); got != free {
-		t.Fatalf("%d blocks free after Open, want %d: the record was freed again", got, free)
-	}
-}
-
-// A staged record with its bit set is reachable: the audit counts it
-// (it would read as a leak), and Open frees it.
-func TestStagedRecordWithBitSet(t *testing.T) {
-	e := newKVEnv(t)
-	h := e.kv.NewHandle(1)
-	inUse, _ := e.alloc.InUse()
-	a := e.crashStaging(t, h, "staged", false)
-	if rec := nvram.Offset(e.dev.Load(h.slot)); !a.Allocated(rec) {
-		t.Fatalf("slot names %#x, want an allocated record", rec)
-	}
-	if err := e.audit(a); err != nil {
-		t.Fatalf("audit: %v", err)
-	}
-	e.build(t, true)
-	if got, _ := e.alloc.InUse(); got != inUse {
-		t.Fatalf("%d blocks in use after Open, want %d", got, inUse)
-	}
 }
 
 // A record an index entry names must have its bit set: the audit still
@@ -739,27 +620,31 @@ func keyFor(t *testing.T, s string) uint64 {
 	return k
 }
 
-// A record is filled before its bit is set, so a staged record whose bit
-// is set and whose key word is zero never had its fill persisted: the
-// audit reports the image corrupt.
+// A record's fill persists with the entries of the descriptor it is
+// staged in, before its bit is set, so a published record whose key word
+// is zero never had its fill persisted: the audit reports the image
+// corrupt.
 func TestStagedRecordWithoutKeyIsCorrupt(t *testing.T) {
 	e := newKVEnv(t)
 	h := e.kv.NewHandle(1)
-	rec, err := h.ah.Alloc(64, h.slot) // activated, never filled
+	if err := h.Put([]byte("k"), []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	e.pool.Epochs().Drain()
+	rec, err := h.ix.Get(keyFor(t, "k"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.dev.Store(rec+recKeyOff, 0) // the fill as if it never persisted
+	e.dev.Flush(rec + recKeyOff)
 	e.dev.Fence()
 	e.dev.Crash()
 	a, err := alloc.New(e.dev, e.aReg, e.spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Allocated(rec) {
-		t.Fatalf("record %#x lost its bit", rec)
-	}
-	if err := e.audit(a); err == nil || !strings.Contains(err.Error(), "no key") {
-		t.Fatalf("audit of a staged record with no key = %v, want it reported corrupt", err)
+	if err := e.audit(a); err == nil || !strings.Contains(err.Error(), "embeds key 0x0") {
+		t.Fatalf("audit of a record with no key = %v, want it reported corrupt", err)
 	}
 }
 
@@ -779,13 +664,13 @@ func inBitmap(region nvram.Region, spec []alloc.Class, off nvram.Offset) bool {
 
 // TestPutFenceOrder checks that a fence separates a new block's bit from
 // the first descriptor pointer installed after it, on a blob PUT of a
-// fresh key (the record's Activate, then the skip-list insert's
-// ReserveEntry and Execute) and of a present key (the record's Activate,
-// then the overwrite's Execute). Activate and ReserveEntry end with the
-// bit's flush and no fence: the publishing Execute's fence orders it. The
-// simulator persists a line at Flush, so a crash image cannot show a
-// missing fence; the hook reads the device's fence count at every op,
-// and recognises a bit's CAS by the bit it adds and an install by the
+// fresh key (the record and the skip-list node, both staged in the
+// insert's descriptor) and of a present key (the record, staged in the
+// overwrite's). Execute sets the bits after the descriptor's header is
+// durable, then fences once before the first install. The simulator
+// persists a line at Flush, so a crash image cannot show a missing
+// fence; the hook reads the device's fence count at every op, and
+// recognises a bit's CAS by the bit it adds and an install by the
 // descriptor flag it leaves.
 func TestPutFenceOrder(t *testing.T) {
 	e := newKVEnv(t)

@@ -15,45 +15,27 @@ import (
 
 // Check audits the blob layer of a (recovered, quiescent) store: every
 // index entry's value must be a well-formed record block whose embedded
-// key matches the index, and every non-zero staging slot must reference a
-// valid block. A staged record whose allocation bit is set is reachable:
-// it is exactly what staging recovery will free or keep on the next
-// Open. It was filled before its bit was set, so a zero key word means
-// its fill never persisted: the image is corrupt. One whose bit is clear
-// is not reachable: the crash hit inside its Activate, and Open erases
-// the slot without freeing anything.
+// key matches the index.
 //
 // entries is the content of the index the layer is on, as its Check
 // returns it. The returned blocks are the record blocks the blob layer
 // reaches beyond the index's own blocks; blobs is the decoded logical
 // contents for a durable-linearizability oracle.
-func Check(dev *nvram.Device, a *alloc.Allocator, staging nvram.Region, maxHandles int,
-	entries []index.Entry) ([]nvram.Offset, map[string][]byte, error) {
-
+func Check(dev *nvram.Device, a *alloc.Allocator, entries []index.Entry) ([]nvram.Offset, map[string][]byte, error) {
 	var blocks []nvram.Offset
 	blobs := make(map[string][]byte, len(entries))
-
-	checkRecord := func(rec nvram.Offset, wantKey uint64) (int, error) {
+	for _, e := range entries {
+		rec := nvram.Offset(e.Value)
 		size, err := a.BlockSize(rec)
 		if err != nil {
-			return 0, fmt.Errorf("blobkv: record %#x is not a valid block: %w", rec, err)
+			return nil, nil, fmt.Errorf("blobkv: record %#x is not a valid block: %w", rec, err)
 		}
 		n := dev.Load(rec + recLenOff)
 		if n > MaxValueLen || recHeader+n > size {
-			return 0, fmt.Errorf("blobkv: record %#x claims %d bytes in a %d-byte block", rec, n, size)
+			return nil, nil, fmt.Errorf("blobkv: record %#x claims %d bytes in a %d-byte block", rec, n, size)
 		}
-		if wantKey != 0 {
-			if k := dev.Load(rec + recKeyOff); k != wantKey {
-				return 0, fmt.Errorf("blobkv: record %#x embeds key %#x, index says %#x", rec, k, wantKey)
-			}
-		}
-		return int(n), nil
-	}
-
-	for _, e := range entries {
-		rec := nvram.Offset(e.Value)
-		if _, err := checkRecord(rec, e.Key); err != nil {
-			return nil, nil, err
+		if k := dev.Load(rec + recKeyOff); k != e.Key {
+			return nil, nil, fmt.Errorf("blobkv: record %#x embeds key %#x, index says %#x", rec, k, e.Key)
 		}
 		key, err := keycodec.Decode(e.Key)
 		if err != nil {
@@ -61,26 +43,6 @@ func Check(dev *nvram.Device, a *alloc.Allocator, staging nvram.Region, maxHandl
 		}
 		blocks = append(blocks, rec)
 		blobs[string(key)] = readRecordRaw(dev, rec)
-	}
-
-	// Staging slots: a staged record with its bit set is reachable durable
-	// state — the next Open either keeps it (committed, also indexed
-	// above) or frees it.
-	for i := 0; i < maxHandles; i++ {
-		slot := staging.Base + nvram.Offset(i)*nvram.WordSize
-		rec := nvram.Offset(dev.Load(slot))
-		if rec == 0 {
-			continue
-		}
-		if _, err := checkRecord(rec, 0); err != nil {
-			return nil, nil, fmt.Errorf("blobkv: staging slot %d: %w", i, err)
-		}
-		if a.Allocated(rec) {
-			if dev.Load(rec+recKeyOff) == 0 {
-				return nil, nil, fmt.Errorf("blobkv: staging slot %d: allocated record %#x has no key: its fill never persisted", i, rec)
-			}
-			blocks = append(blocks, rec)
-		}
 	}
 	return blocks, blobs, nil
 }

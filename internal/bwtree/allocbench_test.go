@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
 )
 
@@ -36,22 +37,26 @@ func pointOps(tb testing.TB) (dev *nvram.Device, update, get func(i int)) {
 }
 
 // putOps preloads a persistent tree with owned blocks and returns its
-// steady-state PutOwned overwrite: each call allocates a fresh block and
+// steady-state PutOwned overwrite: each call reserves a fresh block and
 // puts it, and the PMwCAS that installs its delta frees the block it
 // displaces.
 func putOps(tb testing.TB) func(i int) {
 	e := newTreeEnv(tb, core.Persistent, SMOPMwCAS, nil)
 	h := e.tree.NewHandle()
 	ah := e.alloc.NewHandle()
-	slot := e.metaReg.Base + 7*nvram.WordSize // a spare word of the meta line
 	const keys = 512
 	put := func(i int) {
-		b, err := ah.Alloc(64, slot)
-		if err != nil {
-			tb.Fatalf("alloc: %v", err)
-		}
-		if err := h.PutOwned(uint64(i%keys)+1, b); err != nil {
-			tb.Fatalf("put %d: %v", i, err)
+		for {
+			b, err := ah.Reserve(64)
+			if err != nil {
+				tb.Fatalf("reserve: %v", err)
+			}
+			if err := h.PutOwned(uint64(i%keys)+1, b); err != index.ErrRaced {
+				if err != nil {
+					tb.Fatalf("put %d: %v", i, err)
+				}
+				return
+			}
 		}
 	}
 	for i := 0; i < keys; i++ {

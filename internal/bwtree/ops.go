@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/metrics"
 )
 
@@ -152,9 +153,12 @@ func (h *Handle) Delete(key uint64) error {
 }
 
 // PutOwned inserts value under key, or replaces the value the tree owns
-// there: the update delta records the displaced value, and the PMwCAS
-// that installs the delta frees its block once the epoch allows. A value
-// already in place is a no-op that frees nothing.
+// there. value is a reserved, filled block (index.Owner) that rides the
+// PMwCAS installing the delta, as the new value of the delta's owned word
+// (displaced → value, FreeOne): success frees the displaced block once
+// the epoch allows, failure frees value. The entry is not on the delta's
+// value word, which readers load raw. A lost PMwCAS returns
+// index.ErrRaced; every other error returns value to the allocator.
 //
 //pmwcas:hotpath — blob-layer PUT on the Bw-tree; allocation-free like Insert and Update, which share its body
 func (h *Handle) PutOwned(key, value uint64) error {
@@ -180,26 +184,36 @@ var ErrOwnedSingleCAS = errors.New("bwtree: owned values need a descriptor SMO m
 // and runs page maintenance afterwards. It returns the value the write
 // displaced.
 func (h *Handle) write(key, value, typ uint64, owned bool) (uint64, error) {
-	if err := checkKey(key); err != nil {
-		return 0, err
+	err := checkKey(key)
+	if err == nil {
+		err = checkValue(value)
 	}
-	if err := checkValue(value); err != nil {
-		return 0, err
+	if err == nil && owned && h.tree.smo == SMOSingleCAS {
+		err = ErrOwnedSingleCAS
 	}
-	if owned && h.tree.smo == SMOSingleCAS {
-		return 0, ErrOwnedSingleCAS
+	// pending is an owned value no descriptor has taken yet: writeOnce
+	// zeroes it at the handoff, and a write refused before then returns
+	// it to the allocator.
+	var pending uint64
+	if typ == recPut {
+		pending = value
 	}
-	for {
-		old, err := h.writeOnce(key, value, typ, owned)
-		if errors.Is(err, core.ErrPoolExhausted) {
+	for err == nil {
+		var old uint64
+		switch old, err = h.writeOnce(key, value, typ, owned, &pending); {
+		case err == nil:
+			return old, nil
+		case errors.Is(err, core.ErrPoolExhausted):
 			h.tree.pool.ReclaimPause()
-			continue
+			err = nil
+		case errors.Is(err, errRetry):
+			err = nil
 		}
-		if errors.Is(err, errRetry) {
-			continue
-		}
-		return old, err
 	}
+	if pending != 0 {
+		h.tree.alloc.Unreserve(pending)
+	}
+	return 0, err
 }
 
 // errRetry signals a lost installation race: re-descend and try again.
@@ -208,9 +222,11 @@ var errRetry = errors.New("bwtree: retry")
 // writeOnce makes one attempt on one descent. The descent's hit is the
 // key's current value; the mapping-word PMwCAS expects the head that hit
 // was read from, so it still holds at the install. An owned write records
-// the displaced value in its delta and pins it there with an old == new
-// FreeOldOnSuccess entry, which frees its block on success.
-func (h *Handle) writeOnce(key, value, typ uint64, owned bool) (uint64, error) {
+// the displaced value in its delta's owned word. An owned delete pins it
+// there with an old == new FreeOldOnSuccess entry, which frees its block
+// on success; an owned put hands *pending to the descriptor as that
+// word's new value under FreeOne, and a lost PMwCAS is then index.ErrRaced.
+func (h *Handle) writeOnce(key, value, typ uint64, owned bool, pending *uint64) (uint64, error) {
 	t := h.tree
 	g := h.core.Guard()
 	g.Enter()
@@ -234,9 +250,6 @@ func (h *Handle) writeOnce(key, value, typ uint64, owned bool) (uint64, error) {
 	}
 	var displaced uint64
 	if owned && s.found {
-		if typ == recUpdate && s.val == value {
-			return s.val, nil // already in place: freeing it would be wrong
-		}
 		displaced = s.val
 	}
 
@@ -265,27 +278,30 @@ func (h *Handle) writeOnce(key, value, typ uint64, owned bool) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
+		put := *pending != 0
 		n := 2 // an owned write also records the value it displaces
-		if displaced != 0 {
+		if put || displaced != 0 {
 			n = 3
 		}
 		delta, err := h.reserveDelta(d, leafLPID, uint64(s.head), core.PolicyFreeNewOnFailure,
 			typ, uint64(s.head), s.chain+1, [5]uint64{key, value, displaced}, n)
+		if err == nil && put {
+			err = d.ReserveEntry(delta+deltaOwnedOff, displaced, value, core.PolicyFreeOne)
+			*pending = 0
+		} else if err == nil && displaced != 0 {
+			err = d.AddWordWithPolicy(delta+deltaOwnedOff, displaced, displaced, core.PolicyFreeOldOnSuccess)
+		}
 		if err != nil {
 			d.Discard()
 			return 0, err
 		}
-		if displaced != 0 {
-			if err := d.AddWordWithPolicy(delta+deltaOwnedOff, displaced, displaced, core.PolicyFreeOldOnSuccess); err != nil {
-				d.Discard()
-				return 0, err
-			}
-		}
 		ok, err := d.Execute()
-		if err != nil {
+		switch {
+		case err != nil:
 			return 0, err
-		}
-		if !ok {
+		case !ok && put:
+			return 0, index.ErrRaced // the failure policy freed value
+		case !ok:
 			return 0, errRetry
 		}
 	}

@@ -80,7 +80,7 @@ func (h *Handle) allocInto(size uint64, target nvram.Offset) (nvram.Offset, erro
 			d.Discard()
 			return 0, err
 		}
-		// Execute fences before it publishes, ordering the bit with it.
+		// Execute sets the block's bit and fences before it publishes.
 		ok, err := d.Execute()
 		if err != nil {
 			return 0, err

@@ -227,8 +227,9 @@ func TestCrashSweepWithAllocation(t *testing.T) {
 }
 
 // TestCrashBeforeExecuteReclaimsReservedMemory: a crash after a block has
-// been handed to a descriptor that never executed must free that block
-// during recovery (never-leak guarantee of §5.2).
+// been handed to a descriptor that never executed leaves that block free
+// after recovery (never-leak guarantee of §5.2): only Execute sets its
+// bit.
 func TestCrashBeforeExecuteReclaimsReservedMemory(t *testing.T) {
 	e := newEnv(t, Persistent, true)
 	addrs := e.initWords(0)
@@ -237,7 +238,7 @@ func TestCrashBeforeExecuteReclaimsReservedMemory(t *testing.T) {
 
 	d, _ := h.AllocateDescriptor(0)
 	reserveFilled(t, ah, d, addrs[0], 0, PolicyFreeNewOnFailure, 1)
-	// Crash here: the descriptor is Free-with-entries, owning one block.
+	// Crash here: the descriptor is staged but Free, its block's bit clear.
 	e.reopen(t)
 	blocks, _ := e.alloc.InUse()
 	if blocks != 0 {

@@ -519,6 +519,7 @@ type entry struct {
 	addr     nvram.Offset
 	old, new uint64
 	policy   Policy
+	reserved bool // new is a block ReserveEntry took, for Execute to activate
 }
 
 // Offset returns the descriptor's NVRAM offset (useful in tests/tools).
@@ -609,34 +610,26 @@ func (d *Descriptor) AddWordWithPolicy(addr nvram.Offset, old, new uint64, polic
 
 // ReserveEntry adds an entry that installs block, which the caller
 // reserved from the pool's allocator (alloc.Handle.Reserve) and filled,
-// and hands the block to the descriptor (paper §2.2, §5.2). From here the
-// descriptor owns it: a failed or discarded operation frees it by policy,
-// and a crash before Execute is repaired by recovery, which frees the
-// reserved memory of never-executed descriptors. On an error the block
-// goes back to the allocator unactivated.
-//
-// The handoff persists in ownership order: the block's lines with the
-// entries, a fence, the count that covers them, a fence, and only then
-// the block's allocation bit. So a set bit always has a durable owner
-// and a durable fill, and the persisted count never names an unpersisted
-// entry. Execute's first fence orders the bit before any publication.
+// and hands the block to the descriptor (paper §2.2, §5.2), its only
+// owner from here: Execute activates it, a failed operation frees it by
+// policy, Discard returns it, and a crash before Execute sets its bit
+// leaves it free. On an error the block goes back to the allocator. It
+// only stages: it writes the block's lines back and leaves the fences and
+// the bit to Execute, which persists every handoff of the descriptor at
+// once.
 func (d *Descriptor) ReserveEntry(addr nvram.Offset, old uint64, block nvram.Offset, policy Policy) error {
 	p := d.h.pool
 	if err := d.checkAddable(addr, [2]uint64{old, block}, 2); err != nil {
 		p.alloc.Unreserve(block)
 		return err
 	}
-	d.addEntry(entry{addr: addr, old: old, new: block, policy: policy})
+	d.addEntry(entry{addr: addr, old: old, new: block, policy: policy, reserved: true})
 	p.alloc.FlushBlock(block)
-	p.flushEntries(d.off, d.n)
-	p.dev.Fence()
-	p.flushHeader(d.off)
-	p.dev.Fence()
-	p.alloc.MarkAllocated(block)
 	return nil
 }
 
-// RemoveWord removes a previously specified target word (paper §2.2).
+// RemoveWord removes a previously specified target word (paper §2.2). A
+// block a removed ReserveEntry entry held is the caller's again.
 func (d *Descriptor) RemoveWord(addr nvram.Offset) error {
 	if d.done {
 		return ErrDescriptorDone
@@ -659,14 +652,25 @@ func (d *Descriptor) RemoveWord(addr nvram.Offset) error {
 func (d *Descriptor) WordCount() int { return d.n }
 
 // Discard cancels the operation before execution (paper §2.2). No target
-// word is modified. Memory reserved via ReserveEntry is recycled as if
-// the operation had failed, once the epoch permits.
+// word is modified. Blocks reserved via ReserveEntry go straight back to
+// the allocator and their entries are dropped, so the deferred finalize
+// cannot free a block that someone has reserved and activated since.
 func (d *Descriptor) Discard() error {
 	if d.done {
 		return ErrDescriptorDone
 	}
 	d.done = true
 	p := d.h.pool
+	n := 0
+	for _, e := range d.ents[:d.n] {
+		if e.reserved {
+			p.alloc.Unreserve(e.new)
+			continue
+		}
+		d.ents[n] = e
+		n++
+	}
+	d.n = n
 	p.stats.discarded.Add(1)
 	metrics.DefaultTrace().Record(metrics.TraceDiscard, uint64(d.off), d.h.lane, 0)
 	p.dev.ShadowDrop()

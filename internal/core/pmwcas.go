@@ -53,19 +53,30 @@ func (d *Descriptor) Execute() (bool, error) {
 	// name an operation whose definition is not on NVRAM yet (§4.4).
 	//
 	// Order matters within the descriptor itself: entries are persisted
-	// first, while the status is still Free — a crash inside that flush
-	// recovers through the Free-with-entries path, which at worst
-	// releases reserved memory. Only once every entry is durable does the
-	// status flip to Undecided (flushed with the count in the header
-	// line), arming the roll-back path.
+	// first (with the blocks ReserveEntry wrote back), while the status is
+	// still Free — a crash inside that flush recovers through the
+	// Free-with-entries path, which only drops them. Only once every entry
+	// is durable does the status flip to Undecided (flushed with the count
+	// in the header line), arming the roll-back path, and only then are
+	// reserved blocks' bits set, fenced before any install publishes one.
 	entryLines := p.flushEntries(d.off, d.n)
 	p.dev.Fence()
 	p.dev.Store(d.off+descStatusOff, StatusUndecided)
 	p.flushHeader(d.off)
 	p.dev.Fence()
+	var bits uint64
+	for _, e := range d.ents[:d.n] {
+		if e.reserved {
+			p.alloc.MarkAllocated(e.new)
+			bits++
+		}
+	}
+	if bits > 0 {
+		p.dev.Fence()
+	}
 	if p.mode == Persistent {
-		obs.flushes += entryLines + 1 // flushHeader is one more
-		obs.fences += 2
+		obs.flushes += entryLines + 1 + bits // flushHeader and each bit are one more
+		obs.fences += 2 + min(bits, 1)
 	}
 
 	d.h.guard.Enter()

@@ -630,10 +630,12 @@ func TestDiscardFreesReservedMemory(t *testing.T) {
 	}
 }
 
-// TestReserveEntryFenceOrder checks ReserveEntry's two barriers: a fence
-// separates the last flush of the entries and of every block line from
-// the header's flush, and another separates the header's flush from the
-// bit's CAS. The simulator persists a line at Flush, so a crash image
+// TestReserveEntryFenceOrder checks the order the ownership handoff
+// persists in. ReserveEntry only stages: it writes the block's line back
+// and issues no fence, no header flush and no bit. Execute then persists
+// the handoff: the entries (and the block, already written back), a
+// fence, the header, a fence, the bit, a fence, and only then the first
+// install. The simulator persists a line at Flush, so a crash image
 // cannot show a missing fence; the hook reads the device's fence count
 // at every op.
 func TestReserveEntryFenceOrder(t *testing.T) {
@@ -653,25 +655,42 @@ func TestReserveEntryFenceOrder(t *testing.T) {
 	off := d.Offset()
 	header := off + descStatusOff
 	flushed := map[nvram.Offset]uint64{} // line → fence count at its last flush before the header
-	var headerFences, bitFences uint64
-	sawHeader, sawBit := false, false
-	e.dev.SetHook(func(op string, off nvram.Offset) {
-		switch f := e.dev.Stats().Fences; {
-		case op == "flush" && off == header:
+	var headerFences, bitFences, installFences uint64
+	staging, sawHeader, sawBit, sawInstall := true, false, false, false
+	e.dev.SetHook(func(op string, o nvram.Offset) {
+		f := e.dev.Stats().Fences
+		if staging && (op == "flush" && o == header || op == "cas") {
+			t.Errorf("ReserveEntry issued a %s at %#x", op, o)
+		}
+		switch {
+		case op == "flush" && sawHeader:
+		case op == "flush" && o == header:
 			headerFences, sawHeader = f, true
-		case op == "flush" && !sawHeader:
-			flushed[off&^(nvram.LineBytes-1)] = f
-		case op == "cas" && e.aReg.Contains(off):
+		case op == "flush":
+			flushed[o&^(nvram.LineBytes-1)] = f
+		case op == "cas" && e.aReg.Contains(o):
 			bitFences, sawBit = f, true
+		case op == "cas" && !sawInstall && (o == addrs[0] || o == addrs[1]):
+			installFences, sawInstall = f, true
+			if !sawBit {
+				t.Error("a target was installed before the block's bit was set")
+			}
 		}
 	})
+	fences := e.dev.Stats().Fences
 	if err := d.ReserveEntry(addrs[0], 0, b, PolicyFreeNewOnFailure); err != nil {
 		t.Fatal(err)
 	}
+	if got := e.dev.Stats().Fences - fences; got != 0 {
+		t.Errorf("ReserveEntry issued %d fences, want 0", got)
+	}
+	staging = false
+	if ok, err := d.Execute(); !ok || err != nil {
+		t.Fatalf("Execute = %v, %v", ok, err)
+	}
 	e.dev.SetHook(nil)
-	d.Discard()
-	if !sawHeader || !sawBit {
-		t.Fatalf("ReserveEntry flushed the header: %v, set a bit: %v", sawHeader, sawBit)
+	if !sawHeader || !sawBit || !sawInstall {
+		t.Fatalf("Execute flushed the header: %v, set a bit: %v, installed: %v", sawHeader, sawBit, sawInstall)
 	}
 	for _, line := range []nvram.Offset{b, wordOff(off, 0), wordOff(off, 1)} {
 		f, ok := flushed[line&^(nvram.LineBytes-1)]
@@ -684,6 +703,42 @@ func TestReserveEntryFenceOrder(t *testing.T) {
 	}
 	if bitFences <= headerFences {
 		t.Error("no fence between the header's flush and the bit's CAS")
+	}
+	if installFences <= bitFences {
+		t.Error("no fence between the bit's CAS and the first install")
+	}
+}
+
+// TestDiscardUnreservesBlock: Discard returns a reserved block to the
+// free list at once, and drops its entry, so the deferred finalize does
+// not free the block once another handle has reserved and activated it.
+func TestDiscardUnreservesBlock(t *testing.T) {
+	e := newEnv(t, Persistent, true)
+	addrs := e.initWords(0, 0)
+	h := e.pool.NewHandle()
+	ah := e.alloc.NewHandle()
+	before := e.alloc.FreeBlocks(64)
+	d, _ := h.AllocateDescriptor(0)
+	b := reserveFilled(t, ah, d, addrs[0], 0, PolicyFreeNewOnFailure, 1)
+	d.Discard()
+	if got := e.alloc.FreeBlocks(64); got != before {
+		t.Fatalf("%d blocks free after Discard, want %d", got, before)
+	}
+	// Another handle re-reserves the block before the epoch retires the
+	// discarded descriptor, and activates it.
+	d2, _ := e.pool.NewHandle().AllocateDescriptor(0)
+	if b2 := reserveFilled(t, e.alloc.NewHandle(), d2, addrs[1], 0, PolicyFreeNewOnFailure, 2); b2 != b {
+		t.Fatalf("re-reserved %#x, want the discarded block %#x", b2, b)
+	}
+	if ok, _ := d2.Execute(); !ok {
+		t.Fatal("Execute failed")
+	}
+	e.pool.Epochs().Drain()
+	if !e.alloc.Allocated(b) {
+		t.Fatal("the discarded descriptor's finalize freed the block its new owner activated")
+	}
+	if blocks, _ := e.alloc.InUse(); blocks != 1 {
+		t.Fatalf("blocks in use = %d, want 1", blocks)
 	}
 }
 

@@ -11,7 +11,6 @@ type RecoveryStats struct {
 	Scanned       int // descriptors examined (the whole pool)
 	RolledForward int // Succeeded descriptors whose new values were (re)installed
 	RolledBack    int // Undecided/Failed descriptors reset to old values
-	Reclaimed     int // never-executed (Free) descriptors with reserved memory released
 	WordsRepaired int // target words that still held descriptor pointers
 	CorruptCounts int // descriptors whose durable count exceeded the pool capacity
 }
@@ -29,10 +28,10 @@ type RecoveryStats struct {
 //     value; success-side recycling policies run.
 //   - Undecided or Failed: roll back — such words get their old value;
 //     failure-side policies run.
-//   - Free with a non-zero durable entry count: the crash hit between
-//     ReserveEntry and Execute; the operation never existed, but the
-//     descriptor may own reserved memory — failure-side policies run so
-//     nothing leaks (§5.2).
+//   - Free with a non-zero durable entry count: the operation never
+//     existed. Its count is zeroed and nothing is freed: Execute sets a
+//     reserved block's bit only once Undecided is durable, so a durable
+//     Free descriptor never owns an allocated block (§5.2).
 //
 // The Free path deliberately does not repair target words. That is sound
 // because of an execution-order invariant: descriptor pointers are only
@@ -77,8 +76,8 @@ func (p *Pool) Recover() (RecoveryStats, error) {
 		switch status {
 		case StatusFree:
 			if n > 0 {
-				p.finalize(view, cbID, false)
-				st.Reclaimed++
+				p.dev.Store(d+descCountOff, 0)
+				p.flushHeader(d)
 			}
 		case StatusUndecided, StatusFailed, StatusSucceeded:
 			succeeded := status == StatusSucceeded

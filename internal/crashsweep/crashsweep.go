@@ -116,7 +116,6 @@ func storeConfig(opt Options) pmwcas.Config {
 	cfg := pmwcas.Config{
 		Size:               1 << 19,
 		Descriptors:        64,
-		MaxHandles:         16,
 		BwTreeMappingSlots: 1 << 10,
 		HashDirSlots:       1 << 6,
 	}

@@ -318,7 +318,7 @@ func RunRecovery(cfg RecoveryBench) (RecoveryResult, error) {
 		PoolSize:  cfg.PoolSize,
 		InFlight:  cfg.InFlight,
 		Elapsed:   elapsed,
-		Repaired:  st.RolledForward + st.RolledBack + st.Reclaimed,
+		Repaired:  st.RolledForward + st.RolledBack,
 		PerDesc:   elapsed / time.Duration(cfg.PoolSize),
 		CorrectOK: ok,
 	}, nil

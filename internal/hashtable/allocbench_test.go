@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
 )
 
@@ -36,21 +37,25 @@ func pointOps(tb testing.TB) (dev *nvram.Device, update, get func(i int)) {
 }
 
 // putOps preloads a persistent table with owned blocks and returns its
-// steady-state PutOwned overwrite: each call allocates a fresh block and
+// steady-state PutOwned overwrite: each call reserves a fresh block and
 // puts it, and the PMwCAS frees the block it displaces.
 func putOps(tb testing.TB) func(i int) {
 	e := newHTEnv(tb, core.Persistent, 8)
 	h := e.tab.NewHandle()
 	ah := e.alloc.NewHandle()
-	slot := e.roots.Base + RootWords*nvram.WordSize // a spare roots word
 	const keys = 512
 	put := func(i int) {
-		b, err := ah.Alloc(64, slot)
-		if err != nil {
-			tb.Fatalf("alloc: %v", err)
-		}
-		if err := h.PutOwned(uint64(i%keys)+1, b); err != nil {
-			tb.Fatalf("put %d: %v", i, err)
+		for {
+			b, err := ah.Reserve(64)
+			if err != nil {
+				tb.Fatalf("reserve: %v", err)
+			}
+			if err := h.PutOwned(uint64(i%keys)+1, b); err != index.ErrRaced {
+				if err != nil {
+					tb.Fatalf("put %d: %v", i, err)
+				}
+				return
+			}
 		}
 	}
 	for i := 0; i < keys; i++ {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/metrics"
 	"pmwcas/internal/nvram"
 )
@@ -183,7 +184,7 @@ type writeOp uint8
 const (
 	opInsert writeOp = iota // absent: fill a free slot; present: ErrKeyExists
 	opUpdate                // present: replace the value; absent: ErrNotFound
-	opPut                   // either, and a replaced value's block is freed
+	opPut                   // either, with an owned value (PutOwned)
 )
 
 // Insert stores value under a key not yet present. One three-word
@@ -205,10 +206,13 @@ func (h *Handle) Update(key, value uint64) error {
 	return h.write(key, value, opUpdate)
 }
 
-// PutOwned inserts value under key, or replaces the value the slot owns:
-// the value entry carries FreeOldOnSuccess, so the PMwCAS that installs
-// value frees the displaced block once the epoch allows. A value already
-// in place is a no-op that frees nothing.
+// PutOwned inserts value under key, or replaces the value the slot owns.
+// value is a reserved, filled block (index.Owner) that rides the
+// publishing PMwCAS as the slot value word's new value: an insert's entry
+// (0 → value) carries FreeNewOnFailure, and an update's (old → value)
+// FreeOne, which also frees the displaced block once the epoch allows. A
+// lost PMwCAS returns index.ErrRaced; every other error returns value to
+// the allocator.
 //
 //pmwcas:hotpath — blob-layer PUT on the hash table; allocation-free like Insert and Update, which share its body
 func (h *Handle) PutOwned(key, value uint64) error {
@@ -221,11 +225,12 @@ func (h *Handle) PutOwned(key, value uint64) error {
 // Every answer given without a PMwCAS waits for the unchanged version to
 // prove the scan.
 func (h *Handle) write(key, value uint64, op writeOp) error {
-	if err := checkKey(key); err != nil {
-		return err
+	err := checkKey(key)
+	if err == nil {
+		err = checkValue(value)
 	}
-	if err := checkValue(value); err != nil {
-		return err
+	if err != nil {
+		return h.refuse(op, value, err)
 	}
 	hash := mix64(key)
 	g := h.core.Guard()
@@ -248,19 +253,15 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 		if slot >= 0 && op != opInsert {
 			old = h.core.Read(slotValOff(b, slot))
 		}
-		// Absent for an update, present for an insert, or an owned value
-		// already in place (freeing it would be wrong).
-		if slot < 0 && op == opUpdate || slot >= 0 && (op == opInsert || op == opPut && old == value) {
+		// Absent for an update or present for an insert.
+		if slot < 0 && op == opUpdate || slot >= 0 && op == opInsert {
 			if h.core.Read(b+bucketMetaOff) != meta {
 				continue // stale scan; the key may be mid-insert or mid-delete
 			}
-			switch {
-			case slot < 0:
+			if slot < 0 {
 				return ErrNotFound
-			case op == opInsert:
-				return ErrKeyExists
 			}
-			return nil
+			return ErrKeyExists
 		}
 		if slot < 0 && free < 0 {
 			if err := h.split(b, meta, hash); err != nil {
@@ -270,7 +271,7 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 					g.Enter()
 					continue
 				}
-				return err
+				return h.refuse(op, value, err)
 			}
 			continue
 		}
@@ -281,21 +282,22 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 			g.Enter()
 			continue
 		}
-		if err := d.AddWord(b+bucketMetaOff, meta, bumpVersion(meta)); err != nil {
-			d.Discard()
-			return err
-		}
+		// The value entry goes first, so an owned value is the
+		// descriptor's on every path past this point.
+		at, policy := slot, core.PolicyFreeOne
 		if slot < 0 {
-			err = d.AddWord(slotKeyOff(b, free), 0, key)
-			if err == nil {
-				err = d.AddWord(slotValOff(b, free), 0, value)
-			}
+			at, policy = free, core.PolicyFreeNewOnFailure
+		}
+		if op == opPut {
+			err = d.ReserveEntry(slotValOff(b, at), old, value, policy)
 		} else {
-			policy := core.PolicyNone
-			if op == opPut {
-				policy = core.PolicyFreeOldOnSuccess
-			}
-			err = d.AddWordWithPolicy(slotValOff(b, slot), old, value, policy)
+			err = d.AddWord(slotValOff(b, at), old, value)
+		}
+		if err == nil {
+			err = d.AddWord(b+bucketMetaOff, meta, bumpVersion(meta))
+		}
+		if err == nil && slot < 0 {
+			err = d.AddWord(slotKeyOff(b, free), 0, key)
 		}
 		if err != nil {
 			d.Discard()
@@ -308,8 +310,20 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 		if ok {
 			return nil
 		}
+		if op == opPut {
+			return index.ErrRaced // the failure policy freed value
+		}
 		// Lost to a concurrent mutation or split; retry from the directory.
 	}
+}
+
+// refuse returns err for a write that never reached a descriptor, first
+// handing an owned value back to the allocator.
+func (h *Handle) refuse(op writeOp, value uint64, err error) error {
+	if op == opPut {
+		h.t.alloc.Unreserve(value)
+	}
+	return err
 }
 
 // Delete removes key: a three-word PMwCAS clears the slot pair and bumps

@@ -23,6 +23,10 @@ var (
 	// ErrUnordered is returned by Scan on an index with no key order to
 	// scan in (the hash table; handles routed across hash-placed shards).
 	ErrUnordered = errors.New("index: range scans unsupported (index is unordered)")
+	// ErrRaced is returned by PutOwned when the PMwCAS that would have
+	// published the value lost its race: the value's block is freed, and
+	// the caller reserves and fills a new one to try again.
+	ErrRaced = errors.New("index: owned put lost its race")
 )
 
 // Entry is one key/value pair yielded by a scan.
@@ -45,15 +49,20 @@ type Handle interface {
 
 // Owner is the capability of persistent index handles whose values may
 // be allocator blocks the index owns (paper §5.2 ownership transfer): the
-// PMwCAS that replaces or removes a value also frees the block it
-// displaced, through the FreeOldOnSuccess recycle policy, so the free is
-// crash-atomic with the index change and waits out the epoch. A value
-// layer (blobkv) keeps its out-of-line records this way.
+// PMwCAS that installs a value takes its block from the descriptor, and
+// the one that replaces or removes a value also frees the block it
+// displaced, through the recycle policies, so both are crash-atomic with
+// the index change and the free waits out the epoch. A value layer
+// (blobkv) keeps its out-of-line records this way.
 type Owner interface {
 	Handle
 	// PutOwned inserts value under key, or replaces whatever value key
-	// holds and frees that block, in one descent per attempt. A value
-	// already in place is left there and nothing is freed.
+	// holds and frees that block, in one descent per attempt. value is a
+	// block reserved from the index's allocator (alloc.Handle.Reserve)
+	// and filled; it rides the publishing PMwCAS as a descriptor entry
+	// (core.Descriptor.ReserveEntry), which activates it. PutOwned always
+	// consumes it: published, freed when that PMwCAS fails (ErrRaced), or
+	// returned to the allocator on any other error.
 	PutOwned(key, value uint64) error
 	// DeleteOwned removes key, frees its value's block and returns the
 	// value it removed. The caller must not free it again.

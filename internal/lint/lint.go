@@ -14,7 +14,8 @@
 //     followed by a Flush (and Fence) on any path publishes volatile
 //     state; a crash silently discards it. A store that fills a reserved
 //     block is written back by the Activate / ReserveEntry handoff that
-//     takes the block.
+//     takes the block (a ReserveEntry's write-back is fenced by the
+//     descriptor's Execute).
 //
 // The remaining checkers follow their contract across function and
 // package boundaries using go/analysis Facts (serialized per-package
@@ -290,9 +291,10 @@ func isNamedRecv(info *types.Info, recv ast.Expr, path, name string) bool {
 
 // isHandoff reports whether call hands a reserved block to its owner:
 // (*alloc.Handle).Activate or (*core.Descriptor).ReserveEntry. Either
-// writes back every line of the block and fences before the block's bit
-// is set, so the stores that filled the block are durable once it
-// returns (DESIGN.md §6.2).
+// writes back every line of the block, and a fence follows before the
+// block's bit is set (Activate's own, or for ReserveEntry the
+// descriptor's Execute), so the stores that filled the block are durable
+// before it can be published (DESIGN.md §6.2).
 func isHandoff(info *types.Info, call *ast.CallExpr) bool {
 	name, recv, _, ok := methodCall(info, call)
 	return ok && (name == "Activate" && isNamedRecv(info, recv, allocPath, "Handle") ||

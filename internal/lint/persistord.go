@@ -66,8 +66,10 @@ const traversalAnnotation = "//pmwcas:traversal"
 //     function (the staged-initialisation idiom), or a handoff does: a
 //     store that fills a reserved block is made durable by the
 //     (*alloc.Handle).Activate or (*core.Descriptor).ReserveEntry call
-//     that takes the block, which writes back its lines and fences before
-//     the block can be published (isHandoff). Descriptor AddWord /
+//     that takes the block, which writes back its lines (isHandoff):
+//     Activate then fences, and a ReserveEntry's write-back is fenced by
+//     the descriptor's Execute, before the block can be published.
+//     Descriptor AddWord /
 //     ReserveEntry targets are exempt: descriptor installation re-reads
 //     and persists the target word at runtime before anything commits.
 //

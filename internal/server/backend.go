@@ -9,11 +9,10 @@ import (
 )
 
 // A backend is one connection's handle set onto the store: one blob KV
-// handle per shard, each with its own epoch guard, allocator slot and
-// staging slot, so two connections never share a handle and the store's
-// lock-free paths run genuinely concurrently. Backends are minted once at
-// server start (handle budgets are a startup decision in every layer
-// below) and leased to connections from a pool.
+// handle per shard, each with its own epoch guard and allocator handle,
+// so two connections never share a handle and the store's lock-free
+// paths run genuinely concurrently. Backends are minted once at server
+// start and leased to connections from a pool.
 //
 // Point operations route to the key's home shard — the same placement
 // Store.ShardForKey gives everyone, so all connections agree where a key
@@ -79,7 +78,7 @@ func (b *backend) home(key []byte) (*pmwcas.BlobKVHandle, error) {
 	return b.hs[b.store.ShardForKey(k)], nil
 }
 
-//pmwcas:hotpath — server PUT: route by key hash, then one blob-layer put; record staging reuses the handle's slot
+//pmwcas:hotpath — server PUT: route by key hash, then one blob-layer put; the record rides the index's PMwCAS
 func (b *backend) Put(key, val []byte) error {
 	h, err := b.home(key)
 	if err != nil {

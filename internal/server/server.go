@@ -1,9 +1,7 @@
 // Package server is the concurrent network front-end over a pmwcas
 // Store: a TCP listener speaking the internal/wire protocol, one
 // goroutine per connection, per-connection store handles leased from a
-// fixed pool (handle budgets are startup decisions in every layer of the
-// store, so the pool is minted before the first accept), request
-// pipelining with batched writes, a connection cap with graceful
+// fixed pool minted before the first accept, request pipelining with batched writes, a connection cap with graceful
 // rejection, and a shutdown path that drains in-flight requests before
 // the store is closed.
 package server
@@ -55,9 +53,8 @@ type Config struct {
 	// IndexSkipList).
 	Index Index
 	// MaxConns caps concurrent connections — it is also the store-handle
-	// pool size, so the store's MaxHandles must cover it: each connection
-	// holds one blob handle on every shard, and a shard's blob layer has
-	// MaxHandles/4 of them. Default 16.
+	// pool size: each connection holds one blob handle on every shard.
+	// Default 16.
 	MaxConns int
 	// ReadTimeout, if set, closes connections idle longer than this.
 	ReadTimeout time.Duration

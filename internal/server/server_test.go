@@ -21,7 +21,7 @@ import (
 // on a loopback port. The returned shutdown func is idempotent.
 func startServer(t *testing.T, index Index, maxConns int) (*Server, *pmwcas.Store, string, func()) {
 	t.Helper()
-	return startServerOn(t, pmwcas.Config{Size: 64 << 20, Descriptors: 2048, MaxHandles: 64}, index, maxConns)
+	return startServerOn(t, pmwcas.Config{Size: 64 << 20, Descriptors: 2048}, index, maxConns)
 }
 
 // startServerOn is startServer over a store created from cfg.
@@ -248,7 +248,7 @@ func TestBadRequests(t *testing.T) {
 // DELETE of a present key cannot allocate its delta.
 func TestIndexErrorsAnswerErr(t *testing.T) {
 	cfg := pmwcas.Config{
-		Size: 8 << 20, Descriptors: 256, MaxHandles: 8,
+		Size: 8 << 20, Descriptors: 256,
 		Classes: []pmwcas.SizeClass{{BlockSize: 64, Count: 11}},
 	}
 	_, _, addr, _ := startServerOn(t, cfg, IndexBwTree, 1)

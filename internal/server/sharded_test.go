@@ -15,7 +15,7 @@ import (
 func startShardedServer(t *testing.T, index Index, maxConns int) (*Server, *pmwcas.Store, string) {
 	t.Helper()
 	srv, store, addr, _ := startServerOn(t, pmwcas.Config{
-		Size: 16 << 20, Shards: 4, Descriptors: 512, MaxHandles: 32,
+		Size: 16 << 20, Shards: 4, Descriptors: 512,
 		BwTreeMappingSlots: 1 << 12, HashDirSlots: 1 << 8,
 	}, index, maxConns)
 	return srv, store, addr

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
 )
 
@@ -13,7 +14,7 @@ type writeOp uint8
 const (
 	opInsert writeOp = iota // absent: link a node; present: ErrKeyExists
 	opUpdate                // present: replace the value; absent: ErrNotFound
-	opPut                   // either, and a replaced value's block is freed
+	opPut                   // either, with an owned value (PutOwned)
 )
 
 // Insert adds key with value. It returns ErrKeyExists if the key is
@@ -37,12 +38,17 @@ func (h *Handle) Update(key, value uint64) error {
 }
 
 // PutOwned inserts value under key, or replaces the value key holds. The
-// values are allocator block offsets owned by the list entry: a replace
-// frees the displaced block through the PMwCAS recycling machinery
-// (Table 1, FreeOldOnSuccess) — atomically with the update as far as
+// values are allocator block offsets owned by the list entry, and value
+// is a reserved, filled block (index.Owner) that rides the publishing
+// PMwCAS. A replace makes it the value word's new value under FreeOne,
+// which frees the displaced block on success and value on failure; an
+// insert adds an old == new FreeNewOnFailure entry on the new node's value
+// word, as DeleteOwned pins the value it removes. The frees go through the
+// PMwCAS recycling machinery (Table 1) — atomic with the update as far as
 // crashes are concerned, and only after the epoch proves no reader still
-// holds it. Each attempt is one find, whose result the insert or the
-// update acts on. A value already in place is a no-op that frees nothing.
+// holds the block. Each attempt is one find, whose result the insert or
+// the update acts on. A lost PMwCAS returns index.ErrRaced; every other
+// error returns value to the allocator.
 //
 //pmwcas:hotpath — blob-layer PUT on the skip list; allocation-free like Insert and Update, which share its body
 func (h *Handle) PutOwned(key, value uint64) error {
@@ -50,10 +56,14 @@ func (h *Handle) PutOwned(key, value uint64) error {
 }
 
 func (h *Handle) writeOuter(key, value uint64, op writeOp) error {
-	if err := checkKey(key); err != nil {
-		return err
+	err := checkKey(key)
+	if err == nil {
+		err = checkValue(value)
 	}
-	if err := checkValue(value); err != nil {
+	if err != nil {
+		if op == opPut {
+			h.list.alloc.Unreserve(value)
+		}
 		return err
 	}
 	for {
@@ -93,11 +103,14 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 			if height == 0 {
 				height = h.randomHeight()
 			}
-			node, err := h.insert(r.preds[0], r.succs[0], key, value, height)
+			node, err := h.insert(r.preds[0], r.succs[0], key, value, height, op)
 			if err != nil {
 				return err
 			}
 			if node == 0 {
+				if op == opPut {
+					return index.ErrRaced // the failure policy freed value with the node
+				}
 				continue // lost the race; the failure policy recycled the node
 			}
 			// Promotions are best-effort: abandoning them (on deletion
@@ -122,17 +135,18 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 		}
 		cur := h.read(r.found + nodeValueOff)
 		if cur == value {
-			return nil // already in place: an owned put must not free it
-		}
-		policy := core.PolicyNone
-		if op == opPut {
-			policy = core.PolicyFreeOldOnSuccess
+			return nil // already in place (an owned value never is)
 		}
 		d, err := h.core.AllocateDescriptor(0)
 		if err != nil {
 			return err
 		}
-		fail := d.AddWordWithPolicy(r.found+nodeValueOff, cur, value, policy)
+		var fail error
+		if op == opPut {
+			fail = d.ReserveEntry(r.found+nodeValueOff, cur, value, core.PolicyFreeOne)
+		} else {
+			fail = d.AddWord(r.found+nodeValueOff, cur, value)
+		}
 		if fail == nil {
 			fail = d.AddWord(r.found+linkOff(0, false), next, next) // liveness guard
 		}
@@ -143,14 +157,18 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 		if ok, _ := d.Execute(); ok {
 			return nil
 		}
+		if op == opPut {
+			return index.ErrRaced // the failure policy freed value
+		}
 		// The value moved or the node's neighborhood changed: find again.
 	}
 }
 
 // insert links a new node of the given height between pred and succ at
 // the base level with one PMwCAS. It returns the node, or 0 when the
-// neighborhood changed (or the key appeared) first.
-func (h *Handle) insert(pred, succ nvram.Offset, key, value uint64, height int) (nvram.Offset, error) {
+// neighborhood changed (or the key appeared) first. An owned value (opPut)
+// joins that PMwCAS, which consumes it on every path from there on.
+func (h *Handle) insert(pred, succ nvram.Offset, key, value uint64, height int, op writeOp) (nvram.Offset, error) {
 	l := h.list
 	d, err := h.core.AllocateDescriptor(0)
 	if err != nil {
@@ -169,10 +187,19 @@ func (h *Handle) insert(pred, succ nvram.Offset, key, value uint64, height int) 
 		err = d.ReserveEntry(pred+linkOff(0, false), succ, node, core.PolicyFreeNewOnFailure)
 	}
 	if err != nil {
+		if op == opPut {
+			l.alloc.Unreserve(value)
+		}
 		d.Discard()
 		return 0, err
 	}
-	if err := d.AddWord(succ+linkOff(0, true), pred, node); err != nil {
+	if op == opPut {
+		err = d.ReserveEntry(node+nodeValueOff, value, value, core.PolicyFreeNewOnFailure)
+	}
+	if err == nil {
+		err = d.AddWord(succ+linkOff(0, true), pred, node)
+	}
+	if err != nil {
 		d.Discard()
 		return 0, err
 	}

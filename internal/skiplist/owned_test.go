@@ -7,21 +7,18 @@ import (
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
-	"pmwcas/internal/nvram"
+	"pmwcas/internal/index"
 )
 
-// block allocates a 64-byte block through ah, delivered into a spare
-// roots word (the list uses the first RootWords), and persists word in
-// its first word.
-func (e *lenv) block(t *testing.T, ah *alloc.Handle, slot int, word uint64) uint64 {
+// block reserves a 64-byte block through ah, the value a PutOwned
+// consumes, and fills its first word with word.
+func (e *lenv) block(t *testing.T, ah *alloc.Handle, word uint64) uint64 {
 	t.Helper()
-	b, err := ah.Alloc(64, e.roots.Base+nvram.Offset(RootWords+slot)*nvram.WordSize)
+	b, err := ah.Reserve(64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.dev.Store(b, word)
-	e.dev.Flush(b)
-	e.dev.Fence()
 	return b
 }
 
@@ -32,14 +29,14 @@ func (e *lenv) drain() {
 	}
 }
 
-// PutOwned inserts an absent key and frees nothing; over a present key it
-// replaces the value and frees the displaced block once the epoch allows.
+// PutOwned consumes value. It inserts an absent key, activating the
+// reserved block, and frees nothing; over a present key it replaces the
+// value and frees the displaced block once the epoch allows.
 func TestPutOwnedSemantics(t *testing.T) {
 	e := newListEnv(t, core.Persistent)
 	h := e.list.NewHandle(1)
 	ah := e.alloc.NewHandle()
 	base, _ := e.alloc.InUse()
-	a, b := e.block(t, ah, 0, 0), e.block(t, ah, 0, 0)
 	inUse := func(want uint64, when string) {
 		t.Helper()
 		e.drain()
@@ -47,13 +44,15 @@ func TestPutOwnedSemantics(t *testing.T) {
 			t.Fatalf("%s: %d blocks in use, want %d", when, blocks-base, want)
 		}
 	}
+	a := e.block(t, ah, 0)
 	if err := h.PutOwned(5, a); err != nil {
 		t.Fatalf("PutOwned(absent): %v", err)
 	}
 	if v, _ := h.Get(5); v != a {
 		t.Fatalf("value = %#x, want %#x", v, a)
 	}
-	inUse(3, "after the insert") // node, a, b
+	inUse(2, "after the insert") // node, a
+	b := e.block(t, ah, 0)
 	if err := h.PutOwned(5, b); err != nil {
 		t.Fatalf("PutOwned(present): %v", err)
 	}
@@ -66,11 +65,14 @@ func TestPutOwnedSemantics(t *testing.T) {
 // DirtyValue returns a value with a reserved bit for validation tests.
 func DirtyValue() uint64 { return core.DirtyFlag }
 
-// Concurrent PutOwned calls on one key each displace exactly one block:
-// every displaced block is freed once, and only the last one stays.
+// Concurrent PutOwned calls on one key each displace exactly one block,
+// and a put whose PMwCAS loses its race (index.ErrRaced) retries with a
+// new block: every displaced or raced block is freed once, and only the
+// last one stays.
 func TestPutOwnedConcurrentFreesEachDisplaced(t *testing.T) {
 	e := newListEnv(t, core.Persistent)
 	base, _ := e.alloc.InUse()
+	free := e.alloc.FreeBlocks(64)
 	const goroutines = 4
 	const perG = 200
 	var wg sync.WaitGroup
@@ -81,7 +83,11 @@ func TestPutOwnedConcurrentFreesEachDisplaced(t *testing.T) {
 			h := e.list.NewHandle(int64(g))
 			ah := e.alloc.NewHandle()
 			for i := 0; i < perG; i++ {
-				if err := h.PutOwned(7, e.block(t, ah, g, 0)); err != nil {
+				err := h.PutOwned(7, e.block(t, ah, 0))
+				for err == index.ErrRaced {
+					err = h.PutOwned(7, e.block(t, ah, 0))
+				}
+				if err != nil {
 					t.Errorf("PutOwned: %v", err)
 					return
 				}
@@ -93,14 +99,19 @@ func TestPutOwnedConcurrentFreesEachDisplaced(t *testing.T) {
 	if blocks, _ := e.alloc.InUse(); blocks != base+2 { // node + the last block
 		t.Fatalf("blocks = %d, want %d: displaced blocks leaked", blocks, base+2)
 	}
+	if got := e.alloc.FreeBlocks(64); got != free-2 {
+		t.Fatalf("%d blocks free, want %d: a raced block was not released", got, free-2)
+	}
 }
 
 func TestDeleteValueReturnsExactValue(t *testing.T) {
 	e := newListEnv(t, core.Persistent)
 	h := e.list.NewHandle(1)
 	ah := e.alloc.NewHandle()
-	b := e.block(t, ah, 0, 0)
-	h.Insert(3, b)
+	b := e.block(t, ah, 0)
+	if err := h.PutOwned(3, b); err != nil {
+		t.Fatal(err)
+	}
 	v, err := h.DeleteOwned(3)
 	if err != nil || v != b {
 		t.Fatalf("DeleteOwned = (%#x, %v), want %#x", v, err, b)
@@ -118,11 +129,11 @@ func TestOwnedValueLifecycle(t *testing.T) {
 	ah := e.alloc.NewHandle()
 	base, _ := e.alloc.InUse()
 
-	blockA := e.block(t, ah, 0, 0)
+	blockA := e.block(t, ah, 0)
 	if err := h.PutOwned(9, blockA); err != nil {
 		t.Fatal(err)
 	}
-	blockB := e.block(t, ah, 0, 0)
+	blockB := e.block(t, ah, 0)
 	// Replace A with B: A must be freed by the policy.
 	if err := h.PutOwned(9, blockB); err != nil {
 		t.Fatalf("PutOwned: %v", err)
@@ -144,21 +155,26 @@ func TestOwnedValueLifecycle(t *testing.T) {
 	}
 }
 
-// A PutOwned that changes nothing frees nothing: putting the value
-// already in place is a no-op, and a value with reserved bits is refused.
+// A refused PutOwned frees nothing live: a value with reserved bits and
+// a key out of range are refused, the second's block goes back to the
+// allocator, and the value in place stays.
 func TestOwnedUpdateFailureFreesNothing(t *testing.T) {
 	e := newListEnv(t, core.Persistent)
 	h := e.list.NewHandle(1)
 	ah := e.alloc.NewHandle()
-	blockA := e.block(t, ah, 0, 0)
+	blockA := e.block(t, ah, 0)
 	if err := h.PutOwned(4, blockA); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.PutOwned(4, blockA); err != nil {
-		t.Fatalf("same-value PutOwned: %v", err)
-	}
 	if err := h.PutOwned(4, DirtyValue()); !errors.Is(err, ErrValueRange) {
 		t.Fatalf("flagged PutOwned = %v, want ErrValueRange", err)
+	}
+	free := e.alloc.FreeBlocks(64)
+	if err := h.PutOwned(MaxKey, e.block(t, ah, 0)); !errors.Is(err, ErrKeyRange) {
+		t.Fatalf("PutOwned(MaxKey) = %v, want ErrKeyRange", err)
+	}
+	if got := e.alloc.FreeBlocks(64); got != free {
+		t.Fatalf("%d blocks free after a refused PutOwned, want %d", got, free)
 	}
 	e.drain()
 	if v, _ := h.Get(4); v != blockA {

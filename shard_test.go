@@ -13,7 +13,6 @@ func testShardConfig(shards int) Config {
 		Size:               uint64(shards) << 20, // 1 MiB per shard
 		Shards:             shards,
 		Descriptors:        64,
-		MaxHandles:         8,
 		BwTreeMappingSlots: 1 << 10,
 		HashDirSlots:       1 << 6,
 	}

@@ -43,8 +43,8 @@ type Config struct {
 	// WordsPerDescriptor is each descriptor's capacity (default: what the
 	// skip list needs, 3+MaxHeight).
 	WordsPerDescriptor int
-	// MaxHandles sizes each shard's blob staging (default 64): a shard's
-	// blob layer has MaxHandles/4 handles, one staging slot each.
+	// MaxHandles is unused: it sizes nothing, and it stays only because
+	// the benchmark's store configuration sets it.
 	MaxHandles int
 	// Classes overrides each shard's allocator size classes. The default
 	// covers skip list nodes, Bw-tree deltas, and Bw-tree pages.
@@ -98,9 +98,6 @@ func (c *Config) fill() error {
 	if c.WordsPerDescriptor == 0 {
 		c.WordsPerDescriptor = skiplist.MinDescriptorWords
 	}
-	if c.MaxHandles == 0 {
-		c.MaxHandles = 64
-	}
 	if c.BwTreeMappingSlots == 0 {
 		c.BwTreeMappingSlots = 1 << 16
 	}
@@ -111,8 +108,8 @@ func (c *Config) fill() error {
 	poolBytes := core.PoolSize(c.Descriptors, c.WordsPerDescriptor)
 	mapBytes := c.BwTreeMappingSlots * nvram.WordSize
 	dirBytes := c.HashDirSlots * nvram.WordSize
-	// The remaining fixed regions (roots, Bw-tree meta, blob staging, hash
-	// anchor) plus bitmap and line-rounding slack.
+	// The remaining fixed regions (roots, Bw-tree meta, hash anchor) plus
+	// bitmap and line-rounding slack.
 	const slack = 64 << 10
 	fixed := poolBytes + mapBytes + dirBytes + slack
 	if fixed >= shardBudget {
@@ -150,10 +147,9 @@ type storeShard struct {
 	pool  *core.Pool
 	alloc *alloc.Allocator
 
-	rootsRegion   nvram.Region // skip list anchors + application roots
+	rootsRegion   nvram.Region // skip list anchors and blob tag, queue anchors, application roots
 	mapRegion     nvram.Region // Bw-tree mapping table
 	metaRegion    nvram.Region // Bw-tree meta line
-	blobRegion    nvram.Region // blob KV staging slots
 	hashRegion    nvram.Region // hash table anchor line
 	hashDirRegion nvram.Region // hash table directory
 	poolRegion    nvram.Region
@@ -239,18 +235,16 @@ func OpenFile(path string, cfg Config) (*Store, error) {
 	return assemble(dev, cfg, true)
 }
 
-// carveShard reserves one shard's region group. The order within a group
-// is fixed forever: hash table regions come last so their addition left
-// every earlier region — and thus every pre-existing durable image —
-// where it was.
+// carveShard reserves one shard's region group. The order and sizes
+// within a group are the image format: changing one moves every later
+// region, and images laid out before the change no longer open.
 func carveShard(l *nvram.Layout, cfg *Config) *storeShard {
 	sh := &storeShard{}
 	sh.poolRegion = l.Carve(core.PoolSize(cfg.Descriptors, cfg.WordsPerDescriptor))
-	sh.allocRegion = l.Carve(alloc.MetaSize(cfg.Classes, cfg.MaxHandles))
+	sh.allocRegion = l.Carve(alloc.MetaSize(cfg.Classes, 0))
 	sh.rootsRegion = l.Carve(nvram.LineBytes * 4) // 32 root words
 	sh.mapRegion = l.Carve(cfg.BwTreeMappingSlots * nvram.WordSize)
 	sh.metaRegion = l.Carve(nvram.LineBytes)
-	sh.blobRegion = l.Carve(blobkv.StagingWords(cfg.MaxHandles) * nvram.WordSize)
 	sh.hashRegion = l.Carve(nvram.LineBytes)
 	sh.hashDirRegion = l.Carve(cfg.HashDirSlots * nvram.WordSize)
 	return sh
@@ -262,7 +256,7 @@ func carveShard(l *nvram.Layout, cfg *Config) *storeShard {
 func buildShard(dev *nvram.Device, cfg *Config, sh *storeShard, recover bool) (RecoveryStats, error) {
 	var rst RecoveryStats
 	var err error
-	sh.alloc, err = alloc.New(dev, sh.allocRegion, cfg.Classes, cfg.MaxHandles)
+	sh.alloc, err = alloc.New(dev, sh.allocRegion, cfg.Classes, 0)
 	if err != nil {
 		return rst, fmt.Errorf("allocator: %w", err)
 	}
@@ -283,9 +277,6 @@ func buildShard(dev *nvram.Device, cfg *Config, sh *storeShard, recover bool) (R
 		if rst, err = sh.pool.Recover(); err != nil {
 			return rst, fmt.Errorf("recovery: %w", err)
 		}
-		// Before anything can allocate; OpenBlobKV's staging recovery
-		// runs later.
-		blobkv.DropUnallocated(dev, sh.alloc, sh.blobRegion, blobSlots(cfg))
 	}
 	return rst, nil
 }
@@ -582,13 +573,14 @@ func (s *Store) BlobKV() (*BlobKV, error) { return s.Shard(0).BlobKV() }
 func (sh *Shard) BlobKV() (*BlobKV, error) { return sh.OpenBlobKV("skiplist", IndexOptions{}) }
 
 // blobIndexes names the indexes a blob layer can be on. A shard records
-// its layer's index in the last word of the staging region, as its
-// position here plus one; zero means no layer has been opened. The
-// region is line-rounded and holds MaxHandles words for MaxHandles/4
-// slots, so that word is always spare.
+// its layer's index in a spare word of its roots region, the last word
+// of the skip list's line (the list uses words 0–1), as its position
+// here plus one; zero means no layer has been opened.
 var blobIndexes = []string{"skiplist", "bwtree", "hash"}
 
-func (st *storeShard) blobTagWord() Offset { return st.blobRegion.End() - nvram.WordSize }
+func (st *storeShard) blobTagWord() Offset {
+	return st.rootsRegion.Base + nvram.LineBytes - nvram.WordSize
+}
 
 // blobIndexOn names the index a blob-layer tag records.
 func blobIndexOn(tag uint64) string {
@@ -599,30 +591,21 @@ func blobIndexOn(tag uint64) string {
 }
 
 // blobTag reads which index this shard's blob layer is on, for opening
-// one over name. Images from before the tag hold 0 there, and their
-// layer, if any, is on the skip list, the only index a layer could be on
-// then: a skip list or a staged record reads as that layer. A Bw-tree or
-// hash table already there holds word values, which a layer opened over
-// it would take for record offsets, so that is refused. (OpenBlobKV
-// writes the tag before it creates the index, so a layer's own index is
-// never found untagged.)
+// one over name. An untagged index that already exists holds word
+// values, which a layer opened over it would take for record offsets, so
+// that is refused. (OpenBlobKV writes the tag before it creates the
+// index, so a layer's own index is never found untagged.)
 func (sh *Shard) blobTag(name string) (uint64, error) {
 	st, dev := sh.state(), sh.s.dev
 	if on := dev.Load(st.blobTagWord()); on != 0 {
 		return on, nil
 	}
-	legacy := dev.Load(st.rootsRegion.Base) != 0 // the skip list's head anchor
-	for off := st.blobRegion.Base; off < st.blobTagWord() && !legacy; off += nvram.WordSize {
-		legacy = dev.Load(off) != 0
-	}
-	if legacy {
-		return 1, nil // blobIndexes[0], the skip list
-	}
 	anchor := map[string]Offset{
-		"bwtree": st.metaRegion.Base, // the tree's magic
-		"hash":   st.hashRegion.Base, // the table's depth word
+		"skiplist": st.rootsRegion.Base, // the list's head anchor
+		"bwtree":   st.metaRegion.Base,  // the tree's magic
+		"hash":     st.hashRegion.Base,  // the table's depth word
 	}[name]
-	if anchor != 0 && dev.Load(anchor) != 0 {
+	if dev.Load(anchor) != 0 {
 		return 0, fmt.Errorf("pmwcas: shard %d's %s index already holds word values; a blob layer cannot open over it",
 			sh.i, name)
 	}
@@ -670,17 +653,8 @@ func (sh *Shard) OpenBlobKV(name string, opt IndexOptions) (*BlobKV, error) {
 		}
 		return nil, err
 	}
-	return blobkv.Open(blobkv.Config{
-		Index:      mint,
-		Allocator:  st.alloc,
-		Device:     dev,
-		Staging:    st.blobRegion,
-		MaxHandles: blobSlots(&sh.s.cfg),
-	})
+	return blobkv.Open(blobkv.Config{Index: mint, Allocator: st.alloc, Device: dev})
 }
-
-// blobSlots is how many blobkv handles (and staging slots) a shard has.
-func blobSlots(cfg *Config) int { return max(cfg.MaxHandles/4, 1) }
 
 // BwTree opens shard 0's Bw-tree; see Shard.BwTree.
 func (s *Store) BwTree(opts BwTreeOptions) (*BwTree, error) { return s.Shard(0).BwTree(opts) }
@@ -867,7 +841,7 @@ func (s *Store) Recover() (RecoveryStats, error) {
 	for i, old := range s.shards {
 		sh := &storeShard{
 			rootsRegion: old.rootsRegion, mapRegion: old.mapRegion,
-			metaRegion: old.metaRegion, blobRegion: old.blobRegion,
+			metaRegion: old.metaRegion,
 			hashRegion: old.hashRegion, hashDirRegion: old.hashDirRegion,
 			poolRegion: old.poolRegion, allocRegion: old.allocRegion,
 		}
@@ -878,7 +852,6 @@ func (s *Store) Recover() (RecoveryStats, error) {
 		total.Scanned += rst.Scanned
 		total.RolledForward += rst.RolledForward
 		total.RolledBack += rst.RolledBack
-		total.Reclaimed += rst.Reclaimed
 		total.WordsRepaired += rst.WordsRepaired
 		total.CorruptCounts += rst.CorruptCounts
 		fresh[i] = sh
@@ -909,10 +882,9 @@ func (s *Store) Checkpoint(path string) error { return s.dev.SaveFile(path) }
 // CheckOptions tunes Store.CheckInvariants.
 type CheckOptions struct {
 	// Blob additionally validates the values of the index each shard's
-	// blob layer is on as blob-KV records and scans the blob staging
-	// slots. Set it whenever the store is used through BlobKV or
-	// OpenBlobKV — without it the index's values are opaque integers and
-	// blob records would read as allocator leaks.
+	// blob layer is on as blob-KV records. Set it whenever the store is
+	// used through BlobKV or OpenBlobKV — without it the index's values
+	// are opaque integers and blob records would read as allocator leaks.
 	Blob bool
 }
 
@@ -1007,7 +979,7 @@ func (s *Store) checkShard(i int, sh *storeShard, opt CheckOptions, st *DurableS
 		case "hash":
 			idx = hentries
 		}
-		blocks, blobs, err := blobkv.Check(s.dev, sh.alloc, sh.blobRegion, blobSlots(&s.cfg), idx)
+		blocks, blobs, err := blobkv.Check(s.dev, sh.alloc, idx)
 		if err != nil {
 			return err
 		}

@@ -369,64 +369,6 @@ func TestOpenDeviceSizeMismatch(t *testing.T) {
 	}
 }
 
-// TestTornStagedRecordOutlivesEarlyAllocation: a crash inside a blob
-// record's Alloc leaves its staging slot naming a block whose bit never
-// persisted, so the block is free after the restart. Recovery drops the
-// slot at once: a block allocated before the blob layer reopens is not
-// freed by the layer's staging recovery under its new owner.
-func TestTornStagedRecordOutlivesEarlyAllocation(t *testing.T) {
-	store, err := Create(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kv, err := store.BlobKV()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := kv.NewHandle(1)
-	type crash struct{}
-	// The allocator's first CAS sets the record's bit, after the staging
-	// slot names it.
-	store.Device().SetHook(func(op string, _ Offset) {
-		if op == "cas" {
-			panic(crash{})
-		}
-	})
-	func() {
-		defer func() {
-			if r := recover(); r != (crash{}) {
-				t.Fatalf("Put did not crash at its record's bit: %v", r)
-			}
-		}()
-		_ = h.Put([]byte("torn"), []byte("value"))
-	}()
-	store.Device().SetHook(nil)
-	sh := store.shards[0]
-	rec := store.dev.Load(sh.blobRegion.Base) // the first handle's slot
-	size, err := sh.alloc.BlockSize(rec)
-	if err != nil {
-		t.Fatalf("staging slot names %#x: %v", rec, err)
-	}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(store.Crash())
-	_, err = store.Recover()
-	must(err)
-	for b := Offset(0); b != rec; {
-		b, err = store.Alloc(size, store.RootWord(0))
-		must(err)
-	}
-	_, err = store.BlobKV()
-	must(err)
-	if err := store.Free(rec); err != nil {
-		t.Fatalf("the block allocated before the blob layer reopened was freed: %v", err)
-	}
-}
-
 func TestStoreBlobKV(t *testing.T) {
 	store, err := Create(testConfig())
 	if err != nil {
