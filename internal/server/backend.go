@@ -115,10 +115,11 @@ func (b *backend) Delete(key []byte) error {
 var maxKeyBytes = []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
 // Scan visits entries with keys in [from, end] in order, at most limit
-// of them. An empty end means the end of the keyspace. Each emitted entry
-// is durable on its home shard at emission time, so the merged stream is
-// exactly as consistent as a single-shard scan under concurrent writers:
-// an ordered snapshot-free walk.
+// (at least 1, as the server clamps it) of them. An empty end means the
+// end of the keyspace. Each emitted entry is durable on its home shard at
+// emission time, so the merged stream is exactly as consistent as a
+// single-shard scan under concurrent writers: an ordered snapshot-free
+// walk.
 func (b *backend) Scan(from, end []byte, limit int, fn func(key, val []byte) bool) error {
 	if len(end) == 0 {
 		end = maxKeyBytes
@@ -159,15 +160,14 @@ func (b *backend) Scan(from, end []byte, limit int, fn func(key, val []byte) boo
 }
 
 // scanShard is one shard's ordered scan of [from, end], at most limit
-// entries.
+// (at least 1) entries. It stops on the limit-th entry: the blob layer
+// reads an entry's record before fn sees it, so a scan that stopped on
+// the entry past the limit would read one record only to drop it.
 func scanShard(h *pmwcas.BlobKVHandle, from, end []byte, limit int, fn func(key, val []byte) bool) error {
 	n := 0
 	return h.Scan(from, end, func(k, v []byte) bool {
-		if n >= limit {
-			return false
-		}
 		n++
-		return fn(k, v)
+		return fn(k, v) && n < limit
 	})
 }
 

@@ -182,3 +182,54 @@ func TestSuccessorKey(t *testing.T) {
 		}
 	}
 }
+
+// TestScanReadsOnlyEmittedRecords pins a limit-k SCAN on one shard to k
+// record reads. The blob layer copies an entry's record before the scan's
+// callback sees it, so a scan that checked its limit on the entry after
+// the k-th read one record it never emitted. The reference is a scan of
+// the range of keys 0 to k-1, which holds exactly k keys: it reads their
+// k records, then the next node's key to find it past the end. A limit-k
+// scan from key 0 must load fewer words; one more record read costs it
+// the node's value and link words and the record's words on top.
+func TestScanReadsOnlyEmittedRecords(t *testing.T) {
+	store, err := pmwcas.Create(pmwcas.Config{Size: 16 << 20, Descriptors: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := newBackends(store, IndexSkipList, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := bs[0]
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
+	for i := 0; i < 100; i++ {
+		if err := b.Put(key(i), []byte(value(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// scan returns the words one scan from key 0 loads and the entries it
+	// emits, after running every pending finalizer.
+	scan := func(end []byte, limit int) (uint64, int) {
+		for i := 0; i < 3; i++ {
+			store.Epochs().Advance()
+			store.Epochs().Collect()
+		}
+		before := store.Device().Stats().Loads
+		n := 0
+		if err := b.Scan(key(0), end, limit, func(k, v []byte) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return store.Device().Stats().Loads - before, n
+	}
+	for _, k := range []int{1, 5, scanBatch, 50} {
+		bounded, n := scan(key(k-1), 1000)
+		limited, m := scan(nil, k)
+		if n != k || m != k {
+			t.Fatalf("k=%d: the scans emitted %d and %d entries", k, n, m)
+		}
+		if limited >= bounded {
+			t.Errorf("limit-%d scan loaded %d words, a scan of exactly %d keys %d: it read a record past its limit",
+				k, limited, k, bounded)
+		}
+	}
+}

@@ -97,10 +97,13 @@ func (h *CASHandle) randomHeight() int {
 // physically unlinking any logically deleted (marked) node it passes —
 // Harris's helping rule: a marked node must be unlinked by whoever trips
 // over it, otherwise deletion never completes. Any interference with the
-// descent restarts it from the head.
+// descent restarts it from the head. Like find, it loads each node's key
+// once per descent: succ and sk are the node the level above stopped at
+// and its key.
 func (l *CASList) casSearch(key uint64) (r casSearchResult) {
 retry:
 	pred := l.head
+	succ, sk := l.tail, MaxKey
 	for level := MaxHeight - 1; level >= 0; level-- {
 		cur := l.dev.Load(pred + linkOff(level, false))
 		for {
@@ -121,12 +124,17 @@ retry:
 				}
 				next = l.dev.Load(cur + linkOff(level, false))
 			}
-			if l.key(cur) < key {
+			ck := sk
+			if cur != succ {
+				ck = l.key(cur)
+			}
+			if ck < key {
 				pred = cur
 				cur = next
 				continue
 			}
 			r.preds[level], r.succs[level] = pred, cur
+			succ, sk = cur, ck
 			break
 		}
 		// Descend within the same predecessor tower (fat nodes: the node

@@ -115,9 +115,9 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 			}
 			// Promotions are best-effort: abandoning them (on deletion
 			// races or descriptor pressure) leaves a valid, merely
-			// shorter, tower.
+			// shorter, tower. They start from this find's neighbours.
 			for level := 1; level < height; level++ {
-				if !h.promote(node, key, level) {
+				if !h.promote(node, key, level, &r) {
 					break
 				}
 			}
@@ -212,18 +212,18 @@ func (h *Handle) insert(pred, succ nvram.Offset, key, value uint64, height int, 
 
 // promote links node into the level-i list. Returns false if the node was
 // deleted (its level word was sealed) before the promotion could land.
+// The first attempt links node between r's level-i neighbours: the
+// PMwCAS compares pred.next[i], succ.prev[i] and node.next[i], so a stale
+// pair or a sealed node only loses it. Only a lost PMwCAS finds again,
+// into r, so the promotions above this level start from the fresh find.
 //
 //pmwcas:requires-guard — reads level words of a node deletion may retire
-func (h *Handle) promote(node nvram.Offset, key uint64, level int) bool {
+func (h *Handle) promote(node nvram.Offset, key uint64, level int, r *findResult) bool {
 	for {
 		// A base delete seals unpromoted levels by marking their zero
 		// next word; once sealed, the expected 0 below can never match.
 		if h.read(node+linkOff(level, false)) != 0 {
 			return false
-		}
-		r := h.find(key)
-		if r.found != node {
-			return false // deleted (and possibly re-inserted as another node)
 		}
 		d, err := h.core.AllocateDescriptor(0)
 		if err != nil {
@@ -249,6 +249,9 @@ func (h *Handle) promote(node nvram.Offset, key uint64, level int) bool {
 		}
 		if ok, _ := d.Execute(); ok {
 			return true
+		}
+		if *r = h.find(key); r.found != node {
+			return false // deleted (and possibly re-inserted as another node)
 		}
 	}
 }
@@ -308,67 +311,53 @@ func (h *Handle) deleteOuter(key uint64, owned bool) (uint64, error) {
 	}
 }
 
+// delete acts on one find: the unlinks take their neighbours from it, and
+// only a base PMwCAS that was lost (or not made: another deleter won, or
+// a promotion raced an upper level in) finds again. A node the fresh find
+// no longer reaches was deleted by another thread, which is ErrNotFound.
 func (h *Handle) delete(key uint64, owned bool) (uint64, error) {
 	g := h.core.Guard()
 	g.Enter()
 	defer g.Exit()
 
 	r := h.find(key)
-	if r.found == 0 {
+	node := r.found
+	if node == 0 {
 		return 0, ErrNotFound
 	}
-	node := r.found
 	height := h.list.height(node)
-
 	for {
 		// Unlink any live upper level, top-down.
-		livedUpper := false
 		for level := height - 1; level >= 1; level-- {
-			v := h.read(node + linkOff(level, false))
-			if v == 0 || v&DeletedMask != 0 {
-				continue
-			}
-			livedUpper = true
-			if err := h.unlinkLevel(node, key, level); err != nil {
+			if err := h.unlinkLevel(node, key, level, &r); err != nil {
 				return 0, err
 			}
 		}
-		if livedUpper {
-			continue // re-check: promotions may have raced in below us
+		done, val, err := h.unlinkBase(node, height, owned, &r)
+		if done || err != nil {
+			return val, err
 		}
-		res, val, err := h.unlinkBase(node, key, height, owned)
-		if err != nil {
-			return 0, err
-		}
-		switch res {
-		case unlinkDone:
-			return val, nil
-		case unlinkLost:
+		if r = h.find(key); r.found != node {
 			return 0, ErrNotFound
-		case unlinkRetry:
-			// Upper level re-appeared or neighborhood changed.
 		}
 	}
 }
 
 // unlinkLevel removes node from the level-i list (one PMwCAS: mark +
-// unlink both directions). Best effort: if another thread unlinks it
-// first, that is success too.
+// unlink both directions) after r's level-i predecessor. Best effort: if
+// another thread unlinks it first, that is success too. It finds again,
+// into r, only when r does not reach node at this level (the find
+// predates the promotion) or after a lost PMwCAS.
 //
 //pmwcas:requires-guard — reads links of the node being unlinked
-func (h *Handle) unlinkLevel(node nvram.Offset, key uint64, level int) error {
+func (h *Handle) unlinkLevel(node nvram.Offset, key uint64, level int, r *findResult) error {
 	for {
 		succ := h.read(node + linkOff(level, false))
 		if succ == 0 || succ&DeletedMask != 0 {
 			return nil
 		}
-		r := h.find(key)
 		if r.succs[level] != node {
-			// Node no longer reachable at this level (or key reused):
-			// verify directly — it may be that find's neighborhood moved.
-			if h.read(node+linkOff(level, false))&DeletedMask != 0 {
-				return nil
-			}
+			*r = h.find(key)
 			continue
 		}
 		pred := r.preds[level]
@@ -390,38 +379,30 @@ func (h *Handle) unlinkLevel(node nvram.Offset, key uint64, level int) error {
 		if ok, _ := d.Execute(); ok {
 			return nil
 		}
+		*r = h.find(key)
 	}
 }
 
-type unlinkResult int
-
-const (
-	unlinkDone unlinkResult = iota
-	unlinkLost
-	unlinkRetry
-)
-
 // unlinkBase removes the base level and seals all upper levels in one
-// PMwCAS. The pred.next[0] entry carries FreeOldOnSuccess: its old value
+// PMwCAS, after r's base predecessor, which the pred.next[0]: node→succ
+// entry validates. That entry carries FreeOldOnSuccess: its old value
 // is the node itself, recycled once the epoch proves no traversal can
 // still touch it (§6.1). When the value is owned, the node's value word
 // joins the PMwCAS as an old == new FreeOldOnSuccess entry: it certifies
 // exactly which value the deletion removed and frees that value's block.
+// It reports false when it did not unlink the node: another deleter
+// won, an upper level is live, or r is stale. The caller finds again.
 //
 //pmwcas:requires-guard — reads the doomed node's links and value word
-func (h *Handle) unlinkBase(node nvram.Offset, key uint64, height int, owned bool) (unlinkResult, uint64, error) {
+func (h *Handle) unlinkBase(node nvram.Offset, height int, owned bool, r *findResult) (bool, uint64, error) {
 	succ := h.read(node + linkOff(0, false))
 	if succ&DeletedMask != 0 {
-		return unlinkLost, 0, nil // another deleter won
-	}
-	r := h.find(key)
-	if r.found != node {
-		return unlinkLost, 0, nil
+		return false, 0, nil // another deleter won
 	}
 	pred := r.preds[0]
 	d, err := h.core.AllocateDescriptor(0)
 	if err != nil {
-		return 0, 0, err
+		return false, 0, err
 	}
 	fail := d.AddWordWithPolicy(pred+linkOff(0, false), node, succ, core.PolicyFreeOldOnSuccess)
 	if fail == nil {
@@ -430,39 +411,27 @@ func (h *Handle) unlinkBase(node nvram.Offset, key uint64, height int, owned boo
 	if fail == nil {
 		fail = d.AddWord(node+linkOff(0, false), succ, succ|DeletedMask)
 	}
-	if fail != nil {
-		d.Discard()
-		return unlinkRetry, 0, nil
-	}
 	var val uint64
-	if owned {
+	if fail == nil && owned {
 		val = h.read(node + nodeValueOff)
-		if err := d.AddWordWithPolicy(node+nodeValueOff, val, val, core.PolicyFreeOldOnSuccess); err != nil {
-			d.Discard()
-			return unlinkRetry, 0, nil
-		}
+		fail = d.AddWordWithPolicy(node+nodeValueOff, val, val, core.PolicyFreeOldOnSuccess)
 	}
-	for level := 1; level < height; level++ {
+	for level := 1; fail == nil && level < height; level++ {
 		v := h.read(node + linkOff(level, false))
 		if v != 0 && v&DeletedMask == 0 {
 			d.Discard()
-			return unlinkRetry, 0, nil // live upper level: must unlink it first
+			return false, 0, nil // live upper level: must unlink it first
 		}
 		// Dead (marked) levels are compared; unpromoted (0) levels are
 		// sealed so no promotion can ever land after the node dies.
-		if err := d.AddWord(node+linkOff(level, false), v, v|DeletedMask); err != nil {
-			d.Discard()
-			return unlinkRetry, 0, nil
-		}
+		fail = d.AddWord(node+linkOff(level, false), v, v|DeletedMask)
+	}
+	if fail != nil {
+		d.Discard()
+		return false, 0, nil
 	}
 	ok, err := d.Execute()
-	if err != nil {
-		return unlinkRetry, 0, nil
-	}
-	if ok {
-		return unlinkDone, val, nil
-	}
-	return unlinkRetry, 0, nil
+	return ok && err == nil, val, nil
 }
 
 // Len counts the keys by walking the base level. O(n); intended for

@@ -28,6 +28,12 @@
 // no "help finish the deletion" path, which is exactly the code the paper
 // reports deleting when moving from single-word CAS to PMwCAS.
 //
+// Every operation descends from the head once (find). An insert's
+// promotions and a delete's unlinks act on the pred/succ pairs of that
+// find: each pair is an expected-old operand its PMwCAS re-validates, so
+// a pair gone stale only loses the PMwCAS, and only then does the op
+// find again.
+//
 // # Why towers cannot be orphaned
 //
 // Deletion proceeds top-down and the base-level PMwCAS includes every
@@ -271,6 +277,15 @@ type findResult struct {
 // the head — deletion unlinks atomically, so marked links are only ever
 // seen from nodes the traversal was already holding.
 //
+// Each node's key is loaded once per descent. succ and sk are the node
+// the level above stopped at and its key: a level down, the walk stops
+// at succ again unless it meets a smaller key first, and a node it
+// passes becomes pred, never compared again. Keys are immutable once
+// published and the guard keeps succ from being recycled, so reusing sk
+// is the same read. succ starts at the tail, whose key is MaxKey, so
+// empty top levels load no key, and the base level's succ and sk answer
+// whether key is present.
+//
 // Link reads elide the dirty-bit flush (DESIGN.md §6.2): the values are
 // only compared, followed, or handed to AddWord as expected-old operands,
 // which the PMwCAS install path re-persists at the target before
@@ -285,6 +300,7 @@ func (h *Handle) find(key uint64) findResult {
 restart:
 	var r findResult
 	pred := l.head
+	succ, sk := l.tail, MaxKey
 	for i := MaxHeight - 1; i >= 0; i-- {
 		for {
 			steps++
@@ -298,17 +314,21 @@ restart:
 				// traversal path (we only descend through linked levels).
 				goto restart
 			}
-			if nk := l.key(next); nk < key {
+			nk := sk
+			if next != succ {
+				nk = l.key(next)
+			}
+			if nk < key {
 				pred = next
 				continue
 			}
-			r.preds[i] = pred
-			r.succs[i] = next
+			r.preds[i], r.succs[i] = pred, next
+			succ, sk = next, nk
 			break
 		}
 	}
-	if s := r.succs[0]; s != l.tail && l.key(s) == key {
-		r.found = s
+	if succ != l.tail && sk == key {
+		r.found = succ
 	}
 	mFindSteps.Observe(h.lane, steps)
 	return r

@@ -3,6 +3,7 @@ package skiplist
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -39,12 +40,11 @@ func slSpec() []alloc.Class {
 	}
 }
 
-func newListEnv(t testing.TB, mode core.Mode) *lenv {
+func newListEnv(t testing.TB, mode core.Mode, opts ...nvram.Option) *lenv {
 	t.Helper()
 	e := &lenv{spec: slSpec()}
 	poolBytes := core.PoolSize(slDescs, slWords)
 	aBytes := alloc.MetaSize(e.spec, slHandles)
-	var opts []nvram.Option
 	if mode == core.Volatile {
 		opts = append(opts, nvram.WithVolatile())
 	}
@@ -584,5 +584,60 @@ func TestCreateOutOfMemoryUnreserves(t *testing.T) {
 	}
 	if n := a.FreeBlocks(256); n != 1 {
 		t.Fatalf("%d towers free after the failed NewCAS, want 1", n)
+	}
+}
+
+// TestGetLoadsEachKeyOnce pins a GET's device loads on a fixed list: one
+// link word per step of the descent, one key per distinct node compared,
+// and the value word of a key that is present. The towers put short
+// nodes between taller ones, so a level's walk passes a node the level
+// above never met and then meets the node that level stopped at again;
+// and the found check must not reload the key the base level stopped at.
+func TestGetLoadsEachKeyOnce(t *testing.T) {
+	e := newListEnv(t, core.Persistent)
+	h := e.list.NewHandle(1)
+	keys := []uint64{10, 20, 30, 40, 50, 60, 70, 80, 90}
+	heights := []int{3, 1, 2, 1, 4, 1, 2, 1, 3}
+	for i, k := range keys {
+		h.link(t, k, heights[i])
+	}
+	// want walks the same towers: pred and next index keys, -1 is the
+	// head and len(keys) the tail, whose key no walk loads.
+	want := func(key uint64) uint64 {
+		steps, compared, pred := 0, map[int]bool{}, -1
+		for level := MaxHeight - 1; level >= 0; level-- {
+			for {
+				steps++
+				next := pred + 1
+				for next < len(keys) && heights[next] <= level {
+					next++
+				}
+				if next == len(keys) {
+					break
+				}
+				compared[next] = true
+				if keys[next] >= key {
+					break
+				}
+				pred = next
+			}
+		}
+		loads := uint64(steps + len(compared))
+		if _, found := slices.BinarySearch(keys, key); found {
+			loads++ // the value word
+		}
+		return loads
+	}
+	// A first pass persists any value word still marked dirty, which a
+	// GET's read of it would otherwise flush.
+	for key := uint64(1); key < 100; key++ {
+		h.Get(key)
+	}
+	for key := uint64(1); key < 100; key++ {
+		before := e.dev.Stats().Loads
+		h.Get(key)
+		if got := e.dev.Stats().Loads - before; got != want(key) {
+			t.Errorf("Get(%d) loaded %d words, want %d", key, got, want(key))
+		}
 	}
 }
