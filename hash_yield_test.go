@@ -9,19 +9,16 @@ import (
 	"pmwcas/internal/hashtable"
 )
 
-// TestHashDirectoryReclaimRace pins the directory-word read protocol
-// against the sealed-bucket reclaim PMwCAS. Directory entries are
-// multi-word targets (the reclaim descriptor is installed in the planted
-// entry, and straggler helpers can transiently re-install it), so every
-// directory read must detect descriptor pointers and fall back to the
-// helping protocol read. Before the fix, locate read entries with a
-// PCAS-level hint read that returned an in-flight descriptor pointer
-// verbatim and dereferenced it as a bucket offset — panicking with an
-// out-of-range device access within a few hundred operations of this
-// workload. YieldEvery=32 forces a goroutine switch every few protocol
-// steps, so slices regularly end with a reclaim descriptor installed in
-// a directory entry while another worker walks it; the growth-heavy mix
-// keeps splits (and their opportunistic reclaims) in flight throughout.
+// TestHashDirectoryReclaimRace races growth-heavy writers over a hash
+// table of 2-slot buckets, with YieldEvery=32 forcing a goroutine switch
+// every few protocol steps, so slices regularly end mid-split while
+// another worker walks the same bucket. Small buckets split often and
+// leave ghosts behind: the mix exercises inserts into ghost slots,
+// sibling-chain walks from stale directory hints, and the directory
+// repairs and doublings that race them. (It is named for the
+// sealed-bucket reclamation it was written against, which made
+// directory words multi-word targets; a directory read that handed back
+// a descriptor pointer panicked within a few hundred operations.)
 func TestHashDirectoryReclaimRace(t *testing.T) {
 	cfg := Config{
 		Size:               8 << 20,

@@ -99,7 +99,10 @@ func TestPointOpsAllocBudget(t *testing.T) {
 // Get and Update on the same table. An Update is a PMwCAS on the value
 // slot, so much of its bill is the descriptor's: while the PMwCAS owner
 // re-read its own entries off the device it cost 72.0 per Update (13.7
-// per Get), and the budget keeps the owner on its DRAM copy.
+// per Get), and the budget keeps the owner on its DRAM copy. While a
+// split sealed its bucket, a Get whose directory hint still named the
+// sealed bucket paid a hop to its child: 13.7 per Get, 58.0 per Update;
+// a split that keeps its bucket leaves half its class on the hint.
 func TestPointOpsDeviceOpBudget(t *testing.T) {
 	dev, update, get := pointOps(t)
 	ops := func(s nvram.Stats) uint64 { return s.Loads + s.Stores + s.CASes + s.Flushes + s.Fences }
@@ -116,8 +119,8 @@ func TestPointOpsDeviceOpBudget(t *testing.T) {
 	perOp(update)
 	g, u := perOp(get), perOp(update)
 	t.Logf("device ops: Get %.1f, Update %.1f", g, u)
-	if g > 14.2 {
-		t.Errorf("Get = %.1f device ops, budget 14.2", g)
+	if g > 13.9 {
+		t.Errorf("Get = %.1f device ops, budget 13.9", g)
 	}
 	if u > 60 {
 		t.Errorf("Update = %.1f device ops, budget 60", u)

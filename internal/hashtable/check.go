@@ -18,57 +18,42 @@ import (
 )
 
 // CheckStats summarizes the structure Check walked, so callers
-// (Store.Stats, the reclaim tests) can observe interior-bucket overhead
+// (Store.CheckInvariants, the space tests) can count the table's blocks
 // without re-walking the image.
 type CheckStats struct {
-	Buckets      int // arena blocks the table owns (live + sealed)
-	Live         int // unsealed buckets holding the table's contents
-	Sealed       int // sealed interior buckets not yet reclaimed
-	SeveredEdges int // tombstoned edge words left by reclamation
+	Buckets int // arena blocks the table owns
+	Live    int // buckets routing a hash class: all of them, as no split retires its bucket
 }
 
 // Check audits the durable image of a (recovered, quiescent) hash table
 // anchored at roots with the directory at dir. It returns every arena
-// block the table reaches — live buckets and sealed interior buckets —
-// plus the table's logical contents and structure counts, so callers can
-// cross-check the allocator bitmap and a durable-linearizability oracle.
+// block the table reaches, plus the table's logical contents and
+// structure counts, so callers can cross-check the allocator bitmap and a
+// durable-linearizability oracle.
 //
-// Since sealed-bucket reclamation (reclaim.go) the buckets form a
-// *forest*, not a single tree: reclaiming a tree's root tombstones its
-// children's parent words with reclaimedPtr, orphaning them into roots
-// of their own subtrees. Only roots are ever reclaimed, so tombstones
-// appear exclusively in parent words — every standing bucket's child
-// pointers name standing buckets, which is precisely what keeps the
-// whole forest reachable from the directory. Every invariant is checked
-// per tree, with each tree's hash-suffix class anchored by "seeds" — the
-// directory entries that name its buckets and the keys stored in them,
-// both of which pin an absolute class. A tree with no seeds has no
-// routable content, so it has no class constraints to violate.
-//
-// Invariants verified:
+// The buckets form a tree rooted at the first bucket (creation depth 0,
+// always named by dir[0]): a bucket's sib word heads the chain of the
+// siblings it split off, newest first, linked through their prev words.
+// Check walks that tree, deriving each bucket's creation class from its
+// place in it. Invariants verified:
 //
 //   - the depth word, the geometry word and dir[0] are all zero (table
 //     absent) or all set: one PMwCAS creates the table;
-//   - the durable slot geometry is sane and every live directory entry
-//     names a bucket whose class covers the entry's whole suffix class
-//     (local depth <= global depth);
-//   - the buckets form a binary radix forest: at most one parentless
-//     root (depth 0), every orphan root (parent tombstoned) at depth
-//     >= 1, child depth = parent depth + 1, parent/child words invert
-//     each other, sealed buckets have both children and live buckets
-//     none, and no child word is ever a tombstone (roots-only reclaim);
-//   - all class seeds within a tree agree: every key sits in the bucket
-//     its hash suffix routes to and every directory entry's index suffix
-//     matches the class of the bucket it names;
+//   - the durable slot geometry is sane;
+//   - every bucket's creation depth c is at most its depth L, its chain
+//     holds exactly its siblings created at depths L, L-1, ..., c+1, and
+//     no bucket is reached twice;
+//   - every key lies in its bucket's creation class, keys outside the
+//     bucket's current class are ghosts, and every live key appears in
+//     exactly one bucket and pairs a clean value (empty slots are fully
+//     zero, the header's spare word is zero);
+//   - every live directory entry names a bucket created at depth <= G
+//     whose creation class covers the entry's suffix class;
 //   - no reachable word carries a descriptor flag (recovery removes every
-//     descriptor pointer);
-//   - every key appears in exactly one live bucket and pairs a clean
-//     value (free slots of live buckets are fully zero).
+//     descriptor pointer).
 func Check(dev *nvram.Device, roots, dir nvram.Region) ([]nvram.Offset, []Entry, CheckStats, error) {
 	depthWord := roots.Base
 	geomWord := roots.Base + 2*nvram.WordSize
-
-	load := func(off nvram.Offset) uint64 { return dev.Load(off) &^ core.DirtyFlag }
 
 	var stats CheckStats
 	a, err := core.CheckAnchors(dev, depthWord, geomWord, dir.Base)
@@ -78,7 +63,7 @@ func Check(dev *nvram.Device, roots, dir nvram.Region) ([]nvram.Offset, []Entry,
 	if a == nil {
 		return nil, nil, stats, nil // table never created
 	}
-	dw, slots := a[0], a[1]
+	dw, slots, first := a[0], a[1], a[2]
 	gdepth := int(dw) - 1
 	maxDepth := 0
 	for d := dir.Len / nvram.WordSize; d > 1; d >>= 1 {
@@ -90,243 +75,122 @@ func Check(dev *nvram.Device, roots, dir nvram.Region) ([]nvram.Offset, []Entry,
 	if slots > 255 {
 		return nil, nil, stats, fmt.Errorf("hashtable: durable slot geometry %d outside [1,255]", slots)
 	}
-
-	// Collect every bucket the directory reaches, walking child pointers
-	// down and parent pointers up: directory repair can swing entries past
-	// sealed ancestors, so ancestors are only reachable through parents.
-	// A tombstoned parent word (reclaimedPtr) is not followed — the bucket
-	// behind it was freed, and the bucket holding it is a forest root.
-	type bucketInfo struct {
-		meta, parent uint64
-		c0, c1       nvram.Offset
-		// forest bookkeeping, filled in by the DFS below
-		root nvram.Offset // root of this bucket's tree
-		rel  uint64       // class bits above the root's depth
-	}
-	buckets := make(map[nvram.Offset]*bucketInfo)
-	var pending []nvram.Offset
-	for j := nvram.Offset(0); j < 1<<uint(gdepth); j++ {
-		e := load(dir.Base + j*nvram.WordSize)
-		if e == 0 {
-			return nil, nil, stats, fmt.Errorf("hashtable: zero directory entry %d at global depth %d", j, gdepth)
-		}
-		if e == reclaimedPtr {
-			return nil, nil, stats, fmt.Errorf("hashtable: directory entry %d holds the reclaim tombstone", j)
-		}
-		pending = append(pending, nvram.Offset(e))
-	}
-	loadPtr := func(off nvram.Offset, what string, b nvram.Offset) (nvram.Offset, error) {
+	word := func(off nvram.Offset, what string, b nvram.Offset) (uint64, error) {
 		raw := dev.Load(off)
 		if raw&(core.MwCASFlag|core.RDCSSFlag) != 0 {
 			return 0, fmt.Errorf("hashtable: %s of bucket %#x holds descriptor flags: %#x", what, b, raw)
 		}
-		return nvram.Offset(raw &^ core.DirtyFlag), nil
-	}
-	for len(pending) > 0 {
-		b := pending[len(pending)-1]
-		pending = pending[:len(pending)-1]
-		if _, ok := buckets[b]; ok {
-			continue
-		}
-		rawMeta := dev.Load(b + bucketMetaOff)
-		if rawMeta&(core.MwCASFlag|core.RDCSSFlag) != 0 {
-			return nil, nil, stats, fmt.Errorf("hashtable: meta of bucket %#x holds descriptor flags: %#x", b, rawMeta)
-		}
-		info := &bucketInfo{meta: rawMeta &^ core.DirtyFlag}
-		var err error
-		if info.c0, err = loadPtr(b+bucketChild0Off, "child0", b); err != nil {
-			return nil, nil, stats, err
-		}
-		if info.c1, err = loadPtr(b+bucketChild1Off, "child1", b); err != nil {
-			return nil, nil, stats, err
-		}
-		if p, err := loadPtr(b+bucketParentOff, "parent", b); err != nil {
-			return nil, nil, stats, err
-		} else {
-			info.parent = uint64(p)
-		}
-		buckets[b] = info
-		for _, c := range [2]nvram.Offset{info.c0, info.c1} {
-			if c == reclaimedPtr {
-				return nil, nil, stats, fmt.Errorf("hashtable: child word of bucket %#x holds the reclaim tombstone", b)
-			}
-			if c != 0 {
-				pending = append(pending, c)
-			}
-		}
-		if info.parent == reclaimedPtr {
-			stats.SeveredEdges++
-		} else if info.parent != 0 {
-			pending = append(pending, nvram.Offset(info.parent))
-		}
+		return raw &^ core.DirtyFlag, nil
 	}
 
-	// Forest roots: at most one bucket whose parent word was never set
-	// (the original depth-0 bucket), plus any number of orphans whose
-	// parent was reclaimed (necessarily depth >= 1 — only a split's child
-	// ever gets a tombstone).
-	var dfsRoots []nvram.Offset
-	parentless := nvram.Offset(0)
-	for b, info := range buckets {
-		switch info.parent {
-		case 0:
-			if parentless != 0 {
-				return nil, nil, stats, fmt.Errorf("hashtable: two parentless buckets %#x and %#x", parentless, b)
-			}
-			if d := metaDepth(info.meta); d != 0 {
-				return nil, nil, stats, fmt.Errorf("hashtable: parentless bucket %#x has depth %d, want 0", b, d)
-			}
-			parentless = b
-			dfsRoots = append(dfsRoots, b)
-		case reclaimedPtr:
-			if d := metaDepth(info.meta); d < 1 {
-				return nil, nil, stats, fmt.Errorf("hashtable: orphan bucket %#x has depth %d, want >= 1", b, d)
-			}
-			dfsRoots = append(dfsRoots, b)
-		}
+	type bucketInfo struct {
+		meta  uint64
+		class uint64 // creation class: metaCreated(meta) low hash bits
 	}
-	if len(dfsRoots) == 0 && len(buckets) > 0 {
-		return nil, nil, stats, fmt.Errorf("hashtable: no root bucket (parent cycle)")
-	}
-
-	// DFS each tree, assigning every bucket its class bits relative to its
-	// root and verifying tree shape and slot contents as it goes.
-	type visit struct {
-		b    nvram.Offset
-		root nvram.Offset
-		rel  uint64
-	}
+	buckets := make(map[nvram.Offset]bucketInfo)
 	liveKeys := make(map[uint64]nvram.Offset)
 	var entries []Entry
-	// A seed pins an absolute suffix class on one bucket: class has
-	// depth(b) significant bits.
-	type seed struct {
-		b     nvram.Offset
-		class uint64
-		what  string
+	type visit struct {
+		b       nvram.Offset
+		class   uint64
+		created int
 	}
-	var seeds []seed
-	visited := make(map[nvram.Offset]bool)
-	var stack []visit
-	for _, r := range dfsRoots {
-		stack = append(stack, visit{r, r, 0})
-	}
+	stack := []visit{{nvram.Offset(first), 0, 0}}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if visited[v.b] {
-			return nil, nil, stats, fmt.Errorf("hashtable: bucket %#x reached twice (not a forest)", v.b)
+		if _, dup := buckets[v.b]; dup {
+			return nil, nil, stats, fmt.Errorf("hashtable: bucket %#x reached twice (sibling chains do not form a tree)", v.b)
 		}
-		visited[v.b] = true
-		info := buckets[v.b]
-		info.root, info.rel = v.root, v.rel
-		depth := metaDepth(info.meta)
-		if depth > maxBucketDepth {
-			return nil, nil, stats, fmt.Errorf("hashtable: bucket %#x depth %d exceeds max %d", v.b, depth, maxBucketDepth)
+		meta, err := word(v.b+bucketMetaOff, "meta", v.b)
+		if err != nil {
+			return nil, nil, stats, err
 		}
-		sealed := metaSealed(info.meta)
-		// A sealed bucket's child words were written by its split and are
-		// never tombstoned (only roots are reclaimed, and reclaiming a
-		// root touches its children's parent words). A live bucket has
-		// neither child.
-		if sealed != (info.c0 != 0) || sealed != (info.c1 != 0) {
-			return nil, nil, stats, fmt.Errorf("hashtable: bucket %#x sealed=%v but children (%#x, %#x)", v.b, sealed, info.c0, info.c1)
+		c, depth := metaCreated(meta), metaDepth(meta)
+		if c != v.created {
+			return nil, nil, stats, fmt.Errorf("hashtable: bucket %#x was created at depth %d, its chain link says %d", v.b, c, v.created)
 		}
-		if sealed {
-			stats.Sealed++
-		} else {
-			stats.Live++
+		if depth < c || depth > maxBucketDepth {
+			return nil, nil, stats, fmt.Errorf("hashtable: bucket %#x depth %d outside [%d,%d]", v.b, depth, c, maxBucketDepth)
 		}
+		spare, err := word(v.b+bucketSpareOff, "spare header word", v.b)
+		if err != nil {
+			return nil, nil, stats, err
+		}
+		if spare != 0 {
+			return nil, nil, stats, fmt.Errorf("hashtable: spare header word of bucket %#x holds %#x", v.b, spare)
+		}
+		buckets[v.b] = bucketInfo{meta, v.class}
 		for i := 0; i < int(slots); i++ {
-			key := load(slotKeyOff(v.b, i))
-			val := dev.Load(slotValOff(v.b, i))
-			if key&(core.MwCASFlag|core.RDCSSFlag) != 0 || val&(core.MwCASFlag|core.RDCSSFlag) != 0 {
-				return nil, nil, stats, fmt.Errorf("hashtable: slot %d of bucket %#x holds descriptor flags: (%#x, %#x)", i, v.b, key, val)
+			key, err := word(slotKeyOff(v.b, i), "slot key", v.b)
+			if err != nil {
+				return nil, nil, stats, err
 			}
-			val &^= core.DirtyFlag
+			val, err := word(slotValOff(v.b, i), "slot value", v.b)
+			if err != nil {
+				return nil, nil, stats, err
+			}
 			if key == 0 {
-				// Sealed buckets keep their pre-split contents verbatim, so
-				// only live buckets promise zero values behind zero keys.
-				if val != 0 && !sealed {
-					return nil, nil, stats, fmt.Errorf("hashtable: free slot %d of bucket %#x has value %#x", i, v.b, val)
+				if val != 0 {
+					return nil, nil, stats, fmt.Errorf("hashtable: empty slot %d of bucket %#x has value %#x", i, v.b, val)
 				}
 				continue
 			}
 			if key >= MaxKey {
 				return nil, nil, stats, fmt.Errorf("hashtable: key %#x in bucket %#x out of range", key, v.b)
 			}
-			seeds = append(seeds, seed{v.b, mix64(key) & (1<<uint(depth) - 1), fmt.Sprintf("key %#x", key)})
-			if !sealed {
-				if prev, dup := liveKeys[key]; dup {
-					return nil, nil, stats, fmt.Errorf("hashtable: key %#x live in buckets %#x and %#x", key, prev, v.b)
-				}
-				liveKeys[key] = v.b
-				entries = append(entries, Entry{Key: key, Value: val})
+			kh := mix64(key)
+			if kh&(1<<uint(c)-1) != v.class {
+				return nil, nil, stats, fmt.Errorf("hashtable: key %#x in bucket %#x lies outside its creation class %#x/%d", key, v.b, v.class, c)
+			}
+			if strayBits(kh, meta) != 0 {
+				continue // a ghost: its split moved the key to a sibling
+			}
+			if prev, dup := liveKeys[key]; dup {
+				return nil, nil, stats, fmt.Errorf("hashtable: key %#x live in buckets %#x and %#x", key, prev, v.b)
+			}
+			liveKeys[key] = v.b
+			entries = append(entries, Entry{Key: key, Value: val})
+		}
+		// The chain: the siblings split off at depths depth-1 down to c,
+		// created one deeper each, newest first.
+		s, err := word(v.b+bucketSibOff, "sib", v.b)
+		if err != nil {
+			return nil, nil, stats, err
+		}
+		for l := depth; l > c; l-- {
+			if s == 0 {
+				return nil, nil, stats, fmt.Errorf("hashtable: chain of bucket %#x (depth %d) ends before its sibling created at depth %d", v.b, depth, l)
+			}
+			stack = append(stack, visit{nvram.Offset(s), v.class | 1<<uint(l-1), l})
+			if s, err = word(nvram.Offset(s)+bucketPrevOff, "prev", nvram.Offset(s)); err != nil {
+				return nil, nil, stats, err
 			}
 		}
-		if !sealed {
-			continue
-		}
-		for bit, c := range []nvram.Offset{info.c0, info.c1} {
-			ci, ok := buckets[c]
-			if !ok {
-				return nil, nil, stats, fmt.Errorf("hashtable: child %#x of bucket %#x not collected", c, v.b)
-			}
-			if nvram.Offset(ci.parent) != v.b {
-				return nil, nil, stats, fmt.Errorf("hashtable: child %#x parent word %#x, want %#x", c, ci.parent, v.b)
-			}
-			if cd := metaDepth(ci.meta); cd != depth+1 {
-				return nil, nil, stats, fmt.Errorf("hashtable: child %#x depth %d under parent depth %d", c, cd, depth)
-			}
-			stack = append(stack, visit{c, v.root, v.rel | uint64(bit)<<uint(depth)})
-		}
-	}
-	for b := range buckets {
-		if !visited[b] {
-			return nil, nil, stats, fmt.Errorf("hashtable: bucket %#x not reachable from any root", b)
+		if s != 0 {
+			return nil, nil, stats, fmt.Errorf("hashtable: chain of bucket %#x runs past its creation depth %d to %#x", v.b, c, s)
 		}
 	}
 	stats.Buckets = len(buckets)
+	stats.Live = len(buckets)
 
-	// Every live directory entry must name a collected bucket whose class
-	// is the entry index's own suffix — the hint property all routing and
-	// repair correctness rests on. The entry is recorded as a seed; the
-	// agreement pass below turns it into the class check.
-	for j := nvram.Offset(0); j < 1<<uint(gdepth); j++ {
-		e := nvram.Offset(load(dir.Base + j*nvram.WordSize))
-		info, ok := buckets[e]
+	// Every live directory entry must name a bucket whose creation class
+	// covers the entry index's own suffix — the hint property all routing
+	// and repair correctness rests on.
+	for j := uint64(0); j < 1<<uint(gdepth); j++ {
+		e := dev.Load(dir.Base + nvram.Offset(j)*nvram.WordSize)
+		if e&(core.MwCASFlag|core.RDCSSFlag) != 0 {
+			return nil, nil, stats, fmt.Errorf("hashtable: directory entry %d holds descriptor flags: %#x", j, e)
+		}
+		e &^= core.DirtyFlag
+		info, ok := buckets[nvram.Offset(e)]
 		if !ok {
 			return nil, nil, stats, fmt.Errorf("hashtable: directory entry %d names unknown bucket %#x", j, e)
 		}
-		depth := metaDepth(info.meta)
-		if depth > gdepth {
-			return nil, nil, stats, fmt.Errorf("hashtable: directory entry %d names bucket %#x with depth %d > global %d", j, e, depth, gdepth)
-		}
-		seeds = append(seeds, seed{e, uint64(j) & (1<<uint(depth) - 1), fmt.Sprintf("directory entry %d", j)})
-	}
-
-	// Seed agreement: within a tree, every seed must pin the same root
-	// class. A seed on bucket b (class C, depth(b) bits) decomposes as
-	// C = rootClass | rel(b): its high bits must reproduce the DFS path
-	// and its low rootDepth bits are a root-class candidate all seeds of
-	// the tree share. Trees without seeds are unconstrained — they hold
-	// no keys and no directory entry routes to them.
-	rootClass := make(map[nvram.Offset]uint64)
-	rootWitness := make(map[nvram.Offset]string)
-	for _, s := range seeds {
-		info := buckets[s.b]
-		rd := metaDepth(buckets[info.root].meta)
-		if s.class>>uint(rd) != info.rel>>uint(rd) {
-			return nil, nil, stats, fmt.Errorf("hashtable: %s pins bucket %#x to class %#x, path from root %#x gives %#x",
-				s.what, s.b, s.class, info.root, info.rel)
-		}
-		rc := s.class & (1<<uint(rd) - 1)
-		if prev, ok := rootClass[info.root]; !ok {
-			rootClass[info.root] = rc
-			rootWitness[info.root] = s.what
-		} else if prev != rc {
-			return nil, nil, stats, fmt.Errorf("hashtable: %s pins root %#x to class %#x, but %s pinned %#x",
-				s.what, info.root, rc, rootWitness[info.root], prev)
+		c := metaCreated(info.meta)
+		if c > gdepth || j&(1<<uint(c)-1) != info.class {
+			return nil, nil, stats, fmt.Errorf("hashtable: directory entry %d names bucket %#x whose creation class %#x/%d does not cover it (global depth %d)",
+				j, e, info.class, c, gdepth)
 		}
 	}
 

@@ -12,26 +12,33 @@
 // durable depth word says how many of them — 2^G — are live. Buckets are
 // fixed-slot arena blocks:
 //
-//	word 0          meta: local depth | seal bit | version counter
-//	word 1, 2       child pointers (set once, by the split that seals)
-//	word 3          parent pointer (set at creation, immutable)
+//	word 0          meta: version | local depth L | creation depth c
+//	word 1          sib: the newest sibling this bucket split off
+//	word 2          prev: the next-older sibling of the bucket this one
+//	                was split from (set at creation, immutable)
+//	word 3          zero (keeps slot pairs line-aligned)
 //	words 4..       slot pairs: key word, value word
 //
-// A key routes by the low bits of a 64-bit mix of the key: directory
-// entry hash & (2^G - 1), then — if that bucket is sealed — down child
-// pointers selected by successive hash bits until an unsealed bucket.
-// Sealed buckets form a binary radix tree over hash suffixes; the
-// directory is only an accelerator into that tree, which is the property
-// every crash argument below leans on.
+// A key routes by the low bits of a 64-bit mix of the key. A bucket
+// created at depth c owns the hash class its creation fixed in bits
+// [0, c); at depth L it keeps the part of that class whose bits [c, L)
+// are zero. Each split of a bucket at depth l hands the half with bit l
+// set to a new sibling created at depth l+1, so a key whose hash has a
+// 1 in bits [c, L) belongs to the sibling named by the lowest such bit,
+// found on the sib → prev chain. The directory entry hash & (2^G - 1)
+// names a bucket whose creation class covers the entry's class; routing
+// continues from it. Buckets are never freed, so a valid directory hint
+// stays valid forever — the property every crash argument below leans
+// on.
 //
 // # Updates are 2-3 word PMwCAS ops
 //
 // Every mutation of a bucket includes its meta word with a version bump,
 // so one descriptor both publishes the change and validates the scan
-// that decided it (any concurrent mutation, including a split sealing
+// that decided it (any concurrent mutation, including a split deepening
 // the bucket, changes meta and fails the CAS):
 //
-//	insert:  { meta: v → v+1, slot key: 0 → k, slot value: 0 → v }
+//	insert:  { meta: v → v+1, slot key: 0|ghost → k, slot value: 0|ghostV → v }
 //	update:  { meta: v → v+1, slot value: old → new }
 //	delete:  { meta: v → v+1, slot key: k → 0, slot value: old → 0 }
 //
@@ -39,28 +46,21 @@
 // equal versions bracket an atomic snapshot because every writer bumps
 // the version.
 //
-// # Splits and doubling are single PMwCAS installs
+// # Splits keep their bucket; doubling is one PCAS
 //
-// A full bucket B at depth L splits with one three-word PMwCAS:
+// A full bucket B at depth L splits in place with one two-word PMwCAS:
 //
-//	{ B.child0: 0 → B0, B.child1: 0 → B1, B.meta: v → v | sealed }
+//	{ B.sib: old → S, B.meta: v → depth L+1, version v+1 }
 //
-// B0/B1 are fresh depth-L+1 buckets holding B's slots redistributed by
-// hash bit L, reserved on the descriptor with FreeNewOnFailure — a crash
-// or a lost race reclaims them through §5.2 recovery, an observed seal
-// implies both children are durably installed. The version in the seal
-// validates the migration snapshot. Directory entries still naming B are
-// then repaired lazily: any walker that passed through a sealed bucket
-// CASes the entry forward (single-word PCAS; the entry is a hint, every
-// historical value of it still reaches the live bucket through the
-// tree). Sealed buckets are never freed — they are interior nodes of the
-// radix tree, at most one per live bucket — which is what makes the
-// repair CASes unordered and crash-ignorable. Sealed buckets whose
-// routing work is fully delegated to their children are later freed by
-// the reclamation protocol in reclaim.go: durably scrub the bucket's
-// directory class past it, then one PMwCAS that unlinks it from the
-// tree and frees it crash-atomically — so the radix tree's interior
-// does not grow without bound (one leaked bucket per split otherwise).
+// S is a fresh bucket created at depth L+1 holding B's live keys whose
+// hash bit L is 1, with S.prev = old; it is reserved on the descriptor
+// with FreeNewOnFailure, so a crash or a lost race frees it through
+// §5.2 recovery. The version in the meta compare validates the
+// migration snapshot. The moved keys stay in B as ghosts: keys outside
+// B's current class, which no lookup of theirs routes to B, and whose
+// slots an insert treats as free. Directory entries of S's class that
+// still name B are swung to S afterwards (single-word PCASes; B remains
+// a valid hint for them, one hop longer).
 //
 // Doubling G → G+1 first copies dir[i] into dir[i + 2^G] for the whole
 // live half (plain stores: the upper half is dead until the flip, and
@@ -85,11 +85,11 @@ import (
 
 // Bucket word layout (byte offsets within a bucket block).
 const (
-	bucketMetaOff   = 0
-	bucketChild0Off = 8
-	bucketChild1Off = 16
-	bucketParentOff = 24
-	bucketSlotsOff  = 32
+	bucketMetaOff  = 0
+	bucketSibOff   = 8
+	bucketPrevOff  = 16
+	bucketSpareOff = 24 // always zero
+	bucketSlotsOff = 32
 )
 
 // slotKeyOff / slotValOff locate slot i's key and value words.
@@ -105,26 +105,35 @@ func bucketBytes(slots int) uint64 {
 	return bucketSlotsOff + uint64(slots)*2*nvram.WordSize
 }
 
-// Meta word packing: version in the low 48 bits, local depth above it,
-// the seal bit on top. All within the clean 61-bit payload a PMwCAS
-// word offers.
+// Meta word packing: version in bits 0-39, local depth in bits 40-47,
+// creation depth in bits 48-55. All within the clean 61-bit payload a
+// PMwCAS word offers.
 const (
-	versionMask = (1 << 48) - 1
-	depthShift  = 48
-	depthMask   = 0xff << depthShift
-	sealedMask  = 1 << 59
+	versionMask  = (1 << 40) - 1
+	depthShift   = 40
+	createdShift = 48
 
-	// maxBucketDepth bounds the radix tree: beyond it there are no hash
-	// bits left to split on. Unreachable in practice — it would take 2^60
+	// maxBucketDepth bounds splitting: beyond it there are no hash bits
+	// left to split on. Unreachable in practice — it would take 2^60
 	// colliding hashes — but it turns the theoretical failure into an
 	// error instead of a livelock.
 	maxBucketDepth = 60
 )
 
-func metaDepth(meta uint64) int   { return int(meta&depthMask) >> depthShift }
-func metaSealed(meta uint64) bool { return meta&sealedMask != 0 }
+func metaDepth(meta uint64) int   { return int(meta>>depthShift) & 0xff }
+func metaCreated(meta uint64) int { return int(meta>>createdShift) & 0xff }
 func bumpVersion(meta uint64) uint64 {
 	return meta&^versionMask | (meta+1)&versionMask
+}
+
+// strayBits returns bits [c, L) of hash for a bucket whose meta is meta
+// (creation depth c, depth L). For a hash in the bucket's creation class
+// they are zero iff the bucket itself holds the hash's keys; otherwise
+// the lowest set bit names the split that moved them to a sibling. A
+// slot key with stray bits is a ghost.
+func strayBits(hash, meta uint64) uint64 {
+	c, l := uint(metaCreated(meta)), uint(metaDepth(meta))
+	return (hash >> c) & (1<<(l-c) - 1)
 }
 
 // mix64 is the splitmix64 finalizer: a full-avalanche 64-bit hash, so
@@ -147,8 +156,7 @@ func mix64(x uint64) uint64 {
 const RootWords = 3
 
 // MinDescriptorWords is the descriptor capacity the table requires; the
-// widest ops are a split (two child installs + seal) and a sealed-bucket
-// reclaim (directory entry + two child parent words), both three words.
+// widest op is an insert (meta, slot key, slot value).
 const MinDescriptorWords = 3
 
 // DefaultSlotsPerBucket makes a bucket exactly four cache lines
@@ -169,9 +177,9 @@ var (
 )
 
 // MaxKey bounds user keys: valid keys are 1 .. MaxKey-1 — the same
-// domain as the Bw-tree, wide enough for every keycodec output. The
-// sealed bit is a meta-word flag, never a slot-key bit, so slot keys are
-// constrained only by the clean PMwCAS payload (bits 61..63 reserved).
+// domain as the Bw-tree, wide enough for every keycodec output. Slot
+// keys are constrained only by the clean PMwCAS payload (bits 61..63
+// reserved).
 const MaxKey uint64 = 1<<60 - 1
 
 // Entry is one key/value pair yielded by Check.
@@ -190,16 +198,12 @@ type Table struct {
 	maxDepth  int // log2(directory slots)
 	slots     int // slot pairs per bucket
 
-	// growClaim serializes the two structure-growth/shrink paths that
-	// cannot overlap: directory doubling (plain-store copy of the live
-	// half) and sealed-bucket reclamation (which needs the scrubbed
-	// directory class to stay scrubbed until its PMwCAS commits). Both
-	// are accelerators — losing the claim just skips the attempt.
+	// growClaim serializes directory doublings. Doubling is an
+	// accelerator, so losing the claim just skips the attempt.
 	growClaim atomic.Bool
 
 	splits    atomic.Uint64
 	doublings atomic.Uint64
-	reclaims  atomic.Uint64
 }
 
 // TableStats counts structural events since the table was opened
@@ -207,7 +211,9 @@ type Table struct {
 type TableStats struct {
 	Splits    uint64 // bucket splits committed
 	Doublings uint64 // directory doublings committed
-	Reclaims  uint64 // sealed buckets reclaimed and freed
+	// Reclaims is always 0: splits free no bucket. It stays only because
+	// the benchmark reads it.
+	Reclaims uint64
 }
 
 // Stats snapshots the table's structural counters.
@@ -215,7 +221,6 @@ func (t *Table) Stats() TableStats {
 	return TableStats{
 		Splits:    t.splits.Load(),
 		Doublings: t.doublings.Load(),
-		Reclaims:  t.reclaims.Load(),
 	}
 }
 
@@ -233,7 +238,8 @@ type Config struct {
 	Roots nvram.Region
 	// Dir is the directory region: a power-of-two word count at a
 	// layout-stable location. Its size caps the directory, not the table
-	// — buckets deeper than log2(len) are reached through the tree.
+	// — buckets created deeper than log2(len) are reached through
+	// sibling chains.
 	Dir nvram.Region
 	// SlotsPerBucket is the fixed bucket capacity (default
 	// DefaultSlotsPerBucket). An existing table's durable geometry must
@@ -341,11 +347,8 @@ func (t *Table) flushRange(base nvram.Offset, n uint64) {
 // Only DirtyFlag is masked: a dirty hint is the true word, merely not
 // yet persisted, and every path out of locate re-validates through a
 // flushing read or a descriptor install before publishing anything.
-// MwCASFlag/RDCSSFlag must NOT be masked — directory words are targets
-// of the sealed-bucket reclaim PMwCAS, and masking a descriptor pointer
-// would forge a bucket offset. Flagged values pass through verbatim in
-// every mode so Handle.dirRead can detect them and fall back to the full
-// protocol read.
+// Anchor and directory words are single-word PCAS targets only (past
+// OpenAnchors), so no descriptor flag can appear in them.
 func (t *Table) wordReadHint(addr nvram.Offset) uint64 {
 	if nvram.SanitizerEnabled {
 		//lint:allow rawload — psan hint read: directory and anchor words are re-derivable copies of durably published words (LoadHint contract); the dirty-masked value is a hint every caller re-validates (§4.2)

@@ -49,14 +49,7 @@ type htEnv struct {
 }
 
 func newHTEnv(t testing.TB, mode core.Mode, slots int) *htEnv {
-	return newHTEnvDir(t, mode, slots, htDirSlots)
-}
-
-// newHTEnvDir builds an env with a chosen directory size: the reclaim
-// tests need a directory deep enough that sealed buckets sit below the
-// global depth (only those are reclaimable).
-func newHTEnvDir(t testing.TB, mode core.Mode, slots int, dirSlots uint64) *htEnv {
-	return newHTEnvSpec(t, mode, slots, dirSlots, []alloc.Class{
+	return newHTEnvSpec(t, mode, slots, []alloc.Class{
 		{BlockSize: 128, Count: 4096},
 		{BlockSize: 256, Count: 1024},
 		{BlockSize: 512, Count: 256},
@@ -64,7 +57,7 @@ func newHTEnvDir(t testing.TB, mode core.Mode, slots int, dirSlots uint64) *htEn
 }
 
 // newHTEnvSpec builds an env over an allocator with the given classes.
-func newHTEnvSpec(t testing.TB, mode core.Mode, slots int, dirSlots uint64, spec []alloc.Class) *htEnv {
+func newHTEnvSpec(t testing.TB, mode core.Mode, slots int, spec []alloc.Class) *htEnv {
 	t.Helper()
 	e := &htEnv{spec: spec, slots: slots}
 	poolBytes := core.PoolSize(htDescs, htWords)
@@ -73,12 +66,12 @@ func newHTEnvSpec(t testing.TB, mode core.Mode, slots int, dirSlots uint64, spec
 	if mode == core.Volatile {
 		opts = append(opts, nvram.WithVolatile())
 	}
-	e.dev = nvram.New(poolBytes+aBytes+dirSlots*nvram.WordSize+1<<13, opts...)
+	e.dev = nvram.New(poolBytes+aBytes+htDirSlots*nvram.WordSize+1<<13, opts...)
 	l := nvram.NewLayout(e.dev)
 	e.poolReg = l.Carve(poolBytes)
 	e.aReg = l.Carve(aBytes)
 	e.roots = l.Carve(nvram.LineBytes)
-	e.dir = l.Carve(dirSlots * nvram.WordSize)
+	e.dir = l.Carve(htDirSlots * nvram.WordSize)
 	e.build(t, mode, false)
 	return e
 }
@@ -284,9 +277,10 @@ func collidingKeys(n, bits int) []uint64 {
 	return keys
 }
 
-// TestCollisionHeavy overfills a single hash class so the bucket tree
-// grows much deeper than the directory can index, which exercises the
-// multi-hop walk, path compression, and the doubling backstop.
+// TestCollisionHeavy overfills a single hash class so its buckets are
+// created much deeper than the directory can index, which exercises
+// multi-hop sibling-chain walks, path compression, and the doubling
+// backstop.
 func TestCollisionHeavy(t *testing.T) {
 	e := newHTEnv(t, core.Persistent, 2)
 	h := e.tab.NewHandle()
@@ -434,6 +428,24 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// buckets lists every bucket of the durable image: the tree of sib and
+// prev words hanging off dir[0], the first bucket.
+func (e *htEnv) buckets() []nvram.Offset {
+	var out []nvram.Offset
+	stack := []nvram.Offset{nvram.Offset(e.rawLoad(e.dir.Base))}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		out = append(out, b)
+		for _, off := range [2]nvram.Offset{bucketSibOff, bucketPrevOff} {
+			if w := e.rawLoad(b + off); w != 0 {
+				stack = append(stack, nvram.Offset(w))
+			}
+		}
+	}
+	return out
+}
+
 // TestCheckDetectsCorruption plants targeted corruption in the durable
 // image and requires the checker to reject each.
 func TestCheckDetectsCorruption(t *testing.T) {
@@ -446,101 +458,100 @@ func TestCheckDetectsCorruption(t *testing.T) {
 			}
 		}
 		e.reopen(t)
+		e.check(t)
 		return e
 	}
-
-	t.Run("wrong-class key", func(t *testing.T) {
-		e := build(t)
-		// Find a live bucket at depth > 0 via a directory entry and plant a
-		// key whose hash routes elsewhere.
-		var planted bool
-		for j := nvram.Offset(0); j < htDirSlots && !planted; j++ {
-			if uint64(j) >= 1<<uint(int(e.rawLoad(e.roots.Base))-1) {
-				break
-			}
-			b := nvram.Offset(e.rawLoad(e.dir.Base + j*nvram.WordSize))
+	// find returns the first bucket (in walk order) and slot for which
+	// pick says yes; a slot of -1 asks about the bucket alone.
+	find := func(t *testing.T, e *htEnv, pick func(b nvram.Offset, meta uint64, i int) bool) (nvram.Offset, int) {
+		for _, b := range e.buckets() {
 			meta := e.rawLoad(b + bucketMetaOff)
-			if metaSealed(meta) || metaDepth(meta) == 0 {
-				continue
-			}
-			class := mix64(1) // some hash
-			alien := uint64(0)
-			for k := uint64(1); ; k++ {
-				if mix64(k)&((1<<uint(metaDepth(meta)))-1) != class&((1<<uint(metaDepth(meta)))-1) {
-					alien = k
-					break
-				}
-			}
-			_ = alien
-			for i := 0; i < e.slots; i++ {
-				if e.rawLoad(slotKeyOff(b, i)) != 0 {
-					// Overwrite with a key of the wrong class for this bucket.
-					cur := e.rawLoad(slotKeyOff(b, i))
-					for k := uint64(1); ; k++ {
-						if mix64(k)&((1<<uint(metaDepth(meta)))-1) != mix64(cur)&((1<<uint(metaDepth(meta)))-1) {
-							e.dev.Store(slotKeyOff(b, i), k)
-							planted = true
-							break
-						}
-					}
-					break
+			for i := -1; i < e.slots; i++ {
+				if pick(b, meta, i) {
+					return b, i
 				}
 			}
 		}
-		if !planted {
-			t.Skip("no deep live bucket with a filled slot to corrupt")
-		}
-		if _, _, _, err := Check(e.dev, e.roots, e.dir); err == nil {
-			t.Fatal("wrong-class key passed the checker")
-		}
-	})
-
-	t.Run("duplicate key", func(t *testing.T) {
-		e := build(t)
-		// Copy one live key into a free slot of a different live bucket of
-		// the right class? Simplest deterministic duplicate: two slots in
-		// the same bucket holding the same key.
-		var done bool
-		for j := nvram.Offset(0); j < htDirSlots && !done; j++ {
-			if uint64(j) >= 1<<uint(int(e.rawLoad(e.roots.Base))-1) {
-				break
+		t.Fatal("the 20-key image holds no bucket to corrupt")
+		return 0, 0
+	}
+	live := func(e *htEnv, b nvram.Offset, meta uint64, i int) bool {
+		k := e.rawLoad(slotKeyOff(b, i))
+		return k != 0 && strayBits(mix64(k), meta) == 0
+	}
+	cases := []struct {
+		name    string
+		corrupt func(t *testing.T, e *htEnv)
+	}{
+		{"wrong-class key", func(t *testing.T, e *htEnv) {
+			// A key whose hash lies outside a sibling's creation class.
+			b, i := find(t, e, func(b nvram.Offset, meta uint64, i int) bool {
+				return i >= 0 && metaCreated(meta) > 0 && live(e, b, meta, i)
+			})
+			c := uint(metaCreated(e.rawLoad(b + bucketMetaOff)))
+			cur := mix64(e.rawLoad(slotKeyOff(b, i)))
+			k := uint64(1)
+			for mix64(k)&(1<<c-1) == cur&(1<<c-1) {
+				k++
 			}
-			b := nvram.Offset(e.rawLoad(e.dir.Base + j*nvram.WordSize))
-			for metaSealed(e.rawLoad(b + bucketMetaOff)) {
-				b = nvram.Offset(e.rawLoad(b + bucketChild0Off))
-			}
-			var livekey uint64
-			freeSlot := -1
-			for i := 0; i < e.slots; i++ {
-				k := e.rawLoad(slotKeyOff(b, i))
-				if k != 0 && livekey == 0 {
-					livekey = k
-				} else if k == 0 && freeSlot < 0 {
-					freeSlot = i
+			e.dev.Store(slotKeyOff(b, i), k)
+		}},
+		{"duplicate key", func(t *testing.T, e *htEnv) {
+			// A live key copied into an empty or ghost slot of its bucket.
+			b, i := find(t, e, func(b nvram.Offset, meta uint64, i int) bool {
+				return i >= 0 && !live(e, b, meta, i)
+			})
+			for j := 0; j < e.slots; j++ {
+				if live(e, b, e.rawLoad(b+bucketMetaOff), j) {
+					e.dev.Store(slotKeyOff(b, i), e.rawLoad(slotKeyOff(b, j)))
+					e.dev.Store(slotValOff(b, i), 99)
+					return
 				}
 			}
-			if livekey != 0 && freeSlot >= 0 {
-				e.dev.Store(slotKeyOff(b, freeSlot), livekey)
-				e.dev.Store(slotValOff(b, freeSlot), 99)
-				done = true
+			t.Skip("the bucket with a free slot holds no live key")
+		}},
+		{"wrong chain link", func(t *testing.T, e *htEnv) {
+			// A sib word skipping the newest sibling: the chain then
+			// starts one creation depth short.
+			b, _ := find(t, e, func(b nvram.Offset, meta uint64, i int) bool {
+				return i < 0 && metaDepth(meta) >= metaCreated(meta)+2
+			})
+			sib := nvram.Offset(e.rawLoad(b + bucketSibOff))
+			e.dev.Store(b+bucketSibOff, e.rawLoad(sib+bucketPrevOff))
+		}},
+		{"value in empty slot", func(t *testing.T, e *htEnv) {
+			b, i := find(t, e, func(b nvram.Offset, meta uint64, i int) bool {
+				return i >= 0 && e.rawLoad(slotKeyOff(b, i)) != 0
+			})
+			e.dev.Store(slotKeyOff(b, i), 0)
+		}},
+		{"uncovered directory entry", func(t *testing.T, e *htEnv) {
+			// An entry names the first bucket's newest sibling, created at
+			// the first bucket's depth L with class 1<<(L-1): entry 1 is
+			// outside it unless L is 1, entry 2 then.
+			first := nvram.Offset(e.rawLoad(e.dir.Base))
+			j := nvram.Offset(1)
+			if metaDepth(e.rawLoad(first+bucketMetaOff)) == 1 {
+				j = 2
 			}
-		}
-		if !done {
-			t.Skip("no bucket with both a live key and a free slot")
-		}
-		if _, _, _, err := Check(e.dev, e.roots, e.dir); err == nil {
-			t.Fatal("duplicate key passed the checker")
-		}
-	})
-
-	t.Run("descriptor flag in meta", func(t *testing.T) {
-		e := build(t)
-		b := nvram.Offset(e.rawLoad(e.dir.Base))
-		e.dev.Store(b+bucketMetaOff, e.rawLoad(b+bucketMetaOff)|core.MwCASFlag)
-		if _, _, _, err := Check(e.dev, e.roots, e.dir); err == nil {
-			t.Fatal("descriptor flag passed the checker")
-		}
-	})
+			e.dev.Store(e.dir.Base+j*nvram.WordSize, e.rawLoad(first+bucketSibOff))
+		}},
+		{"descriptor flag in meta", func(t *testing.T, e *htEnv) {
+			b := nvram.Offset(e.rawLoad(e.dir.Base))
+			e.dev.Store(b+bucketMetaOff, e.rawLoad(b+bucketMetaOff)|core.MwCASFlag)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := build(t)
+			tc.corrupt(t, e)
+			if _, _, _, err := Check(e.dev, e.roots, e.dir); err == nil {
+				t.Fatalf("%s passed the checker", tc.name)
+			} else {
+				t.Log(err)
+			}
+		})
+	}
 }
 
 // TestConcurrentTorture hammers the table from several goroutines (run
@@ -638,14 +649,14 @@ func TestLenEmpty(t *testing.T) {
 	}
 }
 
-// TestSplitOutOfMemoryUnreserves: with room for one more bucket only, a
-// split reserves its first child, fails to reserve the second, and
-// returns the first unactivated: the insert fails with ErrOutOfMemory,
-// and the free count comes back unchanged.
+// TestSplitOutOfMemoryUnreserves: with room for one more bucket only,
+// the first split takes it and the next finds no block to reserve: the
+// insert fails with ErrOutOfMemory, and the failed split holds nothing —
+// the two blocks in use are the two buckets the image reaches.
 func TestSplitOutOfMemoryUnreserves(t *testing.T) {
 	const slots = 4
 	size := (bucketBytes(slots) + nvram.LineBytes - 1) &^ (nvram.LineBytes - 1)
-	e := newHTEnvSpec(t, core.Persistent, slots, htDirSlots, []alloc.Class{{BlockSize: size, Count: 2}})
+	e := newHTEnvSpec(t, core.Persistent, slots, []alloc.Class{{BlockSize: size, Count: 2}})
 	if n := e.alloc.FreeBlocks(size); n != 1 {
 		t.Fatalf("%d buckets free after create, want 1", n)
 	}
@@ -655,12 +666,19 @@ func TestSplitOutOfMemoryUnreserves(t *testing.T) {
 		err = h.Insert(k, k)
 	}
 	if !errors.Is(err, alloc.ErrOutOfMemory) {
-		t.Fatalf("inserting past one bucket = %v, want ErrOutOfMemory", err)
+		t.Fatalf("inserting past two buckets = %v, want ErrOutOfMemory", err)
 	}
-	if n := e.alloc.FreeBlocks(size); n != 1 {
-		t.Fatalf("%d buckets free after the failed split, want 1", n)
+	if st := e.tab.Stats(); st.Splits != 1 {
+		t.Fatalf("%d splits committed, want 1", st.Splits)
 	}
-	if n, _ := e.alloc.InUse(); n != 1 {
-		t.Fatalf("%d blocks in use after the failed split, want the root bucket", n)
+	if n := e.alloc.FreeBlocks(size); n != 0 {
+		t.Fatalf("%d buckets free after the failed split, want 0", n)
+	}
+	if n, _ := e.alloc.InUse(); n != 2 {
+		t.Fatalf("%d blocks in use after the failed split, want the two buckets", n)
+	}
+	e.reopen(t)
+	if _, _, cs, err := Check(e.dev, e.roots, e.dir); err != nil || cs.Buckets != 2 {
+		t.Fatalf("Check = (%+v, %v), want 2 buckets", cs, err)
 	}
 }

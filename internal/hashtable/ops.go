@@ -2,6 +2,7 @@ package hashtable
 
 import (
 	"errors"
+	"math/bits"
 	"time"
 
 	"pmwcas/internal/core"
@@ -14,57 +15,23 @@ import (
 // proof, where constructing an error would allocate).
 var errDepthExhausted = errors.New("hashtable: bucket depth exhausted (pathological hash collisions)")
 
-// dirRead and dirReadHint read a directory entry, sanitizing the one
-// kind of value the single-word read family cannot: a descriptor
-// pointer. Directory words are multi-word targets — the sealed-bucket
-// reclaim PMwCAS (reclaim.go phase 3) installs its descriptor in the
-// planted entry, and a straggler helper of an already-decided reclaim
-// can transiently re-install one in any formerly-planted entry, even
-// while the caller holds growClaim. The PCAS family understands only
-// the dirty bit and would hand such a pointer back verbatim, to be
-// dereferenced as a bucket offset. Any flagged value is therefore
-// re-read through the full protocol read, which helps the operation to
-// completion and returns the plain entry.
-//
-// dirRead is the exact variant (core.PCASRead underneath: the current
-// value, flush-before-read) for protocol decisions — the doubling copy,
-// the reclaim scrub/plant, sweeps and iteration. dirReadHint is the hint
-// variant (wordReadHint underneath) for locate's navigation, where the
-// psan build deliberately reads an unflushed hint copy.
-//
-//pmwcas:requires-guard — the fallback read may help a reclaim descriptor the epoch protects
-func (h *Handle) dirRead(off nvram.Offset) uint64 {
-	v := core.PCASRead(h.t.dev, off)
-	if v&(core.MwCASFlag|core.RDCSSFlag) != 0 {
-		return h.core.Read(off)
-	}
-	return v
-}
-
-//pmwcas:requires-guard — the fallback read may help a reclaim descriptor the epoch protects
-func (h *Handle) dirReadHint(off nvram.Offset) uint64 {
-	v := h.t.wordReadHint(off)
-	if v&(core.MwCASFlag|core.RDCSSFlag) != 0 {
-		return h.core.Read(off)
-	}
-	return v
-}
-
 // Traversal-shape and SMO instruments (DRAM-only). Locate depth counts
-// sealed-bucket hops under a directory hint — the chain length path
-// compression exists to shorten.
+// the sibling buckets a walk loads past its directory hint — the chain
+// length path compression exists to shorten.
 var (
 	mLocateDepth = metrics.NewHistogram("hashtable_locate_depth")
 	mSplitNs     = metrics.NewHistogram("hashtable_split_ns")
-	mReclaimNs   = metrics.NewHistogram("hashtable_reclaim_ns")
 )
 
-//pmwcas:requires-guard — walks directory hints and bucket chain words the epoch may hand to late readers
+// locate routes hash from its directory hint to the bucket holding its
+// class, returning the bucket and the meta word it was routed by.
+//
+//pmwcas:requires-guard — reads bucket words a concurrent PMwCAS may hold, helping it under the epoch
 func (h *Handle) locate(hash uint64) (nvram.Offset, uint64) {
 	t := h.t
 	g := int(t.wordReadHint(t.depthWord)) - 1
 	dirOff := t.dirBase + (hash&((1<<uint(g))-1))*nvram.WordSize
-	first := h.dirReadHint(dirOff)
+	first := nvram.Offset(t.wordReadHint(dirOff))
 	if first == 0 {
 		panic("hashtable: zero directory entry — image corrupt")
 	}
@@ -72,31 +39,41 @@ func (h *Handle) locate(hash uint64) (nvram.Offset, uint64) {
 	meta := h.core.Read(b + bucketMetaOff)
 	target := first
 	hops := int64(0)
-	for metaSealed(meta) {
-		hops++
-		// An observed seal implies both children were installed by the
-		// same PMwCAS; the depth in the sealed meta selects the hash bit.
-		// Child words are never tombstoned — only forest roots are
-		// reclaimed, and b stands under our guard, so b is not a root's
-		// already-freed ancestor — which is why this walk needs no retry.
-		bit := (hash >> uint(metaDepth(meta))) & 1
-		if bit == 0 {
-			b = nvram.Offset(h.core.Read(b + bucketChild0Off))
-		} else {
-			b = nvram.Offset(h.core.Read(b + bucketChild1Off))
+	for {
+		stray := strayBits(hash, meta)
+		if stray == 0 {
+			break
 		}
-		meta = h.core.Read(b + bucketMetaOff)
-		if metaDepth(meta) <= g {
-			// Still covers the entry's whole suffix class — a valid hint
-			// for every key routed through dirOff, not just this one.
+		// The lowest stray bit l names the split that moved the hash's
+		// keys: b's sibling created at depth l+1. b's chain lists its
+		// siblings newest first, one creation depth apart, and a sib word
+		// read after meta is at least as new as meta, so the walk reaches
+		// it.
+		want := metaCreated(meta) + bits.TrailingZeros64(stray) + 1
+		b = nvram.Offset(h.core.Read(b + bucketSibOff))
+		for {
+			if b == 0 {
+				panic("hashtable: sibling chain ends short — image corrupt")
+			}
+			meta = h.core.Read(b + bucketMetaOff)
+			hops++
+			if metaCreated(meta) == want {
+				break
+			}
+			b = nvram.Offset(h.core.Read(b + bucketPrevOff))
+		}
+		if want <= g {
+			// Created at depth <= g: its creation class covers the
+			// entry's whole suffix class — a valid hint for every key
+			// routed through dirOff, not just this one.
 			target = b
 		}
 	}
 	if target != first {
-		// Path-compress the directory hint. Compression stops at depth g:
-		// a deeper bucket covers only a subset of the entry's class and
-		// would misroute its other keys. Losing the race just leaves a
-		// longer hint chain for the next walker.
+		// Path-compress the directory hint. Compression stops at
+		// creation depth g: a bucket created deeper covers only a subset
+		// of the entry's class and would misroute its other keys. Losing
+		// the race just leaves a longer hint chain for the next walker.
 		core.PCAS(t.dev, dirOff, uint64(first), uint64(target))
 	}
 	if metaDepth(meta) > g && g < t.maxDepth {
@@ -114,12 +91,7 @@ func (h *Handle) locate(hash uint64) (nvram.Offset, uint64) {
 func (h *Handle) tryDouble(g int) {
 	t := h.t
 	if !t.growClaim.CompareAndSwap(false, true) {
-		// A doubling or a sealed-bucket reclaim holds the claim. Doubling
-		// is purely an accelerator, so skipping is always safe; the
-		// exclusion matters because a doubler's plain-store copy of the
-		// live half could republish an entry a concurrent reclaim just
-		// durably scrubbed, resurrecting a pointer to a freed bucket.
-		return
+		return // another doubling is in flight
 	}
 	defer t.growClaim.Store(false)
 	dw := core.PCASRead(t.dev, t.depthWord)
@@ -128,13 +100,13 @@ func (h *Handle) tryDouble(g int) {
 	}
 	half := nvram.Offset(1) << uint(g)
 	for i := nvram.Offset(0); i < half; i++ {
-		v := h.dirRead(t.dirBase + i*nvram.WordSize)
+		v := core.PCASRead(t.dev, t.dirBase+i*nvram.WordSize)
 		// Plain store, not PCAS: the upper half is dead until the depth
 		// flip below publishes it, and any historical value of dir[i] is a
-		// valid hint for index i+half (it reaches the live bucket through
-		// the sealed-bucket tree; the pointed-to bucket itself is durable
-		// because v was read clean). A racing doubler writes the same
-		// class of value, so lost stores only regress a hint.
+		// valid hint for index i+half (its creation depth is at most g, so
+		// its creation class covers both entries; the pointed-to bucket
+		// itself is durable because v was read clean). Repairs that race
+		// the copy only leave a hint one hop longer.
 		t.dev.Store(t.dirBase+(i+half)*nvram.WordSize, v)
 	}
 	// Persist the mirrored half before the flip: once the new depth is
@@ -190,7 +162,7 @@ const (
 // Insert stores value under a key not yet present. One three-word
 // PMwCAS installs the slot pair and bumps the bucket version; the
 // version compare validates the duplicate/free-slot scan atomically
-// (including against a concurrent split sealing the bucket).
+// (including against a concurrent split deepening the bucket).
 //
 //pmwcas:hotpath — extendible-hash point insert; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Insert(key, value uint64) error {
@@ -209,8 +181,9 @@ func (h *Handle) Update(key, value uint64) error {
 // PutOwned inserts value under key, or replaces the value the slot owns.
 // value is a reserved, filled block (index.Owner) that rides the
 // publishing PMwCAS as the slot value word's new value: an insert's entry
-// (0 → value) carries FreeNewOnFailure, and an update's (old → value)
-// FreeOne, which also frees the displaced block once the epoch allows. A
+// (0 or a ghost's value → value) carries FreeNewOnFailure, and an
+// update's (old → value) FreeOne, which also frees the displaced block
+// once the epoch allows. A
 // lost PMwCAS returns index.ErrRaced; every other error returns value to
 // the allocator.
 //
@@ -221,9 +194,9 @@ func (h *Handle) PutOwned(key, value uint64) error {
 
 // write makes one locate and one slot scan per attempt and acts on what
 // the scan found: the two-word update of the key's slot, or the
-// three-word insert into a free slot, splitting a full bucket first.
-// Every answer given without a PMwCAS waits for the unchanged version to
-// prove the scan.
+// three-word insert into an empty or ghost slot, splitting a full bucket
+// first. Every answer given without a PMwCAS waits for the unchanged
+// version to prove the scan.
 func (h *Handle) write(key, value uint64, op writeOp) error {
 	err := checkKey(key)
 	if err == nil {
@@ -239,14 +212,17 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 	for {
 		b, meta := h.locate(hash)
 		slot, free := -1, -1
+		var freeKey uint64
 		for i := 0; i < h.t.slots; i++ {
 			k := h.core.Read(slotKeyOff(b, i))
 			if k == key {
 				slot = i
 				break
 			}
-			if k == 0 && free < 0 {
-				free = i
+			// An empty slot or a ghost — a key a split moved to a sibling
+			// — is free to take.
+			if free < 0 && op != opUpdate && (k == 0 || strayBits(mix64(k), meta) != 0) {
+				free, freeKey = i, k
 			}
 		}
 		var old uint64
@@ -283,10 +259,15 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 			continue
 		}
 		// The value entry goes first, so an owned value is the
-		// descriptor's on every path past this point.
+		// descriptor's on every path past this point. A ghost's value
+		// belongs to the sibling that holds its key, so taking its slot
+		// frees nothing on success.
 		at, policy := slot, core.PolicyFreeOne
 		if slot < 0 {
 			at, policy = free, core.PolicyFreeNewOnFailure
+			if freeKey != 0 {
+				old = h.core.Read(slotValOff(b, free))
+			}
 		}
 		if op == opPut {
 			err = d.ReserveEntry(slotValOff(b, at), old, value, policy)
@@ -297,7 +278,7 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 			err = d.AddWord(b+bucketMetaOff, meta, bumpVersion(meta))
 		}
 		if err == nil && slot < 0 {
-			err = d.AddWord(slotKeyOff(b, free), 0, key)
+			err = d.AddWord(slotKeyOff(b, free), freeKey, key)
 		}
 		if err != nil {
 			d.Discard()
@@ -399,20 +380,19 @@ func (h *Handle) delete(key uint64, policy core.Policy) (uint64, error) {
 	}
 }
 
-// split replaces full bucket b (observed at version meta) with two
-// depth+1 children in a single PMwCAS:
+// split deepens full bucket b (observed at version meta, depth L) in
+// place with a single PMwCAS:
 //
-//	{ child0: 0 → b0, child1: 0 → b1, meta: v → v | sealed }
+//	{ b.sib: old → s, b.meta: v → depth L+1, version v+1 }
 //
-// The children carry b's slots redistributed by the next hash bit,
-// filled before they are handed to the descriptor; the meta compare
-// validates that snapshot. A lost race or a crash reclaims both children
-// through the FreeNewOnFailure policy (§5.2). The sealed bucket stays
-// allocated forever as an interior node of the radix tree — that
-// immutability is what lets directory repair run lazily, unordered, and
-// crash-ignored.
+// s is a new bucket created at depth L+1, filled before it is handed to
+// the descriptor with b's keys whose hash bit L is 1; the meta
+// compare validates that snapshot. A lost race or a crash frees s
+// through the FreeNewOnFailure policy (§5.2). The moved keys stay in b
+// as ghosts, and no bucket is ever freed — which is what lets directory
+// repair run lazily, unordered, and crash-ignored.
 //
-//pmwcas:requires-guard — re-reads the slots of a bucket a racing split may seal
+//pmwcas:requires-guard — re-reads the slots of a bucket a racing PMwCAS may hold
 func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 	t := h.t
 	depth := metaDepth(meta)
@@ -423,9 +403,9 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 		t0 := time.Now()
 		defer mSplitNs.ObserveSince(h.lane, t0)
 	}
-	// Snapshot the slots. Consistency is validated by the meta compare in
-	// the PMwCAS below: any concurrent mutation bumps the version and
-	// fails the install, reclaiming the children.
+	// Snapshot the slots and the chain head. Consistency is validated by
+	// the meta compare in the PMwCAS below: any concurrent mutation bumps
+	// the version and fails the install, freeing s.
 	if cap(h.splitKeys) < t.slots {
 		h.splitKeys = make([]uint64, t.slots)
 		h.splitVals = make([]uint64, t.slots)
@@ -436,49 +416,35 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 		keys[i] = h.core.Read(slotKeyOff(b, i))
 		vals[i] = h.core.Read(slotValOff(b, i))
 	}
+	sib := h.core.Read(b + bucketSibOff)
 	d, err := h.core.AllocateDescriptor(0)
 	if err != nil {
 		return err
 	}
-	b0, err := h.ah.Reserve(bucketBytes(t.slots))
+	s, err := h.ah.Reserve(bucketBytes(t.slots))
 	if err != nil {
 		d.Discard()
 		return err
 	}
-	b1, err := h.ah.Reserve(bucketBytes(t.slots))
-	if err != nil {
-		t.alloc.Unreserve(b0)
-		d.Discard()
-		return err
-	}
-	// Fill the zeroed children: depth+1, version 0, parent back-pointer,
-	// slots split on hash bit `depth`. Reserved and unpublished, so plain
-	// stores are private here.
-	childMeta := uint64(depth+1) << depthShift
-	for _, c := range [2]nvram.Offset{b0, b1} {
-		t.dev.Store(c+bucketMetaOff, childMeta)
-		t.dev.Store(c+bucketParentOff, b)
-	}
-	n0, n1 := 0, 0
+	// Fill the zeroed sibling: created at depth+1, version 0, chained to
+	// b's previous sibling, holding the keys with hash bit `depth` set.
+	// Every slot of b is live: the write that called split found no empty
+	// or ghost slot at the version the PMwCAS below compares. Reserved and
+	// unpublished, so plain stores are private here.
+	t.dev.Store(s+bucketMetaOff, uint64(depth+1)<<depthShift|uint64(depth+1)<<createdShift)
+	t.dev.Store(s+bucketPrevOff, sib)
+	n := 0
 	for i := 0; i < t.slots; i++ {
-		if keys[i] == 0 {
-			continue
-		}
-		if (mix64(keys[i])>>uint(depth))&1 == 0 {
-			t.dev.Store(slotKeyOff(b0, n0), keys[i])
-			t.dev.Store(slotValOff(b0, n0), vals[i])
-			n0++
-		} else {
-			t.dev.Store(slotKeyOff(b1, n1), keys[i])
-			t.dev.Store(slotValOff(b1, n1), vals[i])
-			n1++
+		if (mix64(keys[i])>>uint(depth))&1 == 1 {
+			t.dev.Store(slotKeyOff(s, n), keys[i])
+			t.dev.Store(slotValOff(s, n), vals[i])
+			n++
 		}
 	}
-	// From each handoff on, the descriptor owns that child.
-	if err = d.ReserveEntry(b+bucketChild0Off, 0, b0, core.PolicyFreeNewOnFailure); err != nil {
-		t.alloc.Unreserve(b1)
-	} else if err = d.ReserveEntry(b+bucketChild1Off, 0, b1, core.PolicyFreeNewOnFailure); err == nil {
-		err = d.AddWord(b+bucketMetaOff, meta, meta|sealedMask)
+	// From the handoff on, the descriptor owns s.
+	err = d.ReserveEntry(b+bucketSibOff, sib, s, core.PolicyFreeNewOnFailure)
+	if err == nil {
+		err = d.AddWord(b+bucketMetaOff, meta, bumpVersion(meta)+1<<depthShift)
 	}
 	if err != nil {
 		d.Discard()
@@ -489,32 +455,21 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 		return err
 	}
 	if !ok {
-		return nil // lost the race; children reclaimed by policy
+		return nil // lost the race; s freed by policy
 	}
 	t.splits.Add(1)
-	// Eager directory repair: swing every live entry in b's suffix class
-	// to the matching child. Best-effort — entries this loop misses (or
-	// that a concurrent doubling re-copies stale) are repaired by walkers.
+	// Eager directory repair: swing the live entries of s's class that
+	// still name b to s. Best-effort — an entry this loop misses (or that
+	// a concurrent doubling re-copies stale) still routes through b.
 	g := int(core.PCASRead(t.dev, t.depthWord)) - 1
 	if depth < g {
-		class := hash & ((1 << uint(depth)) - 1)
-		for j := class; j < (1 << uint(g)); j += 1 << uint(depth) {
-			off := t.dirBase + j*nvram.WordSize
-			if h.dirRead(off) == uint64(b) {
-				child := b0
-				if (j>>uint(depth))&1 == 1 {
-					child = b1
-				}
-				core.PCAS(t.dev, off, b, child)
+		for j := hash&(1<<uint(depth)-1) | 1<<uint(depth); j < 1<<uint(g); j += 2 << uint(depth) {
+			off := t.dirBase + nvram.Offset(j)*nvram.WordSize
+			if core.PCASRead(t.dev, off) == uint64(b) {
+				core.PCAS(t.dev, off, uint64(b), uint64(s))
 			}
 		}
 	}
-	// Amortized reclamation: each split creates one interior bucket, so
-	// each split tries to free one — the root of b's tree, the only
-	// sealed bucket currently eligible (roots-only discipline). Best-
-	// effort: a lost claim or a too-shallow directory leaves it for a
-	// later split or an explicit ReclaimSealed sweep.
-	h.reclaimRootOf(b, hash)
 	return nil
 }
 
@@ -532,49 +487,41 @@ func (h *Handle) Range(fn func(key, value uint64) bool) error {
 	g := h.core.Guard()
 	g.Enter()
 	defer g.Exit()
-	gdepth := int(core.PCASRead(t.dev, t.depthWord)) - 1
-	if gdepth < 0 {
-		return nil
-	}
-	seen := make(map[nvram.Offset]bool)
-	var stack []nvram.Offset
-	for j := nvram.Offset(0); j < 1<<uint(gdepth); j++ {
-		b := h.dirRead(t.dirBase + j*nvram.WordSize)
-		if b == 0 {
-			panic("hashtable: zero directory entry — image corrupt")
-		}
-		stack = append(stack, b)
-	}
+	// dir[0] always names the first bucket: no other bucket's creation
+	// class covers hash suffix 0. Every bucket hangs off it through sib
+	// (a bucket's newest sibling) and prev (the next-older one) words,
+	// which form a tree.
+	stack := []nvram.Offset{nvram.Offset(core.PCASRead(t.dev, t.dirBase))}
+	var entries []Entry
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
+		var sib, prev uint64
 		for {
 			meta := h.core.Read(b + bucketMetaOff)
-			if metaSealed(meta) {
-				stack = append(stack, h.core.Read(b+bucketChild0Off))
-				stack = append(stack, h.core.Read(b+bucketChild1Off))
-				break
-			}
-			var entries []Entry
+			sib = h.core.Read(b + bucketSibOff)
+			prev = h.core.Read(b + bucketPrevOff)
+			entries = entries[:0]
 			for i := 0; i < t.slots; i++ {
-				if k := h.core.Read(slotKeyOff(b, i)); k != 0 {
+				if k := h.core.Read(slotKeyOff(b, i)); k != 0 && strayBits(mix64(k), meta) == 0 {
 					entries = append(entries, Entry{Key: k, Value: h.core.Read(slotValOff(b, i))})
 				}
 			}
-			if h.core.Read(b+bucketMetaOff) != meta {
-				continue // torn bucket snapshot; re-read this bucket
+			if h.core.Read(b+bucketMetaOff) == meta {
+				break
 			}
-			for _, e := range entries {
-				//lint:allow nonblock — user visitor runs under the scan guard by documented contract; it must not block (§6.3)
-				if !fn(e.Key, e.Value) {
-					return nil
-				}
+			// torn bucket snapshot; re-read this bucket
+		}
+		for _, w := range [2]uint64{sib, prev} {
+			if w != 0 {
+				stack = append(stack, nvram.Offset(w))
 			}
-			break
+		}
+		for _, e := range entries {
+			//lint:allow nonblock — user visitor runs under the scan guard by documented contract; it must not block (§6.3)
+			if !fn(e.Key, e.Value) {
+				return nil
+			}
 		}
 	}
 	return nil

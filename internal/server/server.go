@@ -502,8 +502,6 @@ func FormatStats(st pmwcas.StoreStats) string {
 	add("shards", uint64(st.Shards))
 	add("hash_splits", st.HashSplits)
 	add("hash_doublings", st.HashDoublings)
-	add("hash_reclaims", st.HashReclaims)
-	add("hash_sealed_buckets", st.HashSealedBuckets)
 	add("device_loads", st.Device.Loads)
 	add("device_stores", st.Device.Stores)
 	add("device_cases", st.Device.CASes)

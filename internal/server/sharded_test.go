@@ -152,7 +152,7 @@ func TestShardedServerHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"hash_splits", "hash_sealed_buckets", "shards 4"} {
+	for _, want := range []string{"hash_splits", "hash_doublings", "shards 4"} {
 		if !strings.Contains(stats, want) {
 			t.Fatalf("STATS missing %q:\n%s", want, stats)
 		}

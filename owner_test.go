@@ -151,11 +151,11 @@ func TestPutOwnedErrorPathsReturnBlock(t *testing.T) {
 		})
 	}
 	t.Run("hash-split-oom", func(t *testing.T) {
-		// Five 64-byte blocks in all: the table's first bucket, two values
-		// that fill it, the third value, and one of the two children the
-		// split that value needs.
+		// Four 64-byte blocks in all: the table's first bucket, two values
+		// that fill it, and the third value, leaving none for the sibling
+		// the split that value needs.
 		cfg := testConfig()
-		cfg.Classes = []SizeClass{{BlockSize: 64, Count: 5}}
+		cfg.Classes = []SizeClass{{BlockSize: 64, Count: 4}}
 		store, err := Create(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -506,7 +506,12 @@ func TestBlobKVPassesIndexErrors(t *testing.T) {
 // cost 3,072/1,280, 5,696/1,984 and 3,458/1,280, and 5,355/1,794,
 // 5,164/1,756 and 4,503/1,328; a fresh PUT on the skip list or the
 // Bw-tree loaded 2 words fewer, since the record rode no descriptor
-// entry of its own there (17,700 and 15,967).
+// entry of its own there (17,700 and 15,967). While a hash split sealed
+// its bucket and filled two new children, the hash table's 256
+// overwrites loaded 4,883 words and flushed 2,946 lines, and its 256
+// fresh PUTs loaded 9,210 words at 3,891/1,253 flushes/fences: a split
+// now fills one sibling, and the keys it leaves behind keep their slots
+// between ghosts, so an overwrite's scan reaches them later.
 func TestBlobPutBill(t *testing.T) {
 	const keys, puts = 16, 256
 	type bill struct{ loads, flushes, fences uint64 }
@@ -516,7 +521,7 @@ func TestBlobPutBill(t *testing.T) {
 	}{
 		{"skiplist", bill{8224, 2560, 1280}, bill{11772, 5099, 1282}},
 		{"bwtree", bill{11872, 4608, 1440}, bill{16479, 4553, 1184}},
-		{"hash", bill{4883, 2946, 1280}, bill{9210, 3891, 1253}},
+		{"hash", bill{5043, 2945, 1280}, bill{8530, 3333, 1128}},
 	} {
 		t.Run(c.index, func(t *testing.T) {
 			store, err := Create(testConfig())

@@ -77,10 +77,6 @@ func TestShardedStoreBasics(t *testing.T) {
 	if ss.Pool.Succeeded == 0 || ss.DescriptorsCap != shards*64 {
 		t.Fatalf("merged stats look unmerged: %+v", ss)
 	}
-	if ss.HashSealedBuckets != ss.HashSplits-ss.HashReclaims {
-		t.Fatalf("sealed-bucket gauge %d, want splits-reclaims = %d",
-			ss.HashSealedBuckets, ss.HashSplits-ss.HashReclaims)
-	}
 
 	// Crash, recover (all shards, in order), audit, and re-read.
 	if err := st.Crash(); err != nil {
@@ -95,6 +91,10 @@ func TestShardedStoreBasics(t *testing.T) {
 	}
 	if len(ds.Hash) != n {
 		t.Fatalf("audit found %d hash entries, want %d", len(ds.Hash), n)
+	}
+	// Each shard's table is its first bucket plus one per split.
+	if want := int(ss.HashSplits) + shards; ds.HashCheck.Buckets != want {
+		t.Fatalf("audit found %d hash buckets, want merged splits + shards = %d", ds.HashCheck.Buckets, want)
 	}
 	// Pre-crash handles are poisoned by Recover; re-mint one per shard.
 	for si := 0; si < shards; si++ {
@@ -396,6 +396,34 @@ func TestConfigOverflowErrors(t *testing.T) {
 				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestConfigLayoutKnobs: a layout knob an index would refuse on first
+// open fails Create up front, with an error naming the knob, rather than
+// a store that opens and then cannot open its hash table or Bw-tree.
+func TestConfigLayoutKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Size: 1 << 20, Descriptors: 64, BwTreeMappingSlots: 1 << 10, HashDirSlots: 1000}, "HashDirSlots"},
+		{Config{Size: 1 << 20, Descriptors: 64, BwTreeMappingSlots: 15}, "BwTreeMappingSlots"},
+	} {
+		if _, err := Create(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Create(%+v) = %v, want an error naming %s", tc.cfg, err, tc.want)
+		}
+	}
+	st, err := Create(Config{Size: 1 << 20, Descriptors: 64, BwTreeMappingSlots: 16, HashDirSlots: 1})
+	if err != nil {
+		t.Fatalf("the smallest valid layout: %v", err)
+	}
+	defer st.Close()
+	if _, err := st.HashTable(HashTableOptions{}); err != nil {
+		t.Fatalf("HashTable on a one-entry directory: %v", err)
+	}
+	if _, err := st.BwTree(BwTreeOptions{}); err != nil {
+		t.Fatalf("BwTree on a 16-slot mapping table: %v", err)
 	}
 }
 

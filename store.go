@@ -50,12 +50,13 @@ type Config struct {
 	// covers skip list nodes, Bw-tree deltas, and Bw-tree pages.
 	Classes []SizeClass
 	// BwTreeMappingSlots sizes each shard's Bw-tree mapping table
-	// (default 1<<16 LPIDs). Only consumed when BwTree is opened.
+	// (default 1<<16 LPIDs; at least 16). Only consumed when BwTree is
+	// opened.
 	BwTreeMappingSlots uint64
 	// HashDirSlots sizes each shard's hash table directory (default 1<<12
 	// bucket pointers; must be a power of two). The directory caps
-	// fan-out, not capacity — deeper buckets are reached through the
-	// bucket tree. Only consumed when HashTable is opened.
+	// fan-out, not capacity — buckets created deeper are reached through
+	// sibling chains. Only consumed when HashTable is opened.
 	HashDirSlots uint64
 	// FlushLatency, if set, charges each cache-line write-back this much
 	// simulated time (models NVRAM write cost in benchmarks).
@@ -103,6 +104,12 @@ func (c *Config) fill() error {
 	}
 	if c.HashDirSlots == 0 {
 		c.HashDirSlots = 1 << 12
+	}
+	if c.BwTreeMappingSlots < 16 {
+		return fmt.Errorf("pmwcas: BwTreeMappingSlots must be at least 16, got %d", c.BwTreeMappingSlots)
+	}
+	if c.HashDirSlots&(c.HashDirSlots-1) != 0 {
+		return fmt.Errorf("pmwcas: HashDirSlots must be a power of two, got %d", c.HashDirSlots)
 	}
 	shardBudget := c.Size / uint64(c.Shards)
 	poolBytes := core.PoolSize(c.Descriptors, c.WordsPerDescriptor)
@@ -386,12 +393,9 @@ type StoreStats struct {
 	AllocBlocks, AllocBytes       uint64
 	AllocCapBlocks, AllocCapBytes uint64
 	// Hash table structure activity across all shards (zero until a
-	// shard's HashTable is opened): splits seal one interior bucket each,
-	// reclaims free one, so SealedBuckets = Splits - Reclaims is the net
-	// interior growth this session. The durable count is in
-	// DurableState.HashCheck.
-	HashSplits, HashDoublings, HashReclaims uint64
-	HashSealedBuckets                       uint64
+	// shard's HashTable is opened): each split adds one bucket. The
+	// durable count is in DurableState.HashCheck.
+	HashSplits, HashDoublings uint64
 	// Device holds the NVRAM operation counters (loads, stores, flushes,
 	// fences, crashes) for the one shared device.
 	Device DeviceStats
@@ -429,10 +433,8 @@ func (s *Store) Stats() StoreStats {
 			hs := t.Stats()
 			st.HashSplits += hs.Splits
 			st.HashDoublings += hs.Doublings
-			st.HashReclaims += hs.Reclaims
 		}
 	}
-	st.HashSealedBuckets = st.HashSplits - st.HashReclaims
 	return st
 }
 
@@ -899,8 +901,7 @@ type DurableState struct {
 	Queue    []uint64          // FIFO order within each shard
 	Blobs    map[string][]byte // only populated with CheckOptions.Blob
 	// HashCheck summarizes the hash tables' structure across shards
-	// (bucket counts, sealed interior buckets awaiting reclaim,
-	// tombstoned edges).
+	// (bucket counts).
 	HashCheck hashtable.CheckStats
 }
 
@@ -966,8 +967,6 @@ func (s *Store) checkShard(i int, sh *storeShard, opt CheckOptions, st *DurableS
 	st.Hash = append(st.Hash, hentries...)
 	st.HashCheck.Buckets += hstats.Buckets
 	st.HashCheck.Live += hstats.Live
-	st.HashCheck.Sealed += hstats.Sealed
-	st.HashCheck.SeveredEdges += hstats.SeveredEdges
 
 	if opt.Blob {
 		// Blob records live on the same shard as their index entries, so
