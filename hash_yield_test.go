@@ -24,7 +24,6 @@ func TestHashDirectoryReclaimRace(t *testing.T) {
 		Size:               8 << 20,
 		Descriptors:        256,
 		BwTreeMappingSlots: 1 << 10,
-		HashDirSlots:       1 << 8,
 		YieldEvery:         32,
 	}
 	st, err := Create(cfg)

@@ -560,6 +560,21 @@ func (a *Allocator) Capacity() (blocks, bytes uint64) {
 	return blocks, bytes
 }
 
+// Blocks returns the number of blocks, free or not, in the class that
+// would serve a request of the given size, plus all larger classes: the
+// most blocks of that size the arena can ever hold at once.
+func (a *Allocator) Blocks(size uint64) uint64 {
+	ci := a.classFor(size)
+	if ci < 0 {
+		return 0
+	}
+	var n uint64
+	for ; ci < len(a.classes); ci++ {
+		n += a.classes[ci].count
+	}
+	return n
+}
+
 // FreeBlocks returns the number of free blocks in the class that would
 // serve a request of the given size, plus all larger classes.
 func (a *Allocator) FreeBlocks(size uint64) uint64 {

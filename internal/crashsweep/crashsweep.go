@@ -117,7 +117,6 @@ func storeConfig(opt Options) pmwcas.Config {
 		Size:               1 << 19,
 		Descriptors:        64,
 		BwTreeMappingSlots: 1 << 10,
-		HashDirSlots:       1 << 6,
 	}
 	if opt.EvictEvery > 0 {
 		cfg.EvictEvery = opt.EvictEvery

@@ -70,9 +70,8 @@ func wordWorkload(name string, shards int, s mixSpec) workload {
 }
 
 // hashSpec uses deliberately tiny buckets so a few hundred operations
-// over 96 keys force many splits and several directory doublings — the
-// structure-changing crash points — alongside the plain
-// insert/update/delete descriptor paths.
+// over 96 keys force many splits — the structure-changing crash points —
+// alongside the plain insert/update/delete descriptor paths.
 var hashSpec = mixSpec{
 	index: "hash", keys: 96, puts: 4, dels: 1,
 	iopts: pmwcas.IndexOptions{Hash: pmwcas.HashTableOptions{SlotsPerBucket: 4}},

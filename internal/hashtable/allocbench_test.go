@@ -102,7 +102,10 @@ func TestPointOpsAllocBudget(t *testing.T) {
 // per Get), and the budget keeps the owner on its DRAM copy. While a
 // split sealed its bucket, a Get whose directory hint still named the
 // sealed bucket paid a hop to its child: 13.7 per Get, 58.0 per Update;
-// a split that keeps its bucket leaves half its class on the hint.
+// a split that keeps its bucket leaves half its class on the hint. While
+// the directory lived in NVRAM, every lookup loaded the depth word and
+// its entry, and the fixed 16-entry test directory left deeper buckets
+// a chain hop past their hint: 13.4 per Get, 57.8 per Update.
 func TestPointOpsDeviceOpBudget(t *testing.T) {
 	dev, update, get := pointOps(t)
 	ops := func(s nvram.Stats) uint64 { return s.Loads + s.Stores + s.CASes + s.Flushes + s.Fences }
@@ -119,10 +122,10 @@ func TestPointOpsDeviceOpBudget(t *testing.T) {
 	perOp(update)
 	g, u := perOp(get), perOp(update)
 	t.Logf("device ops: Get %.1f, Update %.1f", g, u)
-	if g > 13.9 {
-		t.Errorf("Get = %.1f device ops, budget 13.9", g)
+	if g > 7.0 {
+		t.Errorf("Get = %.1f device ops, budget 7.0", g)
 	}
-	if u > 60 {
-		t.Errorf("Update = %.1f device ops, budget 60", u)
+	if u > 51.5 {
+		t.Errorf("Update = %.1f device ops, budget 51.5", u)
 	}
 }

@@ -26,20 +26,21 @@ type CheckStats struct {
 }
 
 // Check audits the durable image of a (recovered, quiescent) hash table
-// anchored at roots with the directory at dir. It returns every arena
-// block the table reaches, plus the table's logical contents and
-// structure counts, so callers can cross-check the allocator bitmap and a
-// durable-linearizability oracle.
+// anchored at roots. It returns every arena block the table reaches,
+// plus the table's logical contents and structure counts, so callers can
+// cross-check the allocator bitmap and a durable-linearizability oracle.
+// The directory is volatile, so there is none to audit.
 //
 // The buckets form a tree rooted at the first bucket (creation depth 0,
-// always named by dir[0]): a bucket's sib word heads the chain of the
+// named by the root anchor): a bucket's sib word heads the chain of the
 // siblings it split off, newest first, linked through their prev words.
 // Check walks that tree, deriving each bucket's creation class from its
 // place in it. Invariants verified:
 //
-//   - the depth word, the geometry word and dir[0] are all zero (table
-//     absent) or all set: one PMwCAS creates the table;
-//   - the durable slot geometry is sane;
+//   - the root and geometry words are both zero (table absent) or both
+//     set: one PMwCAS creates the table;
+//   - the durable slot geometry is sane, and the root anchor names a
+//     bucket created at depth 0;
 //   - every bucket's creation depth c is at most its depth L, its chain
 //     holds exactly its siblings created at depths L, L-1, ..., c+1, and
 //     no bucket is reached twice;
@@ -47,31 +48,18 @@ type CheckStats struct {
 //     bucket's current class are ghosts, and every live key appears in
 //     exactly one bucket and pairs a clean value (empty slots are fully
 //     zero, the header's spare word is zero);
-//   - every live directory entry names a bucket created at depth <= G
-//     whose creation class covers the entry's suffix class;
 //   - no reachable word carries a descriptor flag (recovery removes every
 //     descriptor pointer).
-func Check(dev *nvram.Device, roots, dir nvram.Region) ([]nvram.Offset, []Entry, CheckStats, error) {
-	depthWord := roots.Base
-	geomWord := roots.Base + 2*nvram.WordSize
-
+func Check(dev *nvram.Device, roots nvram.Region) ([]nvram.Offset, []Entry, CheckStats, error) {
 	var stats CheckStats
-	a, err := core.CheckAnchors(dev, depthWord, geomWord, dir.Base)
+	a, err := core.CheckAnchors(dev, roots.Base, roots.Base+nvram.WordSize)
 	if err != nil {
 		return nil, nil, stats, fmt.Errorf("hashtable: %w", err)
 	}
 	if a == nil {
 		return nil, nil, stats, nil // table never created
 	}
-	dw, slots, first := a[0], a[1], a[2]
-	gdepth := int(dw) - 1
-	maxDepth := 0
-	for d := dir.Len / nvram.WordSize; d > 1; d >>= 1 {
-		maxDepth++
-	}
-	if gdepth > maxDepth {
-		return nil, nil, stats, fmt.Errorf("hashtable: global depth %d exceeds directory capacity %d", gdepth, maxDepth)
-	}
+	first, slots := a[0], a[1]
 	if slots > 255 {
 		return nil, nil, stats, fmt.Errorf("hashtable: durable slot geometry %d outside [1,255]", slots)
 	}
@@ -83,11 +71,7 @@ func Check(dev *nvram.Device, roots, dir nvram.Region) ([]nvram.Offset, []Entry,
 		return raw &^ core.DirtyFlag, nil
 	}
 
-	type bucketInfo struct {
-		meta  uint64
-		class uint64 // creation class: metaCreated(meta) low hash bits
-	}
-	buckets := make(map[nvram.Offset]bucketInfo)
+	buckets := make(map[nvram.Offset]bool)
 	liveKeys := make(map[uint64]nvram.Offset)
 	var entries []Entry
 	type visit struct {
@@ -99,7 +83,7 @@ func Check(dev *nvram.Device, roots, dir nvram.Region) ([]nvram.Offset, []Entry,
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if _, dup := buckets[v.b]; dup {
+		if buckets[v.b] {
 			return nil, nil, stats, fmt.Errorf("hashtable: bucket %#x reached twice (sibling chains do not form a tree)", v.b)
 		}
 		meta, err := word(v.b+bucketMetaOff, "meta", v.b)
@@ -120,7 +104,7 @@ func Check(dev *nvram.Device, roots, dir nvram.Region) ([]nvram.Offset, []Entry,
 		if spare != 0 {
 			return nil, nil, stats, fmt.Errorf("hashtable: spare header word of bucket %#x holds %#x", v.b, spare)
 		}
-		buckets[v.b] = bucketInfo{meta, v.class}
+		buckets[v.b] = true
 		for i := 0; i < int(slots); i++ {
 			key, err := word(slotKeyOff(v.b, i), "slot key", v.b)
 			if err != nil {
@@ -173,26 +157,6 @@ func Check(dev *nvram.Device, roots, dir nvram.Region) ([]nvram.Offset, []Entry,
 	}
 	stats.Buckets = len(buckets)
 	stats.Live = len(buckets)
-
-	// Every live directory entry must name a bucket whose creation class
-	// covers the entry index's own suffix — the hint property all routing
-	// and repair correctness rests on.
-	for j := uint64(0); j < 1<<uint(gdepth); j++ {
-		e := dev.Load(dir.Base + nvram.Offset(j)*nvram.WordSize)
-		if e&(core.MwCASFlag|core.RDCSSFlag) != 0 {
-			return nil, nil, stats, fmt.Errorf("hashtable: directory entry %d holds descriptor flags: %#x", j, e)
-		}
-		e &^= core.DirtyFlag
-		info, ok := buckets[nvram.Offset(e)]
-		if !ok {
-			return nil, nil, stats, fmt.Errorf("hashtable: directory entry %d names unknown bucket %#x", j, e)
-		}
-		c := metaCreated(info.meta)
-		if c > gdepth || j&(1<<uint(c)-1) != info.class {
-			return nil, nil, stats, fmt.Errorf("hashtable: directory entry %d names bucket %#x whose creation class %#x/%d does not cover it (global depth %d)",
-				j, e, info.class, c, gdepth)
-		}
-	}
 
 	blocks := make([]nvram.Offset, 0, len(buckets))
 	for b := range buckets {

@@ -47,8 +47,7 @@ func runUntilCrash(dev *nvram.Device, k int, fn func()) (completed bool) {
 // TestCrashSweepMidSplit pins the headline recovery claim: a table that
 // crashes at any device operation of a bucket-splitting insert recovers
 // with no lost and no duplicated slots. The root bucket is filled to
-// capacity so the swept insert must split (and, on its retry walk,
-// trigger the first directory doubling); every acknowledged key must
+// capacity so the swept insert must split; every acknowledged key must
 // survive exactly once — Check fails on duplicates — and the in-flight
 // key must be all-or-nothing.
 func TestCrashSweepMidSplit(t *testing.T) {
@@ -102,10 +101,9 @@ func TestCrashSweepMidSplit(t *testing.T) {
 }
 
 // TestCrashSweepGrowth crashes at every device operation of a 30-key
-// trace that drives the tiny-bucket table through many splits and at
-// least two directory doublings, auditing each crash image against an
-// acked/pending oracle. This is the pinned, in-package twin of the
-// whole-stack crashsweep workload.
+// trace that drives the tiny-bucket table through many splits, auditing
+// each crash image against an acked/pending oracle. This is the pinned,
+// in-package twin of the whole-stack crashsweep workload.
 func TestCrashSweepGrowth(t *testing.T) {
 	const keys = 30
 	var tracePoints int
@@ -124,6 +122,7 @@ func TestCrashSweepGrowth(t *testing.T) {
 				model[key] = key * 7
 			}
 		})
+		splits := e.tab.Stats().Splits
 
 		e.reopen(t)
 		got := e.check(t)
@@ -145,10 +144,10 @@ func TestCrashSweepGrowth(t *testing.T) {
 		if completed {
 			tracePoints = k
 			// Prove the swept trace actually contains the machinery under
-			// test: with 2-slot buckets and 30 keys the directory must have
-			// doubled at least twice.
-			if g := int(e.rawLoad(e.roots.Base)) - 1; g < 2 {
-				t.Fatalf("trace never doubled the directory (G=%d): sweep is vacuous", g)
+			// test: 30 keys need at least 15 two-slot buckets, so the
+			// trace committed at least 14 splits.
+			if splits < keys/2-1 {
+				t.Fatalf("trace committed %d splits, want >= %d: sweep is vacuous", splits, keys/2-1)
 			}
 			break
 		}

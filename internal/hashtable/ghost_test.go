@@ -2,6 +2,7 @@ package hashtable
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"pmwcas/internal/alloc"
@@ -161,7 +162,7 @@ func TestPutOwnedReusesGhost(t *testing.T) {
 		t.Fatalf("%d bucket blocks free after a put into a ghost slot, want %d", got, bucketsBefore)
 	}
 	e.reopen(t)
-	blocks, entries, _, err := Check(e.dev, e.roots, e.dir)
+	blocks, entries, _, err := Check(e.dev, e.roots)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -177,19 +178,17 @@ func TestPutOwnedReusesGhost(t *testing.T) {
 }
 
 // TestOlderDirectoryHints: buckets are never freed, so any directory
-// value that was once valid stays valid. With every entry forced back to
-// an older hint — the first bucket, or the entry's lower-half twin —
-// every key is still found and writable, and the image checks clean.
+// value that was once valid stays valid. With every entry of a warm
+// directory forced back to an older hint — the first bucket, or the
+// entry's lower-half twin — every key is still found and writable, and
+// the image checks clean.
 func TestOlderDirectoryHints(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		hint func(e *htEnv, j nvram.Offset) uint64
+		hint func(dir []atomic.Uint64, j int) uint64
 	}{
-		{"first bucket", func(e *htEnv, j nvram.Offset) uint64 { return e.rawLoad(e.dir.Base) }},
-		{"lower-half twin", func(e *htEnv, j nvram.Offset) uint64 {
-			g := int(e.rawLoad(e.roots.Base)) - 1
-			return e.rawLoad(e.dir.Base + (j&(1<<uint(g-1)-1))*nvram.WordSize)
-		}},
+		{"first bucket", func(dir []atomic.Uint64, j int) uint64 { return dir[0].Load() }},
+		{"lower-half twin", func(dir []atomic.Uint64, j int) uint64 { return dir[j&(len(dir)/2-1)].Load() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newHTEnv(t, core.Persistent, 2)
@@ -201,24 +200,27 @@ func TestOlderDirectoryHints(t *testing.T) {
 				}
 			}
 			e.reopen(t)
-			g := int(e.rawLoad(e.roots.Base)) - 1
-			if g < 2 {
-				t.Fatalf("global depth %d: too shallow for older hints", g)
+			// The directory comes back cold; lookups warm it up.
+			h = e.tab.NewHandle()
+			for k := uint64(1); k <= n; k++ {
+				if v, err := h.Get(k); err != nil || v != k {
+					t.Fatalf("cold Get(%d) = (%d, %v)", k, v, err)
+				}
+			}
+			dir := *e.tab.dir.Load()
+			if len(dir) < 4 {
+				t.Fatalf("directory of %d entries: too shallow for older hints", len(dir))
 			}
 			changed := 0
-			for j := nvram.Offset(0); j < 1<<uint(g); j++ {
-				off := e.dir.Base + j*nvram.WordSize
-				if v := tc.hint(e, j); v != e.rawLoad(off) {
-					e.dev.Store(off, v)
+			for j := range dir {
+				if v := tc.hint(dir, j); v != dir[j].Load() {
+					dir[j].Store(v)
 					changed++
 				}
 			}
 			if changed == 0 {
 				t.Fatal("no entry moved: the test is vacuous")
 			}
-			e.tab.flushRange(e.dir.Base, uint64(1)<<uint(g)*nvram.WordSize)
-			e.check(t)
-			h = e.tab.NewHandle()
 			for k := uint64(1); k <= n; k++ {
 				if v, err := h.Get(k); err != nil || v != k {
 					t.Fatalf("Get(%d) = (%d, %v)", k, v, err)

@@ -8,9 +8,8 @@
 //
 // # Structure
 //
-// A fixed directory region of 2^maxDepth words holds bucket pointers; a
-// durable depth word says how many of them — 2^G — are live. Buckets are
-// fixed-slot arena blocks:
+// The durable anchors are two words: the first bucket and the slot
+// geometry. Buckets are fixed-slot arena blocks:
 //
 //	word 0          meta: version | local depth L | creation depth c
 //	word 1          sib: the newest sibling this bucket split off
@@ -25,11 +24,32 @@
 // are zero. Each split of a bucket at depth l hands the half with bit l
 // set to a new sibling created at depth l+1, so a key whose hash has a
 // 1 in bits [c, L) belongs to the sibling named by the lowest such bit,
-// found on the sib → prev chain. The directory entry hash & (2^G - 1)
-// names a bucket whose creation class covers the entry's class; routing
-// continues from it. Buckets are never freed, so a valid directory hint
-// stays valid forever — the property every crash argument below leans
-// on.
+// found on the sib → prev chain. Every key is therefore reachable from
+// the first bucket, and buckets are never freed: the durable buckets
+// are the whole truth, and anything that names a bucket is only a
+// shortcut into that tree.
+//
+// # The directory is a DRAM hint
+//
+// The directory is a volatile array of 2^G bucket offsets. Entry
+// hash & (2^G - 1) names a bucket created at depth <= G whose creation
+// class covers the entry's class; routing continues from it. Any value
+// an entry ever held stays a valid hint, because the bucket it names is
+// never freed and its class never shrinks below the entry's. So the
+// directory needs no persistence at all: a walk path-compresses its
+// entry with one DRAM CAS, a split swings its class's entries to the
+// new sibling with DRAM CASes, and a crash simply forgets it. After New
+// (and so after recovery) the directory holds only the first bucket,
+// G = 0, and warms up on demand: a walk that reaches a bucket deeper
+// than G doubles the directory, and walks path-compress the entries
+// they route through.
+//
+// Doubling G → G+1 copies each entry i into i + 2^G (an old entry is a
+// valid hint for both halves of its class) and publishes the grown
+// array with one atomic pointer store. A doubling is the only step that
+// allocates, and the directory never holds more entries than twice the
+// buckets the allocator could ever hold, so a pathological collision
+// chain cannot grow it without bound.
 //
 // # Updates are 2-3 word PMwCAS ops
 //
@@ -46,7 +66,7 @@
 // equal versions bracket an atomic snapshot because every writer bumps
 // the version.
 //
-// # Splits keep their bucket; doubling is one PCAS
+// # Splits keep their bucket
 //
 // A full bucket B at depth L splits in place with one two-word PMwCAS:
 //
@@ -58,21 +78,13 @@
 // §5.2 recovery. The version in the meta compare validates the
 // migration snapshot. The moved keys stay in B as ghosts: keys outside
 // B's current class, which no lookup of theirs routes to B, and whose
-// slots an insert treats as free. Directory entries of S's class that
-// still name B are swung to S afterwards (single-word PCASes; B remains
-// a valid hint for them, one hop longer).
-//
-// Doubling G → G+1 first copies dir[i] into dir[i + 2^G] for the whole
-// live half (plain stores: the upper half is dead until the flip, and
-// any historical value of dir[i] is a valid hint for index i + 2^G),
-// flushes it, fences, then flips the depth word with one persistent CAS.
-// A crash before the flip leaves the upper half dead; after the flip the
-// fence has already made it durable.
+// slots an insert treats as free.
 package hashtable
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"pmwcas/internal/alloc"
@@ -150,10 +162,8 @@ func mix64(x uint64) uint64 {
 }
 
 // RootWords is the number of durable anchor words the table needs: the
-// depth word (doubling as the exists-flag), one unused word, and the
-// slot-geometry word. The unused word keeps the geometry word where
-// existing images have it.
-const RootWords = 3
+// first bucket (doubling as the exists-flag) and the slot geometry.
+const RootWords = 2
 
 // MinDescriptorWords is the descriptor capacity the table requires; the
 // widest op is an insert (meta, slot key, slot value).
@@ -192,11 +202,18 @@ type Table struct {
 	pool  *core.Pool
 	alloc *alloc.Allocator
 
-	depthWord nvram.Offset // 0 = table absent; else live depth G + 1
-	geomWord  nvram.Offset // durable SlotsPerBucket
-	dirBase   nvram.Offset
-	maxDepth  int // log2(directory slots)
-	slots     int // slot pairs per bucket
+	rootWord nvram.Offset // the first bucket; 0 = table absent
+	geomWord nvram.Offset // durable SlotsPerBucket
+	root     nvram.Offset // the first bucket, as opened
+	slots    int          // slot pairs per bucket
+
+	// dir points at the live directory: 2^G bucket hints, G =
+	// log2(len). dirs[G] holds the directory published at depth G, so
+	// the pointer stays valid for as long as a reader holds it; a
+	// doubling fills dirs[G+1] before it publishes it. maxDir caps G.
+	dir    atomic.Pointer[[]atomic.Uint64]
+	dirs   [maxBucketDepth + 1][]atomic.Uint64
+	maxDir int
 
 	// growClaim serializes directory doublings. Doubling is an
 	// accelerator, so losing the claim just skips the attempt.
@@ -236,11 +253,6 @@ type Config struct {
 	// Roots is a durable region of at least RootWords words at a
 	// layout-stable location (one cache line).
 	Roots nvram.Region
-	// Dir is the directory region: a power-of-two word count at a
-	// layout-stable location. Its size caps the directory, not the table
-	// — buckets created deeper than log2(len) are reached through
-	// sibling chains.
-	Dir nvram.Region
 	// SlotsPerBucket is the fixed bucket capacity (default
 	// DefaultSlotsPerBucket). An existing table's durable geometry must
 	// match.
@@ -250,7 +262,7 @@ type Config struct {
 // New opens the table anchored at cfg.Roots, creating the first bucket
 // on first use with one PMwCAS (core.Pool.OpenAnchors). After a crash,
 // allocator and pool recovery must run before New; the table itself has
-// no recovery code.
+// no recovery code. The directory starts cold, at the first bucket.
 func New(cfg Config) (*Table, error) {
 	if cfg.Pool == nil || cfg.Allocator == nil {
 		return nil, errors.New("hashtable: Pool and Allocator are required")
@@ -262,10 +274,6 @@ func New(cfg Config) (*Table, error) {
 	if cfg.Roots.Len < RootWords*nvram.WordSize {
 		return nil, fmt.Errorf("hashtable: roots region too small (%d bytes)", cfg.Roots.Len)
 	}
-	dirSlots := cfg.Dir.Len / nvram.WordSize
-	if dirSlots == 0 || dirSlots&(dirSlots-1) != 0 {
-		return nil, fmt.Errorf("hashtable: directory must be a power-of-two word count, got %d", dirSlots)
-	}
 	if cfg.SlotsPerBucket == 0 {
 		cfg.SlotsPerBucket = DefaultSlotsPerBucket
 	}
@@ -273,18 +281,14 @@ func New(cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("hashtable: SlotsPerBucket %d outside [1,255]", cfg.SlotsPerBucket)
 	}
 	t := &Table{
-		dev:       cfg.Pool.Device(),
-		pool:      cfg.Pool,
-		alloc:     cfg.Allocator,
-		depthWord: cfg.Roots.Base,
-		geomWord:  cfg.Roots.Base + 2*nvram.WordSize,
-		dirBase:   cfg.Dir.Base,
-		slots:     cfg.SlotsPerBucket,
+		dev:      cfg.Pool.Device(),
+		pool:     cfg.Pool,
+		alloc:    cfg.Allocator,
+		rootWord: cfg.Roots.Base,
+		geomWord: cfg.Roots.Base + nvram.WordSize,
+		slots:    cfg.SlotsPerBucket,
 	}
-	for d := dirSlots; d > 1; d >>= 1 {
-		t.maxDepth++
-	}
-	a, err := cfg.Pool.OpenAnchors([]nvram.Offset{t.depthWord, t.geomWord, t.dirBase}, t.create)
+	a, err := cfg.Pool.OpenAnchors([]nvram.Offset{t.rootWord, t.geomWord}, t.create)
 	if err != nil {
 		return nil, fmt.Errorf("hashtable: %w", err)
 	}
@@ -293,14 +297,21 @@ func New(cfg Config) (*Table, error) {
 	if a[1] != uint64(t.slots) {
 		return nil, fmt.Errorf("hashtable: table exists with %d slots per bucket, config asks %d", a[1], t.slots)
 	}
+	t.root = nvram.Offset(a[0])
+	// Two entries per bucket the arena could ever hold is more than any
+	// table routes through; the cap keeps a pathological collision chain
+	// (bucket depth up to maxBucketDepth) from doubling past it.
+	t.maxDir = min(bits.Len64(2*t.alloc.Blocks(bucketBytes(t.slots)))-1, maxBucketDepth)
+	t.dirs[0] = make([]atomic.Uint64, 1)
+	t.dirs[0][0].Store(uint64(t.root))
+	t.dir.Store(&t.dirs[0])
 	return t, nil
 }
 
 // create builds the first, depth-0 bucket and publishes the table with
-// one PMwCAS, {depth: 0→1, dir[0]: 0→B, geometry: 0→slots}. The bucket is
-// handed to dir[0]'s entry, so the descriptor owns it until the PMwCAS
-// commits: a lost race or a crash frees it (§5.2), and the table stays
-// absent.
+// one PMwCAS, {root: 0→B, geometry: 0→slots}. The bucket is handed to the
+// root word's entry, so the descriptor owns it until the PMwCAS commits:
+// a lost race or a crash frees it (§5.2), and the table stays absent.
 func (t *Table) create(h *core.Handle) error {
 	d, err := h.AllocateDescriptor(0)
 	if err != nil {
@@ -309,10 +320,7 @@ func (t *Table) create(h *core.Handle) error {
 	// Reserve zeroes the bucket: depth 0, version 0, every slot empty.
 	b, err := t.alloc.NewHandle().Reserve(bucketBytes(t.slots))
 	if err == nil {
-		err = d.ReserveEntry(t.dirBase, 0, b, core.PolicyFreeNewOnFailure)
-	}
-	if err == nil {
-		err = d.AddWord(t.depthWord, 0, 1) // depth 0, published
+		err = d.ReserveEntry(t.rootWord, 0, b, core.PolicyFreeNewOnFailure)
 	}
 	if err == nil {
 		err = d.AddWord(t.geomWord, 0, uint64(t.slots))
@@ -325,44 +333,8 @@ func (t *Table) create(h *core.Handle) error {
 	return err
 }
 
-// flushRange persists [base, base+n) line by line.
-func (t *Table) flushRange(base nvram.Offset, n uint64) {
-	first := base &^ (nvram.LineBytes - 1)
-	for off := first; off < base+nvram.Offset(n); off += nvram.LineBytes {
-		t.dev.Flush(off)
-	}
-	t.dev.Fence()
-}
-
-// wordReadHint reads an anchor or directory word as a navigation hint.
-// In a regular build it is core.PCASRead: the flush-before-read, charged
-// to the op like any protocol read (on a volatile device, one load).
-// Under the psan sanitizer build (-tags psan) it degrades to a masked
-// raw load: the sanitizer's commit check makes the flushing read
-// redundant for navigation (a hint that is never stored cannot commit
-// unpersisted state), and keeping it would charge every point op with
-// hint-directory flushes the traversal flush elision deliberately
-// excludes — double-counted against the same Stats.Flushes the
-// sanitizer run is validating.
-// Only DirtyFlag is masked: a dirty hint is the true word, merely not
-// yet persisted, and every path out of locate re-validates through a
-// flushing read or a descriptor install before publishing anything.
-// Anchor and directory words are single-word PCAS targets only (past
-// OpenAnchors), so no descriptor flag can appear in them.
-func (t *Table) wordReadHint(addr nvram.Offset) uint64 {
-	if nvram.SanitizerEnabled {
-		//lint:allow rawload — psan hint read: directory and anchor words are re-derivable copies of durably published words (LoadHint contract); the dirty-masked value is a hint every caller re-validates (§4.2)
-		return t.dev.LoadHint(addr) &^ core.DirtyFlag
-	}
-	return core.PCASRead(t.dev, addr)
-}
-
 // SlotsPerBucket reports the table's bucket capacity.
 func (t *Table) SlotsPerBucket() int { return t.slots }
-
-// MaxDirDepth reports the deepest global depth the directory region
-// supports.
-func (t *Table) MaxDirDepth() int { return t.maxDepth }
 
 // Handle is a per-goroutine table context.
 type Handle struct {

@@ -29,10 +29,9 @@ func upsert(h *Handle, key, value uint64) error {
 }
 
 const (
-	htDescs    = 128
-	htWords    = MinDescriptorWords
-	htHandles  = 16
-	htDirSlots = 16 // maxDepth 4: deep chains are reachable in tests
+	htDescs   = 128
+	htWords   = MinDescriptorWords
+	htHandles = 16
 )
 
 type htEnv struct {
@@ -43,7 +42,6 @@ type htEnv struct {
 	poolReg nvram.Region
 	aReg    nvram.Region
 	roots   nvram.Region
-	dir     nvram.Region
 	spec    []alloc.Class
 	slots   int
 }
@@ -66,12 +64,11 @@ func newHTEnvSpec(t testing.TB, mode core.Mode, slots int, spec []alloc.Class) *
 	if mode == core.Volatile {
 		opts = append(opts, nvram.WithVolatile())
 	}
-	e.dev = nvram.New(poolBytes+aBytes+htDirSlots*nvram.WordSize+1<<13, opts...)
+	e.dev = nvram.New(poolBytes+aBytes+1<<13, opts...)
 	l := nvram.NewLayout(e.dev)
 	e.poolReg = l.Carve(poolBytes)
 	e.aReg = l.Carve(aBytes)
 	e.roots = l.Carve(nvram.LineBytes)
-	e.dir = l.Carve(htDirSlots * nvram.WordSize)
 	e.build(t, mode, false)
 	return e
 }
@@ -98,7 +95,7 @@ func (e *htEnv) build(t testing.TB, mode core.Mode, recover bool) {
 	}
 	e.tab, err = New(Config{
 		Pool: e.pool, Allocator: e.alloc,
-		Roots: e.roots, Dir: e.dir, SlotsPerBucket: e.slots,
+		Roots: e.roots, SlotsPerBucket: e.slots,
 	})
 	if err != nil {
 		t.Fatalf("hashtable.New: %v", err)
@@ -115,7 +112,7 @@ func (e *htEnv) reopen(t testing.TB) {
 // check runs the structural checker and returns the live contents.
 func (e *htEnv) check(t testing.TB) map[uint64]uint64 {
 	t.Helper()
-	_, entries, _, err := Check(e.dev, e.roots, e.dir)
+	_, entries, _, err := Check(e.dev, e.roots)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -203,8 +200,9 @@ func TestKeyValueValidation(t *testing.T) {
 }
 
 // TestGrowth drives the table through many splits and several directory
-// doublings (tiny buckets, 300 keys, 16-entry directory) and verifies
-// every key stays reachable and the structure checks clean.
+// doublings (tiny buckets, 300 keys) and verifies every key stays
+// reachable, also through the cold directory after a restart, and the
+// structure checks clean.
 func TestGrowth(t *testing.T) {
 	e := newHTEnv(t, core.Persistent, 2)
 	h := e.tab.NewHandle()
@@ -252,20 +250,25 @@ func TestGrowth(t *testing.T) {
 	}
 	e.reopen(t)
 	got := e.check(t)
+	h = e.tab.NewHandle()
 	for k := uint64(1); k <= n; k++ {
+		v, err := h.Get(k)
 		if k%3 == 0 {
 			if _, ok := got[k]; ok {
 				t.Fatalf("deleted key %d survives in durable image", k)
 			}
-		} else if got[k] != k*3 {
-			t.Fatalf("durable image has %d = %d", k, got[k])
+			if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("after restart, deleted key %d: (%d, %v)", k, v, err)
+			}
+		} else if got[k] != k*3 || err != nil || v != k*3 {
+			t.Fatalf("durable image has %d = %d, Get = (%d, %v)", k, got[k], v, err)
 		}
 	}
 }
 
 // collidingKeys returns n distinct keys whose hashes share the same low
 // `bits` bits — they all route to one bucket chain, forcing local depths
-// far beyond the directory's global depth.
+// far beyond the depth the rest of the table needs.
 func collidingKeys(n, bits int) []uint64 {
 	class := mix64(1) & ((1 << uint(bits)) - 1)
 	keys := []uint64{1}
@@ -278,13 +281,13 @@ func collidingKeys(n, bits int) []uint64 {
 }
 
 // TestCollisionHeavy overfills a single hash class so its buckets are
-// created much deeper than the directory can index, which exercises
-// multi-hop sibling-chain walks, path compression, and the doubling
-// backstop.
+// created much deeper than the rest of the table, which exercises
+// multi-hop sibling-chain walks (every lookup after the restart starts
+// at the first bucket), path compression, and the doubling backstop.
 func TestCollisionHeavy(t *testing.T) {
 	e := newHTEnv(t, core.Persistent, 2)
 	h := e.tab.NewHandle()
-	// All keys share their low 6 bits; the test directory caps G at 4.
+	// All keys share their low 6 bits.
 	keys := collidingKeys(24, 6)
 	for i, k := range keys {
 		if err := h.Insert(k, uint64(i)+1); err != nil {
@@ -306,13 +309,47 @@ func TestCollisionHeavy(t *testing.T) {
 	}
 	e.reopen(t)
 	got := e.check(t)
+	h = e.tab.NewHandle()
 	for i, k := range keys {
+		v, err := h.Get(k)
 		if i%2 == 1 {
-			if _, ok := got[k]; ok {
-				t.Fatalf("deleted colliding key %d survives", k)
+			if _, ok := got[k]; ok || !errors.Is(err, ErrNotFound) {
+				t.Fatalf("deleted colliding key %d survives: (%d, %v)", k, v, err)
 			}
-		} else if got[k] != uint64(i)+1 {
-			t.Fatalf("colliding key %d = %d, want %d", k, got[k], i+1)
+		} else if got[k] != uint64(i)+1 || err != nil || v != uint64(i)+1 {
+			t.Fatalf("colliding key %d = %d, Get = (%d, %v), want %d", k, got[k], v, err, i+1)
+		}
+	}
+}
+
+// TestDirectoryCapFollowsArena: keys that share their low 12 hash bits
+// split one bucket chain twelve levels deep, in an arena of 32 buckets.
+// The directory stops at twice the buckets the arena can hold, 64
+// entries, instead of doubling after the chain, and every key is still
+// found through the chain.
+func TestDirectoryCapFollowsArena(t *testing.T) {
+	const blocks = 32
+	e := newHTEnvSpec(t, core.Persistent, 2, []alloc.Class{{BlockSize: 64, Count: blocks}})
+	h := e.tab.NewHandle()
+	keys := collidingKeys(3, 12)
+	for i, k := range keys {
+		if err := h.Insert(k, uint64(i)+1); err != nil {
+			t.Fatalf("Insert(%d): %v", k, err)
+		}
+	}
+	deepest := 0
+	for _, b := range e.buckets() {
+		deepest = max(deepest, metaDepth(e.rawLoad(b+bucketMetaOff)))
+	}
+	if deepest < 12 {
+		t.Fatalf("deepest bucket at depth %d: the keys did not collide", deepest)
+	}
+	if n := len(*e.tab.dir.Load()); n != 2*blocks {
+		t.Fatalf("directory of %d entries over an arena of %d buckets, want %d", n, blocks, 2*blocks)
+	}
+	for i, k := range keys {
+		if v, err := h.Get(k); err != nil || v != uint64(i)+1 {
+			t.Fatalf("Get(%d) = (%d, %v), want %d", k, v, err, i+1)
 		}
 	}
 }
@@ -409,7 +446,7 @@ func TestGeometryMismatch(t *testing.T) {
 	}
 	if _, err := New(Config{
 		Pool: pool, Allocator: e.alloc,
-		Roots: e.roots, Dir: e.dir, SlotsPerBucket: 8,
+		Roots: e.roots, SlotsPerBucket: 8,
 	}); err == nil {
 		t.Fatal("geometry mismatch accepted")
 	}
@@ -417,22 +454,21 @@ func TestGeometryMismatch(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	e := newHTEnv(t, core.Persistent, 4)
-	bad := Config{Pool: e.pool, Allocator: e.alloc, Roots: e.roots,
-		Dir: nvram.Region{Base: e.dir.Base, Len: 3 * nvram.WordSize}}
+	bad := Config{Pool: e.pool, Allocator: e.alloc, Roots: nvram.Region{Base: e.roots.Base, Len: nvram.WordSize}}
 	if _, err := New(bad); err == nil {
-		t.Fatal("non-power-of-two directory accepted")
+		t.Fatal("one-word roots region accepted")
 	}
-	bad = Config{Pool: e.pool, Allocator: e.alloc, Roots: e.roots, Dir: e.dir, SlotsPerBucket: 300}
+	bad = Config{Pool: e.pool, Allocator: e.alloc, Roots: e.roots, SlotsPerBucket: 300}
 	if _, err := New(bad); err == nil {
 		t.Fatal("SlotsPerBucket 300 accepted")
 	}
 }
 
 // buckets lists every bucket of the durable image: the tree of sib and
-// prev words hanging off dir[0], the first bucket.
+// prev words hanging off the root anchor, the first bucket.
 func (e *htEnv) buckets() []nvram.Offset {
 	var out []nvram.Offset
-	stack := []nvram.Offset{nvram.Offset(e.rawLoad(e.dir.Base))}
+	stack := []nvram.Offset{nvram.Offset(e.rawLoad(e.roots.Base))}
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -525,19 +561,14 @@ func TestCheckDetectsCorruption(t *testing.T) {
 			})
 			e.dev.Store(slotKeyOff(b, i), 0)
 		}},
-		{"uncovered directory entry", func(t *testing.T, e *htEnv) {
-			// An entry names the first bucket's newest sibling, created at
-			// the first bucket's depth L with class 1<<(L-1): entry 1 is
-			// outside it unless L is 1, entry 2 then.
-			first := nvram.Offset(e.rawLoad(e.dir.Base))
-			j := nvram.Offset(1)
-			if metaDepth(e.rawLoad(first+bucketMetaOff)) == 1 {
-				j = 2
-			}
-			e.dev.Store(e.dir.Base+j*nvram.WordSize, e.rawLoad(first+bucketSibOff))
+		{"root anchor names a sibling", func(t *testing.T, e *htEnv) {
+			// The first bucket's newest sibling was created at the first
+			// bucket's depth, not at depth 0: it covers one class only.
+			first := nvram.Offset(e.rawLoad(e.roots.Base))
+			e.dev.Store(e.roots.Base, e.rawLoad(first+bucketSibOff))
 		}},
 		{"descriptor flag in meta", func(t *testing.T, e *htEnv) {
-			b := nvram.Offset(e.rawLoad(e.dir.Base))
+			b := nvram.Offset(e.rawLoad(e.roots.Base))
 			e.dev.Store(b+bucketMetaOff, e.rawLoad(b+bucketMetaOff)|core.MwCASFlag)
 		}},
 	}
@@ -545,7 +576,7 @@ func TestCheckDetectsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := build(t)
 			tc.corrupt(t, e)
-			if _, _, _, err := Check(e.dev, e.roots, e.dir); err == nil {
+			if _, _, _, err := Check(e.dev, e.roots); err == nil {
 				t.Fatalf("%s passed the checker", tc.name)
 			} else {
 				t.Log(err)
@@ -678,7 +709,7 @@ func TestSplitOutOfMemoryUnreserves(t *testing.T) {
 		t.Fatalf("%d blocks in use after the failed split, want the two buckets", n)
 	}
 	e.reopen(t)
-	if _, _, cs, err := Check(e.dev, e.roots, e.dir); err != nil || cs.Buckets != 2 {
+	if _, _, cs, err := Check(e.dev, e.roots); err != nil || cs.Buckets != 2 {
 		t.Fatalf("Check = (%+v, %v), want 2 buckets", cs, err)
 	}
 }

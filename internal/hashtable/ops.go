@@ -3,6 +3,7 @@ package hashtable
 import (
 	"errors"
 	"math/bits"
+	"sync/atomic"
 	"time"
 
 	"pmwcas/internal/core"
@@ -28,13 +29,10 @@ var (
 //
 //pmwcas:requires-guard — reads bucket words a concurrent PMwCAS may hold, helping it under the epoch
 func (h *Handle) locate(hash uint64) (nvram.Offset, uint64) {
-	t := h.t
-	g := int(t.wordReadHint(t.depthWord)) - 1
-	dirOff := t.dirBase + (hash&((1<<uint(g))-1))*nvram.WordSize
-	first := nvram.Offset(t.wordReadHint(dirOff))
-	if first == 0 {
-		panic("hashtable: zero directory entry — image corrupt")
-	}
+	dir := *h.t.dir.Load()
+	g := bits.TrailingZeros64(uint64(len(dir)))
+	hint := &dir[hash&uint64(len(dir)-1)]
+	first := nvram.Offset(hint.Load())
 	b := first
 	meta := h.core.Read(b + bucketMetaOff)
 	target := first
@@ -65,7 +63,7 @@ func (h *Handle) locate(hash uint64) (nvram.Offset, uint64) {
 		if want <= g {
 			// Created at depth <= g: its creation class covers the
 			// entry's whole suffix class — a valid hint for every key
-			// routed through dirOff, not just this one.
+			// routed through this entry, not just this one.
 			target = b
 		}
 	}
@@ -74,47 +72,49 @@ func (h *Handle) locate(hash uint64) (nvram.Offset, uint64) {
 		// creation depth g: a bucket created deeper covers only a subset
 		// of the entry's class and would misroute its other keys. Losing
 		// the race just leaves a longer hint chain for the next walker.
-		core.PCAS(t.dev, dirOff, uint64(first), uint64(target))
+		hint.CompareAndSwap(uint64(first), uint64(target))
 	}
-	if metaDepth(meta) > g && g < t.maxDepth {
-		h.tryDouble(g)
+	if metaDepth(meta) > g {
+		h.t.tryDouble(dir)
 	}
 	mLocateDepth.Observe(h.lane, hops)
 	return b, meta
 }
 
-// tryDouble grows the live directory from depth g to g+1 so walks that
-// outgrew the directory shorten back toward one hop. Purely an
-// accelerator: correctness never depends on it happening.
-//
-//pmwcas:requires-guard — re-reads directory hints that concurrent repairs retarget
-func (h *Handle) tryDouble(g int) {
-	t := h.t
-	if !t.growClaim.CompareAndSwap(false, true) {
-		return // another doubling is in flight
+// tryDouble grows the directory dir, the live one at depth g, to g+1 so
+// walks that outgrew it shorten back toward one hop. Purely an
+// accelerator: correctness never depends on it happening. The grown
+// directory takes the spare capacity of dir's array when it has room,
+// so only every other doubling allocates.
+func (t *Table) tryDouble(dir []atomic.Uint64) {
+	half := len(dir)
+	g := bits.TrailingZeros64(uint64(half))
+	if g >= t.maxDir || !t.growClaim.CompareAndSwap(false, true) {
+		return // at the cap, or another doubling is in flight
 	}
 	defer t.growClaim.Store(false)
-	dw := core.PCASRead(t.dev, t.depthWord)
-	if int(dw)-1 != g {
+	if len(*t.dir.Load()) != half {
 		return // raced: someone else already doubled
 	}
-	half := nvram.Offset(1) << uint(g)
-	for i := nvram.Offset(0); i < half; i++ {
-		v := core.PCASRead(t.dev, t.dirBase+i*nvram.WordSize)
-		// Plain store, not PCAS: the upper half is dead until the depth
-		// flip below publishes it, and any historical value of dir[i] is a
-		// valid hint for index i+half (its creation depth is at most g, so
-		// its creation class covers both entries; the pointed-to bucket
-		// itself is durable because v was read clean). Repairs that race
-		// the copy only leave a hint one hop longer.
-		t.dev.Store(t.dirBase+(i+half)*nvram.WordSize, v)
+	if cap(dir) < 2*half {
+		grown := make([]atomic.Uint64, half, min(4*half, 1<<t.maxDir))
+		for i := range dir {
+			grown[i].Store(dir[i].Load())
+		}
+		dir = grown
 	}
-	// Persist the mirrored half before the flip: once the new depth is
-	// durable, recovery may route through the upper entries.
-	t.flushRange(t.dirBase+half*nvram.WordSize, uint64(half)*nvram.WordSize)
-	if core.PCASFlush(t.dev, t.depthWord, dw, dw+1) {
-		t.doublings.Add(1)
+	// Entries past len(dir) are unread until the publish below, and any
+	// value entry i ever held is a valid hint for i+half: its creation
+	// depth is at most g, so its creation class covers both entries.
+	// Path compressions and repairs that race the copy only leave a hint
+	// one hop longer.
+	dir = dir[:2*half]
+	for i := 0; i < half; i++ {
+		dir[half+i].Store(dir[i].Load())
 	}
+	t.dirs[g+1] = dir
+	t.dir.Store(&t.dirs[g+1])
+	t.doublings.Add(1)
 }
 
 // Get returns the value stored under key. The slot scan is seqlock-
@@ -458,17 +458,12 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 		return nil // lost the race; s freed by policy
 	}
 	t.splits.Add(1)
-	// Eager directory repair: swing the live entries of s's class that
-	// still name b to s. Best-effort — an entry this loop misses (or that
-	// a concurrent doubling re-copies stale) still routes through b.
-	g := int(core.PCASRead(t.dev, t.depthWord)) - 1
-	if depth < g {
-		for j := hash&(1<<uint(depth)-1) | 1<<uint(depth); j < 1<<uint(g); j += 2 << uint(depth) {
-			off := t.dirBase + nvram.Offset(j)*nvram.WordSize
-			if core.PCASRead(t.dev, off) == uint64(b) {
-				core.PCAS(t.dev, off, uint64(b), uint64(s))
-			}
-		}
+	// Eager directory repair: swing the entries of s's class that still
+	// name b to s. Best-effort — an entry this loop misses (or that a
+	// concurrent doubling copies stale) still routes through b.
+	dir := *t.dir.Load()
+	for j := hash&(1<<uint(depth)-1) | 1<<uint(depth); j < uint64(len(dir)); j += 2 << uint(depth) {
+		dir[j].CompareAndSwap(uint64(b), uint64(s))
 	}
 	return nil
 }
@@ -487,11 +482,9 @@ func (h *Handle) Range(fn func(key, value uint64) bool) error {
 	g := h.core.Guard()
 	g.Enter()
 	defer g.Exit()
-	// dir[0] always names the first bucket: no other bucket's creation
-	// class covers hash suffix 0. Every bucket hangs off it through sib
-	// (a bucket's newest sibling) and prev (the next-older one) words,
-	// which form a tree.
-	stack := []nvram.Offset{nvram.Offset(core.PCASRead(t.dev, t.dirBase))}
+	// Every bucket hangs off the first through sib (a bucket's newest
+	// sibling) and prev (the next-older one) words, which form a tree.
+	stack := []nvram.Offset{t.root}
 	var entries []Entry
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]

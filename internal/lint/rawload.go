@@ -59,7 +59,7 @@ func reportRawLoad(pass *analysis.Pass, call *ast.CallExpr, method, fp, note str
 	case "Load":
 		fix = "read it with core.PCASRead or (*core.Handle).Read so a dirty word is flushed before use"
 	case "LoadHint":
-		fix = "LoadHint is only for re-derivable copies of durably published words (directory hints); " +
+		fix = "LoadHint is only for re-derivable copies of durably published words; " +
 			"protocol words need core.PCASRead or (*core.Handle).Read"
 	case "CAS":
 		fix = "swap it with core.PCAS/PCASFlush or a PMwCAS descriptor so the dirty-bit protocol holds"

@@ -291,12 +291,13 @@ func (d *Device) Load(off Offset) uint64 {
 
 // LoadHint atomically reads the word at off without informing the psan
 // shadow tracker. It exists for one contract only: words that hold
-// re-derivable copies of values durably published elsewhere (the
-// hashtable's directory hints, rebuilt from the bucket tree on every
-// walk). Reading such a copy off an unflushed line and re-storing the
-// value is crash-safe — the original publication's persist ordering is
-// checked at its own site — but the sanitizer's line-epoch model cannot
-// see the aliasing and would flag it. The pmwcaslint rawload analyzer
+// re-derivable copies of values durably published elsewhere. Reading
+// such a copy off an unflushed line and re-storing the value is
+// crash-safe — the original publication's persist ordering is checked at
+// its own site — but the sanitizer's line-epoch model cannot see the
+// aliasing and would flag it. No program code holds such a copy since
+// the hash directory moved to DRAM; tests read with it from inside a
+// device hook. The pmwcaslint rawload analyzer
 // polices call sites the same way it polices Load, so every use needs a
 // reviewed suppression naming this contract.
 func (d *Device) LoadHint(off Offset) uint64 {

@@ -14,7 +14,6 @@ func testShardConfig(shards int) Config {
 		Shards:             shards,
 		Descriptors:        64,
 		BwTreeMappingSlots: 1 << 10,
-		HashDirSlots:       1 << 6,
 	}
 }
 
@@ -278,7 +277,7 @@ func TestShardRecoverMatchesOpenDevice(t *testing.T) {
 				// Name the shard whose region the divergence falls in.
 				shard := -1
 				for si, s := range st.shards {
-					if nvram.Offset(i) >= s.poolRegion.Base && nvram.Offset(i) < s.hashDirRegion.End() {
+					if nvram.Offset(i) >= s.poolRegion.Base && nvram.Offset(i) < s.hashRegion.End() {
 						shard = si
 					}
 				}
@@ -370,12 +369,6 @@ func TestConfigOverflowErrors(t *testing.T) {
 			want: "Bw-tree mapping table",
 		},
 		{
-			name: "hash directory",
-			cfg: Config{Size: 1 << 20, Descriptors: 64,
-				BwTreeMappingSlots: 1 << 10, HashDirSlots: 1 << 24},
-			want: "hash directory",
-		},
-		{
 			name: "too many shards",
 			cfg:  Config{Size: 1 << 21, Shards: 16},
 			want: "Shards 16",
@@ -401,26 +394,19 @@ func TestConfigOverflowErrors(t *testing.T) {
 
 // TestConfigLayoutKnobs: a layout knob an index would refuse on first
 // open fails Create up front, with an error naming the knob, rather than
-// a store that opens and then cannot open its hash table or Bw-tree.
+// a store that opens and then cannot open its Bw-tree.
 func TestConfigLayoutKnobs(t *testing.T) {
-	for _, tc := range []struct {
-		cfg  Config
-		want string
-	}{
-		{Config{Size: 1 << 20, Descriptors: 64, BwTreeMappingSlots: 1 << 10, HashDirSlots: 1000}, "HashDirSlots"},
-		{Config{Size: 1 << 20, Descriptors: 64, BwTreeMappingSlots: 15}, "BwTreeMappingSlots"},
-	} {
-		if _, err := Create(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Create(%+v) = %v, want an error naming %s", tc.cfg, err, tc.want)
-		}
+	bad := Config{Size: 1 << 20, Descriptors: 64, BwTreeMappingSlots: 15}
+	if _, err := Create(bad); err == nil || !strings.Contains(err.Error(), "BwTreeMappingSlots") {
+		t.Errorf("Create(%+v) = %v, want an error naming BwTreeMappingSlots", bad, err)
 	}
-	st, err := Create(Config{Size: 1 << 20, Descriptors: 64, BwTreeMappingSlots: 16, HashDirSlots: 1})
+	st, err := Create(Config{Size: 1 << 20, Descriptors: 64, BwTreeMappingSlots: 16})
 	if err != nil {
 		t.Fatalf("the smallest valid layout: %v", err)
 	}
 	defer st.Close()
 	if _, err := st.HashTable(HashTableOptions{}); err != nil {
-		t.Fatalf("HashTable on a one-entry directory: %v", err)
+		t.Fatalf("HashTable on the smallest layout: %v", err)
 	}
 	if _, err := st.BwTree(BwTreeOptions{}); err != nil {
 		t.Fatalf("BwTree on a 16-slot mapping table: %v", err)

@@ -53,11 +53,6 @@ type Config struct {
 	// (default 1<<16 LPIDs; at least 16). Only consumed when BwTree is
 	// opened.
 	BwTreeMappingSlots uint64
-	// HashDirSlots sizes each shard's hash table directory (default 1<<12
-	// bucket pointers; must be a power of two). The directory caps
-	// fan-out, not capacity — buckets created deeper are reached through
-	// sibling chains. Only consumed when HashTable is opened.
-	HashDirSlots uint64
 	// FlushLatency, if set, charges each cache-line write-back this much
 	// simulated time (models NVRAM write cost in benchmarks).
 	FlushLatency time.Duration
@@ -102,30 +97,20 @@ func (c *Config) fill() error {
 	if c.BwTreeMappingSlots == 0 {
 		c.BwTreeMappingSlots = 1 << 16
 	}
-	if c.HashDirSlots == 0 {
-		c.HashDirSlots = 1 << 12
-	}
 	if c.BwTreeMappingSlots < 16 {
 		return fmt.Errorf("pmwcas: BwTreeMappingSlots must be at least 16, got %d", c.BwTreeMappingSlots)
-	}
-	if c.HashDirSlots&(c.HashDirSlots-1) != 0 {
-		return fmt.Errorf("pmwcas: HashDirSlots must be a power of two, got %d", c.HashDirSlots)
 	}
 	shardBudget := c.Size / uint64(c.Shards)
 	poolBytes := core.PoolSize(c.Descriptors, c.WordsPerDescriptor)
 	mapBytes := c.BwTreeMappingSlots * nvram.WordSize
-	dirBytes := c.HashDirSlots * nvram.WordSize
 	// The remaining fixed regions (roots, Bw-tree meta, hash anchor) plus
 	// bitmap and line-rounding slack.
 	const slack = 64 << 10
-	fixed := poolBytes + mapBytes + dirBytes + slack
+	fixed := poolBytes + mapBytes + slack
 	if fixed >= shardBudget {
 		biggest, n := "descriptor pool", poolBytes
 		if mapBytes > n {
 			biggest, n = "Bw-tree mapping table", mapBytes
-		}
-		if dirBytes > n {
-			biggest, n = "hash directory", dirBytes
 		}
 		return fmt.Errorf(
 			"pmwcas: fixed regions need %d bytes but each shard has %d (Size %d / Shards %d); largest is the %s at %d bytes",
@@ -154,16 +139,16 @@ type storeShard struct {
 	pool  *core.Pool
 	alloc *alloc.Allocator
 
-	rootsRegion   nvram.Region // skip list anchors and blob tag, queue anchors, application roots
-	mapRegion     nvram.Region // Bw-tree mapping table
-	metaRegion    nvram.Region // Bw-tree meta line
-	hashRegion    nvram.Region // hash table anchor line
-	hashDirRegion nvram.Region // hash table directory
-	poolRegion    nvram.Region
-	allocRegion   nvram.Region
+	rootsRegion nvram.Region // skip list anchors and blob tag, queue anchors, application roots
+	mapRegion   nvram.Region // Bw-tree mapping table
+	metaRegion  nvram.Region // Bw-tree meta line
+	hashRegion  nvram.Region // hash table anchor line
+	poolRegion  nvram.Region
+	allocRegion nvram.Region
 
-	// The hash table is a per-shard singleton; caching it keeps one set
-	// of split/reclaim counters per shard for Stats.
+	// The hash table is a per-shard singleton: caching it keeps the
+	// shard's one DRAM directory, and one set of split and doubling
+	// counters per shard for Stats.
 	htMu    sync.Mutex
 	ht      *hashtable.Table
 	htSlots int
@@ -253,7 +238,6 @@ func carveShard(l *nvram.Layout, cfg *Config) *storeShard {
 	sh.mapRegion = l.Carve(cfg.BwTreeMappingSlots * nvram.WordSize)
 	sh.metaRegion = l.Carve(nvram.LineBytes)
 	sh.hashRegion = l.Carve(nvram.LineBytes)
-	sh.hashDirRegion = l.Carve(cfg.HashDirSlots * nvram.WordSize)
 	return sh
 }
 
@@ -693,9 +677,9 @@ func (s *Store) HashTable(opts HashTableOptions) (*HashTable, error) {
 
 // HashTable opens this shard's persistent lock-free hash table — the
 // point-lookup index — creating it on first use. Singleton per shard
-// (fixed anchor line and directory region); repeated opens with the same
-// geometry return the same table, so its split/reclaim counters stay in
-// one place for Stats.
+// (fixed anchor line); repeated opens with the same geometry return the
+// same table, so its DRAM directory and its split and doubling counters
+// stay in one place.
 func (sh *Shard) HashTable(opts HashTableOptions) (*HashTable, error) {
 	st := sh.state()
 	slots := opts.SlotsPerBucket
@@ -711,7 +695,6 @@ func (sh *Shard) HashTable(opts HashTableOptions) (*HashTable, error) {
 		Pool:           st.pool,
 		Allocator:      st.alloc,
 		Roots:          st.hashRegion,
-		Dir:            st.hashDirRegion,
 		SlotsPerBucket: slots,
 	})
 	if err != nil {
@@ -844,7 +827,7 @@ func (s *Store) Recover() (RecoveryStats, error) {
 		sh := &storeShard{
 			rootsRegion: old.rootsRegion, mapRegion: old.mapRegion,
 			metaRegion: old.metaRegion,
-			hashRegion: old.hashRegion, hashDirRegion: old.hashDirRegion,
+			hashRegion: old.hashRegion,
 			poolRegion: old.poolRegion, allocRegion: old.allocRegion,
 		}
 		rst, err := buildShard(s.dev, &s.cfg, sh, true)
@@ -959,7 +942,7 @@ func (s *Store) checkShard(i int, sh *storeShard, opt CheckOptions, st *DurableS
 	reachable = append(reachable, blocks...)
 	st.BwTree = append(st.BwTree, tentries...)
 
-	blocks, hentries, hstats, err := hashtable.Check(s.dev, sh.hashRegion, sh.hashDirRegion)
+	blocks, hentries, hstats, err := hashtable.Check(s.dev, sh.hashRegion)
 	if err != nil {
 		return err
 	}
