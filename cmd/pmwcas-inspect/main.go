@@ -6,12 +6,14 @@
 // leave behind.
 //
 // The geometry flags must match the Config the snapshot was created
-// with — layout is a pure function of the configuration.
+// with — layout is a pure function of the configuration, and the store
+// refuses an image laid out with another. Their defaults are
+// pmwcas-server's, so a default server checkpoint opens without them.
 //
 // Usage:
 //
 //	pmwcas-inspect -image store.img [-size bytes] [-descriptors n]
-//	               [-words n] [-mapping slots] [-keys]
+//	               [-shards n] [-keys]
 //	pmwcas-inspect stats -image store.img [-shards n] [geometry flags]
 //	pmwcas-inspect trace [-addr host:port] [-timeout d] [-raw]
 //
@@ -60,18 +62,14 @@ func fatalf(format string, args ...any) {
 // geometryFlags registers the store-layout flags shared by the image
 // subcommands and returns a builder that assembles the Config.
 func geometryFlags(fs *flag.FlagSet) func() pmwcas.Config {
-	size := fs.Uint64("size", 64<<20, "device size the store was created with")
-	descriptors := fs.Int("descriptors", 1024, "descriptor pool size (per shard)")
-	words := fs.Int("words", 0, "words per descriptor (0 = library default)")
-	mapping := fs.Uint64("mapping", 1<<16, "Bw-tree mapping slots")
+	size := fs.Uint64("size", 256<<20, "device size in bytes the store was created with")
+	descriptors := fs.Int("descriptors", 4096, "descriptor pool size (per shard)")
 	shards := fs.Int("shards", 1, "shard count the store was created with")
 	return func() pmwcas.Config {
 		return pmwcas.Config{
-			Size:               *size,
-			Descriptors:        *descriptors,
-			WordsPerDescriptor: *words,
-			BwTreeMappingSlots: *mapping,
-			Shards:             *shards,
+			Size:        *size,
+			Descriptors: *descriptors,
+			Shards:      *shards,
 		}
 	}
 }

@@ -21,10 +21,9 @@ import (
 // a descriptor pointer panicked within a few hundred operations.)
 func TestHashDirectoryReclaimRace(t *testing.T) {
 	cfg := Config{
-		Size:               8 << 20,
-		Descriptors:        256,
-		BwTreeMappingSlots: 1 << 10,
-		YieldEvery:         32,
+		Size:        8 << 20,
+		Descriptors: 256,
+		YieldEvery:  32,
 	}
 	st, err := Create(cfg)
 	if err != nil {

@@ -82,12 +82,10 @@ var (
 type Config struct {
 	Pool      *core.Pool       // descriptor pool; Volatile pool required for SMOSingleCAS
 	Allocator *alloc.Allocator // page/delta storage
-	// Mapping is the mapping-table region; one word per LPID. Must be
-	// stable across restarts.
+	// Mapping is the mapping-table region; one word per LPID. Word 0,
+	// which no page can have (LPID 0 is nil), is the next-LPID counter.
+	// Must be stable across restarts.
 	Mapping nvram.Region
-	// Meta holds the tree's durable scalars (next-LPID counter). One
-	// cache line suffices.
-	Meta nvram.Region
 	// SMO selects the structure-modification protocol.
 	SMO SMOMode
 	// LeafCapacity is the max entries in a leaf base page before it
@@ -113,7 +111,7 @@ type Tree struct {
 
 	mapping  nvram.Region
 	nLPID    uint64
-	nextLPID nvram.Offset // durable counter word
+	nextLPID nvram.Offset // durable counter word: mapping word 0
 
 	leafCap    int
 	innerCap   int
@@ -130,9 +128,6 @@ func (t *Tree) deferFree(head uint64) { t.pool.Epochs().DeferRetire(t, head, 0) 
 // reclamation never heap-allocates (deferFree is on the //pmwcas:hotpath
 // proof).
 func (t *Tree) Retire(off, _ uint64) { t.freeChain(off) }
-
-// metaMagic marks an initialized tree in the meta region.
-const metaMagic = 0x42775472 // "BwTr"
 
 // New opens a tree, creating it on a fresh region with one PMwCAS
 // (core.Pool.OpenAnchors). Reopening after a crash requires allocator and
@@ -170,9 +165,6 @@ func New(cfg Config) (*Tree, error) {
 	if cfg.Mapping.Len < 16*nvram.WordSize {
 		return nil, errors.New("bwtree: mapping region too small")
 	}
-	if cfg.Meta.Len < nvram.LineBytes {
-		return nil, errors.New("bwtree: meta region too small")
-	}
 
 	t := &Tree{
 		dev:        cfg.Pool.Device(),
@@ -181,7 +173,7 @@ func New(cfg Config) (*Tree, error) {
 		smo:        cfg.SMO,
 		mapping:    cfg.Mapping,
 		nLPID:      cfg.Mapping.Len / nvram.WordSize,
-		nextLPID:   cfg.Meta.Base + nvram.WordSize,
+		nextLPID:   cfg.Mapping.Base,
 		leafCap:    cfg.LeafCapacity,
 		innerCap:   cfg.InnerCapacity,
 		consolAt:   cfg.ConsolidateAfter,
@@ -191,34 +183,24 @@ func New(cfg Config) (*Tree, error) {
 		return nil, err
 	}
 
-	magicOff := cfg.Meta.Base
-	a, err := cfg.Pool.OpenAnchors([]nvram.Offset{magicOff, t.nextLPID, t.mappingOff(RootLPID)},
-		func(h *core.Handle) error { return t.create(h, magicOff) })
-	if err != nil {
+	if _, err := cfg.Pool.OpenAnchors([]nvram.Offset{t.nextLPID, t.mappingOff(RootLPID)}, t.create); err != nil {
 		return nil, fmt.Errorf("bwtree: %w", err)
-	}
-	if a[0] != metaMagic {
-		return nil, fmt.Errorf("bwtree: meta region holds %#x, not a tree — image corrupt", a[0])
 	}
 	return t, nil
 }
 
 // create builds one empty leaf as the root page and publishes the tree
-// with one PMwCAS, {magic: 0→metaMagic, nextLPID: 0→RootLPID+1,
-// mapping[root]: 0→page}. The page is handed to the root mapping word's
-// entry, so the descriptor owns it until the PMwCAS commits: a lost race
-// or a crash frees it (§5.2), and the tree stays absent.
-func (t *Tree) create(h *core.Handle, magicOff nvram.Offset) error {
+// with one PMwCAS, {nextLPID: 0→RootLPID+1, mapping[root]: 0→page}. The
+// page is handed to the root mapping word's entry, so the descriptor
+// owns it until the PMwCAS commits: a lost race or a crash frees it
+// (§5.2), and the tree stays absent.
+func (t *Tree) create(h *core.Handle) error {
 	d, err := h.AllocateDescriptor(0)
 	if err != nil {
 		return err
 	}
 	root := owner{d, t.mappingOff(RootLPID), 0, core.PolicyFreeNewOnFailure}
 	if _, err := buildBase(t, t.alloc.NewHandle(), recBaseLeaf, nil, 0, MaxKey, 0, root); err != nil {
-		d.Discard()
-		return err
-	}
-	if err := d.AddWord(magicOff, 0, metaMagic); err != nil {
 		d.Discard()
 		return err
 	}
@@ -244,7 +226,7 @@ func (t *Tree) mappingOff(lpid uint64) nvram.Offset {
 // LPID (reuse would expose traversals to ABA on mapping words).
 func (t *Tree) allocLPID() (uint64, error) {
 	for {
-		//lint:allow guardfact — nextLPID is a fixed meta word, never reclaimed; epoch guards protect arena memory, not the allocation counter
+		//lint:allow guardfact — nextLPID is mapping word 0, never reclaimed; epoch guards protect arena memory, not the allocation counter
 		cur := core.PCASRead(t.dev, t.nextLPID)
 		if cur >= t.nLPID {
 			return 0, ErrMappingFull

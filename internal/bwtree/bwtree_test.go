@@ -24,7 +24,6 @@ type tenv struct {
 	poolReg nvram.Region
 	aReg    nvram.Region
 	mapReg  nvram.Region
-	metaReg nvram.Region
 	spec    []alloc.Class
 	smo     SMOMode
 	mode    core.Mode
@@ -65,7 +64,6 @@ func newTreeEnvSpec(t testing.TB, mode core.Mode, smo SMOMode, spec []alloc.Clas
 	e.poolReg = l.Carve(poolBytes)
 	e.aReg = l.Carve(aBytes)
 	e.mapReg = l.Carve(4096 * nvram.WordSize)
-	e.metaReg = l.Carve(nvram.LineBytes)
 
 	var err error
 	e.alloc, err = alloc.New(e.dev, e.aReg, e.spec, btHandles)
@@ -82,7 +80,7 @@ func newTreeEnvSpec(t testing.TB, mode core.Mode, smo SMOMode, spec []alloc.Clas
 	}
 	e.cfg = Config{
 		Pool: e.pool, Allocator: e.alloc,
-		Mapping: e.mapReg, Meta: e.metaReg,
+		Mapping:      e.mapReg,
 		SMO:          smo,
 		LeafCapacity: 16, InnerCapacity: 8, ConsolidateAfter: 4,
 	}
@@ -303,9 +301,9 @@ func TestNewValidation(t *testing.T) {
 		t.Error("oversized MergeBelow accepted")
 	}
 	bad = e.cfg
-	bad.Meta = nvram.Region{Base: e.metaReg.Base, Len: 8}
+	bad.Mapping = nvram.Region{Base: e.mapReg.Base, Len: 8 * nvram.WordSize}
 	if _, err := New(bad); err == nil {
-		t.Error("tiny meta region accepted")
+		t.Error("tiny mapping region accepted")
 	}
 }
 

@@ -20,9 +20,9 @@ import (
 //
 // Invariants verified:
 //
-//   - the magic, the next-LPID counter and the root mapping word are all
-//     zero (tree absent) or all set, the magic to its one value: one
-//     PMwCAS creates the tree;
+//   - the next-LPID counter (mapping word 0) and the root mapping word
+//     are both zero (tree absent) or both set: one PMwCAS creates the
+//     tree;
 //   - the next-LPID counter lies within the mapping table;
 //   - no mapping word or record header carries descriptor flags
 //     (recovery removes every descriptor pointer);
@@ -33,8 +33,7 @@ import (
 //   - a logical descent from the root sees exact fence containment,
 //     strictly ascending keys, routed-to pages that exist and are not
 //     removed, and values with no reserved bits.
-func Check(dev *nvram.Device, mapping, meta nvram.Region) ([]nvram.Offset, []Entry, error) {
-	nextLPIDOff := meta.Base + nvram.WordSize
+func Check(dev *nvram.Device, mapping nvram.Region) ([]nvram.Offset, []Entry, error) {
 	nLPID := mapping.Len / nvram.WordSize
 
 	loadClean := func(off nvram.Offset, what string) (uint64, error) {
@@ -45,17 +44,14 @@ func Check(dev *nvram.Device, mapping, meta nvram.Region) ([]nvram.Offset, []Ent
 		return raw &^ core.DirtyFlag, nil
 	}
 
-	a, err := core.CheckAnchors(dev, meta.Base, nextLPIDOff, mapping.Base+RootLPID*nvram.WordSize)
+	a, err := core.CheckAnchors(dev, mapping.Base, mapping.Base+RootLPID*nvram.WordSize)
 	if err != nil {
 		return nil, nil, fmt.Errorf("bwtree: %w", err)
 	}
 	if a == nil {
 		return nil, nil, nil // tree never created
 	}
-	if a[0] != metaMagic {
-		return nil, nil, fmt.Errorf("bwtree: meta region holds %#x, not a tree", a[0])
-	}
-	nextLPID := a[1]
+	nextLPID := a[0]
 	if nextLPID <= RootLPID || nextLPID > nLPID {
 		return nil, nil, fmt.Errorf("bwtree: next-LPID counter %d outside (1, %d]", nextLPID, nLPID)
 	}
@@ -107,7 +103,7 @@ func Check(dev *nvram.Device, mapping, meta nvram.Region) ([]nvram.Offset, []Ent
 
 	// Logical pass: descend from the root with a throwaway Tree (resolve
 	// needs only the device and the mapping geometry).
-	t := &Tree{dev: dev, mapping: mapping, nLPID: nLPID, nextLPID: nextLPIDOff}
+	t := &Tree{dev: dev, mapping: mapping, nLPID: nLPID, nextLPID: mapping.Base}
 	h := &Handle{tree: t}
 	var entries []Entry
 	var descend func(lpid uint64, low, high uint64, depth int) error

@@ -26,7 +26,6 @@ func newTortureEnv(t testing.TB, evict int) *tenv {
 	e.poolReg = l.Carve(poolBytes)
 	e.aReg = l.Carve(aBytes)
 	e.mapReg = l.Carve(4096 * nvram.WordSize)
-	e.metaReg = l.Carve(nvram.LineBytes)
 
 	var err error
 	e.alloc, err = alloc.New(e.dev, e.aReg, e.spec, btHandles)
@@ -43,7 +42,7 @@ func newTortureEnv(t testing.TB, evict int) *tenv {
 	}
 	e.cfg = Config{
 		Pool: e.pool, Allocator: e.alloc,
-		Mapping: e.mapReg, Meta: e.metaReg,
+		Mapping:      e.mapReg,
 		SMO:          SMOPMwCAS,
 		LeafCapacity: 16, InnerCapacity: 8, ConsolidateAfter: 4,
 		MergeBelow: 4,

@@ -125,10 +125,6 @@ type Config struct {
 	// blocks referenced by old/new values. Required if any descriptor uses
 	// a policy other than PolicyNone.
 	Allocator *alloc.Allocator
-	// Epochs, if nil, a fresh manager is created. Sharing one manager
-	// between the pool and the index using it gives the paper's
-	// piggybacking: one reclamation protocol for both.
-	Epochs *epoch.Manager
 }
 
 // Pool is a fixed array of PMwCAS descriptors in NVRAM plus the volatile
@@ -202,16 +198,12 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.Mode != mode {
 		return nil, fmt.Errorf("core: Config.Mode is %s but the device is %s", cfg.Mode, mode)
 	}
-	mgr := cfg.Epochs
-	if mgr == nil {
-		mgr = epoch.NewManager()
-	}
 	p := &Pool{
 		dev:       cfg.Device,
 		reg:       cfg.Region,
 		mode:      mode,
 		alloc:     cfg.Allocator,
-		mgr:       mgr,
+		mgr:       epoch.NewManager(),
 		nDesc:     cfg.DescriptorCount,
 		kWord:     cfg.WordsPerDescriptor,
 		size:      descSize(cfg.WordsPerDescriptor),

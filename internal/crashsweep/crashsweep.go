@@ -114,9 +114,8 @@ type Result struct {
 // for a few hundred operations of any workload.
 func storeConfig(opt Options) pmwcas.Config {
 	cfg := pmwcas.Config{
-		Size:               1 << 19,
-		Descriptors:        64,
-		BwTreeMappingSlots: 1 << 10,
+		Size:        1 << 19,
+		Descriptors: 64,
 	}
 	if opt.EvictEvery > 0 {
 		cfg.EvictEvery = opt.EvictEvery

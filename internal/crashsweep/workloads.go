@@ -120,8 +120,8 @@ var workloads = []workload{
 	},
 	// The hash mix across a two-shard store, each key routed to its home
 	// shard exactly as the server does. Beyond the per-shard crash points
-	// (each shard's splits, doublings, and reclaims now interleave in one
-	// device trace), the sweeper's check adds the cross-shard ones: every
+	// (each shard's bucket splits now interleave in one device trace), the
+	// sweeper's check adds the cross-shard ones: every
 	// clone is additionally crashed *between* shard recoveries and
 	// re-recovered from scratch.
 	wordWorkload("sharded", 2, hashSpec),

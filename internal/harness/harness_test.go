@@ -306,7 +306,6 @@ func TestRunOtherFactories(t *testing.T) {
 	poolReg := l.Carve(poolBytes)
 	aReg := l.Carve(aBytes)
 	mapReg := l.Carve(1 << 12)
-	metaReg := l.Carve(nvram.LineBytes)
 	a, err := alloc.New(dev, aReg, spec, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +329,7 @@ func TestRunOtherFactories(t *testing.T) {
 	}
 
 	tree, err := bwtree.New(bwtree.Config{
-		Pool: pool, Allocator: a, Mapping: mapReg, Meta: metaReg,
+		Pool: pool, Allocator: a, Mapping: mapReg,
 		SMO: bwtree.SMOSingleCAS, LeafCapacity: 16, InnerCapacity: 8, ConsolidateAfter: 4,
 	})
 	if err != nil {

@@ -58,8 +58,6 @@ type Config struct {
 	MaxConns int
 	// ReadTimeout, if set, closes connections idle longer than this.
 	ReadTimeout time.Duration
-	// WriteTimeout, if set, bounds each response flush.
-	WriteTimeout time.Duration
 	// DrainGrace bounds how long a shutdown waits for each connection's
 	// in-flight and pipelined requests (default 250ms).
 	DrainGrace time.Duration
@@ -326,9 +324,6 @@ func (s *Server) serveConn(conn net.Conn, b *backend) {
 		s.served.Add(1)
 
 		respBuf = wire.AppendResponse(respBuf[:0], &resp)
-		if s.cfg.WriteTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
 		if err := wire.WriteFrame(bw, respBuf); err != nil {
 			s.cfg.Logf("server: %s: write: %v", conn.RemoteAddr(), err)
 			return

@@ -16,7 +16,6 @@ func startShardedServer(t *testing.T, index Index, maxConns int) (*Server, *pmwc
 	t.Helper()
 	srv, store, addr, _ := startServerOn(t, pmwcas.Config{
 		Size: 16 << 20, Shards: 4, Descriptors: 512,
-		BwTreeMappingSlots: 1 << 12,
 	}, index, maxConns)
 	return srv, store, addr
 }

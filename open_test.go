@@ -90,7 +90,7 @@ func TestConcurrentFirstOpens(t *testing.T) {
 
 // firstOpenRound runs one round of TestConcurrentFirstOpens.
 func firstOpenRound(o firstOpener, openers int) error {
-	st, err := Create(Config{Size: 1 << 20, Descriptors: 256, BwTreeMappingSlots: 1 << 10})
+	st, err := Create(Config{Size: 1 << 20, Descriptors: 256})
 	if err != nil {
 		return err
 	}

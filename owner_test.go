@@ -392,7 +392,7 @@ func TestOpenBlobKVUntaggedImages(t *testing.T) {
 // A blob layer over a SingleCAS Bw-tree could never free a displaced
 // record, so the open fails and leaves the shard free for another index.
 func TestOpenBlobKVRefusesSingleCAS(t *testing.T) {
-	store, err := Create(Config{Size: 4 << 20, Mode: Volatile, Descriptors: 64, BwTreeMappingSlots: 256})
+	store, err := Create(Config{Size: 4 << 20, Mode: Volatile, Descriptors: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 func testRecoverConfig() Config {
-	return Config{Size: 1 << 19, Descriptors: 64, BwTreeMappingSlots: 1 << 10}
+	return Config{Size: 1 << 19, Descriptors: 64}
 }
 
 // TestRecoverPoisonsStaleHandles: Store.Recover swaps in a freshly

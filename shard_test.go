@@ -2,18 +2,19 @@ package pmwcas
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
+	"pmwcas/internal/bwtree"
 	"pmwcas/internal/nvram"
 )
 
 func testShardConfig(shards int) Config {
 	return Config{
-		Size:               uint64(shards) << 20, // 1 MiB per shard
-		Shards:             shards,
-		Descriptors:        64,
-		BwTreeMappingSlots: 1 << 10,
+		Size:        uint64(shards) << 20, // 1 MiB per shard
+		Shards:      shards,
+		Descriptors: 64,
 	}
 }
 
@@ -277,7 +278,7 @@ func TestShardRecoverMatchesOpenDevice(t *testing.T) {
 				// Name the shard whose region the divergence falls in.
 				shard := -1
 				for si, s := range st.shards {
-					if nvram.Offset(i) >= s.poolRegion.Base && nvram.Offset(i) < s.hashRegion.End() {
+					if nvram.Offset(i) >= s.poolRegion.Base && nvram.Offset(i) < s.mapRegion.End() {
 						shard = si
 					}
 				}
@@ -349,9 +350,10 @@ func TestShardInvariantBridging(t *testing.T) {
 }
 
 // TestConfigOverflowErrors pins the fill() validation: a configuration
-// whose fixed regions cannot fit the per-shard budget must be rejected
-// up front with an error naming the oversized region, not clamped into
-// a silently undersized allocator or a layout panic.
+// whose fixed regions cannot fit the per-shard budget, or that asks for
+// a negative count, must be rejected up front with an error naming the
+// field, not clamped into a silently undersized allocator or a layout
+// panic.
 func TestConfigOverflowErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -364,9 +366,9 @@ func TestConfigOverflowErrors(t *testing.T) {
 			want: "descriptor pool",
 		},
 		{
-			name: "mapping table",
-			cfg:  Config{Size: 1 << 20, Descriptors: 64, BwTreeMappingSlots: 1 << 24},
-			want: "Bw-tree mapping table",
+			name: "negative descriptors",
+			cfg:  Config{Descriptors: -1},
+			want: "Descriptors must be positive",
 		},
 		{
 			name: "too many shards",
@@ -392,24 +394,69 @@ func TestConfigOverflowErrors(t *testing.T) {
 	}
 }
 
-// TestConfigLayoutKnobs: a layout knob an index would refuse on first
-// open fails Create up front, with an error naming the knob, rather than
-// a store that opens and then cannot open its Bw-tree.
-func TestConfigLayoutKnobs(t *testing.T) {
-	bad := Config{Size: 1 << 20, Descriptors: 64, BwTreeMappingSlots: 15}
-	if _, err := Create(bad); err == nil || !strings.Contains(err.Error(), "BwTreeMappingSlots") {
-		t.Errorf("Create(%+v) = %v, want an error naming BwTreeMappingSlots", bad, err)
+// TestMappingCapacityFollowsSize: each shard's Bw-tree mapping table
+// has one LPID per KiB of the shard's budget, so a default store holds
+// 65,536 and a 1 MiB one 1,024. A tree grown past that gets
+// ErrMappingFull, and what it holds stays durable and consistent.
+func TestMappingCapacityFollowsSize(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want uint64
+	}{
+		{Config{}, 1 << 16},
+		{Config{Size: 1 << 20, Descriptors: 64}, 1 << 10},
+		{Config{Size: 4 << 20, Shards: 4, Descriptors: 64}, 1 << 10},
+	} {
+		st, err := Create(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sh := range st.shards {
+			if got := sh.mapRegion.Len / nvram.WordSize; got != tc.want {
+				t.Errorf("%+v: shard %d has %d mapping slots, want %d", tc.cfg, i, got, tc.want)
+			}
+		}
 	}
-	st, err := Create(Config{Size: 1 << 20, Descriptors: 64, BwTreeMappingSlots: 16})
+
+	// Small pages, and classes that hold a page per LPID, so the mapping
+	// table fills before the arena does.
+	st, err := Create(Config{Size: 1 << 20, Descriptors: 64, Classes: []SizeClass{
+		{BlockSize: 64, Count: 2048}, {BlockSize: 128, Count: 1024}, {BlockSize: 256, Count: 1536},
+	}})
 	if err != nil {
-		t.Fatalf("the smallest valid layout: %v", err)
+		t.Fatal(err)
 	}
-	defer st.Close()
-	if _, err := st.HashTable(HashTableOptions{}); err != nil {
-		t.Fatalf("HashTable on the smallest layout: %v", err)
+	tr, err := st.BwTree(BwTreeOptions{LeafCapacity: 8, InnerCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := st.BwTree(BwTreeOptions{}); err != nil {
-		t.Fatalf("BwTree on a 16-slot mapping table: %v", err)
+	h := tr.NewHandle()
+	var n uint64
+	for {
+		err := h.Insert(n+1, n+1)
+		if errors.Is(err, bwtree.ErrMappingFull) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Insert(%d) after %d keys: %v, want bwtree.ErrMappingFull", n+1, n, err)
+		}
+		n++
+	}
+	if used := tr.Stats(h).UsedLPIDs; used != 1<<10 {
+		t.Fatalf("the tree stopped at %d LPIDs, want all 1024", used)
+	}
+	if err := st.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := st.CheckInvariants(CheckOptions{})
+	if err != nil {
+		t.Fatalf("a full mapping table fails the audit after recovery: %v", err)
+	}
+	if uint64(len(ds.BwTree)) != n {
+		t.Fatalf("recovered tree holds %d keys, want the %d acknowledged", len(ds.BwTree), n)
 	}
 }
 

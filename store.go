@@ -3,6 +3,7 @@ package pmwcas
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"sync"
 	"time"
@@ -23,8 +24,9 @@ import (
 type Config struct {
 	// Size is the simulated NVRAM capacity in bytes (default 64 MiB),
 	// shared evenly by all shards. Layout is derived deterministically
-	// from this Config, so reopening a device (or snapshot) requires the
-	// same Config.
+	// from Size, Shards, Descriptors and Classes, so reopening a device
+	// (or snapshot) requires the same four; Create records them in the
+	// device's reserved first line, and a reopen with others fails.
 	Size uint64
 	// Mode selects Persistent (default) or Volatile. Create builds a
 	// Volatile store on a volatile device (nvram.WithVolatile), whose
@@ -33,26 +35,19 @@ type Config struct {
 	Mode Mode
 	// Shards partitions the store into independent engines (default 1),
 	// each owning its own slice of the device: descriptor pool, allocator
-	// arena, epoch manager, root line, and index regions. Shards never
-	// share mutable state, so operations on different shards contend on
-	// nothing — the shard-per-core layout. Keys are placed by
-	// ShardForKey; all capacity knobs below are per shard.
+	// arena and epoch manager, root lines, and Bw-tree mapping table.
+	// Shards never share mutable state, so operations on different shards
+	// contend on nothing — the shard-per-core layout. Keys are placed by
+	// ShardForKey; Descriptors and Classes are per shard.
 	Shards int
 	// Descriptors is each shard's PMwCAS pool capacity (default 1024).
 	Descriptors int
-	// WordsPerDescriptor is each descriptor's capacity (default: what the
-	// skip list needs, 3+MaxHeight).
-	WordsPerDescriptor int
 	// MaxHandles is unused: it sizes nothing, and it stays only because
 	// the benchmark's store configuration sets it.
 	MaxHandles int
 	// Classes overrides each shard's allocator size classes. The default
 	// covers skip list nodes, Bw-tree deltas, and Bw-tree pages.
 	Classes []SizeClass
-	// BwTreeMappingSlots sizes each shard's Bw-tree mapping table
-	// (default 1<<16 LPIDs; at least 16). Only consumed when BwTree is
-	// opened.
-	BwTreeMappingSlots uint64
 	// FlushLatency, if set, charges each cache-line write-back this much
 	// simulated time (models NVRAM write cost in benchmarks).
 	FlushLatency time.Duration
@@ -73,11 +68,23 @@ type Config struct {
 	RecoveryHook func(shard int)
 }
 
+// descriptorWords is every descriptor's capacity: the widest PMwCAS any
+// of the store's structures builds, a skip-list insert.
+const descriptorWords = skiplist.MinDescriptorWords
+
+// mappingSlots sizes each shard's Bw-tree mapping table from its budget:
+// one word per KiB (65,536 LPIDs in the default 64 MiB store), and at
+// least the 16 the tree requires.
+func (c *Config) mappingSlots() uint64 {
+	return max(c.Size/uint64(c.Shards)/1024, 16)
+}
+
 // fill applies defaults and validates that the fixed regions fit the
-// per-shard budget. It reports configurations that cannot possibly be
-// laid out with an error naming the oversized region, instead of letting
-// a later layout carve panic (or an allocator with clamped classes
-// limp along) obscure which knob was wrong.
+// per-shard budget. The mapping table takes a fixed share of it, so only
+// the descriptor pool can outgrow it: fill reports that with an error
+// naming Descriptors, instead of letting a later layout carve panic (or
+// an allocator with clamped classes limp along) obscure which knob was
+// wrong.
 func (c *Config) fill() error {
 	if c.Size == 0 {
 		c.Size = 64 << 20
@@ -91,30 +98,19 @@ func (c *Config) fill() error {
 	if c.Descriptors == 0 {
 		c.Descriptors = 1024
 	}
-	if c.WordsPerDescriptor == 0 {
-		c.WordsPerDescriptor = skiplist.MinDescriptorWords
-	}
-	if c.BwTreeMappingSlots == 0 {
-		c.BwTreeMappingSlots = 1 << 16
-	}
-	if c.BwTreeMappingSlots < 16 {
-		return fmt.Errorf("pmwcas: BwTreeMappingSlots must be at least 16, got %d", c.BwTreeMappingSlots)
+	if c.Descriptors < 0 {
+		return fmt.Errorf("pmwcas: Descriptors must be positive, got %d", c.Descriptors)
 	}
 	shardBudget := c.Size / uint64(c.Shards)
-	poolBytes := core.PoolSize(c.Descriptors, c.WordsPerDescriptor)
-	mapBytes := c.BwTreeMappingSlots * nvram.WordSize
-	// The remaining fixed regions (roots, Bw-tree meta, hash anchor) plus
-	// bitmap and line-rounding slack.
+	poolBytes := core.PoolSize(c.Descriptors, descriptorWords)
+	// The mapping table and the roots lines, plus bitmap and
+	// line-rounding slack.
 	const slack = 64 << 10
-	fixed := poolBytes + mapBytes + slack
+	fixed := poolBytes + c.mappingSlots()*nvram.WordSize + slack
 	if fixed >= shardBudget {
-		biggest, n := "descriptor pool", poolBytes
-		if mapBytes > n {
-			biggest, n = "Bw-tree mapping table", mapBytes
-		}
 		return fmt.Errorf(
-			"pmwcas: fixed regions need %d bytes but each shard has %d (Size %d / Shards %d); largest is the %s at %d bytes",
-			fixed, shardBudget, c.Size, c.Shards, biggest, n)
+			"pmwcas: fixed regions need %d bytes but each shard has %d (Size %d / Shards %d); the descriptor pool (Descriptors %d) takes %d",
+			fixed, shardBudget, c.Size, c.Shards, c.Descriptors, poolBytes)
 	}
 	if c.Classes == nil {
 		// Derive classes from whatever is left after the fixed regions,
@@ -132,6 +128,21 @@ func (c *Config) fill() error {
 	return nil
 }
 
+// layoutNames name the layout inputs Create records in words 2–5 of the
+// device's reserved first line (word 0 is the nil offset, word 1 the
+// volatile baselines' scratch target), and every open checks: a device
+// laid out with others would be read at the wrong offsets. A blank
+// image, or one older than the record, holds Size 0.
+var layoutNames = [...]string{"Size", "Shards", "Descriptors", "Classes hash"}
+
+// layout returns the recorded words: Size, Shards, Descriptors and an
+// FNV-1a hash of the resolved Classes.
+func (c *Config) layout() [len(layoutNames)]uint64 {
+	h := fnv.New64a()
+	fmt.Fprint(h, c.Classes)
+	return [...]uint64{c.Size, uint64(c.Shards), uint64(c.Descriptors), h.Sum64()}
+}
+
 // storeShard is one shard's private slice of the store: its own regions,
 // descriptor pool (and thus epoch manager), and allocator arena. Shards
 // share only the device; every mutable word belongs to exactly one.
@@ -139,10 +150,11 @@ type storeShard struct {
 	pool  *core.Pool
 	alloc *alloc.Allocator
 
-	rootsRegion nvram.Region // skip list anchors and blob tag, queue anchors, application roots
-	mapRegion   nvram.Region // Bw-tree mapping table
-	metaRegion  nvram.Region // Bw-tree meta line
-	hashRegion  nvram.Region // hash table anchor line
+	// rootsRegion's first line holds the skip list's anchors (words 0–1),
+	// the hash table's (words 2–3) and the blob tag (word 7); its second
+	// the queue's anchors; its last two the application roots.
+	rootsRegion nvram.Region
+	mapRegion   nvram.Region // Bw-tree mapping table; word 0 is its next-LPID counter
 	poolRegion  nvram.Region
 	allocRegion nvram.Region
 
@@ -158,13 +170,12 @@ type storeShard struct {
 }
 
 // Store assembles the full system: simulated NVRAM device and, per
-// shard, a persistent allocator, PMwCAS descriptor pool, a root
-// directory for anchoring application structures, and regions for the
-// indexes. Shard region groups are carved back to back in shard order,
-// so a single-shard layout is byte-identical to the pre-sharding one.
-// The whole layout is a pure function of Config, which is what makes
-// recovery possible: after a crash, opening the same device with the
-// same Config finds every structure where it was.
+// shard, a persistent allocator, PMwCAS descriptor pool, root lines for
+// anchoring the indexes and application structures, and the Bw-tree
+// mapping table. Shard region groups are carved back to back in shard
+// order. The whole layout is a pure function of Config, which is what
+// makes recovery possible: after a crash, opening the same device with
+// the same Config finds every structure where it was.
 type Store struct {
 	cfg    Config
 	dev    *nvram.Device
@@ -192,7 +203,7 @@ func Create(cfg Config) (*Store, error) {
 	if cfg.YieldEvery > 0 {
 		opts = append(opts, nvram.WithYield(cfg.YieldEvery))
 	}
-	return assemble(nvram.New(cfg.Size, opts...), cfg, false)
+	return assemble(nvram.New(cfg.Size, opts...), cfg, true)
 }
 
 // OpenDevice wraps an existing device (for example, one that just
@@ -206,12 +217,13 @@ func OpenDevice(dev *nvram.Device, cfg Config) (*Store, error) {
 	if dev.Size() < cfg.Size {
 		return nil, fmt.Errorf("pmwcas: device holds %d bytes, config requires %d", dev.Size(), cfg.Size)
 	}
-	return assemble(dev, cfg, !dev.Volatile())
+	return assemble(dev, cfg, false)
 }
 
 // OpenFile restores a store from a snapshot file written by Checkpoint
 // and runs recovery. The Config must match the one the snapshot was
-// created with.
+// created with: OpenFile, like OpenDevice, fails naming the first of
+// Size, Shards, Descriptors and Classes that differs.
 func OpenFile(path string, cfg Config) (*Store, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -224,7 +236,7 @@ func OpenFile(path string, cfg Config) (*Store, error) {
 	if err := dev.LoadFile(path); err != nil {
 		return nil, err
 	}
-	return assemble(dev, cfg, true)
+	return assemble(dev, cfg, false)
 }
 
 // carveShard reserves one shard's region group. The order and sizes
@@ -232,12 +244,10 @@ func OpenFile(path string, cfg Config) (*Store, error) {
 // region, and images laid out before the change no longer open.
 func carveShard(l *nvram.Layout, cfg *Config) *storeShard {
 	sh := &storeShard{}
-	sh.poolRegion = l.Carve(core.PoolSize(cfg.Descriptors, cfg.WordsPerDescriptor))
+	sh.poolRegion = l.Carve(core.PoolSize(cfg.Descriptors, descriptorWords))
 	sh.allocRegion = l.Carve(alloc.MetaSize(cfg.Classes, 0))
 	sh.rootsRegion = l.Carve(nvram.LineBytes * 4) // 32 root words
-	sh.mapRegion = l.Carve(cfg.BwTreeMappingSlots * nvram.WordSize)
-	sh.metaRegion = l.Carve(nvram.LineBytes)
-	sh.hashRegion = l.Carve(nvram.LineBytes)
+	sh.mapRegion = l.Carve(cfg.mappingSlots() * nvram.WordSize)
 	return sh
 }
 
@@ -255,7 +265,7 @@ func buildShard(dev *nvram.Device, cfg *Config, sh *storeShard, recover bool) (R
 		Device:             dev,
 		Region:             sh.poolRegion,
 		DescriptorCount:    cfg.Descriptors,
-		WordsPerDescriptor: cfg.WordsPerDescriptor,
+		WordsPerDescriptor: descriptorWords,
 		Mode:               cfg.Mode,
 		Allocator:          sh.alloc,
 	})
@@ -272,7 +282,22 @@ func buildShard(dev *nvram.Device, cfg *Config, sh *storeShard, recover bool) (R
 	return rst, nil
 }
 
-func assemble(dev *nvram.Device, cfg Config, recover bool) (*Store, error) {
+// assemble records cfg's layout on a device it creates, and otherwise
+// checks the recorded one and, unless the device is volatile, recovers.
+func assemble(dev *nvram.Device, cfg Config, create bool) (*Store, error) {
+	for i, want := range cfg.layout() {
+		off := nvram.Offset(i+2) * nvram.WordSize
+		if create {
+			dev.Store(off, want)
+		} else if got := dev.Load(off); got != want {
+			return nil, fmt.Errorf("pmwcas: the image was laid out with %s %d, the config gives %d", layoutNames[i], got, want)
+		}
+	}
+	if create {
+		dev.Flush(0)
+		dev.Fence()
+	}
+	recover := !create && !dev.Volatile()
 	s := &Store{cfg: cfg, dev: dev}
 	l := nvram.NewLayout(dev)
 	// Carve every shard's regions before recovering any: the layout is a
@@ -559,13 +584,16 @@ func (s *Store) BlobKV() (*BlobKV, error) { return s.Shard(0).BlobKV() }
 func (sh *Shard) BlobKV() (*BlobKV, error) { return sh.OpenBlobKV("skiplist", IndexOptions{}) }
 
 // blobIndexes names the indexes a blob layer can be on. A shard records
-// its layer's index in a spare word of its roots region, the last word
-// of the skip list's line (the list uses words 0–1), as its position
-// here plus one; zero means no layer has been opened.
+// its layer's index in the last word of its first roots line, as its
+// position here plus one; zero means no layer has been opened.
 var blobIndexes = []string{"skiplist", "bwtree", "hash"}
 
 func (st *storeShard) blobTagWord() Offset {
 	return st.rootsRegion.Base + nvram.LineBytes - nvram.WordSize
+}
+
+func (st *storeShard) hashRoots() nvram.Region {
+	return nvram.Region{Base: st.rootsRegion.Base + 2*nvram.WordSize, Len: hashtable.RootWords * nvram.WordSize}
 }
 
 // blobIndexOn names the index a blob-layer tag records.
@@ -588,8 +616,8 @@ func (sh *Shard) blobTag(name string) (uint64, error) {
 	}
 	anchor := map[string]Offset{
 		"skiplist": st.rootsRegion.Base, // the list's head anchor
-		"bwtree":   st.metaRegion.Base,  // the tree's magic
-		"hash":     st.hashRegion.Base,  // the table's depth word
+		"bwtree":   st.mapRegion.Base,   // the tree's next-LPID counter
+		"hash":     st.hashRoots().Base, // the table's root bucket
 	}[name]
 	if dev.Load(anchor) != 0 {
 		return 0, fmt.Errorf("pmwcas: shard %d's %s index already holds word values; a blob layer cannot open over it",
@@ -646,14 +674,14 @@ func (sh *Shard) OpenBlobKV(name string, opt IndexOptions) (*BlobKV, error) {
 func (s *Store) BwTree(opts BwTreeOptions) (*BwTree, error) { return s.Shard(0).BwTree(opts) }
 
 // BwTree opens this shard's Bw-tree, creating it on first use. The tree
-// is a singleton per shard (fixed mapping table region).
+// is a singleton per shard (fixed mapping table region, one LPID per KiB
+// of the shard's budget: a split past it fails with "mapping table full").
 func (sh *Shard) BwTree(opts BwTreeOptions) (*BwTree, error) {
 	st := sh.state()
 	return bwtree.New(bwtree.Config{
 		Pool:             st.pool,
 		Allocator:        st.alloc,
 		Mapping:          st.mapRegion,
-		Meta:             st.metaRegion,
 		SMO:              opts.SMO,
 		LeafCapacity:     opts.LeafCapacity,
 		InnerCapacity:    opts.InnerCapacity,
@@ -677,7 +705,7 @@ func (s *Store) HashTable(opts HashTableOptions) (*HashTable, error) {
 
 // HashTable opens this shard's persistent lock-free hash table — the
 // point-lookup index — creating it on first use. Singleton per shard
-// (fixed anchor line); repeated opens with the same geometry return the
+// (fixed anchor words); repeated opens with the same geometry return the
 // same table, so its DRAM directory and its split and doubling counters
 // stay in one place.
 func (sh *Shard) HashTable(opts HashTableOptions) (*HashTable, error) {
@@ -694,7 +722,7 @@ func (sh *Shard) HashTable(opts HashTableOptions) (*HashTable, error) {
 	t, err := hashtable.New(hashtable.Config{
 		Pool:           st.pool,
 		Allocator:      st.alloc,
-		Roots:          st.hashRegion,
+		Roots:          st.hashRoots(),
 		SlotsPerBucket: slots,
 	})
 	if err != nil {
@@ -826,8 +854,6 @@ func (s *Store) Recover() (RecoveryStats, error) {
 	for i, old := range s.shards {
 		sh := &storeShard{
 			rootsRegion: old.rootsRegion, mapRegion: old.mapRegion,
-			metaRegion: old.metaRegion,
-			hashRegion: old.hashRegion,
 			poolRegion: old.poolRegion, allocRegion: old.allocRegion,
 		}
 		rst, err := buildShard(s.dev, &s.cfg, sh, true)
@@ -935,14 +961,14 @@ func (s *Store) checkShard(i int, sh *storeShard, opt CheckOptions, st *DurableS
 	reachable = append(reachable, blocks...)
 	st.Queue = append(st.Queue, values...)
 
-	blocks, tentries, err := bwtree.Check(s.dev, sh.mapRegion, sh.metaRegion)
+	blocks, tentries, err := bwtree.Check(s.dev, sh.mapRegion)
 	if err != nil {
 		return err
 	}
 	reachable = append(reachable, blocks...)
 	st.BwTree = append(st.BwTree, tentries...)
 
-	blocks, hentries, hstats, err := hashtable.Check(s.dev, sh.hashRegion)
+	blocks, hentries, hstats, err := hashtable.Check(s.dev, sh.hashRoots())
 	if err != nil {
 		return err
 	}

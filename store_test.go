@@ -4,14 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"pmwcas/internal/nvram"
 )
 
 func testConfig() Config {
 	return Config{
-		Size:               8 << 20,
-		Descriptors:        256,
-		BwTreeMappingSlots: 1 << 12,
+		Size:        8 << 20,
+		Descriptors: 256,
 	}
 }
 
@@ -141,7 +143,7 @@ func TestStoreCheckpointAndOpenFile(t *testing.T) {
 func TestStoreVolatileMode(t *testing.T) {
 	create := func(t *testing.T) *Store {
 		t.Helper()
-		store, err := Create(Config{Size: 8 << 20, Mode: Volatile, Descriptors: 64, BwTreeMappingSlots: 1 << 12})
+		store, err := Create(Config{Size: 8 << 20, Mode: Volatile, Descriptors: 64})
 		if err != nil {
 			t.Fatalf("Create: %v", err)
 		}
@@ -202,6 +204,10 @@ func TestStoreVolatileMode(t *testing.T) {
 				t.Fatalf("tree of %d keys has height %d: no splits to measure", n, st.Height)
 			}
 			noPersistence(t, store)
+			// SMOSingleCAS activates its records into a scratch word of
+			// the device's first line, which must not be the layout record.
+			_, err = OpenDevice(store.Device(), Config{Size: 8 << 20, Mode: Volatile, Descriptors: 64})
+			must(t, err)
 		})
 	}
 	t.Run("hash", func(t *testing.T) {
@@ -363,9 +369,67 @@ func TestStoreAllocCrashKeepsOwner(t *testing.T) {
 }
 
 func TestOpenDeviceSizeMismatch(t *testing.T) {
-	store, _ := Create(Config{Size: 4 << 20, Descriptors: 64, BwTreeMappingSlots: 256})
+	store, _ := Create(Config{Size: 4 << 20, Descriptors: 64})
 	if _, err := OpenDevice(store.Device(), Config{Size: 64 << 20}); err == nil {
 		t.Fatal("undersized device accepted")
+	}
+}
+
+// TestOpenRefusesOtherLayout: a snapshot reopened with a Config that
+// lays the device out differently fails with an error naming the
+// mismatch, instead of opening regions at the wrong offsets and reading
+// a store that holds nothing (or garbage).
+func TestOpenRefusesOtherLayout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.img")
+	cfg := Config{Size: 2 << 20, Descriptors: 64}
+	store, err := Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, err := store.BlobKV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := kv.NewHandle(1)
+	for i := 0; i < 100; i++ {
+		if err := h.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+
+	other := func(f func(*Config)) Config { c := cfg; f(&c); return c }
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{other(func(c *Config) { c.Descriptors = 128 }), "Descriptors 64"},
+		{other(func(c *Config) { c.Shards = 2 }), "Shards 1"},
+		{other(func(c *Config) { c.Classes = []SizeClass{{BlockSize: 64, Count: 1024}} }), "Classes hash"},
+	} {
+		if _, err := OpenFile(path, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("OpenFile with %s: %v, want an error naming %q", tc.want, err, tc.want)
+		}
+	}
+	if _, err := OpenDevice(store.Device(), other(func(c *Config) { c.Size = 1 << 20 })); err == nil ||
+		!strings.Contains(err.Error(), "Size 2097152") {
+		t.Errorf("OpenDevice with a smaller Size: %v, want an error naming Size", err)
+	}
+	if _, err := OpenDevice(nvram.New(cfg.Size), cfg); err == nil || !strings.Contains(err.Error(), "Size 0") {
+		t.Errorf("OpenDevice on a blank device: %v, want an error naming Size 0", err)
+	}
+
+	reopened, err := OpenFile(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reopened.CheckInvariants(CheckOptions{Blob: true}); err != nil {
+		t.Fatal(err)
+	}
+	if blocks, _ := reopened.MemoryInUse(); blocks == 0 {
+		t.Fatal("the reopened store holds no blocks")
 	}
 }
 
