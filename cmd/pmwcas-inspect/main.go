@@ -1,20 +1,19 @@
 // Command pmwcas-inspect opens a store snapshot (written by
-// Store.Checkpoint) read-only-ish and reports what is inside: descriptor
-// pool state before and after recovery, allocator occupancy, and the
-// shape and contents summary of the indexes. Useful when debugging a
-// crash image or just to see the durable state a power failure would
-// leave behind.
+// Store.Checkpoint), recovers it, and reports what the image holds: its
+// shard count, allocator use, and the entries of every structure on every
+// shard — skip list, Bw-tree, hash table, queue and blob values — as the
+// store's own audit (Store.CheckInvariants) extracts them. Useful when
+// debugging a crash image or just to see the durable state a power
+// failure would leave behind.
 //
-// The geometry flags must match the Config the snapshot was created
-// with — layout is a pure function of the configuration, and the store
-// refuses an image laid out with another. Their defaults are
-// pmwcas-server's, so a default server checkpoint opens without them.
+// An image describes itself: the store reads its geometry from the
+// layout record in the image, so no flag restates it. Images laid out
+// with custom size classes do not open here.
 //
 // Usage:
 //
-//	pmwcas-inspect -image store.img [-size bytes] [-descriptors n]
-//	               [-shards n] [-keys]
-//	pmwcas-inspect stats -image store.img [-shards n] [geometry flags]
+//	pmwcas-inspect -image store.img [-keys]
+//	pmwcas-inspect stats -image store.img
 //	pmwcas-inspect trace [-addr host:port] [-timeout d] [-raw]
 //
 // The stats subcommand prints the merged StoreStats snapshot in the
@@ -29,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -59,37 +59,13 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// geometryFlags registers the store-layout flags shared by the image
-// subcommands and returns a builder that assembles the Config.
-func geometryFlags(fs *flag.FlagSet) func() pmwcas.Config {
-	size := fs.Uint64("size", 256<<20, "device size in bytes the store was created with")
-	descriptors := fs.Int("descriptors", 4096, "descriptor pool size (per shard)")
-	shards := fs.Int("shards", 1, "shard count the store was created with")
-	return func() pmwcas.Config {
-		return pmwcas.Config{
-			Size:        *size,
-			Descriptors: *descriptors,
-			Shards:      *shards,
-		}
-	}
-}
-
 // runStats opens an image offline and prints the merged StoreStats in
 // the exact format the STATS wire command uses.
 func runStats(args []string) {
 	fs := flag.NewFlagSet("pmwcas-inspect stats", flag.ExitOnError)
 	image := fs.String("image", "", "snapshot file written by Store.Checkpoint (required)")
-	cfgOf := geometryFlags(fs)
 	fs.Parse(args)
-	if *image == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	store, err := pmwcas.OpenFile(*image, cfgOf())
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Print(server.FormatStats(store.Stats()))
+	fmt.Print(server.FormatStats(openImage(fs, *image).Stats()))
 }
 
 // runTrace dials a server and reconstructs descriptor lifecycles from
@@ -126,7 +102,7 @@ func runTrace(args []string) {
 // lifecycle chronologically with step-relative latencies.
 func printLifecycles(evs []metrics.TraceEvent) {
 	if len(evs) == 0 {
-		fmt.Println("trace ring empty (server started with -metrics=false, or no PMwCAS activity yet)")
+		fmt.Println("trace ring empty (server started with -metrics=false or -trace=false, or no PMwCAS activity yet)")
 		return
 	}
 	// Group by descriptor offset, remembering first-seen order.
@@ -153,84 +129,109 @@ func printLifecycles(evs []metrics.TraceEvent) {
 	}
 }
 
-// runInspect is the original whole-image inspection (the default when
-// no subcommand is given).
-func runInspect(args []string) {
-	fs := flag.NewFlagSet("pmwcas-inspect", flag.ExitOnError)
-	image := fs.String("image", "", "snapshot file written by Store.Checkpoint (required)")
-	cfgOf := geometryFlags(fs)
-	showKeys := fs.Bool("keys", false, "dump index keys (small stores only)")
-	fs.Parse(args)
-	if *image == "" {
+// openImage opens and recovers the snapshot at path, or exits: with the
+// flag set's usage when no path was given, with the error otherwise.
+func openImage(fs *flag.FlagSet, path string) *pmwcas.Store {
+	if path == "" {
 		fs.Usage()
 		os.Exit(2)
 	}
-
-	store, err := pmwcas.OpenFile(*image, cfgOf())
+	store, err := pmwcas.OpenFile(path, pmwcas.Config{})
 	if err != nil {
 		fatalf("%v", err)
 	}
+	return store
+}
 
-	// Recovery already ran inside OpenFile; report what it found and the
-	// post-recovery state of each layer.
+// runInspect reports a whole image (the default when no subcommand is
+// given).
+func runInspect(args []string) {
+	fs := flag.NewFlagSet("pmwcas-inspect", flag.ExitOnError)
+	image := fs.String("image", "", "snapshot file written by Store.Checkpoint (required)")
+	showKeys := fs.Bool("keys", false, "dump every entry (small stores only)")
+	fs.Parse(args)
+	store := openImage(fs, *image)
 	fmt.Printf("image: %s\n", *image)
-
-	blocks, bytes := store.MemoryInUse()
-	tbl := harness.NewTable("allocator", "metric", "value")
-	tbl.Add("blocks in use", blocks)
-	tbl.Add("bytes in use", bytes)
-	tbl.Print(os.Stdout)
-
-	ps := store.PoolStats()
-	tbl = harness.NewTable("descriptor pool (post-recovery)", "metric", "value")
-	tbl.Add("succeeded (this process)", ps.Succeeded)
-	tbl.Add("failed (this process)", ps.Failed)
-	tbl.Add("helps", ps.Helps)
-	tbl.Print(os.Stdout)
-
-	// Skip list summary.
-	if list, err := store.SkipList(); err == nil {
-		h := list.NewHandle(1)
-		n := 0
-		var minK, maxK uint64
-		h.Scan(1, pmwcas.MaxSkipListKey, func(e pmwcas.SkipListEntry) bool {
-			if n == 0 {
-				minK = e.Key
-			}
-			maxK = e.Key
-			n++
-			if *showKeys {
-				fmt.Printf("  skiplist %d -> %d\n", e.Key, e.Value)
-			}
-			return true
-		})
-		tbl = harness.NewTable("skip list", "metric", "value")
-		tbl.Add("keys", n)
-		if n > 0 {
-			tbl.Add("min key", minK)
-			tbl.Add("max key", maxK)
-		}
-		tbl.Print(os.Stdout)
+	if err := report(os.Stdout, store, *showKeys); err != nil {
+		fatalf("%v", err)
 	}
+}
 
-	// Bw-tree summary.
-	if tree, err := store.BwTree(pmwcas.BwTreeOptions{}); err == nil {
-		h := tree.NewHandle()
-		st := tree.Stats(h)
-		tbl = harness.NewTable("bw-tree", "metric", "value")
-		tbl.Add("height", st.Height)
-		tbl.Add("leaves", st.Leaves)
-		tbl.Add("inner pages", st.Inners)
-		tbl.Add("keys", st.Keys)
-		tbl.Add("max delta chain", st.MaxChain)
-		tbl.Add("live delta records", st.ChainLinks)
-		tbl.Add("LPIDs used", st.UsedLPIDs)
-		tbl.Print(os.Stdout)
-		if *showKeys {
-			h.Scan(1, pmwcas.MaxBwTreeKey, func(e pmwcas.BwTreeEntry) bool {
-				fmt.Printf("  bwtree %d -> %d\n", e.Key, e.Value)
-				return true
-			})
+// report prints what a freshly opened store holds, from its audit. It
+// opens a shard's Bw-tree, for the tree's shape, only when the audit
+// found Bw-tree keys whose home is that shard, so describing an image
+// never creates a structure in it.
+func report(w io.Writer, store *pmwcas.Store, showKeys bool) error {
+	ds, err := store.CheckInvariants(pmwcas.CheckOptions{})
+	if err != nil {
+		return fmt.Errorf("audit: %w", err)
+	}
+	st := store.Stats()
+	tbl := harness.NewTable("image", "metric", "value")
+	tbl.Add("shards", st.Shards)
+	tbl.Add("blocks in use", fmt.Sprintf("%d of %d", st.AllocBlocks, st.AllocCapBlocks))
+	tbl.Add("bytes in use", fmt.Sprintf("%d of %d", st.AllocBytes, st.AllocCapBytes))
+	tbl.Print(w)
+
+	tbl = harness.NewTable("contents (every shard)", "structure", "entries")
+	for _, row := range []struct {
+		name string
+		n    int
+	}{
+		{"skip list", len(ds.SkipList)}, {"bw-tree", len(ds.BwTree)}, {"hash table", len(ds.Hash)},
+		{"hash buckets", ds.HashCheck.Buckets}, {"queue", len(ds.Queue)}, {"blob values", len(ds.Blobs)},
+	} {
+		if row.n > 0 {
+			tbl.Add(row.name, row.n)
 		}
 	}
+	tbl.Print(w)
+
+	home := make([]bool, store.ShardCount())
+	for _, e := range ds.BwTree {
+		home[store.ShardForKey(e.Key)] = true
+	}
+	for i, ok := range home {
+		if !ok {
+			continue
+		}
+		tree, err := store.Shard(i).BwTree(pmwcas.BwTreeOptions{})
+		if err != nil {
+			return err
+		}
+		ts := tree.Stats(tree.NewHandle())
+		tbl = harness.NewTable(fmt.Sprintf("bw-tree shape, shard %d", i), "metric", "value")
+		tbl.Add("height", ts.Height)
+		tbl.Add("leaves", ts.Leaves)
+		tbl.Add("inner pages", ts.Inners)
+		tbl.Add("max delta chain", ts.MaxChain)
+		tbl.Add("live delta records", ts.ChainLinks)
+		tbl.Add("LPIDs used", ts.UsedLPIDs)
+		tbl.Print(w)
+	}
+
+	if !showKeys {
+		return nil
+	}
+	fmt.Fprintln(w)
+	for _, idx := range []struct {
+		name    string
+		entries []pmwcas.IndexEntry
+	}{{"skiplist", ds.SkipList}, {"bwtree", ds.BwTree}, {"hash", ds.Hash}} {
+		for _, e := range idx.entries {
+			fmt.Fprintf(w, "%s %d -> %d\n", idx.name, e.Key, e.Value)
+		}
+	}
+	for _, v := range ds.Queue {
+		fmt.Fprintf(w, "queue %d\n", v)
+	}
+	blobs := make([]string, 0, len(ds.Blobs))
+	for k := range ds.Blobs {
+		blobs = append(blobs, k)
+	}
+	sort.Strings(blobs)
+	for _, k := range blobs {
+		fmt.Fprintf(w, "blob %q (%d bytes)\n", k, len(ds.Blobs[k]))
+	}
+	return nil
 }

@@ -1,57 +1,112 @@
 package main
 
 import (
-	"flag"
+	"bytes"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"pmwcas"
 )
 
-// TestGeometryFlagsReopenImage: the size, descriptor and shard flags
-// alone describe a store's layout, so a checkpoint of a two-shard store
-// reopens through them; with no flags they describe a default
-// pmwcas-server store.
-func TestGeometryFlagsReopenImage(t *testing.T) {
+// TestReportCoversEveryShard: the report of a two-shard checkpoint whose
+// hash tables hold 100 keys each counts all 200, opens with no geometry
+// at all, and shows no structure the image does not hold — describing
+// the image creates neither a skip list nor a Bw-tree in it.
+func TestReportCoversEveryShard(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.img")
 	st, err := pmwcas.Create(pmwcas.Config{Size: 2 << 20, Shards: 2, Descriptors: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < st.ShardCount(); i++ {
-		tr, err := st.Shard(i).BwTree(pmwcas.BwTreeOptions{})
+		ht, err := st.Shard(i).HashTable(pmwcas.HashTableOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.NewHandle().Insert(uint64(i+1), 7); err != nil {
-			t.Fatal(err)
+		h := ht.NewHandle()
+		for k := uint64(1); k <= 100; k++ {
+			if err := h.Insert(k, k*10); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := st.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
 
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	cfgOf := geometryFlags(fs)
-	if err := fs.Parse([]string{"-size", "2097152", "-descriptors", "64", "-shards", "2"}); err != nil {
-		t.Fatal(err)
-	}
-	re, err := pmwcas.OpenFile(path, cfgOf())
-	if err != nil {
-		t.Fatalf("OpenFile through the geometry flags: %v", err)
-	}
-	ds, err := re.CheckInvariants(pmwcas.CheckOptions{})
+	re, err := pmwcas.OpenFile(path, pmwcas.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds.BwTree) != 2 {
-		t.Fatalf("reopened image holds %d Bw-tree keys, want 2", len(ds.BwTree))
+	var before, after, out bytes.Buffer
+	if err := re.Device().WriteSnapshot(&before); err != nil {
+		t.Fatal(err)
+	}
+	if err := report(&out, re, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Device().WriteSnapshot(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Error("the report changed the durable image")
+	}
+	for _, want := range []string{`(?m)^shards +2 *$`, `(?m)^hash table +200 *$`, `(?m)^hash buckets +\d+ *$`, `(?m)^hash 100 -> 1000$`} {
+		if !regexp.MustCompile(want).Match(out.Bytes()) {
+			t.Errorf("report lacks %s:\n%s", want, out.String())
+		}
+	}
+	for _, unwanted := range []string{`skip ?list`, `bw-?tree`, `blob`, `queue`} {
+		if regexp.MustCompile(unwanted).Match(out.Bytes()) {
+			t.Errorf("report shows %s, which the image does not hold:\n%s", unwanted, out.String())
+		}
 	}
 
-	// pmwcas-server's defaults: -size 256 (MiB), -descriptors 4096, -shards 1.
-	if c := geometryFlags(flag.NewFlagSet("defaults", flag.ContinueOnError))(); c.Size != 256<<20 ||
-		c.Descriptors != 4096 || c.Shards != 1 {
-		t.Fatalf("default geometry Size %d, Descriptors %d, Shards %d; want pmwcas-server's 256 MiB, 4096, 1",
-			c.Size, c.Descriptors, c.Shards)
+}
+
+// TestReportShowsBwTreeShape: an image whose Bw-trees hold keys gets one
+// shape table per shard that holds them, and opening the trees for it
+// leaves the durable image as it was.
+func TestReportShowsBwTreeShape(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.img")
+	st, err := pmwcas.Create(pmwcas.Config{Size: 2 << 20, Shards: 2, Descriptors: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mint, err := st.OpenIndex("bwtree", pmwcas.IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := mint(1)
+	for k := uint64(1); k <= 50; k++ {
+		if err := h.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	re, err := pmwcas.OpenFile(path, pmwcas.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after, out bytes.Buffer
+	if err := re.Device().WriteSnapshot(&before); err != nil {
+		t.Fatal(err)
+	}
+	if err := report(&out, re, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Device().WriteSnapshot(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Error("the report changed the durable image")
+	}
+	for _, want := range []string{`(?m)^bw-tree +50 *$`, `bw-tree shape, shard 0`, `bw-tree shape, shard 1`} {
+		if !regexp.MustCompile(want).Match(out.Bytes()) {
+			t.Errorf("report lacks %s:\n%s", want, out.String())
+		}
 	}
 }

@@ -64,22 +64,6 @@ type Class struct {
 	Count     uint64
 }
 
-// DefaultClasses is a reasonable general-purpose class spec used by the
-// indexes in this repository: plenty of small node/delta-sized blocks and
-// progressively fewer large page-sized ones.
-func DefaultClasses(totalBlocks uint64) []Class {
-	if totalBlocks == 0 {
-		totalBlocks = 1 << 16
-	}
-	return []Class{
-		{BlockSize: 64, Count: totalBlocks},
-		{BlockSize: 128, Count: totalBlocks / 2},
-		{BlockSize: 256, Count: totalBlocks / 4},
-		{BlockSize: 1024, Count: totalBlocks / 8},
-		{BlockSize: 4096, Count: totalBlocks / 16},
-	}
-}
-
 // MetaSize returns the number of bytes a spec needs for the allocator's
 // region, so callers can size their layout carve. maxHandles is unused;
 // it stays for the benchmark ladder (bench/ladder.go), which passes it.

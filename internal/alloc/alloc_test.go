@@ -701,7 +701,13 @@ func TestConcurrentAllocDistinctBlocks(t *testing.T) {
 }
 
 func TestMetaSizeMatchesLayout(t *testing.T) {
-	spec := DefaultClasses(1 << 10)
+	spec := []Class{
+		{BlockSize: 64, Count: 1 << 10},
+		{BlockSize: 128, Count: 1 << 9},
+		{BlockSize: 256, Count: 1 << 8},
+		{BlockSize: 1024, Count: 1 << 7},
+		{BlockSize: 4096, Count: 1 << 6},
+	}
 	meta := MetaSize(spec, 16)
 	dev := nvram.New(meta + nvram.LineBytes)
 	l := nvram.NewLayout(dev)

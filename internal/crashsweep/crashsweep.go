@@ -213,7 +213,7 @@ func sweepWorkload(opt Options, w workload) (*sweeper, error) {
 			})
 			return s, nil
 		}
-		ds, err := st.CheckInvariants(w.copts)
+		ds, err := st.CheckInvariants(pmwcas.CheckOptions{})
 		if err == nil {
 			err = sn.match(ds)
 		}
@@ -283,7 +283,7 @@ func (s *sweeper) check(clone *nvram.Device, sn snap) error {
 	if err != nil {
 		return fmt.Errorf("reopening crashed image: %w", err)
 	}
-	ds, err := cs.CheckInvariants(s.w.copts)
+	ds, err := cs.CheckInvariants(pmwcas.CheckOptions{})
 	if err != nil {
 		return err
 	}
@@ -295,7 +295,7 @@ func (s *sweeper) check(clone *nvram.Device, sn snap) error {
 		if err != nil {
 			return fmt.Errorf("re-crash between shard %d and %d recoveries: reopen: %w", i, i+1, err)
 		}
-		mds, err := ms.CheckInvariants(s.w.copts)
+		mds, err := ms.CheckInvariants(pmwcas.CheckOptions{})
 		if err == nil {
 			err = sn.match(mds)
 		}

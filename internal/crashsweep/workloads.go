@@ -21,7 +21,6 @@ import (
 type workload struct {
 	name      string
 	shards    int // store shards the workload runs over (0 = 1)
-	copts     pmwcas.CheckOptions
 	newOracle func() oracle
 	run       func(st *pmwcas.Store, o oracle, opt Options) error
 }
@@ -46,7 +45,6 @@ var blobSpec = mixSpec{index: "skiplist", keys: 12, puts: 4, dels: 1}
 func blobWorkload(name string, s mixSpec) workload {
 	return workload{
 		name:      name,
-		copts:     pmwcas.CheckOptions{Blob: true},
 		newOracle: func() oracle { return newBlobOracle() },
 		run: func(st *pmwcas.Store, o oracle, opt Options) error {
 			kv, err := st.Shard(0).OpenBlobKV(s.index, s.iopts)
@@ -114,7 +112,6 @@ var workloads = []workload{
 	blobWorkload("blobkv-hash", mixSpec{index: "hash", iopts: hashSpec.iopts, keys: 12, puts: 4, dels: 1}),
 	{
 		name:      "server",
-		copts:     pmwcas.CheckOptions{Blob: true},
 		newOracle: func() oracle { return newBlobOracle() },
 		run:       runServer,
 	},

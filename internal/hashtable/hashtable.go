@@ -333,9 +333,6 @@ func (t *Table) create(h *core.Handle) error {
 	return err
 }
 
-// SlotsPerBucket reports the table's bucket capacity.
-func (t *Table) SlotsPerBucket() int { return t.slots }
-
 // Handle is a per-goroutine table context.
 type Handle struct {
 	t    *Table

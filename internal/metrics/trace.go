@@ -31,9 +31,6 @@ var traceOn atomic.Bool
 // TraceEnable turns lifecycle tracing on or off process-wide.
 func TraceEnable(on bool) { traceOn.Store(on) }
 
-// TraceOn reports whether lifecycle tracing is enabled.
-func TraceOn() bool { return traceOn.Load() }
-
 // TraceKind labels one lifecycle event.
 type TraceKind uint8
 

@@ -190,8 +190,8 @@ func WithVolatile() Option {
 }
 
 // WithEviction enables opportunistic persistence: roughly one random dirty
-// line is written back per n stores, modelling cache-line replacement. n
-// must be positive.
+// line is written back per n stores, modelling cache-line replacement.
+// n ≤ 0 leaves eviction off.
 func WithEviction(n int) Option {
 	return func(dev *Device) { dev.evictEvery = n }
 }
@@ -612,12 +612,22 @@ func (d *Device) SaveFile(path string) error {
 	return f.Sync()
 }
 
-// LoadFile restores the device from a snapshot file written by SaveFile.
-func (d *Device) LoadFile(path string) error {
+// LoadFile builds a device, configured by opts, from a snapshot file
+// written by SaveFile. The device is as large as the file's image, and
+// the snapshot's header must record that size.
+func LoadFile(path string, opts ...Option) (*Device, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("nvram: opening snapshot file: %w", err)
+		return nil, fmt.Errorf("nvram: opening snapshot file: %w", err)
 	}
 	defer f.Close()
-	return d.ReadSnapshot(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("nvram: opening snapshot file: %w", err)
+	}
+	d := New(uint64(max(fi.Size()-16, 0)), opts...)
+	if err := d.ReadSnapshot(f); err != nil {
+		return nil, err
+	}
+	return d, nil
 }

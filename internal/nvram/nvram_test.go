@@ -2,8 +2,11 @@ package nvram
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -276,22 +279,43 @@ func TestSaveLoadFile(t *testing.T) {
 	d := New(4096)
 	d.Store(16, 99)
 	d.FlushAll()
+	d.Store(24, 7) // never flushed: not in the image
 	if err := d.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
-	d2 := New(4096)
-	if err := d2.LoadFile(path); err != nil {
+	d2, err := LoadFile(path, WithVolatile())
+	if err != nil {
 		t.Fatalf("LoadFile: %v", err)
+	}
+	if d2.Size() != 4096 || !d2.Volatile() {
+		t.Fatalf("LoadFile built Size %d, Volatile %v; want the snapshot's 4096 and the option's true", d2.Size(), d2.Volatile())
 	}
 	if got := d2.Load(16); got != 99 {
 		t.Fatalf("Load(16) after LoadFile = %d, want 99", got)
 	}
+	if got := d2.Load(24); got != 0 {
+		t.Fatalf("Load(24) after LoadFile = %d, want 0", got)
+	}
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	d := New(4096)
-	if err := d.LoadFile(filepath.Join(t.TempDir(), "nope.img")); err == nil {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.img")); err == nil {
 		t.Fatal("LoadFile of missing file succeeded")
+	}
+}
+
+// TestLoadFileTruncated: a snapshot whose body is shorter than its header
+// records is refused before a device is sized from the header.
+func TestLoadFileTruncated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dev.img")
+	if err := New(4096).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, 16+2048); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(path); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "2048") {
+		t.Fatalf("LoadFile of a truncated snapshot: %v, want ErrBadSnapshot naming the 2048 bytes the file holds", err)
 	}
 }
 
@@ -347,13 +371,6 @@ func TestLayoutCarve(t *testing.T) {
 	}
 	if !r2.Contains(r2.Base) || r2.Contains(r2.End()) {
 		t.Fatal("Contains boundary conditions wrong")
-	}
-	rest := l.CarveRest()
-	if rest.End() != d.Size() {
-		t.Fatalf("CarveRest end = %#x, want %#x", rest.End(), d.Size())
-	}
-	if l.Remaining() != 0 {
-		t.Fatalf("Remaining = %d, want 0", l.Remaining())
 	}
 }
 

@@ -51,15 +51,3 @@ func (l *Layout) Carve(n uint64) Region {
 	l.next += n
 	return r
 }
-
-// Remaining returns the number of unreserved bytes left in the device.
-func (l *Layout) Remaining() uint64 { return l.dev.Size() - l.next }
-
-// CarveRest reserves everything that remains and returns it as one region.
-func (l *Layout) CarveRest() Region {
-	rem := l.Remaining()
-	if rem < LineBytes {
-		panic("nvram: no space left to carve")
-	}
-	return l.Carve(rem)
-}

@@ -3,6 +3,7 @@ package pmwcas
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,6 +69,53 @@ func TestRecoverPoisonsStaleHandles(t *testing.T) {
 	if err := fresh.Insert(2, 20); err != nil {
 		t.Fatalf("Insert on re-minted handle: %v", err)
 	}
+}
+
+// TestRecoverFailureKeepsStore: Store.Recover swaps nothing in until
+// every shard has recovered. With one descriptor status corrupt in shard
+// 1's pool, Recover fails naming shard 1, the store keeps its old
+// substrates, and shard 0's pre-crash handles are not poisoned.
+func TestRecoverFailureKeepsStore(t *testing.T) {
+	st, err := Create(Config{Size: 1 << 20, Shards: 2, Descriptors: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lists [2]*SkipListHandle
+	for i := range lists {
+		l, err := st.Shard(i).SkipList()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists[i] = l.NewHandle(1)
+		if err := lists[i].Insert(1, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev := st.Device()
+	status := st.shards[1].poolRegion.Base // descriptor 0's status word
+	dev.Store(status, 0xbad)
+	dev.Flush(status)
+	dev.Fence()
+	if err := st.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	before := slices.Clone(st.shards)
+	if _, err := st.Recover(); err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("Recover with a corrupt status on shard 1: %v, want an error naming shard 1", err)
+	}
+	if !slices.Equal(st.shards, before) {
+		t.Fatal("a failed Recover replaced the store's substrates")
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("shard 0's pre-crash handle panicked after a failed Recover: %v", r)
+			}
+		}()
+		if got, err := lists[0].Get(1); err != nil || got != 10 {
+			t.Fatalf("Get(1) on shard 0's pre-crash handle = %d, %v; want 10", got, err)
+		}
+	}()
 }
 
 // TestRecoverMatchesOpenDevice: in-place Store.Recover and reopening the

@@ -1,6 +1,7 @@
 package pmwcas
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -24,14 +25,15 @@ import (
 type Config struct {
 	// Size is the simulated NVRAM capacity in bytes (default 64 MiB),
 	// shared evenly by all shards. Layout is derived deterministically
-	// from Size, Shards, Descriptors and Classes, so reopening a device
-	// (or snapshot) requires the same four; Create records them in the
-	// device's reserved first line, and a reopen with others fails.
+	// from Size, Shards, Descriptors and Classes. Create records the four
+	// in the device's reserved first line, and every open reads them back:
+	// there a zero Size, Shards or Descriptors means the image's, and one
+	// that is set must match it.
 	Size uint64
 	// Mode selects Persistent (default) or Volatile. Create builds a
 	// Volatile store on a volatile device (nvram.WithVolatile), whose
 	// flushes and fences cost nothing; OpenDevice requires a device of
-	// the matching kind.
+	// the matching kind, and OpenFile refuses Volatile.
 	Mode Mode
 	// Shards partitions the store into independent engines (default 1),
 	// each owning its own slice of the device: descriptor pool, allocator
@@ -130,10 +132,13 @@ func (c *Config) fill() error {
 
 // layoutNames name the layout inputs Create records in words 2–5 of the
 // device's reserved first line (word 0 is the nil offset, word 1 the
-// volatile baselines' scratch target), and every open checks: a device
-// laid out with others would be read at the wrong offsets. A blank
-// image, or one older than the record, holds Size 0.
+// volatile baselines' scratch target), and every open reads back: a
+// device laid out with others would be read at the wrong offsets. A
+// blank image, or one older than the record, holds Size 0.
 var layoutNames = [...]string{"Size", "Shards", "Descriptors", "Classes hash"}
+
+// layoutWord is the offset of recorded word i.
+func layoutWord(i int) Offset { return nvram.Offset(i+2) * nvram.WordSize }
 
 // layout returns the recorded words: Size, Shards, Descriptors and an
 // FNV-1a hash of the resolved Classes.
@@ -141,6 +146,53 @@ func (c *Config) layout() [len(layoutNames)]uint64 {
 	h := fnv.New64a()
 	fmt.Fprint(h, c.Classes)
 	return [...]uint64{c.Size, uint64(c.Shards), uint64(c.Descriptors), h.Sum64()}
+}
+
+// adopt completes cfg from the layout record on dev: a zero Size, Shards
+// or Descriptors takes the recorded value, and one that is set must equal
+// it. fill then derives default Classes from the adopted geometry exactly
+// as Create derived them, so the recorded hash checks them as it checks
+// custom ones.
+func (c *Config) adopt(dev *nvram.Device) error {
+	var rec [len(layoutNames)]uint64
+	for i := range rec {
+		rec[i] = dev.Load(layoutWord(i))
+	}
+	if rec[0] == 0 {
+		return errors.New("pmwcas: the device holds no layout record (Size 0): Create never laid it out, or laid it out before the record existed")
+	}
+	c.Size = cmp.Or(c.Size, rec[0])
+	c.Shards = cmp.Or(c.Shards, int(rec[1]))
+	c.Descriptors = cmp.Or(c.Descriptors, int(rec[2]))
+	if err := c.fill(); err != nil {
+		return err
+	}
+	for i, want := range c.layout() {
+		if rec[i] != want {
+			return fmt.Errorf("pmwcas: the image was laid out with %s %d, the config gives %d", layoutNames[i], rec[i], want)
+		}
+	}
+	if dev.Size() < c.Size {
+		return fmt.Errorf("pmwcas: the layout record gives Size %d, but the device holds %d bytes", c.Size, dev.Size())
+	}
+	return nil
+}
+
+// deviceOptions are the device settings cfg asks for: Create and OpenFile
+// both build their device from them. A zero rate leaves its knob off.
+func (c *Config) deviceOptions() []nvram.Option {
+	opts := []nvram.Option{
+		nvram.WithFlushLatency(c.FlushLatency),
+		nvram.WithEviction(c.EvictEvery),
+		nvram.WithYield(c.YieldEvery),
+	}
+	if c.EvictSeed != 0 {
+		opts = append(opts, nvram.WithEvictionSeed(c.EvictSeed))
+	}
+	if c.Mode == Volatile {
+		opts = append(opts, nvram.WithVolatile())
+	}
+	return opts
 }
 
 // storeShard is one shard's private slice of the store: its own regions,
@@ -187,79 +239,66 @@ func Create(cfg Config) (*Store, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	opts := []nvram.Option{}
-	if cfg.Mode == Volatile {
-		opts = append(opts, nvram.WithVolatile())
+	dev := nvram.New(cfg.Size, cfg.deviceOptions()...)
+	for i, w := range cfg.layout() {
+		dev.Store(layoutWord(i), w)
 	}
-	if cfg.FlushLatency > 0 {
-		opts = append(opts, nvram.WithFlushLatency(cfg.FlushLatency))
-	}
-	if cfg.EvictEvery > 0 {
-		opts = append(opts, nvram.WithEviction(cfg.EvictEvery))
-	}
-	if cfg.EvictSeed != 0 {
-		opts = append(opts, nvram.WithEvictionSeed(cfg.EvictSeed))
-	}
-	if cfg.YieldEvery > 0 {
-		opts = append(opts, nvram.WithYield(cfg.YieldEvery))
-	}
-	return assemble(nvram.New(cfg.Size, opts...), cfg, true)
+	dev.Flush(0)
+	dev.Fence()
+	s, _, err := assemble(dev, cfg, false)
+	return s, err
 }
 
 // OpenDevice wraps an existing device (for example, one that just
 // crashed, or was restored from a snapshot) and, unless the device is
 // volatile, rebuilds each allocator from its bitmaps and runs PMwCAS
-// recovery shard by shard. cfg.Mode must match the device.
+// recovery shard by shard. The geometry comes from the device's layout
+// record (see Config.Size; default Classes are derived from it again,
+// custom ones must be passed in), and a device with no record fails.
+// cfg.Mode must match the device.
 func OpenDevice(dev *nvram.Device, cfg Config) (*Store, error) {
-	if err := cfg.fill(); err != nil {
+	if err := cfg.adopt(dev); err != nil {
 		return nil, err
 	}
-	if dev.Size() < cfg.Size {
-		return nil, fmt.Errorf("pmwcas: device holds %d bytes, config requires %d", dev.Size(), cfg.Size)
-	}
-	return assemble(dev, cfg, false)
+	s, _, err := assemble(dev, cfg, !dev.Volatile())
+	return s, err
 }
 
 // OpenFile restores a store from a snapshot file written by Checkpoint
-// and runs recovery. The Config must match the one the snapshot was
-// created with: OpenFile, like OpenDevice, fails naming the first of
-// Size, Shards, Descriptors and Classes that differs.
+// and runs recovery. The device is as large as the snapshot, takes cfg's
+// device settings (FlushLatency, eviction, YieldEvery), and is opened as
+// OpenDevice opens it, so Config{} opens any image laid out with default
+// Classes. A snapshot is a crash image and a volatile device would skip
+// its recovery, so a Volatile Mode is refused.
 func OpenFile(path string, cfg Config) (*Store, error) {
-	if err := cfg.fill(); err != nil {
+	if cfg.Mode != Persistent {
+		return nil, fmt.Errorf("pmwcas: OpenFile needs Mode %s, the config gives Mode %s: a snapshot is a crash image, and a volatile device skips its recovery",
+			Persistent, cfg.Mode)
+	}
+	dev, err := nvram.LoadFile(path, cfg.deviceOptions()...)
+	if err != nil {
 		return nil, err
 	}
-	opts := []nvram.Option{}
-	if cfg.FlushLatency > 0 {
-		opts = append(opts, nvram.WithFlushLatency(cfg.FlushLatency))
-	}
-	dev := nvram.New(cfg.Size, opts...)
-	if err := dev.LoadFile(path); err != nil {
-		return nil, err
-	}
-	return assemble(dev, cfg, false)
+	return OpenDevice(dev, cfg)
 }
 
-// carveShard reserves one shard's region group. The order and sizes
-// within a group are the image format: changing one moves every later
-// region, and images laid out before the change no longer open.
-func carveShard(l *nvram.Layout, cfg *Config) *storeShard {
+// buildShard carves one shard's region group from l, then constructs
+// the shard's allocator (its free lists rebuilt from the durable bitmaps)
+// and pool over it and, when recovering, replays the shard's
+// descriptors. The order and sizes of the carves are the image format:
+// changing one moves every later region, and images laid out before the
+// change no longer open.
+func buildShard(dev *nvram.Device, l *nvram.Layout, cfg *Config, recover bool) (*storeShard, RecoveryStats, error) {
+	var rst RecoveryStats
 	sh := &storeShard{}
 	sh.poolRegion = l.Carve(core.PoolSize(cfg.Descriptors, descriptorWords))
 	sh.allocRegion = l.Carve(alloc.MetaSize(cfg.Classes, 0))
 	sh.rootsRegion = l.Carve(nvram.LineBytes * 4) // 32 root words
 	sh.mapRegion = l.Carve(cfg.mappingSlots() * nvram.WordSize)
-	return sh
-}
-
-// buildShard constructs a shard's allocator (its free lists rebuilt from
-// the durable bitmaps) and pool over its regions and, when recovering,
-// replays that shard's descriptors.
-func buildShard(dev *nvram.Device, cfg *Config, sh *storeShard, recover bool) (RecoveryStats, error) {
-	var rst RecoveryStats
 	var err error
 	sh.alloc, err = alloc.New(dev, sh.allocRegion, cfg.Classes, 0)
 	if err != nil {
-		return rst, fmt.Errorf("allocator: %w", err)
+		return nil, rst, fmt.Errorf("allocator: %w", err)
 	}
 	sh.pool, err = core.NewPool(core.Config{
 		Device:             dev,
@@ -270,50 +309,42 @@ func buildShard(dev *nvram.Device, cfg *Config, sh *storeShard, recover bool) (R
 		Allocator:          sh.alloc,
 	})
 	if err != nil {
-		return rst, fmt.Errorf("pool: %w", err)
+		return nil, rst, fmt.Errorf("pool: %w", err)
 	}
 	// Finalize callbacks must exist before recovery replays descriptors.
 	bwtree.RegisterRecoveryCallbacks(sh.pool)
 	if recover {
 		if rst, err = sh.pool.Recover(); err != nil {
-			return rst, fmt.Errorf("recovery: %w", err)
+			return nil, rst, fmt.Errorf("recovery: %w", err)
 		}
 	}
-	return rst, nil
+	return sh, rst, nil
 }
 
-// assemble records cfg's layout on a device it creates, and otherwise
-// checks the recorded one and, unless the device is volatile, recovers.
-func assemble(dev *nvram.Device, cfg Config, create bool) (*Store, error) {
-	for i, want := range cfg.layout() {
-		off := nvram.Offset(i+2) * nvram.WordSize
-		if create {
-			dev.Store(off, want)
-		} else if got := dev.Load(off); got != want {
-			return nil, fmt.Errorf("pmwcas: the image was laid out with %s %d, the config gives %d", layoutNames[i], got, want)
-		}
-	}
-	if create {
-		dev.Flush(0)
-		dev.Fence()
-	}
-	recover := !create && !dev.Volatile()
+// assemble is the store's one carve → build → recover loop: it builds
+// every shard of cfg on dev in shard order and, when recover is set,
+// replays each shard's descriptors, calls RecoveryHook after each, and
+// sums what recovery did. Create, OpenDevice and Recover all run it.
+func assemble(dev *nvram.Device, cfg Config, recover bool) (*Store, RecoveryStats, error) {
+	var total RecoveryStats
 	s := &Store{cfg: cfg, dev: dev}
 	l := nvram.NewLayout(dev)
-	// Carve every shard's regions before recovering any: the layout is a
-	// pure function of Config regardless of how far a recovery got.
 	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, carveShard(l, &cfg))
-	}
-	for i, sh := range s.shards {
-		if _, err := buildShard(dev, &cfg, sh, recover); err != nil {
-			return nil, fmt.Errorf("pmwcas: shard %d: %w", i, err)
+		sh, rst, err := buildShard(dev, l, &cfg, recover)
+		total.Scanned += rst.Scanned
+		total.RolledForward += rst.RolledForward
+		total.RolledBack += rst.RolledBack
+		total.WordsRepaired += rst.WordsRepaired
+		total.CorruptCounts += rst.CorruptCounts
+		if err != nil {
+			return nil, total, fmt.Errorf("pmwcas: shard %d: %w", i, err)
 		}
+		s.shards = append(s.shards, sh)
 		if recover && cfg.RecoveryHook != nil {
 			cfg.RecoveryHook(i)
 		}
 	}
-	return s, nil
+	return s, total, nil
 }
 
 // Device exposes the simulated NVRAM device (stats, crash injection).
@@ -460,9 +491,6 @@ func (s *Store) Close() error {
 	}
 	return nil
 }
-
-// Mode returns the store's persistence mode.
-func (s *Store) Mode() Mode { return s.cfg.Mode }
 
 // PMwCASHandle returns a per-goroutine handle for issuing raw PMwCAS
 // operations and reads against shard 0.
@@ -831,7 +859,7 @@ func (r *routedHandle) Scan(from, to uint64, fn func(IndexEntry) bool) error {
 // operations), exactly as a real power failure stops all CPUs. Follow
 // with Recover (or reopen via OpenDevice) before using the store again.
 func (s *Store) Crash() error {
-	if s.cfg.Mode != Persistent {
+	if s.dev.Volatile() {
 		return errors.New("pmwcas: Crash on a volatile store loses everything by definition")
 	}
 	s.dev.Crash()
@@ -839,36 +867,19 @@ func (s *Store) Crash() error {
 }
 
 // Recover rebuilds the allocators and reruns PMwCAS recovery on this
-// store after a Crash, shard by shard in shard order (Config.RecoveryHook fires after
-// each). Application finalize callbacks must already be registered.
-// Equivalent to (and interchangeable with) reopening via OpenDevice.
+// store after a Crash, shard by shard in shard order (Config.RecoveryHook
+// fires after each). Application finalize callbacks must already be
+// registered. Equivalent to (and interchangeable with) reopening via
+// OpenDevice.
 func (s *Store) Recover() (RecoveryStats, error) {
-	if s.cfg.Mode != Persistent {
+	if s.dev.Volatile() {
 		return RecoveryStats{}, errors.New("pmwcas: Recover on a volatile store")
 	}
-	var total RecoveryStats
-	// Rebuild every shard's volatile state and replay its descriptors
-	// into fresh substrates; nothing is swapped in until every
+	// Recovery builds fresh substrates; nothing is swapped in until every
 	// shard has recovered, so a failed recovery leaves the store as it was.
-	fresh := make([]*storeShard, len(s.shards))
-	for i, old := range s.shards {
-		sh := &storeShard{
-			rootsRegion: old.rootsRegion, mapRegion: old.mapRegion,
-			poolRegion: old.poolRegion, allocRegion: old.allocRegion,
-		}
-		rst, err := buildShard(s.dev, &s.cfg, sh, true)
-		if err != nil {
-			return total, fmt.Errorf("pmwcas: shard %d: %w", i, err)
-		}
-		total.Scanned += rst.Scanned
-		total.RolledForward += rst.RolledForward
-		total.RolledBack += rst.RolledBack
-		total.WordsRepaired += rst.WordsRepaired
-		total.CorruptCounts += rst.CorruptCounts
-		fresh[i] = sh
-		if s.cfg.RecoveryHook != nil {
-			s.cfg.RecoveryHook(i)
-		}
+	fresh, total, err := assemble(s.dev, s.cfg, true)
+	if err != nil {
+		return total, err
 	}
 	// Swap in the recovered substrates, then poison the old ones. Handles,
 	// guards, and index objects minted before the crash still reference the
@@ -877,7 +888,7 @@ func (s *Store) Recover() (RecoveryStats, error) {
 	// the new pool believes are Free). Poisoning turns any such use into an
 	// immediate panic naming the recovery that invalidated it.
 	old := s.shards
-	s.shards = fresh
+	s.shards = fresh.shards
 	for _, sh := range old {
 		sh.pool.Poison("Store.Recover replaced this pool; re-mint handles from the store")
 		sh.alloc.Poison("Store.Recover replaced this allocator; re-mint handles from the store")
@@ -892,23 +903,24 @@ func (s *Store) Checkpoint(path string) error { return s.dev.SaveFile(path) }
 
 // CheckOptions tunes Store.CheckInvariants.
 type CheckOptions struct {
-	// Blob additionally validates the values of the index each shard's
-	// blob layer is on as blob-KV records. Set it whenever the store is
-	// used through BlobKV or OpenBlobKV — without it the index's values
-	// are opaque integers and blob records would read as allocator leaks.
+	// Blob is inert: CheckInvariants validates a shard's blob records
+	// exactly when the shard's tag names the index its blob layer is on.
+	// The field stays only because the benchmark still sets it.
 	Blob bool
 }
 
 // DurableState is the logical content CheckInvariants extracted from the
 // durable image — the ground truth a durable-linearizability oracle
 // compares against. With multiple shards the slices hold every shard's
-// entries, concatenated in shard order.
+// entries, concatenated in shard order. An index that carries a shard's
+// blob layer holds record offsets, not words: its entries are reported
+// in Blobs, not in the index's slice.
 type DurableState struct {
 	SkipList []SkipListEntry
 	BwTree   []BwTreeEntry
 	Hash     []HashEntry       // unspecified order
 	Queue    []uint64          // FIFO order within each shard
-	Blobs    map[string][]byte // only populated with CheckOptions.Blob
+	Blobs    map[string][]byte // every blob layer's values; nil if no shard has a layer
 	// HashCheck summarizes the hash tables' structure across shards
 	// (bucket counts).
 	HashCheck hashtable.CheckStats
@@ -923,35 +935,34 @@ type DurableState struct {
 //
 // Layers checked per shard, in order: the descriptor pool (every
 // descriptor durably Free, count zero, on the free list), each index's
-// structural invariants (see skiplist.Check, bwtree.Check, pqueue.Check,
-// blobkv.Check), and finally the shard's allocator bitmap against the
-// union of every block its indexes reach — a block allocated but
-// unreachable is a leak, a block reachable but not allocated is
-// dangling. Any shard's failure fails the whole audit, with the error
-// naming the shard.
-func (s *Store) CheckInvariants(opt CheckOptions) (*DurableState, error) {
+// structural invariants (see skiplist.Check, bwtree.Check, pqueue.Check),
+// the blob records of the index the shard's tag names (blobkv.Check),
+// and finally the shard's allocator bitmap against the union of every
+// block its indexes reach — a block allocated but unreachable is a leak,
+// a block reachable but not allocated is dangling. Any shard's failure
+// fails the whole audit, with the error naming the shard.
+func (s *Store) CheckInvariants(CheckOptions) (*DurableState, error) {
 	st := &DurableState{}
 	for i, sh := range s.shards {
-		if err := s.checkShard(i, sh, opt, st); err != nil {
+		if err := s.checkShard(sh, st); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return st, nil
 }
 
-func (s *Store) checkShard(i int, sh *storeShard, opt CheckOptions, st *DurableState) error {
+func (s *Store) checkShard(sh *storeShard, st *DurableState) error {
 	if err := sh.pool.CheckRecovered(); err != nil {
 		return err
 	}
 	var reachable []Offset
 
 	skipRoots := nvram.Region{Base: sh.rootsRegion.Base, Len: nvram.LineBytes}
-	blocks, entries, err := skiplist.Check(s.dev, skipRoots)
+	blocks, skip, err := skiplist.Check(s.dev, skipRoots)
 	if err != nil {
 		return err
 	}
 	reachable = append(reachable, blocks...)
-	st.SkipList = append(st.SkipList, entries...)
 
 	qRoots := nvram.Region{Base: sh.rootsRegion.Base + nvram.LineBytes, Len: nvram.LineBytes}
 	blocks, values, err := pqueue.Check(s.dev, qRoots)
@@ -961,33 +972,28 @@ func (s *Store) checkShard(i int, sh *storeShard, opt CheckOptions, st *DurableS
 	reachable = append(reachable, blocks...)
 	st.Queue = append(st.Queue, values...)
 
-	blocks, tentries, err := bwtree.Check(s.dev, sh.mapRegion)
+	blocks, tree, err := bwtree.Check(s.dev, sh.mapRegion)
 	if err != nil {
 		return err
 	}
 	reachable = append(reachable, blocks...)
-	st.BwTree = append(st.BwTree, tentries...)
 
-	blocks, hentries, hstats, err := hashtable.Check(s.dev, sh.hashRoots())
+	blocks, hash, hstats, err := hashtable.Check(s.dev, sh.hashRoots())
 	if err != nil {
 		return err
 	}
 	reachable = append(reachable, blocks...)
-	st.Hash = append(st.Hash, hentries...)
 	st.HashCheck.Buckets += hstats.Buckets
 	st.HashCheck.Live += hstats.Live
 
-	if opt.Blob {
+	if tag := s.dev.Load(sh.blobTagWord()); tag != 0 {
 		// Blob records live on the same shard as their index entries, so
 		// this shard's slice of the layer's index is exactly its Check's.
-		idx := entries
-		switch blobIndexOn(s.dev.Load(sh.blobTagWord())) {
-		case "bwtree":
-			idx = tentries
-		case "hash":
-			idx = hentries
+		idx, ok := map[string]*[]IndexEntry{"skiplist": &skip, "bwtree": &tree, "hash": &hash}[blobIndexOn(tag)]
+		if !ok {
+			return fmt.Errorf("the blob-layer tag names %s", blobIndexOn(tag))
 		}
-		blocks, blobs, err := blobkv.Check(s.dev, sh.alloc, idx)
+		blocks, blobs, err := blobkv.Check(s.dev, sh.alloc, *idx)
 		if err != nil {
 			return err
 		}
@@ -998,7 +1004,11 @@ func (s *Store) checkShard(i int, sh *storeShard, opt CheckOptions, st *DurableS
 		for k, v := range blobs {
 			st.Blobs[k] = v
 		}
+		*idx = nil
 	}
+	st.SkipList = append(st.SkipList, skip...)
+	st.BwTree = append(st.BwTree, tree...)
+	st.Hash = append(st.Hash, hash...)
 
 	return sh.alloc.CheckInUse(reachable)
 }

@@ -433,6 +433,207 @@ func TestOpenRefusesOtherLayout(t *testing.T) {
 	}
 }
 
+// TestOpenWithoutGeometry: an image describes itself. OpenFile and
+// OpenDevice given Config{} read Size, Shards and Descriptors from the
+// layout record and derive the default classes from them, so a two-shard
+// 8 MiB image with 256 descriptors a shard reopens with every key; a
+// blank device names the missing record, and OpenFile refuses a volatile
+// Mode, whose device would skip recovery.
+func TestOpenWithoutGeometry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.img")
+	st, err := Create(Config{Size: 8 << 20, Shards: 2, Descriptors: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mint, err := st.OpenIndex("bwtree", IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := mint(1)
+	const n = 200
+	for k := uint64(1); k <= n; k++ {
+		if err := h.Insert(k, 10*k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+
+	fromFile, err := OpenFile(path, Config{})
+	if err != nil {
+		t.Fatalf("OpenFile with Config{}: %v", err)
+	}
+	fromDevice, err := OpenDevice(st.Device().CloneCrashed(), Config{})
+	if err != nil {
+		t.Fatalf("OpenDevice with Config{}: %v", err)
+	}
+	for name, re := range map[string]*Store{"OpenFile": fromFile, "OpenDevice": fromDevice} {
+		if re.ShardCount() != 2 || re.Device().Size() != 8<<20 {
+			t.Errorf("%s: %d shards on %d bytes, want the image's 2 on %d", name, re.ShardCount(), re.Device().Size(), 8<<20)
+		}
+		ds, err := re.CheckInvariants(CheckOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(ds.BwTree) != n {
+			t.Errorf("%s: the reopened image holds %d Bw-tree keys, want %d", name, len(ds.BwTree), n)
+		}
+	}
+
+	if _, err := OpenDevice(nvram.New(1<<20), Config{}); err == nil || !strings.Contains(err.Error(), "no layout record") {
+		t.Errorf("OpenDevice on a blank device: %v, want an error naming the missing layout record", err)
+	}
+	if _, err := OpenFile(path, Config{Mode: Volatile}); err == nil || !strings.Contains(err.Error(), "Mode") {
+		t.Errorf("OpenFile with Mode Volatile: %v, want an error naming Mode", err)
+	}
+}
+
+// TestOpenFileKeepsDeviceSettings: OpenFile builds its device from the
+// same Config settings as Create, so a restored store evicts lines the
+// protocol never flushed when EvictEvery asks for it.
+func TestOpenFileKeepsDeviceSettings(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.img")
+	st, err := Create(Config{Size: 1 << 20, Descriptors: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFile(path, Config{EvictEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Dirty the device's upper half, never flushing it: only eviction
+	// can carry a word of it into the persisted image.
+	dev := re.Device()
+	persisted := 0
+	for off := dev.Size() / 2; off < dev.Size(); off += nvram.WordSize {
+		dev.Store(off, 7)
+	}
+	for off := dev.Size() / 2; off < dev.Size(); off += nvram.WordSize {
+		if dev.PersistedLoad(off) == 7 {
+			persisted++
+		}
+	}
+	if persisted == 0 {
+		t.Fatal("no unflushed word reached the persisted image: OpenFile dropped EvictEvery")
+	}
+}
+
+// TestAuditFollowsBlobTag: CheckInvariants validates blob records exactly
+// on the shards whose tag names a blob layer, whatever CheckOptions.Blob
+// says. A word skip list audits clean with Blob set, a blob store audits
+// clean without it, and a blob-layer value that points at an unallocated
+// block is still caught without it.
+func TestAuditFollowsBlobTag(t *testing.T) {
+	recovered := func(t *testing.T, st *Store) {
+		t.Helper()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Recover(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("word skip list, Blob set", func(t *testing.T) {
+		st, err := Create(testRecoverConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		list, err := st.SkipList()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := list.NewHandle(1)
+		for k := uint64(1); k <= 20; k++ {
+			if err := h.Insert(k, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recovered(t, st)
+		ds, err := st.CheckInvariants(CheckOptions{Blob: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds.SkipList) != 20 || ds.Blobs != nil {
+			t.Fatalf("audit found %d skip-list keys and %d blobs, want 20 and none", len(ds.SkipList), len(ds.Blobs))
+		}
+	})
+
+	// blobStore holds 20 blob values on its skip list.
+	blobStore := func(t *testing.T) *Store {
+		st, err := Create(testRecoverConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		kv, err := st.BlobKV()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := kv.NewHandle(1)
+		for i := 0; i < 20; i++ {
+			if err := h.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("a value")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+
+	t.Run("blob store, Blob unset", func(t *testing.T) {
+		st := blobStore(t)
+		recovered(t, st)
+		ds, err := st.CheckInvariants(CheckOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds.Blobs) != 20 || len(ds.SkipList) != 0 {
+			t.Fatalf("audit found %d blobs and %d word skip-list keys, want 20 and none", len(ds.Blobs), len(ds.SkipList))
+		}
+		if string(ds.Blobs["k07"]) != "a value" {
+			t.Fatalf("blob k07 = %q, want %q", ds.Blobs["k07"], "a value")
+		}
+	})
+
+	t.Run("planted record in a free block", func(t *testing.T) {
+		st := blobStore(t)
+		list, err := st.SkipList()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := list.NewHandle(1)
+		var first IndexEntry
+		h.Scan(1, MaxSkipListKey, func(e SkipListEntry) bool { first = e; return false })
+		// A copy of the first record in a block that is then freed: only
+		// the allocator bitmap can tell it from the real one.
+		blk, err := st.Alloc(64, st.RootWord(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := st.Device()
+		for off := Offset(0); off < 64; off += nvram.WordSize {
+			dev.Store(blk+off, dev.Load(Offset(first.Value)+off))
+		}
+		dev.FlushAll()
+		if err := st.Free(blk); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Update(first.Key, uint64(blk)); err != nil {
+			t.Fatal(err)
+		}
+		recovered(t, st)
+		want := fmt.Sprintf("dangling: block %#x", blk)
+		if _, err := st.CheckInvariants(CheckOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("CheckInvariants: %v, want an error naming %q", err, want)
+		}
+	})
+}
+
 func TestStoreBlobKV(t *testing.T) {
 	store, err := Create(testConfig())
 	if err != nil {
