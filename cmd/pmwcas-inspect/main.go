@@ -13,16 +13,12 @@
 // Usage:
 //
 //	pmwcas-inspect -image store.img [-keys]
-//	pmwcas-inspect stats -image store.img
 //	pmwcas-inspect trace [-addr host:port] [-timeout d] [-raw]
 //
-// The stats subcommand prints the merged StoreStats snapshot in the
-// server's STATS wire format ("name value" lines) without needing a
-// running server — point it at a checkpoint image. The trace subcommand
-// dials a live server, fetches the PMwCAS descriptor lifecycle ring
-// (METRICS with the "trace" view), and prints each descriptor's
-// lifecycle — alloc → execute → help* → decide → retire → finalize —
-// with per-step latencies and helper lane IDs.
+// The trace subcommand dials a live server, fetches the PMwCAS descriptor
+// lifecycle ring (METRICS with the "trace" view), and prints each
+// descriptor's lifecycle — alloc → execute → help* → decide → retire →
+// finalize — with per-step latencies and helper lane IDs.
 package main
 
 import (
@@ -36,20 +32,13 @@ import (
 	"pmwcas"
 	"pmwcas/internal/harness"
 	"pmwcas/internal/metrics"
-	"pmwcas/internal/server"
 	"pmwcas/internal/wire"
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "stats":
-			runStats(os.Args[2:])
-			return
-		case "trace":
-			runTrace(os.Args[2:])
-			return
-		}
+	if len(os.Args) > 1 && os.Args[1] == "trace" {
+		runTrace(os.Args[2:])
+		return
 	}
 	runInspect(os.Args[1:])
 }
@@ -57,15 +46,6 @@ func main() {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "pmwcas-inspect: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// runStats opens an image offline and prints the merged StoreStats in
-// the exact format the STATS wire command uses.
-func runStats(args []string) {
-	fs := flag.NewFlagSet("pmwcas-inspect stats", flag.ExitOnError)
-	image := fs.String("image", "", "snapshot file written by Store.Checkpoint (required)")
-	fs.Parse(args)
-	fmt.Print(server.FormatStats(openImage(fs, *image).Stats()))
 }
 
 // runTrace dials a server and reconstructs descriptor lifecycles from
@@ -129,28 +109,21 @@ func printLifecycles(evs []metrics.TraceEvent) {
 	}
 }
 
-// openImage opens and recovers the snapshot at path, or exits: with the
-// flag set's usage when no path was given, with the error otherwise.
-func openImage(fs *flag.FlagSet, path string) *pmwcas.Store {
-	if path == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	store, err := pmwcas.OpenFile(path, pmwcas.Config{})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return store
-}
-
-// runInspect reports a whole image (the default when no subcommand is
-// given).
+// runInspect opens and recovers the snapshot and reports the whole image
+// (the default when no subcommand is given).
 func runInspect(args []string) {
 	fs := flag.NewFlagSet("pmwcas-inspect", flag.ExitOnError)
 	image := fs.String("image", "", "snapshot file written by Store.Checkpoint (required)")
 	showKeys := fs.Bool("keys", false, "dump every entry (small stores only)")
 	fs.Parse(args)
-	store := openImage(fs, *image)
+	if *image == "" {
+		fs.Usage()
+		os.Exit(2)
+	}
+	store, err := pmwcas.OpenFile(*image, pmwcas.Config{})
+	if err != nil {
+		fatalf("%v", err)
+	}
 	fmt.Printf("image: %s\n", *image)
 	if err := report(os.Stdout, store, *showKeys); err != nil {
 		fatalf("%v", err)

@@ -4,7 +4,10 @@
 // The store is a simulated-NVRAM pmwcas.Store: with -file, a snapshot is
 // loaded at startup (if present) and written back on clean shutdown, so
 // data survives server restarts the same way it survives power failures
-// — through PMwCAS recovery on the reopened image.
+// — through PMwCAS recovery on the reopened image. A restored store takes
+// its geometry from the image: -size, -shards and -descriptors apply to a
+// fresh store, and on a restore only those given on the command line are
+// checked against the image.
 //
 // Usage:
 //
@@ -52,6 +55,8 @@ func main() {
 	metricsOn := flag.Bool("metrics", true, "record latency histograms and counters (DRAM only)")
 	traceOn := flag.Bool("trace", true, "record PMwCAS descriptor lifecycle events into the trace ring (needs -metrics)")
 	flag.Parse()
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	logger := log.New(os.Stderr, "pmwcas-server: ", log.LstdFlags)
 	metrics.Enable(*metricsOn)
@@ -71,12 +76,13 @@ func main() {
 		logger.Fatalf("unknown -mode %q (want persistent or volatile)", *mode)
 	}
 
-	store, restored, err := openStore(cfg, *file)
+	store, restored, err := openStore(cfg, *file, set)
 	if err != nil {
 		logger.Fatal(err)
 	}
 	if restored {
-		logger.Printf("restored store from %s (%d MiB, %s)", *file, *sizeMiB, *mode)
+		logger.Printf("restored store from %s (%d MiB, %d shards, %d descriptors per shard, %s)", *file,
+			store.Device().Size()>>20, store.ShardCount(), store.Stats().DescriptorsCap/store.ShardCount(), *mode)
 	} else {
 		logger.Printf("created fresh store (%d MiB, %s)", *sizeMiB, *mode)
 	}
@@ -141,8 +147,10 @@ func main() {
 }
 
 // openStore restores from a snapshot when one exists, otherwise creates
-// a fresh store.
-func openStore(cfg pmwcas.Config, file string) (*pmwcas.Store, bool, error) {
+// a fresh store. A restore adopts the geometry the image records: of
+// cfg's Size, Shards and Descriptors it keeps only those whose flag is in
+// set, and each of those must match the image.
+func openStore(cfg pmwcas.Config, file string, set map[string]bool) (*pmwcas.Store, bool, error) {
 	if file == "" {
 		s, err := pmwcas.Create(cfg)
 		return s, false, err
@@ -156,6 +164,15 @@ func openStore(cfg pmwcas.Config, file string) (*pmwcas.Store, bool, error) {
 			return s, false, cerr
 		}
 		return nil, false, err
+	}
+	if !set["size"] {
+		cfg.Size = 0
+	}
+	if !set["shards"] {
+		cfg.Shards = 0
+	}
+	if !set["descriptors"] {
+		cfg.Descriptors = 0
 	}
 	s, err := pmwcas.OpenFile(file, cfg)
 	if err != nil {

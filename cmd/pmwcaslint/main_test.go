@@ -58,9 +58,9 @@ func TestFlattenVetJSON(t *testing.T) {
 # pmwcas/internal/a
 {
 	"pmwcas/internal/a": {
-		"persistord": [
-			{"posn": "/repo/internal/a/y.go:7:3", "message": "unflushed publish"},
-			{"posn": "/repo/internal/a/y.go:4:1", "message": "naked traverse"}
+		"storefence": [
+			{"posn": "/repo/internal/a/y.go:7:3", "message": "store never flushed"},
+			{"posn": "/repo/internal/a/y.go:4:1", "message": "store never fenced"}
 		]
 	}
 }
@@ -73,8 +73,8 @@ func TestFlattenVetJSON(t *testing.T) {
 		t.Fatalf("flattened %d diagnostics, want 3", len(diags))
 	}
 	want := []jsonDiag{
-		{File: "/repo/internal/a/y.go", Line: 4, Col: 1, Analyzer: "persistord", Message: "naked traverse"},
-		{File: "/repo/internal/a/y.go", Line: 7, Col: 3, Analyzer: "persistord", Message: "unflushed publish"},
+		{File: "/repo/internal/a/y.go", Line: 4, Col: 1, Analyzer: "storefence", Message: "store never fenced"},
+		{File: "/repo/internal/a/y.go", Line: 7, Col: 3, Analyzer: "storefence", Message: "store never flushed"},
 		{File: "/repo/internal/b/x.go", Line: 15, Col: 35, Analyzer: "rawload", Message: "raw load"},
 	}
 	for i := range want {

@@ -691,7 +691,7 @@ func TestPutFenceOrder(t *testing.T) {
 		pending := false
 		e.dev.SetHook(func(op string, off nvram.Offset) {
 			if cas != 0 {
-				v := e.dev.LoadHint(cas)
+				v := e.dev.Load(cas)
 				switch {
 				case inBitmap(e.aReg, e.spec, cas) && v&^casWord != 0:
 					bitFences, pending = casFences, true
@@ -706,7 +706,7 @@ func TestPutFenceOrder(t *testing.T) {
 				cas = 0
 			}
 			if op == "cas" {
-				cas, casWord, casFences = off, e.dev.LoadHint(off), e.dev.Stats().Fences
+				cas, casWord, casFences = off, e.dev.Load(off), e.dev.Stats().Fences
 			}
 		})
 		err := h.Put([]byte(c.key), []byte(c.name))

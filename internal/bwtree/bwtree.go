@@ -283,21 +283,13 @@ func (h *Handle) Guard() *epoch.Guard { return h.core.Guard() }
 // compare and re-store the returned word, and the mask keeps that
 // contract mode-independent.
 //
-// Descriptor-mode reads elide the dirty-bit flush (DESIGN.md §6.2): a
-// mapping value is followed to read the page chain or handed back to
-// a later PMwCAS as the expected-old operand, which the install path
-// re-persists at the target. Baseline-mode CAS publishes re-store the
-// head word they read, but those stores are themselves validated by the
-// CAS succeeding against the durable head.
-//
 //pmwcas:requires-guard — mapping words address epoch-reclaimed pages
-//pmwcas:traversal — mapping values navigate only; publishes go through AddWord or raw CAS validation
 func (h *Handle) readMapping(lpid uint64) uint64 {
 	if h.tree.smo == SMOSingleCAS {
 		//lint:allow rawload — baseline mode publishes mappings with plain CAS; there is no dirty bit to observe
 		return h.tree.dev.Load(h.tree.mappingOff(lpid)) &^ core.FlagsMask
 	}
-	return h.core.ReadTraverse(h.tree.mappingOff(lpid))
+	return h.core.Read(h.tree.mappingOff(lpid))
 }
 
 // checkKey and checkValue return bare sentinels: both run first thing

@@ -857,3 +857,31 @@ func TestReadMappingMasksBaselineFlags(t *testing.T) {
 		t.Fatal("readMapping altered a clean word")
 	}
 }
+
+// TestGetPersistsDirtyMapping: a mapping word a PMwCAS stored but has not
+// yet flushed (dirty bit set, the persisted image still older) is flushed
+// by the first Get that descends through it, so no reader acts on a
+// mapping a crash could take back (paper §3, the dirty-bit read rule).
+func TestGetPersistsDirtyMapping(t *testing.T) {
+	e := newTreeEnv(t, core.Persistent, SMOPMwCAS, nil)
+	h := e.tree.NewHandle()
+	if err := h.Insert(10, 100); err != nil {
+		t.Fatal(err)
+	}
+	off := e.tree.mappingOff(RootLPID)
+	page := e.dev.Load(off)
+	e.dev.Store(off, 0)
+	e.dev.Flush(off)
+	e.dev.Store(off, page|core.DirtyFlag)
+	if v, err := h.Get(10); err != nil || v != 100 {
+		t.Fatalf("Get = (%d, %v), want (100, nil)", v, err)
+	}
+	if got := e.dev.Load(off); got != page {
+		t.Fatalf("mapping word after Get = %#x, want %#x with its dirty bit clear", got, page)
+	}
+	// The line is written back with the dirty bit still set; recovery
+	// clears it.
+	if got := e.dev.PersistedLoad(off) &^ core.DirtyFlag; got != page {
+		t.Fatalf("persisted mapping word after Get = %#x, want %#x", got, page)
+	}
+}

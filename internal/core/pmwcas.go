@@ -392,50 +392,3 @@ func (p *Pool) read(addr nvram.Offset) uint64 {
 		return v
 	}
 }
-
-// ReadTraverse reads a PMwCAS-managed word for navigation only. Unlike
-// Read, it may return a value whose dirty bit is set — without flushing
-// the line — because a traversal-only value never enters durable state:
-// it is either compared (keys), followed (links), or re-validated as the
-// expected-old operand of a later PMwCAS, whose install path persists the
-// target before acquiring it (see installMwCASDescriptor). This is the
-// NVTraverse optimisation; the persistord analyzer statically enforces
-// that callers are annotated //pmwcas:traversal and derive no stores from
-// the result, and the psan sanitizer checks the same property at runtime.
-//
-// Words carrying a descriptor pointer are handled exactly like Read:
-// the descriptor pointer is persisted before helping, so the helping path
-// keeps its recovery guarantees.
-//
-// The caller's epoch guard is entered for the duration.
-//
-//pmwcas:hotpath — traversal reads dominate index descends; flush-elided and allocation-free by design
-func (h *Handle) ReadTraverse(addr nvram.Offset) uint64 {
-	h.pool.checkPoisoned()
-	h.guard.Enter()
-	v := h.pool.readTraverse(addr)
-	h.guard.Exit()
-	return v
-}
-
-func (p *Pool) readTraverse(addr nvram.Offset) uint64 {
-	for {
-		v := p.dev.Load(addr)
-		if v&RDCSSFlag != 0 {
-			p.helpCompleteInstall(v & AddressMask)
-			continue
-		}
-		if v&MwCASFlag != 0 {
-			// Helping dereferences the descriptor, so the pointer must
-			// be durable first — same rule as read.
-			if v&DirtyFlag != 0 {
-				p.persist(addr, v, nil)
-			}
-			p.stats.reads.Add(1)
-			p.exec(v&AddressMask, nil, nil)
-			continue
-		}
-		// Plain value: return it dirty-bit-stripped without persisting.
-		return v &^ DirtyFlag
-	}
-}

@@ -176,15 +176,13 @@ func solveCallGraph[F any, P factPtr[F]](t *factTable[F, P], decls []funcDecl, g
 }
 
 // taintRule is what an analyzer hands the value-taint tracker: the calls
-// whose result is tainted in the body that makes them, the callee fact
-// that taints result indices across calls, and whether a tainted value
-// stored into a struct or array member taints the whole variable (and a
-// member read of a tainted variable is tainted in turn).
+// whose result is tainted in the body that makes them, and the callee fact
+// that taints result indices across calls. Taint follows bare values: a
+// value stored into a struct or array member leaves the variable clean.
 type taintRule struct {
-	info      *types.Info
-	source    func(*ast.CallExpr) bool
-	results   func(*types.Func) []int
-	composite bool
+	info    *types.Info
+	source  func(*ast.CallExpr) bool
+	results func(*types.Func) []int
 }
 
 // taint tracks, inside one function body, which variables hold a tainted
@@ -205,17 +203,12 @@ type taintAssign struct {
 func (r taintRule) track(body ast.Node) *taint {
 	t := &taint{taintRule: r, assigns: make(map[*types.Var][]taintAssign)}
 	record := func(lhs ast.Expr, tok token.Token, tainted bool, via *types.Func) {
-		id, _ := lhs.(*ast.Ident)
-		member := false
-		if id == nil {
-			// r.preds[i] = v taints r: the struct now carries the value.
-			if id = rootIdent(lhs); id == nil || !tainted || !r.composite {
-				return
-			}
-			member = true
+		id, ok := lhs.(*ast.Ident)
+		if !ok {
+			return
 		}
 		obj := r.info.Uses[id]
-		if tok == token.DEFINE && !member {
+		if tok == token.DEFINE {
 			obj = r.info.Defs[id]
 		}
 		if v, ok := obj.(*types.Var); ok {
@@ -267,9 +260,8 @@ func (t *taint) latest(v *types.Var, pos token.Pos) taintAssign {
 
 // expr reports whether e carries a tainted value, and through which
 // callee's fact (nil when the source call is in this body). Value
-// identity survives parens, single-argument conversions and, under
-// composite flow, member access on a tainted base; any other operator —
-// a mask, arithmetic — breaks it.
+// identity survives parens and single-argument conversions; any other
+// operator — a mask, arithmetic, member access — breaks it.
 func (t *taint) expr(e ast.Expr) (bool, *types.Func) {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.CallExpr:
@@ -286,16 +278,6 @@ func (t *taint) expr(e ast.Expr) (bool, *types.Func) {
 		if v, ok := t.info.Uses[x].(*types.Var); ok {
 			a := t.latest(v, x.Pos())
 			return a.tainted, a.via
-		}
-	case *ast.SelectorExpr:
-		// Method values and package selectors are not selections of a
-		// variable's member.
-		if _, ok := t.info.Selections[x]; ok && t.composite {
-			return t.expr(x.X)
-		}
-	case *ast.IndexExpr:
-		if t.composite {
-			return t.expr(x.X)
 		}
 	}
 	return false, nil
@@ -338,23 +320,4 @@ func (t *taint) returns(d funcDecl) map[int]bool {
 		return true
 	})
 	return out
-}
-
-// rootIdent walks to the base identifier of a selector/index chain
-// (r.preds[0] -> r). nil when the base is not a plain identifier.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

@@ -55,9 +55,7 @@ func runFlushFact(pass *analysis.Pass) (interface{}, error) {
 	sup := suppressionsOf(pass)
 	managed := managedSet(pass)
 	facts := newFactTable[ReturnsUnflushed](pass)
-	// The source is a raw Device.Load of a managed word. Composite flow
-	// stays off: a search result struct that carries a raw word in one
-	// field would otherwise taint its other fields' comparisons.
+	// The source is a raw Device.Load of a managed word.
 	rule := taintRule{
 		info: pass.TypesInfo,
 		source: func(call *ast.CallExpr) bool {

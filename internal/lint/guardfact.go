@@ -159,7 +159,7 @@ type guardChecker struct {
 func (gc *guardChecker) protocolReadTarget(call *ast.CallExpr) ast.Expr {
 	info := gc.pass.TypesInfo
 	if name, recv, _, ok := methodCall(info, call); ok {
-		if isNamedRecv(info, recv, corePath, "Handle") && (name == "Read" || name == "ReadTraverse") && len(call.Args) > 0 {
+		if isNamedRecv(info, recv, corePath, "Handle") && name == "Read" && len(call.Args) > 0 {
 			return call.Args[0]
 		}
 		if isNamed(info.TypeOf(recv), nvramPath, "Device") && name == "Load" && len(call.Args) > 0 {

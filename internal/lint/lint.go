@@ -7,7 +7,7 @@
 //
 //   - rawload (§3, §4.2): outside internal/core and internal/nvram, a
 //     PMwCAS-managed word must not be read or swapped with a direct
-//     Device.Load / LoadHint / CAS. Reads must go through core.PCASRead
+//     Device.Load / CAS. Reads must go through core.PCASRead
 //     or (*core.Handle).Read, which flush a dirty word before acting on
 //     it; swaps must go through core.PCAS or a descriptor.
 //   - storefence (§3): a Device.Store to persistent memory that is never
@@ -51,21 +51,6 @@
 //     when they return an already-retired descriptor), so a caller that
 //     keeps using the handle is flagged whether the kill happened in its
 //     own body or in a callee.
-//   - persistord (DESIGN.md §6.2): verifies persist ordering around
-//     traversal flush elision. (*core.Handle).ReadTraverse skips the
-//     flush-before-read on pure descend paths; the value it returns is a
-//     correct navigation hint but possibly absent from the persisted
-//     image. Such a read is only legal inside a function annotated
-//     //pmwcas:traversal, and the values it observes — tracked through
-//     assignments, conversions, struct members, and PersistState facts
-//     across call and package boundaries — must never become durable
-//     payload: a raw store of one is flagged unless a Flush (direct or
-//     via a Flusher-fact callee) followed by a Fence appears later in the
-//     same function (staged initialisation), or the value goes through a
-//     descriptor, whose install loop re-persists every target at runtime.
-//     The psan build tag (`go test -tags psan`) arms a runtime sanitizer
-//     in internal/nvram that enforces the same contract dynamically, by
-//     value matching against the persisted image.
 //   - hotpath (DESIGN.md §6.3): every function reachable from a
 //     //pmwcas:hotpath root must be transitively free of heap
 //     allocation. Proof is per-function on the typed AST (make/new,
@@ -87,19 +72,15 @@
 //
 // # One fact engine
 //
-// The six fact-carrying checkers share one engine (facts.go): one walk
+// The five fact-carrying checkers share one engine (facts.go): one walk
 // over the package's function declarations; one lookup that answers a
 // fact for this package's functions from the fixpoint in progress and
 // for other packages' from the facts they exported; one fixpoint for the
 // facts that list parameter or result indices (ReturnsUnflushed,
-// PersistState, ReadsWord, KillsDescriptor, ReturnsDeadDescriptor); one
-// call-graph fixpoint for the boolean ones (AllocFree is a greatest
-// fixpoint, MayBlock and Flusher are least); and one value-taint
-// tracker. flushfact and persistord check one property — a value not
-// known to be persisted must not reach durable state — and differ only in
-// what they hand the tracker: the source (a raw Device.Load of a managed
-// word; ReadTraverse), the fact, and composite flow through struct and
-// array members, which persistord turns on and flushfact leaves off.
+// ReadsWord, KillsDescriptor, ReturnsDeadDescriptor); one call-graph
+// fixpoint for the boolean ones (AllocFree is a greatest fixpoint,
+// MayBlock a least); and one value-taint tracker, which flushfact feeds
+// with its source (a raw Device.Load of a managed word) and its fact.
 //
 // # What "PMwCAS-managed" means to the analyzers
 //
@@ -172,7 +153,6 @@ var checkers = []*analysis.Analyzer{
 	FlushFact,
 	GuardFact,
 	DescFlow,
-	PersistOrd,
 	HotPath,
 	NonBlock,
 }
@@ -267,7 +247,7 @@ func protocolOffsetArg(info *types.Info, call *ast.CallExpr) ast.Expr {
 				}
 			}
 		case isNamedRecv(info, recv, corePath, "Handle"):
-			if (name == "Read" || name == "ReadTraverse") && len(call.Args) > 0 {
+			if name == "Read" && len(call.Args) > 0 {
 				return call.Args[0]
 			}
 		}

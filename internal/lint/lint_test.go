@@ -51,9 +51,6 @@ func TestDescReuse(t *testing.T) {
 	linttest.RunDirs(t, linttest.TestData(t), lint.DescFlow,
 		"descflow/samebody", "descflow/pmwcas/internal/core")
 }
-func TestPersistOrd(t *testing.T) {
-	linttest.RunDirs(t, linttest.TestData(t), lint.PersistOrd, "persistord/a", "persistord/b", "persistord/c")
-}
 func TestHotPath(t *testing.T) {
 	linttest.RunDirs(t, linttest.TestData(t), lint.HotPath, "hotpath/a", "hotpath/b", "hotpath/c")
 }

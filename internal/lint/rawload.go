@@ -37,7 +37,7 @@ func runRawLoad(pass *analysis.Pass) (interface{}, error) {
 				return true
 			}
 			method, ok := deviceCall(pass.TypesInfo, call)
-			if !ok || (method != "Load" && method != "LoadHint" && method != "CAS") || len(call.Args) == 0 {
+			if !ok || (method != "Load" && method != "CAS") || len(call.Args) == 0 {
 				return true
 			}
 			name, shares := sharesFingerprint(pass.TypesInfo, call.Args[0], managed)
@@ -58,9 +58,6 @@ func reportRawLoad(pass *analysis.Pass, call *ast.CallExpr, method, fp, note str
 	switch method {
 	case "Load":
 		fix = "read it with core.PCASRead or (*core.Handle).Read so a dirty word is flushed before use"
-	case "LoadHint":
-		fix = "LoadHint is only for re-derivable copies of durably published words; " +
-			"protocol words need core.PCASRead or (*core.Handle).Read"
 	case "CAS":
 		fix = "swap it with core.PCAS/PCASFlush or a PMwCAS descriptor so the dirty-bit protocol holds"
 	}

@@ -44,13 +44,12 @@ func checkerNames() []string {
 
 // annotationNames are the //pmwcas: marker annotations the suite
 // understands. Unlike suppressions they grant nothing by themselves —
-// requires-guard moves a proof obligation to callers, traversal permits
-// flush elision under rule enforcement — but a typoed or floating
-// annotation silently grants the wrong thing, so the audit holds them to
-// the same standard: known name, function doc comment, stated reason.
+// requires-guard moves a proof obligation to callers, hotpath adds one —
+// but a typoed or floating annotation silently grants the wrong thing, so
+// the audit holds them to the same standard: known name, function doc
+// comment, stated reason.
 var annotationNames = map[string]bool{
 	"requires-guard": true,
-	"traversal":      true,
 	"hotpath":        true,
 }
 
@@ -104,11 +103,10 @@ func runStaleAllow(pass *analysis.Pass) (interface{}, error) {
 
 // auditAnnotations applies the suppression standard to //pmwcas: marker
 // annotations: the name must be one the suite acts on (a typo like
-// //pmwcas:traverse would silently disable both the guard-obligation
-// transfer and the traversal store rules), the annotation must sit in a
-// function's doc comment (a floating one attaches to nothing), and it
-// must state its reason after a separator, like every other reviewed
-// exception in this codebase.
+// //pmwcas:requires-guards would silently disable the guard-obligation
+// transfer), the annotation must sit in a function's doc comment (a
+// floating one attaches to nothing), and it must state its reason after a
+// separator, like every other reviewed exception in this codebase.
 func auditAnnotations(pass *analysis.Pass, testUnit bool) {
 	const prefix = "//pmwcas:"
 	for _, f := range pass.Files {
@@ -142,7 +140,7 @@ func auditAnnotations(pass *analysis.Pass, testUnit bool) {
 				switch {
 				case !annotationNames[name]:
 					pass.Reportf(c.Pos(),
-						"//pmwcas: annotation names unknown contract %q (known: requires-guard, traversal, hotpath); a typo here silently disables enforcement",
+						"//pmwcas: annotation names unknown contract %q (known: requires-guard, hotpath); a typo here silently disables enforcement",
 						name)
 				case !inDoc[c]:
 					pass.Reportf(c.Pos(),

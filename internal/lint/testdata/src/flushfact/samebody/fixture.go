@@ -82,8 +82,8 @@ func (b *box) search() (r casResult) {
 	return r
 }
 
-// goodSiblingField compares the struct's plain field. Composite flow
-// (persistord's, not flushfact's) would taint it through its sibling.
+// goodSiblingField compares the struct's plain field. Taint that flowed
+// through struct members would reach it through its sibling.
 func (b *box) goodSiblingField() bool {
 	r := b.search()
 	return r.hops == 1

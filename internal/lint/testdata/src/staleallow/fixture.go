@@ -45,7 +45,7 @@ func (b *box) fixedLongAgo(expect uint64) bool {
 // retiredName: flushfact now reports what flagmask did; a suppression
 // still naming the old analyzer guards nothing.
 func (b *box) retiredName(expect uint64) bool {
-	// want+1 `names unknown analyzer "flagmask" \(known: rawload, storefence, flushfact, guardfact, descflow, persistord, hotpath, nonblock\)`
+	// want+1 `names unknown analyzer "flagmask" \(known: rawload, storefence, flushfact, guardfact, descflow, hotpath, nonblock\)`
 	//lint:allow flagmask — the retired name
 	return core.PCASRead(b.dev, b.word) == expect
 }
@@ -101,7 +101,7 @@ func staleNonblockWaiver() {
 // goodAnnotation: known contract name, in a function's doc comment, with
 // a stated reason — the audit stays silent.
 //
-//pmwcas:traversal — fixture body performs no protocol reads at all
+//pmwcas:requires-guard — fixture body performs no protocol reads at all
 func goodAnnotation() {}
 
 // goodHotpathAnnotation: the hotpath contract is a name the audit
@@ -126,20 +126,21 @@ func typoedHotpathAnnotation() {}
 //pmwcas:hotpath
 func reasonlessHotpathAnnotation() {}
 
-// typoedAnnotation: "traverse" is not a contract the suite acts on; the
-// misspelling would silently disable enforcement.
+// typoedAnnotation: "requires-guards" is not a contract the suite acts
+// on; the misspelling would silently disable enforcement. The known list
+// is the whole suite: traversal is no longer one of them.
 //
-// want+2 `//pmwcas: annotation names unknown contract "traverse"`
+// want+2 `//pmwcas: annotation names unknown contract "requires-guards" \(known: requires-guard, hotpath\)`
 //
-//pmwcas:traverse — meant traversal, so nothing enforces this
+//pmwcas:requires-guards — meant requires-guard, so nothing enforces this
 func typoedAnnotation() {}
 
 // reasonlessAnnotation: annotations are reviewed exceptions too and must
 // say why the contract holds.
 //
-// want+2 `//pmwcas:traversal has no reason`
+// want+2 `//pmwcas:requires-guard has no reason`
 //
-//pmwcas:traversal
+//pmwcas:requires-guard
 func reasonlessAnnotation() {}
 
 // want+1 `//pmwcas:requires-guard is not part of a function's doc comment`

@@ -289,23 +289,6 @@ func (d *Device) Load(off Offset) uint64 {
 	return v
 }
 
-// LoadHint atomically reads the word at off without informing the psan
-// shadow tracker. It exists for one contract only: words that hold
-// re-derivable copies of values durably published elsewhere. Reading
-// such a copy off an unflushed line and re-storing the value is
-// crash-safe — the original publication's persist ordering is checked at
-// its own site — but the sanitizer's line-epoch model cannot see the
-// aliasing and would flag it. No program code holds such a copy since
-// the hash directory moved to DRAM; tests read with it from inside a
-// device hook. The pmwcaslint rawload analyzer
-// polices call sites the same way it polices Load, so every use needs a
-// reviewed suppression naming this contract.
-func (d *Device) LoadHint(off Offset) uint64 {
-	d.maybeYield()
-	d.lane().loads.Add(1)
-	return atomic.LoadUint64(&d.words[d.index(off)])
-}
-
 // maybeYield interleaves logical threads at word granularity (WithYield).
 func (d *Device) maybeYield() {
 	if d.yieldEvery > 0 && d.yieldCnt.Add(1)%d.yieldEvery == 0 {

@@ -1,8 +1,8 @@
 //go:build psan
 
-// Persistency sanitizer (psan): the runtime oracle complementing the
-// persistord static analyzer (DESIGN.md §6.2). It keeps shadow state next to
-// the device's two images:
+// Persistency sanitizer (psan): the runtime check of persist ordering at
+// every commit (DESIGN.md §6.2), beside the storefence and flushfact static
+// analyzers. It keeps shadow state next to the device's two images:
 //
 //   - a per-line *persist epoch*, incremented each time the line is flushed
 //     (explicitly or by eviction), and
@@ -22,7 +22,7 @@
 // distinctive 64-bit values, so "a store wrote exactly the word I read off an
 // unflushed line" is a precise-enough dependency signal, and it naturally
 // excludes navigation-only reads (keys compared, links followed but never
-// re-stored), which is what makes traversal flush elision sanitizable.
+// re-stored).
 package nvram
 
 import (

@@ -3,9 +3,8 @@
 package nvram
 
 // SanitizerEnabled reports whether this binary was built with the psan
-// persistency sanitizer (`-tags psan`). Callers use it to gate
-// diagnostics-only behaviour such as the hashtable's hint-directory read
-// accounting.
+// persistency sanitizer (`-tags psan`). The allocation-budget tests use it
+// to skip themselves: the sanitizer's shadow bookkeeping allocates.
 const SanitizerEnabled = false
 
 // shadowState is empty without the psan build tag; every hook below is a

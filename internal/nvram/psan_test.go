@@ -71,8 +71,7 @@ func TestShadowCommitPassesWhenOriginFlushed(t *testing.T) {
 }
 
 // TestShadowNavigationOnlyReadIsLegal: a dirty read that is never stored
-// anywhere (pure traversal) commits cleanly — the whole point of flush
-// elision on descend paths.
+// anywhere (a key compared, a link followed) commits cleanly.
 func TestShadowNavigationOnlyReadIsLegal(t *testing.T) {
 	d := newArmed(t, 4*LineBytes)
 	d.Store(0, 0xabc|testMask)

@@ -286,14 +286,7 @@ type findResult struct {
 // empty top levels load no key, and the base level's succ and sk answer
 // whether key is present.
 //
-// Link reads elide the dirty-bit flush (DESIGN.md §6.2): the values are
-// only compared, followed, or handed to AddWord as expected-old operands,
-// which the PMwCAS install path re-persists at the target before
-// acquiring it. Writers that copy successors into new node links flush
-// the node and fence before publishing.
-//
 //pmwcas:requires-guard — walks links into nodes the epoch may reclaim
-//pmwcas:traversal — link values navigate only; publishes go through AddWord
 func (h *Handle) find(key uint64) findResult {
 	l := h.list
 	steps := int64(0)
@@ -304,7 +297,7 @@ restart:
 	for i := MaxHeight - 1; i >= 0; i-- {
 		for {
 			steps++
-			next := h.core.ReadTraverse(pred + linkOff(i, false))
+			next := h.core.Read(pred + linkOff(i, false))
 			if next&DeletedMask != 0 {
 				mFindRestarts.Inc(h.lane)
 				goto restart

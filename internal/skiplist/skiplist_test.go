@@ -641,3 +641,31 @@ func TestGetLoadsEachKeyOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestGetPersistsDirtyLink: a link word a PMwCAS stored but has not yet
+// flushed (dirty bit set, the persisted image still older) is flushed by
+// the first Get that descends through it, so no reader acts on a link a
+// crash could take back (paper §3, the dirty-bit read rule).
+func TestGetPersistsDirtyLink(t *testing.T) {
+	e := newListEnv(t, core.Persistent)
+	h := e.list.NewHandle(1)
+	if err := h.Insert(10, 100); err != nil {
+		t.Fatal(err)
+	}
+	off := e.list.head + nvram.Offset(linkOff(0, false))
+	node := e.dev.Load(off)
+	e.dev.Store(off, 0)
+	e.dev.Flush(off)
+	e.dev.Store(off, node|core.DirtyFlag)
+	if v, err := h.Get(10); err != nil || v != 100 {
+		t.Fatalf("Get = (%d, %v), want (100, nil)", v, err)
+	}
+	if got := e.dev.Load(off); got != node {
+		t.Fatalf("head link after Get = %#x, want %#x with its dirty bit clear", got, node)
+	}
+	// The line is written back with the dirty bit still set; recovery
+	// clears it.
+	if got := e.dev.PersistedLoad(off) &^ core.DirtyFlag; got != node {
+		t.Fatalf("persisted head link after Get = %#x, want %#x", got, node)
+	}
+}
