@@ -134,6 +134,6 @@ func Example_crashRecovery() {
 	// trial 23: cut at op  12 (crashed mid-split) -> consistent ✓
 	// trial 24: cut at op  36 (crashed mid-split) -> consistent ✓
 	//
-	// 25/25 trials consistent — 8 recovered to pre-insert state, 17 to post-insert.
+	// 25/25 trials consistent — 7 recovered to pre-insert state, 18 to post-insert.
 	// No index-specific recovery code ran: the descriptor pool scan did all of it.
 }

@@ -7,12 +7,15 @@
 // Following the paper (and posix_memalign-style NVM allocators [17, 33]),
 // an allocation is three steps, and the ownership order closes the gap:
 //
-//   - Reserve pops a free block and zeroes it with plain stores. Nothing
-//     is durable yet: the bit is clear, so a crash leaves the block free.
-//   - The caller fills the block with plain stores.
+//   - Reserve pops a free block and records its extent, the lines the
+//     requested size spans. It stores nothing (under the psan build the
+//     extent starts as nvram.PoisonWord, which a load reports), and the
+//     bit is clear, so a crash leaves the block free.
+//   - The caller writes every word a reader can reach with plain stores;
+//     the rest holds an earlier occupant's bytes, and nothing reads it.
 //   - The owner takes it. Activate stores the address into a target word;
 //     core.Descriptor.ReserveEntry stages it as a descriptor entry, which
-//     Execute activates. Either way the block's lines and the owner are
+//     Execute activates. Either way the extent's lines and the owner are
 //     flushed once and fenced, and only then is the allocation bit set.
 //
 // A set bit thus always has a durable owner and a durable fill, and a
@@ -47,8 +50,8 @@ import (
 )
 
 // Observability (DRAM-only; see internal/metrics). alloc_ns times a
-// Reserve (the free-list pop and the zeroing); the handoff's flushes are
-// the owner's, shared with its own. A block is counted allocated when its
+// Reserve (the free-list pop and the extent's record); the handoff's
+// flushes are the owner's, shared with its own. A block is counted allocated when its
 // bit is set.
 var (
 	mAllocs   = metrics.NewCounter("alloc_blocks_allocated")
@@ -96,6 +99,11 @@ type class struct {
 
 	mu   sync.Mutex
 	free []uint64 // volatile free list of block indexes
+
+	// extent holds, per block, the lines its latest reservation spans:
+	// what the handoff writes back. Volatile, owned by the reserver, and
+	// nil for a one-line class, whose extent is its one line.
+	extent []uint32
 }
 
 // Allocator is a persistent size-class allocator over one device region.
@@ -140,8 +148,8 @@ func New(dev *nvram.Device, region nvram.Region, spec []Class, maxHandles int) (
 	prevSize := uint64(0)
 	a.classes = make([]class, len(spec))
 	for i, c := range spec {
-		if c.BlockSize == 0 || c.BlockSize%nvram.LineBytes != 0 {
-			return nil, fmt.Errorf("alloc: class block size %d is not a positive multiple of %d",
+		if c.BlockSize == 0 || c.BlockSize%nvram.LineBytes != 0 || c.BlockSize/nvram.LineBytes > 1<<32-1 {
+			return nil, fmt.Errorf("alloc: class block size %d is not a positive multiple of %d of at most 2^32 lines",
 				c.BlockSize, nvram.LineBytes)
 		}
 		if c.BlockSize <= prevSize {
@@ -153,6 +161,9 @@ func New(dev *nvram.Device, region nvram.Region, spec []Class, maxHandles int) (
 		prevSize = c.BlockSize
 		cl := &a.classes[i]
 		cl.blockSize, cl.count, cl.bitmapBase = c.BlockSize, c.Count, off
+		if c.BlockSize > nvram.LineBytes {
+			cl.extent = make([]uint32, c.Count)
+		}
 		off += roundLine((c.Count + 63) / 64 * nvram.WordSize)
 		cl.blocksBase = off
 		off += c.BlockSize * c.Count
@@ -256,14 +267,15 @@ func (a *Allocator) NewHandle() *Handle {
 	return &Handle{a: a, lane: metrics.NextStripe()}
 }
 
-// Reserve pops a free block of at least size bytes and zeroes it with
-// plain stores, so a set bit never exposes a stale incarnation. It
-// flushes nothing and fences nothing: the block stays volatile and its
-// bit clear, so until an owner takes it a crash leaves it free. The
-// caller fills it and hands it over with Activate or
-// core.Descriptor.ReserveEntry, which write every line back once, fill
-// and zeroing together; an error path before the handoff returns it with
-// Unreserve.
+// Reserve pops a free block of at least size bytes and records the
+// lines size spans as the reservation's extent. It stores nothing,
+// flushes nothing and fences nothing: the block holds an earlier
+// occupant's bytes and its bit stays clear, so until an owner takes it a
+// crash leaves it free. The caller writes every word of the extent that
+// a reader of the published block can reach, and hands it over with
+// Activate or core.Descriptor.ReserveEntry, which write every line of
+// the extent back once; an error path before the handoff returns it with
+// Unreserve. Under the psan build the extent starts as nvram.PoisonWord.
 //
 // If the preferred size class is exhausted, the next larger class is
 // used (internal fragmentation instead of failure).
@@ -293,8 +305,12 @@ func (h *Handle) Reserve(size uint64) (nvram.Offset, error) {
 		c.mu.Unlock()
 
 		block := c.blocksBase + idx*c.blockSize
-		for off := block; off < block+c.blockSize; off += nvram.WordSize {
-			a.dev.Store(off, 0)
+		lines := (max(size, 1) + nvram.LineBytes - 1) / nvram.LineBytes
+		if c.extent != nil {
+			c.extent[idx] = uint32(lines)
+		}
+		if nvram.SanitizerEnabled {
+			a.dev.Poison(block, lines*nvram.LineBytes)
 		}
 		if !t0.IsZero() {
 			mAllocNs.ObserveSince(h.lane, t0)
@@ -317,7 +333,7 @@ func (a *Allocator) Unreserve(block nvram.Offset) {
 // that is not a descriptor (a volatile baseline's scratch word), in this
 // order:
 //
-//  1. every line of the block is flushed;
+//  1. every line of the reservation is flushed;
 //  2. the offset is stored into target and flushed;
 //  3. a fence orders both before
 //  4. the allocation bit is set and flushed (MarkAllocated).
@@ -339,25 +355,45 @@ func (h *Handle) Activate(block, target nvram.Offset) {
 	a.MarkAllocated(block)
 }
 
-// Alloc is Reserve then Activate, for a caller with nothing to fill: the
-// block arrives zeroed in target.
+// Alloc is Reserve, ZeroExtent, then Activate, for a caller with nothing
+// to fill: the reservation's extent arrives zeroed and durable in target.
 func (h *Handle) Alloc(size uint64, target nvram.Offset) (nvram.Offset, error) {
 	block, err := h.Reserve(size)
 	if err != nil {
 		return 0, err
 	}
+	h.a.ZeroExtent(block)
 	h.Activate(block, target)
 	return block, nil
 }
 
-// FlushBlock writes back every line of a reserved block, without a fence:
-// the first step of a handoff.
+// ZeroExtent stores zero into every word of a reserved block's extent,
+// for a caller that promises a zeroed block rather than filling one.
+func (a *Allocator) ZeroExtent(block nvram.Offset) {
+	if c, idx, ok := a.locate(block); ok {
+		for off, end := block, block+c.extentBytes(idx); off < end; off += nvram.WordSize {
+			a.dev.Store(off, 0)
+		}
+	}
+}
+
+// FlushBlock writes back every line of a reserved block's extent, without
+// a fence: the first step of a handoff. Lines past the extent hold
+// nothing a reader reads, so they need none.
 func (a *Allocator) FlushBlock(block nvram.Offset) {
-	if c, _, ok := a.locate(block); ok {
-		for off := block; off < block+c.blockSize; off += nvram.LineBytes {
+	if c, idx, ok := a.locate(block); ok {
+		for off, end := block, block+c.extentBytes(idx); off < end; off += nvram.LineBytes {
 			a.dev.Flush(off)
 		}
 	}
+}
+
+// extentBytes returns the bytes block idx's latest reservation spans.
+func (c *class) extentBytes(idx uint64) uint64 {
+	if c.extent == nil {
+		return nvram.LineBytes
+	}
+	return uint64(c.extent[idx]) * nvram.LineBytes
 }
 
 // MarkAllocated sets and flushes a handed-off block's allocation bit,

@@ -50,36 +50,44 @@ func TestAllocDeliversIntoTarget(t *testing.T) {
 	}
 }
 
+// TestAllocZeroesBlock reuses a block its earlier occupant left all
+// ones: Alloc must hand back the lines its size spans zeroed in both
+// images, though Reserve itself stores nothing. 130 bytes of a 256 B
+// block span three lines.
 func TestAllocZeroesBlock(t *testing.T) {
-	dev, a, scratch := testEnv(t, smallSpec, 2)
-	h := a.NewHandle()
-	block, err := h.Alloc(64, scratch.Base)
-	if err != nil {
-		t.Fatalf("Alloc: %v", err)
-	}
-	// Dirty the block, free it, allocate again: must come back zeroed.
-	for off := block; off < block+64; off += 8 {
-		dev.Store(off, ^uint64(0))
-	}
-	if err := a.Free(block); err != nil {
-		t.Fatalf("Free: %v", err)
-	}
-	block2, err := h.Alloc(64, scratch.Base)
-	if err != nil {
-		t.Fatalf("re-Alloc: %v", err)
-	}
-	if block2 != block {
-		// LIFO free list should hand the same block back; not essential,
-		// but the zeroing check relies on reuse, so allocate until we get
-		// it if the policy ever changes.
-		t.Fatalf("expected block reuse, got %#x vs %#x", block2, block)
-	}
-	for off := block2; off < block2+64; off += 8 {
-		if v := dev.Load(off); v != 0 {
-			t.Fatalf("reused block not zeroed at %#x: %#x", off, v)
+	for _, size := range []uint64{64, 130} {
+		dev, a, scratch := testEnv(t, smallSpec, 2)
+		h := a.NewHandle()
+		block, err := h.Alloc(size, scratch.Base)
+		if err != nil {
+			t.Fatalf("Alloc: %v", err)
 		}
-		if v := dev.PersistedLoad(off); v != 0 {
-			t.Fatalf("reused block zeroing not durable at %#x: %#x", off, v)
+		// Dirty the block, free it, allocate again: must come back zeroed.
+		bs, _ := a.BlockSize(block)
+		for off := block; off < block+bs; off += 8 {
+			dev.Store(off, ^uint64(0))
+		}
+		dev.FlushAll()
+		if err := a.Free(block); err != nil {
+			t.Fatalf("Free: %v", err)
+		}
+		block2, err := h.Alloc(size, scratch.Base)
+		if err != nil {
+			t.Fatalf("re-Alloc: %v", err)
+		}
+		if block2 != block {
+			// LIFO free list should hand the same block back; not essential,
+			// but the zeroing check relies on reuse, so allocate until we get
+			// it if the policy ever changes.
+			t.Fatalf("expected block reuse, got %#x vs %#x", block2, block)
+		}
+		for off := block2; off < block2+roundLine(size); off += 8 {
+			if v := dev.Load(off); v != 0 {
+				t.Fatalf("Alloc(%d): reused block not zeroed at %#x: %#x", size, off, v)
+			}
+			if v := dev.PersistedLoad(off); v != 0 {
+				t.Fatalf("Alloc(%d): reused block zeroing not durable at %#x: %#x", size, off, v)
+			}
 		}
 	}
 }
@@ -785,5 +793,92 @@ func TestFreeManyWithBarrier(t *testing.T) {
 	}
 	if err := a.Free(b); err != nil {
 		t.Fatalf("partial free happened despite validation failure: %v", err)
+	}
+}
+
+// TestReserveStoresNothing pins the reservation's price at zero device
+// ops: Reserve only pops a free block and records its extent. The filler
+// writes what its readers read, and the handoff writes that back.
+func TestReserveStoresNothing(t *testing.T) {
+	dev, a, _ := testEnv(t, smallSpec, 1)
+	h := a.NewHandle()
+	for _, size := range []uint64{8, 64, 65, 256} {
+		before := dev.Stats()
+		if _, err := h.Reserve(size); err != nil {
+			t.Fatal(err)
+		}
+		if got := dev.Stats(); got != before {
+			t.Errorf("Reserve(%d) moved the device counters: %+v → %+v", size, before, got)
+		}
+	}
+}
+
+// flushedLines hands block off to target and returns the lines of block
+// the handoff wrote back.
+func flushedLines(dev *nvram.Device, h *Handle, block, target nvram.Offset) []nvram.Offset {
+	size, _ := h.a.BlockSize(block)
+	var lines []nvram.Offset
+	dev.SetHook(func(op string, off nvram.Offset) {
+		if op == "flush" && off >= block && off < block+size {
+			lines = append(lines, off)
+		}
+	})
+	h.Activate(block, target)
+	dev.SetHook(nil)
+	return lines
+}
+
+// TestHandoffFlushesTheExtent checks that a handoff writes back the lines
+// the reservation's size spans, not the whole block: 80 bytes of a 128 B
+// block are two lines and 40 bytes one, and a request whose own class is
+// exhausted flushes only its extent of the larger block it spills into.
+func TestHandoffFlushesTheExtent(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spec  []Class
+		first []uint64 // reservations made first, to exhaust smaller classes
+		size  uint64
+		block uint64
+		lines int
+	}{
+		{"80 of 128", []Class{{BlockSize: 128, Count: 4}}, nil, 80, 128, 2},
+		{"40 of 128", []Class{{BlockSize: 128, Count: 4}}, nil, 40, 128, 1},
+		{"128 of 128", []Class{{BlockSize: 128, Count: 4}}, nil, 128, 128, 2},
+		{"64 spilled into 1024", []Class{{BlockSize: 64, Count: 2}, {BlockSize: 1024, Count: 2}}, []uint64{64, 64}, 64, 1024, 1},
+		{"200 spilled into 1024", []Class{{BlockSize: 256, Count: 1}, {BlockSize: 1024, Count: 2}}, []uint64{256}, 200, 1024, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dev, a, scratch := testEnv(t, c.spec, 1)
+			h := a.NewHandle()
+			for _, size := range c.first {
+				if _, err := h.Reserve(size); err != nil {
+					t.Fatal(err)
+				}
+			}
+			block, err := h.Reserve(c.size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := a.BlockSize(block); got != c.block {
+				t.Fatalf("Reserve(%d) came from the %d B class, want %d", c.size, got, c.block)
+			}
+			for off := block; off < block+c.size; off += nvram.WordSize {
+				dev.Store(off, 7)
+			}
+			lines := flushedLines(dev, h, block, scratch.Base)
+			if len(lines) != c.lines {
+				t.Fatalf("handoff flushed lines %#x, want the first %d of block %#x", lines, c.lines, block)
+			}
+			for i, l := range lines {
+				if want := block + nvram.Offset(i)*nvram.LineBytes; l != want {
+					t.Fatalf("handoff flushed lines %#x, want the first %d of block %#x", lines, c.lines, block)
+				}
+			}
+			for off := block; off < block+c.size; off += nvram.WordSize {
+				if got := dev.PersistedLoad(off); got != 7 {
+					t.Fatalf("fill word %#x persisted as %#x, want 7", off, got)
+				}
+			}
+		})
 	}
 }

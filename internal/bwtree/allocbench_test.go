@@ -106,7 +106,10 @@ func TestPointOpsAllocBudget(t *testing.T) {
 // and 260.7 per Update. With the PMwCAS owner reading its DRAM copy of
 // the descriptor entries they were 47.4 and 169.1; since a split leaves
 // both halves as fresh bases (no split delta over the old chain) they
-// are 38.9 and 160.9.
+// were 38.9 and 160.9. While Reserve zeroed a whole block and its handoff
+// wrote every line of the block back, a consolidated page paid for its
+// 1 KiB or 4 KiB block rather than its entries, and an Update cost 141.1;
+// it is 115.9 now that both cover only the reservation's extent.
 func TestPointOpsDeviceOpBudget(t *testing.T) {
 	dev, update, get := pointOps(t)
 	ops := func(s nvram.Stats) uint64 { return s.Loads + s.Stores + s.CASes + s.Flushes + s.Fences }
@@ -126,7 +129,7 @@ func TestPointOpsDeviceOpBudget(t *testing.T) {
 	if g > 60 {
 		t.Errorf("Get = %.1f device ops, budget 60", g)
 	}
-	if u > 200 {
-		t.Errorf("Update = %.1f device ops, budget 200", u)
+	if u > 130 {
+		t.Errorf("Update = %.1f device ops, budget 130", u)
 	}
 }

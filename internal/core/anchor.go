@@ -47,7 +47,8 @@ func (p *Pool) OpenAnchors(anchors []nvram.Offset, create func(*Handle) error) (
 	}
 }
 
-// AllocInto reserves a zeroed block of at least size bytes and publishes
+// AllocInto reserves a block of at least size bytes, zeroes the lines
+// size spans (alloc.Allocator.ZeroExtent), and publishes
 // it into target, replacing whatever target held (it is not freed), with
 // one PMwCAS {target: cur→block}. The block is handed to the descriptor
 // by ReserveEntry (PolicyFreeNewOnFailure), so until the PMwCAS commits
@@ -74,6 +75,7 @@ func (h *Handle) allocInto(size uint64, target nvram.Offset) (nvram.Offset, erro
 		}
 		b, err := ah.Reserve(size)
 		if err == nil {
+			h.pool.alloc.ZeroExtent(b)
 			err = d.ReserveEntry(target, h.Read(target), b, PolicyFreeNewOnFailure)
 		}
 		if err != nil {

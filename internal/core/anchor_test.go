@@ -77,3 +77,36 @@ func TestOpenAnchorsRefusesTornImage(t *testing.T) {
 		t.Fatal("CheckAnchors passed an anchor holding a descriptor pointer")
 	}
 }
+
+// TestAllocIntoZeroesItsExtent reuses a block whose earlier occupant left
+// it non-zero and durable: AllocInto must publish it zeroed in both
+// images, since Reserve stores nothing into the blocks it hands out.
+func TestAllocIntoZeroesItsExtent(t *testing.T) {
+	e := newEnv(t, Persistent, true)
+	old, err := e.alloc.NewHandle().Alloc(64, e.data.Base+nvram.WordSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := old; off < old+64; off += nvram.WordSize {
+		e.dev.Store(off, 0x5a5a)
+	}
+	e.dev.FlushAll()
+	if err := e.alloc.Free(old); err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.pool.AllocInto(64, e.data.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b != old {
+		t.Fatalf("AllocInto returned %#x, want the freed block %#x back", b, old)
+	}
+	if got := e.dev.PersistedLoad(e.data.Base) &^ DirtyFlag; got != b {
+		t.Fatalf("target persisted as %#x, want %#x", got, b)
+	}
+	for off := b; off < b+64; off += nvram.WordSize {
+		if v, p := e.dev.Load(off), e.dev.PersistedLoad(off); v != 0 || p != 0 {
+			t.Fatalf("word %#x = %#x (persisted %#x), want 0", off, v, p)
+		}
+	}
+}

@@ -338,6 +338,17 @@ func (g *Guard) Exit() {
 	}
 }
 
+// Repin moves an outermost protection to the current global epoch, as an
+// Exit and Enter would, for a caller that holds nothing it read under
+// the guard: a reader that keeps retrying then no longer holds back
+// reclamation. Under a nested Enter it does nothing, since an outer
+// caller may still hold what it read.
+func (g *Guard) Repin() {
+	if g.depth == 1 {
+		g.epoch.Store(g.mgr.global.Load())
+	}
+}
+
 // Active reports whether the guard currently holds a protection.
 func (g *Guard) Active() bool { return g.depth > 0 }
 

@@ -124,6 +124,34 @@ func TestNestedEnterExit(t *testing.T) {
 	}
 }
 
+// Repin lets garbage retired before it be reclaimed under an outermost
+// protection, and moves nothing under a nested one.
+func TestRepin(t *testing.T) {
+	m := NewManager()
+	g := m.Register()
+	g.Enter()
+	var c counter
+	m.DeferRetire(&c, 0, 0) // at the guard's epoch, and advances past it
+	g.Enter()
+	pinned := g.epoch.Load()
+	g.Repin()
+	if got := g.epoch.Load(); got != pinned {
+		t.Fatalf("nested Repin moved the pin from %d to %d", pinned, got)
+	}
+	if n := m.Collect(); n != 0 {
+		t.Fatalf("Collect reclaimed %d under a nested guard", n)
+	}
+	g.Exit()
+	g.Repin()
+	if n := m.Collect(); n != 1 {
+		t.Fatalf("Collect after an outermost Repin = %d, want 1", n)
+	}
+	if !g.Active() {
+		t.Fatal("Repin released the guard")
+	}
+	g.Exit()
+}
+
 func TestExitWithoutEnterPanics(t *testing.T) {
 	m := NewManager()
 	g := m.Register()

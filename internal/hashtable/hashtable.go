@@ -317,9 +317,12 @@ func (t *Table) create(h *core.Handle) error {
 	if err != nil {
 		return err
 	}
-	// Reserve zeroes the bucket: depth 0, version 0, every slot empty.
+	// The bucket is all zero: depth 0, version 0, every slot empty.
 	b, err := t.alloc.NewHandle().Reserve(bucketBytes(t.slots))
 	if err == nil {
+		for off := b; off < b+bucketBytes(t.slots); off += nvram.WordSize {
+			t.dev.Store(off, 0)
+		}
 		err = d.ReserveEntry(t.rootWord, 0, b, core.PolicyFreeNewOnFailure)
 	}
 	if err == nil {

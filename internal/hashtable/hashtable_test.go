@@ -713,3 +713,66 @@ func TestSplitOutOfMemoryUnreserves(t *testing.T) {
 		t.Fatalf("Check = (%+v, %v), want 2 buckets", cs, err)
 	}
 }
+
+// TestSplitSiblingInRecycledBlock splits into a block whose earlier
+// occupant left every word non-zero and durable. Reserve stores nothing,
+// so the split must write the whole sibling: its header, the keys it
+// moves, and zero in every slot after them, in both images.
+func TestSplitSiblingInRecycledBlock(t *testing.T) {
+	const slots = 4
+	size := (bucketBytes(slots) + nvram.LineBytes - 1) &^ (nvram.LineBytes - 1)
+	e := newHTEnvSpec(t, core.Persistent, slots, []alloc.Class{{BlockSize: size, Count: 2}})
+	ah := e.alloc.NewHandle()
+	junk, err := ah.Reserve(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := junk; off < junk+size; off += nvram.WordSize {
+		e.dev.Store(off, 0x5a5a)
+	}
+	e.dev.FlushAll()
+	e.alloc.Unreserve(junk)
+
+	h := e.tab.NewHandle()
+	keys := 0
+	for e.tab.Stats().Splits == 0 {
+		keys++
+		if err := h.Insert(uint64(keys), uint64(keys)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := nvram.Offset(e.rawLoad(e.roots.Base))
+	s := nvram.Offset(e.rawLoad(b + bucketSibOff))
+	if s != junk {
+		t.Fatalf("the split's sibling is %#x, want the recycled block %#x", s, junk)
+	}
+	for _, img := range []struct {
+		name string
+		load func(nvram.Offset) uint64
+	}{
+		{"cache", func(off nvram.Offset) uint64 { return e.dev.Load(off) &^ core.FlagsMask }},
+		{"persisted", func(off nvram.Offset) uint64 { return e.dev.PersistedLoad(off) &^ core.FlagsMask }},
+	} {
+		if sib, spare := img.load(s+bucketSibOff), img.load(s+bucketSpareOff); sib != 0 || spare != 0 {
+			t.Errorf("%s: sibling's sib and spare words = %#x, %#x, want 0", img.name, sib, spare)
+		}
+		bit := uint(metaCreated(img.load(s+bucketMetaOff)) - 1) // the hash bit the split moved on
+		moved := 0
+		for i := 0; i < slots; i++ {
+			k, v := img.load(slotKeyOff(s, i)), img.load(slotValOff(s, i))
+			switch {
+			case k != 0 && i == moved && v == k && mix64(k)>>bit&1 == 1:
+				moved++
+			case k != 0 || v != 0:
+				t.Errorf("%s: sibling slot %d = (%#x, %#x), want a moved key first, then empty slots", img.name, i, k, v)
+			}
+		}
+		if moved == 0 {
+			t.Errorf("%s: the split moved no key", img.name)
+		}
+	}
+	e.reopen(t)
+	if got := e.check(t); len(got) != keys {
+		t.Fatalf("Check found %d keys, want %d", len(got), keys)
+	}
+}

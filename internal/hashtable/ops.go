@@ -426,13 +426,16 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 		d.Discard()
 		return err
 	}
-	// Fill the zeroed sibling: created at depth+1, version 0, chained to
-	// b's previous sibling, holding the keys with hash bit `depth` set.
-	// Every slot of b is live: the write that called split found no empty
-	// or ghost slot at the version the PMwCAS below compares. Reserved and
+	// Fill every word of the sibling: created at depth+1, version 0, no
+	// sibling of its own, chained to b's previous sibling, holding the
+	// keys with hash bit `depth` set and empty slots after them. Every
+	// slot of b is live: the write that called split found no empty or
+	// ghost slot at the version the PMwCAS below compares. Reserved and
 	// unpublished, so plain stores are private here.
 	t.dev.Store(s+bucketMetaOff, uint64(depth+1)<<depthShift|uint64(depth+1)<<createdShift)
+	t.dev.Store(s+bucketSibOff, 0)
 	t.dev.Store(s+bucketPrevOff, sib)
+	t.dev.Store(s+bucketSpareOff, 0)
 	n := 0
 	for i := 0; i < t.slots; i++ {
 		if (mix64(keys[i])>>uint(depth))&1 == 1 {
@@ -440,6 +443,10 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 			t.dev.Store(slotValOff(s, n), vals[i])
 			n++
 		}
+	}
+	for ; n < t.slots; n++ {
+		t.dev.Store(slotKeyOff(s, n), 0)
+		t.dev.Store(slotValOff(s, n), 0)
 	}
 	// From the handoff on, the descriptor owns s.
 	err = d.ReserveEntry(b+bucketSibOff, sib, s, core.PolicyFreeNewOnFailure)

@@ -271,7 +271,7 @@ func isNamedRecv(info *types.Info, recv ast.Expr, path, name string) bool {
 
 // isHandoff reports whether call hands a reserved block to its owner:
 // (*alloc.Handle).Activate or (*core.Descriptor).ReserveEntry. Either
-// writes back every line of the block, and a fence follows before the
+// writes back every line of the reservation, and a fence follows before the
 // block's bit is set (Activate's own, or for ReserveEntry the
 // descriptor's Execute), so the stores that filled the block are durable
 // before it can be published (DESIGN.md §6.2).

@@ -23,8 +23,8 @@ import (
 // FlushAll, core.Persist / PCASFlush, or any callee whose name contains
 // "flush" or "persist") or a handoff. A handoff —
 // (*alloc.Handle).Activate or (*core.Descriptor).ReserveEntry — takes a
-// reserved block the function filled and writes back every line of it
-// (isHandoff); Activate fences itself, and the descriptor's Execute
+// reserved block the function filled and writes back every line of the
+// reservation (isHandoff); Activate fences itself, and the descriptor's Execute
 // fences a ReserveEntry's write-back before it sets the bit. So the
 // stores that filled the block need no flush of their own.
 // Functions that write back on the happy path but not on error unwinds

@@ -55,7 +55,7 @@ func (w *wal) persistHead() {
 }
 
 // goodFilledThenActivated: the stores fill a reserved block, and the
-// Activate that takes the block writes back every line of it.
+// Activate that takes the block writes back every line of the reservation.
 func (w *wal) goodFilledThenActivated(ah *alloc.Handle, v uint64) {
 	b, err := ah.Reserve(64)
 	if err != nil {

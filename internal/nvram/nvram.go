@@ -468,6 +468,22 @@ func (d *Device) PersistedLoad(off Offset) uint64 {
 	return atomic.LoadUint64(&d.persisted[d.index(off)])
 }
 
+// PoisonWord is what Poison writes: all three PMwCAS flag bits set over a
+// marker no arena offset or key codec produces.
+const PoisonWord uint64 = 0xE0BAD0BAD0BAD0BA
+
+// Poison overwrites the n bytes at off in the cache view with PoisonWord,
+// without counting, calling the hook or marking the lines dirty: a
+// sanitizer overlay, not an access. The allocator poisons each
+// reservation's extent under the psan build, whose Load panics on the
+// poison, so a block filler that leaves a reachable word unwritten fails
+// instead of reading an earlier occupant's value.
+func (d *Device) Poison(off Offset, n uint64) {
+	for i, end := d.index(off), d.index(off+n-WordSize); i <= end; i++ {
+		atomic.StoreUint64(&d.words[i], PoisonWord)
+	}
+}
+
 // FlushAll persists every dirty line. Used by snapshotting and by tests
 // that need a clean baseline; real code paths flush selectively. On a
 // volatile device FlushAll returns at once.

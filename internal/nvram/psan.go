@@ -80,6 +80,9 @@ func (d *Device) shadowInit() {
 }
 
 func (d *Device) shadowLoad(i uint64, v uint64) {
+	if v == PoisonWord {
+		panic(fmt.Sprintf("nvram: load of the poisoned word at offset %#x: its block's filler never wrote it", i*WordSize))
+	}
 	s := &d.shadow
 	mask := s.mask.Load()
 	if mask == 0 {

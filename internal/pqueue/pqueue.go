@@ -102,9 +102,11 @@ func (q *Queue) create(h *core.Handle) error {
 	if err != nil {
 		return err
 	}
-	// Reserve zeroes the sentinel: no value, no next.
+	// The sentinel holds no value and has no next.
 	sentinel, err := q.alloc.NewHandle().Reserve(nodeSize)
 	if err == nil {
+		q.dev.Store(sentinel+nodeValueOff, 0)
+		q.dev.Store(sentinel+nodeNextOff, 0)
 		err = d.ReserveEntry(q.headAnchor, 0, sentinel, core.PolicyFreeNewOnFailure)
 	}
 	if err == nil {
@@ -155,6 +157,7 @@ func (h *Handle) Enqueue(value uint64) error {
 		node, err := h.ah.Reserve(nodeSize)
 		if err == nil {
 			q.dev.Store(node+nodeValueOff, value)
+			q.dev.Store(node+nodeNextOff, 0)
 			err = d.ReserveEntry(nvram.Offset(tail)+nodeNextOff, 0, node, core.PolicyFreeNewOnFailure)
 		}
 		if err == nil {

@@ -52,11 +52,16 @@ func NewCAS(dev *nvram.Device, a *alloc.Allocator, mgr *epoch.Manager) (*CASList
 		a.Unreserve(l.head)
 		return nil, err
 	}
+	dev.Store(l.head+nodeKeyOff, 0)
 	dev.Store(l.tail+nodeKeyOff, MaxKey)
-	dev.Store(l.head+nodeMetaOff, MaxHeight)
-	dev.Store(l.tail+nodeMetaOff, MaxHeight)
+	for _, n := range [2]nvram.Offset{l.head, l.tail} {
+		dev.Store(n+nodeValueOff, 0)
+		dev.Store(n+nodeMetaOff, MaxHeight)
+	}
 	for i := 0; i < MaxHeight; i++ {
 		dev.Store(l.head+linkOff(i, false), l.tail)
+		dev.Store(l.head+linkOff(i, true), 0)
+		dev.Store(l.tail+linkOff(i, false), 0)
 		dev.Store(l.tail+linkOff(i, true), l.head)
 	}
 	// The allocator's crash-safe ownership order is pointless for a
@@ -202,6 +207,10 @@ func (h *CASHandle) Insert(key, value uint64) error {
 			l.dev.Store(node+nodeKeyOff, key)
 			l.dev.Store(node+nodeValueOff, value)
 			l.dev.Store(node+nodeMetaOff, uint64(height))
+			for level := 1; level < height; level++ {
+				l.dev.Store(node+linkOff(level, false), 0)
+				l.dev.Store(node+linkOff(level, true), 0)
+			}
 			// Volatile list: activate into the reserved scratch word.
 			h.ah.Activate(node, nvram.WordSize)
 		}

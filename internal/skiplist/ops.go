@@ -184,6 +184,11 @@ func (h *Handle) insert(pred, succ nvram.Offset, key, value uint64, height int, 
 		l.dev.Store(node+nodeMetaOff, uint64(height))
 		l.dev.Store(node+linkOff(0, false), succ)
 		l.dev.Store(node+linkOff(0, true), pred)
+		// Upper levels start unlinked: promote expects their zero.
+		for level := 1; level < height; level++ {
+			l.dev.Store(node+linkOff(level, false), 0)
+			l.dev.Store(node+linkOff(level, true), 0)
+		}
 		err = d.ReserveEntry(pred+linkOff(0, false), succ, node, core.PolicyFreeNewOnFailure)
 	}
 	if err != nil {
@@ -266,7 +271,7 @@ func (h *Handle) Get(key uint64) (uint64, error) {
 	g := h.core.Guard()
 	g.Enter()
 	defer g.Exit()
-	r := h.find(key)
+	r := h.seek(key)
 	if r.found == 0 {
 		return 0, ErrNotFound
 	}
@@ -329,7 +334,7 @@ func (h *Handle) delete(key uint64, owned bool) (uint64, error) {
 	for {
 		// Unlink any live upper level, top-down.
 		for level := height - 1; level >= 1; level-- {
-			if err := h.unlinkLevel(node, key, level, &r); err != nil {
+			if err := h.unlinkLevel(node, key, level, height, &r); err != nil {
 				return 0, err
 			}
 		}
@@ -349,8 +354,15 @@ func (h *Handle) delete(key uint64, owned bool) (uint64, error) {
 // into r, only when r does not reach node at this level (the find
 // predates the promotion) or after a lost PMwCAS.
 //
+// The same PMwCAS compares the level above dead and marks it, sealing a
+// level never promoted: a promotion that landed above a dead level would
+// leave the node reachable there with a marked link below, and every
+// find through it would restart for ever. A level above that was
+// promoted after the caller passed it is left for the caller's next
+// top-down round, and this level with it.
+//
 //pmwcas:requires-guard — reads links of the node being unlinked
-func (h *Handle) unlinkLevel(node nvram.Offset, key uint64, level int, r *findResult) error {
+func (h *Handle) unlinkLevel(node nvram.Offset, key uint64, level, height int, r *findResult) error {
 	for {
 		succ := h.read(node + linkOff(level, false))
 		if succ == 0 || succ&DeletedMask != 0 {
@@ -371,6 +383,14 @@ func (h *Handle) unlinkLevel(node nvram.Offset, key uint64, level int, r *findRe
 		}
 		if fail == nil {
 			fail = d.AddWord(succ+linkOff(level, true), node, pred)
+		}
+		if fail == nil && level+1 < height {
+			above := h.read(node + linkOff(level+1, false))
+			if above != 0 && above&DeletedMask == 0 {
+				d.Discard()
+				return nil // promoted since the caller passed it
+			}
+			fail = d.AddWord(node+linkOff(level+1, false), above, above|DeletedMask)
 		}
 		if fail != nil {
 			d.Discard()

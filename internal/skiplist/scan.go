@@ -32,7 +32,7 @@ func (h *Handle) Scan(from, to uint64, fn func(Entry) bool) error {
 	g.Enter()
 	defer g.Exit()
 
-	r := h.find(from)
+	r := h.seek(from)
 	cur := r.succs[0]
 	for cur != l.tail {
 		k := l.key(cur)
@@ -73,7 +73,7 @@ func (h *Handle) ScanReverse(from, to uint64, fn func(Entry) bool) error {
 	if to == MaxKey {
 		start = l.tail
 	} else {
-		r := h.find(to + 1)
+		r := h.seek(to + 1)
 		start = r.succs[0]
 	}
 	cur := h.read(start + linkOff(0, true))

@@ -17,7 +17,9 @@
 //   - promotion to i: {pred.next[i]: succ→n, succ.prev[i]: pred→n,
 //     n.next[i]: 0→succ, n.prev[i]: 0→pred}
 //   - level-i delete: {n.next[i]: succ→succ|mark, pred.next[i]: n→succ,
-//     succ.prev[i]: n→pred}
+//     succ.prev[i]: n→pred}, plus, below the top of the tower, a
+//     compare/mark word asserting level i+1 dead (0 or marked) and
+//     sealing it against promotion.
 //   - base delete:    level-0 triple as above, plus one compare/mark word
 //     per upper level asserting that level is dead (0 or
 //     marked) and sealing it against promotion.
@@ -45,6 +47,14 @@
 // node's memory is released only by the base delete, at which point every
 // level is provably unlinked — a dangling upper-level link is impossible,
 // even across a crash.
+//
+// Towers also stay prefix-contiguous: a node linked at level i is linked
+// at every level below. A level-i delete marks level i+1 dead in the same
+// PMwCAS, so a promotion of level i+1 either lands first (and the delete,
+// finding it live, unlinks it before level i) or fails on the seal.
+// Without that seal, a promotion could land above a level a concurrent
+// delete had just unlinked, and every find through the node would meet
+// the marked link below and restart for ever.
 package skiplist
 
 import (
@@ -179,12 +189,17 @@ func (l *List) create(h *core.Handle) error {
 		d.Discard()
 		return err
 	}
+	l.dev.Store(head+nodeKeyOff, 0)
 	l.dev.Store(tail+nodeKeyOff, MaxKey)
-	l.dev.Store(head+nodeMetaOff, MaxHeight)
-	l.dev.Store(tail+nodeMetaOff, MaxHeight)
+	for _, n := range [2]nvram.Offset{head, tail} {
+		l.dev.Store(n+nodeValueOff, 0)
+		l.dev.Store(n+nodeMetaOff, MaxHeight)
+	}
 	for i := 0; i < MaxHeight; i++ {
 		l.dev.Store(head+linkOff(i, false), tail) // head.next[i] = tail
-		l.dev.Store(tail+linkOff(i, true), head)  // tail.prev[i] = head
+		l.dev.Store(head+linkOff(i, true), 0)
+		l.dev.Store(tail+linkOff(i, false), 0)
+		l.dev.Store(tail+linkOff(i, true), head) // tail.prev[i] = head
 	}
 	if err = d.ReserveEntry(l.roots.Base, 0, head, core.PolicyFreeNewOnFailure); err != nil {
 		l.alloc.Unreserve(tail)
@@ -286,8 +301,23 @@ type findResult struct {
 // empty top levels load no key, and the base level's succ and sk answer
 // whether key is present.
 //
+// find keeps its guard across restarts, for a caller that holds a node
+// found earlier; a caller that holds nothing uses seek.
+//
 //pmwcas:requires-guard — walks links into nodes the epoch may reclaim
-func (h *Handle) find(key uint64) findResult {
+func (h *Handle) find(key uint64) findResult { return h.descend(key, false) }
+
+// seek is find for a caller that holds no node across the descent (Get,
+// a scan's first positioning). Before each restart it repins its guard
+// to the current epoch, so a reader that restarts again and again under
+// concurrent deletes does not hold back the reclamation that refills the
+// descriptor pool those deletes draw on.
+//
+//pmwcas:requires-guard — walks links into nodes the epoch may reclaim
+func (h *Handle) seek(key uint64) findResult { return h.descend(key, true) }
+
+//pmwcas:requires-guard — walks links into nodes the epoch may reclaim
+func (h *Handle) descend(key uint64, repin bool) findResult {
 	l := h.list
 	steps := int64(0)
 restart:
@@ -300,6 +330,9 @@ restart:
 			next := h.core.Read(pred + linkOff(i, false))
 			if next&DeletedMask != 0 {
 				mFindRestarts.Inc(h.lane)
+				if repin {
+					h.core.Guard().Repin()
+				}
 				goto restart
 			}
 			if next == 0 {

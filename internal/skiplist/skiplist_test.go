@@ -669,3 +669,78 @@ func TestGetPersistsDirtyLink(t *testing.T) {
 		t.Fatalf("persisted head link after Get = %#x, want %#x", got, node)
 	}
 }
+
+// TestReusedBlockStartsUnpromoted churns tall towers out and short ones
+// into their blocks. Reserve stores nothing, so a reused block still holds
+// its dead occupant's marked upper links until the insert overwrites
+// them. Each new node's upper links must read zero right after its base
+// insert, every promotion of it must land, and the recovered list must
+// pass Check with no leaked block.
+func TestReusedBlockStartsUnpromoted(t *testing.T) {
+	e := newListEnv(t, core.Persistent)
+	h := e.list.NewHandle(1)
+	g := h.core.Guard()
+	// add inserts key at height, calls fresh on the new node, then
+	// promotes it to the top, failing the test unless every step lands.
+	add := func(key uint64, height int, fresh func(node nvram.Offset)) nvram.Offset {
+		g.Enter()
+		defer g.Exit()
+		r := h.find(key)
+		node, err := h.insert(r.preds[0], r.succs[0], key, key, height, opInsert)
+		if err != nil || node == 0 {
+			t.Fatalf("insert(%d) = %#x, %v", key, node, err)
+		}
+		fresh(node)
+		for level := 1; level < height; level++ {
+			if !h.promote(node, key, level, &r) {
+				t.Fatalf("key %d: promotion to level %d did not land", key, level)
+			}
+		}
+		return node
+	}
+	// An odd key gets a tall tower, an even one a short tower.
+	heights := func(key uint64, tall, short int) int {
+		if key%2 == 1 {
+			return tall
+		}
+		return short
+	}
+
+	// Tall towers (6 levels in the 128 B class, 2 in the 64 B class),
+	// then delete them all: their blocks go back with marked upper links.
+	old := map[nvram.Offset]int{}
+	for k := uint64(1); k <= 64; k++ {
+		height := heights(k, 6, 2)
+		old[add(k, height, func(nvram.Offset) {})] = height
+	}
+	for k := uint64(1); k <= 64; k++ {
+		if err := h.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.drain()
+
+	// Shorter towers into the same blocks.
+	reused := 0
+	var keys []uint64
+	for k := uint64(101); k <= 164; k++ {
+		height := heights(k, 3, 2)
+		add(k, height, func(node nvram.Offset) {
+			if _, ok := old[node]; ok {
+				reused++
+			}
+			for level := 1; level < height; level++ {
+				if n, p := h.read(node+linkOff(level, false)), h.read(node+linkOff(level, true)); n != 0 || p != 0 {
+					t.Fatalf("key %d in reused block %#x: level-%d links (%#x, %#x) before promotion, want zero",
+						k, node, level, n, p)
+				}
+			}
+		})
+		keys = append(keys, k)
+	}
+	if reused < 32 {
+		t.Fatalf("only %d of 64 new nodes reused a freed block: the churn tested nothing", reused)
+	}
+	e.checkStructure(t)
+	e.audit(t, keys)
+}

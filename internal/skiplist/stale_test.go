@@ -208,7 +208,7 @@ func TestUnlinkStaleFind(t *testing.T) {
 					e.staleAt(inside, func() { tc.mutate(t, h2) })
 					within(t, "unlink", func() {
 						for level := height - 1; level >= 1; level-- {
-							if err := h.unlinkLevel(node, 50, level, &r); err != nil {
+							if err := h.unlinkLevel(node, 50, level, height, &r); err != nil {
 								t.Errorf("unlinkLevel %d: %v", level, err)
 							}
 						}
@@ -293,4 +293,56 @@ func TestFindRestartsConverge(t *testing.T) {
 		t.Fatal("no find restarted: the mix raced nothing")
 	}
 	e.checkStructure(t)
+}
+
+// A promotion that lands on a level a concurrent delete has already
+// passed (it was unpromoted then) must not leave the tower with a gap:
+// the delete's unlink of the level below compares the level above dead,
+// so it leaves both for its next round instead of marking the level
+// below. With the gap, every find through the node met a marked link
+// and restarted for ever: the livelock TestFindRestartsConverge hit.
+func TestLatePromotionKeepsTowerContiguous(t *testing.T) {
+	e := newListEnv(t, core.Persistent)
+	h := e.list.NewHandle(1)
+	for _, k := range []uint64{10, 90} {
+		if err := h.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.guarded(func() {
+		r := h.find(50)
+		node, err := h.insert(r.preds[0], r.succs[0], 50, 50, 3, opInsert)
+		if err != nil || node == 0 {
+			t.Fatalf("insert = %#x, %v", node, err)
+		}
+		if !h.promote(node, 50, 1, &r) {
+			t.Fatal("promotion to level 1 did not land")
+		}
+		dr := h.find(50)
+		// The delete passes level 2, unpromoted, then the insert
+		// promotes it, then the delete reaches level 1.
+		if err := h.unlinkLevel(node, 50, 2, 3, &dr); err != nil {
+			t.Fatal(err)
+		}
+		if !h.promote(node, 50, 2, &r) {
+			t.Fatal("promotion to level 2 did not land")
+		}
+		if err := h.unlinkLevel(node, 50, 1, 3, &dr); err != nil {
+			t.Fatal(err)
+		}
+		if next := h.read(node + linkOff(1, false)); next&DeletedMask != 0 {
+			t.Fatalf("level 1 unlinked under a live level 2: next = %#x", next)
+		}
+		within(t, "find through the node", func() {
+			if got := h.find(50).found; got != node {
+				t.Errorf("find(50) = %#x, want %#x", got, node)
+			}
+		})
+	})
+	within(t, "Delete", func() {
+		if err := h.Delete(50); err != nil {
+			t.Error(err)
+		}
+	})
+	e.audit(t, []uint64{10, 90})
 }

@@ -528,8 +528,8 @@ func (sh *Shard) RootWord(i int) Offset {
 	return sh.state().rootsRegion.Base + nvram.LineBytes*2 + nvram.Offset(i)*nvram.WordSize
 }
 
-// Alloc reserves a block of at least size bytes on shard 0, zeroed, and
-// publishes its offset into the target word with one PMwCAS, replacing
+// Alloc reserves a block of at least size bytes on shard 0, with the
+// lines size spans zeroed, and publishes its offset into the target word with one PMwCAS, replacing
 // (not freeing) what target held; see RootWord for stable targets. Until
 // that PMwCAS commits its descriptor owns the block, so a crash inside
 // Alloc frees it and leaves target as it was (§5.2).

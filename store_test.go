@@ -610,13 +610,15 @@ func TestAuditFollowsBlobTag(t *testing.T) {
 		var first IndexEntry
 		h.Scan(1, MaxSkipListKey, func(e SkipListEntry) bool { first = e; return false })
 		// A copy of the first record in a block that is then freed: only
-		// the allocator bitmap can tell it from the real one.
+		// the allocator bitmap can tell it from the real one. The record
+		// is its length, its key and one data word: its filler wrote
+		// nothing past them.
 		blk, err := st.Alloc(64, st.RootWord(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		dev := st.Device()
-		for off := Offset(0); off < 64; off += nvram.WordSize {
+		for off := Offset(0); off < 3*nvram.WordSize; off += nvram.WordSize {
 			dev.Store(blk+off, dev.Load(Offset(first.Value)+off))
 		}
 		dev.FlushAll()
