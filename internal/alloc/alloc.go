@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -203,6 +204,12 @@ func (a *Allocator) bitTest(c *class, idx uint64) bool {
 
 // bitSet persistently sets or clears an allocation bit.
 func (a *Allocator) bitSet(c *class, idx uint64, on bool) {
+	a.dev.Flush(a.bitStore(c, idx, on))
+}
+
+// bitStore sets or clears an allocation bit without writing it back, and
+// returns the bitmap word it changed.
+func (a *Allocator) bitStore(c *class, idx uint64, on bool) nvram.Offset {
 	off := a.bitWord(c, idx)
 	mask := uint64(1) << (idx % 64)
 	for {
@@ -214,10 +221,9 @@ func (a *Allocator) bitSet(c *class, idx uint64, on bool) {
 			new = old &^ mask
 		}
 		if old == new || a.dev.CAS(off, old, new) {
-			break
+			return off
 		}
 	}
-	a.dev.Flush(off)
 }
 
 func (a *Allocator) classFor(size uint64) int {
@@ -445,20 +451,25 @@ func (a *Allocator) Free(block nvram.Offset) error {
 }
 
 // FreeManyWithBarrier frees a batch behind one barrier: every block's
-// allocation bit is cleared and flushed, a fence orders the clears, then
-// barrier runs, and only then are the blocks put back on the free lists.
+// allocation bit is cleared, each bitmap line the clears touched is
+// written back once, a fence orders the clears, then barrier runs, and
+// only then are the blocks put back on the free lists. With a nil
+// barrier there is nothing to order the clears before, so there is no
+// fence either: a block's next owner fences before it sets the bit again
+// (see Activate), and that fence orders these write-backs too.
 //
 // The barrier is where a caller durably drops its own record of the
-// pending free (a descriptor's header reset).
+// pending free (descriptor header resets).
 // A crash before the barrier persists leaves that record naming blocks
 // whose bits may already be clear, and its replay skips them; a crash
 // after leaves no record. No block can be reallocated while a record
 // still names it, so a replay never frees another owner's block.
 //
 // Blocks whose bits are already clear are skipped, so a replay after a
-// crash is idempotent; the barrier still runs. Invalid offsets make the
-// whole call fail before anything is freed. blocks is reused as scratch:
-// on return its prefix holds the blocks this call freed.
+// crash is idempotent; the barrier still runs, and with nothing cleared
+// no fence precedes it. Invalid offsets make the whole call fail before
+// anything is freed. blocks is reused as scratch: on return it is
+// sorted, and its prefix holds the blocks this call freed.
 func (a *Allocator) FreeManyWithBarrier(blocks []nvram.Offset, barrier func()) error {
 	a.checkPoisoned()
 	for _, b := range blocks {
@@ -466,19 +477,32 @@ func (a *Allocator) FreeManyWithBarrier(blocks []nvram.Offset, barrier func()) e
 			return fmt.Errorf("%w: %#x", ErrBadBlock, b)
 		}
 	}
-	n := 0
+	// Sorted, the blocks of one bitmap line are adjacent (a class's
+	// bitmap and blocks ascend together), so each line is written back
+	// when the walk leaves it.
+	slices.Sort(blocks)
+	n, dirty := 0, nvram.Offset(0)
 	for _, b := range blocks {
 		c, idx, _ := a.locate(b)
 		if !a.bitTest(c, idx) {
 			continue // freed by an earlier, crashed attempt (or listed twice)
 		}
-		a.bitSet(c, idx, false)
+		line := a.bitStore(c, idx, false) &^ (nvram.LineBytes - 1)
+		if n > 0 && line != dirty {
+			a.dev.Flush(dirty)
+		}
+		dirty = line
 		blocks[n] = b
 		n++
 	}
-	a.dev.Fence()
+	if n > 0 {
+		a.dev.Flush(dirty)
+	}
 	if barrier != nil {
-		//lint:allow hotpath — caller-supplied durability barrier: a descriptor header reset, bounded stores and flushes (§6.3)
+		if n > 0 {
+			a.dev.Fence()
+		}
+		//lint:allow hotpath — caller-supplied durability barrier: descriptor header resets, bounded stores and flushes (§6.3)
 		barrier()
 	}
 	for _, b := range blocks[:n] {

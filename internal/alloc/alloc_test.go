@@ -796,6 +796,65 @@ func TestFreeManyWithBarrier(t *testing.T) {
 	}
 }
 
+// TestFreeManyWritesEachLineOnce frees six blocks whose bits lie on
+// three bitmap lines (two of the 64-byte class's, one of the 256-byte
+// class's), listed out of order: each line is written back once, where a
+// flush per bit cost six, and one fence orders the clears before the
+// barrier. Without a barrier there is no fence: the next owner's handoff
+// orders the clears.
+func TestFreeManyWritesEachLineOnce(t *testing.T) {
+	spec := []Class{{BlockSize: 64, Count: 1024}, {BlockSize: 256, Count: 16}}
+	for _, withBarrier := range []bool{true, false} {
+		dev, a, scratch := testEnv(t, spec, 1)
+		h := a.NewHandle()
+		var small, large []nvram.Offset
+		for i := 0; i < 1024; i++ {
+			b, err := h.Alloc(64, scratch.Base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			small = append(small, b)
+		}
+		for i := 0; i < 2; i++ {
+			b, err := h.Alloc(256, scratch.Base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			large = append(large, b)
+		}
+		// Bits 0–511 of the 64-byte class fill its first bitmap line.
+		blocks := []nvram.Offset{small[600], large[1], small[0], small[601], large[0], small[1]}
+		var barrier func()
+		if withBarrier {
+			barrier = func() {}
+		}
+		before := dev.Stats()
+		if err := a.FreeManyWithBarrier(blocks, barrier); err != nil {
+			t.Fatal(err)
+		}
+		after := dev.Stats()
+		fences := uint64(0)
+		if withBarrier {
+			fences = 1
+		}
+		if got := after.Flushes - before.Flushes; got != 3 {
+			t.Errorf("barrier %v: %d flushes, want 3 (one per bitmap line)", withBarrier, got)
+		}
+		if got := after.Fences - before.Fences; got != fences {
+			t.Errorf("barrier %v: %d fences, want %d", withBarrier, got, fences)
+		}
+		for _, b := range blocks {
+			c, idx, _ := a.locate(b)
+			if a.Allocated(b) || dev.PersistedLoad(a.bitWord(c, idx))&(1<<(idx%64)) != 0 {
+				t.Errorf("block %#x still allocated, or its clear not written back", b)
+			}
+		}
+		if n := a.FreeBlocks(256); n != 16 {
+			t.Errorf("%d 256-byte blocks free, want 16", n)
+		}
+	}
+}
+
 // TestReserveStoresNothing pins the reservation's price at zero device
 // ops: Reserve only pops a free block and records its extent. The filler
 // writes what its readers read, and the handoff writes that back.

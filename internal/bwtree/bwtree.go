@@ -89,9 +89,9 @@ type Config struct {
 	// SMO selects the structure-modification protocol.
 	SMO SMOMode
 	// LeafCapacity is the max entries in a leaf base page before it
-	// splits (default 64). Min 8.
+	// splits (default 61, see defaultCapacity). Min 8.
 	LeafCapacity int
-	// InnerCapacity is the same bound for inner pages (default 64).
+	// InnerCapacity is the same bound for inner pages (default 61).
 	InnerCapacity int
 	// ConsolidateAfter is the delta-chain length that triggers
 	// consolidation (default 8).
@@ -100,6 +100,12 @@ type Config struct {
 	// under it (SMOPMwCAS only; default 0 = merging off).
 	MergeBelow int
 }
+
+// defaultCapacity is the most entries whose base page fits a 1 KiB block
+// (baseSize(61) = 1,016 B), the largest of the store's default size
+// classes below 4 KiB: a full page of 62–64 entries would take a 4 KiB
+// block for little more than 1 KiB of data.
+const defaultCapacity = (1024 - baseEntriesOff) / entrySize
 
 // Tree is a lock-free B+-tree over a simulated-NVRAM mapping table.
 // Methods are called through per-goroutine Handles.
@@ -123,11 +129,21 @@ type Tree struct {
 // still hold it; DeferRetire also keeps the epoch clock moving.
 func (t *Tree) deferFree(head uint64) { t.pool.Epochs().DeferRetire(t, head, 0) }
 
-// Retire implements epoch.Retiree: off is a retired chain head. The tree
-// registers itself with DeferRetire instead of a closure so scheduling
-// reclamation never heap-allocates (deferFree is on the //pmwcas:hotpath
-// proof).
-func (t *Tree) Retire(off, _ uint64) { t.freeChain(off) }
+// RetireRun implements epoch.Retiree: heads are retired chain heads, and
+// every record of every chain is freed in one batch, each bitmap line
+// written back once. The tree registers itself with DeferRetire instead
+// of a closure so scheduling reclamation never heap-allocates (deferFree
+// is on the //pmwcas:hotpath proof).
+func (t *Tree) RetireRun(heads, _ []uint64) {
+	var buf [256]nvram.Offset // the run's records; a longer batch spills to the heap
+	recs := buf[:0]
+	for _, head := range heads {
+		for rec := head; rec != 0; rec = chainNext(t.dev, rec) {
+			recs = append(recs, rec)
+		}
+	}
+	_ = t.alloc.FreeManyWithBarrier(recs, nil)
+}
 
 // New opens a tree, creating it on a fresh region with one PMwCAS
 // (core.Pool.OpenAnchors). Reopening after a crash requires allocator and
@@ -143,10 +159,10 @@ func New(cfg Config) (*Tree, error) {
 		return nil, fmt.Errorf("bwtree: pool descriptors hold %d words, need >= 6", cfg.Pool.WordsPerDescriptor())
 	}
 	if cfg.LeafCapacity == 0 {
-		cfg.LeafCapacity = 64
+		cfg.LeafCapacity = defaultCapacity
 	}
 	if cfg.InnerCapacity == 0 {
-		cfg.InnerCapacity = 64
+		cfg.InnerCapacity = defaultCapacity
 	}
 	if cfg.ConsolidateAfter == 0 {
 		cfg.ConsolidateAfter = 8

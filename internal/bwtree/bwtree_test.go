@@ -885,3 +885,43 @@ func TestGetPersistsDirtyMapping(t *testing.T) {
 		t.Fatalf("persisted mapping word after Get = %#x, want %#x", got, page)
 	}
 }
+
+// TestFullDefaultPageFitsItsClass: with the default capacities, a full
+// page (61 entries, 1,016 bytes) is reserved from the 1 KiB class of the
+// store's default classes, not the 4 KiB one, and one entry more would
+// not fit it.
+func TestFullDefaultPageFitsItsClass(t *testing.T) {
+	if baseSize(defaultCapacity) > 1024 || baseSize(defaultCapacity+1) <= 1024 {
+		t.Fatalf("defaultCapacity %d is not the most entries a 1 KiB block holds", defaultCapacity)
+	}
+	spec := []alloc.Class{
+		{BlockSize: 64, Count: 4096},
+		{BlockSize: 128, Count: 256},
+		{BlockSize: 256, Count: 128},
+		{BlockSize: 1024, Count: 64},
+		{BlockSize: 4096, Count: 16},
+	}
+	e := newTreeEnvSpec(t, core.Persistent, SMOPMwCAS, spec, func(c *Config) {
+		c.LeafCapacity, c.InnerCapacity = 0, 0
+	})
+	h := e.tree.NewHandle()
+	for k := uint64(1); k <= defaultCapacity; k++ {
+		if err := h.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := h.core.Guard()
+	g.Enter()
+	v := h.resolve(h.readMapping(RootLPID))
+	page, err := h.consolidate(RootLPID, &v)
+	g.Exit()
+	if err != nil || page == 0 {
+		t.Fatalf("consolidate = %#x, %v", page, err)
+	}
+	if len(v.entries) != defaultCapacity {
+		t.Fatalf("the root holds %d entries, want a full page of %d", len(v.entries), defaultCapacity)
+	}
+	if size, err := e.alloc.BlockSize(page); err != nil || size != 1024 {
+		t.Errorf("a full default page took a %d-byte block (%v), want 1024", size, err)
+	}
+}

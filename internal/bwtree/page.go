@@ -471,10 +471,3 @@ func buildDelta(t *Tree, ah *alloc.Handle, typ, next uint64, chain int, body [5]
 	}
 	return d, to.d.ReserveEntry(to.addr, to.old, d, to.policy)
 }
-
-// freeChain releases every record in a chain.
-func (t *Tree) freeChain(head uint64) {
-	for _, rec := range chainBlocksOf(t.dev, head) {
-		_ = t.alloc.Free(rec)
-	}
-}

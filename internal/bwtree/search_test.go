@@ -115,7 +115,7 @@ func checkSearch(t *testing.T, tr *Tree, h *Handle, seen map[uint64]int) int {
 		// neighbours of each.
 		var keys []uint64
 		split := false
-		for _, rec := range chainBlocksOf(tr.dev, head) {
+		for rec := head; rec != 0; rec = chainNext(tr.dev, rec) {
 			typ := tr.dev.Load(rec+recMetaOff) & 0xff
 			seen[typ]++
 			switch typ {

@@ -85,26 +85,21 @@ func smoFinalize(dev *nvram.Device, v core.DescriptorView, succeeded bool) {
 			_ = v.FreeBlock(victim)
 			continue
 		}
-		for _, rec := range chainBlocksOf(dev, victim) {
+		for rec := victim; rec != 0; rec = chainNext(dev, rec) {
 			_ = v.FreeBlock(rec)
 		}
 	}
 }
 
-// chainBlocksOf returns every record offset in a chain, head first, for
-// bulk freeing after an SMO (usable at recovery, without a Tree).
-func chainBlocksOf(dev *nvram.Device, head uint64) []nvram.Offset {
-	var out []nvram.Offset
-	rec := nvram.Offset(head)
-	for rec != 0 {
-		out = append(out, rec)
-		typ := dev.Load(rec+recMetaOff) & 0xff
-		if typ == recBaseLeaf || typ == recBaseInner || typ == recRemoved {
-			break
-		}
-		rec = nvram.Offset(dev.Load(rec + recNextOff))
+// chainNext returns the record after rec in its chain, or 0 when rec ends
+// it (a base page or a removed node), for walking a chain record by
+// record to free it (usable at recovery, without a Tree).
+func chainNext(dev *nvram.Device, rec nvram.Offset) nvram.Offset {
+	typ := dev.Load(rec+recMetaOff) & 0xff
+	if typ == recBaseLeaf || typ == recBaseInner || typ == recRemoved {
+		return 0
 	}
-	return out
+	return nvram.Offset(dev.Load(rec + recNextOff))
 }
 
 func (t *Tree) registerCallbacks() error {

@@ -152,10 +152,10 @@ type Pool struct {
 	// &descs[idx] reinitialized, so acquiring a descriptor never
 	// heap-allocates. Each carries the owner's DRAM copy of its entries,
 	// a kWord-long slice of one slab cut in NewPool. The owner stages
-	// into both copies and reads only this one (so does finalize on the
-	// Retire path, once the owner is done); helpers and recovery read
-	// NVRAM. The aliasing is safe because takeIndex grants exclusive
-	// ownership of idx until Retire returns it.
+	// into both copies and reads only this one (so does RetireRun, once
+	// the owner is done); helpers read NVRAM, and recovery rebuilds this
+	// copy from it. The aliasing is safe because takeIndex grants
+	// exclusive ownership of idx until RetireRun returns it.
 	descs []Descriptor
 
 	callbackMu sync.RWMutex
@@ -442,7 +442,7 @@ var ErrPoolExhausted = errors.New("core: descriptor pool exhausted")
 // held, advance the epoch, sweep the garbage list, and yield.
 func (p *Pool) ReclaimPause() {
 	p.mgr.Advance()
-	//lint:allow hotpath — contention/exhaustion backoff, not the per-op path; the sweep's finalizers are off the cost model (§6.3)
+	//lint:allow hotpath — contention/exhaustion backoff, not the per-op path; a sweep's finalize run pays its two fences once for all its descriptors (§6.3)
 	p.mgr.Collect()
 	runtime.Gosched()
 }
@@ -499,10 +499,11 @@ type Descriptor struct {
 	done bool    // Execute or Discard has run
 	ents []entry // ents[:n] is the owner's DRAM copy of the NVRAM entries
 
-	// victims is finalize's batch of blocks to free, empty between
+	// victims holds the blocks this descriptor's finalize queued until
+	// RetireRun gathers them into its run's batch; empty between
 	// finalizes. It starts as a kWord-capacity cut of one slab, enough
 	// for one victim per entry, and keeps any growth (a Bw-tree chain),
-	// so the batch does not heap-allocate.
+	// so queueing does not heap-allocate.
 	victims []nvram.Offset
 }
 
@@ -682,49 +683,63 @@ func (p *Pool) retire(d nvram.Offset, idx int, succeeded bool) {
 	p.mgr.DeferRetire(p, uint64(d), uint64(idx)<<1|aux)
 }
 
-// Retire implements epoch.Retiree for concluded descriptors: off is the
-// descriptor's NVRAM offset, aux packs the slot index (high bits) and
-// the success bit (bit 0). The pool registers itself with DeferRetire
-// instead of a closure so the retire path never heap-allocates.
-func (p *Pool) Retire(off, aux uint64) {
-	ds := &p.descs[aux>>1]
-	p.finalize(DescriptorView{pool: p, off: nvram.Offset(off), n: ds.n, ents: ds.ents[:ds.n], victims: &ds.victims}, ds.cb, aux&1 != 0)
-	p.releaseIndex(ds.idx)
-}
-
-// finalize applies recycling policies (or the registered callback) to
-// view's entries, then durably resets the descriptor to Free with zero
-// count. The policies only queue their victims; the frees run as one
-// batch around the header reset (alloc.FreeManyWithBarrier): every
-// victim's bit is cleared and flushed, a fence orders the clears, the
-// reset persists, and only then are the victims reallocatable. A crash
-// before the reset persists leaves the entries visible, so recovery
+// RetireRun implements epoch.Retiree for concluded descriptors and is the
+// pool's one finalize body: Recover runs it too. offs are the
+// descriptors' NVRAM offsets; each aux packs the slot index (high bits)
+// and the success bit (bit 0). The pool registers itself with
+// DeferRetire instead of a closure so the retire path never
+// heap-allocates.
+//
+// The run persists in two barriers, however many descriptors it holds:
+//
+//  1. every descriptor's recycling policies (or registered callback)
+//     queue its victims;
+//  2. every victim's allocation bit is cleared, each bitmap line is
+//     written back once, and a fence orders the clears
+//     (alloc.FreeManyWithBarrier);
+//  3. every header is reset to Free with zero count and flushed, and a
+//     fence orders the resets;
+//  4. only then are the victims reallocatable and the slots returned.
+//
+// A crash before a reset persists leaves its entries visible, so recovery
 // re-runs the frees, skipping the bits already clear; no victim can have
-// been reallocated in between.
-func (p *Pool) finalize(view DescriptorView, cbID uint16, succeeded bool) {
-	if fn := p.callback(cbID); fn != nil {
-		fn(view, succeeded)
-	} else {
-		view.applyPolicies(succeeded)
+// been reallocated in between. A run with no victims skips step 2.
+func (p *Pool) RetireRun(offs, auxs []uint64) {
+	var buf [128]nvram.Offset // the run's victims; a longer batch spills to the heap
+	victims := buf[:0]
+	for i, aux := range auxs {
+		ds := &p.descs[aux>>1]
+		view := DescriptorView{pool: p, off: offs[i], n: ds.n, ents: ds.ents[:ds.n], victims: &ds.victims}
+		if fn := p.callback(ds.cb); fn != nil {
+			fn(view, aux&1 != 0)
+		} else {
+			view.applyPolicies(aux&1 != 0)
+		}
+		victims = append(victims, ds.victims...)
+		ds.victims = ds.victims[:0]
 	}
-	d := view.off
 	reset := func() {
-		p.dev.Store(d+descCountOff, 0)
-		p.dev.Store(d+descStatusOff, StatusFree)
-		p.flushHeader(d) // status and count share the header line
+		for _, d := range offs {
+			p.dev.Store(d+descCountOff, 0)
+			p.dev.Store(d+descStatusOff, StatusFree)
+			p.flushHeader(d) // status and count share the header line
+		}
 		p.dev.Fence()
 	}
-	if victims := *view.victims; len(victims) > 0 {
+	if len(victims) > 0 {
 		_ = p.alloc.FreeManyWithBarrier(victims, reset)
-		*view.victims = victims[:0]
 	} else {
 		reset()
 	}
-	var aux uint64
-	if succeeded {
-		aux = 1
+	for i, aux := range auxs {
+		metrics.DefaultTrace().Record(metrics.TraceFinalize, offs[i], metrics.StripeAt(int(offs[i]/nvram.LineBytes)), aux&1)
 	}
-	metrics.DefaultTrace().Record(metrics.TraceFinalize, uint64(d), metrics.StripeAt(int(d/nvram.LineBytes)), aux)
+	//lint:allow nonblock — bounded free-list push of the run's slots; no I/O under the lock (§6.3)
+	p.freeMu.Lock()
+	for _, aux := range auxs {
+		p.freeList = append(p.freeList, int(aux>>1))
+	}
+	p.freeMu.Unlock()
 }
 
 // DescriptorView is a read-only view of a concluded descriptor handed to
@@ -733,47 +748,27 @@ type DescriptorView struct {
 	pool    *Pool
 	off     nvram.Offset
 	n       int
-	ents    []entry         // the owner's DRAM copy on the Retire path; nil in recovery, which reads NVRAM
-	victims *[]nvram.Offset // the blocks FreeBlock queued, freed by finalize
+	ents    []entry         // the owner's DRAM copy (recovery rebuilds it from NVRAM)
+	victims *[]nvram.Offset // the blocks FreeBlock queued, freed by RetireRun
 }
 
 // WordCount returns the number of entries.
 func (v DescriptorView) WordCount() int { return v.n }
 
 // Address returns entry i's target address.
-func (v DescriptorView) Address(i int) nvram.Offset {
-	if v.ents != nil {
-		return v.ents[i].addr
-	}
-	return v.pool.dev.Load(wordOff(v.off, i) + wordAddrOff)
-}
+func (v DescriptorView) Address(i int) nvram.Offset { return v.ents[i].addr }
 
 // Old returns entry i's expected value.
-func (v DescriptorView) Old(i int) uint64 {
-	if v.ents != nil {
-		return v.ents[i].old
-	}
-	return v.pool.dev.Load(wordOff(v.off, i) + wordOldOff)
-}
+func (v DescriptorView) Old(i int) uint64 { return v.ents[i].old }
 
 // New returns entry i's desired value.
-func (v DescriptorView) New(i int) uint64 {
-	if v.ents != nil {
-		return v.ents[i].new
-	}
-	return v.pool.dev.Load(wordOff(v.off, i) + wordNewOff)
-}
+func (v DescriptorView) New(i int) uint64 { return v.ents[i].new }
 
 // Policy returns entry i's recycling policy.
-func (v DescriptorView) Policy(i int) Policy {
-	if v.ents != nil {
-		return v.ents[i].policy
-	}
-	return Policy(v.pool.dev.Load(wordOff(v.off, i)+wordMetaOff) & metaPolicyMask)
-}
+func (v DescriptorView) Policy(i int) Policy { return v.ents[i].policy }
 
 // FreeBlock queues an allocator block to be freed when the descriptor
-// is reset (see finalize); call it only from the callback the view was
+// is reset (see RetireRun); call it only from the callback the view was
 // handed to. It is exported on the view so custom callbacks can mix
 // object-specific destructor work with the default freeing. An offset
 // that is not a block start is refused, so one bad value cannot fail

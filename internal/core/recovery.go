@@ -46,7 +46,7 @@ type RecoveryStats struct {
 // is idempotent: a crash during recovery is repaired by running it again.
 func (p *Pool) Recover() (RecoveryStats, error) {
 	var st RecoveryStats
-	var victims []nvram.Offset
+	var offs, auxs []uint64 // the in-flight descriptors, finalized as one run
 	p.checkPoisoned()
 	if p.mode != Persistent {
 		return st, fmt.Errorf("core: Recover on a %s pool", p.mode)
@@ -71,8 +71,6 @@ func (p *Pool) Recover() (RecoveryStats, error) {
 			p.flushHeader(d)
 		}
 
-		// Recovery has no owner's copy: the view reads NVRAM.
-		view, cbID := DescriptorView{pool: p, off: d, n: n, victims: &victims}, uint16(cw>>callbackShift&callbackIDMask)
 		switch status {
 		case StatusFree:
 			if n > 0 {
@@ -80,27 +78,50 @@ func (p *Pool) Recover() (RecoveryStats, error) {
 				p.flushHeader(d)
 			}
 		case StatusUndecided, StatusFailed, StatusSucceeded:
-			succeeded := status == StatusSucceeded
-			st.WordsRepaired += p.repairWords(d, n, succeeded)
-			p.finalize(view, cbID, succeeded)
-			if succeeded {
+			var aux uint64
+			if status == StatusSucceeded {
+				aux = 1
 				st.RolledForward++
 			} else {
 				st.RolledBack++
 			}
+			ents := p.loadEntries(i, n, uint16(cw>>callbackShift&callbackIDMask))
+			st.WordsRepaired += p.repairWords(d, ents, aux == 1)
+			offs, auxs = append(offs, d), append(auxs, uint64(i)<<1|aux)
 		default:
 			return st, fmt.Errorf("core: descriptor %d has corrupt status %#x", i, status)
 		}
 	}
+	if len(offs) > 0 {
+		p.RetireRun(offs, auxs)
+	}
 	// Terminal durability barrier: repairWords stores+flushes target words
-	// and finalize persists each header, but nothing after the last of
-	// those orders them before the first post-recovery operation. Recovery
-	// must not hand out descriptors until every repair is durable — a
-	// crash in that window would otherwise re-expose words recovery
-	// already claims to have repaired.
+	// and the finalize run persists its headers, but a pool with nothing
+	// in flight still has the count resets above to order before the
+	// first post-recovery operation. Recovery must not hand out
+	// descriptors until every repair is durable — a crash in that window
+	// would otherwise re-expose words recovery already claims to have
+	// repaired.
 	p.dev.Fence()
 	p.rebuildFreeList()
 	return st, nil
+}
+
+// loadEntries rebuilds slot i's owner copy from its n durable entries
+// and callback ID, as the finalize run reads it, and returns the entries.
+func (p *Pool) loadEntries(i, n int, cb uint16) []entry {
+	ds := &p.descs[i]
+	ds.n, ds.cb = n, cb
+	for j := range ds.ents[:n] {
+		w := wordOff(p.descOff(i), j)
+		ds.ents[j] = entry{
+			addr:   p.dev.Load(w + wordAddrOff),
+			old:    p.dev.Load(w + wordOldOff),
+			new:    p.dev.Load(w + wordNewOff),
+			policy: Policy(p.dev.Load(w+wordMetaOff) & metaPolicyMask),
+		}
+	}
+	return ds.ents[:n]
 }
 
 // CheckRecovered verifies the pool's post-recovery ground state: every
@@ -130,31 +151,27 @@ func (p *Pool) CheckRecovered() error {
 }
 
 // repairWords applies the final value to every target word that still
-// holds a pointer into this descriptor, and persists it. It returns how
-// many words needed repair.
-func (p *Pool) repairWords(d nvram.Offset, n int, succeeded bool) int {
+// holds a pointer into descriptor d, whose entries are ents, and
+// persists it. It returns how many words needed repair.
+func (p *Pool) repairWords(d nvram.Offset, ents []entry, succeeded bool) int {
 	repaired := 0
-	for i := 0; i < n; i++ {
-		w := wordOff(d, i)
-		addr := p.dev.Load(w + wordAddrOff)
-		if addr == 0 || !offsetOK(addr) || addr%nvram.WordSize != 0 {
+	for i, e := range ents {
+		if e.addr == 0 || !offsetOK(e.addr) || e.addr%nvram.WordSize != 0 {
 			continue
 		}
-		cur := p.dev.Load(addr)
+		cur := p.dev.Load(e.addr)
 		payload := cur & AddressMask
 		isMine := (cur&MwCASFlag != 0 && payload == d) ||
-			(cur&RDCSSFlag != 0 && payload == w)
+			(cur&RDCSSFlag != 0 && payload == wordOff(d, i))
 		if !isMine {
 			continue
 		}
-		var val uint64
+		val := e.old
 		if succeeded {
-			val = p.dev.Load(w + wordNewOff)
-		} else {
-			val = p.dev.Load(w + wordOldOff)
+			val = e.new
 		}
-		p.dev.Store(addr, val)
-		p.dev.Flush(addr)
+		p.dev.Store(e.addr, val)
+		p.dev.Flush(e.addr)
 		repaired++
 	}
 	return repaired

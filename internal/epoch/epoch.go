@@ -11,7 +11,9 @@
 // equal to the recycle epoch — at that point no thread can still hold a
 // reference. DeferRetire also paces the clock: it advances the epoch on
 // every retire and sweeps the garbage list on every 32nd, so callers
-// never drive Advance or Collect themselves.
+// never drive Advance or Collect themselves. A sweep hands each Retiree
+// all of its ready objects as one run, so a retiree that persists what
+// it frees pays its barriers once per sweep, not once per object.
 //
 // A key property the paper relies on (§5.1): garbage lists do not need to
 // be persistent. They exist only to protect concurrent readers while the
@@ -58,8 +60,9 @@ type Manager struct {
 	// garbage is guarded by gmu. Entries are appended by DeferRetire and
 	// drained front-first by Collect; entries are in non-decreasing epoch
 	// order because DeferRetire stamps the current global epoch.
-	gmu     sync.Mutex
-	garbage []deferred
+	gmu        sync.Mutex
+	garbage    []deferred
+	offs, auxs []uint64 // garbage[i]'s two words, in step with garbage
 
 	deferred atomic.Uint64 // total DeferRetire calls; paces Collect
 	freed    atomic.Uint64 // retirees run
@@ -76,21 +79,25 @@ type Stats struct {
 }
 
 type deferred struct {
-	epoch    uint64
-	at       int64 // UnixNano at DeferRetire, 0 when metrics were off
-	r        Retiree
-	off, aux uint64
+	epoch uint64
+	at    int64 // UnixNano at DeferRetire, 0 when metrics were off
+	r     Retiree
 }
 
 // Retiree is what DeferRetire schedules: an existing object plus two
 // plain words, rather than a closure, because a closure capturing locals
 // heap-allocates at every retire on //pmwcas:hotpath fast paths while an
-// interface holding an existing pointer does not. Implementations receive
-// back exactly the two words stashed at DeferRetire time. Retire runs on
-// whichever goroutine triggers reclamation; it must not block and must
-// tolerate running long after the DeferRetire call.
+// interface holding an existing pointer does not. A sweep calls
+// RetireRun once per retiree with every ready object that retiree
+// scheduled: offs[i] and auxs[i] are the two words one DeferRetire
+// stashed. The slices are the retiree's for the call (it may reorder or
+// overwrite them) and must not be kept. RetireRun runs on whichever
+// goroutine triggers reclamation, possibly on two at once with disjoint
+// runs; it must not block and must tolerate running long after the
+// DeferRetire calls. Implementations are compared with ==, so they must
+// be comparable (a pointer is).
 type Retiree interface {
-	Retire(off, aux uint64)
+	RetireRun(offs, auxs []uint64)
 }
 
 // NewManager creates a manager with the epoch clock at 1.
@@ -158,11 +165,11 @@ func (m *Manager) Advance() uint64 {
 	return m.global.Add(1)
 }
 
-// DeferRetire schedules r.Retire(off, aux) to run once no guard can still
-// be inside an epoch <= the current one, then advances the epoch (one
-// atomic add) and, on every collectEvery-th call, sweeps the garbage
-// list. Hot retire paths use it: deferring reclamation never
-// heap-allocates.
+// DeferRetire schedules (off, aux) for r's RetireRun once no guard can
+// still be inside an epoch <= the current one, then advances the epoch
+// (one atomic add) and, on every collectEvery-th call, sweeps the
+// garbage list. Hot retire paths use it: deferring reclamation captures
+// no closure (only the garbage list's growth allocates).
 func (m *Manager) DeferRetire(r Retiree, off, aux uint64) {
 	e := m.global.Load()
 	var at int64
@@ -171,11 +178,13 @@ func (m *Manager) DeferRetire(r Retiree, off, aux uint64) {
 	}
 	//lint:allow nonblock — bounded append to the deferred list; Collect detaches under the same lock but runs retirees outside it (§6.3)
 	m.gmu.Lock()
-	m.garbage = append(m.garbage, deferred{epoch: e, at: at, r: r, off: off, aux: aux})
+	m.garbage = append(m.garbage, deferred{epoch: e, at: at, r: r})
+	m.offs = append(m.offs, off)
+	m.auxs = append(m.auxs, aux)
 	m.gmu.Unlock()
 	m.Advance()
 	if m.deferred.Add(1)%collectEvery == 0 {
-		//lint:allow hotpath — amortized epoch sweep, 1 in 32 retires; the retirees it runs are off the per-op cost model (§6.3)
+		//lint:allow hotpath — amortized epoch sweep, 1 in 32 retires: each retiree frees its whole run behind one set of barriers, and that cost is counted in the per-op bill (§6.3)
 		m.Collect()
 	}
 }
@@ -195,10 +204,11 @@ func (m *Manager) minProtected() uint64 {
 	return min
 }
 
-// Collect runs the retirees of every deferred object whose recycle epoch
-// is strictly below the minimum protected epoch, and returns how many ran.
+// Collect reclaims every deferred object whose recycle epoch is strictly
+// below the minimum protected epoch, and returns how many it reclaimed.
 // An object deferred at epoch e is safe once every thread is idle or in an
-// epoch > e; advancing the clock after retiring guarantees progress.
+// epoch > e; advancing the clock after retiring guarantees progress. Each
+// retiree's RetireRun runs once, with all of its ready objects.
 func (m *Manager) Collect() int {
 	safeBelow := m.minProtected()
 
@@ -211,8 +221,8 @@ func (m *Manager) Collect() int {
 	for i < len(m.garbage) && m.garbage[i].epoch < safeBelow {
 		i++
 	}
-	ready := m.garbage[:i:i]
-	m.garbage = m.garbage[i:]
+	ready, offs, auxs := m.garbage[:i:i], m.offs[:i:i], m.auxs[:i:i]
+	m.garbage, m.offs, m.auxs = m.garbage[i:], m.offs[i:], m.auxs[i:]
 	m.gmu.Unlock()
 
 	if len(ready) > 0 && metrics.On() {
@@ -223,8 +233,20 @@ func (m *Manager) Collect() int {
 			}
 		}
 	}
-	for _, d := range ready {
-		d.r.Retire(d.off, d.aux)
+	// Group the detached objects by retiree in place (there are a few
+	// retirees, so a swap pass per retiree is cheap), one run each.
+	for lo := 0; lo < len(ready); {
+		r, hi := ready[lo].r, lo+1
+		for j := hi; j < len(ready); j++ {
+			if ready[j].r == r {
+				ready[hi], ready[j] = ready[j], ready[hi]
+				offs[hi], offs[j] = offs[j], offs[hi]
+				auxs[hi], auxs[j] = auxs[j], auxs[hi]
+				hi++
+			}
+		}
+		r.RetireRun(offs[lo:hi], auxs[lo:hi])
+		lo = hi
 	}
 	mCollects.Inc(metrics.StripeAt(int(safeBelow)))
 	m.freed.Add(uint64(len(ready)))

@@ -11,16 +11,21 @@ import (
 	"testing"
 )
 
-// counter is a Retiree that counts its runs and keeps the words the last
-// one got back. Collect runs retirees on the goroutine that calls it.
+// counter is a Retiree that counts the objects it reclaimed and its
+// runs, and keeps the words the last object got back. Collect runs
+// retirees on the goroutine that calls it.
 type counter struct {
 	ran  atomic.Int32
+	runs atomic.Int32
 	last [2]uint64
 }
 
-func (c *counter) Retire(off, aux uint64) {
-	c.ran.Add(1)
-	c.last = [2]uint64{off, aux}
+func (c *counter) RetireRun(offs, auxs []uint64) {
+	c.runs.Add(1)
+	for i := range offs {
+		c.ran.Add(1)
+		c.last = [2]uint64{offs[i], auxs[i]}
+	}
 }
 
 func TestCollectWithNoGuardsRunsAfterAdvance(t *testing.T) {
@@ -34,6 +39,33 @@ func TestCollectWithNoGuardsRunsAfterAdvance(t *testing.T) {
 	}
 	if c.ran.Load() != 1 || c.last != [2]uint64{7, 9} {
 		t.Fatalf("retiree ran %d times with %v, want once with [7 9]", c.ran.Load(), c.last)
+	}
+}
+
+// TestCollectRunsEachRetireeOnce: a sweep hands each retiree all of its
+// ready objects in one RetireRun, however their retires interleaved, and
+// each object with the words its own DeferRetire stashed.
+func TestCollectRunsEachRetireeOnce(t *testing.T) {
+	m := NewManager()
+	var a, b counter
+	for i := uint64(0); i < 5; i++ {
+		m.DeferRetire(&a, i, 0)
+		m.DeferRetire(&b, i, 1)
+	}
+	if n := m.Collect(); n != 10 {
+		t.Fatalf("Collect = %d, want 10", n)
+	}
+	for _, c := range []struct {
+		name string
+		c    *counter
+		aux  uint64
+	}{{"a", &a, 0}, {"b", &b, 1}} {
+		if runs, ran := c.c.runs.Load(), c.c.ran.Load(); runs != 1 || ran != 5 {
+			t.Errorf("retiree %s: %d runs of %d objects in all, want 1 run of 5", c.name, runs, ran)
+		}
+		if c.c.last[1] != c.aux {
+			t.Errorf("retiree %s got aux %d, want %d", c.name, c.c.last[1], c.aux)
+		}
 	}
 }
 
@@ -209,7 +241,11 @@ type parent struct {
 	child *counter
 }
 
-func (p *parent) Retire(_, _ uint64) { p.m.DeferRetire(p.child, 0, 0) }
+func (p *parent) RetireRun(offs, _ []uint64) {
+	for range offs {
+		p.m.DeferRetire(p.child, 0, 0)
+	}
+}
 
 func TestCallbackMayDefer(t *testing.T) {
 	m := NewManager()
@@ -248,9 +284,13 @@ type stressObj struct {
 }
 
 // poisoner retires stress objects by index: reclaiming one poisons it.
-type poisoner []*stressObj
+type poisoner struct{ objs []*stressObj }
 
-func (p poisoner) Retire(off, _ uint64) { p[off].poisoned.Store(true) }
+func (p *poisoner) RetireRun(offs, _ []uint64) {
+	for _, off := range offs {
+		p.objs[off].poisoned.Store(true)
+	}
+}
 
 // Stress: concurrent readers traverse a shared object graph while a writer
 // retires and reuses objects through the manager, which paces its own
@@ -284,9 +324,9 @@ func TestStressNoUseAfterReclaim(t *testing.T) {
 	}
 
 	const writes = 5000
-	retired := make(poisoner, writes)
+	retired := &poisoner{objs: make([]*stressObj, writes)}
 	for i := 0; i < writes; i++ {
-		retired[i] = current.Load()
+		retired.objs[i] = current.Load()
 		current.Store(&stressObj{val: uint64(i)})
 		m.DeferRetire(retired, uint64(i), 0)
 	}

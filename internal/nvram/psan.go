@@ -22,7 +22,8 @@
 // distinctive 64-bit values, so "a store wrote exactly the word I read off an
 // unflushed line" is a precise-enough dependency signal, and it naturally
 // excludes navigation-only reads (keys compared, links followed but never
-// re-stored).
+// re-stored). Values below identityFloor are not distinctive (descriptor
+// statuses, counts, flags repeat everywhere), so they carry no taint.
 package nvram
 
 import (
@@ -37,6 +38,13 @@ import (
 // SanitizerEnabled reports whether this binary was built with the psan
 // persistency sanitizer (`-tags psan`).
 const SanitizerEnabled = true
+
+// identityFloor is the smallest value with an identity. A smaller one
+// (zero, a status 1–3, a count) recurs everywhere, so storing it says
+// nothing about where it was read: a descriptor status read off a dirty
+// line would be taken for a later store of the same small number. No
+// block or line start but the reserved first line lies below it.
+const identityFloor = LineBytes
 
 // Caps bound shadow memory per goroutine; sanitizer runs are short and the
 // records are pruned at every Fence and cleared at every commit/drop.
@@ -88,10 +96,10 @@ func (d *Device) shadowLoad(i uint64, v uint64) {
 	if mask == 0 {
 		return // sanitizer not armed (volatile pool or bare device)
 	}
-	if v&^mask == atomic.LoadUint64(&d.persisted[i])&^mask {
+	val := v &^ mask
+	if val < identityFloor || val == atomic.LoadUint64(&d.persisted[i])&^mask {
 		return
 	}
-	val := v &^ mask
 	ep := s.epochs[i/LineWords].Load()
 	g := goid()
 	//lint:allow nonblock — bounded sanitizer bookkeeping; no I/O or nesting under the lock (§6.3)
@@ -116,8 +124,7 @@ func (d *Device) shadowStore(i uint64, v uint64) {
 		return // sanitizer not armed
 	}
 	val := v &^ mask
-	if val == 0 {
-		// Zero stores (clears, sentinels) carry no usable identity.
+	if val < identityFloor {
 		return
 	}
 	g := goid()

@@ -70,6 +70,23 @@ func TestShadowCommitPassesWhenOriginFlushed(t *testing.T) {
 	d.ShadowCommit() // must not panic
 }
 
+// TestShadowSmallValueHasNoIdentity pins a false positive: a descriptor
+// status (1–3) read off a dirty line, then a store of the same small
+// number somewhere else (a count, another status), is no dependency, and
+// the commit must pass. Zero alone had no identity, so this panicked.
+func TestShadowSmallValueHasNoIdentity(t *testing.T) {
+	d := newArmed(t, 4*LineBytes)
+	for v := uint64(1); v < identityFloor; v++ {
+		d.Store(0, v|testMask) // a status on a dirty, never flushed line
+		_ = d.Load(0)
+		d.Store(2*LineBytes, v)
+	}
+	if r, dp := d.ShadowPending(); r != 0 || dp != 0 {
+		t.Fatalf("small values left %d reads and %d deps pending", r, dp)
+	}
+	d.ShadowCommit()
+}
+
 // TestShadowNavigationOnlyReadIsLegal: a dirty read that is never stored
 // anywhere (a key compared, a link followed) commits cleanly.
 func TestShadowNavigationOnlyReadIsLegal(t *testing.T) {

@@ -378,10 +378,10 @@ func (h *CASHandle) Delete(key uint64) error {
 	return nil
 }
 
-// Retire implements epoch.Retiree: it frees a logically deleted node
-// once its epoch expires. The method form keeps deferred reclamation
-// closure-free (see epoch.DeferRetire).
-func (l *CASList) Retire(off, _ uint64) { _ = l.alloc.Free(nvram.Offset(off)) }
+// RetireRun implements epoch.Retiree: it frees a run of logically
+// deleted nodes once their epochs expire, in one batch. The method form
+// keeps deferred reclamation closure-free (see epoch.DeferRetire).
+func (l *CASList) RetireRun(nodes, _ []uint64) { _ = l.alloc.FreeManyWithBarrier(nodes, nil) }
 
 // Scan visits keys in [from, to] ascending. fn runs under the scan's
 // epoch guard and must not block.

@@ -579,7 +579,8 @@ func (sh *Shard) SkipList() (*SkipList, error) {
 type BwTreeOptions struct {
 	// SMO selects the structure-modification protocol (default SMOPMwCAS).
 	SMO SMOMode
-	// LeafCapacity / InnerCapacity bound page sizes (default 64).
+	// LeafCapacity / InnerCapacity bound page sizes (default 61, the
+	// most entries whose base page fits a 1 KiB block).
 	LeafCapacity  int
 	InnerCapacity int
 	// ConsolidateAfter is the chain length that triggers consolidation
