@@ -75,7 +75,7 @@ func a3Eviction(threads int, sc scale) {
 			fail(err)
 		}
 		r, err := harness.Run(open(s, "pmwcas", "skiplist", pmwcas.IndexOptions{}), w,
-			func() uint64 { return s.Device().Stats().Flushes })
+			s.Device().Stats)
 		if err != nil {
 			fail(err)
 		}
@@ -106,7 +106,7 @@ func a4ConsolidationThreshold(threads int, sc scale) {
 			fail(err)
 		}
 		f := open(s, "pmwcas", "bwtree", pmwcas.IndexOptions{BwTree: pmwcas.BwTreeOptions{ConsolidateAfter: consol}})
-		r, err := harness.Run(f, w, func() uint64 { return s.Device().Stats().Flushes })
+		r, err := harness.Run(f, w, s.Device().Stats)
 		if err != nil {
 			fail(err)
 		}

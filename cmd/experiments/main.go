@@ -163,7 +163,7 @@ var reps int
 
 // runMedian runs the workload reps times on the same (preloaded) store
 // and returns the run with median throughput.
-func runMedian(f harness.Factory, w harness.Workload, flushes func() uint64) (harness.Result, error) {
+func runMedian(f harness.Factory, w harness.Workload, sample func() nvram.Stats) (harness.Result, error) {
 	n := reps
 	if n < 1 {
 		n = 1
@@ -174,7 +174,7 @@ func runMedian(f harness.Factory, w harness.Workload, flushes func() uint64) (ha
 		if i > 0 {
 			ww.Preload = 0 // already loaded
 		}
-		r, err := harness.Run(f, ww, flushes)
+		r, err := harness.Run(f, ww, sample)
 		if err != nil {
 			return harness.Result{}, err
 		}
@@ -322,7 +322,7 @@ func e5(threads int, sc scale, flush time.Duration) {
 
 		cl, dev := casList()
 		cas := harness.Factory{Label: "cas (volatile)", New: func(seed int64) harness.IndexOps { return cl.NewHandle(seed) }}
-		r, err := runMedian(cas, w, func() uint64 { return dev.Stats().Flushes })
+		r, err := runMedian(cas, w, dev.Stats)
 		if err != nil {
 			fail(err)
 		}
@@ -335,7 +335,7 @@ func e5(threads int, sc scale, flush time.Duration) {
 		}{{"mwcas (volatile)", pmwcas.Volatile}, {"pmwcas (persistent)", pmwcas.Persistent}} {
 			s := newStore(variant.mode, flush, 1)
 			r, err := runMedian(open(s, variant.label, "skiplist", pmwcas.IndexOptions{}), w,
-				func() uint64 { return s.Device().Stats().Flushes })
+				s.Device().Stats)
 			if err != nil {
 				fail(err)
 			}
@@ -357,7 +357,7 @@ func e6(threads int, sc scale, flush time.Duration) {
 			Dist: harness.Uniform, Mix: mix.mix, Preload: sc.preload,
 		}
 		tbl := harness.NewTable("E6: Bw-tree — "+mix.label,
-			"variant", "ops/s", "flushes/op", "overhead vs cas")
+			"variant", "ops/s", "flushes/op", "device ops/op", "overhead vs cas")
 		var base float64
 		for i, variant := range []struct {
 			label string
@@ -370,17 +370,18 @@ func e6(threads int, sc scale, flush time.Duration) {
 		} {
 			s := newStore(variant.mode, flush, 1)
 			f := open(s, variant.label, "bwtree", pmwcas.IndexOptions{BwTree: pmwcas.BwTreeOptions{SMO: variant.smo}})
-			r, err := runMedian(f, w, func() uint64 { return s.Device().Stats().Flushes })
+			r, err := runMedian(f, w, s.Device().Stats)
 			if err != nil {
 				fail(err)
 			}
+			overhead := "-"
 			if i == 0 {
 				base = r.OpsPerSec
-				tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer, "-")
 			} else {
-				tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer,
-					fmt.Sprintf("%.1f%%", harness.OverheadPct(base, r.OpsPerSec)))
+				overhead = fmt.Sprintf("%.1f%%", harness.OverheadPct(base, r.OpsPerSec))
 			}
+			tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer,
+				fmt.Sprintf("%.1f", r.DeviceOpsPer), overhead)
 		}
 		tbl.Print(os.Stdout)
 	}
@@ -427,7 +428,7 @@ func matrixRows(tbl *harness.Table, label, index string, shards, threads int, sc
 			}
 			s := newStore(pmwcas.Persistent, flush, shards)
 			r, err := run(open(s, label, index, pmwcas.IndexOptions{}), w,
-				func() uint64 { return s.Device().Stats().Flushes })
+				s.Device().Stats)
 			if err != nil {
 				fail(err)
 			}

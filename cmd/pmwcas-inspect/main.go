@@ -178,7 +178,8 @@ func report(w io.Writer, store *pmwcas.Store, showKeys bool) error {
 		tbl.Add("leaves", ts.Leaves)
 		tbl.Add("inner pages", ts.Inners)
 		tbl.Add("max delta chain", ts.MaxChain)
-		tbl.Add("live delta records", ts.ChainLinks)
+		tbl.Add("inner delta records", ts.InnerDeltas)
+		tbl.Add("leaf delta records", ts.LeafDeltas)
 		tbl.Add("LPIDs used", ts.UsedLPIDs)
 		tbl.Print(w)
 	}

@@ -67,7 +67,9 @@ func TestReportCoversEveryShard(t *testing.T) {
 
 // TestReportShowsBwTreeShape: an image whose Bw-trees hold keys gets one
 // shape table per shard that holds them, and opening the trees for it
-// leaves the durable image as it was.
+// leaves the durable image as it was. Each tree has split its leaves
+// under an inner root, and its SMOs rewrote that root rather than post
+// deltas to it, so the report counts no inner delta record.
 func TestReportShowsBwTreeShape(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.img")
 	st, err := pmwcas.Create(pmwcas.Config{Size: 2 << 20, Shards: 2, Descriptors: 64})
@@ -79,7 +81,7 @@ func TestReportShowsBwTreeShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := mint(1)
-	for k := uint64(1); k <= 50; k++ {
+	for k := uint64(1); k <= 500; k++ {
 		if err := h.Insert(k, k); err != nil {
 			t.Fatal(err)
 		}
@@ -104,9 +106,14 @@ func TestReportShowsBwTreeShape(t *testing.T) {
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Error("the report changed the durable image")
 	}
-	for _, want := range []string{`(?m)^bw-tree +50 *$`, `bw-tree shape, shard 0`, `bw-tree shape, shard 1`} {
+	for _, want := range []string{`(?m)^bw-tree +500 *$`, `bw-tree shape, shard 0`, `bw-tree shape, shard 1`} {
 		if !regexp.MustCompile(want).Match(out.Bytes()) {
 			t.Errorf("report lacks %s:\n%s", want, out.String())
+		}
+	}
+	for _, want := range []string{`(?m)^inner pages +1 *$`, `(?m)^inner delta records +0 *$`} {
+		if n := len(regexp.MustCompile(want).FindAll(out.Bytes(), -1)); n != 2 {
+			t.Errorf("%d shape tables show %s, want both:\n%s", n, want, out.String())
 		}
 	}
 }

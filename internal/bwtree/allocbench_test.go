@@ -109,7 +109,10 @@ func TestPointOpsAllocBudget(t *testing.T) {
 // were 38.9 and 160.9. While Reserve zeroed a whole block and its handoff
 // wrote every line of the block back, a consolidated page paid for its
 // 1 KiB or 4 KiB block rather than its entries, and an Update cost 141.1;
-// it is 115.9 now that both cover only the reservation's extent.
+// it was 115.9 once both covered only the reservation's extent. While a
+// split posted an index delta to its parent, so a descent walked inner
+// chains, and a search loaded every base's low and side words, a Get
+// cost 38.9 and an Update 113.3.
 func TestPointOpsDeviceOpBudget(t *testing.T) {
 	dev, update, get := pointOps(t)
 	ops := func(s nvram.Stats) uint64 { return s.Loads + s.Stores + s.CASes + s.Flushes + s.Fences }
@@ -126,10 +129,10 @@ func TestPointOpsDeviceOpBudget(t *testing.T) {
 	perOp(update)
 	g, u := perOp(get), perOp(update)
 	t.Logf("device ops: Get %.1f, Update %.1f", g, u)
-	if g > 60 {
-		t.Errorf("Get = %.1f device ops, budget 60", g)
+	if g > 30 {
+		t.Errorf("Get = %.1f device ops, budget 30", g)
 	}
-	if u > 130 {
-		t.Errorf("Update = %.1f device ops, budget 130", u)
+	if u > 105 {
+		t.Errorf("Update = %.1f device ops, budget 105", u)
 	}
 }

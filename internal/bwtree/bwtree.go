@@ -267,13 +267,15 @@ type Handle struct {
 	// entries are valid only until viewRingSize further resolve calls on
 	// the same handle. descend searches pages in place and resolves
 	// nothing; maintenance and Scan resolve, and the most views any path
-	// holds at once is merge's four.
-	pathBuf  []pathEntry
-	decided  []decided
-	routes   []route
-	routed   []Entry
-	viewRing [viewRingSize][]Entry
-	viewIdx  int
+	// holds at once is merge's four. parentBuf holds the routes of the
+	// parent an SMO rewrites.
+	pathBuf   []pathEntry
+	decided   []decided
+	routes    []route
+	routed    []Entry
+	viewRing  [viewRingSize][]Entry
+	viewIdx   int
+	parentBuf []Entry
 }
 
 // viewRingSize bounds how many pageViews resolved through one handle are
@@ -323,49 +325,4 @@ func checkValue(v uint64) error {
 		return ErrValueRange
 	}
 	return nil
-}
-
-// Stats describes the tree's physical shape (for tests and tools).
-type Stats struct {
-	Height     int
-	Leaves     int
-	Inners     int
-	Keys       int
-	MaxChain   int
-	UsedLPIDs  uint64
-	ChainLinks int // total delta records currently live
-}
-
-// Stats walks the tree and reports its shape. Intended for quiescent
-// moments (tests, tools); concurrent SMOs may skew counts.
-func (t *Tree) Stats(h *Handle) Stats {
-	var s Stats
-	g := h.core.Guard()
-	g.Enter()
-	defer g.Exit()
-	s.UsedLPIDs = core.PCASRead(t.dev, t.nextLPID)
-	level := []uint64{RootLPID}
-	for len(level) > 0 {
-		s.Height++
-		var next []uint64
-		for _, lpid := range level {
-			head := h.readMapping(lpid)
-			view := h.resolve(head)
-			if view.chain > s.MaxChain {
-				s.MaxChain = view.chain
-			}
-			s.ChainLinks += view.chain
-			if view.isLeaf {
-				s.Leaves++
-				s.Keys += len(view.entries)
-			} else {
-				s.Inners++
-				for _, e := range view.entries {
-					next = append(next, e.Value)
-				}
-			}
-		}
-		level = next
-	}
-	return s
 }

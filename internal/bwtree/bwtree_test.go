@@ -809,10 +809,10 @@ func TestMemoryReclaimedAfterChurn(t *testing.T) {
 	st := e.tree.Stats(h)
 	blocks, _ := e.alloc.InUse()
 	// Live blocks: one base page per page, plus current chains.
-	maxLive := uint64(st.Leaves+st.Inners+st.ChainLinks) + 2
+	maxLive := uint64(st.Leaves+st.Inners+st.InnerDeltas+st.LeafDeltas) + 2
 	if blocks > maxLive*2 {
 		t.Fatalf("%d blocks in use for %d pages + %d deltas: chains leaking",
-			blocks, st.Leaves+st.Inners, st.ChainLinks)
+			blocks, st.Leaves+st.Inners, st.InnerDeltas+st.LeafDeltas)
 	}
 }
 

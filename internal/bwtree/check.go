@@ -172,3 +172,52 @@ func Check(dev *nvram.Device, mapping nvram.Region) ([]nvram.Offset, []Entry, er
 	}
 	return blocks, entries, nil
 }
+
+// Stats describes the tree's physical shape (for tests and tools).
+type Stats struct {
+	Height      int
+	Leaves      int
+	Inners      int
+	Keys        int
+	MaxChain    int
+	UsedLPIDs   uint64
+	InnerDeltas int // delta records live on inner pages' chains
+	LeafDeltas  int // and on leaves' chains
+}
+
+// Stats walks the tree and reports its shape. Intended for quiescent
+// moments (tests, tools); concurrent SMOs may skew counts. Like Check it
+// reads mapping words raw, so a report leaves every dirty bit it meets
+// where it was.
+func (t *Tree) Stats(h *Handle) Stats {
+	var s Stats
+	g := h.core.Guard()
+	g.Enter()
+	defer g.Exit()
+	s.UsedLPIDs = t.dev.Load(t.nextLPID) &^ core.DirtyFlag
+	level := []uint64{RootLPID}
+	for len(level) > 0 {
+		s.Height++
+		var next []uint64
+		for _, lpid := range level {
+			head := t.dev.Load(t.mappingOff(lpid)) &^ core.DirtyFlag
+			view := h.resolve(head)
+			if view.chain > s.MaxChain {
+				s.MaxChain = view.chain
+			}
+			if view.isLeaf {
+				s.Leaves++
+				s.LeafDeltas += view.chain
+				s.Keys += len(view.entries)
+			} else {
+				s.Inners++
+				s.InnerDeltas += view.chain
+				for _, e := range view.entries {
+					next = append(next, e.Value)
+				}
+			}
+		}
+		level = next
+	}
+	return s
+}

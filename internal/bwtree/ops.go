@@ -73,13 +73,14 @@ restart:
 				// precisely the signal that the posting is missing, so
 				// help before following the link (Bw-tree help-along).
 				if s.high < s.baseHigh && t.smo == SMOSingleCAS && len(path) > 0 {
-					h.helpSplitCAS(path[len(path)-1].lpid, s.low, s.high,
+					h.helpSplitCAS(path[len(path)-1].lpid, t.dev.Load(s.base+baseLowOff), s.high,
 						s.baseHigh, lpid, s.side)
 				}
-				if s.side == 0 {
+				side := t.sibling(&s)
+				if side == 0 {
 					continue restart // stale route past the rightmost page
 				}
-				lpid = s.side
+				lpid = side
 				continue
 			}
 			if s.isLeaf {

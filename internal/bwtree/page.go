@@ -113,11 +113,15 @@ type pageHdr struct {
 // stops at each delta that names keys, for the reader to judge; for any
 // key, the first such record that names it decides (a leaf delta for
 // the key, an index delta whose range holds it), else the base does.
+// A lean walk leaves the base's low and side words unloaded: search
+// decides on the upper fence alone, and sibling loads the side link
+// only for a key past it.
 type walker struct {
 	pageHdr
 	t     *Tree
 	rec   nvram.Offset
 	split bool
+	lean  bool
 }
 
 func (t *Tree) walk(head uint64) walker {
@@ -146,9 +150,15 @@ func (w *walker) next() (nvram.Offset, uint64) {
 			w.rec = nvram.Offset(dev.Load(rec + recNextOff))
 		case recBaseLeaf, recBaseInner:
 			w.isLeaf, w.base, w.count = typ == recBaseLeaf, rec, int(meta>>24)
-			w.low, w.baseHigh = dev.Load(rec+baseLowOff), dev.Load(rec+baseHighOff)
+			w.baseHigh = dev.Load(rec + baseHighOff)
 			if !w.split {
-				w.high, w.side = w.baseHigh, dev.Load(rec+baseSideOff)
+				w.high = w.baseHigh
+			}
+			if !w.lean {
+				w.low = dev.Load(rec + baseLowOff)
+				if !w.split {
+					w.side = dev.Load(rec + baseSideOff)
+				}
 			}
 			return 0, 0
 		case recRemoved:
@@ -161,8 +171,9 @@ func (w *walker) next() (nvram.Offset, uint64) {
 }
 
 // pageHit is one key's answer from one page, read in place by search:
-// the page's header and, when key is within its fences, the key's value
-// (leaf) or the child that routes it (inner).
+// the page's header, less the base's low and side words (see sibling),
+// and, when key is within its fences, the key's value (leaf) or the
+// child that routes it (inner).
 type pageHit struct {
 	pageHdr
 	found bool
@@ -172,11 +183,13 @@ type pageHit struct {
 // search answers a point lookup or a routing step on the chain at head
 // without materialising the page: the first delta that names key
 // decides, else a binary search of the base's sorted entries does.
-// O(chain + log n) loads.
+// O(chain + log n) loads, none of them on a word the answer does not
+// use.
 func (t *Tree) search(head, key uint64) pageHit {
 	var s pageHit
 	decided := false
 	w := t.walk(head)
+	w.lean = true
 	for rec, typ := w.next(); typ != 0; rec, typ = w.next() {
 		if decided {
 			continue
@@ -221,6 +234,16 @@ func (t *Tree) search(head, key uint64) pageHit {
 		s.found, s.val = true, t.dev.Load(t.entryOff(s.base, lo)+8)
 	}
 	return s
+}
+
+// sibling returns a searched page's right sibling: the pending split's,
+// or else the base's side link, loaded only now that a key has passed
+// the page's upper fence.
+func (t *Tree) sibling(s *pageHit) uint64 {
+	if s.high < s.baseHigh {
+		return s.side
+	}
+	return t.dev.Load(s.base + baseSideOff)
 }
 
 // pageView is the whole logical content of one page, read by resolve

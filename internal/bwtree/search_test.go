@@ -18,10 +18,12 @@ import (
 // agree on the page's header and its whole content, and is probed with
 // search at every key that matters to it (each key a record names, the
 // keys beside them, the fences and the keys past them). For each probe,
-// search must agree with replay followed by a lookup: on the fences,
-// the chain length, whether the key redirects past the page, and the
-// found flag with its value (leaf) or child (inner). The merging run
-// puts index-delete deltas on inner chains.
+// search must agree with replay followed by a lookup on what a descent
+// decides with: the upper fence, the sibling a key past it moves to, the
+// chain length, and the found flag with its value (leaf) or child
+// (inner). The baseline run posts index-entry deltas to inner chains;
+// the last check of every run also reads index deltas planted the way a
+// PMwCAS tree posted them before its SMOs rewrote the parent.
 func TestSearchMatchesResolve(t *testing.T) {
 	type run struct {
 		name       string
@@ -70,13 +72,15 @@ func TestSearchMatchesResolve(t *testing.T) {
 				wg.Wait()
 				pairs += checkSearch(t, e.tree, check, seen)
 			}
+			if r.smo == SMOSingleCAS && seen[recIndexEntry] == 0 {
+				t.Error("the baseline posted no index-entry delta")
+			}
+			plantIndexDeltas(t, e.tree, check)
+			pairs += checkSearch(t, e.tree, check, seen)
 			t.Logf("%d (page, key) pairs; chains holding index-entry %d, index-delete %d, split %d",
 				pairs, seen[recIndexEntry], seen[recIndexDelete], seen[recSplit])
-			if seen[recIndexEntry] == 0 {
-				t.Error("no index-entry delta was ever probed")
-			}
-			if r.mergeBelow > 0 && seen[recIndexDelete] == 0 {
-				t.Error("merging on, but no index-delete delta was ever probed")
+			if seen[recIndexEntry] == 0 || seen[recIndexDelete] == 0 {
+				t.Error("an index delta type was never probed")
 			}
 		})
 	}
@@ -142,10 +146,10 @@ func checkSearch(t *testing.T, tr *Tree, h *Handle, seen map[uint64]int) int {
 				}
 				pairs++
 				s := tr.search(head, key)
-				if s.removed || s.isLeaf != v.isLeaf || s.chain != v.chain ||
-					s.low != v.low || s.high != v.high || s.side != v.side || (s.baseHigh != s.high) != split {
-					t.Fatalf("LPID %d key %d: search page %+v, replay low %d high %d side %d chain %d leaf %v split %v",
-						lpid, key, s, v.low, v.high, v.side, v.chain, v.isLeaf, split)
+				if s.removed || s.isLeaf != v.isLeaf || s.chain != v.chain || s.high != v.high ||
+					tr.sibling(&s) != v.side || (s.baseHigh != s.high) != split {
+					t.Fatalf("LPID %d key %d: search page %+v sibling %d, replay high %d side %d chain %d leaf %v split %v",
+						lpid, key, s, tr.sibling(&s), v.high, v.side, v.chain, v.isLeaf, split)
 				}
 				if key > v.high {
 					continue // both redirect to v.side
@@ -159,6 +163,47 @@ func checkSearch(t *testing.T, tr *Tree, h *Handle, seen map[uint64]int) int {
 		}
 	}
 	return pairs
+}
+
+// plantIndexDeltas prepends to every inner page of a quiescent tree with
+// two routes or more the index deltas its SMOs posted before they
+// rewrote the parent: an index-delete delta folding its first two routes
+// into the first child, then an index-entry delta splitting its last
+// route in two. Descents through such a page reach the right children
+// by side links; only the page readers are checked on it.
+func plantIndexDeltas(t *testing.T, tr *Tree, h *Handle) {
+	t.Helper()
+	g := h.core.Guard()
+	g.Enter()
+	defer g.Exit()
+	for lpid := uint64(RootLPID); lpid < core.PCASRead(tr.dev, tr.nextLPID); lpid++ {
+		head := h.readMapping(lpid)
+		if head == 0 {
+			continue
+		}
+		v := replay(tr, head)
+		if v.removed || v.isLeaf || len(v.entries) < 2 {
+			continue
+		}
+		es := v.entries
+		post := func(typ uint64, body [5]uint64, n int) {
+			d, err := buildDelta(tr, h.ah, typ, head, tr.recChain(nvram.Offset(head))+1, body, n, owner{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			head = uint64(d)
+		}
+		post(recIndexDelete, [5]uint64{v.low, es[1].Key, es[0].Value}, 3)
+		last := len(es) - 1
+		low := v.low
+		if last > 1 {
+			low = es[last-1].Key
+		}
+		if mid := low + (es[last].Key-low)/2; mid > low {
+			post(recIndexEntry, [5]uint64{low, mid, es[last].Key, es[last].Value, es[0].Value}, 5)
+		}
+		tr.dev.Store(tr.mappingOff(lpid), head)
+	}
 }
 
 // replay is the reference page reader: it collects the chain's deltas,

@@ -37,15 +37,20 @@ func smoStart() time.Time {
 // Structure modification operations: consolidation, splits, and merges.
 //
 // In SMOPMwCAS mode every SMO is a single PMwCAS over the mapping-table
-// words it touches — both halves of a split and the parent's index-entry
-// delta commit or vanish together (§6.2, "the approach collapses the
-// multi-step SMO into a single PMwCAS"). Maintenance is best-effort: a
-// failed SMO just means somebody changed a page first; the next
-// operation through the page retries. Only a crowded chain (see
-// crowded) makes a writer wait for maintenance to land.
+// words it touches — both halves of a split and the parent, rewritten as
+// a fresh base with the child's route replaced, commit or vanish
+// together (§6.2, "the approach collapses the multi-step SMO into a
+// single PMwCAS"). So inner pages carry no delta chain, and a descent
+// walks none. Maintenance is best-effort: a failed SMO just means
+// somebody changed a page first; the next operation through the page
+// retries. Only a crowded chain (see crowded) makes a writer wait for
+// maintenance to land.
 //
 // In SMOSingleCAS mode an SMO is the classic delta sequence with
-// help-along, implemented in smo_singlecas.go.
+// help-along, implemented in smo_singlecas.go; its index-term deltas are
+// the only ones a tree still writes. An image written while PMwCAS SMOs
+// posted them still reads, and its first SMO through such a parent
+// rewrites it.
 
 // cbSMO is the finalize-callback ID (registered at startup, §4.1) for
 // SMOs whose success-side garbage is an entire delta chain rather than a
@@ -146,8 +151,8 @@ func (h *Handle) maintain(path []pathEntry, lpid uint64) error {
 	}
 	if len(v.entries) > t.capacity(v.isLeaf) {
 		did, err := h.split(path, lpid, &v)
-		if did {
-			h.maintainParent(path)
+		if did && t.smo == SMOSingleCAS {
+			h.maintainParent(path) // the parent gained an index-entry delta
 		}
 		return err
 	}
@@ -182,8 +187,9 @@ func (h *Handle) maintain(path []pathEntry, lpid uint64) error {
 	return nil
 }
 
-// maintainParent cascades maintenance to the parent an SMO posts to, so
-// inner chains consolidate and inner pages split in turn.
+// maintainParent cascades maintenance to the parent an SMO changed: a
+// merge may leave it underfull, and a baseline split's index-entry delta
+// may leave its chain long or its content over capacity.
 //
 //pmwcas:requires-guard — maintains the parent page
 func (h *Handle) maintainParent(path []pathEntry) {
@@ -277,11 +283,13 @@ func (h *Handle) consolidate(lpid uint64, v *pageView) (page nvram.Offset, err e
 // split divides an oversized page at the middle of its content, whatever
 // its chain, in one PMwCAS: the lower half replaces the chain as a fresh
 // base behind the same LPID (the old chain is freed on success), the
-// upper half becomes a new page Q, and the parent gains an index-entry
-// delta routing to both. So a split consolidates as it goes, and no page
-// is ever built larger than half the content it splits. A root split
-// puts the lower half behind a fresh LPID too and swaps a two-entry inner
-// root in behind the root LPID — also one PMwCAS.
+// upper half becomes a new page Q, and the parent is rewritten with the
+// page's route split in two. So a split consolidates as it goes, and no
+// page is ever built larger than half the content it splits. A parent
+// already at capacity is split first, and this split waits for the next
+// operation through the page. A root split puts the lower half behind a
+// fresh LPID too and swaps a two-entry inner root in behind the root
+// LPID — also one PMwCAS.
 //
 //pmwcas:requires-guard — reads parent and sibling mapping words
 func (h *Handle) split(path []pathEntry, lpid uint64, v *pageView) (did bool, err error) {
@@ -297,12 +305,16 @@ func (h *Handle) split(path []pathEntry, lpid uint64, v *pageView) (did bool, er
 		return h.splitCAS(path, lpid, v)
 	}
 	var parent pathEntry
-	parentChain := 0
+	var pv pageView
+	at := 0
 	if !root {
 		parent = path[len(path)-1]
-		if parentChain = t.recChain(nvram.Offset(parent.head)); t.crowded(parentChain) {
-			h.maintainParent(path)
-			return false, nil
+		if pv, at = h.resolveParent(parent, lpid); at < 0 {
+			return false, nil // stale path
+		}
+		if len(pv.entries) >= t.innerCap {
+			_, err := h.split(path[:len(path)-1], parent.lpid, &pv)
+			return false, err
 		}
 	}
 	mid := len(v.entries) / 2
@@ -329,15 +341,53 @@ func (h *Handle) split(path []pathEntry, lpid uint64, v *pageView) (did bool, er
 	if err == nil && root {
 		err = h.reserveRoot(d, v, sep, p, q)
 	} else if err == nil {
-		_, err = h.reserveDelta(d, parent.lpid, parent.head, core.PolicyFreeNewOnFailure,
-			recIndexEntry, parent.head, parentChain+1, [5]uint64{v.low, sep, v.high, p, q}, 5)
+		err = h.reserveParent(d, parent, &pv, at, at+1, Entry{Key: sep, Value: p}, Entry{Key: v.high, Value: q})
 	}
 	if err != nil {
 		_ = d.Discard()
 		return false, err
 	}
 	ok, _ := d.Execute()
-	return ok && !root, nil // a new root has no parent to maintain
+	return ok, nil
+}
+
+// resolveParent reads the parent at the head a descent saw and returns it
+// with the index of its route to lpid, or -1 if it has none (a stale
+// path). A PMwCAS expecting that head and the child's lands only while
+// both are current, so the route then spans the child's fences.
+//
+//pmwcas:requires-guard — resolves a page another thread may retire
+func (h *Handle) resolveParent(parent pathEntry, lpid uint64) (pageView, int) {
+	pv := h.resolve(parent.head)
+	for i, e := range pv.entries {
+		if e.Value == lpid && !pv.isLeaf {
+			return pv, i
+		}
+	}
+	return pv, -1
+}
+
+// reserveParent builds the parent pv afresh, in the handle's parentBuf,
+// with its routes [from, to) replaced by a and b (a alone when b is the
+// zero Entry), and hands it to d's entry for the parent's mapping word,
+// expecting the head the descent saw: the old chain is freed on success
+// and the new page on failure.
+func (h *Handle) reserveParent(d *core.Descriptor, parent pathEntry, pv *pageView, from, to int, a, b Entry) error {
+	n := len(pv.entries) - (to - from) + 2
+	if cap(h.parentBuf) < n {
+		h.parentBuf = make([]Entry, 0, n)
+	}
+	routes := h.parentBuf[:0]
+	routes = append(routes, pv.entries[:from]...)
+	routes = append(routes, a)
+	if b != (Entry{}) {
+		routes = append(routes, b)
+	}
+	routes = append(routes, pv.entries[to:]...)
+	h.parentBuf = routes
+	_, err := buildBase(h.tree, h.ah, recBaseInner, routes, pv.low, pv.high, pv.side,
+		owner{d, h.tree.mappingOff(parent.lpid), parent.head, core.PolicyFreeOne})
+	return err
 }
 
 // reserveRoot builds the inner root over a split's halves and hands it
@@ -368,35 +418,16 @@ func (h *Handle) merge(path []pathEntry, lpid uint64, v *pageView) (did bool) {
 	//lint:allow hotpath — SMO timing closure; a merge is amortized maintenance triggered past chain/size thresholds, its cost pinned by TestPointOpsAllocBudget, not the per-op proof (§6.3)
 	defer func() { h.observeSMO(mMergeNs, t0, did) }()
 	parent := path[len(path)-1]
-	parentChain := t.recChain(nvram.Offset(parent.head))
-	if t.crowded(parentChain) {
-		h.maintainParent(path)
-		return false
-	}
-	pv := h.resolve(parent.head)
-	if pv.removed || pv.isLeaf {
-		return false
-	}
-
-	// Locate this page under the parent and pick the neighbor.
-	idx := -1
-	for i, e := range pv.entries {
-		if e.Value == lpid {
-			idx = i
-			break
-		}
-	}
+	pv, idx := h.resolveParent(parent, lpid)
 	if idx < 0 {
 		return false // stale parent snapshot
 	}
-	var leftLPID, rightLPID uint64
-	if idx > 0 {
-		leftLPID, rightLPID = pv.entries[idx-1].Value, lpid
-	} else if idx+1 < len(pv.entries) {
-		leftLPID, rightLPID = lpid, pv.entries[idx+1].Value
-	} else {
+	// Pick the neighbor: routes li and li+1 become one.
+	li := max(idx-1, 0)
+	if li+1 >= len(pv.entries) {
 		return false // only child; nothing to merge with
 	}
+	leftLPID, rightLPID := pv.entries[li].Value, pv.entries[li+1].Value
 
 	lHead := h.readMapping(leftLPID)
 	rHead := h.readMapping(rightLPID)
@@ -429,8 +460,7 @@ func (h *Handle) merge(path []pathEntry, lpid uint64, v *pageView) (did bool) {
 	}
 	// Parent: collapse the two routing entries into one.
 	if err == nil {
-		_, err = h.reserveDelta(d, parent.lpid, parent.head, core.PolicyFreeNewOnFailure,
-			recIndexDelete, parent.head, parentChain+1, [5]uint64{lv.low, rv.high, leftLPID}, 3)
+		err = h.reserveParent(d, parent, &pv, li, li+2, Entry{Key: rv.high, Value: leftLPID}, Entry{})
 	}
 	if err != nil {
 		_ = d.Discard()

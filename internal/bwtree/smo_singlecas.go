@@ -157,10 +157,9 @@ func (h *Handle) helpSplitCAS(parentLPID, low, sep, high, pLPID, qLPID uint64) b
 		}
 		// The parent itself may have split past our separator.
 		if probe > ps.high {
-			if ps.side == 0 {
+			if parentLPID = t.sibling(&ps); parentLPID == 0 {
 				return false
 			}
-			parentLPID = ps.side
 			continue
 		}
 		if ps.isLeaf || !ps.found || ps.val != pLPID {

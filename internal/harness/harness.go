@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pmwcas/internal/index"
+	"pmwcas/internal/nvram"
 )
 
 // Distribution selects how keys are drawn.
@@ -127,19 +128,20 @@ type Workload struct {
 
 // Result is one measured cell.
 type Result struct {
-	Variant    string
-	Threads    int
-	Ops        int
-	Elapsed    time.Duration
-	OpsPerSec  float64
-	Flushes    uint64 // device flushes during the timed region (if sampled)
-	FlushesPer float64
+	Variant      string
+	Threads      int
+	Ops          int
+	Elapsed      time.Duration
+	OpsPerSec    float64
+	Flushes      uint64 // device flushes during the timed region (if sampled)
+	FlushesPer   float64
+	DeviceOpsPer float64 // loads, stores, CASes, flushes and fences per op
 }
 
-// Run executes the workload and returns aggregate throughput.
-// sampleFlushes, if non-nil, is read before and after the timed region
-// (typically wired to the device's flush counter).
-func Run(f Factory, w Workload, sampleFlushes func() uint64) (Result, error) {
+// Run executes the workload and returns aggregate throughput. sample,
+// if non-nil, is read before and after the timed region (typically the
+// device's Stats method), for the region's flushes and device ops.
+func Run(f Factory, w Workload, sample func() nvram.Stats) (Result, error) {
 	if w.Mix.total() != 100 {
 		return Result{}, fmt.Errorf("harness: mix sums to %d, want 100", w.Mix.total())
 	}
@@ -170,9 +172,9 @@ func Run(f Factory, w Workload, sampleFlushes func() uint64) (Result, error) {
 		}
 	}
 
-	var before uint64
-	if sampleFlushes != nil {
-		before = sampleFlushes()
+	var before nvram.Stats
+	if sample != nil {
+		before = sample()
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, w.Threads)
@@ -200,9 +202,12 @@ func Run(f Factory, w Workload, sampleFlushes func() uint64) (Result, error) {
 		Elapsed:   elapsed,
 		OpsPerSec: float64(total) / elapsed.Seconds(),
 	}
-	if sampleFlushes != nil {
-		r.Flushes = sampleFlushes() - before
+	if sample != nil {
+		after := sample()
+		ops := func(s nvram.Stats) uint64 { return s.Loads + s.Stores + s.CASes + s.Flushes + s.Fences }
+		r.Flushes = after.Flushes - before.Flushes
 		r.FlushesPer = float64(r.Flushes) / float64(total)
+		r.DeviceOpsPer = float64(ops(after)-ops(before)) / float64(total)
 	}
 	return r, nil
 }

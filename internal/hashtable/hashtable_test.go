@@ -776,3 +776,61 @@ func TestSplitSiblingInRecycledBlock(t *testing.T) {
 		t.Fatalf("Check found %d keys, want %d", len(got), keys)
 	}
 }
+
+// TestShortSiblingChainIsAnError: a bucket whose sibling chain ends
+// before the bucket a hash's meta word names (a corrupt image) fails
+// every point op routed through it with errChainShort, and an owned put
+// refused there returns its block to the allocator. Nothing panics.
+func TestShortSiblingChainIsAnError(t *testing.T) {
+	e := newHTEnv(t, core.Persistent, 2)
+	h := e.tab.NewHandle()
+	const n = 20
+	for k := uint64(1); k <= n; k++ {
+		if err := h.Insert(k, k); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	// Cut the first bucket's chain: a reopened table routes every hash
+	// from it, so each key its splits moved away now walks off the end.
+	e.reopen(t)
+	first := nvram.Offset(e.rawLoad(e.roots.Base))
+	e.dev.Store(first+bucketSibOff, 0)
+	h = e.tab.NewHandle()
+	moved := func(k uint64) bool { return strayBits(mix64(k), e.rawLoad(first+bucketMetaOff)) != 0 }
+	fresh := uint64(n)
+	cut := 0
+	for k := uint64(1); k <= n; k++ {
+		if !moved(k) {
+			continue // still in the first bucket
+		}
+		cut++
+		if _, err := h.Get(k); !errors.Is(err, errChainShort) {
+			t.Errorf("Get(%d) = %v, want errChainShort", k, err)
+		}
+		if err := h.Update(k, 1); !errors.Is(err, errChainShort) {
+			t.Errorf("Update(%d) = %v, want errChainShort", k, err)
+		}
+		for fresh++; !moved(fresh); fresh++ {
+		}
+		if err := h.Insert(fresh, 1); !errors.Is(err, errChainShort) {
+			t.Errorf("Insert(%d) = %v, want errChainShort", fresh, err)
+		}
+		if err := h.Delete(k); !errors.Is(err, errChainShort) {
+			t.Errorf("Delete(%d) = %v, want errChainShort", k, err)
+		}
+		inUse, _ := e.alloc.InUse()
+		b, err := e.alloc.NewHandle().Reserve(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.PutOwned(k, b); !errors.Is(err, errChainShort) {
+			t.Errorf("PutOwned(%d) = %v, want errChainShort", k, err)
+		}
+		if after, _ := e.alloc.InUse(); after != inUse {
+			t.Errorf("PutOwned(%d) refused: %d blocks in use, want %d", k, after, inUse)
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no key was routed past the first bucket")
+	}
+}

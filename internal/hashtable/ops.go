@@ -16,6 +16,10 @@ import (
 // proof, where constructing an error would allocate).
 var errDepthExhausted = errors.New("hashtable: bucket depth exhausted (pathological hash collisions)")
 
+// errChainShort is locate's sentinel for a sibling chain that ends before
+// the bucket a hash's meta word names: the image is corrupt.
+var errChainShort = errors.New("hashtable: sibling chain ends short (image corrupt)")
+
 // Traversal-shape and SMO instruments (DRAM-only). Locate depth counts
 // the sibling buckets a walk loads past its directory hint — the chain
 // length path compression exists to shorten.
@@ -25,10 +29,11 @@ var (
 )
 
 // locate routes hash from its directory hint to the bucket holding its
-// class, returning the bucket and the meta word it was routed by.
+// class, returning the bucket and the meta word it was routed by, or
+// errChainShort.
 //
 //pmwcas:requires-guard — reads bucket words a concurrent PMwCAS may hold, helping it under the epoch
-func (h *Handle) locate(hash uint64) (nvram.Offset, uint64) {
+func (h *Handle) locate(hash uint64) (nvram.Offset, uint64, error) {
 	dir := *h.t.dir.Load()
 	g := bits.TrailingZeros64(uint64(len(dir)))
 	hint := &dir[hash&uint64(len(dir)-1)]
@@ -51,7 +56,7 @@ func (h *Handle) locate(hash uint64) (nvram.Offset, uint64) {
 		b = nvram.Offset(h.core.Read(b + bucketSibOff))
 		for {
 			if b == 0 {
-				panic("hashtable: sibling chain ends short — image corrupt")
+				return 0, 0, errChainShort
 			}
 			meta = h.core.Read(b + bucketMetaOff)
 			hops++
@@ -78,7 +83,7 @@ func (h *Handle) locate(hash uint64) (nvram.Offset, uint64) {
 		h.t.tryDouble(dir)
 	}
 	mLocateDepth.Observe(h.lane, hops)
-	return b, meta
+	return b, meta, nil
 }
 
 // tryDouble grows the directory dir, the live one at depth g, to g+1 so
@@ -131,7 +136,10 @@ func (h *Handle) Get(key uint64) (uint64, error) {
 	g.Enter()
 	defer g.Exit()
 	for {
-		b, meta := h.locate(hash)
+		b, meta, err := h.locate(hash)
+		if err != nil {
+			return 0, err
+		}
 		val, found := uint64(0), false
 		for i := 0; i < h.t.slots; i++ {
 			if h.core.Read(slotKeyOff(b, i)) == key {
@@ -210,7 +218,10 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 	g.Enter()
 	defer g.Exit()
 	for {
-		b, meta := h.locate(hash)
+		b, meta, err := h.locate(hash)
+		if err != nil {
+			return h.refuse(op, value, err)
+		}
 		slot, free := -1, -1
 		var freeKey uint64
 		for i := 0; i < h.t.slots; i++ {
@@ -335,7 +346,10 @@ func (h *Handle) delete(key uint64, policy core.Policy) (uint64, error) {
 	g.Enter()
 	defer g.Exit()
 	for {
-		b, meta := h.locate(hash)
+		b, meta, err := h.locate(hash)
+		if err != nil {
+			return 0, err
+		}
 		slot := -1
 		var old uint64
 		for i := 0; i < h.t.slots; i++ {
