@@ -83,16 +83,22 @@ func Open(cfg Config) (*Store, error) {
 
 // Handle is one goroutine's access context.
 type Handle struct {
-	s  *Store
-	ix index.Owner
-	g  *epoch.Guard // ix's guard
-	ah *alloc.Handle
+	s   *Store
+	ix  index.Owner
+	g   *epoch.Guard // ix's guard
+	ah  *alloc.Handle
+	cur cursor // this handle's place in a ScanMerged
 }
 
 // NewHandle returns a per-goroutine handle.
 func (s *Store) NewHandle(seed int64) *Handle {
 	ix := s.index(seed)
-	return &Handle{s: s, ix: ix, g: ix.Guard(), ah: s.alloc.NewHandle()}
+	h := &Handle{s: s, ix: ix, g: ix.Guard(), ah: s.alloc.NewHandle()}
+	h.cur.fill = func(e index.Entry) bool {
+		h.cur.ents = append(h.cur.ents, e)
+		return len(h.cur.ents) < h.cur.want
+	}
+	return h
 }
 
 // writeRecord reserves and fills a record. It stays reserved: PutOwned
@@ -241,4 +247,101 @@ func (h *Handle) scanRange(lo, hi uint64, fn func(key, val []byte) bool) error {
 		return decodeErr
 	}
 	return err
+}
+
+// mergeSlack is how many entries a ScanMerged refill asks for beyond
+// its shard's even share of what the scan still owes: keys spread over
+// the shards unevenly, and a short refill costs a second descent. A
+// two-shard SCAN(50) read the fewest device ops at 8 (EXPERIMENTS.md E21).
+const mergeSlack = 8
+
+// cursor is a handle's shard in a ScanMerged. It lives in the handle, so
+// its buffers outlast a scan and a scan allocates nothing per entry.
+type cursor struct {
+	ents []index.Entry // read from the index; ents[pos:] are not yet emitted
+	pos  int
+	next uint64                 // where the next refill resumes
+	want int                    // the refill in progress stops at this many entries
+	done bool                   // nothing in range past ents
+	fill func(index.Entry) bool // appends to ents; made once, so a refill allocates nothing
+	out  []byte                 // the emitted key and value
+}
+
+// ScanMerged visits the keys in [from, to] held by any of hs, handles on
+// the shards of one keyspace, in ascending order, at most limit of them;
+// fn returning false stops the scan. The handles must be distinct and fn
+// must not use them; key and val are valid until fn returns.
+//
+// It holds every handle's guard until it returns: a nested Enter pins
+// the epoch (Repin does nothing under it), so no record whose offset a
+// cursor has buffered can be recycled. So a cursor buffers index entries
+// only, and a record is read when its entry is emitted (§5.1).
+func ScanMerged(hs []*Handle, from, to []byte, limit int, fn func(key, val []byte) bool) error {
+	lo, err := keycodec.Encode(from)
+	if err != nil {
+		return err
+	}
+	hi, err := keycodec.Encode(to)
+	if err != nil {
+		return err
+	}
+	for _, h := range hs {
+		h.g.Enter()
+		defer h.g.Exit()
+		h.cur.ents, h.cur.pos, h.cur.next, h.cur.done = h.cur.ents[:0], 0, lo, false
+	}
+	live := len(hs) // cursors not done
+	for emitted := 0; emitted < limit; emitted++ {
+		var next *Handle
+		for _, h := range hs {
+			c := &h.cur
+			if c.pos == len(c.ents) && !c.done {
+				owed := limit - emitted
+				if err := h.refill(hi, min(owed, (owed+live-1)/live+mergeSlack)); err != nil {
+					return err
+				}
+				if c.done {
+					live--
+				}
+			}
+			// Keys are unique across shards, so the pick order is total.
+			if c.pos < len(c.ents) && (next == nil || c.ents[c.pos].Key < next.cur.ents[next.cur.pos].Key) {
+				next = h
+			}
+		}
+		if next == nil {
+			return nil
+		}
+		c := &next.cur
+		e := c.ents[c.pos]
+		c.pos++
+		out, err := keycodec.AppendDecode(c.out[:0], e.Key)
+		if err != nil {
+			return err
+		}
+		n := len(out)
+		c.out = next.s.appendRecord(out, nvram.Offset(e.Value))
+		//lint:allow nonblock — user visitor runs under the scan guard by documented contract; it must not block (§6.3)
+		if !fn(c.out[:n:n], c.out[n:]) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// refill reads up to want entries from cur.next on. Keys are integers, so
+// the cursor resumes at the last one plus one.
+func (h *Handle) refill(hi uint64, want int) error {
+	c := &h.cur
+	c.ents, c.pos, c.want = c.ents[:0], 0, want
+	//lint:allow nonblock — index dispatch, as in Put (§6.3)
+	if err := h.ix.Scan(c.next, hi, c.fill); err != nil {
+		return err
+	}
+	n := len(c.ents)
+	c.done = n < want || c.ents[n-1].Key >= hi
+	if !c.done {
+		c.next = c.ents[n-1].Key + 1
+	}
+	return nil
 }

@@ -1,10 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 
 	"pmwcas"
+	"pmwcas/internal/blobkv"
 	"pmwcas/internal/keycodec"
 )
 
@@ -16,9 +16,8 @@ import (
 //
 // Point operations route to the key's home shard — the same placement
 // Store.ShardForKey gives everyone, so all connections agree where a key
-// lives. SCAN merges the shards' ordered streams back into one global key
-// order, batch-pulling from each shard so a large range never
-// materializes in memory.
+// lives. SCAN is blobkv.ScanMerged over every shard's handle: one k-way
+// merge for any shard count, which reads a record only to return it.
 type backend struct {
 	store *pmwcas.Store
 	hs    []*pmwcas.BlobKVHandle // one per shard, index = shard number
@@ -115,127 +114,13 @@ func (b *backend) Delete(key []byte) error {
 var maxKeyBytes = []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
 // Scan visits entries with keys in [from, end] in order, at most limit
-// (at least 1, as the server clamps it) of them. An empty end means the
-// end of the keyspace. Each emitted entry is durable on its home shard at
-// emission time, so the merged stream is exactly as consistent as a
-// single-shard scan under concurrent writers: an ordered snapshot-free
-// walk.
+// of them. An empty end means the end of the keyspace. Each emitted entry
+// is durable on its home shard at emission time, so the merged stream is
+// exactly as consistent as a single-shard scan under concurrent writers:
+// an ordered snapshot-free walk.
 func (b *backend) Scan(from, end []byte, limit int, fn func(key, val []byte) bool) error {
 	if len(end) == 0 {
 		end = maxKeyBytes
 	}
-	if len(b.hs) == 1 {
-		return scanShard(b.hs[0], from, end, limit, fn)
-	}
-	cursors := make([]*shardCursor, len(b.hs))
-	for i, h := range b.hs {
-		cursors[i] = &shardCursor{h: h, next: append([]byte(nil), from...)}
-	}
-	for emitted := 0; emitted < limit; emitted++ {
-		// Refill any drained cursor, then pick the smallest head. Keys are
-		// unique across shards (each lives only on its home shard), so ties
-		// are impossible and the pick order is total.
-		min := -1
-		for i, c := range cursors {
-			if err := c.refill(end); err != nil {
-				return err
-			}
-			if len(c.buf) == 0 {
-				continue
-			}
-			if min < 0 || bytes.Compare(c.buf[0].k, cursors[min].buf[0].k) < 0 {
-				min = i
-			}
-		}
-		if min < 0 {
-			return nil // every shard exhausted
-		}
-		head := cursors[min].buf[0]
-		cursors[min].buf = cursors[min].buf[1:]
-		if !fn(head.k, head.v) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// scanShard is one shard's ordered scan of [from, end], at most limit
-// (at least 1) entries. It stops on the limit-th entry: the blob layer
-// reads an entry's record before fn sees it, so a scan that stopped on
-// the entry past the limit would read one record only to drop it.
-func scanShard(h *pmwcas.BlobKVHandle, from, end []byte, limit int, fn func(key, val []byte) bool) error {
-	n := 0
-	return h.Scan(from, end, func(k, v []byte) bool {
-		n++
-		return fn(k, v) && n < limit
-	})
-}
-
-// scanBatch is how many entries a shard cursor pulls per refill. Small
-// enough that a limit-1 scan does not drag a big batch off every shard,
-// large enough to amortize the per-batch index descent.
-const scanBatch = 32
-
-// shardCursor is one shard's position in a merged scan: a buffered
-// batch of pending entries and the key to resume from.
-type shardCursor struct {
-	h    *pmwcas.BlobKVHandle
-	buf  []kvPair
-	next []byte // resume key for the following batch
-	done bool   // the shard has no entries past buf
-}
-
-type kvPair struct{ k, v []byte }
-
-// refill pulls the cursor's next batch if its buffer is empty. The
-// underlying Scan's callback may reuse its argument slices, so entries
-// are copied out.
-func (c *shardCursor) refill(end []byte) error {
-	if c.done || len(c.buf) > 0 {
-		return nil
-	}
-	got := 0
-	var last []byte
-	err := scanShard(c.h, c.next, end, scanBatch, func(k, v []byte) bool {
-		kk := append([]byte(nil), k...)
-		c.buf = append(c.buf, kvPair{kk, append([]byte(nil), v...)})
-		last = kk
-		got++
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if got < scanBatch {
-		// The shard had fewer than a full batch left in [next, end].
-		c.done = true
-		return nil
-	}
-	nk, ok := successorKey(last)
-	if !ok {
-		c.done = true // last was the top of the keyspace
-		return nil
-	}
-	c.next = nk
-	return nil
-}
-
-// successorKey returns the smallest key strictly greater than k in the
-// bounded keyspace (keys up to keycodec.MaxLen bytes, byte order). The
-// second result is false when k is the keyspace's maximum.
-func successorKey(k []byte) ([]byte, bool) {
-	if len(k) < keycodec.MaxLen {
-		// Room to grow: k followed by the smallest byte.
-		return append(append([]byte(nil), k...), 0x00), true
-	}
-	// Maximum length: increment, dropping trailing 0xff bytes. The result
-	// is shorter than k yet strictly greater, with nothing in between.
-	s := append([]byte(nil), k...)
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] != 0xff {
-			s[i]++
-			return s[:i+1], true
-		}
-	}
-	return nil, false
+	return blobkv.ScanMerged(b.hs, from, end, limit, fn)
 }

@@ -412,12 +412,15 @@ func (s *Server) handleSlow(b *backend, req *wire.Request) wire.Response {
 				limit = wire.MaxScanEntries
 			}
 		}
+		// Keys and values are copied into one buffer. When it grows, the
+		// entries already made keep the outgrown copy, which append never
+		// writes again.
 		entries := make([]wire.Entry, 0, min(limit, 64))
+		var data []byte
 		err := b.Scan(req.Key, req.End, limit, func(k, v []byte) bool {
-			entries = append(entries, wire.Entry{
-				Key:   append([]byte(nil), k...),
-				Value: append([]byte(nil), v...),
-			})
+			n, m := len(data), len(data)+len(k)
+			data = append(append(data, k...), v...)
+			entries = append(entries, wire.Entry{Key: data[n:m:m], Value: data[m:]})
 			return true
 		})
 		if err != nil {

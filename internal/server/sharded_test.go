@@ -2,12 +2,16 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"pmwcas"
+	"pmwcas/internal/nvram"
 	"pmwcas/internal/wire"
 )
 
@@ -77,7 +81,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 			}
 
 			// Bounded scan: limit smaller than one shard's share still works
-			// (batch-pull must not overrun), and sub-ranges respect bounds.
+			// (the merge must not overrun it), and sub-ranges respect bounds.
 			few, err := cl.Scan([]byte("k"), nil, 5)
 			if err != nil || len(few) != 5 {
 				t.Fatalf("Scan limit 5 = %d entries, %v", len(few), err)
@@ -158,77 +162,266 @@ func TestShardedServerHash(t *testing.T) {
 	}
 }
 
-// TestSuccessorKey pins the batch-pull resume key: strictly greater,
-// nothing encodable in between.
-func TestSuccessorKey(t *testing.T) {
-	cases := []struct {
-		in   string
-		want string
-		ok   bool
-	}{
-		{"", "\x00", true},
-		{"abc", "abc\x00", true},
-		{"abcdefg", "abcdefh", true},                // max length: increment
-		{"abcdef\xff", "abcdeg", true},              // carry drops the 0xff
-		{"a\xff\xff\xff\xff\xff\xff", "b", true},    // long carry
-		{"\xff\xff\xff\xff\xff\xff\xff", "", false}, // keyspace maximum
-		{"abc\xff", "abc\xff\x00", true},            // short keys just extend
+// scanBackend returns a backend on a fresh store of the given shard count
+// over idx, with the keys scanKey(0) to scanKey(n-1) put in order, key i's
+// value vlen bytes long: value(i), cut or padded with '.'.
+func scanBackend(t *testing.T, shards int, idx Index, n, vlen int) (*pmwcas.Store, *backend) {
+	t.Helper()
+	store, err := pmwcas.Create(pmwcas.Config{Size: 16 << 20, Shards: shards, Descriptors: 256})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		got, ok := successorKey([]byte(tc.in))
-		if ok != tc.ok || (ok && string(got) != tc.want) {
-			t.Errorf("successorKey(%q) = %q, %v; want %q, %v", tc.in, got, ok, tc.want, tc.ok)
+	bs, err := newBackends(store, idx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		v := []byte(value(i) + strings.Repeat(".", vlen))[:vlen]
+		if err := bs[0].Put(scanKey(i), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return store, bs[0]
+}
+
+func scanKey(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
+
+// TestScanReadsOnlyEmittedRecords pins a SCAN to reading exactly the
+// records it returns, for any shard count and limit. Two stores differ
+// only in their values' lengths, 8 and 64 bytes: the same keys put in the
+// same order through handles of the same seeds, so their index walks load
+// the same words, and each record read loads 7 words more on the second.
+// A merge that read a batch of records per shard read 64 at 2 shards and
+// 128 at 4 for any limit up to 50.
+func TestScanReadsOnlyEmittedRecords(t *testing.T) {
+	for _, idx := range []Index{IndexSkipList, IndexBwTree} {
+		for _, shards := range []int{1, 2, 4} {
+			var stores [2]*pmwcas.Store
+			var bs [2]*backend
+			for i, vlen := range []int{8, 64} {
+				stores[i], bs[i] = scanBackend(t, shards, idx, 400, vlen)
+			}
+			// scan returns the words one scan from the 101st key loads and
+			// the entries it emits, after running every pending finalizer.
+			scan := func(i, limit int) (uint64, int) {
+				for si := 0; si < shards; si++ {
+					for j := 0; j < 3; j++ {
+						stores[i].Shard(si).Epochs().Advance()
+						stores[i].Shard(si).Epochs().Collect()
+					}
+				}
+				before := stores[i].Device().Stats().Loads
+				n := 0
+				if err := bs[i].Scan(scanKey(100), nil, limit, func(k, v []byte) bool { n++; return true }); err != nil {
+					t.Fatal(err)
+				}
+				return stores[i].Device().Stats().Loads - before, n
+			}
+			for _, limit := range []int{1, 5, 32, 50, 300} {
+				short, n := scan(0, limit)
+				long, m := scan(1, limit)
+				if n != limit || m != limit {
+					t.Fatalf("%s, %d shards, limit %d: the scans emitted %d and %d entries", idx, shards, limit, n, m)
+				}
+				if d := long - short; d%7 != 0 || d/7 != uint64(limit) {
+					t.Errorf("%s, %d shards, limit %d: 64-byte values loaded %d words more than 8-byte ones, %.1f records for %d entries",
+						idx, shards, limit, d, float64(d)/7, limit)
+				}
+			}
 		}
 	}
 }
 
-// TestScanReadsOnlyEmittedRecords pins a limit-k SCAN on one shard to k
-// record reads. The blob layer copies an entry's record before the scan's
-// callback sees it, so a scan that checked its limit on the entry after
-// the k-th read one record it never emitted. The reference is a scan of
-// the range of keys 0 to k-1, which holds exactly k keys: it reads their
-// k records, then the next node's key to find it past the end. A limit-k
-// scan from key 0 must load fewer words; one more record read costs it
-// the node's value and link words and the record's words on top.
-func TestScanReadsOnlyEmittedRecords(t *testing.T) {
-	store, err := pmwcas.Create(pmwcas.Config{Size: 16 << 20, Descriptors: 256})
-	if err != nil {
-		t.Fatal(err)
+// TestScanMergeModel checks SCAN against a sorted map on blob layers over
+// the skip list and the Bw-tree at 1, 2 and 4 shards, through puts,
+// overwrites and deletes of random keys and the keyspace's edges: the
+// empty key and the top key, past which no key resumes a shard's walk.
+func TestScanMergeModel(t *testing.T) {
+	top := "\xff\xff\xff\xff\xff\xff\xff"
+	for _, idx := range []Index{IndexSkipList, IndexBwTree} {
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/%d", idx, shards), func(t *testing.T) {
+				_, b := scanBackend(t, shards, idx, 0, 0)
+				rng := rand.New(rand.NewSource(int64(shards)))
+				// Bytes 0x00 and 0xff and every length up to the limit put
+				// keys next to their neighbours in the integer domain.
+				randKey := func() string {
+					k := make([]byte, rng.Intn(8))
+					for i := range k {
+						k[i] = []byte{0x00, 'a', 'b', 0xfe, 0xff}[rng.Intn(5)]
+					}
+					return string(k)
+				}
+				model := map[string]string{}
+				check := func(from, end string, limit int) {
+					t.Helper()
+					var want []string
+					for k := range model {
+						if k >= from && (end == "" || k <= end) {
+							want = append(want, k)
+						}
+					}
+					sort.Strings(want)
+					want = want[:min(len(want), limit)]
+					var got []string
+					err := b.Scan([]byte(from), []byte(end), limit, func(k, v []byte) bool {
+						if model[string(k)] != string(v) {
+							t.Errorf("Scan(%q, %q, %d): %q holds %q, want %q", from, end, limit, k, v, model[string(k)])
+						}
+						got = append(got, string(k))
+						return true
+					})
+					if err != nil {
+						t.Fatalf("Scan(%q, %q, %d): %v", from, end, limit, err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("Scan(%q, %q, %d) = %q, want %q", from, end, limit, got, want)
+					}
+				}
+				for round := 0; round < 6; round++ {
+					for i := 0; i < 150; i++ {
+						k := randKey()
+						if rng.Intn(4) == 0 {
+							delete(model, k)
+							if err := b.Delete([]byte(k)); err != nil && !errors.Is(err, pmwcas.ErrBlobNotFound) {
+								t.Fatal(err)
+							}
+							continue
+						}
+						v := fmt.Sprintf("%x/%d", k, rng.Intn(1000))
+						model[k] = v
+						if err := b.Put([]byte(k), []byte(v)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// The edges are in the first rounds and gone in the rest.
+					for _, k := range []string{"", top} {
+						if round < 3 {
+							model[k] = "edge " + k
+							if err := b.Put([]byte(k), []byte(model[k])); err != nil {
+								t.Fatal(err)
+							}
+						} else if _, ok := model[k]; ok {
+							delete(model, k)
+							if err := b.Delete([]byte(k)); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					check("", "", 512)          // the server's largest limit
+					check("", "", len(model)+1) // above the population
+					check("", "", 1)            // the smallest key
+					check(top, "", 512)         // the top key, if present
+					check("b", "a", 512)        // end below from
+					check("a", "b", len(model)) // a sub-range
+					check("\xfe", top, 3)       // up to the top key
+					check("a\xff\xff\xff\xff\xff\xff", "", 5)
+					for i := 0; i < 20; i++ {
+						from, end := randKey(), randKey()
+						if end < from && rng.Intn(2) == 0 {
+							from, end = end, from
+						}
+						check(from, end, 1+rng.Intn(60))
+					}
+				}
+			})
+		}
 	}
-	bs, err := newBackends(store, IndexSkipList, 1)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestScanMergeConcurrentWriters runs two-shard SCAN(50)s while two
+// writers put and delete the scanned keys, each value tagged with its
+// key. A scan must yield strictly ascending keys, at most its limit of
+// them, and each key's own value: a record the merge read after its
+// guard let the record be recycled would hold another key's value, or a
+// poisoned word under psan.
+func TestScanMergeConcurrentWriters(t *testing.T) {
+	for _, idx := range []Index{IndexSkipList, IndexBwTree} {
+		t.Run(string(idx), func(t *testing.T) {
+			store, err := pmwcas.Create(pmwcas.Config{Size: 16 << 20, Shards: 2, Descriptors: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs, err := newBackends(store, idx, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const keys, ops, limit = 200, 3000, 50
+			pad := strings.Repeat("~", 48)
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(b *backend, rng *rand.Rand) {
+					defer wg.Done()
+					for i := 0; i < ops; i++ {
+						k := scanKey(rng.Intn(keys))
+						err := b.Delete(k)
+						if rng.Intn(3) > 0 {
+							err = b.Put(k, fmt.Appendf(nil, "%s@%d%s", k, i, pad))
+						}
+						if err != nil && !errors.Is(err, pmwcas.ErrBlobNotFound) {
+							t.Error(err)
+							return
+						}
+					}
+				}(bs[w], rand.New(rand.NewSource(int64(w))))
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			rng := rand.New(rand.NewSource(7))
+			for scans := 0; ; scans++ {
+				select {
+				case <-done:
+					if scans == 0 {
+						t.Fatal("the writers finished before one scan")
+					}
+					return
+				default:
+				}
+				var prev []byte
+				n := 0
+				err := bs[2].Scan(scanKey(rng.Intn(keys)), nil, limit, func(k, v []byte) bool {
+					if prev != nil && bytes.Compare(prev, k) >= 0 {
+						t.Fatalf("scan yielded %q after %q", k, prev)
+					}
+					if !bytes.HasPrefix(v, append(append([]byte(nil), k...), '@')) {
+						t.Fatalf("scan yielded %q = %q, another key's value", k, v)
+					}
+					prev = append(prev[:0], k...)
+					n++
+					return true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n > limit {
+					t.Fatalf("SCAN(%d) yielded %d entries", limit, n)
+				}
+			}
+		})
 	}
-	b := bs[0]
-	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
-	for i := 0; i < 100; i++ {
-		if err := b.Put(key(i), []byte(value(i))); err != nil {
+}
+
+// TestScanAllocBudget: a two-shard SCAN(50) allocates nothing per entry.
+// The merge reuses its handles' buffers; what a scan whose visitor does
+// not allocate still allocates is each shard's deferred guard exit.
+func TestScanAllocBudget(t *testing.T) {
+	if nvram.SanitizerEnabled {
+		t.Skip("psan's shadow state allocates on every device op")
+	}
+	_, b := scanBackend(t, 2, IndexSkipList, 400, 64)
+	from := scanKey(100)
+	n := 0
+	visit := func(k, v []byte) bool { n++; return true }
+	got := testing.AllocsPerRun(200, func() {
+		if err := b.Scan(from, nil, 50, visit); err != nil {
 			t.Fatal(err)
 		}
+	})
+	if got > 2 {
+		t.Fatalf("a two-shard SCAN(50) made %v allocations, budget 2", got)
 	}
-	// scan returns the words one scan from key 0 loads and the entries it
-	// emits, after running every pending finalizer.
-	scan := func(end []byte, limit int) (uint64, int) {
-		for i := 0; i < 3; i++ {
-			store.Epochs().Advance()
-			store.Epochs().Collect()
-		}
-		before := store.Device().Stats().Loads
-		n := 0
-		if err := b.Scan(key(0), end, limit, func(k, v []byte) bool { n++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		return store.Device().Stats().Loads - before, n
-	}
-	for _, k := range []int{1, 5, scanBatch, 50} {
-		bounded, n := scan(key(k-1), 1000)
-		limited, m := scan(nil, k)
-		if n != k || m != k {
-			t.Fatalf("k=%d: the scans emitted %d and %d entries", k, n, m)
-		}
-		if limited >= bounded {
-			t.Errorf("limit-%d scan loaded %d words, a scan of exactly %d keys %d: it read a record past its limit",
-				k, limited, k, bounded)
-		}
+	if n != 201*50 {
+		t.Fatalf("the scans emitted %d entries, want %d", n, 201*50)
 	}
 }
