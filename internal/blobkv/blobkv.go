@@ -88,6 +88,7 @@ type Handle struct {
 	g   *epoch.Guard // ix's guard
 	ah  *alloc.Handle
 	cur cursor // this handle's place in a ScanMerged
+	out []byte // the key and value a scan hands its visitor
 }
 
 // NewHandle returns a per-goroutine handle.
@@ -178,11 +179,6 @@ func (h *Handle) GetAppend(key, dst []byte) ([]byte, error) {
 	return h.s.appendRecord(dst, nvram.Offset(rec)), nil
 }
 
-// readRecord copies a record's payload out. Caller holds a guard.
-func (s *Store) readRecord(rec nvram.Offset) []byte {
-	return s.appendRecord(nil, rec)
-}
-
 // appendRecord appends a record's payload to dst. Caller holds a guard.
 func (s *Store) appendRecord(dst []byte, rec nvram.Offset) []byte {
 	n := int(s.dev.Load(rec + recLenOff))
@@ -208,8 +204,8 @@ func (h *Handle) Delete(key []byte) error {
 }
 
 // Scan visits keys in [from, to] (byte-string bounds, inclusive) in
-// lexicographic order; fn returning false stops the scan. Values are
-// copies.
+// lexicographic order; fn returning false stops the scan. key and val
+// are valid until fn returns: the handle reuses their buffer.
 func (h *Handle) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 	lo, err := keycodec.Encode(from)
 	if err != nil {
@@ -222,7 +218,8 @@ func (h *Handle) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 	return h.scanRange(lo, hi, fn)
 }
 
-// ScanPrefix visits every key with the given prefix in order.
+// ScanPrefix visits every key with the given prefix in order; key and
+// val are valid until fn returns, as in Scan.
 func (h *Handle) ScanPrefix(prefix []byte, fn func(key, val []byte) bool) error {
 	lo, hi, err := keycodec.PrefixRange(prefix)
 	if err != nil {
@@ -234,14 +231,16 @@ func (h *Handle) ScanPrefix(prefix []byte, fn func(key, val []byte) bool) error 
 func (h *Handle) scanRange(lo, hi uint64, fn func(key, val []byte) bool) error {
 	var decodeErr error
 	err := h.ix.Scan(lo, hi, func(e index.Entry) bool {
-		key, err := keycodec.Decode(e.Key)
+		out, err := keycodec.AppendDecode(h.out[:0], e.Key)
 		if err != nil {
 			decodeErr = err
 			return false
 		}
 		// The index's scan holds the guard while fn runs, so the record
 		// copy is safe here.
-		return fn(key, h.s.readRecord(nvram.Offset(e.Value)))
+		n := len(out)
+		h.out = h.s.appendRecord(out, nvram.Offset(e.Value))
+		return fn(h.out[:n:n], h.out[n:])
 	})
 	if decodeErr != nil {
 		return decodeErr
@@ -264,7 +263,6 @@ type cursor struct {
 	want int                    // the refill in progress stops at this many entries
 	done bool                   // nothing in range past ents
 	fill func(index.Entry) bool // appends to ents; made once, so a refill allocates nothing
-	out  []byte                 // the emitted key and value
 }
 
 // ScanMerged visits the keys in [from, to] held by any of hs, handles on
@@ -315,14 +313,14 @@ func ScanMerged(hs []*Handle, from, to []byte, limit int, fn func(key, val []byt
 		c := &next.cur
 		e := c.ents[c.pos]
 		c.pos++
-		out, err := keycodec.AppendDecode(c.out[:0], e.Key)
+		out, err := keycodec.AppendDecode(next.out[:0], e.Key)
 		if err != nil {
 			return err
 		}
 		n := len(out)
-		c.out = next.s.appendRecord(out, nvram.Offset(e.Value))
+		next.out = next.s.appendRecord(out, nvram.Offset(e.Value))
 		//lint:allow nonblock — user visitor runs under the scan guard by documented contract; it must not block (§6.3)
-		if !fn(c.out[:n:n], c.out[n:]) {
+		if !fn(next.out[:n:n], next.out[n:]) {
 			return nil
 		}
 	}

@@ -48,7 +48,7 @@ func Check(dev *nvram.Device, a *alloc.Allocator, entries []index.Entry) ([]nvra
 }
 
 // readRecordRaw copies a record's payload straight off the device (the
-// quiescent-image counterpart of Store.readRecord).
+// quiescent-image counterpart of Store.appendRecord).
 func readRecordRaw(dev *nvram.Device, rec nvram.Offset) []byte {
 	n := int(dev.Load(rec + recLenOff))
 	out := make([]byte, n)

@@ -2,6 +2,7 @@ package skiplist
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/epoch"
@@ -33,6 +34,7 @@ type CASList struct {
 	mgr   *epoch.Manager
 	head  nvram.Offset
 	tail  nvram.Offset
+	top   atomic.Int32 // as List.top: a descent starts at level top-1
 }
 
 // NewCAS builds a fresh baseline list. It shares the node layout and the
@@ -69,6 +71,7 @@ func NewCAS(dev *nvram.Device, a *alloc.Allocator, mgr *epoch.Manager) (*CASList
 	// (offset 8), which no layout ever hands out.
 	ah.Activate(l.head, nvram.WordSize)
 	ah.Activate(l.tail, nvram.WordSize)
+	l.top.Store(1)
 	return l, nil
 }
 
@@ -104,12 +107,16 @@ func (h *CASHandle) randomHeight() int {
 // over it, otherwise deletion never completes. Any interference with the
 // descent restarts it from the head. Like find, it loads each node's key
 // once per descent: succ and sk are the node the level above stopped at
-// and its key.
+// and its key, and it starts at level top-1.
 func (l *CASList) casSearch(key uint64) (r casSearchResult) {
 retry:
 	pred := l.head
 	succ, sk := l.tail, MaxKey
-	for level := MaxHeight - 1; level >= 0; level-- {
+	top := int(l.top.Load())
+	for level := top; level < MaxHeight; level++ {
+		r.preds[level], r.succs[level] = l.head, l.tail
+	}
+	for level := top - 1; level >= 0; level-- {
 		cur := l.dev.Load(pred + linkOff(level, false))
 		for {
 			if cur&DeletedMask != 0 || cur == 0 {
@@ -227,6 +234,8 @@ func (h *CASHandle) Insert(key, value uint64) error {
 	// CAS, never a plain store: a concurrent deleter seals unpromoted
 	// levels by marking the zero word, and that seal must win races.
 	for level := 1; level < height; level++ {
+		// Raised before the search below, so the search walks this level.
+		raiseTop(&l.top, level+1)
 		cur := l.dev.Load(node + linkOff(level, false)) // 0 until promoted
 		for {
 			if cur&DeletedMask != 0 {

@@ -28,9 +28,9 @@ func (h *Handle) Insert(key, value uint64) error {
 	return h.writeOuter(key, value, opInsert)
 }
 
-// Update replaces the value stored under key. The single-word update is
-// guarded by a compare entry on the node's base next word, so an update
-// can never land on a node that a concurrent Delete has already removed.
+// Update replaces the value stored under key with a one-word PMwCAS. A
+// delete marks the value word as it unlinks the node, so an update can
+// never land on a node that a concurrent Delete has already removed.
 //
 //pmwcas:hotpath — PMwCAS-skiplist point update; allocation-free up to amortized SMO work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Update(key, value uint64) error {
@@ -79,9 +79,10 @@ func (h *Handle) writeOuter(key, value uint64, op writeOp) error {
 }
 
 // write finds key once per attempt and acts on what it found. An absent
-// key gets a new node (insert). A live node gets one two-entry PMwCAS: the
-// value word, compared against the value just read, and the base next
-// word as a liveness guard.
+// key gets a new node (insert). A found node's value word decides the
+// rest: marked by a delete, the node is dead, so an update reports
+// ErrNotFound and a put finds again; unmarked, one one-word PMwCAS
+// {value: cur→value} replaces it, on a node still live if it commits.
 func (h *Handle) write(key, value uint64, op writeOp) error {
 	g := h.core.Guard()
 	g.Enter()
@@ -126,14 +127,13 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 		if op == opInsert {
 			return ErrKeyExists
 		}
-		next := h.read(r.found + linkOff(0, false))
-		if next&DeletedMask != 0 {
+		cur := h.read(r.found + nodeValueOff)
+		if cur&DeletedMask != 0 {
 			if op == opUpdate {
 				return ErrNotFound
 			}
 			continue // deleted after find passed it: find again
 		}
-		cur := h.read(r.found + nodeValueOff)
 		if cur == value {
 			return nil // already in place (an owned value never is)
 		}
@@ -147,9 +147,6 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 		} else {
 			fail = d.AddWord(r.found+nodeValueOff, cur, value)
 		}
-		if fail == nil {
-			fail = d.AddWord(r.found+linkOff(0, false), next, next) // liveness guard
-		}
 		if fail != nil {
 			d.Discard()
 			return fail
@@ -160,7 +157,7 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 		if op == opPut {
 			return index.ErrRaced // the failure policy freed value
 		}
-		// The value moved or the node's neighborhood changed: find again.
+		// The value moved or the node was deleted: find again.
 	}
 }
 
@@ -235,6 +232,8 @@ func (h *Handle) promote(node nvram.Offset, key uint64, level int, r *findResult
 			return false
 		}
 		pred, succ := r.preds[level], r.succs[level]
+		// Before the link, so no level is ever linked at or above top.
+		raiseTop(&h.list.top, level+1)
 		// Sequential short-circuit instead of errors.Join: Join allocates
 		// its variadic slice on every promote, and a failed AddWord leads
 		// to Discard either way — the first error is the only one acted on.
@@ -275,19 +274,19 @@ func (h *Handle) Get(key uint64) (uint64, error) {
 	if r.found == 0 {
 		return 0, ErrNotFound
 	}
-	return h.read(r.found + nodeValueOff), nil
+	return h.read(r.found+nodeValueOff) &^ DeletedMask, nil
 }
 
 // DeleteOwned removes key whose value is an allocator block offset owned
 // by the entry: the block is freed through the PMwCAS recycling
 // machinery together with the node itself, crash-safely. The base-level
-// PMwCAS includes the value word as a compare entry, so the returned
-// value is exact — no concurrent update can slip between the read and
-// the unlink. The caller must NOT free it again.
+// PMwCAS marks the value word it read, so the returned value is exact —
+// no concurrent update can slip between the read and the unlink. The
+// caller must NOT free it again.
 //
 //pmwcas:hotpath — blob-layer delete on the skip list; allocation-free like Delete, which shares its body
 func (h *Handle) DeleteOwned(key uint64) (uint64, error) {
-	return h.deleteOuter(key, true)
+	return h.deleteOuter(key, core.PolicyFreeOldOnSuccess)
 }
 
 // Delete removes key. It unlinks upper levels top-down — one PMwCAS per
@@ -298,16 +297,16 @@ func (h *Handle) DeleteOwned(key uint64) (uint64, error) {
 //
 //pmwcas:hotpath — PMwCAS-skiplist point delete; allocation-free up to amortized SMO work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Delete(key uint64) error {
-	_, err := h.deleteOuter(key, false)
+	_, err := h.deleteOuter(key, core.PolicyNone)
 	return err
 }
 
-func (h *Handle) deleteOuter(key uint64, owned bool) (uint64, error) {
+func (h *Handle) deleteOuter(key uint64, valPolicy core.Policy) (uint64, error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
 	}
 	for {
-		v, err := h.delete(key, owned)
+		v, err := h.delete(key, valPolicy)
 		if errors.Is(err, core.ErrPoolExhausted) {
 			h.list.pool.ReclaimPause()
 			continue
@@ -320,7 +319,7 @@ func (h *Handle) deleteOuter(key uint64, owned bool) (uint64, error) {
 // only a base PMwCAS that was lost (or not made: another deleter won, or
 // a promotion raced an upper level in) finds again. A node the fresh find
 // no longer reaches was deleted by another thread, which is ErrNotFound.
-func (h *Handle) delete(key uint64, owned bool) (uint64, error) {
+func (h *Handle) delete(key uint64, valPolicy core.Policy) (uint64, error) {
 	g := h.core.Guard()
 	g.Enter()
 	defer g.Exit()
@@ -338,7 +337,7 @@ func (h *Handle) delete(key uint64, owned bool) (uint64, error) {
 				return 0, err
 			}
 		}
-		done, val, err := h.unlinkBase(node, height, owned, &r)
+		done, val, err := h.unlinkBase(node, height, valPolicy, &r)
 		if done || err != nil {
 			return val, err
 		}
@@ -369,6 +368,9 @@ func (h *Handle) unlinkLevel(node nvram.Offset, key uint64, level, height int, r
 			return nil
 		}
 		if r.succs[level] != node {
+			// The find may predate the promotion, or have started below a
+			// level another List over the same roots linked.
+			raiseTop(&h.list.top, level+1)
 			*r = h.find(key)
 			continue
 		}
@@ -407,14 +409,15 @@ func (h *Handle) unlinkLevel(node nvram.Offset, key uint64, level, height int, r
 // PMwCAS, after r's base predecessor, which the pred.next[0]: node→succ
 // entry validates. That entry carries FreeOldOnSuccess: its old value
 // is the node itself, recycled once the epoch proves no traversal can
-// still touch it (§6.1). When the value is owned, the node's value word
-// joins the PMwCAS as an old == new FreeOldOnSuccess entry: it certifies
-// exactly which value the deletion removed and frees that value's block.
+// still touch it (§6.1). The value word joins it as val→val|DeletedMask
+// under valPolicy: the mark fails any replace that read the value before
+// the delete, and the compare certifies exactly which value it removed
+// (FreeOldOnSuccess, for DeleteOwned, frees that value's block).
 // It reports false when it did not unlink the node: another deleter
 // won, an upper level is live, or r is stale. The caller finds again.
 //
 //pmwcas:requires-guard — reads the doomed node's links and value word
-func (h *Handle) unlinkBase(node nvram.Offset, height int, owned bool, r *findResult) (bool, uint64, error) {
+func (h *Handle) unlinkBase(node nvram.Offset, height int, valPolicy core.Policy, r *findResult) (bool, uint64, error) {
 	succ := h.read(node + linkOff(0, false))
 	if succ&DeletedMask != 0 {
 		return false, 0, nil // another deleter won
@@ -432,9 +435,9 @@ func (h *Handle) unlinkBase(node nvram.Offset, height int, owned bool, r *findRe
 		fail = d.AddWord(node+linkOff(0, false), succ, succ|DeletedMask)
 	}
 	var val uint64
-	if fail == nil && owned {
+	if fail == nil {
 		val = h.read(node + nodeValueOff)
-		fail = d.AddWordWithPolicy(node+nodeValueOff, val, val, core.PolicyFreeOldOnSuccess)
+		fail = d.AddWordWithPolicy(node+nodeValueOff, val, val|DeletedMask, valPolicy)
 	}
 	for level := 1; fail == nil && level < height; level++ {
 		v := h.read(node + linkOff(level, false))

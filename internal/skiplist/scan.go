@@ -39,11 +39,11 @@ func (h *Handle) Scan(from, to uint64, fn func(Entry) bool) error {
 		if k > to {
 			break
 		}
-		v := h.read(cur + nodeValueOff)
+		v := h.read(cur+nodeValueOff) &^ DeletedMask
 		next := h.read(cur+linkOff(0, false)) &^ DeletedMask
 		// A node deleted mid-visit still carries a valid snapshot; yield
-		// it (it was present when we reached it) and continue through its
-		// stable next pointer.
+		// it unmarked (it was present when we reached it) and continue
+		// through its stable next pointer.
 		//lint:allow nonblock — user visitor runs under the scan guard by documented contract; it must not block (§6.3)
 		if !fn(Entry{Key: k, Value: v}) {
 			return nil
@@ -83,7 +83,7 @@ func (h *Handle) ScanReverse(from, to uint64, fn func(Entry) bool) error {
 			break
 		}
 		if k <= to { // a racing insert may have slid a larger key in
-			v := h.read(cur + nodeValueOff)
+			v := h.read(cur+nodeValueOff) &^ DeletedMask
 			//lint:allow nonblock — user visitor runs under the scan guard by documented contract; it must not block (§6.3)
 			if !fn(Entry{Key: k, Value: v}) {
 				return nil

@@ -14,6 +14,7 @@
 // recovery, §2.3):
 //
 //   - base insert:    {pred.next[0]: succ→n, succ.prev[0]: pred→n}
+//   - update:         {n.value: v→v′}
 //   - promotion to i: {pred.next[i]: succ→n, succ.prev[i]: pred→n,
 //     n.next[i]: 0→succ, n.prev[i]: 0→pred}
 //   - level-i delete: {n.next[i]: succ→succ|mark, pred.next[i]: n→succ,
@@ -22,15 +23,17 @@
 //     sealing it against promotion.
 //   - base delete:    level-0 triple as above, plus one compare/mark word
 //     per upper level asserting that level is dead (0 or
-//     marked) and sealing it against promotion.
+//     marked) and sealing it against promotion, plus {n.value: v→v|mark}.
 //
-// The deleted mark lives in bit 60 of a node's own next word, below the
-// three bits PMwCAS reserves. Because mark-and-unlink is one atomic
-// operation, a marked node is never reachable through the list — there is
-// no "help finish the deletion" path, which is exactly the code the paper
-// reports deleting when moving from single-word CAS to PMwCAS.
+// The deleted mark is bit 60 of a node's next words and value word, below
+// the three bits PMwCAS reserves. Mark-and-unlink is one atomic operation,
+// so a marked node is never reachable — there is no "help finish the
+// deletion" path, the code the paper reports deleting when moving from
+// single-word CAS to PMwCAS — and an update that read the value before a
+// delete fails on the mark, so it needs no other word.
 //
-// Every operation descends from the head once (find). An insert's
+// Every operation descends from the head once (find), from List.top, a
+// DRAM bound above every linked level, not from MaxHeight. An insert's
 // promotions and a delete's unlinks act on the pred/succ pairs of that
 // find: each pair is an expected-old operand its PMwCAS re-validates, so
 // a pair gone stale only loses the PMwCAS, and only then does the op
@@ -61,6 +64,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
@@ -70,9 +74,9 @@ import (
 	"pmwcas/internal/nvram"
 )
 
-// DeletedMask is the logical-deletion mark in a node's next words. It is
-// bit 60: inside the payload PMwCAS preserves, above any valid arena
-// offset.
+// DeletedMask is the logical-deletion mark in a node's next words and
+// its value word. It is bit 60: inside the payload PMwCAS preserves,
+// above any valid arena offset, and refused in user values.
 const DeletedMask uint64 = 1 << 60
 
 // MaxKey is the largest user key; key 0 and MaxKey are the head and tail
@@ -80,9 +84,9 @@ const DeletedMask uint64 = 1 << 60
 const MaxKey = DeletedMask - 1
 
 // MaxHeight is the tallest tower supported. A base delete needs
-// 3 + (MaxHeight-1) descriptor words, plus one more when DeleteOwned
-// pins the value word, so the pool backing the list must have
-// WordsPerDescriptor >= 3 + MaxHeight.
+// 3 + (MaxHeight-1) + 1 descriptor words: the level-0 triple, a seal per
+// upper level and the value word's mark. So the pool backing the list
+// must have WordsPerDescriptor >= 3 + MaxHeight.
 const MaxHeight = 12
 
 // MinDescriptorWords is the descriptor capacity the list requires.
@@ -129,6 +133,9 @@ type List struct {
 	roots nvram.Region // two words: head, tail
 	head  nvram.Offset
 	tail  nvram.Offset
+	// top exceeds every level this List linked or saw linked: a descent
+	// starts at top-1. DRAM only; New recomputes it, nothing lowers it.
+	top atomic.Int32
 }
 
 // Config wires a List to its substrates.
@@ -165,7 +172,23 @@ func New(cfg Config) (*List, error) {
 		return nil, fmt.Errorf("skiplist: %w", err)
 	}
 	l.head, l.tail = nvram.Offset(a[0]), nvram.Offset(a[1])
+	// The highest level the head links to a node is the tallest tower's.
+	ch := cfg.Pool.NewHandle()
+	ch.Guard().Enter()
+	top := MaxHeight
+	for top > 1 && nvram.Offset(ch.Read(l.head+linkOff(top-1, false))) == l.tail {
+		top--
+	}
+	ch.Guard().Exit()
+	cfg.Pool.Epochs().Unregister(ch.Guard())
+	l.top.Store(int32(top))
 	return l, nil
+}
+
+// raiseTop makes every later descent start at level levels-1 or above.
+func raiseTop(top *atomic.Int32, levels int) {
+	for t := top.Load(); int(t) < levels && !top.CompareAndSwap(t, int32(levels)); t = top.Load() {
+	}
 }
 
 // create builds the sentinel towers and publishes them with one PMwCAS,
@@ -299,7 +322,8 @@ type findResult struct {
 // published and the guard keeps succ from being recycled, so reusing sk
 // is the same read. succ starts at the tail, whose key is MaxKey, so
 // empty top levels load no key, and the base level's succ and sk answer
-// whether key is present.
+// whether key is present. The walk starts at level top-1; above it, each
+// pair is (head, tail) unloaded, stale only as any find's pair can be.
 //
 // find keeps its guard across restarts, for a caller that holds a node
 // found earlier; a caller that holds nothing uses seek.
@@ -324,7 +348,11 @@ restart:
 	var r findResult
 	pred := l.head
 	succ, sk := l.tail, MaxKey
-	for i := MaxHeight - 1; i >= 0; i-- {
+	top := int(l.top.Load())
+	for i := top; i < MaxHeight; i++ {
+		r.preds[i], r.succs[i] = l.head, l.tail
+	}
+	for i := top - 1; i >= 0; i-- {
 		for {
 			steps++
 			next := h.core.Read(pred + linkOff(i, false))

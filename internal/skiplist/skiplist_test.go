@@ -2,12 +2,14 @@ package skiplist
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pmwcas/internal/alloc"
 	"pmwcas/internal/core"
@@ -40,8 +42,27 @@ func slSpec() []alloc.Class {
 	}
 }
 
+// envDeadline bounds a test that builds a list: an op that livelocks (a
+// descent that can never reach a linked level, say) panics the test
+// binary, naming the test, instead of hanging the package until go test's
+// -timeout. The slowest test here takes about 6 s under -race.
+const envDeadline = 2 * time.Minute
+
+// watchdog arms envDeadline for t; a benchmark runs as long as -benchtime
+// asks, so it arms nothing there.
+func watchdog(t testing.TB) {
+	if _, ok := t.(*testing.T); !ok {
+		return
+	}
+	timer := time.AfterFunc(envDeadline, func() {
+		panic(fmt.Sprintf("%s still running after %v: an op livelocked", t.Name(), envDeadline))
+	})
+	t.Cleanup(func() { timer.Stop() })
+}
+
 func newListEnv(t testing.TB, mode core.Mode, opts ...nvram.Option) *lenv {
 	t.Helper()
+	watchdog(t)
 	e := &lenv{spec: slSpec()}
 	poolBytes := core.PoolSize(slDescs, slWords)
 	aBytes := alloc.MetaSize(e.spec, slHandles)
@@ -593,19 +614,25 @@ func TestCreateOutOfMemoryUnreserves(t *testing.T) {
 // nodes between taller ones, so a level's walk passes a node the level
 // above never met and then meets the node that level stopped at again;
 // and the found check must not reload the key the base level stopped at.
+// The descent starts at the tallest tower's top level, not at MaxHeight,
+// both on the list that linked the towers and on the list reopened after
+// a crash, which finds its top in the head tower.
 func TestGetLoadsEachKeyOnce(t *testing.T) {
 	e := newListEnv(t, core.Persistent)
 	h := e.list.NewHandle(1)
 	keys := []uint64{10, 20, 30, 40, 50, 60, 70, 80, 90}
 	heights := []int{3, 1, 2, 1, 4, 1, 2, 1, 3}
-	for i, k := range keys {
-		h.link(t, k, heights[i])
-	}
-	// want walks the same towers: pred and next index keys, -1 is the
-	// head and len(keys) the tail, whose key no walk loads.
+	within(t, "linking the towers", func() {
+		for i, k := range keys {
+			h.link(t, k, heights[i])
+		}
+	})
+	top := slices.Max(heights)
+	// want walks the same towers from the top: pred and next index keys,
+	// -1 is the head and len(keys) the tail, whose key no walk loads.
 	want := func(key uint64) uint64 {
 		steps, compared, pred := 0, map[int]bool{}, -1
-		for level := MaxHeight - 1; level >= 0; level-- {
+		for level := top - 1; level >= 0; level-- {
 			for {
 				steps++
 				next := pred + 1
@@ -628,18 +655,28 @@ func TestGetLoadsEachKeyOnce(t *testing.T) {
 		}
 		return loads
 	}
+	check := func(when string) {
+		t.Helper()
+		if got := int(e.list.top.Load()); got != top {
+			t.Fatalf("%s: top = %d, want %d, the tallest tower", when, got, top)
+		}
+		for key := uint64(1); key < 100; key++ {
+			before := e.dev.Stats().Loads
+			h.Get(key)
+			if got := e.dev.Stats().Loads - before; got != want(key) {
+				t.Errorf("%s: Get(%d) loaded %d words, want %d", when, key, got, want(key))
+			}
+		}
+	}
 	// A first pass persists any value word still marked dirty, which a
 	// GET's read of it would otherwise flush.
 	for key := uint64(1); key < 100; key++ {
 		h.Get(key)
 	}
-	for key := uint64(1); key < 100; key++ {
-		before := e.dev.Stats().Loads
-		h.Get(key)
-		if got := e.dev.Stats().Loads - before; got != want(key) {
-			t.Errorf("Get(%d) loaded %d words, want %d", key, got, want(key))
-		}
-	}
+	check("after the inserts")
+	e.reopen(t)
+	h = e.list.NewHandle(1)
+	check("after a crash and recovery")
 }
 
 // TestGetPersistsDirtyLink: a link word a PMwCAS stored but has not yet

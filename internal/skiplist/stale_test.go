@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pmwcas/internal/core"
+	"pmwcas/internal/index"
 	"pmwcas/internal/nvram"
 )
 
@@ -213,9 +215,9 @@ func TestUnlinkStaleFind(t *testing.T) {
 							}
 						}
 						var err error
-						if unlinked, _, err = h.unlinkBase(node, height, false, &r); !unlinked && err == nil {
+						if unlinked, _, err = h.unlinkBase(node, height, core.PolicyNone, &r); !unlinked && err == nil {
 							if r = h.find(50); r.found == node {
-								unlinked, _, err = h.unlinkBase(node, height, false, &r)
+								unlinked, _, err = h.unlinkBase(node, height, core.PolicyNone, &r)
 							}
 						}
 						if err != nil {
@@ -345,4 +347,214 @@ func TestLatePromotionKeepsTowerContiguous(t *testing.T) {
 		}
 	})
 	e.audit(t, []uint64{10, 90})
+}
+
+// A replace whose node a second handle deletes at the op's first store
+// (after it read the value word) must not land on the dead node: the
+// delete marked the value word it compares. Update reports ErrNotFound;
+// PutOwned loses its PMwCAS, which frees its block, and its retry, with
+// a new block as a caller makes, inserts a fresh node. Every block in use
+// is then a live key's node or value.
+func TestWriteStaleFind(t *testing.T) {
+	t.Run("Update", func(t *testing.T) {
+		e, h, h2 := staleEnv(t)
+		h.link(t, 50, 3)
+		e.staleAt(true, func() {
+			if err := h2.Delete(50); err != nil {
+				t.Errorf("second handle's Delete: %v", err)
+			}
+		})
+		var err error
+		within(t, "Update", func() { err = h.Update(50, 51) })
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Update of a node deleted inside it = %v, want ErrNotFound", err)
+		}
+		e.audit(t, []uint64{10, 90})
+	})
+	t.Run("PutOwned", func(t *testing.T) {
+		e, h, h2 := staleEnv(t)
+		ah := e.alloc.NewHandle()
+		e.drain()
+		base, _ := e.alloc.InUse()
+		if err := h.PutOwned(50, e.block(t, ah, 0)); err != nil {
+			t.Fatal(err)
+		}
+		last := e.block(t, ah, 0)
+		e.staleAt(true, func() {
+			if _, err := h2.DeleteOwned(50); err != nil {
+				t.Errorf("second handle's DeleteOwned: %v", err)
+			}
+		})
+		raced := 0
+		within(t, "PutOwned", func() {
+			for {
+				err := h.PutOwned(50, last)
+				if err != index.ErrRaced {
+					if err != nil {
+						t.Errorf("PutOwned: %v", err)
+					}
+					return
+				}
+				raced++
+				last = e.block(t, ah, 0)
+			}
+		})
+		if raced != 1 {
+			t.Fatalf("%d PutOwned calls lost their race, want 1", raced)
+		}
+		if v, err := h.Get(50); err != nil || v != last {
+			t.Fatalf("Get(50) = (%#x, %v), want %#x", v, err, last)
+		}
+		e.drain()
+		if inUse, _ := e.alloc.InUse(); inUse != base+2 {
+			t.Fatalf("%d blocks in use, want %d: key 50's node and value", inUse-base, 2)
+		}
+		e.checkStructure(t)
+	})
+}
+
+// A find made before a tower was promoted above the top its list knew
+// reports (head, tail) at those levels without loading them. promote,
+// unlinkLevel with unlinkBase, and Delete handed such a find must still
+// finish inside the deadline and leave a well-formed list. The tower is
+// promoted through a second handle on the same List, or through a second
+// List over the same roots, whose raised top the first never sees.
+func TestStaleTopFind(t *testing.T) {
+	const height = 5 // staleEnv's towers reach level 2: top is 3
+	for _, second := range []string{"handle", "list"} {
+		// env returns a list holding 10 and 90, a handle on it, and the
+		// second handle, which promotes the levels above top.
+		env := func(t *testing.T) (*lenv, *Handle, *Handle) {
+			e, h, h2 := staleEnv(t)
+			if second == "list" {
+				l2, err := New(Config{Pool: e.pool, Allocator: e.alloc, Roots: e.roots})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h2 = l2.NewHandle(2)
+			}
+			if top := e.list.top.Load(); top != 3 {
+				t.Fatalf("top = %d before the test, want 3", top)
+			}
+			return e, h, h2
+		}
+		// partial inserts 50 with a tower of height levels, linked up to
+		// level 2 only.
+		partial := func(t *testing.T, h *Handle) nvram.Offset {
+			var node nvram.Offset
+			h.guarded(func() {
+				r := h.find(50)
+				var err error
+				if node, err = h.insert(r.preds[0], r.succs[0], 50, 50, height, opInsert); err != nil || node == 0 {
+					t.Fatalf("insert = (%#x, %v)", node, err)
+				}
+				for level := 1; level < 3; level++ {
+					if !h.promote(node, 50, level, &r) {
+						t.Fatalf("promote to level %d lost", level)
+					}
+				}
+			})
+			return node
+		}
+		// promoteRest promotes node 50 above top through h2.
+		promoteRest := func(t *testing.T, h2 *Handle, node nvram.Offset) {
+			h2.guarded(func() {
+				r := h2.find(50)
+				for level := 3; level < height; level++ {
+					if !h2.promote(node, 50, level, &r) {
+						t.Errorf("second handle's promote to level %d lost", level)
+					}
+				}
+			})
+		}
+		t.Run(second+"/promote", func(t *testing.T) {
+			e, h, h2 := env(t)
+			h.guarded(func() {
+				r := h.find(50)
+				node, err := h.insert(r.preds[0], r.succs[0], 50, 50, height, opInsert)
+				if err != nil || node == 0 {
+					t.Fatalf("insert = (%#x, %v)", node, err)
+				}
+				h2.link(t, 60, height)
+				within(t, "promote", func() {
+					for level := 1; level < height; level++ {
+						if !h.promote(node, 50, level, &r) {
+							t.Errorf("promote to level %d lost", level)
+						}
+					}
+				})
+			})
+			e.audit(t, []uint64{10, 50, 60, 90})
+		})
+		t.Run(second+"/unlink", func(t *testing.T) {
+			e, h, h2 := env(t)
+			node := partial(t, h)
+			unlinked := false
+			h.guarded(func() {
+				r := h.find(50)
+				promoteRest(t, h2, node)
+				within(t, "unlink", func() {
+					for level := height - 1; level >= 1; level-- {
+						if err := h.unlinkLevel(node, 50, level, height, &r); err != nil {
+							t.Errorf("unlinkLevel %d: %v", level, err)
+						}
+					}
+					var err error
+					if unlinked, _, err = h.unlinkBase(node, height, core.PolicyNone, &r); err != nil {
+						t.Errorf("unlinkBase: %v", err)
+					}
+				})
+			})
+			if !unlinked {
+				t.Fatal("unlinkBase did not unlink the node")
+			}
+			e.audit(t, []uint64{10, 90})
+		})
+		t.Run(second+"/Delete", func(t *testing.T) {
+			e, h, h2 := env(t)
+			node := partial(t, h)
+			e.staleAt(true, func() { promoteRest(t, h2, node) })
+			var err error
+			within(t, "Delete", func() { err = h.Delete(50) })
+			if err != nil {
+				t.Fatalf("Delete = %v", err)
+			}
+			e.audit(t, []uint64{10, 90})
+		})
+	}
+}
+
+// TestTopCoversLinkedLevels checks top at every device write: no PMwCAS
+// may install into or store a head link word at or above top, so a
+// promotion raises top before its PMwCAS, not after it.
+func TestTopCoversLinkedLevels(t *testing.T) {
+	e := newListEnv(t, core.Persistent)
+	h := e.list.NewHandle(1)
+	l := e.list
+	var bad atomic.Int64
+	e.dev.SetHook(func(op string, off nvram.Offset) {
+		if op == "flush" || off < l.head || off >= l.head+nvram.Offset(nodeSize(MaxHeight)) {
+			return
+		}
+		for level := int(l.top.Load()); level < MaxHeight; level++ {
+			if off == l.head+linkOff(level, false) {
+				bad.Add(1)
+			}
+		}
+	})
+	within(t, "inserts", func() {
+		for k := uint64(1); k <= 2000; k++ {
+			if err := h.Insert(k, k); err != nil {
+				t.Errorf("Insert(%d): %v", k, err)
+				return
+			}
+		}
+	})
+	e.dev.SetHook(nil)
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d writes to a head link word at or above top", n)
+	}
+	if top := l.top.Load(); top < 5 {
+		t.Fatalf("top = %d after 2000 inserts: the towers tested nothing", top)
+	}
 }

@@ -15,6 +15,7 @@ import (
 // anyway (paper footnote 1), which recovery must tolerate.
 func newTortureEnv(t testing.TB, evict int) *lenv {
 	t.Helper()
+	watchdog(t)
 	e := &lenv{spec: slSpec()}
 	poolBytes := core.PoolSize(slDescs, slWords)
 	aBytes := alloc.MetaSize(e.spec, slHandles)
