@@ -105,7 +105,9 @@ func TestPointOpsAllocBudget(t *testing.T) {
 // a split that keeps its bucket leaves half its class on the hint. While
 // the directory lived in NVRAM, every lookup loaded the depth word and
 // its entry, and the fixed 16-entry test directory left deeper buckets
-// a chain hop past their hint: 13.4 per Get, 57.8 per Update.
+// a chain hop past their hint: 13.4 per Get, 57.8 per Update. While an
+// Update bumped its bucket's version, the meta word's line was a second
+// line to persist for most slots: 50.3 per Update.
 func TestPointOpsDeviceOpBudget(t *testing.T) {
 	dev, update, get := pointOps(t)
 	ops := func(s nvram.Stats) uint64 { return s.Loads + s.Stores + s.CASes + s.Flushes + s.Fences }
@@ -125,7 +127,7 @@ func TestPointOpsDeviceOpBudget(t *testing.T) {
 	if g > 7.0 {
 		t.Errorf("Get = %.1f device ops, budget 7.0", g)
 	}
-	if u > 51.5 {
-		t.Errorf("Update = %.1f device ops, budget 51.5", u)
+	if u > 49.5 {
+		t.Errorf("Update = %.1f device ops, budget 49.5", u)
 	}
 }

@@ -46,8 +46,9 @@ type CheckStats struct {
 //     no bucket is reached twice;
 //   - every key lies in its bucket's creation class, keys outside the
 //     bucket's current class are ghosts, and every live key appears in
-//     exactly one bucket and pairs a clean value (empty slots are fully
-//     zero, the header's spare word is zero);
+//     exactly one bucket and pairs a clean value that carries no
+//     GhostMask (empty slots are fully zero, the header's spare word is
+//     zero);
 //   - no reachable word carries a descriptor flag (recovery removes every
 //     descriptor pointer).
 func Check(dev *nvram.Device, roots nvram.Region) ([]nvram.Offset, []Entry, CheckStats, error) {
@@ -129,6 +130,9 @@ func Check(dev *nvram.Device, roots nvram.Region) ([]nvram.Offset, []Entry, Chec
 			}
 			if strayBits(kh, meta) != 0 {
 				continue // a ghost: its split moved the key to a sibling
+			}
+			if val&GhostMask != 0 {
+				return nil, nil, stats, fmt.Errorf("hashtable: live key %#x in bucket %#x holds a split's ghost mark: %#x", key, v.b, val)
 			}
 			if prev, dup := liveKeys[key]; dup {
 				return nil, nil, stats, fmt.Errorf("hashtable: key %#x live in buckets %#x and %#x", key, prev, v.b)

@@ -49,7 +49,8 @@ func runUntilCrash(dev *nvram.Device, k int, fn func()) (completed bool) {
 // with no lost and no duplicated slots. The root bucket is filled to
 // capacity so the swept insert must split; every acknowledged key must
 // survive exactly once — Check fails on duplicates — and the in-flight
-// key must be all-or-nothing.
+// key must be all-or-nothing, and a value carries the split's ghost mark
+// exactly when its slot is a ghost.
 func TestCrashSweepMidSplit(t *testing.T) {
 	for k := 1; ; k += sweepStride(k) {
 		e := newHTEnv(t, core.Persistent, 4)
@@ -68,6 +69,16 @@ func TestCrashSweepMidSplit(t *testing.T) {
 
 		e.reopen(t)
 		got := e.check(t)
+		for _, b := range e.buckets() {
+			meta := e.rawLoad(b + bucketMetaOff)
+			for i := 0; i < e.slots; i++ {
+				key, val := e.rawLoad(slotKeyOff(b, i)), e.rawLoad(slotValOff(b, i))
+				ghost := key != 0 && strayBits(mix64(key), meta) != 0
+				if marked := val&GhostMask != 0; marked != ghost {
+					t.Fatalf("crash at %d: slot %d of bucket %#x holds key %d, value %#x: marked %v, ghost %v", k, i, b, key, val, marked, ghost)
+				}
+			}
+		}
 		for key := uint64(1); key <= 4; key++ {
 			if got[key] != key*100 {
 				t.Fatalf("crash at %d: acked key %d = %d, want %d", k, key, got[key], key*100)

@@ -51,34 +51,39 @@
 // buckets the allocator could ever hold, so a pathological collision
 // chain cannot grow it without bound.
 //
-// # Updates are 2-3 word PMwCAS ops
+// # Updates write one cache line
 //
-// Every mutation of a bucket includes its meta word with a version bump,
-// so one descriptor both publishes the change and validates the scan
-// that decided it (any concurrent mutation, including a split deepening
-// the bucket, changes meta and fails the CAS):
+// Every mutation is one PMwCAS that both publishes the change and
+// validates the scan that decided it:
 //
 //	insert:  { meta: v → v+1, slot key: 0|ghost → k, slot value: 0|ghostV → v }
-//	update:  { meta: v → v+1, slot value: old → new }
+//	update:  { slot key: k → k, slot value: old → new }
 //	delete:  { meta: v → v+1, slot key: k → 0, slot value: old → 0 }
 //
-// Reads are seqlock-style: read meta, scan the slots, re-read meta;
-// equal versions bracket an atomic snapshot because every writer bumps
-// the version.
+// Inserts and deletes change a slot's key, so they bump the version,
+// which proves an insert's scan and shows readers the change. An update's
+// key entry proves its key still owns the slot (even one refilled with
+// the same value), and a slot's key and value share a line.
+//
+// Reads are seqlock-style: read meta, scan the slots, re-read meta.
+// Equal versions prove no slot changed its key; a value is one word.
 //
 // # Splits keep their bucket
 //
-// A full bucket B at depth L splits in place with one two-word PMwCAS:
+// A full bucket B at depth L splits in place with one PMwCAS:
 //
-//	{ B.sib: old → S, B.meta: v → depth L+1, version v+1 }
+//	{ B.sib: old → S, B.meta: v → depth L+1, version v+1,
+//	  B.value[i]: val → val|GhostMask for every slot i it moves }
 //
 // S is a fresh bucket created at depth L+1 holding B's live keys whose
 // hash bit L is 1, with S.prev = old; it is reserved on the descriptor
 // with FreeNewOnFailure, so a crash or a lost race frees it through
-// §5.2 recovery. The version in the meta compare validates the
-// migration snapshot. The moved keys stay in B as ghosts: keys outside
-// B's current class, which no lookup of theirs routes to B, and whose
-// slots an insert treats as free.
+// §5.2 recovery. The version validates the snapshot's keys and the
+// marks its values. The moved keys stay in B as ghosts: keys outside B's
+// current class, which no lookup of theirs routes to B, and whose slots
+// an insert treats as free. A ghost's mark fails an update that found
+// the key in B before the split, and sends a writer that reads it back
+// to locate.
 package hashtable
 
 import (
@@ -165,9 +170,15 @@ func mix64(x uint64) uint64 {
 // first bucket (doubling as the exists-flag) and the slot geometry.
 const RootWords = 2
 
-// MinDescriptorWords is the descriptor capacity the table requires; the
-// widest op is an insert (meta, slot key, slot value).
-const MinDescriptorWords = 3
+// MinDescriptorWords is the descriptor capacity a table of
+// DefaultSlotsPerBucket requires. The widest op is a split: sib, meta
+// and the value word of every slot it moves, 2 + SlotsPerBucket words.
+const MinDescriptorWords = 2 + DefaultSlotsPerBucket
+
+// GhostMask marks the value word of a slot a split moved to a sibling
+// (the skip list reserves the same bit as its DeletedMask), so values
+// lie below 2^60.
+const GhostMask uint64 = 1 << 60
 
 // DefaultSlotsPerBucket makes a bucket exactly four cache lines
 // (4 header words + 14 slot pairs = 32 words).
@@ -179,7 +190,7 @@ var (
 	ErrNotFound  = index.ErrNotFound
 	// ErrKeyRange rejects keys outside (0, 2^60-1).
 	ErrKeyRange = errors.New("hashtable: key out of range")
-	// ErrValueRange rejects values with reserved high bits.
+	// ErrValueRange rejects values of 2^60 (GhostMask) or more.
 	ErrValueRange = errors.New("hashtable: value out of range")
 	// ErrUnordered is returned by Scan: the hash table has no key order to
 	// scan in. Use Range for unordered iteration.
@@ -267,10 +278,6 @@ func New(cfg Config) (*Table, error) {
 	if cfg.Pool == nil || cfg.Allocator == nil {
 		return nil, errors.New("hashtable: Pool and Allocator are required")
 	}
-	if cfg.Pool.WordsPerDescriptor() < MinDescriptorWords {
-		return nil, fmt.Errorf("hashtable: pool descriptors hold %d words, need >= %d",
-			cfg.Pool.WordsPerDescriptor(), MinDescriptorWords)
-	}
 	if cfg.Roots.Len < RootWords*nvram.WordSize {
 		return nil, fmt.Errorf("hashtable: roots region too small (%d bytes)", cfg.Roots.Len)
 	}
@@ -279,6 +286,10 @@ func New(cfg Config) (*Table, error) {
 	}
 	if cfg.SlotsPerBucket < 1 || cfg.SlotsPerBucket > 255 {
 		return nil, fmt.Errorf("hashtable: SlotsPerBucket %d outside [1,255]", cfg.SlotsPerBucket)
+	}
+	if w := cfg.Pool.WordsPerDescriptor(); w < 2+cfg.SlotsPerBucket {
+		return nil, fmt.Errorf("hashtable: pool descriptors hold %d words, a split of %d slots needs %d",
+			w, cfg.SlotsPerBucket, 2+cfg.SlotsPerBucket)
 	}
 	t := &Table{
 		dev:      cfg.Pool.Device(),
@@ -370,7 +381,7 @@ func checkKey(key uint64) error {
 }
 
 func checkValue(v uint64) error {
-	if !core.IsClean(v) {
+	if v&(core.FlagsMask|GhostMask) != 0 {
 		return ErrValueRange
 	}
 	return nil

@@ -46,21 +46,21 @@ type htEnv struct {
 	slots   int
 }
 
-func newHTEnv(t testing.TB, mode core.Mode, slots int) *htEnv {
+func newHTEnv(t testing.TB, mode core.Mode, slots int, opts ...nvram.Option) *htEnv {
 	return newHTEnvSpec(t, mode, slots, []alloc.Class{
 		{BlockSize: 128, Count: 4096},
 		{BlockSize: 256, Count: 1024},
 		{BlockSize: 512, Count: 256},
-	})
+	}, opts...)
 }
 
-// newHTEnvSpec builds an env over an allocator with the given classes.
-func newHTEnvSpec(t testing.TB, mode core.Mode, slots int, spec []alloc.Class) *htEnv {
+// newHTEnvSpec builds an env over an allocator with the given classes,
+// on a device with the given options.
+func newHTEnvSpec(t testing.TB, mode core.Mode, slots int, spec []alloc.Class, opts ...nvram.Option) *htEnv {
 	t.Helper()
 	e := &htEnv{spec: spec, slots: slots}
 	poolBytes := core.PoolSize(htDescs, htWords)
 	aBytes := alloc.MetaSize(e.spec, htHandles)
-	var opts []nvram.Option
 	if mode == core.Volatile {
 		opts = append(opts, nvram.WithVolatile())
 	}
@@ -193,6 +193,9 @@ func TestKeyValueValidation(t *testing.T) {
 	}
 	if err := h.Insert(5, core.DirtyFlag); !errors.Is(err, ErrValueRange) {
 		t.Fatalf("flagged value accepted: %v", err)
+	}
+	if err := h.Update(5, GhostMask); !errors.Is(err, ErrValueRange) {
+		t.Fatalf("ghost-marked value accepted: %v", err)
 	}
 	if _, err := h.Get(0); !errors.Is(err, ErrKeyRange) {
 		t.Fatalf("Get(0): %v", err)
@@ -462,6 +465,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Fatal("SlotsPerBucket 300 accepted")
 	}
+	// A split of 15 slots is a 17-word PMwCAS; the pool's hold 16.
+	bad = Config{Pool: e.pool, Allocator: e.alloc, Roots: e.roots, SlotsPerBucket: MinDescriptorWords - 1}
+	if _, err := New(bad); err == nil {
+		t.Fatalf("SlotsPerBucket %d accepted on %d-word descriptors", bad.SlotsPerBucket, e.pool.WordsPerDescriptor())
+	}
 }
 
 // buckets lists every bucket of the durable image: the tree of sib and
@@ -560,6 +568,13 @@ func TestCheckDetectsCorruption(t *testing.T) {
 				return i >= 0 && e.rawLoad(slotKeyOff(b, i)) != 0
 			})
 			e.dev.Store(slotKeyOff(b, i), 0)
+		}},
+		{"ghost mark on a live value", func(t *testing.T, e *htEnv) {
+			// Only a split marks a value, and only one it moved away.
+			b, i := find(t, e, func(b nvram.Offset, meta uint64, i int) bool {
+				return i >= 0 && live(e, b, meta, i)
+			})
+			e.dev.Store(slotValOff(b, i), e.rawLoad(slotValOff(b, i))|GhostMask)
 		}},
 		{"root anchor names a sibling", func(t *testing.T, e *htEnv) {
 			// The first bucket's newest sibling was created at the first

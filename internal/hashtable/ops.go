@@ -123,8 +123,9 @@ func (t *Table) tryDouble(dir []atomic.Uint64) {
 }
 
 // Get returns the value stored under key. The slot scan is seqlock-
-// style: every mutation bumps the bucket version, so an unchanged meta
-// word brackets an atomic snapshot of the bucket.
+// style: every insert, delete and split bumps the bucket version, so an
+// unchanged meta word proves the key owned the slot its value was read
+// from, and that no split marked that value since locate ran.
 //
 //pmwcas:hotpath — extendible-hash point lookup; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Get(key uint64) (uint64, error) {
@@ -177,9 +178,10 @@ func (h *Handle) Insert(key, value uint64) error {
 	return h.write(key, value, opInsert)
 }
 
-// Update replaces the value under an existing key: a two-word PMwCAS
-// (version bump + value swap). The unchanged version proves the key
-// still occupies the slot the scan found it in.
+// Update replaces the value under an existing key: a two-word PMwCAS on
+// one line, { slot key: k → k, slot value: old → new }. The key entry
+// proves the key still owns the slot the scan found it in; a split that
+// moved the key since marked the value and fails the value entry.
 //
 //pmwcas:hotpath — extendible-hash point update; allocation-free up to amortized split/double work, pinned by TestPointOpsAllocBudget
 func (h *Handle) Update(key, value uint64) error {
@@ -201,7 +203,7 @@ func (h *Handle) PutOwned(key, value uint64) error {
 }
 
 // write makes one locate and one slot scan per attempt and acts on what
-// the scan found: the two-word update of the key's slot, or the
+// the scan found: the one-line update of the key's slot, or the
 // three-word insert into an empty or ghost slot, splitting a full bucket
 // first. Every answer given without a PMwCAS waits for the unchanged
 // version to prove the scan.
@@ -239,6 +241,12 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 		var old uint64
 		if slot >= 0 && op != opInsert {
 			old = h.core.Read(slotValOff(b, slot))
+			// Marked: a split made this a ghost after locate ran. An
+			// unmarked ghost (an image older than the marks) is one at
+			// every meta this process reads, so locate never routes here.
+			if old&GhostMask != 0 {
+				continue
+			}
 		}
 		// Absent for an update or present for an insert.
 		if slot < 0 && op == opUpdate || slot >= 0 && op == opInsert {
@@ -273,9 +281,9 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 		// descriptor's on every path past this point. A ghost's value
 		// belongs to the sibling that holds its key, so taking its slot
 		// frees nothing on success.
-		at, policy := slot, core.PolicyFreeOne
+		at, atKey, policy := slot, key, core.PolicyFreeOne
 		if slot < 0 {
-			at, policy = free, core.PolicyFreeNewOnFailure
+			at, atKey, policy = free, freeKey, core.PolicyFreeNewOnFailure
 			if freeKey != 0 {
 				old = h.core.Read(slotValOff(b, free))
 			}
@@ -285,11 +293,13 @@ func (h *Handle) write(key, value uint64, op writeOp) error {
 		} else {
 			err = d.AddWord(slotValOff(b, at), old, value)
 		}
-		if err == nil {
+		// An insert bumps the version and installs its key; an update
+		// compares its key (k → k) and leaves meta alone.
+		if err == nil && slot < 0 {
 			err = d.AddWord(b+bucketMetaOff, meta, bumpVersion(meta))
 		}
-		if err == nil && slot < 0 {
-			err = d.AddWord(slotKeyOff(b, free), freeKey, key)
+		if err == nil {
+			err = d.AddWord(slotKeyOff(b, at), atKey, key)
 		}
 		if err != nil {
 			d.Discard()
@@ -365,6 +375,9 @@ func (h *Handle) delete(key uint64, policy core.Policy) (uint64, error) {
 			}
 			return 0, ErrNotFound
 		}
+		if old&GhostMask != 0 {
+			continue // a split moved the key after locate ran (see write)
+		}
 		d, err := h.core.AllocateDescriptor(0)
 		if err != nil {
 			g.Exit()
@@ -395,16 +408,19 @@ func (h *Handle) delete(key uint64, policy core.Policy) (uint64, error) {
 }
 
 // split deepens full bucket b (observed at version meta, depth L) in
-// place with a single PMwCAS:
+// place with a single PMwCAS of 2 + moved words:
 //
-//	{ b.sib: old → s, b.meta: v → depth L+1, version v+1 }
+//	{ b.sib: old → s, b.meta: v → depth L+1, version v+1,
+//	  b.value[i]: val → val|GhostMask for every moved slot i }
 //
 // s is a new bucket created at depth L+1, filled before it is handed to
-// the descriptor with b's keys whose hash bit L is 1; the meta
-// compare validates that snapshot. A lost race or a crash frees s
-// through the FreeNewOnFailure policy (§5.2). The moved keys stay in b
-// as ghosts, and no bucket is ever freed — which is what lets directory
-// repair run lazily, unordered, and crash-ignored.
+// the descriptor with b's keys whose hash bit L is 1. The meta compare
+// validates that snapshot's keys and the marks its values (updates leave
+// meta alone), failing any update that found a moved key in b first. A
+// lost race or a crash frees s through the FreeNewOnFailure policy
+// (§5.2). The moved keys stay in b as ghosts, and no bucket is ever
+// freed — which is what lets directory repair run lazily, unordered,
+// and crash-ignored.
 //
 //pmwcas:requires-guard — re-reads the slots of a bucket a racing PMwCAS may hold
 func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
@@ -417,9 +433,8 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 		t0 := time.Now()
 		defer mSplitNs.ObserveSince(h.lane, t0)
 	}
-	// Snapshot the slots and the chain head. Consistency is validated by
-	// the meta compare in the PMwCAS below: any concurrent mutation bumps
-	// the version and fails the install, freeing s.
+	// Snapshot the slots and the chain head. A concurrent insert, delete
+	// or update of a moved slot fails the PMwCAS below, freeing s.
 	if cap(h.splitKeys) < t.slots {
 		h.splitKeys = make([]uint64, t.slots)
 		h.splitVals = make([]uint64, t.slots)
@@ -466,6 +481,11 @@ func (h *Handle) split(b nvram.Offset, meta, hash uint64) error {
 	err = d.ReserveEntry(b+bucketSibOff, sib, s, core.PolicyFreeNewOnFailure)
 	if err == nil {
 		err = d.AddWord(b+bucketMetaOff, meta, bumpVersion(meta)+1<<depthShift)
+	}
+	for i := 0; err == nil && i < t.slots; i++ {
+		if (mix64(keys[i])>>uint(depth))&1 == 1 {
+			err = d.AddWord(slotValOff(b, i), vals[i], vals[i]|GhostMask)
+		}
 	}
 	if err != nil {
 		d.Discard()

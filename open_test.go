@@ -10,53 +10,55 @@ import (
 	"time"
 )
 
-// firstOpener opens one index on a store and returns a writer for the
-// opened object, plus a reader of the keys (queue: values) a recovered
-// image holds in that index.
+// firstOpener opens one index on a store and returns the opened object
+// and a writer for it, plus a reader of the keys (queue: values) a
+// recovered image holds in that index. shared says every open of a
+// shard returns the same object.
 type firstOpener struct {
-	name string
-	open func(st *Store) (write func(k uint64) error, err error)
-	keys func(ds *DurableState) []uint64
+	name   string
+	shared bool
+	open   func(st *Store) (obj any, write func(k uint64) error, err error)
+	keys   func(ds *DurableState) []uint64
 }
 
 var firstOpeners = []firstOpener{
-	{"skiplist", func(st *Store) (func(uint64) error, error) {
+	{"skiplist", true, func(st *Store) (any, func(uint64) error, error) {
 		l, err := st.SkipList()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return func(k uint64) error { return l.NewHandle(int64(k)).Insert(k, 10*k) }, nil
+		return l, func(k uint64) error { return l.NewHandle(int64(k)).Insert(k, 10*k) }, nil
 	}, func(ds *DurableState) (keys []uint64) {
 		for _, e := range ds.SkipList {
 			keys = append(keys, e.Key)
 		}
 		return keys
 	}},
-	{"bwtree", func(st *Store) (func(uint64) error, error) {
+	{"bwtree", false, func(st *Store) (any, func(uint64) error, error) {
 		tr, err := st.BwTree(BwTreeOptions{})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return func(k uint64) error { return tr.NewHandle().Insert(k, 10*k) }, nil
+		return tr, func(k uint64) error { return tr.NewHandle().Insert(k, 10*k) }, nil
 	}, func(ds *DurableState) (keys []uint64) {
 		for _, e := range ds.BwTree {
 			keys = append(keys, e.Key)
 		}
 		return keys
 	}},
-	{"queue", func(st *Store) (func(uint64) error, error) {
+	{"queue", false, func(st *Store) (any, func(uint64) error, error) {
 		q, err := st.Queue()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return func(k uint64) error { return q.NewHandle().Enqueue(k) }, nil
+		return q, func(k uint64) error { return q.NewHandle().Enqueue(k) }, nil
 	}, func(ds *DurableState) []uint64 { return slices.Clone(ds.Queue) }},
-	{"hash", func(st *Store) (func(uint64) error, error) {
+	{"hash", true, func(st *Store) (any, func(uint64) error, error) {
 		ht, err := st.HashTable(HashTableOptions{})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return func(k uint64) error { return ht.NewHandle().Insert(k, 10*k) }, nil
+		return ht, func(k uint64) error { return ht.NewHandle().Insert(k, 10*k) }, nil
 	}, func(ds *DurableState) (keys []uint64) {
 		for _, e := range ds.Hash {
 			keys = append(keys, e.Key)
@@ -96,6 +98,7 @@ func firstOpenRound(o firstOpener, openers int) error {
 	}
 	var start atomic.Bool
 	errs := make(chan error, openers)
+	objs := make([]any, openers)
 	var wg sync.WaitGroup
 	for i := 0; i < openers; i++ {
 		wg.Add(1)
@@ -106,7 +109,8 @@ func firstOpenRound(o firstOpener, openers int) error {
 			for !start.Load() {
 				runtime.Gosched()
 			}
-			write, err := o.open(st)
+			obj, write, err := o.open(st)
+			objs[k-1] = obj
 			if err == nil {
 				err = write(k)
 			}
@@ -126,6 +130,11 @@ func firstOpenRound(o firstOpener, openers int) error {
 	close(errs)
 	if err := <-errs; err != nil {
 		return err
+	}
+	for i, obj := range objs {
+		if o.shared && obj != objs[0] {
+			return fmt.Errorf("opener %d got another %s than opener 1", i+1, o.name)
+		}
 	}
 	if err := st.Close(); err != nil {
 		return err

@@ -167,7 +167,9 @@ const (
 )
 
 // HashTable is the persistent lock-free extendible hash table — the
-// store's point-lookup index, unordered by construction.
+// store's point-lookup index, unordered by construction. Its values lie
+// below 2^60, the skip list's domain (bit 60 marks the values a bucket
+// split moves); the Bw-tree keeps values below 2^61.
 type HashTable = hashtable.Table
 
 // HashTableHandle is a per-goroutine hash table context.

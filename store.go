@@ -71,8 +71,10 @@ type Config struct {
 }
 
 // descriptorWords is every descriptor's capacity: the widest PMwCAS any
-// of the store's structures builds, a skip-list insert.
-const descriptorWords = skiplist.MinDescriptorWords
+// of the store's structures builds, a hash split of a default bucket (16
+// words; a skip-list base delete takes 15). Both round up to the same
+// 576-byte descriptor.
+const descriptorWords = max(skiplist.MinDescriptorWords, hashtable.MinDescriptorWords)
 
 // mappingSlots sizes each shard's Bw-tree mapping table from its budget:
 // one word per KiB (65,536 LPIDs in the default 64 MiB store), and at
@@ -216,6 +218,10 @@ type storeShard struct {
 	htMu    sync.Mutex
 	ht      *hashtable.Table
 	htSlots int
+	// The skip list is cached the same way, so every open of the shard
+	// shares one DRAM top.
+	slMu sync.Mutex
+	sl   *skiplist.List
 	// blobMu serializes OpenBlobKV, so two first opens cannot both find
 	// no index tag and open layers over different indexes.
 	blobMu sync.Mutex
@@ -565,14 +571,25 @@ func (s *Store) MemoryInUse() (blocks, bytes uint64) {
 func (s *Store) SkipList() (*SkipList, error) { return s.Shard(0).SkipList() }
 
 // SkipList opens this shard's skip list, creating it on first use. The
-// list is a singleton per shard (anchored at fixed roots).
+// list is a singleton per shard (anchored at fixed roots), and every open
+// returns the same *SkipList.
 func (sh *Shard) SkipList() (*SkipList, error) {
 	st := sh.state()
-	return skiplist.New(skiplist.Config{
+	st.slMu.Lock()
+	defer st.slMu.Unlock()
+	if st.sl != nil {
+		return st.sl, nil
+	}
+	l, err := skiplist.New(skiplist.Config{
 		Pool:      st.pool,
 		Allocator: st.alloc,
 		Roots:     nvram.Region{Base: st.rootsRegion.Base, Len: nvram.LineBytes},
 	})
+	if err != nil {
+		return nil, err
+	}
+	st.sl = l
+	return l, nil
 }
 
 // BwTreeOptions tunes the store's Bw-tree.
@@ -722,8 +739,9 @@ func (sh *Shard) BwTree(opts BwTreeOptions) (*BwTree, error) {
 // HashTableOptions tunes the store's hash table.
 type HashTableOptions struct {
 	// SlotsPerBucket is the fixed bucket capacity (default
-	// hashtable.DefaultSlotsPerBucket, a four-line bucket). An existing
-	// table's durable geometry must match.
+	// hashtable.DefaultSlotsPerBucket, a four-line bucket, and the most
+	// a store's descriptors fit: a split is a PMwCAS of 2 + SlotsPerBucket
+	// words). An existing table's durable geometry must match.
 	SlotsPerBucket int
 }
 
