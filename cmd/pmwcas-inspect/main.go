@@ -131,9 +131,9 @@ func runInspect(args []string) {
 }
 
 // report prints what a freshly opened store holds, from its audit. It
-// opens a shard's Bw-tree, for the tree's shape, only when the audit
-// found Bw-tree keys whose home is that shard, so describing an image
-// never creates a structure in it.
+// opens a shard's Bw-tree, for the tree's shape, only when the image
+// holds that tree (whether it maps words or the blob layer's records),
+// so describing an image never creates a structure in it.
 func report(w io.Writer, store *pmwcas.Store, showKeys bool) error {
 	ds, err := store.CheckInvariants(pmwcas.CheckOptions{})
 	if err != nil {
@@ -160,12 +160,8 @@ func report(w io.Writer, store *pmwcas.Store, showKeys bool) error {
 	}
 	tbl.Print(w)
 
-	home := make([]bool, store.ShardCount())
-	for _, e := range ds.BwTree {
-		home[store.ShardForKey(e.Key)] = true
-	}
-	for i, ok := range home {
-		if !ok {
+	for i := 0; i < store.ShardCount(); i++ {
+		if !store.Shard(i).Holds("bwtree") {
 			continue
 		}
 		tree, err := store.Shard(i).BwTree(pmwcas.BwTreeOptions{})

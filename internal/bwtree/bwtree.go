@@ -195,10 +195,7 @@ func New(cfg Config) (*Tree, error) {
 		consolAt:   cfg.ConsolidateAfter,
 		mergeBelow: cfg.MergeBelow,
 	}
-	if err := t.registerCallbacks(); err != nil {
-		return nil, err
-	}
-
+	RegisterRecoveryCallbacks(t.pool)
 	if _, err := cfg.Pool.OpenAnchors([]nvram.Offset{t.nextLPID, t.mappingOff(RootLPID)}, t.create); err != nil {
 		return nil, fmt.Errorf("bwtree: %w", err)
 	}

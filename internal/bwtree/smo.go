@@ -66,13 +66,9 @@ func RegisterRecoveryCallbacks(pool *core.Pool) {
 	err := pool.RegisterCallback(cbSMO, func(v core.DescriptorView, succeeded bool) {
 		smoFinalize(dev, v, succeeded)
 	})
-	if err != nil && !errorsIsDup(err) {
+	if err != nil && !errors.Is(err, core.ErrCallbackRegistered) {
 		panic(err)
 	}
-}
-
-func errorsIsDup(err error) bool {
-	return err != nil && errors.Is(err, core.ErrCallbackRegistered)
 }
 
 // smoFinalize is Table-1 policy semantics for SMO descriptors, with one
@@ -105,11 +101,6 @@ func chainNext(dev *nvram.Device, rec nvram.Offset) nvram.Offset {
 		return 0
 	}
 	return nvram.Offset(dev.Load(rec + recNextOff))
-}
-
-func (t *Tree) registerCallbacks() error {
-	RegisterRecoveryCallbacks(t.pool)
-	return nil
 }
 
 // capacity is the most entries a page of the kind holds unsplit.

@@ -368,10 +368,7 @@ func (h *Handle) unlinkLevel(node nvram.Offset, key uint64, level, height int, r
 			return nil
 		}
 		if r.succs[level] != node {
-			// The find may predate the promotion, or have started below a
-			// level another List over the same roots linked.
-			raiseTop(&h.list.top, level+1)
-			*r = h.find(key)
+			*r = h.find(key) // the find predates the promotion
 			continue
 		}
 		pred := r.preds[level]

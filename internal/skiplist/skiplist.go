@@ -133,8 +133,9 @@ type List struct {
 	roots nvram.Region // two words: head, tail
 	head  nvram.Offset
 	tail  nvram.Offset
-	// top exceeds every level this List linked or saw linked: a descent
-	// starts at top-1. DRAM only; New recomputes it, nothing lowers it.
+	// top exceeds every linked level: a descent starts at top-1. A DRAM
+	// hint that may be high, never low: promote raises it before its
+	// PMwCAS, New recomputes it, nothing lowers it.
 	top atomic.Int32
 }
 
@@ -150,6 +151,11 @@ type Config struct {
 // a crash requires allocator and pool recovery to have run first; the
 // list itself needs no recovery logic of its own — that is the point of
 // the paper.
+//
+// One List per roots: while a List is in use, no second List may be
+// opened over its roots, because each keeps its own top and a List never
+// sees the levels another promoted above its top (the store opens one per
+// shard and hands it to every caller).
 func New(cfg Config) (*List, error) {
 	if cfg.Pool == nil || cfg.Allocator == nil {
 		return nil, errors.New("skiplist: Pool and Allocator are required")

@@ -3,6 +3,7 @@ package skiplist
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -416,112 +417,102 @@ func TestWriteStaleFind(t *testing.T) {
 // A find made before a tower was promoted above the top its list knew
 // reports (head, tail) at those levels without loading them. promote,
 // unlinkLevel with unlinkBase, and Delete handed such a find must still
-// finish inside the deadline and leave a well-formed list. The tower is
-// promoted through a second handle on the same List, or through a second
-// List over the same roots, whose raised top the first never sees.
+// finish inside the deadline and leave a well-formed list. A second
+// handle on the same List promotes the tower.
 func TestStaleTopFind(t *testing.T) {
 	const height = 5 // staleEnv's towers reach level 2: top is 3
-	for _, second := range []string{"handle", "list"} {
-		// env returns a list holding 10 and 90, a handle on it, and the
-		// second handle, which promotes the levels above top.
-		env := func(t *testing.T) (*lenv, *Handle, *Handle) {
-			e, h, h2 := staleEnv(t)
-			if second == "list" {
-				l2, err := New(Config{Pool: e.pool, Allocator: e.alloc, Roots: e.roots})
-				if err != nil {
-					t.Fatal(err)
-				}
-				h2 = l2.NewHandle(2)
-			}
-			if top := e.list.top.Load(); top != 3 {
-				t.Fatalf("top = %d before the test, want 3", top)
-			}
-			return e, h, h2
+	// env returns a list holding 10 and 90, a handle on it, and the
+	// second handle, which promotes the levels above top.
+	env := func(t *testing.T) (*lenv, *Handle, *Handle) {
+		e, h, h2 := staleEnv(t)
+		if top := e.list.top.Load(); top != 3 {
+			t.Fatalf("top = %d before the test, want 3", top)
 		}
-		// partial inserts 50 with a tower of height levels, linked up to
-		// level 2 only.
-		partial := func(t *testing.T, h *Handle) nvram.Offset {
-			var node nvram.Offset
-			h.guarded(func() {
-				r := h.find(50)
-				var err error
-				if node, err = h.insert(r.preds[0], r.succs[0], 50, 50, height, opInsert); err != nil || node == 0 {
-					t.Fatalf("insert = (%#x, %v)", node, err)
-				}
-				for level := 1; level < 3; level++ {
-					if !h.promote(node, 50, level, &r) {
-						t.Fatalf("promote to level %d lost", level)
-					}
-				}
-			})
-			return node
-		}
-		// promoteRest promotes node 50 above top through h2.
-		promoteRest := func(t *testing.T, h2 *Handle, node nvram.Offset) {
-			h2.guarded(func() {
-				r := h2.find(50)
-				for level := 3; level < height; level++ {
-					if !h2.promote(node, 50, level, &r) {
-						t.Errorf("second handle's promote to level %d lost", level)
-					}
-				}
-			})
-		}
-		t.Run(second+"/promote", func(t *testing.T) {
-			e, h, h2 := env(t)
-			h.guarded(func() {
-				r := h.find(50)
-				node, err := h.insert(r.preds[0], r.succs[0], 50, 50, height, opInsert)
-				if err != nil || node == 0 {
-					t.Fatalf("insert = (%#x, %v)", node, err)
-				}
-				h2.link(t, 60, height)
-				within(t, "promote", func() {
-					for level := 1; level < height; level++ {
-						if !h.promote(node, 50, level, &r) {
-							t.Errorf("promote to level %d lost", level)
-						}
-					}
-				})
-			})
-			e.audit(t, []uint64{10, 50, 60, 90})
-		})
-		t.Run(second+"/unlink", func(t *testing.T) {
-			e, h, h2 := env(t)
-			node := partial(t, h)
-			unlinked := false
-			h.guarded(func() {
-				r := h.find(50)
-				promoteRest(t, h2, node)
-				within(t, "unlink", func() {
-					for level := height - 1; level >= 1; level-- {
-						if err := h.unlinkLevel(node, 50, level, height, &r); err != nil {
-							t.Errorf("unlinkLevel %d: %v", level, err)
-						}
-					}
-					var err error
-					if unlinked, _, err = h.unlinkBase(node, height, core.PolicyNone, &r); err != nil {
-						t.Errorf("unlinkBase: %v", err)
-					}
-				})
-			})
-			if !unlinked {
-				t.Fatal("unlinkBase did not unlink the node")
-			}
-			e.audit(t, []uint64{10, 90})
-		})
-		t.Run(second+"/Delete", func(t *testing.T) {
-			e, h, h2 := env(t)
-			node := partial(t, h)
-			e.staleAt(true, func() { promoteRest(t, h2, node) })
+		return e, h, h2
+	}
+	// partial inserts 50 with a tower of height levels, linked up to
+	// level 2 only.
+	partial := func(t *testing.T, h *Handle) nvram.Offset {
+		var node nvram.Offset
+		h.guarded(func() {
+			r := h.find(50)
 			var err error
-			within(t, "Delete", func() { err = h.Delete(50) })
-			if err != nil {
-				t.Fatalf("Delete = %v", err)
+			if node, err = h.insert(r.preds[0], r.succs[0], 50, 50, height, opInsert); err != nil || node == 0 {
+				t.Fatalf("insert = (%#x, %v)", node, err)
 			}
-			e.audit(t, []uint64{10, 90})
+			for level := 1; level < 3; level++ {
+				if !h.promote(node, 50, level, &r) {
+					t.Fatalf("promote to level %d lost", level)
+				}
+			}
+		})
+		return node
+	}
+	// promoteRest promotes node 50 above top through h2.
+	promoteRest := func(t *testing.T, h2 *Handle, node nvram.Offset) {
+		h2.guarded(func() {
+			r := h2.find(50)
+			for level := 3; level < height; level++ {
+				if !h2.promote(node, 50, level, &r) {
+					t.Errorf("second handle's promote to level %d lost", level)
+				}
+			}
 		})
 	}
+	t.Run("handle/promote", func(t *testing.T) {
+		e, h, h2 := env(t)
+		h.guarded(func() {
+			r := h.find(50)
+			node, err := h.insert(r.preds[0], r.succs[0], 50, 50, height, opInsert)
+			if err != nil || node == 0 {
+				t.Fatalf("insert = (%#x, %v)", node, err)
+			}
+			h2.link(t, 60, height)
+			within(t, "promote", func() {
+				for level := 1; level < height; level++ {
+					if !h.promote(node, 50, level, &r) {
+						t.Errorf("promote to level %d lost", level)
+					}
+				}
+			})
+		})
+		e.audit(t, []uint64{10, 50, 60, 90})
+	})
+	t.Run("handle/unlink", func(t *testing.T) {
+		e, h, h2 := env(t)
+		node := partial(t, h)
+		unlinked := false
+		h.guarded(func() {
+			r := h.find(50)
+			promoteRest(t, h2, node)
+			within(t, "unlink", func() {
+				for level := height - 1; level >= 1; level-- {
+					if err := h.unlinkLevel(node, 50, level, height, &r); err != nil {
+						t.Errorf("unlinkLevel %d: %v", level, err)
+					}
+				}
+				var err error
+				if unlinked, _, err = h.unlinkBase(node, height, core.PolicyNone, &r); err != nil {
+					t.Errorf("unlinkBase: %v", err)
+				}
+			})
+		})
+		if !unlinked {
+			t.Fatal("unlinkBase did not unlink the node")
+		}
+		e.audit(t, []uint64{10, 90})
+	})
+	t.Run("handle/Delete", func(t *testing.T) {
+		e, h, h2 := env(t)
+		node := partial(t, h)
+		e.staleAt(true, func() { promoteRest(t, h2, node) })
+		var err error
+		within(t, "Delete", func() { err = h.Delete(50) })
+		if err != nil {
+			t.Fatalf("Delete = %v", err)
+		}
+		e.audit(t, []uint64{10, 90})
+	})
 }
 
 // TestTopCoversLinkedLevels checks top at every device write: no PMwCAS
@@ -556,5 +547,104 @@ func TestTopCoversLinkedLevels(t *testing.T) {
 	}
 	if top := l.top.Load(); top < 5 {
 		t.Fatalf("top = %d after 2000 inserts: the towers tested nothing", top)
+	}
+}
+
+// TestHighTopHint perturbs the list's DRAM top in the direction its
+// contract allows: high, never low. With top forced to MaxHeight on a
+// warm list, four goroutines run an insert/update/delete/get mix, each
+// on keys of its own residue mod 4, against a model of its keys. Every
+// answer must match the model, the mix must finish inside the deadline,
+// and the restarted list must check clean and hold exactly the models'
+// entries.
+func TestHighTopHint(t *testing.T) {
+	const workers, keys, ops = 4, 512, 1500
+	e := newListEnv(t, core.Persistent)
+	h := e.list.NewHandle(1)
+	models := make([]map[uint64]uint64, workers)
+	for w := range models {
+		models[w] = make(map[uint64]uint64)
+	}
+	for k := uint64(1); k <= keys; k += 2 {
+		if err := h.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+		models[k%workers][k] = k
+	}
+	if top := e.list.top.Load(); top >= MaxHeight {
+		t.Fatalf("top = %d on the warm list: forcing it to MaxHeight tests nothing", top)
+	}
+	e.list.top.Store(MaxHeight)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h, m := e.list.NewHandle(int64(w)+2), models[w]
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < ops; i++ {
+				k := uint64(rng.Intn(keys/workers))*workers + uint64(w)
+				if k == 0 {
+					k = workers
+				}
+				v, had := m[k]
+				var err, wantErr error
+				switch rng.Intn(4) {
+				case 0:
+					if err = h.Insert(k, uint64(i)); had {
+						wantErr = ErrKeyExists
+					} else {
+						m[k] = uint64(i)
+					}
+				case 1:
+					if err = h.Update(k, uint64(i)); had {
+						m[k] = uint64(i)
+					} else {
+						wantErr = ErrNotFound
+					}
+				case 2:
+					if err = h.Delete(k); had {
+						delete(m, k)
+					} else {
+						wantErr = ErrNotFound
+					}
+				default:
+					var got uint64
+					if got, err = h.Get(k); !had {
+						wantErr = ErrNotFound
+					} else if err == nil && got != v {
+						t.Errorf("Get(%d) = %d, want %d", k, got, v)
+						return
+					}
+				}
+				if !errors.Is(err, wantErr) {
+					t.Errorf("op %d on key %d: err = %v, want %v", i, k, err, wantErr)
+					return
+				}
+			}
+		}(w)
+	}
+	within(t, "the mix", wg.Wait)
+	if top := e.list.top.Load(); top != MaxHeight {
+		t.Fatalf("top = %d after the mix, want it left at %d", top, MaxHeight)
+	}
+	want := make(map[uint64]uint64)
+	var wantKeys []uint64
+	for _, m := range models {
+		maps.Copy(want, m)
+		for k := range m {
+			wantKeys = append(wantKeys, k)
+		}
+	}
+	slices.Sort(wantKeys)
+	e.audit(t, wantKeys)
+	_, entries, err := Check(e.dev, e.roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, en := range entries {
+		if en.Value != want[en.Key] {
+			t.Errorf("key %d recovered %d, want %d", en.Key, en.Value, want[en.Key])
+		}
 	}
 }

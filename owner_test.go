@@ -434,7 +434,7 @@ func TestOpenBlobKVConcurrentFirstOpens(t *testing.T) {
 		if errs[0] != nil {
 			won = names[1]
 		}
-		if got := blobIndexOn(store.dev.Load(store.shards[0].blobTagWord())); got != won {
+		if got := blobIndexOn(store.dev.Load(store.shards[0].tagWord)); got != won {
 			t.Fatalf("round %d: tag names %s, the %s open won", round, got, won)
 		}
 	}

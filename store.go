@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pmwcas/internal/alloc"
@@ -198,33 +200,66 @@ func (c *Config) deviceOptions() []nvram.Option {
 }
 
 // storeShard is one shard's private slice of the store: its own regions,
-// descriptor pool (and thus epoch manager), and allocator arena. Shards
-// share only the device; every mutable word belongs to exactly one.
+// descriptor pool (and thus epoch manager), allocator arena, and the one
+// instance of each structure on them. Shards share only the device; every
+// mutable word belongs to exactly one.
 type storeShard struct {
 	pool  *core.Pool
 	alloc *alloc.Allocator
 
-	// rootsRegion's first line holds the skip list's anchors (words 0–1),
-	// the hash table's (words 2–3) and the blob tag (word 7); its second
-	// the queue's anchors; its last two the application roots.
-	rootsRegion nvram.Region
-	mapRegion   nvram.Region // Bw-tree mapping table; word 0 is its next-LPID counter
-	poolRegion  nvram.Region
-	allocRegion nvram.Region
+	poolRegion nvram.Region
+	mapRegion  nvram.Region // Bw-tree mapping table; word 0 is its next-LPID counter
+	// The other structures' anchors, in the four-line roots region: the
+	// skip list's (words 0–1), the hash table's (words 2–3) and the blob
+	// layer's index tag (word 7) share its first line, the queue's fill
+	// its second, and the application roots its last two.
+	skipRoots, hashRoots, queueRoots, appRoots nvram.Region
+	tagWord                                    Offset
 
-	// The hash table is a per-shard singleton: caching it keeps the
-	// shard's one DRAM directory, and one set of split and doubling
-	// counters per shard for Stats.
-	htMu    sync.Mutex
-	ht      *hashtable.Table
-	htSlots int
-	// The skip list is cached the same way, so every open of the shard
-	// shares one DRAM top.
-	slMu sync.Mutex
-	sl   *skiplist.List
+	sl once[*skiplist.List, struct{}]
+	bw once[*bwtree.Tree, BwTreeOptions]
+	ht once[*hashtable.Table, HashTableOptions]
+	q  once[*pqueue.Queue, struct{}]
+	kv once[*blobkv.Store, struct{}]
 	// blobMu serializes OpenBlobKV, so two first opens cannot both find
 	// no index tag and open layers over different indexes.
 	blobMu sync.Mutex
+}
+
+// once is a shard's one instance of a structure, and the options its
+// first open passed. First opens race: each builds the structure, through
+// its creating PMwCAS (core.Pool.OpenAnchors), and the first to publish
+// wins; the others drop theirs, which hold nothing but DRAM.
+type once[T any, O comparable] struct{ p atomic.Pointer[opened[T, O]] }
+
+type opened[T any, O comparable] struct {
+	obj T
+	opt O
+}
+
+// open returns the instance, building it on first use. An open whose
+// options differ from the first's fails, naming the first field that
+// differs: every open shares the one object those options shaped.
+func (o *once[T, O]) open(opt O, build func() (T, error)) (T, error) {
+	in := o.p.Load()
+	if in == nil {
+		obj, err := build()
+		if err != nil {
+			return obj, err
+		}
+		o.p.CompareAndSwap(nil, &opened[T, O]{obj, opt})
+		in = o.p.Load()
+	}
+	if in.opt != opt {
+		have, want := reflect.ValueOf(in.opt), reflect.ValueOf(opt)
+		i := 0
+		for have.Field(i).Equal(want.Field(i)) {
+			i++
+		}
+		return *new(T), fmt.Errorf("pmwcas: the shard's first open passed %s.%s %v; this one asks %v",
+			have.Type().Name(), have.Type().Field(i).Name, have.Field(i), want.Field(i))
+	}
+	return in.obj, nil
 }
 
 // Store assembles the full system: simulated NVRAM device and, per
@@ -298,11 +333,16 @@ func buildShard(dev *nvram.Device, l *nvram.Layout, cfg *Config, recover bool) (
 	var rst RecoveryStats
 	sh := &storeShard{}
 	sh.poolRegion = l.Carve(core.PoolSize(cfg.Descriptors, descriptorWords))
-	sh.allocRegion = l.Carve(alloc.MetaSize(cfg.Classes, 0))
-	sh.rootsRegion = l.Carve(nvram.LineBytes * 4) // 32 root words
+	allocRegion := l.Carve(alloc.MetaSize(cfg.Classes, 0))
+	roots := l.Carve(nvram.LineBytes * 4).Base
 	sh.mapRegion = l.Carve(cfg.mappingSlots() * nvram.WordSize)
+	sh.skipRoots = nvram.Region{Base: roots, Len: skiplist.RootWords * nvram.WordSize}
+	sh.hashRoots = nvram.Region{Base: roots + 2*nvram.WordSize, Len: hashtable.RootWords * nvram.WordSize}
+	sh.tagWord = roots + nvram.LineBytes - nvram.WordSize
+	sh.queueRoots = nvram.Region{Base: roots + nvram.LineBytes, Len: pqueue.RootWords * nvram.WordSize}
+	sh.appRoots = nvram.Region{Base: roots + 2*nvram.LineBytes, Len: RootWords * nvram.WordSize}
 	var err error
-	sh.alloc, err = alloc.New(dev, sh.allocRegion, cfg.Classes, 0)
+	sh.alloc, err = alloc.New(dev, allocRegion, cfg.Classes, 0)
 	if err != nil {
 		return nil, rst, fmt.Errorf("allocator: %w", err)
 	}
@@ -472,11 +512,8 @@ func (s *Store) Stats() StoreStats {
 		blocks, bytes = sh.alloc.Capacity()
 		st.AllocCapBlocks += blocks
 		st.AllocCapBytes += bytes
-		sh.htMu.Lock()
-		t := sh.ht
-		sh.htMu.Unlock()
-		if t != nil {
-			hs := t.Stats()
+		if t := sh.ht.p.Load(); t != nil {
+			hs := t.obj.Stats()
 			st.HashSplits += hs.Splits
 			st.HashDoublings += hs.Doublings
 		}
@@ -531,7 +568,7 @@ func (sh *Shard) RootWord(i int) Offset {
 	if i < 0 || i >= RootWords {
 		panic(fmt.Sprintf("pmwcas: root slot %d out of range [0,%d)", i, RootWords))
 	}
-	return sh.state().rootsRegion.Base + nvram.LineBytes*2 + nvram.Offset(i)*nvram.WordSize
+	return sh.state().appRoots.Base + nvram.Offset(i)*nvram.WordSize
 }
 
 // Alloc reserves a block of at least size bytes on shard 0, with the
@@ -570,26 +607,13 @@ func (s *Store) MemoryInUse() (blocks, bytes uint64) {
 // SkipList opens shard 0's skip list; see Shard.SkipList.
 func (s *Store) SkipList() (*SkipList, error) { return s.Shard(0).SkipList() }
 
-// SkipList opens this shard's skip list, creating it on first use. The
-// list is a singleton per shard (anchored at fixed roots), and every open
-// returns the same *SkipList.
+// SkipList opens this shard's skip list, creating it on first use. Every
+// open of the shard returns the same *SkipList.
 func (sh *Shard) SkipList() (*SkipList, error) {
 	st := sh.state()
-	st.slMu.Lock()
-	defer st.slMu.Unlock()
-	if st.sl != nil {
-		return st.sl, nil
-	}
-	l, err := skiplist.New(skiplist.Config{
-		Pool:      st.pool,
-		Allocator: st.alloc,
-		Roots:     nvram.Region{Base: st.rootsRegion.Base, Len: nvram.LineBytes},
+	return st.sl.open(struct{}{}, func() (*SkipList, error) {
+		return skiplist.New(skiplist.Config{Pool: st.pool, Allocator: st.alloc, Roots: st.skipRoots})
 	})
-	if err != nil {
-		return nil, err
-	}
-	st.sl = l
-	return l, nil
 }
 
 // BwTreeOptions tunes the store's Bw-tree.
@@ -612,13 +636,11 @@ type BwTreeOptions struct {
 func (s *Store) Queue() (*Queue, error) { return s.Shard(0).Queue() }
 
 // Queue opens this shard's persistent lock-free FIFO queue, creating it
-// on first use. Singleton per shard (fixed anchor words).
+// on first use. Every open of the shard returns the same *Queue.
 func (sh *Shard) Queue() (*Queue, error) {
 	st := sh.state()
-	return pqueue.New(pqueue.Config{
-		Pool:      st.pool,
-		Allocator: st.alloc,
-		Roots:     nvram.Region{Base: st.rootsRegion.Base + nvram.LineBytes, Len: nvram.LineBytes},
+	return st.q.open(struct{}{}, func() (*Queue, error) {
+		return pqueue.New(pqueue.Config{Pool: st.pool, Allocator: st.alloc, Roots: st.queueRoots})
 	})
 }
 
@@ -630,17 +652,9 @@ func (s *Store) BlobKV() (*BlobKV, error) { return s.Shard(0).BlobKV() }
 func (sh *Shard) BlobKV() (*BlobKV, error) { return sh.OpenBlobKV("skiplist", IndexOptions{}) }
 
 // blobIndexes names the indexes a blob layer can be on. A shard records
-// its layer's index in the last word of its first roots line, as its
-// position here plus one; zero means no layer has been opened.
+// its layer's index in its tag word, as its position here plus one; zero
+// means no layer has been opened.
 var blobIndexes = []string{"skiplist", "bwtree", "hash"}
-
-func (st *storeShard) blobTagWord() Offset {
-	return st.rootsRegion.Base + nvram.LineBytes - nvram.WordSize
-}
-
-func (st *storeShard) hashRoots() nvram.Region {
-	return nvram.Region{Base: st.rootsRegion.Base + 2*nvram.WordSize, Len: hashtable.RootWords * nvram.WordSize}
-}
 
 // blobIndexOn names the index a blob-layer tag records.
 func blobIndexOn(tag uint64) string {
@@ -656,27 +670,31 @@ func blobIndexOn(tag uint64) string {
 // that is refused. (OpenBlobKV writes the tag before it creates the
 // index, so a layer's own index is never found untagged.)
 func (sh *Shard) blobTag(name string) (uint64, error) {
-	st, dev := sh.state(), sh.s.dev
-	if on := dev.Load(st.blobTagWord()); on != 0 {
+	if on := sh.s.dev.Load(sh.state().tagWord); on != 0 {
 		return on, nil
 	}
-	anchor := map[string]Offset{
-		"skiplist": st.rootsRegion.Base, // the list's head anchor
-		"bwtree":   st.mapRegion.Base,   // the tree's next-LPID counter
-		"hash":     st.hashRoots().Base, // the table's root bucket
-	}[name]
-	if dev.Load(anchor) != 0 {
+	if sh.Holds(name) {
 		return 0, fmt.Errorf("pmwcas: shard %d's %s index already holds word values; a blob layer cannot open over it",
 			sh.i, name)
 	}
 	return 0, nil
 }
 
+// Holds reports whether this shard's named index ("skiplist", "bwtree" or
+// "hash") exists: whether its first anchor word is set. It reads the
+// image and changes nothing, so it never creates the index.
+func (sh *Shard) Holds(name string) bool {
+	st := sh.state()
+	anchor, ok := map[string]Offset{"skiplist": st.skipRoots.Base, "bwtree": st.mapRegion.Base, "hash": st.hashRoots.Base}[name]
+	return ok && sh.s.dev.Load(anchor) != 0
+}
+
 // OpenBlobKV opens this shard's byte-string key-value layer over the
 // named index ("skiplist", "bwtree" or "hash"): short string keys,
 // values up to blobkv.MaxValueLen bytes in out-of-line records,
-// crash-atomic updates. Singleton per shard: the first open records the
-// index durably, and reopening the layer over another index fails. The
+// crash-atomic updates. Every open of the shard returns the same
+// *BlobKV: the first records the index durably, and reopening the layer
+// over another index fails. The
 // Bw-tree must run a descriptor SMO mode: SMOSingleCAS installs deltas
 // with plain CAS, which cannot free the record an overwrite displaces.
 func (sh *Shard) OpenBlobKV(name string, opt IndexOptions) (*BlobKV, error) {
@@ -699,8 +717,8 @@ func (sh *Shard) OpenBlobKV(name string, opt IndexOptions) (*BlobKV, error) {
 			sh.i, blobIndexOn(on), name)
 	}
 	setTag := func(v uint64) {
-		dev.Store(st.blobTagWord(), v)
-		dev.Flush(st.blobTagWord())
+		dev.Store(st.tagWord, v)
+		dev.Flush(st.tagWord)
 		dev.Fence()
 	}
 	if on == 0 {
@@ -713,26 +731,31 @@ func (sh *Shard) OpenBlobKV(name string, opt IndexOptions) (*BlobKV, error) {
 		}
 		return nil, err
 	}
-	return blobkv.Open(blobkv.Config{Index: mint, Allocator: st.alloc, Device: dev})
+	return st.kv.open(struct{}{}, func() (*BlobKV, error) {
+		return blobkv.Open(blobkv.Config{Index: mint, Allocator: st.alloc, Device: dev})
+	})
 }
 
 // BwTree opens shard 0's Bw-tree; see Shard.BwTree.
 func (s *Store) BwTree(opts BwTreeOptions) (*BwTree, error) { return s.Shard(0).BwTree(opts) }
 
-// BwTree opens this shard's Bw-tree, creating it on first use. The tree
-// is a singleton per shard (fixed mapping table region, one LPID per KiB
-// of the shard's budget: a split past it fails with "mapping table full").
+// BwTree opens this shard's Bw-tree, creating it on first use (its
+// mapping table holds one LPID per KiB of the shard's budget: a split
+// past it fails with "mapping table full"). Every open of the shard
+// returns the same *BwTree, and must pass the options the first passed.
 func (sh *Shard) BwTree(opts BwTreeOptions) (*BwTree, error) {
 	st := sh.state()
-	return bwtree.New(bwtree.Config{
-		Pool:             st.pool,
-		Allocator:        st.alloc,
-		Mapping:          st.mapRegion,
-		SMO:              opts.SMO,
-		LeafCapacity:     opts.LeafCapacity,
-		InnerCapacity:    opts.InnerCapacity,
-		ConsolidateAfter: opts.ConsolidateAfter,
-		MergeBelow:       opts.MergeBelow,
+	return st.bw.open(opts, func() (*BwTree, error) {
+		return bwtree.New(bwtree.Config{
+			Pool:             st.pool,
+			Allocator:        st.alloc,
+			Mapping:          st.mapRegion,
+			SMO:              opts.SMO,
+			LeafCapacity:     opts.LeafCapacity,
+			InnerCapacity:    opts.InnerCapacity,
+			ConsolidateAfter: opts.ConsolidateAfter,
+			MergeBelow:       opts.MergeBelow,
+		})
 	})
 }
 
@@ -751,32 +774,15 @@ func (s *Store) HashTable(opts HashTableOptions) (*HashTable, error) {
 }
 
 // HashTable opens this shard's persistent lock-free hash table — the
-// point-lookup index — creating it on first use. Singleton per shard
-// (fixed anchor words); repeated opens with the same geometry return the
-// same table, so its DRAM directory and its split and doubling counters
-// stay in one place.
+// point-lookup index — creating it on first use. Every open of the shard
+// returns the same *HashTable, so its DRAM directory and its split and
+// doubling counters stay in one place, and must pass the options the
+// first passed.
 func (sh *Shard) HashTable(opts HashTableOptions) (*HashTable, error) {
 	st := sh.state()
-	slots := opts.SlotsPerBucket
-	if slots == 0 {
-		slots = hashtable.DefaultSlotsPerBucket
-	}
-	st.htMu.Lock()
-	defer st.htMu.Unlock()
-	if st.ht != nil && st.htSlots == slots {
-		return st.ht, nil
-	}
-	t, err := hashtable.New(hashtable.Config{
-		Pool:           st.pool,
-		Allocator:      st.alloc,
-		Roots:          st.hashRoots(),
-		SlotsPerBucket: slots,
+	return st.ht.open(opts, func() (*HashTable, error) {
+		return hashtable.New(hashtable.Config{Pool: st.pool, Allocator: st.alloc, Roots: st.hashRoots, SlotsPerBucket: opts.SlotsPerBucket})
 	})
-	if err != nil {
-		return nil, err
-	}
-	st.ht, st.htSlots = t, slots
-	return t, nil
 }
 
 // IndexOptions carries each index's open options through OpenIndex: the
@@ -799,27 +805,19 @@ func (sh *Shard) OpenIndex(name string, opt IndexOptions) (func(seed int64) Inde
 }
 
 // openOwner is OpenIndex minting the handles as index.Owner, which every
-// persistent index's handle is.
+// persistent index's handle is. The minter it returns with an error mints
+// nothing.
 func (sh *Shard) openOwner(name string, opt IndexOptions) (func(seed int64) index.Owner, error) {
 	switch name {
 	case "skiplist":
 		l, err := sh.SkipList()
-		if err != nil {
-			return nil, err
-		}
-		return func(seed int64) index.Owner { return l.NewHandle(seed) }, nil
+		return func(seed int64) index.Owner { return l.NewHandle(seed) }, err
 	case "bwtree":
 		t, err := sh.BwTree(opt.BwTree)
-		if err != nil {
-			return nil, err
-		}
-		return func(int64) index.Owner { return t.NewHandle() }, nil
+		return func(int64) index.Owner { return t.NewHandle() }, err
 	case "hash":
 		t, err := sh.HashTable(opt.Hash)
-		if err != nil {
-			return nil, err
-		}
-		return func(int64) index.Owner { return t.NewHandle() }, nil
+		return func(int64) index.Owner { return t.NewHandle() }, err
 	}
 	return nil, errUnknownIndex(name)
 }
@@ -976,15 +974,13 @@ func (s *Store) checkShard(sh *storeShard, st *DurableState) error {
 	}
 	var reachable []Offset
 
-	skipRoots := nvram.Region{Base: sh.rootsRegion.Base, Len: nvram.LineBytes}
-	blocks, skip, err := skiplist.Check(s.dev, skipRoots)
+	blocks, skip, err := skiplist.Check(s.dev, sh.skipRoots)
 	if err != nil {
 		return err
 	}
 	reachable = append(reachable, blocks...)
 
-	qRoots := nvram.Region{Base: sh.rootsRegion.Base + nvram.LineBytes, Len: nvram.LineBytes}
-	blocks, values, err := pqueue.Check(s.dev, qRoots)
+	blocks, values, err := pqueue.Check(s.dev, sh.queueRoots)
 	if err != nil {
 		return err
 	}
@@ -997,7 +993,7 @@ func (s *Store) checkShard(sh *storeShard, st *DurableState) error {
 	}
 	reachable = append(reachable, blocks...)
 
-	blocks, hash, hstats, err := hashtable.Check(s.dev, sh.hashRoots())
+	blocks, hash, hstats, err := hashtable.Check(s.dev, sh.hashRoots)
 	if err != nil {
 		return err
 	}
@@ -1005,7 +1001,7 @@ func (s *Store) checkShard(sh *storeShard, st *DurableState) error {
 	st.HashCheck.Buckets += hstats.Buckets
 	st.HashCheck.Live += hstats.Live
 
-	if tag := s.dev.Load(sh.blobTagWord()); tag != 0 {
+	if tag := s.dev.Load(sh.tagWord); tag != 0 {
 		// Blob records live on the same shard as their index entries, so
 		// this shard's slice of the layer's index is exactly its Check's.
 		idx, ok := map[string]*[]IndexEntry{"skiplist": &skip, "bwtree": &tree, "hash": &hash}[blobIndexOn(tag)]
