@@ -17,8 +17,10 @@
 //
 // The trace subcommand dials a live server, fetches the PMwCAS descriptor
 // lifecycle ring (METRICS with the "trace" view), and prints each
-// descriptor's lifecycle — alloc → execute → help* → decide → retire →
-// finalize — with per-step latencies and helper lane IDs.
+// lifecycle — alloc → execute → help* → decide → retire → finalize —
+// with per-step latencies and helper lane IDs. The ring holds the whole
+// lifecycle of 1 operation in 8 and every help, so a helped operation
+// outside the sample prints as its help events alone.
 package main
 
 import (
@@ -75,35 +77,69 @@ func runTrace(args []string) {
 	if err != nil {
 		fatalf("parse trace: %v", err)
 	}
-	printLifecycles(evs)
+	printLifecycles(os.Stdout, evs)
 }
 
-// printLifecycles groups trace events by descriptor and prints each
-// lifecycle chronologically with step-relative latencies.
-func printLifecycles(evs []metrics.TraceEvent) {
+// A lifecycle is the trace of one operation on a descriptor slot.
+type lifecycle struct {
+	desc uint64
+	evs  []metrics.TraceEvent
+}
+
+// label says what a lifecycle's events cover. The ring holds the whole
+// lifecycle of a 1-in-8 sample of operations, from its alloc, and every
+// help; a group with no alloc is a helped operation outside the sample,
+// unless it holds owner events, whose alloc the ring has overwritten.
+func (l lifecycle) label() string {
+	if l.evs[0].Kind == metrics.TraceAlloc {
+		return "sampled"
+	}
+	for _, ev := range l.evs {
+		if ev.Kind != metrics.TraceHelp && ev.Kind != metrics.TraceDecide {
+			return "alloc overwritten"
+		}
+	}
+	return "helped; lifecycle not sampled"
+}
+
+// groupLifecycles splits evs, in Seq order as the ring dumps them, into
+// lifecycles ordered by their first event. The pool reuses a freed slot
+// first (its free list is LIFO), so one descriptor offset carries many
+// operations: a lifecycle starts at each alloc and ends at its finalize.
+// Help events on a slot outside any sampled lifecycle form a group of
+// their own, which may span several unsampled operations on that slot.
+func groupLifecycles(evs []metrics.TraceEvent) []lifecycle {
+	var out []lifecycle
+	open := make(map[uint64]int) // desc -> its open lifecycle's index in out
+	for _, ev := range evs {
+		i, ok := open[ev.Desc]
+		if !ok || ev.Kind == metrics.TraceAlloc {
+			i = len(out)
+			open[ev.Desc] = i
+			out = append(out, lifecycle{desc: ev.Desc})
+		}
+		out[i].evs = append(out[i].evs, ev)
+		if ev.Kind == metrics.TraceFinalize {
+			delete(open, ev.Desc)
+		}
+	}
+	return out
+}
+
+// printLifecycles prints each lifecycle chronologically with
+// step-relative latencies.
+func printLifecycles(w io.Writer, evs []metrics.TraceEvent) {
 	if len(evs) == 0 {
-		fmt.Println("trace ring empty (server started with -metrics=false or -trace=false, or no PMwCAS activity yet)")
+		fmt.Fprintln(w, "trace ring empty (server started with -metrics=false or -trace=false, or no PMwCAS activity yet)")
 		return
 	}
-	// Group by descriptor offset, remembering first-seen order.
-	groups := make(map[uint64][]metrics.TraceEvent)
-	var order []uint64
-	for _, ev := range evs {
-		if _, ok := groups[ev.Desc]; !ok {
-			order = append(order, ev.Desc)
-		}
-		groups[ev.Desc] = append(groups[ev.Desc], ev)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return groups[order[a]][0].Seq < groups[order[b]][0].Seq
-	})
-	fmt.Printf("%d events, %d descriptors\n", len(evs), len(order))
-	for _, desc := range order {
-		g := groups[desc]
-		fmt.Printf("desc 0x%x (%d events)\n", desc, len(g))
-		base := g[0].T
-		for _, ev := range g {
-			fmt.Printf("  +%-10s %-8s lane=%-3d aux=%d (seq %d)\n",
+	ls := groupLifecycles(evs)
+	fmt.Fprintf(w, "%d events, %d lifecycles\n", len(evs), len(ls))
+	for _, l := range ls {
+		fmt.Fprintf(w, "desc 0x%x (%d events; %s)\n", l.desc, len(l.evs), l.label())
+		base := l.evs[0].T
+		for _, ev := range l.evs {
+			fmt.Fprintf(w, "  +%-10s %-8s lane=%-3d aux=%d (seq %d)\n",
 				time.Duration(ev.T-base), ev.Kind, ev.Actor, ev.Aux, ev.Seq)
 		}
 	}

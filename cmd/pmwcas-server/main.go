@@ -53,7 +53,7 @@ func main() {
 	drainGrace := flag.Duration("draingrace", 250*time.Millisecond, "shutdown drain window per connection")
 	debugAddr := flag.String("debug-addr", "", "optional HTTP listener for /metrics, /metrics.txt, /trace, and /debug/pprof (keep on loopback)")
 	metricsOn := flag.Bool("metrics", true, "record latency histograms and counters (DRAM only)")
-	traceOn := flag.Bool("trace", true, "record PMwCAS descriptor lifecycle events into the trace ring (needs -metrics)")
+	traceOn := flag.Bool("trace", true, "record PMwCAS descriptor lifecycles into the trace ring: the whole lifecycle of 1 descriptor in 8 and every help (needs -metrics)")
 	flag.Parse()
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })

@@ -385,7 +385,7 @@ type Handle struct {
 	pool  *Pool
 	guard *epoch.Guard
 	lane  metrics.Stripe
-	ops   uint64 // Execute count, drives latency-clock sampling
+	ops   uint64 // AllocateDescriptor count, draws the 1-in-8 sample
 	cache []int
 }
 
@@ -471,7 +471,17 @@ func (h *Handle) AllocateDescriptor(callbackID uint16) (*Descriptor, error) {
 	if got := p.readStatus(d); got != StatusFree {
 		panic(fmt.Sprintf("core: descriptor %d on free list has status %s", idx, statusName(got)))
 	}
-	metrics.DefaultTrace().Record(metrics.TraceAlloc, uint64(d), h.lane, uint64(callbackID))
+	// Draw the sample once per descriptor: a sampled operation runs its
+	// latency clocks and records its whole lifecycle in the trace ring,
+	// and no other operation pays for either (see latSampleMask).
+	var traced bool
+	if metrics.On() {
+		h.ops++
+		traced = h.ops&latSampleMask == 0
+	}
+	if traced {
+		metrics.DefaultTrace().Record(metrics.TraceAlloc, uint64(d), h.lane, uint64(callbackID))
+	}
 	// Count must be durably zero before any entry is reserved, so that a
 	// crash mid-initialization cannot resurrect entries from the
 	// descriptor's previous incarnation (§5.1). The finalizer already
@@ -479,7 +489,7 @@ func (h *Handle) AllocateDescriptor(callbackID uint16) (*Descriptor, error) {
 	p.dev.Store(d+descCountOff, uint64(callbackID)<<callbackShift)
 	p.stats.allocated.Add(1)
 	ds := &p.descs[idx]
-	*ds = Descriptor{h: h, off: d, idx: idx, cb: callbackID, ents: ds.ents, victims: ds.victims}
+	*ds = Descriptor{h: h, off: d, idx: idx, cb: callbackID, traced: traced, ents: ds.ents, victims: ds.victims}
 	return ds, nil
 }
 
@@ -498,6 +508,12 @@ type Descriptor struct {
 	cb   uint16  // finalize callback ID
 	done bool    // Execute or Discard has run
 	ents []entry // ents[:n] is the owner's DRAM copy of the NVRAM entries
+
+	// traced marks the 1-in-8 sample AllocateDescriptor drew: its latency
+	// clocks run and its owner-side lifecycle events (alloc, execute,
+	// discard, decide, retire, finalize) reach the trace ring. Helpers
+	// never read it; they record their help and decide events always.
+	traced bool
 
 	// victims holds the blocks this descriptor's finalize queued until
 	// RetireRun gathers them into its run's batch; empty between
@@ -665,22 +681,26 @@ func (d *Descriptor) Discard() error {
 	}
 	d.n = n
 	p.stats.discarded.Add(1)
-	metrics.DefaultTrace().Record(metrics.TraceDiscard, uint64(d.off), d.h.lane, 0)
+	if d.traced {
+		metrics.DefaultTrace().Record(metrics.TraceDiscard, uint64(d.off), d.h.lane, 0)
+	}
 	p.dev.ShadowDrop()
-	p.retire(d.off, d.idx, false)
+	p.retire(d, false)
 	return nil
 }
 
 // retire hands a concluded descriptor to the epoch machinery: once no
 // thread can dereference it, its memory policies run and it returns to
 // the free list (§5.1).
-func (p *Pool) retire(d nvram.Offset, idx int, succeeded bool) {
+func (p *Pool) retire(d *Descriptor, succeeded bool) {
 	var aux uint64
 	if succeeded {
 		aux = 1
 	}
-	metrics.DefaultTrace().Record(metrics.TraceRetire, uint64(d), metrics.StripeAt(idx), aux)
-	p.mgr.DeferRetire(p, uint64(d), uint64(idx)<<1|aux)
+	if d.traced {
+		metrics.DefaultTrace().Record(metrics.TraceRetire, uint64(d.off), d.h.lane, aux)
+	}
+	p.mgr.DeferRetire(p, uint64(d.off), uint64(d.idx)<<1|aux)
 }
 
 // RetireRun implements epoch.Retiree for concluded descriptors and is the
@@ -731,8 +751,13 @@ func (p *Pool) RetireRun(offs, auxs []uint64) {
 	} else {
 		reset()
 	}
+	// Read each slot's sample flag before the slot goes back on the free
+	// list, where a new owner rewrites it. Recovery's run rebuilds no flag
+	// and records nothing.
 	for i, aux := range auxs {
-		metrics.DefaultTrace().Record(metrics.TraceFinalize, offs[i], metrics.StripeAt(int(offs[i]/nvram.LineBytes)), aux&1)
+		if p.descs[aux>>1].traced {
+			metrics.DefaultTrace().Record(metrics.TraceFinalize, offs[i], metrics.StripeAt(int(offs[i]/nvram.LineBytes)), aux&1)
+		}
 	}
 	//lint:allow nonblock — bounded free-list push of the run's slots; no I/O under the lock (§6.3)
 	p.freeMu.Lock()

@@ -27,21 +27,24 @@ var (
 	mFencesPerOp  = metrics.NewHistogram("core_pmwcas_fences_per_op")
 )
 
-// latSampleMask samples the latency clocks 1-in-8 operations per
-// handle. Counters and the clock-free flush/fence histograms record
-// every operation; only the time.Now pairs (exec latency, phase-2
-// persist latency) are sampled — a clock read costs more than the rest
-// of the instrumentation combined, and a uniform 1/8 sample preserves
-// the distribution.
+// latSampleMask samples 1-in-8 descriptors per handle, drawn once in
+// AllocateDescriptor. Counters and the clock-free flush/fence
+// histograms record every operation; only a sampled descriptor runs the
+// time.Now pairs (exec latency, phase-2 persist latency) and records its
+// owner-side lifecycle in the trace ring — a clock read or a shared ring
+// slot costs more than the rest of the instrumentation combined, and a
+// uniform 1/8 sample preserves the distribution. Helps are not sampled:
+// a helper records its help and decide events every time.
 const latSampleMask = 7
 
 // opObs accumulates one PMwCAS operation's persistency cost on the
 // owner's stack. A nil *opObs means "unattributed" (helping from a read
-// path): recording is skipped, never redirected. timed marks the
-// operations whose latency clocks are sampled.
+// path): recording is skipped, never redirected. traced is the owner's
+// Descriptor.traced: the sampled operations, whose latency clocks run
+// and whose lifecycle is traced.
 type opObs struct {
 	lane    metrics.Stripe
-	timed   bool
+	traced  bool
 	flushes uint64
 	fences  uint64
 }

@@ -7,22 +7,40 @@ import (
 	"pmwcas/internal/metrics"
 )
 
+// overheadArms are BenchmarkPMwCASMetricsOverhead's settings: recording
+// off (the baseline), recording on, and recording on with the lifecycle
+// trace ring on, as pmwcas-server ships.
+var overheadArms = []struct {
+	name           string
+	metrics, trace bool
+}{
+	{"metrics=off", false, false},
+	{"metrics=on", true, false},
+	{"trace=on", true, true},
+}
+
+// setArm applies one arm's gates; the returned func restores the
+// library defaults (metrics on, trace off).
+func setArm(metricsOn, traceOn bool) func() {
+	metrics.Enable(metricsOn)
+	metrics.TraceEnable(traceOn)
+	return func() {
+		metrics.Enable(true)
+		metrics.TraceEnable(false)
+	}
+}
+
 // BenchmarkPMwCASMetricsOverhead pins the cost of the metrics substrate
 // on the PMwCAS fast path: the same uncontended 4-word persistent
-// Execute loop as BenchmarkPMwCAS4Words, with recording disabled and
-// enabled. The acceptance budget is <5% overhead with metrics on —
-// compare the two sub-benchmark ns/op directly, or run
+// Execute loop as BenchmarkPMwCAS4Words, once per overheadArms entry.
+// The acceptance budget is <5% over metrics=off for each of the other
+// arms — compare the sub-benchmark ns/op directly, or run
 // TestMetricsFastPathOverheadBudget with PMWCAS_PERF_ASSERT=1 to have
 // the comparison asserted.
 func BenchmarkPMwCASMetricsOverhead(b *testing.B) {
-	for _, on := range []bool{false, true} {
-		name := "metrics=off"
-		if on {
-			name = "metrics=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			defer metrics.Enable(true)
-			metrics.Enable(on)
+	for _, arm := range overheadArms {
+		b.Run(arm.name, func(b *testing.B) {
+			defer setArm(arm.metrics, arm.trace)()
 			benchFastPath(b)
 		})
 	}
@@ -49,27 +67,32 @@ func benchFastPath(b *testing.B) {
 	}
 }
 
-// TestMetricsFastPathOverheadBudget asserts the <5% budget by running
-// both benchmark arms and comparing ns/op. Timing-sensitive, so it is
-// opt-in: enable with PMWCAS_PERF_ASSERT=1 on a quiet machine.
+// TestMetricsFastPathOverheadBudget asserts the <5% budget for the
+// metrics=on and trace=on arms by running every arm and comparing ns/op
+// with metrics=off. Timing-sensitive, so it is opt-in: enable with
+// PMWCAS_PERF_ASSERT=1 on a quiet machine.
 func TestMetricsFastPathOverheadBudget(t *testing.T) {
 	if os.Getenv("PMWCAS_PERF_ASSERT") == "" {
 		t.Skip("set PMWCAS_PERF_ASSERT=1 to assert the overhead budget (timing-sensitive)")
 	}
-	defer metrics.Enable(true)
-	run := func(on bool) float64 {
-		metrics.Enable(on)
-		r := testing.Benchmark(benchFastPath)
-		return float64(r.NsPerOp())
+	ns := make([]float64, len(overheadArms))
+	run := func() {
+		for i, arm := range overheadArms {
+			restore := setArm(arm.metrics, arm.trace)
+			ns[i] = float64(testing.Benchmark(benchFastPath).NsPerOp())
+			restore()
+		}
 	}
-	// Interleave a warmup of each arm so CPU frequency state is even.
-	run(false)
-	run(true)
-	off := run(false)
-	on := run(true)
-	overhead := on/off - 1
-	t.Logf("fast path: metrics=off %.0f ns/op, metrics=on %.0f ns/op, overhead %.1f%%", off, on, overhead*100)
-	if overhead > 0.05 {
-		t.Errorf("metrics overhead %.1f%% exceeds the 5%% fast-path budget", overhead*100)
+	// A warmup pass of every arm so CPU frequency state is even.
+	run()
+	run()
+	off := ns[0]
+	for i, arm := range overheadArms[1:] {
+		on := ns[i+1]
+		overhead := on/off - 1
+		t.Logf("fast path: metrics=off %.0f ns/op, %s %.0f ns/op, overhead %.1f%%", off, arm.name, on, overhead*100)
+		if overhead > 0.05 {
+			t.Errorf("%s overhead %.1f%% exceeds the 5%% fast-path budget", arm.name, overhead*100)
+		}
 	}
 }

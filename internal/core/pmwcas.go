@@ -35,16 +35,11 @@ func (d *Descriptor) Execute() (bool, error) {
 	// Observe the operation from the owner's lane. The stack-local obs
 	// travels the whole exec path (including helpers the owner recruits)
 	// so flushes and fences are charged per operation, not per thread.
-	obs := opObs{lane: d.h.lane}
+	obs := opObs{lane: d.h.lane, traced: d.traced}
 	var t0 time.Time
-	on := metrics.On()
-	if on {
+	if obs.traced {
 		metrics.DefaultTrace().Record(metrics.TraceExecute, uint64(d.off), obs.lane, uint64(d.n))
-		d.h.ops++
-		if d.h.ops&latSampleMask == 0 {
-			obs.timed = true
-			t0 = time.Now()
-		}
+		t0 = time.Now()
 	}
 
 	// The descriptor — contents and Undecided status — must be durable
@@ -100,14 +95,12 @@ func (d *Descriptor) Execute() (bool, error) {
 	} else {
 		p.stats.failed.Add(1)
 	}
-	if on {
-		if obs.timed {
-			mExecLat.ObserveSince(obs.lane, t0)
-		}
-		mFlushesPerOp.Observe(obs.lane, int64(obs.flushes))
-		mFencesPerOp.Observe(obs.lane, int64(obs.fences))
+	if obs.traced {
+		mExecLat.ObserveSince(obs.lane, t0)
 	}
-	p.retire(d.off, d.idx, ok)
+	mFlushesPerOp.Observe(obs.lane, int64(obs.flushes))
+	mFencesPerOp.Observe(obs.lane, int64(obs.fences))
+	p.retire(d, ok)
 	return ok, nil
 }
 
@@ -239,8 +232,10 @@ func (p *Pool) exec(mdesc nvram.Offset, own []entry, o *opObs) bool {
 		}
 
 		// Decide. Exactly one thread's CAS moves Undecided to a final
-		// status; everyone else observes the winner's decision.
-		if p.dev.CAS(mdesc+descStatusOff, StatusUndecided, st|p.dirty) && metrics.On() {
+		// status; everyone else observes the winner's decision. A helper
+		// records its decision always, the owner only for a sampled
+		// descriptor.
+		if p.dev.CAS(mdesc+descStatusOff, StatusUndecided, st|p.dirty) && (helping || o.traced) {
 			var aux uint64
 			if st == StatusSucceeded {
 				aux = 1
@@ -262,7 +257,7 @@ func (p *Pool) exec(mdesc nvram.Offset, own []entry, o *opObs) bool {
 	// ----- Phase 2: replace descriptor pointers with final values (new on
 	// success, old on failure/rollback), then persist them all at once.
 	var t2 time.Time
-	if o != nil && o.timed {
+	if o != nil && o.traced {
 		t2 = time.Now()
 	}
 	field := uint64(wordOldOff)

@@ -31,8 +31,8 @@ import (
 
 // Observability (DRAM-only; see internal/metrics). Guard hold time is
 // sampled 1-in-64 so the per-Enter cost on the read hot path stays one
-// counter increment; reclamation lag is exact — DeferRetire already
-// takes a lock, one timestamp does not change its cost class.
+// counter increment; reclamation lag is sampled 1-in-8 retires, since a
+// clock read on every retire costs more than the lock DeferRetire takes.
 var (
 	mHoldNs   = metrics.NewHistogram("epoch_guard_hold_ns")
 	mLagNs    = metrics.NewHistogram("epoch_reclaim_lag_ns")
@@ -41,6 +41,11 @@ var (
 
 // holdSampleMask samples every 64th outermost Enter/Exit pair.
 const holdSampleMask = 63
+
+// lagSampleMask stamps every 8th DeferRetire with its time; Collect
+// observes reclamation lag only for stamped entries (at != 0), so
+// epoch_reclaim_lag_ns stays a uniform sample.
+const lagSampleMask = 7
 
 // idle marks a guard that is not inside any epoch. Epochs start at 1 so 0
 // can never be a legitimate protected epoch.
@@ -80,7 +85,7 @@ type Stats struct {
 
 type deferred struct {
 	epoch uint64
-	at    int64 // UnixNano at DeferRetire, 0 when metrics were off
+	at    int64 // UnixNano at DeferRetire; 0 when unsampled or metrics were off
 	r     Retiree
 }
 
@@ -172,8 +177,9 @@ func (m *Manager) Advance() uint64 {
 // no closure (only the garbage list's growth allocates).
 func (m *Manager) DeferRetire(r Retiree, off, aux uint64) {
 	e := m.global.Load()
+	n := m.deferred.Add(1)
 	var at int64
-	if metrics.On() {
+	if n&lagSampleMask == 0 && metrics.On() {
 		at = time.Now().UnixNano()
 	}
 	//lint:allow nonblock — bounded append to the deferred list; Collect detaches under the same lock but runs retirees outside it (§6.3)
@@ -183,7 +189,7 @@ func (m *Manager) DeferRetire(r Retiree, off, aux uint64) {
 	m.auxs = append(m.auxs, aux)
 	m.gmu.Unlock()
 	m.Advance()
-	if m.deferred.Add(1)%collectEvery == 0 {
+	if n%collectEvery == 0 {
 		//lint:allow hotpath — amortized epoch sweep, 1 in 32 retires: each retiree frees its whole run behind one set of barriers, and that cost is counted in the per-op bill (§6.3)
 		m.Collect()
 	}

@@ -90,6 +90,24 @@ func TestDeferRetirePacesTheClock(t *testing.T) {
 	}
 }
 
+// The reclaim-lag clock runs on every 8th retire only: 64 retires,
+// all reclaimed, add 8 observations to epoch_reclaim_lag_ns.
+func TestReclaimLagIsSampled(t *testing.T) {
+	m := NewManager()
+	var c counter
+	before := mLagNs.Snapshot().Count
+	for i := 0; i < 64; i++ {
+		m.DeferRetire(&c, uint64(i), 0)
+	}
+	m.Drain()
+	if n := c.ran.Load(); n != 64 {
+		t.Fatalf("%d of 64 retirees ran", n)
+	}
+	if got := mLagNs.Snapshot().Count - before; got != 8 {
+		t.Fatalf("reclaim lag observed %d of 64 retires, want 8", got)
+	}
+}
+
 func TestActiveGuardBlocksReclamation(t *testing.T) {
 	m := NewManager()
 	g := m.Register()

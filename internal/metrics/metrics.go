@@ -17,8 +17,8 @@
 // Stripes play the role the paper's per-thread descriptor partitions
 // play for the pool: goroutine-affine lanes that make the common case
 // contention-free while snapshots merge all lanes. The budget is <5% on
-// the PMwCAS fast path with metrics enabled (BenchmarkMetricsOverhead
-// in the root package pins it).
+// the PMwCAS fast path with metrics enabled (internal/core's
+// BenchmarkPMwCASMetricsOverhead pins it).
 package metrics
 
 import (

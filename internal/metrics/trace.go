@@ -14,6 +14,15 @@ import (
 // shows exactly which descriptors were helped, by whom (lane IDs), and
 // how long each phase took, without stopping the server.
 //
+// What the core layer records is a sample plus every help. Each handle
+// samples 1 descriptor in 8 when it allocates one, the same sample its
+// latency clocks use; a sampled descriptor records its whole lifecycle
+// (alloc, execute or discard, the owner's decide, retire, finalize).
+// Every help, and every decide a helper makes, is recorded whatever
+// the sample: a helper cannot see the owner's sample, and help storms
+// are what the ring is for. An unsampled operation nobody helps records
+// nothing, so the fast path pays for five events every eighth operation.
+//
 // Writers claim a slot with one atomic add and publish with a seqlock
 // mark; readers validate the mark around their copy, so a dump taken
 // under load skips (rather than tears) slots being overwritten. All
@@ -21,11 +30,11 @@ import (
 // construction, not by luck.
 
 // Tracing is gated separately from the counters/histograms: every
-// event costs a timestamp plus a shared sequence fetch-add, which is
-// real money on the PMwCAS fast path (the <5% budget covers the
-// metrics substrate, not the ring). Library default is off;
-// pmwcas-server turns it on with -trace. Both gates must be open for
-// Record to record.
+// event costs a timestamp plus a shared sequence fetch-add. Library
+// default is off; pmwcas-server turns it on (its -trace flag defaults
+// to true), and the <5% fast-path budget covers it there
+// (BenchmarkPMwCASMetricsOverhead's trace=on arm in internal/core).
+// Both gates must be open for Record to record.
 var traceOn atomic.Bool
 
 // TraceEnable turns lifecycle tracing on or off process-wide.
@@ -34,17 +43,20 @@ func TraceEnable(on bool) { traceOn.Store(on) }
 // TraceKind labels one lifecycle event.
 type TraceKind uint8
 
-// Lifecycle events, in the order a successful operation emits them.
+// Lifecycle events, in the order a sampled successful operation emits
+// them.
 const (
 	// TraceAlloc: a descriptor left the free list (aux = callback ID).
 	TraceAlloc TraceKind = iota + 1
 	// TraceExecute: the owner entered Execute (aux = word count).
 	TraceExecute
 	// TraceHelp: a non-owner thread executed the descriptor (actor is
-	// the helper's lane).
+	// the helper's lane). Recorded for every descriptor, sampled or not.
 	TraceHelp
 	// TraceDecide: the status CAS moved Undecided to a final status
-	// (aux = 1 success, 0 failure). Recorded by the deciding thread only.
+	// (aux = 1 success, 0 failure). Recorded by the deciding thread only:
+	// always when it is a helper, for a sampled descriptor when it is
+	// the owner.
 	TraceDecide
 	// TraceDiscard: the owner cancelled before execution.
 	TraceDiscard
@@ -155,7 +167,7 @@ func DefaultTrace() *TraceRing { return defTrace }
 // enabled. Lock-free: one atomic add claims the slot, atomics fill it,
 // one store publishes.
 //
-//pmwcas:hotpath — traces every descriptor lifecycle transition; runs inside install and help paths
+//pmwcas:hotpath — traces sampled descriptor lifecycles and every help; runs inside install and help paths
 func (r *TraceRing) Record(k TraceKind, desc uint64, actor Stripe, aux uint64) {
 	if !traceOn.Load() || !enabled.Load() {
 		return
